@@ -37,6 +37,7 @@ from repro.bench.variants import (
 from repro.core.attach import connect
 from repro.core.ml_to_sql.generator import dense_join_work
 from repro.core.registry import publish_model
+from repro.db.operators import ExecutionContext
 from repro.db.sql.parser import parse_statement
 from repro.workloads.iris import FEATURE_COLUMNS, load_iris_table
 from repro.workloads.models import make_dense_model
@@ -97,7 +98,7 @@ def measure_overhead(config: BenchConfig, repeats: int = 5) -> dict:
     """prepare+lower latency per statement of the representative mix."""
     database, _ = _dense_engine(min(config.fact_rows), 8, 2)
     planner = database._planner()
-    context = database._context(parallelism=1)
+    context = ExecutionContext(vector_size=database.vector_size)
     queries = []
     for sql in OVERHEAD_QUERIES:
         statement = parse_statement(sql)

@@ -168,7 +168,7 @@ class ModelJoinOperator(UnaryOperator):
         # operator (no-op while the tracer is disabled), and check the
         # query's deadline between kernels.
         self.device.set_tracer(self.context.tracer)
-        self.device.set_cancellation(self.context.cancellation)
+        self.device.set_cancellation(self.context.query.cancellation)
 
     # ------------------------------------------------------------------
     # build phase
@@ -415,7 +415,7 @@ class ModelJoinOperator(UnaryOperator):
         breaker_for(self.device).record_failure()
         host = HostDevice()
         host.set_tracer(self.context.tracer)
-        host.set_cancellation(self.context.cancellation)
+        host.set_cancellation(self.context.query.cancellation)
         self._note_fallback(
             "device", f"{self.device.name}->{host.name}", error
         )

@@ -17,7 +17,6 @@ from repro.db.engine import Database
 from repro.db.operators import ExecutionContext, TableScan
 from repro.db.parallel import run_plans
 from repro.db.profiler import QueryProfile, finalize_profile
-from repro.db.resilience import CancellationToken
 from repro.db.vector import VectorBatch
 from repro.device.base import Device, DeviceWindow
 from repro.device.host import HostDevice
@@ -77,18 +76,13 @@ class NativeModelJoin:
             chosen = self._device_from_selector(table.row_count)
             if chosen is not None:
                 self.device = chosen
-        parallelism = (
-            self.database.parallelism
-            if parallel and self.database.parallelism > 1
-            else 1
+        query = self.database.query_context(
+            f"<native-modeljoin {self.metadata.model_name}>",
+            parallel,
+            timeout_seconds,
         )
-        context: ExecutionContext = self.database._context(
-            parallelism=parallelism
-        )
-        if timeout_seconds is not None:
-            context.cancellation = CancellationToken.with_timeout(
-                timeout_seconds
-            )
+        context: ExecutionContext = self.database.attempt_context(query)
+        parallelism = context.parallelism
         tracer = context.tracer
 
         def build(partition_index: int) -> ModelJoinOperator:
@@ -134,12 +128,8 @@ class NativeModelJoin:
                     retries=self.database.task_retries,
                 )
         self.last_seconds = window.seconds
-        profile = QueryProfile(
-            wall_seconds=window.wall_seconds,
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
-        )
+        profile = query.profile
+        profile.wall_seconds = window.wall_seconds
         profile.rows_returned = sum(len(batch) for batch in batches)
         finalize_profile(profile, self.database.metrics)
         self.last_profile = profile

@@ -9,7 +9,6 @@ from repro.db.engine import Database
 from repro.db.operators import ExecutionContext, TableScan
 from repro.db.parallel import run_plans
 from repro.db.profiler import QueryProfile, finalize_profile
-from repro.db.resilience import CancellationToken
 from repro.db.vector import VectorBatch
 from repro.device.base import Device, DeviceWindow
 from repro.device.host import HostDevice
@@ -46,18 +45,11 @@ class RuntimeApiModelJoin:
         timeout_seconds: float | None = None,
     ) -> tuple[list[VectorBatch], ExecutionContext]:
         table = self.database.table(fact_table)
-        parallelism = (
-            self.database.parallelism
-            if parallel and self.database.parallelism > 1
-            else 1
+        query = self.database.query_context(
+            "<runtime-api>", parallel, timeout_seconds
         )
-        context: ExecutionContext = self.database._context(
-            parallelism=parallelism
-        )
-        if timeout_seconds is not None:
-            context.cancellation = CancellationToken.with_timeout(
-                timeout_seconds
-            )
+        context: ExecutionContext = self.database.attempt_context(query)
+        parallelism = context.parallelism
         tracer = context.tracer
 
         def build(partition_index: int) -> RuntimeApiOperator:
@@ -97,12 +89,8 @@ class RuntimeApiModelJoin:
                     retries=self.database.task_retries,
                 )
         self.last_seconds = window.seconds
-        profile = QueryProfile(
-            wall_seconds=window.wall_seconds,
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
-        )
+        profile = query.profile
+        profile.wall_seconds = window.wall_seconds
         profile.rows_returned = sum(len(batch) for batch in batches)
         finalize_profile(profile, self.database.metrics)
         self.last_profile = profile

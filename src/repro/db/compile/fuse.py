@@ -75,7 +75,7 @@ class FusedPipeline(UnaryOperator):
 
     def _produce(self) -> Iterator[VectorBatch]:
         kernel = self.kernel
-        cancellation = self.context.cancellation
+        cancellation = self.context.query.cancellation
         for batch in self.child.next_batches():
             if len(batch) == 0:
                 continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,12 @@ from repro.db.introspect import (
     metrics_to_prometheus,
 )
 from repro.db.introspect.log import LOG_FILE_NAME
-from repro.db.operators import ExecutionContext, LimitOperator, SortOperator
+from repro.db.operators import (
+    ExecutionContext,
+    LimitOperator,
+    QueryContext,
+    SortOperator,
+)
 from repro.db.operators.base import PhysicalOperator
 from repro.db.expressions import ColumnRef
 from repro.db.parallel import WorkerPool, run_plans
@@ -54,8 +60,6 @@ from repro.errors import (
     CompiledKernelError,
     ExecutionError,
     PlanError,
-    QueryCancelledError,
-    QueryRejectedError,
     QueryTimeoutError,
     TypeMismatchError,
 )
@@ -345,9 +349,8 @@ class Database:
         are simply waited for.
         """
         for profile in self.active_queries.snapshot():
-            token = getattr(profile, "cancellation", None)
-            if token is not None:
-                token.cancel("database closing")
+            if profile.cancellation is not None:
+                profile.cancellation.cancel("database closing")
         deadline = time.perf_counter() + max(drain_seconds, 0.0)
         while self.active_queries.snapshot():
             if time.perf_counter() >= deadline:
@@ -413,53 +416,172 @@ class Database:
         """
         return metrics_to_prometheus(self.metrics.snapshot())
 
-    def _begin_query(
+    # ------------------------------------------------------------------
+    # the query lifecycle
+    # ------------------------------------------------------------------
+    def query_context(
         self,
-        sql_text: str,
-        parallel: bool,
-        session_id: str = "",
-        tenant: str = "",
-    ) -> ResourceProfile | None:
-        """Open a resource profile and register it as an active query."""
-        if not self.collect_query_log:
-            return None
-        collector = ResourceProfile(
-            query_id=self.query_log.allocate_query_id(),
-            sql=sql_text,
-            started_at=time.time(),
+        sql: str,
+        parallel: bool = False,
+        timeout_seconds: float | None = None,
+        analyze: bool = False,
+    ) -> QueryContext:
+        """The :class:`QueryContext` of a direct (unserved) statement."""
+        cancellation = None
+        if timeout_seconds is not None:
+            cancellation = CancellationToken.with_timeout(timeout_seconds)
+        elif self.sharding is not None:
+            # Sharded queries always carry a token so close() (and any
+            # explicit cancel) can abandon a cross-process gather
+            # instead of blocking on a slow or dead shard.
+            cancellation = CancellationToken()
+        return QueryContext(
+            sql=sql.strip(),
+            catalog=self.catalog,
+            cancellation=cancellation,
             parallel=parallel,
-            session_id=session_id,
-            tenant=tenant,
+            analyze=analyze,
         )
-        self.active_queries.register(collector)
-        return collector
 
-    def _finish_query(
-        self,
-        collector: ResourceProfile | None,
-        result: Result | None = None,
-        error: BaseException | None = None,
+    def run_query(self, query: QueryContext, body) -> Result:
+        """Run ``body(context, planner) -> Result`` as one logged query.
+
+        The one lifecycle every statement kind shares: open the
+        resource profile and register it as active, run an attempt
+        (fresh :class:`ExecutionContext`/:class:`QueryProfile`, the
+        ``query`` span, *body*), retry once interpreted if a generated
+        kernel fails, then finalize the profile, land the
+        ``system.queries`` row and deregister.  Nested queries (the
+        source of a ``CREATE MODEL``, the SELECT of an ``INSERT``) run
+        inside the parent's *body* on the parent's context, so a client
+        statement is one row, one ``query.count`` and one token.
+        """
+        self._begin(query)
+        try:
+            try:
+                result = self._attempt(query, body)
+            except CompiledKernelError as error:
+                # One-shot fallback: a generated kernel failed (at
+                # compile exec time or at runtime).  Record the failure
+                # on the compile breaker — repeated failures disable
+                # compilation engine-wide for the cool-down — and
+                # re-execute fully interpreted, under the same
+                # cancellation token so the original deadline still
+                # applies.  Timeouts never take this path:
+                # QueryTimeoutError is not a CompiledKernelError.
+                self.metrics.counter("compile.fallback").increment()
+                self.compile_breaker.record_failure()
+                self.tracer.instant(
+                    "compile-fallback",
+                    category="fallback",
+                    args={
+                        "error": type(error).__name__,
+                        "detail": str(error),
+                    },
+                )
+                if query.collector is not None:
+                    query.collector.fallback = True
+                result = self._attempt(query, body, use_compiled=False)
+        except Exception as error:
+            # Failed queries still land a log row, with the error's
+            # taxonomy class (BindError, InjectedFaultError, ...).
+            self._finish(query, error)
+            raise
+        except BaseException:
+            # KeyboardInterrupt/SystemExit: don't log a row, but never
+            # leave a ghost entry in the active-query registry.
+            if query.collector is not None:
+                self.active_queries.deregister(query.collector.query_id)
+            raise
+        self._finish(query)
+        return result
+
+    def log_unexecuted(
+        self, query: QueryContext, error: BaseException
     ) -> None:
-        """Finalize a resource profile and append it to the query log."""
+        """Land the ``system.queries`` row of a statement that died
+        before execution (shed, expired or cancelled while queued):
+        the lifecycle's two ends with no attempt in between."""
+        self._begin(query)
+        self._finish(query, error)
+
+    def _begin(self, query: QueryContext) -> None:
+        """Open the resource profile and register it as an active query
+        (which also exposes the token, so close()/session teardown can
+        cancel in-flight queries through the registry)."""
+        if not self.collect_query_log:
+            return
+        query.collector = ResourceProfile(
+            query_id=self.query_log.allocate_query_id(),
+            sql=query.sql,
+            parallel=query.parallel and self.parallelism > 1,
+            session_id=query.session_id,
+            tenant=query.tenant,
+            cancellation=query.cancellation,
+        )
+        self.active_queries.register(query.collector)
+
+    def attempt_context(self, query: QueryContext) -> ExecutionContext:
+        """A fresh execution context for one attempt of *query*, wired
+        to the engine's tracer and metrics (operator timing switches on
+        with the tracer), with ``query.profile`` viewing its resources."""
+        context = ExecutionContext(
+            vector_size=self.vector_size,
+            parallelism=self.parallelism if query.parallel else 1,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            operator_timing=self.tracer.enabled or query.analyze,
+            query=query,
+        )
+        if query.collector is not None:
+            # A fallback re-execution rebinds the collector to the new
+            # attempt's counters: the logged resources are those of the
+            # attempt that produced (or failed to produce) the result.
+            query.collector.counters = context.counters
+        query.profile = QueryProfile(
+            memory=context.memory,
+            stopwatch=context.stopwatch,
+            counters=context.counters,
+        )
+        return context
+
+    def _attempt(
+        self,
+        query: QueryContext,
+        body,
+        use_compiled: bool | None = None,
+    ) -> Result:
+        context = self.attempt_context(query)
+        profile = query.profile
+        args = {"parallel": context.parallelism > 1, "analyze": query.analyze}
+        started = time.perf_counter()
+        try:
+            with self.tracer.span("query", category="query", args=args):
+                context.trace_parent = self.tracer.current_span_id()
+                result = body(
+                    context, self._planner(use_compiled, query.catalog)
+                )
+        finally:
+            profile.wall_seconds = time.perf_counter() - started
+        profile.rows_returned = result.row_count
+        return result
+
+    def _finish(
+        self, query: QueryContext, error: BaseException | None = None
+    ) -> None:
+        """Feed the engine metrics and append the query-log row."""
+        rows_returned = 0
+        if query.profile is not None:  # the statement executed
+            rows_returned = query.profile.rows_returned
+            finalize_profile(query.profile, self.metrics)
+            self.last_profile = query.profile
+            if isinstance(error, QueryTimeoutError):
+                self.metrics.counter("query.timeouts").increment()
+        collector = query.collector
         if collector is None:
             return
         try:
-            if error is None:
-                status = "ok"
-            elif isinstance(error, QueryRejectedError):
-                status = "rejected"
-            elif isinstance(error, QueryCancelledError):
-                # before QueryTimeoutError: cancelled is its subclass
-                status = "cancelled"
-            elif isinstance(error, QueryTimeoutError):
-                status = "timeout"
-            else:
-                status = "error"
-            collector.finish(
-                status,
-                error=error,
-                rows_returned=result.row_count if result is not None else 0,
-            )
+            collector.finish(error=error, rows_returned=rows_returned)
             if (
                 self.slow_query_seconds is not None
                 and collector.latency_seconds >= self.slow_query_seconds
@@ -469,17 +591,6 @@ class Database:
             self.query_log.record(collector.to_entry())
         finally:
             self.active_queries.deregister(collector.query_id)
-
-    def _context(self, parallelism: int = 1) -> ExecutionContext:
-        """A fresh execution context wired to the engine's tracer and
-        metrics (operator timing switches on with the tracer)."""
-        return ExecutionContext(
-            vector_size=self.vector_size,
-            parallelism=parallelism,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            operator_timing=self.tracer.enabled,
-        )
 
     def __enter__(self) -> "Database":
         return self
@@ -552,9 +663,7 @@ class Database:
         catalog: Catalog | None = None,
     ) -> Planner:
         options = self.planner_options
-        if use_compiled is False and getattr(
-            options, "use_compiled_kernels", True
-        ):
+        if use_compiled is False and options.use_compiled_kernels:
             options = dataclasses.replace(
                 options, use_compiled_kernels=False
             )
@@ -577,10 +686,6 @@ class Database:
         sql: str,
         parallel: bool = False,
         timeout_seconds: float | None = None,
-        catalog: Catalog | None = None,
-        cancellation: CancellationToken | None = None,
-        session_id: str = "",
-        tenant: str = "",
     ) -> Result:
         """Parse and execute one SQL statement.
 
@@ -593,42 +698,29 @@ class Database:
         and raises :class:`~repro.errors.QueryTimeoutError` once the
         deadline passes (the worker pool drains cleanly and stays
         usable).
-
-        The serving layer passes *catalog* (a snapshot catalog so the
-        query reads a pinned, immutable view), *cancellation* (a
-        pre-built token carrying the session deadline — it takes
-        precedence over *timeout_seconds*) and *session_id*/*tenant*
-        (stamped on the query-log row and ``system.active_queries``).
         """
-        statement = parse_statement(sql)
         return self.execute_statement(
-            statement,
-            parallel=parallel,
-            timeout_seconds=timeout_seconds,
-            sql_text=sql.strip(),
-            catalog=catalog,
-            cancellation=cancellation,
-            session_id=session_id,
-            tenant=tenant,
+            parse_statement(sql),
+            self.query_context(sql, parallel, timeout_seconds),
         )
 
     def execute_statement(
-        self,
-        statement: Statement,
-        parallel: bool = False,
-        timeout_seconds: float | None = None,
-        sql_text: str | None = None,
-        catalog: Catalog | None = None,
-        cancellation: CancellationToken | None = None,
-        session_id: str = "",
-        tenant: str = "",
+        self, statement: Statement, query: QueryContext | None = None
     ) -> Result:
-        if sql_text is None:
-            # Statements executed programmatically (no SQL text) are
-            # still logged, under a synthetic marker.
-            sql_text = f"<{type(statement).__name__}>"
+        """Execute a parsed statement under *query*.
+
+        The serving layer and the shard workers enter here with the
+        :class:`QueryContext` they built (snapshot catalog, session
+        token and identity); without one the statement runs as a
+        direct query, logged under a synthetic marker.
+        """
+        if query is None:
+            query = self.query_context(f"<{type(statement).__name__}>")
         if isinstance(statement, Explain):
-            return self._execute_explain(statement)
+            lines = self._explain_lines(statement.statement, query.catalog)
+            schema = Schema((Column("plan", SqlType.VARCHAR),))
+            batch = VectorBatch(schema, [np.array(lines, dtype=object)])
+            return Result(schema, [batch], QueryProfile())
         if isinstance(statement, CreateTable):
             with self.catalog_lock:
                 return self._execute_create_table(statement)
@@ -653,55 +745,28 @@ class Database:
             # snapshot captures proceed while a (re)train is in flight.
             from repro.db.train import execute_create_model
 
-            return execute_create_model(self, statement, sql_text=sql_text)
+            return execute_create_model(self, statement, query)
         if isinstance(statement, AlterModel):
             from repro.db.train import execute_alter_model
 
-            return execute_alter_model(self, statement, sql_text=sql_text)
+            return execute_alter_model(self, statement, query)
         if isinstance(statement, InsertValues):
             with self.catalog_lock:
                 return self._execute_insert_values(statement)
         if isinstance(statement, InsertSelect):
             with self.catalog_lock:
-                return self._execute_insert_select(statement)
+                return self.run_query(
+                    query, partial(self._insert_select, statement)
+                )
         if isinstance(statement, SelectStatement):
-            return self._execute_select(
-                statement,
-                parallel=parallel,
-                timeout_seconds=timeout_seconds,
-                sql_text=sql_text,
-                catalog=catalog,
-                cancellation=cancellation,
-                session_id=session_id,
-                tenant=tenant,
-            )
+            return self.run_query(query, partial(self.run_select, statement))
         raise PlanError(f"unsupported statement {type(statement).__name__}")
 
     def explain(self, sql: str) -> str:
         statement = parse_statement(sql)
         if isinstance(statement, Explain):
             statement = statement.statement
-        if isinstance(statement, (CreateModel, AlterModel)):
-            result = self._execute_explain(Explain(statement))
-            return "\n".join(row[0] for row in result.rows)
-        if not isinstance(statement, SelectStatement):
-            raise PlanError(
-                "EXPLAIN supports SELECT, CREATE MODEL and ALTER MODEL"
-            )
-        context = ExecutionContext(vector_size=self.vector_size)
-        text = self._planner().explain(statement, context)
-        return self._prepend_fragment_tree(statement, text)
-
-    def _prepend_fragment_tree(
-        self, statement: SelectStatement, text: str
-    ) -> str:
-        """Prefix EXPLAIN output with the shard fragment tree (if any)."""
-        if self.sharding is None:
-            return text
-        fragment = self.sharding.plan_fragments(statement, self.catalog)
-        if fragment is None:
-            return text
-        return self.sharding.explain_fragments(fragment) + "\n" + text
+        return "\n".join(self._explain_lines(statement, self.catalog))
 
     def explain_analyze(
         self, sql: str, parallel: bool = False
@@ -719,86 +784,20 @@ class Database:
             statement = statement.statement
         if not isinstance(statement, SelectStatement):
             raise PlanError("EXPLAIN ANALYZE supports only SELECT")
-        if parallel and self.parallelism > 1:
-            return self._explain_analyze_parallel(statement, sql.strip())
-        context = self._context()
-        context.operator_timing = True
-        collector = self._begin_query(sql.strip(), parallel=False)
-        context.collector = collector
-        if collector is not None:
-            collector.counters = context.counters
-        profile = QueryProfile(
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
-        )
-        started = time.perf_counter()
-        try:
-            with self.tracer.span(
-                "query", category="query", args={"kind": "explain-analyze"}
-            ):
-                context.trace_parent = self.tracer.current_span_id()
-                plan = self._planner().plan_select(statement, context)
-                batches = list(plan.batches())
-        except Exception as error:
-            self._finish_query(collector, error=error)
-            raise
-        profile.wall_seconds = time.perf_counter() - started
-        result = Result(plan.schema, batches, profile)
-        profile.rows_returned = result.row_count
-        finalize_profile(profile, self.metrics)
-        self.last_profile = profile
-        self._finish_query(collector, result=result)
-        return plan.explain(stats=True), result
-
-    def _explain_analyze_parallel(
-        self, statement: SelectStatement, sql_text: str
-    ) -> tuple[str, Result]:
-        if statement.distinct:
-            raise PlanError("DISTINCT is not supported in parallel mode")
-        context = self._context(parallelism=self.parallelism)
-        context.operator_timing = True
-        collector = self._begin_query(sql_text, parallel=True)
-        context.collector = collector
-        if collector is not None:
-            collector.counters = context.counters
-        profile = QueryProfile(
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
-        )
-        collected: dict = {}
-        started = time.perf_counter()
-        try:
-            with self.tracer.span(
-                "query",
-                category="query",
-                args={"kind": "explain-analyze", "parallel": True},
-            ):
-                context.trace_parent = self.tracer.current_span_id()
-                result = self._execute_select_parallel(
-                    statement, context, profile, collect=collected
-                )
-        except Exception as error:
-            self._finish_query(collector, error=error)
-            raise
-        profile.wall_seconds = time.perf_counter() - started
-        profile.rows_returned = result.row_count
-        finalize_profile(profile, self.metrics)
-        self.last_profile = profile
-        self._finish_query(collector, result=result)
-        plans = collected["plans"]
-        merged = plans[0]
-        for other in plans[1:]:
+        query = self.query_context(sql, parallel, analyze=True)
+        result = self.execute_statement(statement, query)
+        merged = query.plans[0]
+        for other in query.plans[1:]:
             merged.merge_stats_from(other)
+        if len(query.plans) == 1:
+            return merged.explain(stats=True), result
         lines = [
-            f"Parallel: {len(plans)} pipelines "
+            f"Parallel: {len(query.plans)} pipelines "
             "(per-operator stats merged across pipelines)"
         ]
-        coordinator = collected.get("coordinator")
-        if coordinator is not None:
+        if query.coordinator is not None:
             lines.append("coordinator (post-merge):")
-            lines.append(coordinator.explain(indent=2, stats=True))
+            lines.append(query.coordinator.explain(indent=2, stats=True))
             lines.append("per-pipeline plan:")
         lines.append(merged.explain(indent=2, stats=True))
         return "\n".join(lines), result
@@ -806,29 +805,30 @@ class Database:
     # ------------------------------------------------------------------
     # statement handlers
     # ------------------------------------------------------------------
-    def _execute_explain(self, statement: Explain) -> Result:
-        inner = statement.statement
-        if isinstance(inner, CreateModel):
+    def _explain_lines(self, statement: Statement, catalog) -> list[str]:
+        """EXPLAIN output for *statement*, planned against *catalog*."""
+        if isinstance(statement, CreateModel):
             from repro.db.train import render_create_model_explain
 
-            lines = render_create_model_explain(self, inner)
-        elif isinstance(inner, AlterModel):
-            lines = [
-                f"AlterModel(model={inner.model_name.lower()}, "
-                f"set_version={inner.version})"
+            return render_create_model_explain(
+                self, statement, self._explain_lines(statement.query, catalog)
+            )
+        if isinstance(statement, AlterModel):
+            return [
+                f"AlterModel(model={statement.model_name.lower()}, "
+                f"set_version={statement.version})"
             ]
-        elif isinstance(inner, SelectStatement):
-            context = ExecutionContext(vector_size=self.vector_size)
-            lines = self._prepend_fragment_tree(
-                inner, self._planner().explain(inner, context)
-            ).splitlines()
-        else:
+        if not isinstance(statement, SelectStatement):
             raise PlanError(
                 "EXPLAIN supports SELECT, CREATE MODEL and ALTER MODEL"
             )
-        schema = Schema((Column("plan", SqlType.VARCHAR),))
-        batch = VectorBatch(schema, [np.array(lines, dtype=object)])
-        return Result(schema, [batch], QueryProfile())
+        context = ExecutionContext(vector_size=self.vector_size)
+        text = self._planner(catalog=catalog).explain(statement, context)
+        if self.sharding is not None:
+            fragment = self.sharding.plan_fragments(statement, catalog)
+            if fragment is not None:
+                text = self.sharding.explain_fragments(fragment) + "\n" + text
+        return text.splitlines()
 
     def _execute_create_table(self, statement: CreateTable) -> Result:
         if statement.if_not_exists and self.catalog.has_table(
@@ -895,14 +895,16 @@ class Database:
             reordered.append(tuple(target))
         return reordered
 
-    def _execute_insert_select(self, statement: InsertSelect) -> Result:
+    def _insert_select(
+        self, statement: InsertSelect, context: ExecutionContext, planner
+    ) -> Result:
         if statement.column_names:
             raise PlanError(
                 "INSERT ... SELECT with a column list is not supported"
             )
         self._check_writable(statement.table_name)
         table = self.catalog.table(statement.table_name)
-        result = self._execute_select(statement.query, parallel=False)
+        result = self.run_select(statement.query, context, planner)
         if len(result.schema) != len(table.schema):
             raise TypeMismatchError(
                 f"INSERT SELECT produces {len(result.schema)} columns, "
@@ -918,190 +920,64 @@ class Database:
             table.append_batch(VectorBatch(table.schema, coerced))
         return Result.empty(result.profile)
 
-    def _execute_select(
-        self,
-        statement: SelectStatement,
-        parallel: bool,
-        timeout_seconds: float | None = None,
-        sql_text: str | None = None,
-        catalog: Catalog | None = None,
-        cancellation: CancellationToken | None = None,
-        session_id: str = "",
-        tenant: str = "",
+    def run_select(
+        self, statement: SelectStatement, context: ExecutionContext, planner
     ) -> Result:
-        if cancellation is None and timeout_seconds is not None:
-            cancellation = CancellationToken.with_timeout(timeout_seconds)
-        if cancellation is None and self.sharding is not None:
-            # Sharded queries always carry a token so close() (and any
-            # explicit cancel) can abandon a cross-process gather
-            # instead of blocking on a slow or dead shard.
-            cancellation = CancellationToken()
-        collector = self._begin_query(
-            sql_text or f"<{type(statement).__name__}>",
-            parallel=bool(parallel and self.parallelism > 1),
-            session_id=session_id,
-            tenant=tenant,
-        )
-        if collector is not None:
-            # Exposed so close()/session teardown can cancel in-flight
-            # queries through the active-query registry.
-            collector.cancellation = cancellation
-        try:
-            try:
-                result = self._execute_select_attempt(
-                    statement, parallel, cancellation,
-                    use_compiled=None, collector=collector,
-                    catalog=catalog,
+        """Plan and run a SELECT on *context* (a lifecycle body; also
+        how ``CREATE MODEL`` and ``INSERT`` run their nested query)."""
+        query = context.query
+        fragment = None
+        if self.sharding is not None:
+            fragment = self.sharding.plan_fragments(
+                statement, planner.catalog
+            )
+        if fragment is not None:
+            if query.analyze:
+                raise PlanError(
+                    "EXPLAIN ANALYZE does not cover sharded tables "
+                    "(EXPLAIN shows the fragment tree)"
                 )
-            except CompiledKernelError as error:
-                # One-shot fallback: a generated kernel failed (at
-                # compile exec time or at runtime).  Record the failure
-                # on the compile breaker — repeated failures disable
-                # compilation engine-wide for the cool-down — and
-                # re-execute fully interpreted, reusing the same
-                # cancellation token so the original deadline still
-                # applies.  Timeouts never take this path:
-                # QueryTimeoutError is not a CompiledKernelError.
-                self.metrics.counter("compile.fallback").increment()
-                self.compile_breaker.record_failure()
-                self.tracer.instant(
-                    "compile-fallback",
-                    category="fallback",
-                    args={
-                        "error": type(error).__name__,
-                        "detail": str(error),
-                    },
-                )
-                if collector is not None:
-                    collector.fallback = True
-                result = self._execute_select_attempt(
-                    statement, parallel, cancellation,
-                    use_compiled=False, collector=collector,
-                    catalog=catalog,
-                )
-        except Exception as error:
-            # Failed queries still land a log row, with the error's
-            # taxonomy class (BindError, InjectedFaultError, ...).
-            self._finish_query(collector, error=error)
-            raise
-        except BaseException:
-            # KeyboardInterrupt/SystemExit: don't log a row, but never
-            # leave a ghost entry in the active-query registry.
-            if collector is not None:
-                self.active_queries.deregister(collector.query_id)
-            raise
-        self._finish_query(collector, result=result)
-        return result
-
-    def _execute_select_attempt(
-        self,
-        statement: SelectStatement,
-        parallel: bool,
-        cancellation: CancellationToken | None,
-        use_compiled: bool | None,
-        collector: ResourceProfile | None = None,
-        catalog: Catalog | None = None,
-    ) -> Result:
-        context = self._context(
-            parallelism=self.parallelism if parallel else 1
-        )
-        context.cancellation = cancellation
-        context.collector = collector
-        if collector is not None:
-            # A fallback re-execution rebinds the collector to the new
-            # attempt's counters: the logged resources are those of the
-            # attempt that produced (or failed to produce) the result.
-            collector.counters = context.counters
-        profile = QueryProfile(
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
-        )
-        started = time.perf_counter()
-        try:
-            with self.tracer.span(
-                "query",
-                category="query",
-                args={"parallel": bool(parallel and self.parallelism > 1)},
-            ):
-                context.trace_parent = self.tracer.current_span_id()
-                fragment = None
-                if self.sharding is not None:
-                    fragment = self.sharding.plan_fragments(
-                        statement, catalog or self.catalog
-                    )
-                if fragment is not None:
-                    schema, batches = self.sharding.execute_fragments(
-                        fragment, context, catalog or self.catalog
-                    )
-                    result = Result(schema, batches, profile)
-                elif parallel and self.parallelism > 1:
-                    if statement.distinct:
-                        raise PlanError(
-                            "DISTINCT is not supported in parallel mode"
-                        )
-                    result = self._execute_select_parallel(
-                        statement, context, profile,
-                        use_compiled=use_compiled, catalog=catalog,
-                    )
-                else:
-                    planner = self._planner(use_compiled, catalog=catalog)
-                    prepared = planner.prepare(statement)
-                    if collector is not None and prepared.selections:
-                        collector.modeljoin_variant = (
-                            prepared.selections[0].chosen
-                        )
-                    plan = planner.lower(prepared, context)
-                    batches = list(plan.batches())
-                    result = Result(plan.schema, batches, profile)
-        except QueryTimeoutError:
-            self.metrics.counter("query.timeouts").increment()
-            raise
-        profile.wall_seconds = time.perf_counter() - started
-        profile.rows_returned = result.row_count
-        finalize_profile(profile, self.metrics)
-        self.last_profile = profile
-        return result
-
-    def _execute_select_parallel(
-        self,
-        statement: SelectStatement,
-        context: ExecutionContext,
-        profile: QueryProfile,
-        collect: dict | None = None,
-        use_compiled: bool | None = None,
-        catalog: Catalog | None = None,
-    ) -> Result:
-        # ORDER BY / LIMIT are global operations: run the core of the
-        # query per partition and apply them on the merged result.
-        core = dataclasses.replace(
-            statement, order_by=(), limit=None, offset=0
-        )
-        planner = self._planner(use_compiled, catalog=catalog)
+            schema, batches = self.sharding.execute_fragments(
+                fragment, context, planner.catalog
+            )
+            return Result(schema, batches, query.profile)
+        parallel = context.parallelism > 1
+        core = statement
+        if parallel:
+            if statement.distinct:
+                raise PlanError("DISTINCT is not supported in parallel mode")
+            # ORDER BY / LIMIT are global operations: run the core of
+            # the query per partition and apply them on the merged
+            # result.
+            core = dataclasses.replace(
+                statement, order_by=(), limit=None, offset=0
+            )
         # Bind + optimize once; every partition pipeline is lowered from
         # the same prepared plan (one variant decision per statement).
         prepared = planner.prepare(core)
-        if context.collector is not None and prepared.selections:
-            context.collector.modeljoin_variant = (
-                prepared.selections[0].chosen
-            )
-        plans = [
-            planner.lower(prepared, context, partition_index=index)
-            for index in range(self.parallelism)
-        ]
-        if collect is not None:
-            collect["plans"] = plans
+        if query.collector is not None and prepared.selections:
+            query.collector.modeljoin_variant = prepared.selections[0].chosen
+        if not parallel:
+            plan = planner.lower(prepared, context)
+            if query.analyze:
+                query.plans = [plan]
+            return Result(plan.schema, list(plan.batches()), query.profile)
+
+        def lower(index: int) -> PhysicalOperator:
+            return planner.lower(prepared, context, partition_index=index)
+
+        plans = [lower(index) for index in range(context.parallelism)]
+        if query.analyze:
+            query.plans = plans
         schema, batches = run_plans(
             plans,
             pool=self.worker_pool,
             morsel_driven=True,
-            plan_builder=lambda index: planner.lower(
-                prepared, context, partition_index=index
-            ),
+            plan_builder=lower,
             retries=self.task_retries,
         )
         if not statement.order_by and statement.limit is None:
-            return Result(schema, batches, profile)
+            return Result(schema, batches, query.profile)
         merged = concat_batches(schema, batches)
         plan: PhysicalOperator = _MaterializedSource(context, schema, [merged])
         if statement.order_by:
@@ -1118,6 +994,6 @@ class Database:
             plan = LimitOperator(
                 context, plan, statement.limit, statement.offset
             )
-        if collect is not None:
-            collect["coordinator"] = plan
-        return Result(plan.schema, list(plan.batches()), profile)
+        if query.analyze:
+            query.coordinator = plan
+        return Result(plan.schema, list(plan.batches()), query.profile)

@@ -1,9 +1,9 @@
 """Per-query resource collection and the live active-query registry.
 
-A :class:`ResourceProfile` is created by the engine when a SELECT
-starts and travels on the execution context (``context.collector``)
-through the operators, the parallel executor, the storage scans and the
-compiled-kernel path.  Each layer annotates it directly (the chosen
+A :class:`ResourceProfile` is created by the engine's query lifecycle
+when a statement starts and travels on the execution context
+(``context.query.collector``) through the operators, the parallel
+executor, the storage scans and the compiled-kernel path.  Each layer annotates it directly (the chosen
 ModelJoin variant, the morsel total) or indirectly through the query's
 thread-safe :class:`~repro.db.profiler.ProfileCounters`, which
 :meth:`ResourceProfile.finish` folds into one complete row for
@@ -20,6 +20,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+
+from repro.errors import (
+    QueryCancelledError,
+    QueryRejectedError,
+    QueryTimeoutError,
+)
 
 #: profile-counter names folded into the finished row, as
 #: ``(attribute, counter_name)`` pairs
@@ -64,6 +70,20 @@ ENTRY_FIELDS = (
 )
 
 
+def status_of(error: BaseException | None) -> str:
+    """The ``system.queries`` status a statement outcome maps to."""
+    if error is None:
+        return "ok"
+    if isinstance(error, QueryRejectedError):
+        return "rejected"
+    if isinstance(error, QueryCancelledError):
+        # before QueryTimeoutError: cancelled is its subclass
+        return "cancelled"
+    if isinstance(error, QueryTimeoutError):
+        return "timeout"
+    return "error"
+
+
 @dataclass
 class ResourceProfile:
     """One query's resource usage, accumulated while it runs."""
@@ -71,7 +91,7 @@ class ResourceProfile:
     query_id: int
     sql: str
     #: wall-clock start (unix seconds; latency uses perf_counter)
-    started_at: float
+    started_at: float = field(default_factory=time.time)
     parallel: bool = False
     status: str = "running"
     error_class: str = ""
@@ -132,13 +152,12 @@ class ResourceProfile:
 
     def finish(
         self,
-        status: str,
         error: BaseException | None = None,
         rows_returned: int = 0,
     ) -> None:
         """Freeze the profile into its final log-row state."""
         self.latency_seconds = time.perf_counter() - self._started_perf
-        self.status = status
+        self.status = status_of(error)
         self.rows_returned = rows_returned
         if error is not None:
             self.error_class = type(error).__name__

@@ -8,7 +8,11 @@ significant allocations (hash tables, buffered state) to the execution
 context's memory accountant.
 """
 
-from repro.db.operators.base import ExecutionContext, PhysicalOperator
+from repro.db.operators.base import (
+    ExecutionContext,
+    PhysicalOperator,
+    QueryContext,
+)
 from repro.db.operators.scan import TableScan
 from repro.db.operators.filter import FilterOperator
 from repro.db.operators.project import ProjectOperator
@@ -25,6 +29,7 @@ from repro.db.operators.misc import LimitOperator, UnionAll, ValuesOperator
 __all__ = [
     "ExecutionContext",
     "PhysicalOperator",
+    "QueryContext",
     "TableScan",
     "FilterOperator",
     "ProjectOperator",

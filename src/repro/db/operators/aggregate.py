@@ -101,7 +101,7 @@ def _batch_inputs(operator, batch: VectorBatch):
     kernel = operator.input_kernel
     if kernel is not None:
         arrays = kernel(
-            batch.arrays, len(batch), operator.context.cancellation
+            batch.arrays, len(batch), operator.context.query.cancellation
         )
         if arrays is None:
             return None

@@ -5,23 +5,74 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.db.profiler import MemoryAccountant, ProfileCounters, Stopwatch
+from repro.db.profiler import (
+    MemoryAccountant,
+    ProfileCounters,
+    QueryProfile,
+    Stopwatch,
+)
 from repro.db.resilience import CancellationToken
 from repro.db.schema import Schema
 from repro.db.tracing import NULL_TRACER, MetricsRegistry, Tracer
 from repro.db.vector import VECTOR_SIZE, VectorBatch
 from repro.errors import ExecutionError
 
+if TYPE_CHECKING:
+    from repro.db.catalog import Catalog
+    from repro.db.introspect.collector import ResourceProfile
+
+
+@dataclass
+class QueryContext:
+    """Per-statement state, built once where the statement enters.
+
+    ``Database.execute`` / ``explain_analyze``, the serving layer (from
+    an admitted query) and the shard worker each build exactly one for
+    a client statement; the engine's query lifecycle
+    (:meth:`repro.db.engine.Database.run_query`) and every
+    :class:`ExecutionContext` it creates — one per attempt, nested
+    queries included — carry that same object.
+    """
+
+    #: statement text as logged in ``system.queries``
+    sql: str = ""
+    #: catalog view the statement binds and reads against: the live
+    #: catalog, or a pinned snapshot's for served reads
+    catalog: Catalog | None = None
+    #: cooperative deadline/cancellation token; checked per batch in
+    #: operator ``next()`` loops, per morsel in the scan loop and per
+    #: kernel on the device (None = the query has no deadline)
+    cancellation: CancellationToken | None = None
+    #: serving-session identity ("" = direct single-caller use)
+    session_id: str = ""
+    tenant: str = ""
+    #: the caller asked for one pipeline per partition
+    parallel: bool = False
+    #: EXPLAIN ANALYZE: time every operator and keep the lowered plans
+    analyze: bool = False
+    #: resource profile behind the ``system.queries`` row, opened by
+    #: the lifecycle — None when query-log collection is disabled
+    collector: ResourceProfile | None = None
+    #: profile of the latest execution attempt (a compile-fallback
+    #: retry replaces it)
+    profile: QueryProfile | None = None
+    #: with *analyze*: the executed per-pipeline plans, and the
+    #: post-merge ORDER BY/LIMIT plan of a parallel query
+    plans: list = field(default_factory=list)
+    coordinator: PhysicalOperator | None = None
+
 
 @dataclass
 class ExecutionContext:
-    """Per-query execution state shared by all operators of a plan.
+    """Per-attempt execution state shared by all operators of a plan.
 
-    One context exists per query; in partition-parallel execution all
-    partition pipelines share the same context so that the memory
-    accountant sees the query-global peak (the model, for example, is a
-    shared allocation, see paper Section 5.2).
+    One context exists per execution attempt of a query; in
+    partition-parallel execution all partition pipelines share the same
+    context so that the memory accountant sees the query-global peak
+    (the model, for example, is a shared allocation, see paper
+    Section 5.2).
     """
 
     vector_size: int = VECTOR_SIZE
@@ -44,15 +95,9 @@ class ExecutionContext:
     #: span id the partition pipelines parent under (cross-thread edge
     #: from the coordinator's query span to the workers)
     trace_parent: int | None = None
-    #: cooperative deadline/cancellation token; checked per batch in
-    #: operator ``next()`` loops, per morsel in the scan loop and per
-    #: kernel on the device (None = the query has no deadline)
-    cancellation: CancellationToken | None = None
-    #: per-query resource-profile collector (duck-typed: see
-    #: repro.db.introspect.ResourceProfile); operators and the
-    #: parallel executor annotate it — None when the engine runs with
-    #: query-log collection disabled
-    collector: object | None = None
+    #: the statement this attempt belongs to (token, identity, resource
+    #: collector); a bare context gets an anonymous one
+    query: QueryContext = field(default_factory=QueryContext)
 
 
 def format_operator_seconds(seconds: float) -> str:
@@ -129,7 +174,7 @@ class PhysicalOperator:
         ``is None`` test on the hot path, a deadline comparison only
         when the query actually carries a token.
         """
-        cancellation = self.context.cancellation
+        cancellation = self.context.query.cancellation
         if not self.context.operator_timing:
             for batch in self._produce():
                 if cancellation is not None:

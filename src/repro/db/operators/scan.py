@@ -183,7 +183,7 @@ class TableScan(PhysicalOperator):
         tracer = self.context.tracer
         traced = tracer.enabled
         metrics = self.context.metrics
-        cancellation = self.context.cancellation
+        cancellation = self.context.query.cancellation
         queue_wait = (
             metrics.histogram("morsel.queue_wait")
             if metrics is not None

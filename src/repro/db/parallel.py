@@ -52,7 +52,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.db import faults
-from repro.db.operators.base import ExecutionContext, PhysicalOperator
+from repro.db.operators.base import PhysicalOperator
 from repro.db.resilience import backoff_seconds
 from repro.db.schema import Schema
 from repro.db.vector import VectorBatch
@@ -375,7 +375,7 @@ def attach_morsel_sources(
     for index, scans in enumerate(partitioned_scans):
         scans[0].morsel_source = source
         scans[0].morsel_owner = index
-    collector = partitioned_scans[0][0].context.collector
+    collector = partitioned_scans[0][0].context.query.collector
     if collector is not None:
         collector.morsels_total = len(source)
     return [source]
@@ -645,10 +645,3 @@ def run_partitioned(
         plan_builder=plan_builder,
         retries=retries,
     )
-
-
-def make_context(
-    vector_size: int, parallelism: int
-) -> ExecutionContext:
-    """A fresh execution context for a (possibly parallel) query."""
-    return ExecutionContext(vector_size=vector_size, parallelism=parallelism)

@@ -415,7 +415,7 @@ class Lowering:
         group_names = list(node.group_names)
         strategy = "hash"
         prefix_length = 0
-        if getattr(self.options, "use_ordered_aggregation", True) and all(
+        if self.options.use_ordered_aggregation and all(
             isinstance(expression, ColumnRef)
             for expression in node.group_exprs
         ):

@@ -64,7 +64,7 @@ class RuleEngine:
         self, root: LogicalNode
     ) -> tuple[LogicalNode, list[RuleFiring]]:
         firings: list[RuleFiring] = []
-        if not getattr(self.options, "use_optimizer_rules", True):
+        if not self.options.use_optimizer_rules:
             return root, firings
         root = self._run_region(root, firings)
         recompute_estimates(root)
@@ -81,7 +81,7 @@ class RuleEngine:
         root = _fold_constants(root, firings)
         root = _push_predicates(root, firings)
         _extract_join_keys(root, firings)
-        if getattr(self.options, "use_block_pruning", True):
+        if self.options.use_block_pruning:
             _derive_sma_ranges(root, firings)
         _push_projections(root, firings)
         return root

@@ -15,8 +15,7 @@ Planning is a three-stage pipeline (see :mod:`repro.db.plan`):
    with the calibrated cost model (once per statement, before
    per-partition lowering).
 
-``plan_select`` keeps the legacy one-shot signature; parallel
-execution prepares once and lowers per partition.
+Execution prepares once and lowers once per partition pipeline.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ class Planner:
         self.compile_breaker = compile_breaker
 
     def _compiler(self) -> KernelCompiler | None:
-        if not getattr(self.options, "use_compiled_kernels", True):
+        if not self.options.use_compiled_kernels:
             return None
         breaker = self.compile_breaker
         if breaker is not None and breaker.is_open:
@@ -153,21 +152,6 @@ class Planner:
                 compiler=self._compiler(),
             )
             return lowering.lower(prepared.logical)
-
-    # ------------------------------------------------------------------
-    # legacy one-shot entry point
-    # ------------------------------------------------------------------
-    def plan_select(
-        self,
-        statement: SelectStatement,
-        context: ExecutionContext,
-        partition_index: int | None = None,
-    ) -> PhysicalOperator:
-        """Plan *statement*; with *partition_index* set, partitioned base
-        tables are restricted to that partition (unpartitioned tables —
-        e.g. the model table — are scanned fully, i.e. broadcast)."""
-        prepared = self.prepare(statement)
-        return self.lower(prepared, context, partition_index)
 
     def explain(
         self, statement: SelectStatement, context: ExecutionContext

@@ -30,6 +30,8 @@ import threading
 import time
 
 from repro.db import faults
+from repro.db.introspect.collector import status_of
+from repro.db.operators import QueryContext
 from repro.db.resilience import CancellationToken
 from repro.errors import InjectedFaultError, QueryRejectedError
 
@@ -63,6 +65,18 @@ class AdmittedQuery:
         self.error: BaseException | None = None
         self._done = threading.Event()
 
+    def query_context(self, catalog=None) -> QueryContext:
+        """This query's per-statement record for the engine: the
+        session's token and identity, reading *catalog*."""
+        return QueryContext(
+            sql=self.sql.strip(),
+            catalog=catalog,
+            cancellation=self.token,
+            session_id=self.session.session_id,
+            tenant=self.tenant,
+            parallel=self.parallel,
+        )
+
     def remaining_seconds(self) -> float:
         """Seconds to the deadline (``inf`` when there is none)."""
         remaining = self.token.remaining_seconds()
@@ -78,9 +92,9 @@ class AdmittedQuery:
         self.session._query_done(self)
         self._done.set()
 
-    def fail(self, error: BaseException, status: str) -> None:
+    def fail(self, error: BaseException) -> None:
         self.error = error
-        self.status = status
+        self.status = status_of(error)
         self.session._query_done(self)
         self._done.set()
 

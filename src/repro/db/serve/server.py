@@ -32,26 +32,11 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.db.introspect import ResourceProfile
 from repro.db.serve.admission import AdmissionQueue, AdmittedQuery
 from repro.db.serve.session import Session
 from repro.db.sql.ast import Explain, SelectStatement
 from repro.db.sql.parser import parse_statement
-from repro.errors import (
-    QueryCancelledError,
-    QueryRejectedError,
-    QueryTimeoutError,
-)
-
-
-def _status_of(error: BaseException) -> str:
-    if isinstance(error, QueryRejectedError):
-        return "rejected"
-    if isinstance(error, QueryCancelledError):
-        return "cancelled"
-    if isinstance(error, QueryTimeoutError):
-        return "timeout"
-    return "error"
+from repro.errors import QueryCancelledError, QueryRejectedError
 
 
 class Server:
@@ -124,27 +109,22 @@ class Server:
     # admission
     # ------------------------------------------------------------------
     def _submit(self, entry: AdmittedQuery) -> None:
-        if self._closed:
-            error = QueryRejectedError("server is closed")
-            entry.fail(error, "rejected")
-            self._log_unexecuted(entry)
-            raise error
         try:
+            if self._closed:
+                raise QueryRejectedError("server is closed")
             shed = self.queue.admit(entry)
         except QueryRejectedError as error:
-            entry.fail(error, "rejected")
-            self._log_unexecuted(entry)
+            self._fail_unexecuted(entry, error)
             raise
         for victim in shed:
-            victim.fail(
+            self._fail_unexecuted(
+                victim,
                 QueryRejectedError(
                     "shed at admission to make room "
                     f"(priority {victim.priority}, queue capacity "
                     f"{self.queue.capacity})"
                 ),
-                "rejected",
             )
-            self._log_unexecuted(victim)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -195,31 +175,18 @@ class Server:
             entry.token.check()
             statement = parse_statement(entry.sql)
         except Exception as error:
-            entry.fail(error, _status_of(error))
-            self._log_unexecuted(entry)
+            self._fail_unexecuted(entry, error)
             return
         database = self.database
         try:
             if isinstance(statement, (SelectStatement, Explain)):
-                snapshot = database.snapshot()
-                try:
+                with database.snapshot() as snapshot:
                     result = database.execute_statement(
-                        statement,
-                        parallel=entry.parallel,
-                        sql_text=entry.sql.strip(),
-                        catalog=snapshot.catalog,
-                        cancellation=entry.token,
-                        session_id=session.session_id,
-                        tenant=entry.tenant,
+                        statement, entry.query_context(snapshot.catalog)
                     )
-                finally:
-                    snapshot.release()
             else:
                 result = database.execute_statement(
-                    statement,
-                    sql_text=entry.sql.strip(),
-                    session_id=session.session_id,
-                    tenant=entry.tenant,
+                    statement, entry.query_context(database.catalog)
                 )
                 if (
                     self.checkpoint_on_write
@@ -227,7 +194,7 @@ class Server:
                 ):
                     database.checkpoint()
         except Exception as error:
-            entry.fail(error, _status_of(error))
+            entry.fail(error)
             return
         entry.finish(result)
 
@@ -235,27 +202,18 @@ class Server:
         with self._lock:
             return sum(self._inflight_by_tenant.values())
 
-    def _log_unexecuted(self, entry: AdmittedQuery) -> None:
-        """Log a query that never reached the engine.
+    def _fail_unexecuted(
+        self, entry: AdmittedQuery, error: BaseException
+    ) -> None:
+        """Fail a query that never reached the engine, with a log row.
 
-        The engine logs every SELECT it executes; rejected, expired and
-        cancelled-in-queue entries bypass it, so the server writes
-        their ``system.queries`` rows itself (same schema, status
-        ``rejected`` / ``timeout`` / ``cancelled``).
+        The engine logs every statement it executes; rejected, expired
+        and cancelled-in-queue entries bypass it, so their
+        ``system.queries`` rows (status ``rejected`` / ``timeout`` /
+        ``cancelled``) are written here, through the same lifecycle.
         """
-        database = self.database
-        if not database.collect_query_log:
-            return
-        profile = ResourceProfile(
-            query_id=database.query_log.allocate_query_id(),
-            sql=entry.sql.strip(),
-            started_at=time.time(),
-            parallel=entry.parallel,
-            session_id=entry.session.session_id,
-            tenant=entry.tenant,
-        )
-        profile.finish(entry.status, error=entry.error)
-        database.query_log.record(profile.to_entry())
+        entry.fail(error)  # first: a logging failure must not strand it
+        self.database.log_unexecuted(entry.query_context(), error)
 
     # ------------------------------------------------------------------
     # introspection
@@ -297,10 +255,9 @@ class Server:
             self._closed = True
             sessions = list(self._sessions.values())
         for entry in self.queue.close():
-            entry.fail(
-                QueryRejectedError("server closing"), "rejected"
+            self._fail_unexecuted(
+                entry, QueryRejectedError("server closing")
             )
-            self._log_unexecuted(entry)
         for session in sessions:
             session.close(reason="server closing")
         deadline = time.perf_counter() + max(drain_seconds, 0.0)

@@ -37,6 +37,10 @@ from repro import errors as _errors
 from repro.errors import DatabaseError
 
 
+#: bound on waiting for each wire thread when the server closes
+JOIN_SECONDS = 2.0
+
+
 def _jsonable(value):
     """A result cell as a plain JSON value (numpy scalars unwrapped)."""
     item = getattr(value, "item", None)
@@ -53,6 +57,9 @@ class WireServer:
         self._socket = socket.create_server((host, port))
         self.host, self.port = self._socket.getsockname()[:2]
         self._closed = False
+        self._lock = threading.Lock()
+        #: open client connections and the threads serving them
+        self._connections: dict[socket.socket, threading.Thread] = {}
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-wire-accept", daemon=True
         )
@@ -66,17 +73,23 @@ class WireServer:
     # connection handling
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        while not self._closed:
+        while True:
             try:
                 connection, _ = self._socket.accept()
             except OSError:
                 return  # listener closed
-            threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name="repro-wire-conn",
-                daemon=True,
-            ).start()
+            with self._lock:
+                if self._closed:  # close()'s wake-up connection
+                    connection.close()
+                    return
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(connection,),
+                    name="repro-wire-conn",
+                    daemon=True,
+                )
+                self._connections[connection] = thread
+            thread.start()
 
     def _serve_connection(self, connection: socket.socket) -> None:
         session = None
@@ -110,6 +123,8 @@ class WireServer:
             # its in-flight queries cooperatively.
             if session is not None:
                 session.close(reason="client disconnected")
+            with self._lock:
+                self._connections.pop(connection, None)
             try:
                 connection.close()
             except OSError:
@@ -180,19 +195,32 @@ class WireServer:
             pass  # client gone; its session closes on loop exit
 
     def close(self) -> None:
-        """Stop accepting connections (idempotent).
+        """Stop accepting, drop open connections, join the threads.
 
-        Existing connections wind down through their own threads; the
-        owning :class:`~.server.Server` cancels their queries when it
-        closes.
+        A dropped connection closes its session, which cancels the
+        session's in-flight queries cooperatively; each thread is
+        waited for up to :data:`JOIN_SECONDS`.  Idempotent.
         """
-        if self._closed:
-            return
-        self._closed = True
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            connections = dict(self._connections)
+        # accept() does not notice its listener closing under it: a
+        # throwaway connection wakes the loop, which then sees _closed.
         try:
-            self._socket.close()
+            socket.create_connection(self.address, timeout=1.0).close()
         except OSError:
             pass
+        self._accept_thread.join(JOIN_SECONDS)
+        self._socket.close()
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client already went away
+        for thread in connections.values():
+            thread.join(JOIN_SECONDS)
 
     def __enter__(self) -> "WireServer":
         return self

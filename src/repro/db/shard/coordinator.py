@@ -580,7 +580,7 @@ class ShardCoordinator:
         self, fragment: FragmentPlan, context, catalog
     ):
         """Dispatch the fragment, gather, merge; returns (schema, batches)."""
-        cancellation = context.cancellation
+        cancellation = context.query.cancellation
         per_shard = fragment.estimated_rows // max(self.shard_count, 1)
         parallel = (
             fragment.parallel_safe

@@ -133,8 +133,11 @@ class ShardWorker:
         started = time.perf_counter()
         result = self.database.execute_statement(
             message.statement,
-            parallel=message.parallel,
-            timeout_seconds=message.timeout_seconds,
+            self.database.query_context(
+                f"<{type(message.statement).__name__}>",
+                parallel=message.parallel,
+                timeout_seconds=message.timeout_seconds,
+            ),
         )
         counters = (
             result.profile.counters.snapshot()

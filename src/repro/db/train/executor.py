@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import time
 import zlib
+from functools import partial
 
 import numpy as np
 
 from repro.db.catalog import Catalog, ModelVersionRecord
-from repro.db.operators import ExecutionContext
 from repro.db.schema import Column, Schema
 from repro.db.sql.ast import AlterModel, CreateModel
 from repro.db.train.operator import TrainOperator
@@ -131,9 +131,8 @@ def _build_model(
     return Sequential(layers, input_width=input_width, seed=seed)
 
 
-def _summary_result(record: ModelVersionRecord, batches: int):
+def _summary_result(record: ModelVersionRecord, batches: int, profile):
     from repro.db.engine import Result
-    from repro.db.profiler import QueryProfile
 
     schema = Schema(
         (
@@ -158,32 +157,29 @@ def _summary_result(record: ModelVersionRecord, batches: int):
             np.array([f"{record.weight_checksum:08x}"], dtype=object),
         ],
     )
-    return Result(schema, [batch], QueryProfile())
+    return Result(schema, [batch], profile)
 
 
-def execute_create_model(database, statement: CreateModel, sql_text=None):
-    collector = database._begin_query(
-        sql_text or "<CreateModel>", parallel=False
-    )
+def execute_create_model(database, statement: CreateModel, query):
     try:
-        result = _run_create_model(database, statement)
-    except Exception as error:
+        return database.run_query(
+            query, partial(_run_create_model, database, statement)
+        )
+    except Exception:
         database.metrics.counter("training.failures").increment()
-        database._finish_query(collector, error=error)
         raise
-    database._finish_query(collector, result=result)
-    return result
 
 
-def _run_create_model(database, statement: CreateModel):
+def _run_create_model(database, statement: CreateModel, context, planner):
     validate_layers(statement.layers)
     spec = TrainingSpec.from_options(statement.options)
     with database.catalog_lock:
         version = _resolve_version(database.catalog, statement)
     database.metrics.counter("training.runs").increment()
 
-    # 1. Source query through the regular pipeline (unlocked).
-    source = database._execute_select(statement.query, parallel=False)
+    # 1. Source query through the regular pipeline (unlocked), on the
+    #    statement's own context: one log row, one token.
+    source = database.run_select(statement.query, context, planner)
     features, labels = _training_data(source)
 
     # 2. Train (unlocked — serving traffic proceeds meanwhile).
@@ -202,6 +198,7 @@ def _run_create_model(database, statement: CreateModel):
         tracer=database.tracer,
         metrics=database.metrics,
         retries=database.task_retries,
+        cancellation=context.query.cancellation,
     )
     losses = operator.run(features, labels)
 
@@ -221,7 +218,9 @@ def _run_create_model(database, statement: CreateModel):
         record = _publish(
             database, statement, spec, model, table_name, version, losses
         )
-    return _summary_result(record, operator.total_batches)
+    return _summary_result(
+        record, operator.total_batches, context.query.profile
+    )
 
 
 def _publish(
@@ -273,29 +272,26 @@ def _publish(
     return record
 
 
-def execute_alter_model(database, statement: AlterModel, sql_text=None):
+def execute_alter_model(database, statement: AlterModel, query):
     from repro.db.engine import Result
 
-    collector = database._begin_query(
-        sql_text or "<AlterModel>", parallel=False
-    )
-    try:
+    def swap(context, _planner):
         with database.catalog_lock:
             database.catalog.set_current_version(
                 statement.model_name, statement.version
             )
         database.metrics.counter("training.swaps").increment()
-    except Exception as error:
-        database._finish_query(collector, error=error)
-        raise
-    result = Result.empty()
-    database._finish_query(collector, result=result)
-    return result
+        return Result.empty(context.query.profile)
+
+    return database.run_query(query, swap)
 
 
-def render_create_model_explain(database, statement: CreateModel):
+def render_create_model_explain(
+    database, statement: CreateModel, source_lines: list[str]
+):
     """EXPLAIN lines for a CREATE MODEL: the training plan on top of
-    the source query's regular plan (incl. ``== Compiled Code ==``)."""
+    *source_lines*, the source query's regular EXPLAIN (incl.
+    ``== Compiled Code ==``)."""
     validate_layers(statement.layers)
     spec = TrainingSpec.from_options(statement.options)
     with database.catalog_lock:
@@ -308,9 +304,5 @@ def render_create_model_explain(database, statement: CreateModel):
         f"{spec.describe()})",
         "  Source:",
     ]
-    context = ExecutionContext(vector_size=database.vector_size)
-    plan_text = database._planner().explain(statement.query, context)
-    lines.extend(
-        "    " + line for line in plan_text.splitlines()
-    )
+    lines.extend("    " + line for line in source_lines)
     return lines

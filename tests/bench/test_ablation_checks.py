@@ -33,7 +33,7 @@ def test_pruning_skips_model_blocks(pruning):
         db.catalog, options=PlannerOptions(use_block_pruning=pruning)
     )
     context = ExecutionContext()
-    plan = planner.plan_select(parse_statement(sql), context)
+    plan = planner.lower(planner.prepare(parse_statement(sql)), context)
     list(plan.batches())
 
     def scans(node):

@@ -1,0 +1,256 @@
+"""Lifecycle parity: every entry point leaves the same bookkeeping.
+
+One statement, whatever the door it came in through — ``execute``
+serial or partition-parallel, ``explain_analyze``, a serving
+``Session``, the wire protocol, a sharded fleet — and whatever its kind
+(``SELECT``, ``CREATE MODEL``, ``ALTER MODEL``, ``INSERT ... SELECT``)
+and outcome (ok, typed error, deadline miss, compile-fallback retry)
+runs inside the engine's one query lifecycle, so it must leave exactly
+one ``system.queries`` row carrying the caller's identity, an empty
+active-query registry, ``query.count`` + 1, a fresh ``last_profile``
+and no pinned storage generations.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+import repro
+from repro.db import faults
+from repro.db.faults import FaultInjector
+from repro.db.profiler import ProfileCounters, Stopwatch
+from repro.db.serve import Server, WireClient, WireServer
+from repro.db.udf import PythonUdf
+from repro.errors import QueryTimeoutError, ReproError
+
+ROWS = 96
+SERVED_TIMEOUT = 0.5
+
+#: a fused filter->project pipeline, so the ``compile.kernel`` fault has
+#: a generated kernel to fail in
+SELECT_OK = "SELECT id, val * 2.0 AS v FROM events WHERE val >= 1.0"
+SELECT_ERROR = "SELECT nope FROM events"
+#: outlives SERVED_TIMEOUT inside the engine, so a *served* query
+#: misses its deadline while executing, not while it is still queued
+SELECT_SLOW = "SELECT id, lifecycle_outlast(val) AS v FROM events"
+
+CREATE_MODEL = (
+    "CREATE MODEL fresh AS TRAIN DENSE(4 relu, 1 sigmoid) ON "
+    "(SELECT {columns} FROM pts WHERE x1 > -100.0) "
+    "WITH (epochs=2, batch_size=32, lr=0.05, seed=1, loss='bce')"
+)
+INSERT_SELECT = "INSERT INTO sink SELECT {columns} FROM events WHERE val >= 1.0"
+
+#: statement kind -> sql; "slow" is the served timeout, the direct
+#: timeout (deadline 0) and the compile-fallback run the "ok" text
+STATEMENTS = {
+    "select": {
+        "ok": SELECT_OK,
+        "error": SELECT_ERROR,
+        "slow": SELECT_SLOW,
+    },
+    "create_model": {
+        "ok": CREATE_MODEL.format(columns="x1, x2, label"),
+        "error": CREATE_MODEL.format(columns="nope, label"),
+        "slow": CREATE_MODEL.format(
+            columns="x1, lifecycle_outlast(x2) AS x2, label"
+        ),
+    },
+    "alter_model": {
+        "ok": "ALTER MODEL clf SET VERSION 2",
+        "error": "ALTER MODEL clf SET VERSION 9",
+    },
+    "insert_select": {
+        "ok": INSERT_SELECT.format(columns="id, grp, val"),
+        "error": INSERT_SELECT.format(columns="nope, grp, val"),
+        "slow": INSERT_SELECT.format(
+            columns="id, grp, lifecycle_outlast(val) AS val"
+        ),
+    },
+}
+
+
+@dataclass
+class EntryPoint:
+    """One way into the engine: what runs and who the caller is."""
+
+    name: str
+    kind: str = "select"
+    served: bool = False
+    #: variants with no meaning here (no deadline argument, no kernel)
+    skips: tuple[str, ...] = ()
+
+
+ENTRY_POINTS = [
+    EntryPoint("execute"),
+    EntryPoint("execute_parallel"),
+    EntryPoint("explain_analyze", skips=("timeout",)),
+    EntryPoint("explain_analyze_parallel", skips=("timeout",)),
+    EntryPoint("session", served=True),
+    EntryPoint("wire", served=True),
+    # shard processes do not share the coordinator's fault injector
+    EntryPoint("shards", skips=("fallback",)),
+    EntryPoint("create_model", kind="create_model", served=True),
+    # a catalog swap has neither a cancellation checkpoint nor a kernel
+    EntryPoint(
+        "alter_model",
+        kind="alter_model",
+        served=True,
+        skips=("timeout", "fallback"),
+    ),
+    EntryPoint("insert_select", kind="insert_select", served=True),
+]
+VARIANTS = ("ok", "error", "timeout", "fallback")
+
+
+def _outlast(values):
+    time.sleep(SERVED_TIMEOUT + 0.1)
+    return values
+
+
+def _load(database):
+    database.execute(
+        "CREATE TABLE events (id INTEGER, grp INTEGER, val DOUBLE) "
+        "PARTITION BY (id) PARTITIONS 2"
+    )
+    database.table("events").append_rows(
+        [(i, i % 4, i * 0.5) for i in range(ROWS)]
+    )
+    return database
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    database = _load(repro.connect(shards=2))
+    yield database
+    database.close()
+
+
+@pytest.fixture
+def engine(tmp_path):
+    database = _load(repro.connect(parallelism=2, path=str(tmp_path / "db")))
+    database.register_udf(
+        PythonUdf("lifecycle_outlast", 1, _outlast, marshal=False)
+    )
+    database.execute("CREATE TABLE sink (id INTEGER, grp INTEGER, val DOUBLE)")
+    database.execute("CREATE TABLE pts (x1 DOUBLE, x2 DOUBLE, label DOUBLE)")
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=(ROWS, 2))
+    database.table("pts").append_rows(
+        [(a, b, float(a + b > 0)) for a, b in points.tolist()]
+    )
+    for mode in ("TRAIN", "RETRAIN"):  # clf v1 (current) and v2
+        database.execute(
+            f"CREATE MODEL clf AS {mode} DENSE(4 relu, 1 sigmoid) ON "
+            "(SELECT x1, x2, label FROM pts) "
+            "WITH (epochs=1, batch_size=32, seed=1, loss='bce')"
+        )
+    yield database
+    database.close()
+
+
+def _run(entry, sql, timeout, database, session, client):
+    """Issue *sql* through *entry*."""
+    if entry.name == "wire":
+        client.query(sql, timeout_seconds=timeout)
+    elif entry.served:
+        session.execute(sql, timeout_seconds=timeout)
+    elif entry.name.startswith("explain_analyze"):
+        database.explain_analyze(sql, parallel=entry.name.endswith("parallel"))
+    else:
+        database.execute(
+            sql,
+            parallel=entry.name == "execute_parallel",
+            timeout_seconds=timeout,
+        )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda e: e.name)
+def test_one_lifecycle(entry, variant, request):
+    if variant in entry.skips:
+        pytest.skip(f"{entry.name} has no {variant} variant")
+    database = request.getfixturevalue(
+        "fleet" if entry.name == "shards" else "engine"
+    )
+    server = Server(database, dispatchers=1) if entry.served else None
+    session = wire = client = None
+    session_id = tenant = ""
+    if entry.name == "wire":
+        wire = WireServer(server)
+        client = WireClient(wire.host, wire.port, tenant="acme")
+        session_id, tenant = client.session_id, "acme"
+    elif entry.served:
+        session = server.open_session(tenant="acme")
+        session_id, tenant = session.session_id, "acme"
+
+    if variant == "error":
+        sql = STATEMENTS[entry.kind]["error"]
+    elif variant == "timeout" and entry.served:
+        sql = STATEMENTS[entry.kind]["slow"]
+    else:
+        sql = STATEMENTS[entry.kind]["ok"]
+    timeout = None
+    if variant == "timeout":
+        timeout = SERVED_TIMEOUT if entry.served else 0.0
+    rows_before = len(database.query_log.entries())
+    count_before = database.metrics.counter("query.count").value
+    profile_before = database.last_profile
+    sink_before = (
+        database.table("sink").row_count if entry.kind == "insert_select" else 0
+    )
+    injector = FaultInjector(seed=1).raise_once("compile.kernel")
+    raised = None
+    try:
+        if variant == "fallback":
+            faults.install(injector)
+        _run(entry, sql, timeout, database, session, client)
+    except ReproError as error:
+        raised = error
+    finally:
+        faults.uninstall()
+        if client is not None:
+            client.close()
+        if wire is not None:
+            wire.close()
+        if server is not None:
+            server.close()
+
+    if variant in ("ok", "fallback"):
+        assert raised is None
+    elif variant == "timeout":
+        assert isinstance(raised, QueryTimeoutError)
+    else:
+        assert raised is not None
+    if variant == "fallback":
+        assert injector.total_faults() == 1
+
+    # exactly one row per client statement, carrying the caller
+    rows = database.query_log.entries()[rows_before:]
+    assert [row["sql"] for row in rows] == [sql.strip()]
+    (row,) = rows
+    expected_status = {"error": "error", "timeout": "timeout"}
+    assert row["status"] == expected_status.get(variant, "ok")
+    assert row["error_class"] == (
+        type(raised).__name__ if raised is not None else ""
+    )
+    assert (row["session_id"], row["tenant"]) == (session_id, tenant)
+    # nothing left running, counted once, profile surface populated
+    assert len(database.active_queries) == 0
+    assert database.metrics.counter("query.count").value == count_before + 1
+    profile = database.last_profile
+    assert profile is not None and profile is not profile_before
+    assert isinstance(profile.counters, ProfileCounters)
+    assert isinstance(profile.stopwatch, Stopwatch)
+    assert profile.peak_memory_bytes >= 0 and profile.wall_seconds > 0
+    if database.storage is not None:
+        assert database.storage.pinned_generations() == 0
+    if entry.kind == "insert_select":
+        # a compile-fallback retry re-runs the SELECT, not the append
+        inserted = database.table("sink").row_count - sink_before
+        expected = ROWS - 2 if variant in ("ok", "fallback") else 0
+        assert inserted == expected

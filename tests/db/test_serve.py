@@ -17,6 +17,7 @@ import pytest
 from repro.db import faults
 from repro.db.engine import Database
 from repro.db.introspect import parse_prometheus_text
+from repro.db.operators import QueryContext
 from repro.db.resilience import CancellationToken
 from repro.db.serve import (
     AdmissionQueue,
@@ -25,8 +26,10 @@ from repro.db.serve import (
     WireClient,
     WireServer,
 )
+from repro.db.sql.parser import parse_statement
 from repro.db.udf import PythonUdf
 from repro.errors import (
+    CatalogError,
     QueryCancelledError,
     QueryRejectedError,
     QueryTimeoutError,
@@ -386,6 +389,24 @@ class TestSnapshotIsolation:
         snapshot.release()
         database.close()
 
+    def test_served_explain_plans_against_its_snapshot(self):
+        # what Server._run_admitted does for a read, with the DROP
+        # landing between snapshot capture and planning
+        database = make_database()
+        statement = parse_statement("EXPLAIN " + olap(1))
+        with database.snapshot() as snapshot:
+            database.execute("DROP TABLE events")
+            result = database.execute_statement(
+                statement,
+                QueryContext(sql="EXPLAIN", catalog=snapshot.catalog),
+            )
+            assert "TableScan(events" in "\n".join(
+                row[0] for row in result.rows
+            )
+        with pytest.raises(CatalogError):
+            database.execute("EXPLAIN " + olap(1))
+        database.close()
+
     def test_chaos_faults_including_serve_admit(self):
         """REPRO_FAULTS grammar drives the serving chaos variant."""
         injector = faults.parse_spec(
@@ -557,4 +578,23 @@ class TestWireProtocol:
                     break
                 time.sleep(0.02)
             assert states == ["closed"]
+        database.close()
+
+    def test_close_joins_every_wire_thread(self):
+        database = make_database()
+        with Server(database) as server:
+            wire = WireServer(server)
+            client = WireClient(wire.host, wire.port)
+            assert client.query(olap(0))["row_count"] == 1
+            # close with the client still connected: the accept thread
+            # is woken and the connection dropped, not left to daemons
+            wire.close()
+            assert not [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-wire-")
+            ]
+            with pytest.raises(OSError):
+                client.query(olap(0))
+            client.close()
         database.close()

@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.db.shard.tables import ShardedTable
 from repro.db.vector import VectorBatch
-from repro.errors import ShardCrashError, ShardError
+from repro.errors import PlanError, ShardCrashError, ShardError
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 
@@ -225,6 +225,12 @@ class TestTopologyAndObservability:
         assert "GatherExchange" in text
         assert "Fragment" in text
         assert "MergeAggregate" in text
+
+    def test_explain_analyze_of_sharded_table_raises(self, fleet):
+        # it used to time the coordinator's empty stub table
+        sharded, _ = fleet
+        with pytest.raises(PlanError, match="sharded"):
+            sharded.explain_analyze("SELECT k, v FROM events WHERE v > 10")
 
     def test_coordinator_scan_of_sharded_table_raises(self, fleet):
         sharded, _ = fleet

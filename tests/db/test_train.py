@@ -14,6 +14,7 @@ validation queries from docs/TRAINING.md.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ from repro.db.train import (
 )
 from repro.db.train.executor import _build_model
 from repro.db.train.operator import TrainOperator
+from repro.db.udf import PythonUdf
 from repro.errors import (
     CatalogError,
     InjectedFaultError,
+    QueryCancelledError,
     SqlSyntaxError,
     TrainingError,
 )
@@ -507,6 +510,62 @@ class TestServingAndSwap:
             for thread in threads:
                 thread.join()
         assert errors == []
+        database.close()
+
+
+    def test_served_training_is_one_identified_row(self):
+        # CREATE MODEL / ALTER MODEL run under the session's query
+        # context: one system.queries row per client statement, with
+        # the caller's identity — the source scan is not a second,
+        # anonymous query.
+        database = make_database()
+        statements = [
+            train_sql(seed=1),
+            train_sql(mode="RETRAIN", seed=2),
+            "ALTER MODEL clf SET VERSION 2",
+        ]
+        with Server(database) as server:
+            with server.open_session(tenant="ml") as session:
+                before = database.metrics.counter("query.count").value
+                for sql in statements:
+                    session.execute(sql)
+                assert [
+                    (row["sql"], row["status"], row["session_id"],
+                     row["tenant"])
+                    for row in database.query_log.entries()
+                ] == [
+                    (sql.strip(), "ok", session.session_id, "ml")
+                    for sql in statements
+                ]
+                after = database.metrics.counter("query.count").value
+                assert after == before + 3
+        database.close()
+
+    def test_session_close_cancels_served_training(self):
+        database = make_database()
+        gate = threading.Event()
+
+        def hold(values):
+            gate.wait(10.0)
+            return values
+
+        database.register_udf(PythonUdf("hold_train", 1, hold, marshal=False))
+        with Server(database) as server:
+            session = server.open_session()
+            future = session.submit(
+                train_sql().replace(
+                    "SELECT x1, x2,", "SELECT x1, hold_train(x2) AS x2,"
+                )
+            )
+            time.sleep(0.1)  # let the source scan reach the UDF
+            session.close()
+            gate.set()
+            with pytest.raises(QueryCancelledError, match="session closed"):
+                future.wait(10.0)
+        assert not database.catalog.has_model("clf")
+        assert [
+            row["status"] for row in database.query_log.entries()
+        ] == ["cancelled"]
         database.close()
 
 
