@@ -34,6 +34,7 @@ from repro.db.operators import (
 from repro.db.operators.base import PhysicalOperator
 from repro.db.expressions import ColumnRef
 from repro.db.parallel import WorkerPool, run_plans
+from repro.db.plan.logical import order_keys
 from repro.db.planner import ModelJoinFactory, Planner, PlannerOptions
 from repro.db.profiler import QueryProfile, finalize_profile
 from repro.db.resilience import CancellationToken, CircuitBreaker
@@ -716,6 +717,10 @@ class Database:
         """
         if query is None:
             query = self.query_context(f"<{type(statement).__name__}>")
+        if not isinstance(statement, SelectStatement):
+            # Only a client SELECT fans out per partition; the nested
+            # query of an INSERT or CREATE MODEL always runs serial.
+            query.parallel = False
         if isinstance(statement, Explain):
             lines = self._explain_lines(statement.statement, query.catalog)
             schema = Schema((Column("plan", SqlType.VARCHAR),))
@@ -981,14 +986,8 @@ class Database:
         merged = concat_batches(schema, batches)
         plan: PhysicalOperator = _MaterializedSource(context, schema, [merged])
         if statement.order_by:
-            keys, ascending = [], []
-            for item in statement.order_by:
-                if not isinstance(item.expression, ColumnRef):
-                    raise PlanError(
-                        "ORDER BY supports only output column references"
-                    )
-                keys.append(ColumnRef(item.expression.name))
-                ascending.append(item.ascending)
+            names, ascending = order_keys(statement.order_by)
+            keys = [ColumnRef(name) for name in names]
             plan = SortOperator(context, plan, keys, ascending)
         if statement.limit is not None:
             plan = LimitOperator(

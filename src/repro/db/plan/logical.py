@@ -640,6 +640,18 @@ def range_of_conjunct(
     return None
 
 
+def order_keys(
+    order_by: tuple[OrderItem, ...]
+) -> tuple[list[str], list[bool]]:
+    """Column names and directions of an ORDER BY; the binder, the
+    parallel merge and the shard merge all sort on output columns only."""
+    for item in order_by:
+        if not isinstance(item.expression, ColumnRef):
+            raise PlanError("ORDER BY supports only output column references")
+    names = [item.expression.name for item in order_by]
+    return names, [item.ascending for item in order_by]
+
+
 def bare_name(qualified: str, taken: list[str]) -> str:
     bare = qualified.split(".", 1)[1] if "." in qualified else qualified
     lowered = [name.lower() for name in taken]
@@ -877,20 +889,12 @@ class LogicalBinder:
     def _bind_order_by(
         root: LogicalNode, order_by: tuple[OrderItem, ...]
     ) -> LogicalNode:
-        available = {name.lower(): name for name in root.output_names()}
-        keys: list[str] = []
-        ascending: list[bool] = []
-        for item in order_by:
-            if not isinstance(item.expression, ColumnRef):
-                raise PlanError(
-                    "ORDER BY supports only output column references"
-                )
-            name = item.expression.name
+        available = {name.lower() for name in root.output_names()}
+        keys, ascending = order_keys(order_by)
+        for name in keys:
             if name.lower() not in available:
                 raise BindError(
                     f"column {name!r} not found; "
                     f"available: {list(root.output_names())}"
                 )
-            keys.append(name)
-            ascending.append(item.ascending)
         return LogicalOrderBy(root, keys, ascending)

@@ -206,12 +206,17 @@ class WireServer:
                 return
             self._closed = True
             connections = dict(self._connections)
-        # accept() does not notice its listener closing under it: a
-        # throwaway connection wakes the loop, which then sees _closed.
+        # accept() does not notice its listener closing under it.  Two
+        # wake-ups: shutting the listener down fails a blocked accept()
+        # on Linux; elsewhere (ENOTCONN) a throwaway connection wakes
+        # the loop, which then sees _closed.
         try:
-            socket.create_connection(self.address, timeout=1.0).close()
+            self._socket.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            try:
+                socket.create_connection(self.address, timeout=1.0).close()
+            except OSError:
+                pass
         self._accept_thread.join(JOIN_SECONDS)
         self._socket.close()
         for connection in connections:

@@ -45,7 +45,7 @@ from repro.db.operators import (
     SortOperator,
 )
 from repro.db.operators.aggregate import AggregateSpec
-from repro.db.plan.logical import contains_aggregate, rebuild
+from repro.db.plan.logical import contains_aggregate, order_keys, rebuild
 from repro.db.shard.tables import ShardedTable
 from repro.db.sql.ast import (
     FromItem,
@@ -412,14 +412,8 @@ def build_merge_plan(context, fragment: FragmentPlan, source):
             [],
         )
     if fragment.order_by:
-        keys, ascending = [], []
-        for item in fragment.order_by:
-            if not isinstance(item.expression, ColumnRef):
-                raise PlanError(
-                    "ORDER BY supports only output column references"
-                )
-            keys.append(ColumnRef(item.expression.name.rsplit(".", 1)[-1]))
-            ascending.append(item.ascending)
+        names, ascending = order_keys(fragment.order_by)
+        keys = [ColumnRef(name.rsplit(".", 1)[-1]) for name in names]
         plan = SortOperator(context, plan, keys, ascending)
     if fragment.limit is not None:
         plan = LimitOperator(context, plan, fragment.limit, fragment.offset)

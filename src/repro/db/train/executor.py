@@ -175,11 +175,13 @@ def _run_create_model(database, statement: CreateModel, context, planner):
     spec = TrainingSpec.from_options(statement.options)
     with database.catalog_lock:
         version = _resolve_version(database.catalog, statement)
-    database.metrics.counter("training.runs").increment()
 
     # 1. Source query through the regular pipeline (unlocked), on the
     #    statement's own context: one log row, one token.
     source = database.run_select(statement.query, context, planner)
+    # Counted once the source is in: this body is the compile-fallback
+    # retry unit, and a retried source scan is still one training run.
+    database.metrics.counter("training.runs").increment()
     features, labels = _training_data(source)
 
     # 2. Train (unlocked — serving traffic proceeds meanwhile).

@@ -203,6 +203,7 @@ def test_one_lifecycle(entry, variant, request):
     sink_before = (
         database.table("sink").row_count if entry.kind == "insert_select" else 0
     )
+    trained_before = database.metrics.counter("training.runs").value
     injector = FaultInjector(seed=1).raise_once("compile.kernel")
     raised = None
     try:
@@ -249,8 +250,47 @@ def test_one_lifecycle(entry, variant, request):
     assert profile.peak_memory_bytes >= 0 and profile.wall_seconds > 0
     if database.storage is not None:
         assert database.storage.pinned_generations() == 0
+    if entry.kind == "create_model":
+        # a compile-fallback retry re-scans the source of the same run
+        trained = database.metrics.counter("training.runs").value
+        assert trained - trained_before == (variant in ("ok", "fallback"))
     if entry.kind == "insert_select":
         # a compile-fallback retry re-runs the SELECT, not the append
         inserted = database.table("sink").row_count - sink_before
         expected = ROWS - 2 if variant in ("ok", "fallback") else 0
         assert inserted == expected
+
+
+@pytest.mark.parametrize("served", [False, True], ids=["direct", "session"])
+def test_nested_queries_run_serial_under_parallel(engine, served):
+    """``parallel=True`` fans out a client SELECT only: the nested query
+    of an INSERT or a CREATE MODEL runs serial, so it sees whole groups
+    (not per-partition partials) and may use DISTINCT."""
+    engine.execute("CREATE TABLE agg (grp INTEGER, n INTEGER)")
+    engine.execute("CREATE TABLE uniq (grp INTEGER)")
+    train = (
+        "CREATE MODEL {name} AS TRAIN DENSE(4 relu, 1 sigmoid) ON "
+        "(SELECT DISTINCT x1, x2, label FROM pts) "
+        "WITH (epochs=2, batch_size=32, seed=1, loss='bce')"
+    )
+    serial = engine.execute(train.format(name="serial_twin")).rows[0]
+    rows_before = len(engine.query_log.entries())
+    with Server(engine, dispatchers=1) as server:
+        with server.open_session(tenant="acme") as session:
+            run = session.execute if served else engine.execute
+            run(
+                "INSERT INTO agg SELECT grp, COUNT(*) AS n FROM events "
+                "GROUP BY grp",
+                parallel=True,
+            )
+            run("INSERT INTO uniq SELECT DISTINCT grp FROM events", parallel=True)
+            trained = run(train.format(name="parallel_twin"), parallel=True)
+    groups = sorted(engine.execute("SELECT grp, n FROM agg").rows)
+    assert groups == [(grp, ROWS // 4) for grp in range(4)]
+    assert sorted(engine.execute("SELECT grp FROM uniq").rows) == [
+        (grp,) for grp in range(4)
+    ]
+    # same source rows in the same order -> the same trained weights
+    assert trained.rows[0][3:] == serial[3:]
+    logged = engine.query_log.entries()[rows_before : rows_before + 3]
+    assert [row["parallel"] for row in logged] == [False] * 3
