@@ -7,94 +7,13 @@ Usage::
     python -m repro.bench table2  ...
     python -m repro.bench table3  ...
     python -m repro.bench all     ...
-    python -m repro.bench serving --check-regression [--json BENCH_pr1.json]
-    python -m repro.bench tracing [--check-overhead] [--json BENCH_pr2.json]
-    python -m repro.bench chaos   [--smoke] [--seed 7] [--json BENCH_pr3.json]
-    python -m repro.bench plan    [--check] [--json BENCH_pr4.json]
-    python -m repro.bench storage [--check] [--json BENCH_pr5.json]
-    python -m repro.bench compile [--check] [--json BENCH_pr6.json]
-    python -m repro.bench observe [--check] [--json BENCH_pr7.json]
-    python -m repro.bench serve   [--check] [--json BENCH_pr8.json]
-    python -m repro.bench shard   [--check] [--json BENCH_pr9.json]
-    python -m repro.bench train   [--check] [--json BENCH_pr10.json]
 
-The ``serving`` experiment measures cold vs warm ModelJoin latency
-(the cross-query model build cache); with ``--check-regression`` it
-exits non-zero unless every warm query beats its cold counterpart with
-bit-exact predictions, and writes the evidence as JSON.
+``--trace out.json`` records every swept engine into one shared span
+timeline and exports it as Chrome-trace/Perfetto JSON (open at
+https://ui.perfetto.dev).
 
-The ``tracing`` experiment runs the tracing-overhead gate (traced vs
-untraced dense ModelJoin, <5% overhead) and exports a validated
-Chrome-trace evidence file; ``--check-overhead`` turns the verdict
-into the exit code.
-
-The ``chaos`` experiment runs every fault-injection scenario (worker
-and morsel crashes, GPU kernel faults, build failures, flaky ODBC
-transfers, cache corruption, 10% disk block-read faults against a
-persistent database) and gates on 100% query completion,
-bit-exact results, bounded p95 latency, visible resilience metrics,
-retry/fallback trace spans and zero disabled-injector overhead; it
-always exits non-zero on failure.  ``--smoke`` is shorthand for
-``--preset smoke``; ``--seed`` makes the injected fault schedule
-reproducible.
-
-The ``plan`` experiment measures the optimizer: planning overhead per
-statement (<1 ms), pushdown speedup with bit-exact results on a
-filtered dense-grid cell, and cost-based variant-selection accuracy
-against exhaustive per-cell measurement (>=80%).  ``--check``
-additionally fails when any cell's selected variant measures slower
-than twice the empirically best variant.
-
-The ``storage`` experiment measures the persistent storage engine
-(docs/STORAGE.md): cold disk scans vs in-memory scans (<=3x,
-bit-exact), zone-map block skipping on a filtered cell (>2x), and a
-full scan under a buffer-pool byte cap far below the table size
-(completes with evictions).  ``--check`` turns the verdict into the
-exit code.
-
-The ``compile`` experiment measures the pipeline-fusing query compiler
-(docs/COMPILE.md): an expression-heavy polynomial query compiled vs
-interpreted (>=2x, bit-exact), ModelJoin epilogue fusion vs the
-interpreted epilogue (>1x, bit-exact), and cold compile overhead
-(<1 ms/query, with warm repeats served from the kernel cache).
-``--check`` turns the verdict into the exit code.
-
-The ``observe`` experiment smokes the ``system.*`` virtual tables
-against a persistent database (every table must answer through the
-standard SQL path, non-empty where a fresh engine guarantees rows) and
-gates query-log collection overhead on the PR1 serving workload at
-<5% (docs/OBSERVABILITY.md).  ``--check`` turns the verdict into the
-exit code.
-
-The ``serve`` experiment gates the concurrent serving front-end
-(docs/SERVING.md): sustained mixed OLAP/ModelJoin throughput from N
-client sessions under concurrent checkpoint churn with zero
-cross-session bleed and bounded p99, deterministic shedding under a
-2x-capacity overload burst with nothing hung, and a chaos run with
-10% injected faults (including the ``serve.admit`` site) where every
-admitted query still completes bit-exact.  ``--check`` turns the
-verdict into the exit code.
-
-The ``shard`` experiment measures multiprocess sharded execution
-(docs/SHARDING.md): a large scan + GROUP BY and a scan + MODEL JOIN,
-single-process vs N shard processes (bit-exact required; the >=2.5x
-speedup gate applies only on machines with >=4 usable cores), a chaos
-shard-kill that must surface a typed error with a bounded drain, and
-per-shard ``system.shards`` observability.  ``--check`` turns the
-verdict into the exit code.
-
-The ``train`` experiment gates the in-database training subsystem
-(docs/TRAINING.md): ``CREATE MODEL`` convergence on a synthetic
-linearly separable dataset (with time-per-epoch), bit-identical
-weights across two same-seed runs, MODEL JOIN scoring parity with the
-NumPy reference (max abs diff exactly 0), and retrain-and-swap under
-live serving traffic (zero failed or torn queries, during-swap p99
-under 2x the steady baseline, ``system.models`` reflecting the swap).
-``--check`` turns the verdict into the exit code.
-
-``--trace out.json`` on any sweep experiment records every swept
-engine into one shared span timeline and exports it as
-Chrome-trace/Perfetto JSON (open at https://ui.perfetto.dev).
+Engine performance is measured and gated by the perf ledger
+(``benchmarks/ledger``, docs/PERFORMANCE.md), not here.
 """
 
 from __future__ import annotations
@@ -131,16 +50,6 @@ def main(argv: list[str] | None = None) -> int:
             "table2",
             "table3",
             "all",
-            "serving",
-            "tracing",
-            "chaos",
-            "plan",
-            "storage",
-            "compile",
-            "observe",
-            "serve",
-            "shard",
-            "train",
         ],
     )
     parser.add_argument(
@@ -165,43 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated subset of the Figure-8/9 variant names",
     )
     parser.add_argument(
-        "--check-regression",
-        action="store_true",
-        help="serving experiment: fail unless warm beats cold",
-    )
-    parser.add_argument(
-        "--check-overhead",
-        action="store_true",
-        help="tracing experiment: fail when tracing costs more than 5%%",
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        help="serving/tracing/chaos/plan/storage/compile/observe/serve "
-        "experiment: where to write the JSON evidence (defaults: "
-        "BENCH_pr1.json / BENCH_pr2.json / BENCH_pr3.json / "
-        "BENCH_pr4.json / BENCH_pr5.json / BENCH_pr6.json / "
-        "BENCH_pr7.json / BENCH_pr8.json / BENCH_pr10.json)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="plan experiment: fail when any cell's selected variant "
-        "measures slower than twice the best variant; storage/compile/"
-        "observe experiments: fail unless every gate passes",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shorthand for --preset smoke",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="chaos experiment: seed of the injected fault schedule",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -209,8 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         "combined Chrome-trace JSON to PATH",
     )
     arguments = parser.parse_args(argv)
-    if arguments.smoke:
-        arguments.preset = "smoke"
     config = BenchConfig.from_preset(arguments.preset)
     if arguments.parallel:
         config = BenchConfig(
@@ -220,226 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         config = config.with_variants(
             tuple(name.strip() for name in arguments.variants.split(","))
         )
-
-    if arguments.experiment == "serving":
-        from repro.bench.serving import (
-            format_serving_report,
-            run_cache_serving,
-            write_report,
-        )
-
-        report = run_cache_serving(config)
-        rendered = format_serving_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr1.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if arguments.check_regression and not report["ok"]:
-            print("regression check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "tracing":
-        from repro.bench.tracing_bench import (
-            format_tracing_report,
-            run_tracing_bench,
-            write_report,
-        )
-
-        trace_path = arguments.trace or "results/trace_evidence.json"
-        report = run_tracing_bench(config, trace_path=trace_path)
-        rendered = format_tracing_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr2.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if not report["trace"]["ok"]:
-            print("trace evidence check FAILED", file=sys.stderr)
-            return 1
-        if arguments.check_overhead and not report["overhead"]["ok"]:
-            print("tracing overhead check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "chaos":
-        from repro.bench.chaos import (
-            format_chaos_report,
-            run_chaos_bench,
-            write_report,
-        )
-
-        trace_path = arguments.trace or "results/chaos_trace.json"
-        report = run_chaos_bench(
-            config, seed=arguments.seed, trace_path=trace_path
-        )
-        rendered = format_chaos_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr3.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if not report["ok"]:
-            print("chaos resilience check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "plan":
-        from repro.bench.plan_bench import (
-            format_plan_report,
-            run_plan_bench,
-            write_report,
-        )
-
-        report = run_plan_bench(config)
-        rendered = format_plan_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr4.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if not report["ok"]:
-            print("plan optimizer check FAILED", file=sys.stderr)
-            return 1
-        if arguments.check and not report["check"]["ok"]:
-            print("variant smoke check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "storage":
-        from repro.bench.storage_bench import (
-            format_storage_report,
-            run_storage_bench,
-            write_report,
-        )
-
-        report = run_storage_bench(config)
-        rendered = format_storage_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr5.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if arguments.check and not report["ok"]:
-            print("storage check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "compile":
-        from repro.bench.compile_bench import (
-            format_compile_report,
-            run_compile_bench,
-            write_report,
-        )
-
-        report = run_compile_bench(config)
-        rendered = format_compile_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr6.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if arguments.check and not report["ok"]:
-            print("compile check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "observe":
-        from repro.bench.observe_bench import (
-            format_observe_report,
-            run_observe_bench,
-            write_report,
-        )
-
-        report = run_observe_bench(config)
-        rendered = format_observe_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr7.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if arguments.check and not report["ok"]:
-            print("observability check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "shard":
-        from repro.bench.shard_bench import (
-            format_shard_report,
-            run_shard_bench,
-            write_report,
-        )
-
-        report = run_shard_bench(config)
-        rendered = format_shard_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr9.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if arguments.check and not report["ok"]:
-            print("shard check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "train":
-        from repro.bench.train_bench import (
-            format_train_report,
-            run_train_bench,
-            write_report,
-        )
-
-        report = run_train_bench(config, seed=arguments.seed)
-        rendered = format_train_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr10.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if arguments.check and not report["ok"]:
-            print("training check FAILED", file=sys.stderr)
-            return 1
-        return 0
-
-    if arguments.experiment == "serve":
-        from repro.bench.serve_bench import (
-            format_serve_report,
-            run_serve_bench,
-            write_report,
-        )
-
-        report = run_serve_bench(config, seed=arguments.seed)
-        rendered = format_serve_report(report)
-        print(rendered)
-        json_path = arguments.json or "BENCH_pr8.json"
-        write_report(report, json_path)
-        print(f"\nwrote {json_path}")
-        if arguments.out:
-            with open(arguments.out, "w") as handle:
-                handle.write(rendered + "\n")
-        if arguments.check and not report["ok"]:
-            print("serving check FAILED", file=sys.stderr)
-            return 1
-        return 0
 
     tracer = None
     if arguments.trace:

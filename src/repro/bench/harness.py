@@ -101,12 +101,6 @@ class SweepPoint:
     extra: dict = field(default_factory=dict)
 
 
-# Work estimates shared with the optimizer/bench layers live next to
-# the query generator itself.
-_mltosql_dense_work = dense_join_work
-_mltosql_lstm_work = lstm_join_work
-
-
 def _verify(
     model: Sequential,
     inputs: np.ndarray,
@@ -164,7 +158,7 @@ def run_dense_sweep(
                     rows,
                     width,
                     depth,
-                    work=_mltosql_dense_work(rows, width, depth, 4),
+                    work=dense_join_work(rows, width, depth, 4),
                     config=config,
                     verify_inputs=dataset.features,
                 )
@@ -213,7 +207,7 @@ def run_lstm_sweep(
                     rows,
                     width,
                     depth=1,
-                    work=_mltosql_lstm_work(
+                    work=lstm_join_work(
                         rows, width, config.time_steps
                     ),
                     config=config,
@@ -280,12 +274,12 @@ def measure_memory_table(
     for kind, width, depth in TABLE3_MODELS:
         if kind == "dense":
             model = make_dense_model(width, depth, seed=width)
-            work = _mltosql_dense_work(rows, width, depth, 4)
+            work = dense_join_work(rows, width, depth, 4)
         else:
             model = make_lstm_model(
                 width, time_steps=config.time_steps, seed=width
             )
-            work = _mltosql_lstm_work(rows, width, config.time_steps)
+            work = lstm_join_work(rows, width, config.time_steps)
         for name in variants:
             database = connect(
                 parallelism=config.parallelism, tracer=tracer

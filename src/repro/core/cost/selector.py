@@ -11,9 +11,9 @@ the full ranking, and the resilience layer executes the ranking as its
 fallback chain.
 
 ``DEFAULT_COEFFICIENTS`` were fitted offline with
-``python -m repro.bench plan`` (least squares over measured dense-grid
-cells on the reference container); recalibrate per deployment with
-:meth:`CostBasedVariantSelector.calibrate`.
+:meth:`CostBasedVariantSelector.calibrate` (least squares over measured
+dense-grid cells on the reference container); recalibrate per
+deployment the same way.
 """
 
 from __future__ import annotations

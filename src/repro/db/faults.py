@@ -1,8 +1,7 @@
 """Deterministic, seedable fault injection for resilience testing.
 
 The engine's hot paths contain *fault points* — named sites where a
-test, the chaos benchmark, or a ``REPRO_FAULTS`` environment spec can
-ask for failures:
+test or a ``REPRO_FAULTS`` environment spec can ask for failures:
 
 ========================  ====================================================
 site                      fires in
@@ -60,9 +59,9 @@ single module-attribute falsy check::
         faults.ACTIVE.fire("worker.task")
 
 so a build without faults installed pays one ``LOAD_ATTR`` +
-``POP_JUMP_IF`` per site visit and nothing else; the chaos benchmark
-(``python -m repro.bench chaos``) asserts the fault-free run stays
-within the PR 2 tracing-overhead gate.
+``POP_JUMP_IF`` per site visit and nothing else; the perf ledger
+(``benchmarks/ledger``) runs every workload fault-free, so any per-site
+cost lands in its end-to-end bounds.
 
 **Determinism** — each site draws from its own ``random.Random`` seeded
 from ``(seed, crc32(site))``, so the *k*-th draw at a site is a pure

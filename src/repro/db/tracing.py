@@ -14,7 +14,7 @@ observability layer serving-oriented systems treat as table stakes:
   through explicit parent ids.  A disabled tracer is a no-op: ``span``
   returns a shared null context manager and the hot paths additionally
   gate on :attr:`Tracer.enabled`, so tracing costs nothing when off
-  (the ``python -m repro.bench tracing`` gate asserts <5% overhead).
+  (the perf ledger's ``trace.overhead_share`` measures it).
 
 * :class:`MetricsRegistry` — engine-lifetime counters, gauges and
   histograms (``query.latency``, ``modeljoin.build_seconds``,

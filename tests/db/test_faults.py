@@ -61,6 +61,15 @@ def sorted_column(result, name):
     return np.sort(result.column(name))
 
 
+def exported_span_categories(db) -> set[str]:
+    """Categories of the complete events in *db*'s Chrome-trace export."""
+    return {
+        event["cat"]
+        for event in db.tracer.chrome_trace()["traceEvents"]
+        if event["ph"] == "X"
+    }
+
+
 # ----------------------------------------------------------------------
 # the injector itself
 # ----------------------------------------------------------------------
@@ -347,6 +356,7 @@ class TestQueryDeadlines:
 class TestPipelineRetry:
     def test_task_crash_retried_to_success(self, parallel_db):
         db = parallel_db
+        db.enable_tracing()
         reference = sorted_column(
             db.execute("SELECT sepal_length + sepal_width AS s FROM iris"), "s"
         )
@@ -358,6 +368,7 @@ class TestPipelineRetry:
         assert np.array_equal(sorted_column(result, "s"), reference)
         assert db.metrics.counter("query.retries").value >= 1
         assert db.metrics.counter("worker.crashes").value >= 1
+        assert "retry" in exported_span_categories(db)
 
     def test_morsel_crash_requeues_without_losing_rows(self, parallel_db):
         db = parallel_db
@@ -408,6 +419,7 @@ class TestPipelineRetry:
 class TestVariantFallback:
     def test_gpu_kernel_fault_falls_back_bit_exact(self):
         db = repro.connect()
+        db.enable_tracing()
         dataset = load_iris_table(db, 1_000)
         model = make_dense_model(8, 2, seed=6)
         publish_model(db, "gclf", model)
@@ -423,6 +435,7 @@ class TestVariantFallback:
         assert np.array_equal(faulted, healthy)
         assert db.metrics.counter("fallback.engaged").value >= 1
         assert db.metrics.counter("fallback.device").value >= 1
+        assert "fallback" in exported_span_categories(db)
         assert any("->cpu" in note for plan in runner.last_plans
                    for note in plan.fallbacks)
         np.testing.assert_allclose(

@@ -13,6 +13,8 @@ import pytest
 
 import repro
 from repro.core.registry import publish_model
+from repro.db import faults
+from repro.db.faults import FaultInjector
 from repro.db.storage import (
     BufferPool,
     ColumnFileReader,
@@ -437,6 +439,29 @@ class TestPersistentDatabase:
         assert reopened.table("fact").uid == fact_uid
         reopened.execute("CREATE TABLE other (x INTEGER)")
         assert reopened.table("other").uid > fact_uid
+        reopened.close()
+
+    def test_block_read_faults_are_retried_bit_exact(self, tmp_path):
+        db = make_persistent_db(tmp_path / "db")
+        db.close()
+        reopened = repro.connect(path=str(tmp_path / "db"))
+        before = full_table(reopened)
+        injector = FaultInjector(seed=7)
+        injector.raise_with_probability("io.block_read", 0.10)
+        with faults.active(injector):
+            for _ in range(3):
+                # an empty pool makes the scan re-read every block
+                reopened.storage.buffer_pool.clear()
+                after = full_table(reopened)
+                for name in before.schema.names:
+                    assert_bit_equal(
+                        np.asarray(after.column(name)),
+                        np.asarray(before.column(name)),
+                    )
+        raised = injector.statistics()["io.block_read"]["raised"]
+        assert raised > 0
+        retries = reopened.metrics.counter("storage.read_retries").value
+        assert retries == raised
         reopened.close()
 
     def test_buffer_pool_cap_below_table_size_still_scans(self, tmp_path):

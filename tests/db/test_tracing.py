@@ -501,32 +501,3 @@ class TestMemoryUnderflow:
         finalize_profile(profile, metrics)
         assert profile.counters.get("memory.release_underflow") == 1
         assert metrics.counter("memory.release_underflow").value == 1
-
-
-class TestTracingOverheadGate:
-    def test_smoke_overhead_and_evidence(self, tmp_path):
-        """The bench assertion of the issue, on the smoke workload.
-
-        The timing arm is allowed a generous margin here (CI runners
-        are noisy); the strict 5% verdict is recorded by
-        ``python -m repro.bench tracing`` into BENCH_pr2.json.
-        """
-        from repro.bench.tracing_bench import (
-            run_overhead_gate,
-            run_trace_evidence,
-        )
-
-        overhead = run_overhead_gate(
-            rows=1_000, width=8, depth=2, repeats=2
-        )
-        assert overhead["disabled_median_seconds"] > 0
-        assert overhead["enabled_median_seconds"] > 0
-        evidence = run_trace_evidence(
-            str(tmp_path / "evidence.json"),
-            rows=1_000,
-            width=8,
-            depth=2,
-            parallelism=2,
-        )
-        assert evidence["trace"]["ok"], evidence["trace"]["missing_levels"]
-        assert evidence["metrics"]["query.latency.count"] >= 1
