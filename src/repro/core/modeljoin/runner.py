@@ -120,13 +120,14 @@ class NativeModelJoin:
                 context.trace_parent = tracer.current_span_id()
                 plans = [build(index) for index in range(parallelism)]
                 self.last_plans = plans
-                _, batches = run_plans(
+                _, per_pipeline = run_plans(
                     plans,
                     pool=pool,
                     morsel_driven=True,
                     plan_builder=build,
                     retries=self.database.task_retries,
                 )
+        batches = [batch for pipeline in per_pipeline for batch in pipeline]
         self.last_seconds = window.seconds
         profile = query.profile
         profile.wall_seconds = window.wall_seconds

@@ -1,9 +1,11 @@
 """The Database facade: parse, plan, execute.
 
 This is the engine's public entry point.  It owns the catalog, applies
-DDL/DML, and executes SELECT statements either serially or
-partition-parallel (one pipeline per partition of the partitioned base
-tables, see :mod:`repro.db.parallel`).
+DDL/DML, and executes SELECT statements serially or split over
+partitions.  How a SELECT splits is decided in one place,
+:mod:`repro.db.plan.fragments`, for both transports under it: thread
+pipelines over a local table's partitions (:mod:`repro.db.parallel`)
+and shard processes (:mod:`repro.db.shard`).
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ from repro.db.introspect import (
     metrics_to_prometheus,
 )
 from repro.db.introspect.log import LOG_FILE_NAME
-from repro.db.operators import (
-    ExecutionContext,
-    LimitOperator,
-    QueryContext,
-    SortOperator,
-)
+from repro.db.operators import ExecutionContext, QueryContext
 from repro.db.operators.base import PhysicalOperator
-from repro.db.expressions import ColumnRef
 from repro.db.parallel import WorkerPool, run_plans
-from repro.db.plan.logical import order_keys
+from repro.db.plan.fragments import build_merge_plan, plan_fragments
+from repro.db.plan.physical import GatherExchange, render_explain
 from repro.db.planner import ModelJoinFactory, Planner, PlannerOptions
 from repro.db.profiler import QueryProfile, finalize_profile
 from repro.db.resilience import CancellationToken, CircuitBreaker
@@ -55,7 +52,7 @@ from repro.db.table import Table
 from repro.db.tracing import MetricsRegistry, Tracer
 from repro.db.types import SqlType, parse_type_name
 from repro.db.udf import PythonUdf, register_udf
-from repro.db.vector import VECTOR_SIZE, VectorBatch, concat_batches
+from repro.db.vector import VECTOR_SIZE, VectorBatch
 from repro.errors import (
     CatalogError,
     CompiledKernelError,
@@ -128,17 +125,6 @@ class Result:
                 f"scalar() requires a 1x1 result, got {len(rows)} rows"
             )
         return rows[0][0]
-
-
-class _MaterializedSource(PhysicalOperator):
-    """Feeds already-materialized batches into post-merge operators."""
-
-    def __init__(self, context, schema: Schema, batches: list[VectorBatch]):
-        super().__init__(context, schema)
-        self._batches = batches
-
-    def _produce(self):
-        yield from self._batches
 
 
 class Database:
@@ -515,7 +501,6 @@ class Database:
         query.collector = ResourceProfile(
             query_id=self.query_log.allocate_query_id(),
             sql=query.sql,
-            parallel=query.parallel and self.parallelism > 1,
             session_id=query.session_id,
             tenant=query.tenant,
             cancellation=query.cancellation,
@@ -690,9 +675,10 @@ class Database:
     ) -> Result:
         """Parse and execute one SQL statement.
 
-        With ``parallel=True`` a SELECT runs one pipeline per partition
-        of its partitioned base tables; the caller asserts the query is
-        partition-compatible (see :mod:`repro.db.parallel`).
+        ``parallel=True`` asks for a SELECT to run one pipeline per
+        partition of its partitioned input; the fragment planner honours
+        the request or declines it and runs the query serially (see
+        :mod:`repro.db.plan.fragments`).
 
         ``timeout_seconds`` sets a per-query deadline: execution checks
         a cooperative cancellation token at every batch/morsel boundary
@@ -718,8 +704,10 @@ class Database:
         if query is None:
             query = self.query_context(f"<{type(statement).__name__}>")
         if not isinstance(statement, SelectStatement):
-            # Only a client SELECT fans out per partition; the nested
-            # query of an INSERT or CREATE MODEL always runs serial.
+            # Only a client SELECT fans out per partition: the nested
+            # query of an INSERT or CREATE MODEL runs serial to keep
+            # serial row order (a CREATE MODEL source must yield the
+            # same rows in the same order to train the same weights).
             query.parallel = False
         if isinstance(statement, Explain):
             lines = self._explain_lines(statement.statement, query.catalog)
@@ -779,10 +767,10 @@ class Database:
         """Execute *sql* and return the plan annotated with per-operator
         stats (rows, batches, cumulative time), plus the result.
 
-        With ``parallel=True`` the query runs one pipeline per
-        partition and the per-partition operator stats are merged into
-        a single rendered tree (query-global numbers, not one
-        pipeline's share).
+        When ``parallel=True`` splits the query over partitions, the
+        per-partition operator stats are merged into a single rendered
+        tree (query-global numbers, not one pipeline's share) below the
+        merge pipeline.
         """
         statement = parse_statement(sql)
         if isinstance(statement, Explain):
@@ -827,11 +815,13 @@ class Database:
             raise PlanError(
                 "EXPLAIN supports SELECT, CREATE MODEL and ALTER MODEL"
             )
+        planner = self._planner(catalog=catalog)
+        prepared = planner.prepare(statement)
         context = ExecutionContext(vector_size=self.vector_size)
-        text = self._planner(catalog=catalog).explain(statement, context)
+        text = render_explain(prepared, planner.lower(prepared, context))
         if self.sharding is not None:
-            fragment = self.sharding.plan_fragments(statement, catalog)
-            if fragment is not None:
+            fragment = plan_fragments(prepared, 1)
+            if fragment.sharded:
                 text = self.sharding.explain_fragments(fragment) + "\n" + text
         return text.splitlines()
 
@@ -929,14 +919,32 @@ class Database:
         self, statement: SelectStatement, context: ExecutionContext, planner
     ) -> Result:
         """Plan and run a SELECT on *context* (a lifecycle body; also
-        how ``CREATE MODEL`` and ``INSERT`` run their nested query)."""
+        how ``CREATE MODEL`` and ``INSERT`` run their nested query).
+
+        A statement over sharded tables, or one asked to run parallel,
+        goes to the fragment planner; a serial query on an unsharded
+        database is lowered once without it.
+        """
         query = context.query
+        prepared = planner.prepare(statement)
+        if query.collector is not None and prepared.selections:
+            query.collector.modeljoin_variant = prepared.selections[0].chosen
         fragment = None
-        if self.sharding is not None:
-            fragment = self.sharding.plan_fragments(
-                statement, planner.catalog
-            )
-        if fragment is not None:
+        if self.sharding is not None or context.parallelism > 1:
+            fragment = plan_fragments(prepared, context.parallelism)
+        if fragment is None or (
+            fragment.merge == "decline" and not fragment.sharded
+        ):
+            # The ModelJoin build barrier waits for context.parallelism
+            # pipelines: one, here.
+            context.parallelism = 1
+            plan = planner.lower(prepared, context)
+            if query.analyze:
+                query.plans = [plan]
+            return Result(plan.schema, list(plan.batches()), query.profile)
+        if query.collector is not None:
+            query.collector.parallel = fragment.partitions > 1
+        if fragment.sharded:
             if query.analyze:
                 raise PlanError(
                     "EXPLAIN ANALYZE does not cover sharded tables "
@@ -946,53 +954,28 @@ class Database:
                 fragment, context, planner.catalog
             )
             return Result(schema, batches, query.profile)
-        parallel = context.parallelism > 1
-        core = statement
-        if parallel:
-            if statement.distinct:
-                raise PlanError("DISTINCT is not supported in parallel mode")
-            # ORDER BY / LIMIT are global operations: run the core of
-            # the query per partition and apply them on the merged
-            # result.
-            core = dataclasses.replace(
-                statement, order_by=(), limit=None, offset=0
-            )
-        # Bind + optimize once; every partition pipeline is lowered from
-        # the same prepared plan (one variant decision per statement).
-        prepared = planner.prepare(core)
-        if query.collector is not None and prepared.selections:
-            query.collector.modeljoin_variant = prepared.selections[0].chosen
-        if not parallel:
-            plan = planner.lower(prepared, context)
-            if query.analyze:
-                query.plans = [plan]
-            return Result(plan.schema, list(plan.batches()), query.profile)
+        if fragment.statement is not statement:
+            prepared = planner.prepare(fragment.statement)
+        # Every partition pipeline is lowered from this one prepared
+        # plan (one variant decision for all of them).
+        context.parallelism = fragment.partitions
 
         def lower(index: int) -> PhysicalOperator:
             return planner.lower(prepared, context, partition_index=index)
 
-        plans = [lower(index) for index in range(context.parallelism)]
+        plans = [lower(index) for index in range(fragment.partitions)]
         if query.analyze:
             query.plans = plans
-        schema, batches = run_plans(
+        schema, per_partition = run_plans(
             plans,
             pool=self.worker_pool,
             morsel_driven=True,
             plan_builder=lower,
             retries=self.task_retries,
         )
-        if not statement.order_by and statement.limit is None:
-            return Result(schema, batches, query.profile)
-        merged = concat_batches(schema, batches)
-        plan: PhysicalOperator = _MaterializedSource(context, schema, [merged])
-        if statement.order_by:
-            names, ascending = order_keys(statement.order_by)
-            keys = [ColumnRef(name) for name in names]
-            plan = SortOperator(context, plan, keys, ascending)
-        if statement.limit is not None:
-            plan = LimitOperator(
-                context, plan, statement.limit, statement.offset
-            )
+        plan = build_merge_plan(
+            context, fragment, GatherExchange(context, schema, per_partition)
+        )
         if query.analyze:
             query.coordinator = plan
         return Result(plan.schema, list(plan.batches()), query.profile)

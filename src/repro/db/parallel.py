@@ -9,13 +9,15 @@ so memory accounting reflects the query-global peak and barrier-style
 shared state (the native ModelJoin's shared model build) is visible
 across threads.
 
+This module is the thread transport of the one partition
+decomposition: :mod:`repro.db.plan.fragments` decides which statement
+each partition runs and how the results merge (the same decision the
+shard processes run under), and :func:`run_plans` runs the pipelines.
 Two scheduling strategies exist:
 
 * **Static partition binding** — pipeline *i* scans partition *i* of
-  every partitioned base table.  Correct whenever the query result is
-  the bag-union of per-partition results (aggregations whose group keys
-  functionally include the partition key).  This is the fallback for
-  plans containing blocking operators.
+  every partitioned base table.  This is the fallback for plans
+  containing blocking operators.
 
 * **Morsel-driven** — when every operator of every pipeline is
   *morsel-streaming* (scan/filter/project/rename/modeljoin) and exactly
@@ -498,8 +500,11 @@ def run_plans(
     morsel_driven: bool = False,
     plan_builder: PlanBuilder | None = None,
     retries: int = 0,
-) -> tuple[Schema, list[VectorBatch]]:
+) -> tuple[Schema, list[list[VectorBatch]]]:
     """Execute already-built partition pipelines concurrently.
+
+    Returns the output schema and each pipeline's result batches, in
+    pipeline order (batch order within a pipeline is preserved).
 
     The caller keeps the plan instances, so their post-run operator
     stats remain inspectable (parallel EXPLAIN ANALYZE merges them).
@@ -602,46 +607,5 @@ def run_plans(
                 _rewire_morsel_source(fresh, source, index)
             plans[index] = fresh
         pending = sorted(failed)
-    schema = plans[0].schema
-    batches = [
-        batch for pipeline in per_pipeline for batch in pipeline
-    ]
-    return schema, batches
+    return plans[0].schema, per_pipeline
 
-
-def run_partitioned(
-    plan_builder: PlanBuilder,
-    num_partitions: int,
-    max_workers: int | None = None,
-    pool: WorkerPool | None = None,
-    morsel_driven: bool = False,
-    retries: int = 0,
-) -> tuple[Schema, list[VectorBatch]]:
-    """Execute one plan instance per partition pipeline.
-
-    With *pool* the pipelines run on the engine's persistent workers;
-    otherwise a transient thread-per-partition fallback is used (kept
-    for callers without an engine).  With *morsel_driven* the plans are
-    built eagerly and, when eligible, rewired to steal scan morsels
-    from a shared queue (see :func:`attach_morsel_sources`).  With
-    *retries* > 0 crashed pipelines are rebuilt via *plan_builder* and
-    re-run (see :func:`run_plans`).
-
-    Returns the output schema and all result batches, ordered by
-    pipeline (batch order within a pipeline is preserved).
-    """
-    if num_partitions < 1:
-        raise ValueError("need at least one partition")
-
-    if num_partitions == 1:
-        plan = plan_builder(0)
-        return plan.schema, list(plan.batches())
-
-    plans = [plan_builder(index) for index in range(num_partitions)]
-    return run_plans(
-        plans,
-        pool=pool,
-        morsel_driven=morsel_driven,
-        plan_builder=plan_builder,
-        retries=retries,
-    )

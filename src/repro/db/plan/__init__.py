@@ -13,6 +13,10 @@ Planning is split into three layers (see docs/ARCHITECTURE.md):
    what the optimizer did.
 3. :mod:`repro.db.plan.physical` — lowering to physical operators,
    including cost-based selection of the ModelJoin execution variant.
+
+:mod:`repro.db.plan.fragments` decides how an optimized plan splits
+over partitions (thread pipelines or shard processes) and builds the
+merge that finishes it.
 """
 
 from repro.db.plan.logical import LogicalBinder, LogicalNode

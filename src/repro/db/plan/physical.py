@@ -616,22 +616,23 @@ def _compiled_sections(operator: PhysicalOperator):
 
 
 # ----------------------------------------------------------------------
-# exchange operators (sharded execution, see docs/SHARDING.md)
+# the partition exchange (see repro.db.plan.fragments, docs/SHARDING.md)
 # ----------------------------------------------------------------------
 class GatherExchange(PhysicalOperator):
-    """Coordinator-side source feeding shard fragment results.
+    """Source feeding per-partition fragment results into the merge.
 
-    The actual data movement happens over process pipes before the
-    operator runs (the coordinator materializes each shard's fragment
-    output); GatherExchange then streams those batches — tagged per
-    source shard in ``rows_per_source`` — into the merge pipeline with
-    the standard per-batch cancellation checkpoint, so a late CANCEL
-    still aborts a large merge.
+    The data movement happens before the operator runs (thread
+    pipelines hand back their batches; the shard coordinator
+    materializes each shard's output from its pipe); GatherExchange
+    then streams those batches — tagged per source partition in
+    ``rows_per_source`` — into the merge pipeline with the standard
+    per-batch cancellation checkpoint, so a late CANCEL still aborts a
+    large merge.
     """
 
     def __init__(self, context, schema, sources):
         super().__init__(context, schema)
-        #: list of per-shard batch lists, index = shard id
+        #: list of per-partition batch lists, index = partition / shard
         self.sources = sources
         self.rows_per_source = [
             sum(len(batch) for batch in batches) for batches in sources
@@ -639,98 +640,14 @@ class GatherExchange(PhysicalOperator):
 
     def describe(self) -> str:
         rows = ", ".join(
-            f"shard{index}={count}"
+            f"p{index}={count}"
             for index, count in enumerate(self.rows_per_source)
         )
-        return f"GatherExchange [{len(self.sources)} shards] ({rows})"
+        return f"GatherExchange [{len(self.sources)} partitions] ({rows})"
 
     def _produce(self):
         for batches in self.sources:
             yield from batches
-
-
-class BroadcastExchange(PhysicalOperator):
-    """Replicates its child's full output to *fanout* consumers.
-
-    Used by the coordinator to ship replicated (unpartitioned) tables —
-    model tables, dimension tables — to every shard: the child is
-    materialized exactly once, and :meth:`streams` hands each consumer
-    the same sealed batch list.
-    """
-
-    def __init__(self, context, child, fanout: int):
-        super().__init__(context, child.schema)
-        self.child = child
-        self.fanout = fanout
-        self._materialized = None
-
-    def describe(self) -> str:
-        return f"BroadcastExchange [fanout {self.fanout}]"
-
-    def children(self):
-        return [self.child]
-
-    def _materialize(self):
-        if self._materialized is None:
-            self._materialized = list(self.child.batches())
-        return self._materialized
-
-    def streams(self):
-        batches = self._materialize()
-        return [batches for _ in range(self.fanout)]
-
-    def _produce(self):
-        yield from self._materialize()
-
-
-class RepartitionExchange(PhysicalOperator):
-    """Hash-routes its child's output into *fanout* disjoint streams.
-
-    The routing rule is the engine's canonical ``abs(hash(key)) % n``
-    (identical to :class:`~repro.db.table.Table` partition routing and
-    :class:`~repro.db.shard.tables.ShardedTable` shard routing), so a
-    repartitioned stream lands rows exactly where a load through the
-    table API would.  Pass-through iteration yields the child's batches
-    unchanged; :meth:`partitions` materializes the routed streams.
-    """
-
-    def __init__(self, context, child, key: str, fanout: int):
-        super().__init__(context, child.schema)
-        if fanout < 1:
-            raise PlanError("repartition fanout must be >= 1")
-        self.child = child
-        self.key = key
-        self.fanout = fanout
-
-    def describe(self) -> str:
-        return f"RepartitionExchange [key {self.key}, fanout {self.fanout}]"
-
-    def children(self):
-        return [self.child]
-
-    def partitions(self):
-        import numpy as np
-
-        streams = [[] for _ in range(self.fanout)]
-        for batch in self.child.batches():
-            keys = batch.column(self.key)
-            if keys.dtype == object:
-                hashes = np.fromiter(
-                    (hash(key) for key in keys),
-                    dtype=np.int64,
-                    count=len(keys),
-                )
-            else:
-                hashes = keys.astype(np.int64, copy=False)
-            assignment = np.abs(hashes) % self.fanout
-            for target in range(self.fanout):
-                mask = assignment == target
-                if mask.any():
-                    streams[target].append(batch.filter(mask))
-        return streams
-
-    def _produce(self):
-        yield from self.child.batches()
 
 
 #: below this many rows per shard, intra-shard thread parallelism costs
@@ -741,26 +658,6 @@ MIN_ROWS_FOR_WORKER_PARALLEL = 8192
 #: fixed per-shard dispatch overhead expressed in equivalent scan rows
 #: (fragment pickle + pipe round trip + result unpickle)
 SHARD_DISPATCH_OVERHEAD_ROWS = 4096
-
-
-def choose_shard_fanout(total_rows: int, shard_count: int) -> int:
-    """How many shards a fragment is dispatched to.
-
-    Sharded base tables are placement-constrained: their rows already
-    live on all ``shard_count`` shards, so a scan fragment must visit
-    every shard and the only real decision is whether sharded dispatch
-    is worth its per-shard overhead at all.  Returns ``0`` when the
-    fragment should run coordinator-local instead (no sharded input, or
-    so few rows that ``SHARD_DISPATCH_OVERHEAD_ROWS`` per shard
-    dominates the scan itself); otherwise ``shard_count``.
-    """
-    if shard_count <= 0:
-        return 0
-    if total_rows <= SHARD_DISPATCH_OVERHEAD_ROWS:
-        # The whole table costs less to scan than one dispatch; still
-        # placement-constrained, but flag the poor fit for EXPLAIN.
-        return shard_count
-    return shard_count
 
 
 def choose_worker_parallelism(rows_per_shard: int, shard_workers: int) -> int:
@@ -776,12 +673,12 @@ def render_fragment_tree(fragment, shard_count: int, shard_workers: int) -> str:
     """The fragment-tree prefix EXPLAIN prints for a sharded query.
 
     Renders the coordinator merge pipeline above a GatherExchange and
-    the per-shard fragment below it, with the cost-model row estimates
-    driving the fanout annotation.
+    the per-shard fragment below it.  Sharded rows already live on every
+    shard, so a fragment always visits all of them; the row estimates
+    say whether the per-shard dispatch overhead is amortized.
     """
     total_rows = fragment.estimated_rows
-    fanout = choose_shard_fanout(total_rows, shard_count)
-    per_shard = total_rows // max(fanout, 1)
+    per_shard = total_rows // max(shard_count, 1)
     lines = ["Coordinator"]
     indent = "  "
     if fragment.limit is not None:
@@ -810,26 +707,26 @@ def render_fragment_tree(fragment, shard_count: int, shard_workers: int) -> str:
         if fragment.having is not None:
             lines.append(f"{indent}Filter [{fragment.having}] (HAVING)")
     else:
-        lines.append(
-            f"{indent}Concat (groups disjoint by partition key: "
-            "shard-local results are final)"
-        )
+        lines.append(f"{indent}Concat ({fragment.reason})")
         indent += "  "
     lines.append(
-        f"{indent}GatherExchange [shards {fanout}/{shard_count}, "
+        f"{indent}GatherExchange [shards {shard_count}, "
         f"~{total_rows} input rows, ~{per_shard}/shard; "
         f"dispatch overhead {SHARD_DISPATCH_OVERHEAD_ROWS} rows/shard "
         f"({'amortized' if per_shard > SHARD_DISPATCH_OVERHEAD_ROWS else 'dominant'})]"
     )
     parallel = choose_worker_parallelism(per_shard, shard_workers)
     lines.append(
-        f"Fragment [runs on each of {fanout} shards, "
+        f"Fragment [runs on each of {shard_count} shards, "
         f"{parallel} pipeline(s)/shard]"
     )
-    lines.append(f"  {_render_statement(fragment.shard_statement)}")
+    lines.append(f"  {_render_statement(fragment.statement)}")
+    replicated = fragment.replicated_tables + tuple(
+        f"model {name}" for name in fragment.model_names
+    )
     lines.append(
-        "  BroadcastExchange [replicated tables sync to shards "
-        "on demand, version-keyed]"
+        f"  Replicated [{', '.join(replicated) or 'none'}; synced to "
+        "shards on demand, version-keyed]"
     )
     return "\n".join(lines)
 

@@ -30,7 +30,6 @@ from repro.db.plan.logical import LogicalBinder, LogicalNode
 from repro.db.plan.physical import (
     Lowering,
     VariantSelection,
-    render_explain,
     select_variants,
 )
 from repro.db.plan.rules import RuleEngine, RuleFiring
@@ -152,12 +151,3 @@ class Planner:
                 compiler=self._compiler(),
             )
             return lowering.lower(prepared.logical)
-
-    def explain(
-        self, statement: SelectStatement, context: ExecutionContext
-    ) -> str:
-        """The multi-section EXPLAIN (logical plan, fired rules,
-        variant selection, physical plan)."""
-        prepared = self.prepare(statement)
-        physical = self.lower(prepared, context)
-        return render_explain(prepared, physical)

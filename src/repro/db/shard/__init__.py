@@ -6,23 +6,15 @@ sharded table.  See docs/SHARDING.md for the architecture tour.
 """
 
 from repro.db.shard.coordinator import ShardCoordinator, ShardHandle
-from repro.db.shard.fragments import (
-    FragmentPlan,
-    build_merge_plan,
-    plan_select_fragments,
-)
 from repro.db.shard.messages import WorkerConfig
 from repro.db.shard.tables import ShardedTable
 from repro.db.shard.worker import ShardWorker, shard_worker_main
 
 __all__ = [
-    "FragmentPlan",
     "ShardCoordinator",
     "ShardHandle",
     "ShardWorker",
     "ShardedTable",
     "WorkerConfig",
-    "build_merge_plan",
-    "plan_select_fragments",
     "shard_worker_main",
 ]

@@ -14,7 +14,8 @@ engine keeps acting as planner and merger:
   ``(uid, version)`` — the ModelJoin's model-table broadcast, so every
   shard builds the model from its local copy and infers locally.
 - SELECTs over sharded tables are fragment-planned
-  (:mod:`repro.db.shard.fragments`), dispatched, gathered through a
+  (:mod:`repro.db.plan.fragments`, the decomposition thread-parallel
+  queries use too), dispatched, gathered through a
   :class:`~repro.db.plan.physical.GatherExchange` and merged locally.
 
 Failure semantics: a dead shard process surfaces as
@@ -36,15 +37,11 @@ import time
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
+from repro.db.plan.fragments import FragmentPlan, build_merge_plan
 from repro.db.plan.physical import (
     GatherExchange,
     choose_worker_parallelism,
     render_fragment_tree,
-)
-from repro.db.shard.fragments import (
-    FragmentPlan,
-    build_merge_plan,
-    plan_select_fragments,
 )
 from repro.db.shard.messages import (
     AppendRequest,
@@ -53,7 +50,6 @@ from repro.db.shard.messages import (
     DropTableRequest,
     ErrorResponse,
     ExecuteRequest,
-    OkResponse,
     RegisterModelRequest,
     ReplicaLoadRequest,
     ResultResponse,
@@ -571,26 +567,19 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
-    def plan_fragments(self, statement, catalog=None) -> FragmentPlan | None:
-        return plan_select_fragments(
-            statement, catalog or self._database.catalog
-        )
-
     def execute_fragments(
         self, fragment: FragmentPlan, context, catalog
     ):
         """Dispatch the fragment, gather, merge; returns (schema, batches)."""
+        _require_distributable(fragment)
         cancellation = context.query.cancellation
         per_shard = fragment.estimated_rows // max(self.shard_count, 1)
-        parallel = (
-            fragment.parallel_safe
-            and choose_worker_parallelism(per_shard, self.shard_workers) > 1
-        )
+        parallel = choose_worker_parallelism(per_shard, self.shard_workers) > 1
         timeout = None
         if cancellation is not None:
             timeout = cancellation.remaining_seconds()
         request = ExecuteRequest(
-            statement=fragment.shard_statement,
+            statement=fragment.statement,
             parallel=parallel,
             timeout_seconds=timeout,
         )
@@ -625,6 +614,7 @@ class ShardCoordinator:
         return plan.schema, list(plan.batches())
 
     def explain_fragments(self, fragment: FragmentPlan) -> str:
+        _require_distributable(fragment)
         return render_fragment_tree(
             fragment, self.shard_count, self.shard_workers
         )
@@ -684,6 +674,15 @@ class ShardCoordinator:
                 )
             )
         return rows
+
+
+def _require_distributable(fragment: FragmentPlan) -> None:
+    """Rows that live on shards cannot run coordinator-local, so a
+    declined fragment is an error, not a serial fallback."""
+    if fragment.merge == "decline":
+        raise ShardError(
+            f"cannot distribute this query over shards: {fragment.reason}"
+        )
 
 
 def _worker_entry(connection, config: WorkerConfig) -> None:

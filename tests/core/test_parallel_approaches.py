@@ -2,7 +2,9 @@
 
 Every partition-parallel path must return exactly the serial results:
 the ML-To-SQL generated query (group keys carry the partition key), the
-native ModelJoin (shared build + barrier), and the UDF query.
+native ModelJoin (shared build + barrier), and the UDF query.  The
+paper's parallel preset must also stay parallel: the fragment planner
+may decline to split a query, which would still return serial results.
 """
 
 import numpy as np
@@ -21,6 +23,11 @@ from repro.workloads.timeseries import load_windowed_series_table
 PARALLELISM = 4
 
 
+def ran_split(db) -> bool:
+    """Whether the last logged query ran as more than one pipeline."""
+    return db.query_log.entries()[-1]["parallel"]
+
+
 @pytest.fixture
 def parallel_iris():
     db = repro.connect(parallelism=PARALLELISM)
@@ -36,6 +43,7 @@ class TestParallelDense:
         columns = list(FEATURE_COLUMNS)
         serial = runner.predict("iris", "id", columns, parallel=False)
         parallel = runner.predict("iris", "id", columns, parallel=True)
+        assert ran_split(db)
         np.testing.assert_allclose(serial, parallel, atol=1e-6)
         np.testing.assert_allclose(
             parallel, model.predict(dataset.features), atol=1e-4
@@ -50,6 +58,7 @@ class TestParallelDense:
         runner = NativeModelJoin(db, "pclf")
         columns = list(FEATURE_COLUMNS)
         parallel = runner.predict("iris", "id", columns, parallel=True)
+        assert len(runner.last_plans) == PARALLELISM
         np.testing.assert_allclose(
             parallel, model.predict(dataset.features), atol=1e-4
         )
@@ -89,6 +98,7 @@ class TestParallelDense:
         )
         serial = sorted(db.execute(sql).rows)
         parallel = sorted(db.execute(sql, parallel=True).rows)
+        assert ran_split(db)
         assert serial == parallel
 
 
@@ -122,6 +132,7 @@ class TestParallelLstm:
         parallel = runner.predict(
             "sinus_windows", "id", ["x1", "x2", "x3"], parallel=True
         )
+        assert ran_split(db)
         np.testing.assert_allclose(
             parallel, model.predict(windows), atol=1e-4
         )

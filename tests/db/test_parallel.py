@@ -68,11 +68,11 @@ class TestParallelEqualsSerial:
             (i,) for i in range(7)
         ]
 
-    def test_distinct_rejected_in_parallel(self, pdb):
-        from repro.errors import PlanError
-
-        with pytest.raises(PlanError):
-            pdb.execute("SELECT DISTINCT a FROM fact", parallel=True)
+    def test_distinct_matches_serial(self, pdb):
+        sql = "SELECT DISTINCT a FROM fact"
+        assert rows_sorted(pdb.execute(sql)) == rows_sorted(
+            pdb.execute(sql, parallel=True)
+        )
 
     def test_parallel_flag_noop_when_parallelism_one(self):
         db = Database(parallelism=1)

@@ -1,8 +1,8 @@
 """Property tests: aggregation merged across K disjoint partitions is
 bit-exact against the single-partition run.
 
-Two partitioning regimes are exercised, matching the two shard merge
-strategies (see repro.db.shard.fragments):
+Two partitioning regimes are exercised, matching the two partition
+merge strategies (see repro.db.plan.fragments):
 
 - *hash-based*: rows are routed by ``abs(hash(group)) % K`` — every
   group wholly owned by one partition, results merged by concat;
@@ -25,7 +25,7 @@ from repro.db.engine import Database
 from repro.db.operators import ExecutionContext
 from repro.db.plan.physical import GatherExchange
 from repro.db.schema import Column, Schema
-from repro.db.shard.fragments import (
+from repro.db.plan.fragments import (
     FragmentPlan,
     _decompose_aggregation,
     build_merge_plan,
@@ -92,9 +92,7 @@ def _sorted_rows(schema, batches_or_result):
 
 def _partial_fragment(sql=SQL):
     statement = parse_statement(sql)
-    fragment = FragmentPlan(
-        shard_statement=statement, merge="concat", sharded_table="t"
-    )
+    fragment = FragmentPlan(statement=statement, merge="partial")
     core = dataclasses.replace(
         statement, order_by=(), limit=None, offset=0, distinct=False
     )
@@ -147,7 +145,7 @@ class TestPartialMerge:
         fragment = _partial_fragment()
         parts = [rows[shard::k] for shard in range(k)]
         results = [
-            _run_statement(part, fragment.shard_statement)
+            _run_statement(part, fragment.statement)
             for part in parts
             if part
         ]
@@ -168,7 +166,7 @@ class TestPartialMerge:
         assert fragment.having is not None
         parts = [rows[0::2], rows[1::2]]
         results = [
-            _run_statement(part, fragment.shard_statement)
+            _run_statement(part, fragment.statement)
             for part in parts
         ]
         schema, batches = _merge(fragment, results)

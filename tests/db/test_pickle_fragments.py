@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import repro
 from repro.db.column import BlockBuilder
 from repro.db.expressions import BinaryOp, ColumnRef, FunctionCall, Literal
+from repro.db.plan.fragments import plan_fragments
 from repro.db.schema import Column, Schema
-from repro.db.shard.fragments import plan_select_fragments
 from repro.db.sql.parser import parse_statement
 from repro.db.types import SqlType
 from repro.db.vector import VectorBatch
@@ -153,8 +153,8 @@ class TestFragmentPickle:
         ],
     )
     def test_shard_statement_picklable(self, sharded, sql):
-        statement = parse_statement(sql)
-        fragment = plan_select_fragments(statement, sharded.catalog)
-        assert fragment is not None
-        clone = roundtrip(fragment.shard_statement)
-        assert clone == fragment.shard_statement
+        prepared = sharded._planner().prepare(parse_statement(sql))
+        fragment = plan_fragments(prepared, 1)
+        assert fragment.sharded and fragment.merge != "decline"
+        clone = roundtrip(fragment.statement)
+        assert clone == fragment.statement

@@ -264,8 +264,9 @@ def test_one_lifecycle(entry, variant, request):
 @pytest.mark.parametrize("served", [False, True], ids=["direct", "session"])
 def test_nested_queries_run_serial_under_parallel(engine, served):
     """``parallel=True`` fans out a client SELECT only: the nested query
-    of an INSERT or a CREATE MODEL runs serial, so it sees whole groups
-    (not per-partition partials) and may use DISTINCT."""
+    of an INSERT or a CREATE MODEL runs serial, so it yields its rows in
+    serial order — a CREATE MODEL source must give the same rows in the
+    same order to train the same weights."""
     engine.execute("CREATE TABLE agg (grp INTEGER, n INTEGER)")
     engine.execute("CREATE TABLE uniq (grp INTEGER)")
     train = (
