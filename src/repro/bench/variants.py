@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.client.external import ExternalInference
 from repro.core.ml_to_sql.generator import MlToSqlModelJoin
 from repro.core.ml_to_sql.representation import MlToSqlOptions
-from repro.core.modeljoin.runner import NativeModelJoin
+from repro.core.modeljoin.runner import DirectRunner, NativeModelJoin
 from repro.core.registry import publish_model
 from repro.core.runtime_api.runner import RuntimeApiModelJoin
 from repro.core.udf_integration.inference_udf import UdfModelJoin
@@ -104,11 +104,41 @@ class Variant:
         raise NotImplementedError
 
 
-class _NativeVariant(Variant):
+class _DirectVariant(Variant):
+    """A variant run by a direct runner: its device time (the modeled
+    clock on the simulated GPU) plus the lifecycle's profile."""
+
+    _runner: DirectRunner
+
+    def run(self, env: BenchEnvironment) -> RunMeasurement:
+        predictions = self._runner.predict(
+            env.fact_table,
+            env.id_column,
+            env.input_columns,
+            parallel=env.parallel,
+        )
+        profile = env.database.last_profile
+        return RunMeasurement(
+            variant=self.name,
+            seconds=self._runner.last_seconds,
+            wall_seconds=profile.wall_seconds,
+            peak_memory_bytes=profile.peak_memory_bytes,
+            rows=profile.rows_returned,
+            predictions=predictions if env.keep_predictions else None,
+            extra={
+                "phases": dict(profile.stopwatch.phases),
+                "counters": profile.counters.snapshot(),
+                "metrics": flatten_metrics(
+                    env.database.metrics.snapshot()
+                ),
+            },
+        )
+
+
+class _NativeVariant(_DirectVariant):
     def __init__(self, gpu: bool):
         self.gpu = gpu
         self.name = "ModelJoin_GPU" if gpu else "ModelJoin_CPU"
-        self._runner: NativeModelJoin | None = None
 
     def prepare(self, env: BenchEnvironment) -> None:
         partitions = (
@@ -126,65 +156,16 @@ class _NativeVariant(Variant):
             env.database, env.model_name, device=device
         )
 
-    def run(self, env: BenchEnvironment) -> RunMeasurement:
-        predictions = self._runner.predict(
-            env.fact_table,
-            env.id_column,
-            env.input_columns,
-            parallel=env.parallel,
-        )
-        profile = self._runner.last_profile
-        return RunMeasurement(
-            variant=self.name,
-            seconds=self._runner.last_seconds,
-            wall_seconds=profile.wall_seconds,
-            peak_memory_bytes=profile.peak_memory_bytes,
-            rows=profile.rows_returned,
-            predictions=predictions if env.keep_predictions else None,
-            extra={
-                "phases": dict(profile.stopwatch.phases),
-                "counters": profile.counters.snapshot(),
-                "metrics": flatten_metrics(
-                    env.database.metrics.snapshot()
-                ),
-            },
-        )
 
-
-class _RuntimeApiVariant(Variant):
+class _RuntimeApiVariant(_DirectVariant):
     def __init__(self, gpu: bool):
         self.gpu = gpu
         self.name = "TF_CAPI_GPU" if gpu else "TF_CAPI_CPU"
-        self._runner: RuntimeApiModelJoin | None = None
 
     def prepare(self, env: BenchEnvironment) -> None:
         device = SimulatedGpu() if self.gpu else HostDevice()
         self._runner = RuntimeApiModelJoin(
             env.database, env.model, device=device
-        )
-
-    def run(self, env: BenchEnvironment) -> RunMeasurement:
-        predictions = self._runner.predict(
-            env.fact_table,
-            env.id_column,
-            env.input_columns,
-            parallel=env.parallel,
-        )
-        profile = self._runner.last_profile
-        return RunMeasurement(
-            variant=self.name,
-            seconds=self._runner.last_seconds,
-            wall_seconds=profile.wall_seconds,
-            peak_memory_bytes=profile.peak_memory_bytes,
-            rows=profile.rows_returned,
-            predictions=predictions if env.keep_predictions else None,
-            extra={
-                "phases": dict(profile.stopwatch.phases),
-                "counters": profile.counters.snapshot(),
-                "metrics": flatten_metrics(
-                    env.database.metrics.snapshot()
-                ),
-            },
         )
 
 

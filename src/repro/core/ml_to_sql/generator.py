@@ -20,6 +20,7 @@ from repro.core.ml_to_sql.representation import (
     RelationalModel,
     build_relational_model,
 )
+from repro.core.predictions import predictions_by_id
 from repro.db.engine import Database, Result
 from repro.errors import UnsupportedModelError
 from repro.nn.model import Sequential
@@ -269,12 +270,9 @@ class MlToSqlModelJoin:
         result = self.execute(
             fact_table, id_column, input_columns, parallel=parallel
         )
-        order = np.argsort(result.column(id_column), kind="stable")
-        columns = [
-            result.column(f"prediction_{index}")[order]
-            for index in range(self.relational.output_width)
-        ]
-        return np.column_stack(columns)
+        return predictions_by_id(
+            result, id_column, self.relational.output_width
+        )
 
     def execute(
         self,

@@ -1,29 +1,167 @@
-"""Direct execution of the native ModelJoin (bench + API convenience).
+"""Direct execution of the in-engine inference operators.
 
-Builds the minimal physical plan — partition scan of the fact table
-feeding the ModelJoin operator — one pipeline per partition, exactly
-the shape the engine's parallel executor would produce for
-``SELECT * FROM fact MODEL JOIN m``, without the SQL layer in the
-measured path.
+A direct runner puts one inference operator straight on a scan of the
+fact table — the plan the engine lowers for ``SELECT * FROM fact MODEL
+JOIN m`` — without the SQL layer in the measured path.  It is still one
+logged query: :func:`run_inference` runs it through
+:meth:`~repro.db.engine.Database.run_query`, so it lands a
+``system.queries`` row under the runner's label, shows in
+``system.active_queries`` (``close()`` can cancel it), counts in
+``query.count`` and leaves ``database.last_profile``.  It splits over
+the fact table's partitions exactly when the fragment planner would
+split the SQL statement.
+
+The native runner (here) and the runtime-API runner
+(:mod:`repro.core.runtime_api.runner`) differ only in that operator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core.modeljoin.operator import ModelJoinOperator
+from repro.core.predictions import predictions_by_id
 from repro.db.catalog import ModelMetadata
-from repro.db.engine import Database
+from repro.db.engine import Database, Result
 from repro.db.operators import ExecutionContext, TableScan
+from repro.db.operators.base import PhysicalOperator
 from repro.db.parallel import run_plans
-from repro.db.profiler import QueryProfile, finalize_profile
-from repro.db.vector import VectorBatch
 from repro.device.base import Device, DeviceWindow
 from repro.device.host import HostDevice
+from repro.errors import ShardError
+
+#: ``(context, scan, partition_index) -> operator`` over one pipeline's scan
+OperatorFactory = Callable[
+    [ExecutionContext, TableScan, int], PhysicalOperator
+]
 
 
-class NativeModelJoin:
-    """Runs a registered model with the native operator."""
+def run_inference(
+    database: Database,
+    label: str,
+    fact_table: str,
+    make_operator: OperatorFactory,
+    device: Device,
+    parallel: bool = False,
+    timeout_seconds: float | None = None,
+) -> tuple[Result, float]:
+    """Run ``TableScan(fact_table) -> make_operator(...)`` as one query.
+
+    *label* is the statement text of its ``system.queries`` row.  One
+    pipeline runs per partition of the fact table when ``parallel`` is
+    set and the table has more than one partition but no more than
+    ``database.parallelism`` — the rule the fragment planner applies to
+    a MODEL JOIN over one local table; otherwise one pipeline scans it
+    all.  Returns the result and the device time of the run (the
+    modeled clock on a simulated GPU).
+    """
+    query = database.query_context(label, parallel, timeout_seconds)
+
+    def body(context: ExecutionContext, _planner) -> Result:
+        table = query.catalog.table(fact_table)
+        if getattr(table, "shard_count", 0):
+            raise ShardError(
+                f"table {table.name!r} is sharded; the direct runners "
+                "read local tables only — run the inference as "
+                f"SELECT ... FROM {table.name} MODEL JOIN <model> "
+                "through Database.execute"
+            )
+        partitions = table.num_partitions
+        pipelines = partitions if 1 < partitions <= context.parallelism else 1
+        # The ModelJoin build barrier waits for context.parallelism
+        # pipelines: the ones that actually run.
+        context.parallelism = pipelines
+        if query.collector is not None:
+            query.collector.parallel = pipelines > 1
+
+        def lower(index: int) -> PhysicalOperator:
+            scan = TableScan(
+                context, table, partition_index=index if pipelines > 1 else None
+            )
+            return make_operator(context, scan, index)
+
+        schema, per_pipeline = run_plans(
+            [lower(index) for index in range(pipelines)],
+            pool=database.worker_pool if pipelines > 1 else None,
+            morsel_driven=True,
+            plan_builder=lower,
+            retries=database.task_retries,
+        )
+        batches = [batch for pipeline in per_pipeline for batch in pipeline]
+        return Result(schema, batches, query.profile)
+
+    with DeviceWindow(device) as window:
+        result = database.run_query(query, body)
+    return result, window.seconds
+
+
+class DirectRunner:
+    """``execute`` / ``predict`` of a direct runner; a subclass sets the
+    attributes below in its constructor and supplies :meth:`operator`."""
+
+    database: Database
+    device: Device
+    #: statement text of the runner's ``system.queries`` rows
+    label: str
+    #: number of ``prediction_<i>`` columns the operator appends
+    output_width: int
+    #: device time of the last :meth:`execute` (the modeled clock on a
+    #: simulated GPU, which the lifecycle's wall time does not see)
+    last_seconds: float = 0.0
+
+    def operator(
+        self,
+        context: ExecutionContext,
+        scan: TableScan,
+        partition_index: int,
+        input_columns: list[str] | None,
+    ) -> PhysicalOperator:
+        raise NotImplementedError
+
+    def execute(
+        self,
+        fact_table: str,
+        input_columns: list[str] | None = None,
+        parallel: bool = False,
+        timeout_seconds: float | None = None,
+    ) -> Result:
+        """Run the inference over *fact_table* as one logged query."""
+        result, self.last_seconds = run_inference(
+            self.database,
+            self.label,
+            fact_table,
+            lambda context, scan, index: self.operator(
+                context, scan, index, input_columns
+            ),
+            self.device,
+            parallel,
+            timeout_seconds,
+        )
+        return result
+
+    def predict(
+        self,
+        fact_table: str,
+        id_column: str,
+        input_columns: list[str] | None = None,
+        parallel: bool = False,
+        timeout_seconds: float | None = None,
+    ) -> np.ndarray:
+        """Predictions ordered by the fact table's unique ID."""
+        result = self.execute(
+            fact_table, input_columns, parallel, timeout_seconds
+        )
+        return predictions_by_id(result, id_column, self.output_width)
+
+
+class NativeModelJoin(DirectRunner):
+    """Runs a registered model with the native operator.
+
+    With no explicit *device* the database's cost-based variant selector
+    picks between the in-plan native variants per executed workload.
+    """
 
     def __init__(
         self,
@@ -34,22 +172,18 @@ class NativeModelJoin:
     ):
         self.database = database
         self.metadata: ModelMetadata = database.catalog.model(model_name)
-        #: with no explicit device the cost-based variant selector picks
-        #: between the in-plan native variants per executed workload
+        self.label = f"<native-modeljoin {self.metadata.model_name}>"
+        self.output_width = self.metadata.output_width
         self._auto_device = device is None
         self.device = device or HostDevice()
         self.replicate_bias = replicate_bias
-        self.last_profile: QueryProfile | None = None
-        self.last_seconds: float = 0.0
-        self.last_plans: list[ModelJoinOperator] = []
 
-    def _device_from_selector(self, tuples: int) -> Device | None:
-        """With no explicit device, let the database's cost-based
-        variant selector pick between the in-plan native variants."""
-        selector = getattr(self.database, "variant_selector", None)
+    def _device_from_selector(self, fact_table: str) -> Device | None:
+        selector = self.database.variant_selector
         if selector is None:
             return None
         try:
+            tuples = self.database.table(fact_table).row_count
             estimates = selector.rank(self.metadata, max(tuples, 1))
         except Exception:
             return None
@@ -62,101 +196,20 @@ class NativeModelJoin:
                 return SimulatedGpu()
         return None
 
-    def execute(
-        self,
-        fact_table: str,
-        input_columns: list[str] | None = None,
-        parallel: bool = False,
-        timeout_seconds: float | None = None,
-    ) -> tuple[list[VectorBatch], ExecutionContext]:
-        """Run the ModelJoin; returns output batches and the context."""
-        table = self.database.table(fact_table)
-        model_table = self.database.table(self.metadata.table_name)
+    def execute(self, fact_table: str, *args, **kwargs) -> Result:
         if self._auto_device:
-            chosen = self._device_from_selector(table.row_count)
-            if chosen is not None:
-                self.device = chosen
-        query = self.database.query_context(
-            f"<native-modeljoin {self.metadata.model_name}>",
-            parallel,
-            timeout_seconds,
-        )
-        context: ExecutionContext = self.database.attempt_context(query)
-        parallelism = context.parallelism
-        tracer = context.tracer
+            self.device = self._device_from_selector(fact_table) or self.device
+        return super().execute(fact_table, *args, **kwargs)
 
-        def build(partition_index: int) -> ModelJoinOperator:
-            scan_partition = (
-                partition_index if parallelism > 1 else None
-            )
-            if scan_partition is not None and table.num_partitions == 1:
-                scan_partition = None
-            scan = TableScan(
-                context, table, partition_index=scan_partition
-            )
-            return ModelJoinOperator(
-                context,
-                scan,
-                self.metadata,
-                model_table,
-                input_columns=input_columns,
-                device=self.device,
-                partition_index=partition_index if parallelism > 1 else 0,
-                replicate_bias=self.replicate_bias,
-                model_cache=self.database.model_cache,
-            )
-
-        pool = self.database.worker_pool if parallelism > 1 else None
-        with DeviceWindow(self.device) as window:
-            with tracer.span(
-                "query",
-                category="query",
-                args={
-                    "kind": "native-modeljoin",
-                    "model": self.metadata.model_name,
-                    "parallel": parallelism > 1,
-                },
-            ):
-                context.trace_parent = tracer.current_span_id()
-                plans = [build(index) for index in range(parallelism)]
-                self.last_plans = plans
-                _, per_pipeline = run_plans(
-                    plans,
-                    pool=pool,
-                    morsel_driven=True,
-                    plan_builder=build,
-                    retries=self.database.task_retries,
-                )
-        batches = [batch for pipeline in per_pipeline for batch in pipeline]
-        self.last_seconds = window.seconds
-        profile = query.profile
-        profile.wall_seconds = window.wall_seconds
-        profile.rows_returned = sum(len(batch) for batch in batches)
-        finalize_profile(profile, self.database.metrics)
-        self.last_profile = profile
-        return batches, context
-
-    def predict(
-        self,
-        fact_table: str,
-        id_column: str,
-        input_columns: list[str] | None = None,
-        parallel: bool = False,
-        timeout_seconds: float | None = None,
-    ) -> np.ndarray:
-        """Predictions ordered by the fact table's unique ID."""
-        batches, _ = self.execute(
-            fact_table,
+    def operator(self, context, scan, partition_index, input_columns):
+        return ModelJoinOperator(
+            context,
+            scan,
+            self.metadata,
+            context.query.catalog.table(self.metadata.table_name),
             input_columns=input_columns,
-            parallel=parallel,
-            timeout_seconds=timeout_seconds,
+            device=self.device,
+            partition_index=partition_index,
+            replicate_bias=self.replicate_bias,
+            model_cache=self.database.model_cache,
         )
-        ids = np.concatenate([batch.column(id_column) for batch in batches])
-        order = np.argsort(ids, kind="stable")
-        outputs = []
-        for index in range(self.metadata.output_width):
-            column = np.concatenate(
-                [batch.column(f"prediction_{index}") for batch in batches]
-            )
-            outputs.append(column[order])
-        return np.column_stack(outputs)

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.modeljoin.runner import NativeModelJoin
+from repro.core.modeljoin.runner import DirectRunner, NativeModelJoin
+from repro.core.runtime_api.runner import RuntimeApiModelJoin
 from repro.db.engine import Database
 from repro.db.resilience import breaker_for
 from repro.device.base import Device
@@ -137,6 +138,16 @@ class ResilientModelJoin:
             )
         return self._mltosql
 
+    def _direct_runner(self, device) -> DirectRunner:
+        if device == "runtime-api":
+            return RuntimeApiModelJoin(self.database, self.model)
+        return NativeModelJoin(
+            self.database,
+            self.model_name,
+            device=device,
+            replicate_bias=self.replicate_bias,
+        )
+
     def _note(self, kind: str, note: str) -> None:
         self.engaged.append(note)
         metrics = self.database.metrics
@@ -182,34 +193,13 @@ class ResilientModelJoin:
                         input_columns,
                         parallel=parallel,
                     )
-                elif device == "runtime-api":
-                    from repro.core.runtime_api.runner import (
-                        RuntimeApiModelJoin,
-                    )
-
-                    runner = RuntimeApiModelJoin(
-                        self.database, self.model
-                    )
-                    result = runner.predict(
-                        fact_table,
-                        id_column,
-                        input_columns=input_columns,
-                        parallel=parallel,
-                        timeout_seconds=timeout_seconds,
-                    )
                 else:
-                    runner = NativeModelJoin(
-                        self.database,
-                        self.model_name,
-                        device=device,
-                        replicate_bias=self.replicate_bias,
-                    )
-                    result = runner.predict(
+                    result = self._direct_runner(device).predict(
                         fact_table,
                         id_column,
-                        input_columns=input_columns,
-                        parallel=parallel,
-                        timeout_seconds=timeout_seconds,
+                        input_columns,
+                        parallel,
+                        timeout_seconds,
                     )
                 if isinstance(device, Device) and device.is_gpu:
                     breaker_for(device).record_success()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.predictions import predictions_by_id
 from repro.db.engine import Database, Result
 from repro.db.types import SqlType
 from repro.db.udf import PythonUdf
@@ -139,10 +140,4 @@ class UdfModelJoin:
         result = self.execute(
             fact_table, id_column, input_columns, parallel=parallel
         )
-        order = np.argsort(result.column(id_column), kind="stable")
-        return np.column_stack(
-            [
-                result.column(f"prediction_{index}")[order]
-                for index in range(self.model.output_width)
-            ]
-        )
+        return predictions_by_id(result, id_column, self.model.output_width)

@@ -33,7 +33,7 @@ from repro.db.parallel import WorkerPool, run_plans
 from repro.db.plan.fragments import build_merge_plan, plan_fragments
 from repro.db.plan.physical import GatherExchange, render_explain
 from repro.db.planner import ModelJoinFactory, Planner, PlannerOptions
-from repro.db.profiler import QueryProfile, finalize_profile
+from repro.db.profiler import QueryProfile
 from repro.db.resilience import CancellationToken, CircuitBreaker
 from repro.db.schema import Column, Schema
 from repro.db.sql.ast import (
@@ -507,10 +507,16 @@ class Database:
         )
         self.active_queries.register(query.collector)
 
-    def attempt_context(self, query: QueryContext) -> ExecutionContext:
-        """A fresh execution context for one attempt of *query*, wired
-        to the engine's tracer and metrics (operator timing switches on
-        with the tracer), with ``query.profile`` viewing its resources."""
+    def _attempt(
+        self,
+        query: QueryContext,
+        body,
+        use_compiled: bool | None = None,
+    ) -> Result:
+        """One attempt of *query*: a fresh execution context wired to the
+        engine's tracer and metrics (operator timing switches on with
+        the tracer), ``query.profile`` viewing its resources, and *body*
+        under the ``query`` span."""
         context = ExecutionContext(
             vector_size=self.vector_size,
             parallelism=self.parallelism if query.parallel else 1,
@@ -524,21 +530,11 @@ class Database:
             # attempt's counters: the logged resources are those of the
             # attempt that produced (or failed to produce) the result.
             query.collector.counters = context.counters
-        query.profile = QueryProfile(
+        profile = query.profile = QueryProfile(
             memory=context.memory,
             stopwatch=context.stopwatch,
             counters=context.counters,
         )
-        return context
-
-    def _attempt(
-        self,
-        query: QueryContext,
-        body,
-        use_compiled: bool | None = None,
-    ) -> Result:
-        context = self.attempt_context(query)
-        profile = query.profile
         args = {"parallel": context.parallelism > 1, "analyze": query.analyze}
         started = time.perf_counter()
         try:
@@ -555,14 +551,31 @@ class Database:
     def _finish(
         self, query: QueryContext, error: BaseException | None = None
     ) -> None:
-        """Feed the engine metrics and append the query-log row."""
+        """Feed the engine metrics and append the query-log row.
+
+        An executed statement counts in ``query.count`` / ``query.rows``
+        / ``query.latency``, and memory-release underflows surface as
+        the ``memory.release_underflow`` profile counter and metric.
+        """
         rows_returned = 0
-        if query.profile is not None:  # the statement executed
-            rows_returned = query.profile.rows_returned
-            finalize_profile(query.profile, self.metrics)
-            self.last_profile = query.profile
+        profile = query.profile
+        if profile is not None:  # the statement executed
+            rows_returned = profile.rows_returned
+            metrics = self.metrics
+            underflows = profile.memory.underflows
+            if underflows:
+                profile.counters.increment(
+                    "memory.release_underflow", underflows
+                )
+                metrics.counter("memory.release_underflow").increment(
+                    underflows
+                )
+            metrics.histogram("query.latency").observe(profile.wall_seconds)
+            metrics.counter("query.count").increment()
+            metrics.counter("query.rows").increment(rows_returned)
+            self.last_profile = profile
             if isinstance(error, QueryTimeoutError):
-                self.metrics.counter("query.timeouts").increment()
+                metrics.counter("query.timeouts").increment()
         collector = query.collector
         if collector is None:
             return

@@ -7,7 +7,11 @@ and flushed immediately — one write per finished query, no checkpoint
 required — so the history survives a crash-kill and
 ``repro.connect(path=...)`` restores the newest *capacity* rows on
 reopen.  A torn trailing line (the row being written when the process
-died) is skipped during the reload instead of poisoning the log.
+died) is skipped during the reload instead of poisoning the log.  When
+the file holds more lines than that, the reload compacts it to the
+restored rows (temp file, fsync, rename), so a reopen reads at most
+*capacity* rows however many queries ran before; query ids continue
+from the highest id the file held.
 """
 
 from __future__ import annotations
@@ -18,6 +22,10 @@ from collections import deque
 from pathlib import Path
 
 LOG_FILE_NAME = "query_log.jsonl"
+
+
+def _line(entry: dict) -> str:
+    return json.dumps(entry, sort_keys=True) + "\n"
 
 
 class QueryLog:
@@ -43,11 +51,13 @@ class QueryLog:
         if not self.path.exists():
             return
         rows: list[dict] = []
+        lines = 0
         with open(self.path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
+                lines += 1
                 try:
                     entry = json.loads(line)
                 except json.JSONDecodeError:
@@ -59,6 +69,17 @@ class QueryLog:
         if rows:
             self._next_query_id = (
                 max(int(entry.get("query_id", -1)) for entry in rows) + 1
+            )
+        if lines > len(self._entries):
+            # Compact: keep only the rows the ring retains (dropping a
+            # torn line too), so reopening never re-reads old history.
+            # (Storage is imported here: only persistent engines log to
+            # a file, and they have loaded it already.)
+            from repro.db.storage.checkpoint import atomic_write_text
+
+            atomic_write_text(
+                self.path,
+                "".join(_line(entry) for entry in self._entries),
             )
 
     def allocate_query_id(self) -> int:
@@ -73,9 +94,7 @@ class QueryLog:
         with self._lock:
             self._entries.append(entry)
             if self._handle is not None:
-                self._handle.write(
-                    json.dumps(entry, sort_keys=True) + "\n"
-                )
+                self._handle.write(_line(entry))
                 self._handle.flush()
 
     def entries(self) -> list[dict]:

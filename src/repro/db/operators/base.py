@@ -29,8 +29,9 @@ class QueryContext:
     """Per-statement state, built once where the statement enters.
 
     ``Database.execute`` / ``explain_analyze``, the serving layer (from
-    an admitted query) and the shard worker each build exactly one for
-    a client statement; the engine's query lifecycle
+    an admitted query), the shard worker and the direct inference
+    runners (:mod:`repro.core.modeljoin.runner`) each build exactly one
+    for a client statement; the engine's query lifecycle
     (:meth:`repro.db.engine.Database.run_query`) and every
     :class:`ExecutionContext` it creates — one per attempt, nested
     queries included — carry that same object.

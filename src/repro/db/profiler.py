@@ -159,24 +159,3 @@ class QueryProfile:
     @property
     def peak_memory_bytes(self) -> int:
         return self.memory.peak_bytes
-
-
-def finalize_profile(profile: QueryProfile, metrics=None) -> None:
-    """Post-query bookkeeping shared by the engine and the runners.
-
-    Surfaces memory-release underflows as the ``memory.release_underflow``
-    profile counter and, when an engine-lifetime metrics registry is
-    given (duck-typed: see :class:`repro.db.tracing.MetricsRegistry`),
-    feeds the cross-query aggregates: ``query.latency`` (histogram),
-    ``query.count`` and ``query.rows`` (counters).
-    """
-    underflows = profile.memory.underflows
-    if underflows:
-        profile.counters.increment("memory.release_underflow", underflows)
-    if metrics is None:
-        return
-    metrics.histogram("query.latency").observe(profile.wall_seconds)
-    metrics.counter("query.count").increment()
-    metrics.counter("query.rows").increment(profile.rows_returned)
-    if underflows:
-        metrics.counter("memory.release_underflow").increment(underflows)

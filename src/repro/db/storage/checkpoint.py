@@ -25,10 +25,15 @@ FORMAT_VERSION = 1
 
 def atomic_write_json(path: str | Path, payload: dict) -> None:
     """Durably replace *path* with *payload* (write temp, fsync, rename)."""
+    atomic_write_text(path, json.dumps(payload, separators=(",", ":")))
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Durably replace *path* with *text* (write temp, fsync, rename)."""
     path = Path(path)
     temp = path.with_name(path.name + ".tmp")
     with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)

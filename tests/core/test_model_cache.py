@@ -42,7 +42,7 @@ def run_query(db):
     predictions = runner.predict(
         "fact", "id", ["f0", "f1", "f2"], parallel=db.parallelism > 1
     )
-    return predictions, runner.last_profile
+    return predictions, db.last_profile
 
 
 class TestWarmQueries:
@@ -59,12 +59,23 @@ class TestWarmQueries:
         db.close()
 
     def test_warm_build_phase_near_zero(self):
+        # Wide enough that the cold build (a 265k-row model-table scan)
+        # dwarfs what a hit pays (the checksum of the cached arrays): a
+        # small model's cold build is tens of microseconds, where one
+        # scheduler hiccup decides the ratio.
+        model = Sequential(
+            [Dense(512, "relu"), Dense(512, "relu"), Dense(2, "sigmoid")],
+            input_width=3,
+            seed=1,
+        )
         db = make_db()
-        publish_model(db, "m", make_model())
-        _, cold_profile = run_query(db)
-        _, warm_profile = run_query(db)
-        cold_build = cold_profile.stopwatch.phases["modeljoin-build"]
-        warm_build = warm_profile.stopwatch.phases["modeljoin-build"]
+        publish_model(db, "m", model)
+
+        def build_seconds() -> float:
+            return run_query(db)[1].stopwatch.phases["modeljoin-build"]
+
+        cold_build = build_seconds()
+        warm_build = min(build_seconds() for _ in range(5))
         assert warm_build < cold_build / 5
         db.close()
 

@@ -215,8 +215,8 @@ class TestOperatorAndRunner:
         np.testing.assert_allclose(
             predictions, model.predict(x), atol=1e-5
         )
-        assert runner.last_profile.wall_seconds > 0
-        phases = runner.last_profile.stopwatch.phases
+        assert db.last_profile.wall_seconds > 0
+        phases = db.last_profile.stopwatch.phases
         assert "modeljoin-build" in phases
         assert "modeljoin-infer" in phases
 
@@ -258,9 +258,9 @@ class TestOperatorAndRunner:
         db, model, _ = self._setup()
         publish_model(db, "clf", model)
         runner = NativeModelJoin(db, "clf")
-        _, context = runner.execute("fact", ["a", "b"])
-        assert context.memory.peak_bytes > 0
-        assert context.memory.current_bytes == 0
+        memory = runner.execute("fact", ["a", "b"]).profile.memory
+        assert memory.peak_bytes > 0
+        assert memory.current_bytes == 0
 
     def test_default_input_columns_are_floats(self):
         db, model, x = self._setup()

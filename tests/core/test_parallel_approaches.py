@@ -14,6 +14,7 @@ import repro
 from repro.core.ml_to_sql.generator import MlToSqlModelJoin
 from repro.core.modeljoin.runner import NativeModelJoin
 from repro.core.registry import publish_model
+from repro.core.runtime_api.runner import RuntimeApiModelJoin
 from repro.core.udf_integration.inference_udf import UdfModelJoin
 from repro.device import SimulatedGpu
 from repro.workloads.iris import FEATURE_COLUMNS, load_iris_table
@@ -58,7 +59,7 @@ class TestParallelDense:
         runner = NativeModelJoin(db, "pclf")
         columns = list(FEATURE_COLUMNS)
         parallel = runner.predict("iris", "id", columns, parallel=True)
-        assert len(runner.last_plans) == PARALLELISM
+        assert ran_split(db)
         np.testing.assert_allclose(
             parallel, model.predict(dataset.features), atol=1e-4
         )
@@ -100,6 +101,39 @@ class TestParallelDense:
         parallel = sorted(db.execute(sql, parallel=True).rows)
         assert ran_split(db)
         assert serial == parallel
+
+
+class TestRunnerSplit:
+    """A direct runner splits exactly when the same MODEL JOIN statement
+    does: one pipeline per partition when the fact table has more than
+    one partition and no more than the engine's parallelism, otherwise
+    one pipeline over the whole table."""
+
+    @pytest.mark.parametrize(
+        "partitions", [1, PARALLELISM, 2 * PARALLELISM]
+    )
+    @pytest.mark.parametrize("kind", ["native", "runtime_api"])
+    def test_parallel_runner_equals_serial(self, kind, partitions):
+        db = repro.connect(parallelism=PARALLELISM)
+        load_iris_table(db, 1_000, num_partitions=partitions)
+        model = make_dense_model(8, 2, seed=12)
+        publish_model(db, "split", model)
+        if kind == "native":
+            runner = NativeModelJoin(db, "split")
+        else:
+            runner = RuntimeApiModelJoin(db, model)
+        columns = list(FEATURE_COLUMNS)
+        serial = runner.predict("iris", "id", columns)
+        parallel = runner.predict("iris", "id", columns, parallel=True)
+        runner_split = ran_split(db)
+        db.execute(
+            "SELECT id, prediction_0 FROM iris MODEL JOIN split "
+            f"USING ({', '.join(columns)})",
+            parallel=True,
+        )
+        assert runner_split == ran_split(db) == (partitions == PARALLELISM)
+        np.testing.assert_array_equal(parallel, serial)
+        db.close()
 
 
 class TestParallelLstm:

@@ -93,7 +93,7 @@ class TestRuntimeApiRunner:
         db, _ = fact_db
         runner = RuntimeApiModelJoin(db, model)
         runner.predict("fact", "id", ["a", "b"])
-        phases = runner.last_profile.stopwatch.phases
+        phases = db.last_profile.stopwatch.phases
         assert "runtime-load" in phases
         assert "runtime-convert" in phases
         assert "runtime-infer" in phases
@@ -111,9 +111,9 @@ class TestRuntimeApiRunner:
     def test_memory_accounted_and_released(self, fact_db, model):
         db, _ = fact_db
         runner = RuntimeApiModelJoin(db, model)
-        _, context = runner.execute("fact", ["a", "b"])
-        assert context.memory.peak_bytes > 0
-        assert context.memory.current_bytes == 0
+        memory = runner.execute("fact", ["a", "b"]).profile.memory
+        assert memory.peak_bytes > 0
+        assert memory.current_bytes == 0
 
     def test_wrong_input_columns(self, fact_db, model):
         db, _ = fact_db

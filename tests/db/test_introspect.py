@@ -364,6 +364,29 @@ class TestPersistence:
         assert all(entry["sql"] != "torn" for entry in entries)
         db.close()
 
+    def test_reopen_compacts_the_log_file(self, tmp_path):
+        root = str(tmp_path / "compact")
+        capacity = 8
+        log_path = tmp_path / "compact" / LOG_FILE_NAME
+        db = repro.connect(path=root, query_log_capacity=capacity)
+        _fill(db)
+        last_id = -1
+        for _ in range(3):
+            for _ in range(capacity):
+                db.execute("SELECT a FROM t LIMIT 1")
+            ids = [entry["query_id"] for entry in db.query_log.entries()]
+            assert ids[0] > last_id and ids == sorted(ids)
+            last_id = ids[-1]
+            db.close()
+            db = repro.connect(path=root, query_log_capacity=capacity)
+            with open(log_path) as handle:
+                lines = [json.loads(line) for line in handle if line.strip()]
+            assert len(lines) <= capacity
+            assert lines[-1]["query_id"] == last_id
+        db.execute("SELECT a FROM t LIMIT 1")
+        assert db.query_log.entries()[-1]["query_id"] == last_id + 1
+        db.close()
+
     def test_log_file_is_append_only_jsonl(self, tmp_path):
         root = str(tmp_path / "jsonl")
         db = repro.connect(path=root)

@@ -2,7 +2,8 @@
 
 One statement, whatever the door it came in through — ``execute``
 serial or partition-parallel, ``explain_analyze``, a serving
-``Session``, the wire protocol, a sharded fleet — and whatever its kind
+``Session``, the wire protocol, a sharded fleet, a direct inference
+runner (``NativeModelJoin``, ``RuntimeApiModelJoin``) — and whatever its kind
 (``SELECT``, ``CREATE MODEL``, ``ALTER MODEL``, ``INSERT ... SELECT``)
 and outcome (ok, typed error, deadline miss, compile-fallback retry)
 runs inside the engine's one query lifecycle, so it must leave exactly
@@ -13,6 +14,7 @@ and no pinned storage generations.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -20,12 +22,16 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.modeljoin.runner import NativeModelJoin
+from repro.core.runtime_api.runner import RuntimeApiModelJoin
 from repro.db import faults
 from repro.db.faults import FaultInjector
 from repro.db.profiler import ProfileCounters, Stopwatch
 from repro.db.serve import Server, WireClient, WireServer
 from repro.db.udf import PythonUdf
-from repro.errors import QueryTimeoutError, ReproError
+from repro.errors import QueryCancelledError, QueryTimeoutError, ReproError
+from repro.nn.layers import Dense
+from repro.nn.model import Sequential
 
 ROWS = 96
 SERVED_TIMEOUT = 0.5
@@ -71,6 +77,14 @@ STATEMENTS = {
             columns="id, grp, lifecycle_outlast(val) AS val"
         ),
     },
+    # a direct runner's input columns (it scores ``pts`` with ``clf``)
+    "runner": {"ok": "x1, x2", "error": "x1, nope"},
+}
+
+#: direct runner -> the statement text of its ``system.queries`` row
+RUNNER_LABELS = {
+    "native_runner": "<native-modeljoin clf>",
+    "runtime_api_runner": "<runtime-api>",
 }
 
 
@@ -103,6 +117,9 @@ ENTRY_POINTS = [
         skips=("timeout", "fallback"),
     ),
     EntryPoint("insert_select", kind="insert_select", served=True),
+    # no SQL is compiled: the runner lowers its operator itself
+    EntryPoint("native_runner", kind="runner", skips=("fallback",)),
+    EntryPoint("runtime_api_runner", kind="runner", skips=("fallback",)),
 ]
 VARIANTS = ("ok", "error", "timeout", "fallback")
 
@@ -153,9 +170,20 @@ def engine(tmp_path):
     database.close()
 
 
+def _runner(name, database):
+    if name == "native_runner":
+        return NativeModelJoin(database, "clf")
+    model = Sequential([Dense(1, "sigmoid")], input_width=2, seed=1)
+    return RuntimeApiModelJoin(database, model)
+
+
 def _run(entry, sql, timeout, database, session, client):
     """Issue *sql* through *entry*."""
-    if entry.name == "wire":
+    if entry.kind == "runner":
+        _runner(entry.name, database).execute(
+            "pts", sql.split(", "), timeout_seconds=timeout
+        )
+    elif entry.name == "wire":
         client.query(sql, timeout_seconds=timeout)
     elif entry.served:
         session.execute(sql, timeout_seconds=timeout)
@@ -232,7 +260,9 @@ def test_one_lifecycle(entry, variant, request):
 
     # exactly one row per client statement, carrying the caller
     rows = database.query_log.entries()[rows_before:]
-    assert [row["sql"] for row in rows] == [sql.strip()]
+    assert [row["sql"] for row in rows] == [
+        RUNNER_LABELS.get(entry.name, sql.strip())
+    ]
     (row,) = rows
     expected_status = {"error": "error", "timeout": "timeout"}
     assert row["status"] == expected_status.get(variant, "ok")
@@ -295,3 +325,42 @@ def test_nested_queries_run_serial_under_parallel(engine, served):
     assert trained.rows[0][3:] == serial[3:]
     logged = engine.query_log.entries()[rows_before : rows_before + 3]
     assert [row["parallel"] for row in logged] == [False] * 3
+
+
+@pytest.mark.parametrize("name", list(RUNNER_LABELS))
+def test_close_cancels_an_in_flight_runner(engine, name):
+    """``close()`` reaches a direct runner through the active-query
+    registry like any statement: its token trips at the next morsel."""
+    runner = _runner(name, engine)
+    closed = []
+
+    def close_when_running() -> None:
+        deadline = time.monotonic() + 10.0
+        while not len(engine.active_queries) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        started = time.monotonic()
+        engine.close(drain_seconds=5.0)
+        closed.append(time.monotonic() - started)
+
+    closer = threading.Thread(target=close_when_running)
+    injector = FaultInjector(seed=1).delay_ms("worker.morsel", 300.0)
+    with faults.active(injector):
+        closer.start()
+        # the 2-partition ``events`` splits over the 2 pipelines, so the
+        # scans pull morsels (and pay the delay) from a shared queue; the
+        # deadline gives the query the token close() cancels (a direct
+        # query without one is waited for, not cancelled)
+        with pytest.raises(QueryCancelledError):
+            runner.execute(
+                "events", ["val", "val"], parallel=True, timeout_seconds=30.0
+            )
+        closer.join(timeout=15.0)
+    assert not closer.is_alive()
+    (row,) = [
+        row
+        for row in engine.query_log.entries()
+        if row["sql"] == RUNNER_LABELS[name]
+    ]
+    assert row["status"] == "cancelled"
+    assert len(engine.active_queries) == 0
+    assert closed and closed[0] < 5.0

@@ -177,6 +177,28 @@ class TestModelJoin:
             db.close()
         assert results[0] == results[1]
 
+    def test_direct_runners_refuse_sharded_fact_table(self, fleet):
+        # they used to scan the coordinator's empty stub: 0 rows, no error
+        from repro.core.modeljoin.runner import NativeModelJoin
+        from repro.core.registry import publish_model
+        from repro.core.runtime_api.runner import RuntimeApiModelJoin
+
+        sharded, _ = fleet
+        model = Sequential([Dense(1, "sigmoid")], input_width=1, seed=2)
+        publish_model(sharded, "runner_clf", model, replace=True)
+        runners = [
+            NativeModelJoin(sharded, "runner_clf"),
+            RuntimeApiModelJoin(sharded, model),
+        ]
+        for runner in runners:
+            with pytest.raises(ShardError, match="MODEL JOIN"):
+                runner.execute("events", ["v"])
+            row = sharded.query_log.entries()[-1]
+            assert (row["sql"], row["error_class"]) == (
+                runner.label,
+                "ShardError",
+            )
+
 
 class TestTopologyAndObservability:
     def test_default_is_single_process(self):

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.core.registry import publish_model
-from repro.db.engine import Database
+from repro.db.engine import Database, Result
 from repro.db.profiler import MemoryAccountant
 from repro.db.tracing import (
     NULL_SPAN,
@@ -492,12 +492,14 @@ class TestMemoryUnderflow:
         assert accountant.underflows == 0
 
     def test_underflow_surfaces_in_profile_and_metrics(self):
-        from repro.db.profiler import QueryProfile, finalize_profile
+        db = Database()
 
-        profile = QueryProfile()
-        profile.memory.allocate(10, "x")
-        profile.memory.release(20, "x")
-        metrics = MetricsRegistry()
-        finalize_profile(profile, metrics)
+        def body(context, _planner):
+            context.memory.allocate(10, "x")
+            context.memory.release(20, "x")
+            return Result.empty(context.query.profile)
+
+        db.run_query(db.query_context("<underflow>"), body)
+        profile = db.last_profile
         assert profile.counters.get("memory.release_underflow") == 1
-        assert metrics.counter("memory.release_underflow").value == 1
+        assert db.metrics.counter("memory.release_underflow").value == 1
