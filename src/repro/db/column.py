@@ -10,6 +10,7 @@ on for block pruning of the model table.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,41 @@ class MinMax:
 
 @dataclass(frozen=True)
 class ColumnRange:
-    """An inclusive range predicate usable for block pruning."""
+    """An inclusive range predicate usable for block pruning.
+
+    With *points* set the predicate is a union of point ranges — an
+    ``IN`` list or an OR of equalities on one column — whose sorted,
+    de-duplicated values are *points*; ``low``/``high`` are then their
+    hull.  A plain equality is a one-point union.
+    """
 
     column: str
     low: float | None = None
     high: float | None = None
+    points: tuple[float, ...] | None = None
+
+    @classmethod
+    def of_points(cls, column: str, points) -> "ColumnRange":
+        """The union of the point ranges *points* (empty matches nothing)."""
+        points = tuple(sorted(set(points)))
+        if not points:
+            return cls(column, None, None, ())
+        return cls(column, points[0], points[-1], points)
+
+    def may_match(self, stat: MinMax | None) -> bool:
+        """Whether a block whose zone map is *stat* may hold a match.
+
+        A ``None`` statistic (non-numeric column, or unknown) never
+        prunes; neither does a NaN-poisoned one (NaN compares false).
+        """
+        if stat is None:
+            return True
+        if not stat.may_contain_range(self.low, self.high):
+            return False
+        if self.points is None or not stat.minimum <= stat.maximum:
+            return True
+        index = bisect_left(self.points, stat.minimum)
+        return index < len(self.points) and self.points[index] <= stat.maximum
 
     def intersect(self, other: "ColumnRange") -> "ColumnRange":
         if self.column.lower() != other.column.lower():
@@ -55,7 +86,29 @@ class ColumnRange:
         high = self.high if other.high is None else (
             other.high if self.high is None else min(self.high, other.high)
         )
-        return ColumnRange(self.column, low, high)
+        unions = [r.points for r in (self, other) if r.points is not None]
+        if not unions:
+            return ColumnRange(self.column, low, high)
+        return ColumnRange.of_points(
+            self.column,
+            (
+                point
+                for point in set(unions[0]).intersection(*unions[1:])
+                if (low is None or point >= low)
+                and (high is None or point <= high)
+            ),
+        )
+
+    def __str__(self) -> str:
+        if self.points is None:
+            return f"{self.column} in [{self.low}, {self.high}]"
+        rendered = ", ".join(_render_point(point) for point in self.points)
+        return f"{self.column} in {{{rendered}}}"
+
+
+def _render_point(point: float) -> str:
+    text = repr(point)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def stats_may_match(
@@ -65,16 +118,13 @@ def stats_may_match(
 ) -> bool:
     """SMA check shared by in-memory and disk blocks.
 
-    *stats* is positionally aligned with *schema*; a ``None`` statistic
-    (non-numeric column, or unknown) never prunes.
+    *stats* is positionally aligned with *schema*.
     """
     for predicate in ranges:
         if not schema.has_column(predicate.column):
             continue
         stat = stats[schema.position_of(predicate.column)]
-        if stat is None:
-            continue
-        if not stat.may_contain_range(predicate.low, predicate.high):
+        if not predicate.may_match(stat):
             return False
     return True
 

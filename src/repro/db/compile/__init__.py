@@ -9,9 +9,11 @@ operator chains into generated, cached NumPy kernels:
   chain fused into one kernel with short-circuit mask narrowing; the
   same kernels feed the aggregate operators as *input kernels*.
 * :class:`~repro.db.compile.kernels.CompiledKernelCache` — engine-
-  lifetime LRU keyed on the generated source text (which embeds every
-  constant and, for ModelJoin epilogue fusion, the model table's
-  uid/version, making text equality the invalidation rule).
+  lifetime LRU of exec'd functions keyed on the generated source text.
+  Literals are kernel parameters, so the text is literal-free and a
+  statement re-run with fresh literals hits; for ModelJoin epilogue
+  fusion the text embeds the model table's uid/version, making text
+  equality the invalidation rule.
 
 The lowering (:mod:`repro.db.plan.physical`) drives compilation; the
 engine owns the cache and a compile circuit breaker, and reverts a

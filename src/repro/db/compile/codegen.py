@@ -3,18 +3,20 @@
 The code generator turns a bound scalar expression tree (or a whole
 filter→project pipeline, see :func:`generate_kernel_source`) into the
 source text of one Python function that evaluates it with NumPy array
-operations.  The generated source is the *complete* description of the
-kernel — every literal constant is declared inside the text — so the
-source string doubles as the cache key for the
-:class:`~repro.db.compile.kernels.CompiledKernelCache`.
+operations.  The source holds no literal value: each literal
+occurrence is a positional parameter, declared by dtype only
+(``k0 = params[0]  # float64``), whose value the kernel reads from the
+``params`` tuple it is called with.  Two statements that differ only in
+their literals therefore generate the same text, which is the cache key
+of the :class:`~repro.db.compile.kernels.CompiledKernelCache`.
 
 Bit-exactness with the interpreted path is the hard invariant.  Three
 details matter:
 
-* Literals are materialized as typed NumPy scalars of the literal's
-  SQL storage dtype (``k0 = np.dtype('float64').type(0.5)``) and used
-  directly as operands: under NEP 50 a typed scalar promotes exactly
-  like the full-length ``np.full`` the interpreted
+* Literal parameters are typed NumPy scalars of the literal's SQL
+  storage dtype (``np.dtype('float64').type(0.5)``), used directly as
+  operands: under NEP 50 a typed scalar promotes exactly like the
+  full-length ``np.full`` the interpreted
   :meth:`~repro.db.expressions.Literal.evaluate` allocates, with
   neither the allocation nor broadcast machinery (ufuncs fast-path
   scalar operands).  VARCHAR literals stay one-element object arrays.
@@ -97,14 +99,14 @@ def _case_when_default(conditions, values, n):
 
 
 class SourceBuilder:
-    """Accumulates the constants and name bindings of one kernel."""
+    """Accumulates the parameters and name bindings of one kernel."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        #: declaration lines hoisted above the generated function
-        self.const_lines: list[str] = []
-        #: (rendered value, dtype name) -> const variable name
-        self._const_names: dict[tuple[str, str], str] = {}
+        #: one value per literal occurrence, in parameter order
+        self.parameters: list[object] = []
+        #: the in-function lines reading each parameter from ``params``
+        self.parameter_lines: list[str] = []
         #: exec() globals for the generated module
         self.bindings: dict[str, object] = {
             "np": np,
@@ -118,8 +120,22 @@ class SourceBuilder:
         self.used_positions.add(position)
         return f"c{position}"
 
+    def parameter(self, value: object, dtype: np.dtype) -> str:
+        """Declare the next positional parameter, by dtype only.
+
+        Never deduplicated by value: whether two literals are equal is
+        a property of the values, so sharing one parameter between
+        equal literals would make the source depend on them again.
+        """
+        index = len(self.parameters)
+        self.parameters.append(value)
+        self.parameter_lines.append(
+            f"    k{index} = params[{index}]  # {dtype.name}"
+        )
+        return f"k{index}"
+
     def constant(self, value: object, sql_type: SqlType) -> str:
-        """Declare (or reuse) a typed constant for a literal.
+        """A parameter holding a literal used inside an expression.
 
         Numeric and boolean literals become NumPy scalars of the SQL
         storage dtype: a typed scalar promotes exactly like the
@@ -128,25 +144,18 @@ class SourceBuilder:
         (NEP 50), and ufuncs take the faster scalar operand path.
         VARCHAR literals keep the one-element object array, whose
         elementwise comparison semantics a plain ``str`` would change.
+
+        A NaN literal has no exact compiled form: where both operands
+        are NaN, NumPy's SIMD add/multiply with a scalar operand returns
+        the scalar's NaN bits, the interpreted array-array loop the left
+        operand's.  Such a (rare, folded) statement stays interpreted.
         """
-        rendered = render_value(value)
         dtype = sql_type.numpy_dtype
-        key = (rendered, dtype.name)
-        name = self._const_names.get(key)
-        if name is None:
-            name = f"k{len(self._const_names)}"
-            self._const_names[key] = name
-            if dtype == object:
-                declaration = (
-                    f"{name} = np.full(1, {rendered}, "
-                    "dtype=np.dtype('object'))"
-                )
-            else:
-                declaration = (
-                    f"{name} = np.dtype({dtype.name!r}).type({rendered})"
-                )
-            self.const_lines.append(declaration)
-        return name
+        if isinstance(value, float) and math.isnan(value):
+            raise NonCompilable("NaN literal")
+        if dtype == object:
+            return self.parameter(np.full(1, value, dtype=dtype), dtype)
+        return self.parameter(dtype.type(value), dtype)
 
     def function(self, name: str):
         """Bind a registered scalar function, returning its local name."""
@@ -157,19 +166,6 @@ class SourceBuilder:
             raise NonCompilable(f"function name collision for {name!r}")
         self.bindings[local] = implementation
         return local
-
-
-def render_value(value: object) -> str:
-    """Render a literal value as Python source (non-finite floats too)."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "float('nan')"
-        if math.isinf(value):
-            return "float('inf')" if value > 0 else "float('-inf')"
-        return repr(value)
-    if isinstance(value, (bool, int, str)) or value is None:
-        return repr(value)
-    raise NonCompilable(f"literal {value!r} has no source rendering")
 
 
 def emit(expression: Expression, builder: SourceBuilder) -> str:
@@ -249,15 +245,15 @@ def emit_output(
 ) -> str:
     """Like :func:`emit`, but for a top-level output position.
 
-    A bare literal output allocates a writable full-length array (the
-    one-element const used *inside* expressions has the wrong shape
-    for an output, and the interpreted path hands consumers a fresh
-    ``np.full``).
+    A bare literal output allocates a writable full-length array from
+    the raw value, exactly as the interpreted path's ``np.full`` does
+    (the typed one-element constant used *inside* expressions has the
+    wrong shape for an output).
     """
     if isinstance(expression, Literal):
-        rendered = render_value(expression.value)
-        dtype_name = expression.sql_type.numpy_dtype.name
-        return f"np.full(n, {rendered}, dtype=np.dtype({dtype_name!r}))"
+        dtype = expression.sql_type.numpy_dtype
+        name = builder.parameter(expression.value, dtype)
+        return f"np.full(n, {name}, dtype=np.dtype({dtype.name!r}))"
     return emit(expression, builder)
 
 
@@ -282,26 +278,23 @@ def compile_range_checker(schema: Schema, ranges) -> object | None:
     each predicate's column name for every block; scans on disk-backed
     tables call it once per block per query.  This compiles the name
     lookups away: the returned ``may_match(stats)`` closure only indexes
-    the positionally aligned per-block stats list.
+    the positionally aligned per-block stats list and asks each
+    :meth:`~repro.db.column.ColumnRange.may_match`.
 
     Returns ``None`` when no predicate applies to *schema* (callers
     then skip the check entirely).
     """
-    resolved = []
-    for predicate in ranges:
-        if not schema.has_column(predicate.column):
-            continue
-        resolved.append(
-            (schema.position_of(predicate.column), predicate.low,
-             predicate.high)
-        )
+    resolved = [
+        (schema.position_of(predicate.column), predicate)
+        for predicate in ranges
+        if schema.has_column(predicate.column)
+    ]
     if not resolved:
         return None
 
     def may_match(stats) -> bool:
-        for position, low, high in resolved:
-            stat = stats[position]
-            if stat is not None and not stat.may_contain_range(low, high):
+        for position, predicate in resolved:
+            if not predicate.may_match(stats[position]):
                 return False
         return True
 

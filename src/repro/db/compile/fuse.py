@@ -51,8 +51,8 @@ class FusedPipeline(UnaryOperator):
 
     @property
     def compiled_source(self) -> str:
-        """Generated kernel source (rendered by EXPLAIN)."""
-        return self.kernel.source
+        """Generated kernel source and parameters (rendered by EXPLAIN)."""
+        return self.kernel.listing
 
     @property
     def ordering(self) -> tuple[str, ...]:

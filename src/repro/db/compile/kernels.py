@@ -2,19 +2,20 @@
 
 A :class:`KernelSpec` describes one fused pipeline segment — optional
 filter conjuncts plus a list of outputs over one input schema.  The
-compiler renders it to Python source (:func:`generate_kernel_source`),
-``exec``'s it once, and wraps the resulting function in a
+compiler renders it to literal-free Python source plus the tuple of
+literal values (:func:`generate_kernel_source`), ``exec``'s the source
+once, and wraps the resulting function and this query's values in a
 :class:`FusedKernel` whose call path adds the ``compile.kernel`` fault
 site and converts unexpected errors into
 :class:`~repro.errors.KernelExecutionError` so the engine's one-shot
 fallback can revert the query to the interpreted path.
 
-Kernels are cached engine-lifetime in a :class:`CompiledKernelCache`
-keyed on the generated source text.  Because every constant (and, for
-ModelJoin epilogue fusion, the model table's ``uid``/``version``
-header) is embedded in the source, the text is a complete plan
-signature: a model republish or version bump changes the header and
-misses the cache, exactly like the PR1 ModelCache keying.
+Exec'd functions are cached engine-lifetime in a
+:class:`CompiledKernelCache` keyed on the generated source text.  The
+text carries no literal values, so a statement re-run with fresh
+literals hits; it does carry, for ModelJoin epilogue fusion, the model
+table's ``uid``/``version`` header, so a model republish or version
+bump misses the cache, exactly like the ModelCache keying.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def project_outputs(
     return tuple(outputs)
 
 
-def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict]:
-    """Render *spec* to module source plus its ``exec`` bindings.
+def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict, tuple]:
+    """Render *spec* to module source, its ``exec`` bindings and the
+    parameter values the source reads (one per literal occurrence).
 
     Raises :class:`~repro.db.compile.codegen.NonCompilable` when any
     piece of the spec has no exact compiled form.
@@ -155,11 +157,11 @@ def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict]:
 
     lines = [f"# kernel: {spec.label}"]
     lines.extend(spec.header)
-    lines.extend(builder.const_lines)
     lines.append("")
-    lines.append("def kernel(arrays, n, cancel):")
+    lines.append("def kernel(arrays, n, cancel, params):")
     lines.append("    if cancel is not None:")
     lines.append("        cancel.check()")
+    lines.extend(builder.parameter_lines)
     for position in sorted(builder.used_positions):
         lines.append(f"    c{position} = arrays[{position}]")
     if track_narrowing:
@@ -170,10 +172,7 @@ def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict]:
         last = index + 1 == len(predicate_texts)
         surviving = output_refs.union(*predicate_refs[index + 1:], set())
         narrow = sorted(surviving & builder.used_positions)
-        lines.append(
-            f"    # filter {index + 1}/{len(predicate_texts)}: "
-            f"{spec.predicates[index]}"
-        )
+        lines.append(f"    # filter {index + 1}/{len(predicate_texts)}")
         lines.append(f"    m = {text}")
         if index > 0:
             lines.append("    if pending is not None:")
@@ -200,10 +199,7 @@ def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict]:
             lines.append("        else:")
             lines.append("            pending = m")
     for index, output in enumerate(spec.outputs):
-        described = (
-            "COUNT" if output.expression is None else str(output.expression)
-        )
-        lines.append(f"    # output {output.name}: {described}")
+        lines.append(f"    # output {output.name}")
         lines.append(f"    o{index} = {output_texts[index]}")
         if guarded[index]:
             # pass-through of a reused-buffer view: detach unless the
@@ -215,13 +211,15 @@ def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict]:
                 lines.append(f"    o{index} = o{index}.copy()")
     returns = ", ".join(f"o{index}" for index in range(len(spec.outputs)))
     lines.append(f"    return [{returns}]")
-    return "\n".join(lines) + "\n", builder.bindings
+    source = "\n".join(lines) + "\n"
+    return source, builder.bindings, tuple(builder.parameters)
 
 
 def generate_expression_source(
     expression: Expression, schema: Schema
-) -> tuple[str, dict]:
-    """Source of a single compiled expression (``CompiledExpr``)."""
+) -> tuple[str, dict, tuple]:
+    """Source, bindings and parameter values of a single compiled
+    expression (``CompiledExpr``)."""
     builder = SourceBuilder(schema)
     text = emit_output(expression, builder)
     if not expression.referenced_columns() and not isinstance(
@@ -229,17 +227,53 @@ def generate_expression_source(
     ):
         # constant-folded expression: (1,) result -> writable (n,)
         text = f"np.broadcast_to({text}, n).copy()"
-    lines = [f"# expr: {expression}"]
-    lines.extend(builder.const_lines)
-    lines.append("")
-    lines.append("def expr(arrays, n):")
+    lines = ["def expr(arrays, n, params):"]
+    lines.extend(builder.parameter_lines)
     for position in sorted(builder.used_positions):
         lines.append(f"    c{position} = arrays[{position}]")
     lines.append(f"    return {text}")
-    return "\n".join(lines) + "\n", builder.bindings
+    source = "\n".join(lines) + "\n"
+    return source, builder.bindings, tuple(builder.parameters)
 
 
-class FusedKernel:
+def _render_parameter(value: object) -> str:
+    if isinstance(value, np.ndarray):  # a VARCHAR literal's (1,) array
+        value = value[0]
+    elif isinstance(value, np.generic):
+        value = value.item()
+    return repr(value)
+
+
+class CompiledFunction:
+    """Generated source, its exec'd function and one query's parameters.
+
+    The function is shared through the kernel cache by every statement
+    with the same literal-free source; *params* are this statement's
+    literal values, passed to every call.
+    """
+
+    __slots__ = ("source", "function", "params", "label")
+
+    def __init__(self, source: str, function, params: tuple, label: str):
+        self.source = source
+        self.function = function
+        self.params = params
+        self.label = label
+
+    @property
+    def listing(self) -> str:
+        """The source plus, as a trailing comment, the parameter values
+        (what EXPLAIN prints; the comment is not part of the cache key)."""
+        if not self.params:
+            return self.source
+        values = ", ".join(
+            f"k{index}={_render_parameter(value)}"
+            for index, value in enumerate(self.params)
+        )
+        return f"{self.source}# params: {values}\n"
+
+
+class FusedKernel(CompiledFunction):
     """A compiled pipeline kernel: ``(arrays, n, cancel) -> list | None``.
 
     ``None`` means every row of the batch was filtered out.  The call
@@ -248,18 +282,13 @@ class FusedKernel:
     cancellation passes through untouched.
     """
 
-    __slots__ = ("source", "function", "label")
-
-    def __init__(self, source: str, function, label: str = "kernel"):
-        self.source = source
-        self.function = function
-        self.label = label
+    __slots__ = ()
 
     def __call__(self, arrays, n, cancel=None):
         try:
             if faults.ACTIVE is not None:
                 faults.ACTIVE.fire("compile.kernel")
-            return self.function(arrays, n, cancel)
+            return self.function(arrays, n, cancel, self.params)
         except QueryTimeoutError:
             raise
         except Exception as error:
@@ -268,21 +297,16 @@ class FusedKernel:
             ) from error
 
 
-class CompiledExpr:
+class CompiledExpr(CompiledFunction):
     """One scalar/predicate expression compiled to a vectorized callable."""
 
-    __slots__ = ("source", "function", "label")
-
-    def __init__(self, source: str, function, label: str = "expr"):
-        self.source = source
-        self.function = function
-        self.label = label
+    __slots__ = ()
 
     def evaluate(self, batch) -> np.ndarray:
         try:
             if faults.ACTIVE is not None:
                 faults.ACTIVE.fire("compile.kernel")
-            return self.function(batch.arrays, len(batch))
+            return self.function(batch.arrays, len(batch), self.params)
         except QueryTimeoutError:
             raise
         except Exception as error:
@@ -292,12 +316,13 @@ class CompiledExpr:
 
 
 class CompiledKernelCache:
-    """Engine-lifetime LRU of compiled kernels keyed by source text.
+    """Engine-lifetime LRU of exec'd kernel functions keyed by source.
 
-    The source embeds every constant and the fused model table's
+    The source is literal-free and embeds the fused model table's
     ``uid``/``version`` header, so plain text equality is the correct
-    invalidation rule — bump a model table and its epilogue kernels
-    miss, just as the ModelCache misses on a model version bump.
+    reuse and invalidation rule: fresh literals hit, while bumping a
+    model table makes its epilogue kernels miss, just as the
+    ModelCache misses on a model version bump.
     """
 
     def __init__(self, capacity: int = 256):
@@ -363,37 +388,32 @@ class KernelCompiler:
 
     def compile_kernel(self, spec: KernelSpec) -> FusedKernel | None:
         try:
-            source, bindings = generate_kernel_source(spec)
-        except NonCompilable:
-            return None
-        except Exception:
+            source, bindings, params = generate_kernel_source(spec)
+        except Exception:  # NonCompilable, or a generator bug
             return None
         try:
-            return self._build(
-                source, bindings, "kernel",
-                lambda src, fn: FusedKernel(src, fn, label=spec.label),
-            )
+            function = self._function(source, bindings, "kernel")
         except KernelCompileError:
             return None
+        return FusedKernel(source, function, params, label=spec.label)
 
     def compile_expression(
         self, expression: Expression, schema: Schema
     ) -> CompiledExpr | None:
         try:
-            source, bindings = generate_expression_source(expression, schema)
-        except NonCompilable:
-            return None
-        except Exception:
+            source, bindings, params = generate_expression_source(
+                expression, schema
+            )
+        except Exception:  # NonCompilable, or a generator bug
             return None
         try:
-            return self._build(
-                source, bindings, "expr",
-                lambda src, fn: CompiledExpr(src, fn, label=str(expression)),
-            )
+            function = self._function(source, bindings, "expr")
         except KernelCompileError:
             return None
+        return CompiledExpr(source, function, params, label=str(expression))
 
-    def _build(self, source: str, bindings: dict, entry: str, wrap):
+    def _function(self, source: str, bindings: dict, entry: str):
+        """The exec'd *entry* function of *source*, cached by text."""
         if self.metrics is not None:
             self.metrics.counter("compile.requests").increment()
         if self.cache is not None:
@@ -411,7 +431,7 @@ class KernelCompiler:
                 namespace = dict(bindings)
                 code = compile(source, "<repro.db.compile>", "exec")
                 exec(code, namespace)  # noqa: S102 - engine-generated source
-                kernel = wrap(source, namespace[entry])
+                function = namespace[entry]
         except Exception as error:
             if self.breaker is not None:
                 self.breaker.record_failure()
@@ -425,5 +445,5 @@ class KernelCompiler:
         if self.metrics is not None:
             self.metrics.histogram("compile.time").observe(elapsed)
         if self.cache is not None:
-            self.cache.put(source, kernel)
-        return kernel
+            self.cache.put(source, function)
+        return function

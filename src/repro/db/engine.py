@@ -345,7 +345,8 @@ class Database:
             time.sleep(0.005)
 
     def close(self, drain_seconds: float = 5.0) -> None:
-        """Release engine-lifetime resources (worker threads, caches).
+        """Release engine-lifetime resources (worker threads, caches,
+        open column files).
 
         Safe under load: an attached serving front-end is closed first
         (new admissions rejected, queued queries shed), then every
@@ -370,6 +371,8 @@ class Database:
         if self._worker_pool is not None:
             self._worker_pool.shutdown()
             self._worker_pool = None
+        if self.storage is not None:
+            self.storage.close()
         if self.model_cache is not None:
             self.model_cache.clear()
         self.kernel_cache.clear()

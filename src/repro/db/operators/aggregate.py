@@ -173,7 +173,7 @@ class HashAggregate(UnaryOperator):
     @property
     def compiled_source(self) -> str | None:
         """Input-kernel source (rendered by EXPLAIN), if compiled."""
-        return None if self.input_kernel is None else self.input_kernel.source
+        return None if self.input_kernel is None else self.input_kernel.listing
 
     def _produce(self) -> Iterator[VectorBatch]:
         key_chunks: list[list[np.ndarray]] = [
@@ -295,7 +295,7 @@ class OrderedAggregate(UnaryOperator):
 
     @property
     def compiled_source(self) -> str | None:
-        return None if self.input_kernel is None else self.input_kernel.source
+        return None if self.input_kernel is None else self.input_kernel.listing
 
     @property
     def ordering(self) -> tuple[str, ...]:
@@ -500,7 +500,7 @@ class SegmentedAggregate(UnaryOperator):
 
     @property
     def compiled_source(self) -> str | None:
-        return None if self.input_kernel is None else self.input_kernel.source
+        return None if self.input_kernel is None else self.input_kernel.listing
 
     @property
     def ordering(self) -> tuple[str, ...]:

@@ -38,7 +38,7 @@ class FilterOperator(UnaryOperator):
 
     @property
     def compiled_source(self) -> str | None:
-        return None if self.compiled is None else self.compiled.source
+        return None if self.compiled is None else self.compiled.listing
 
     @property
     def ordering(self) -> tuple[str, ...]:

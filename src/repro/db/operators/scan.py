@@ -271,8 +271,6 @@ class TableScan(PhysicalOperator):
         if self._projected:
             parts.append(f", cols=[{', '.join(self.schema.names)}]")
         if self.ranges:
-            rendered = ", ".join(
-                f"{r.column} in [{r.low}, {r.high}]" for r in self.ranges
-            )
+            rendered = ", ".join(str(r) for r in self.ranges)
             parts.append(f", prune: {rendered}")
         return "".join(parts) + ")"

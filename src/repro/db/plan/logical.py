@@ -17,6 +17,7 @@ OrderedAggregate only appear in the physical plan.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -138,9 +139,7 @@ class LogicalScan(LogicalNode):
         if len(self.columns) < len(self.table.schema):
             parts.append(f", cols=[{', '.join(self.columns)}]")
         if self.ranges:
-            rendered = ", ".join(
-                f"{r.column} in [{r.low}, {r.high}]" for r in self.ranges
-            )
+            rendered = ", ".join(str(r) for r in self.ranges)
             parts.append(f", prune: {rendered}")
         return "".join(parts) + ")"
 
@@ -609,10 +608,28 @@ def extract_ranges(
 def range_of_conjunct(
     conjunct: Expression, binding: str
 ) -> ColumnRange | None:
+    """The pruning range one conjunct implies on this scan, if any.
+
+    An ``OR`` tree of equalities on one column — what ``IN (...)``
+    parses to — becomes one point union; any other ``OR`` (a
+    comparison branch, two columns) implies nothing prunable.
+    """
     if not isinstance(conjunct, BinaryOp):
         return None
     operator = conjunct.operator
     left, right = conjunct.left, conjunct.right
+    if operator == "OR":
+        left = range_of_conjunct(left, binding)
+        right = range_of_conjunct(right, binding)
+        if (
+            left is None
+            or right is None
+            or left.points is None
+            or right.points is None
+            or left.column.lower() != right.column.lower()
+        ):
+            return None
+        return ColumnRange.of_points(left.column, left.points + right.points)
     if isinstance(left, Literal) and isinstance(right, ColumnRef):
         flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
         operator = flipped.get(operator, operator)
@@ -627,8 +644,10 @@ def range_of_conjunct(
     if not column or item_binding.lower() != binding:
         return None
     value = float(right.value)
+    if math.isnan(value):
+        return None  # NaN is unordered: it bounds nothing
     if operator == "=":
-        return ColumnRange(column, value, value)
+        return ColumnRange.of_points(column, (value,))
     if operator == "<":
         return ColumnRange(column, None, value)
     if operator == "<=":

@@ -332,9 +332,7 @@ def _derive_sma_ranges(
         ranges = extract_ranges(conjuncts, node.binding, node.table.schema)
         if ranges:
             node.ranges = ranges
-            rendered = ", ".join(
-                f"{r.column} in [{r.low}, {r.high}]" for r in ranges
-            )
+            rendered = ", ".join(str(r) for r in ranges)
             firings.append(
                 RuleFiring(
                     "sma-range-derivation",

@@ -432,6 +432,9 @@ class StorageEngine:
         self._pin_lock = threading.Lock()
         self._pin_counts: dict[Path, int] = {}
         self._retired: dict[Path, list] = {}
+        #: partitions of generations the manifest references (their
+        #: column-file readers are closed at retirement or close())
+        self._live: set[DiskPartition] = set()
 
     @property
     def models_dir(self) -> Path:
@@ -499,8 +502,19 @@ class StorageEngine:
         )
         table.uid = int(entry["uid"])
         table.version = int(entry["version"])
-        data_dir = self.root / entry["data_dir"]
-        table.partitions = [
+        table.partitions = self._open_partitions(
+            schema, self.root / entry["data_dir"], table.num_partitions
+        )
+        for partition in table.partitions:
+            # Load the column-file footers now so the first query after a
+            # restart pays no metadata I/O (the catalog opens warm).
+            partition._ensure_meta()
+        return table
+
+    def _open_partitions(
+        self, schema: Schema, data_dir: Path, count: int
+    ) -> list[DiskPartition]:
+        partitions = [
             DiskPartition(
                 schema,
                 data_dir / f"p{index}",
@@ -508,13 +522,11 @@ class StorageEngine:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-            for index in range(table.num_partitions)
+            for index in range(count)
         ]
-        for partition in table.partitions:
-            # Load the column-file footers now so the first query after a
-            # restart pays no metadata I/O (the catalog opens warm).
-            partition._ensure_meta()
-        return table
+        with self._pin_lock:
+            self._live.update(partitions)
+        return partitions
 
     # ------------------------------------------------------------------
     # snapshot pinning (MVCC-lite)
@@ -601,6 +613,7 @@ class StorageEngine:
             groups.setdefault(directory, []).append(partition)
         detach_now: list[list] = []
         with self._pin_lock:
+            self._live.difference_update(partitions)
             for directory, group in groups.items():
                 if self._pin_counts.get(directory):
                     self._retired.setdefault(directory, []).extend(group)
@@ -699,21 +712,11 @@ class StorageEngine:
         }
         if table.disk_resident:
             # Point the live table at the merged generation so the
-            # overlay does not keep growing.  The superseded partitions
-            # go through the retire path: dropped immediately when no
-            # snapshot pins their generation, deferred otherwise.
-            old_partitions = list(table.partitions)
-            table.partitions = [
-                DiskPartition(
-                    table.schema,
-                    data_dir / f"p{index}",
-                    self.buffer_pool,
-                    metrics=self.metrics,
-                    tracer=self.tracer,
-                )
-                for index in range(table.num_partitions)
-            ]
-            self._retire_partitions(old_partitions)
+            # overlay does not keep growing; the superseded partitions
+            # are retired once the new manifest commits.
+            table.partitions = self._open_partitions(
+                table.schema, data_dir, table.num_partitions
+            )
         return entry
 
     def _cleanup_stale_generations(self, manifest: dict) -> None:
@@ -721,6 +724,14 @@ class StorageEngine:
             (self.root / entry["data_dir"]).resolve()
             for entry in manifest["tables"]
         }
+        # Partitions of superseded or dropped tables go through the
+        # retire path: closed now when no snapshot pins their
+        # generation, when the last pin drops otherwise.
+        self._retire_partitions([
+            partition
+            for partition in self._live
+            if partition.directory.parent.resolve() not in referenced
+        ])
         tables_root = self.root / TABLES_DIR
         for table_dir in tables_root.iterdir():
             if not table_dir.is_dir():
@@ -745,4 +756,16 @@ class StorageEngine:
         return self.tracer.span(name, category="storage")
 
     def close(self) -> None:
+        """Close every open column file and empty the buffer pool.
+
+        Partitions stay usable: a later read reopens its file lazily.
+        Retired ones stay parked, so their last unpin still deletes
+        their files.
+        """
+        with self._pin_lock:
+            partitions = [*self._live]
+            for retired in self._retired.values():
+                partitions.extend(retired)
+        for partition in partitions:
+            partition.close()
         self.buffer_pool.clear()

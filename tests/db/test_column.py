@@ -48,6 +48,35 @@ class TestColumnRange:
         with pytest.raises(ExecutionError):
             ColumnRange("x", 1, 2).intersect(ColumnRange("y", 1, 2))
 
+    def test_point_union_is_sorted_and_hulled(self):
+        union = ColumnRange.of_points("x", (42.0, 5.0, 9000.0, 5.0))
+        assert union.points == (5.0, 42.0, 9000.0)
+        assert (union.low, union.high) == (5.0, 9000.0)
+        assert str(union) == "x in {5, 42, 9000}"
+        assert str(ColumnRange.of_points("x", (-0.5, float("inf")))) == (
+            "x in {-0.5, inf}"
+        )
+
+    def test_point_union_matches_only_blocks_holding_a_point(self):
+        union = ColumnRange.of_points("x", (5.0, 42.0, 9000.0))
+        assert union.may_match(MinMax(0.0, 10.0))
+        assert union.may_match(MinMax(42.0, 42.0))
+        assert not union.may_match(MinMax(6.0, 41.0))  # inside the hull
+        assert not union.may_match(MinMax(9001.0, 1e9))
+        assert union.may_match(None)
+        assert union.may_match(MinMax(float("nan"), float("nan")))
+        assert not ColumnRange.of_points("x", ()).may_match(MinMax(0, 9))
+
+    def test_intersect_with_point_unions(self):
+        union = ColumnRange.of_points("x", (1.0, 5.0, 9.0))
+        assert union.intersect(ColumnRange("x", 2, None)).points == (5.0, 9.0)
+        assert ColumnRange("x", None, 5).intersect(union).points == (1.0, 5.0)
+        other = ColumnRange.of_points("x", (5.0, 9.0, 11.0))
+        both = union.intersect(other)
+        assert both.points == (5.0, 9.0)
+        assert (both.low, both.high) == (5.0, 9.0)
+        assert union.intersect(ColumnRange("x", 10, 20)).points == ()
+
 
 class TestBlock:
     def test_stats_computed_for_numeric(self, schema):

@@ -4,7 +4,9 @@ Covers the generated-source shape (golden tests), bit-exactness of the
 compiled path against the interpreted path — including NaN edge cases,
 disk-backed tables and all six ModelJoin execution variants — the
 source-keyed kernel cache (hits, LRU eviction, invalidation on a model
-table republish), and the resilience contract: injected kernel faults
+table republish), literals as kernel parameters (statements differing
+only in literal values share one literal-free kernel, bit-exact for
+every literal kind), and the resilience contract: injected kernel faults
 fall back to interpreted execution once, repeated failures open the
 compile circuit breaker, and cancellation propagates as a timeout.
 """
@@ -96,14 +98,14 @@ def table_db(db: Database) -> Database:
 # ----------------------------------------------------------------------
 GOLDEN_KERNEL = """\
 # kernel: filter(1)+project(2)
-k0 = np.dtype('float64').type(0.5)
 
-def kernel(arrays, n, cancel):
+def kernel(arrays, n, cancel, params):
     if cancel is not None:
         cancel.check()
+    k0 = params[0]  # float64
     c0 = arrays[0]
     c1 = arrays[1]
-    # filter 1/1: (a > 0.5)
+    # filter 1/1
     m = (c0 > k0)
     if not m.all():
         kept = np.count_nonzero(m)
@@ -113,18 +115,16 @@ def kernel(arrays, n, cancel):
         n = kept
         c0 = c0[sel]
         c1 = c1[sel]
-    # output x: (a * b)
+    # output x
     o0 = (c0 * c1)
-    # output b: b
+    # output b
     o1 = (c1).astype(np.dtype('int64'), copy=False)
     return [o0, o1]
 """
 
 GOLDEN_EXPR = """\
-# expr: (a > 0.5)
-k0 = np.dtype('float64').type(0.5)
-
-def expr(arrays, n):
+def expr(arrays, n, params):
+    k0 = params[0]  # float64
     c0 = arrays[0]
     return (c0 > k0)
 """
@@ -156,26 +156,34 @@ class TestGeneratedSource:
             header=(),
             label="filter(1)+project(2)",
         )
-        source, _bindings = generate_kernel_source(spec)
+        source, _bindings, params = generate_kernel_source(spec)
         assert source == GOLDEN_KERNEL
+        assert params == (0.5,)
+        assert type(params[0]) is np.float64
 
     def test_expression_source_golden(self):
-        source, _bindings = generate_expression_source(
+        source, _bindings, params = generate_expression_source(
             self.predicate(), two_column_schema()
         )
         assert source == GOLDEN_EXPR
+        assert params == (0.5,)
 
-    def test_constants_are_deduplicated(self):
+    def test_one_parameter_per_literal_occurrence(self):
+        # Equal literals are not merged: that would make the source
+        # depend on whether the values happen to be equal.
         half = Literal(0.5, SqlType.DOUBLE)
         expression = BinaryOp(
             "+",
             BinaryOp("*", ColumnRef("a"), half),
             BinaryOp("*", ColumnRef("b"), half),
         )
-        source, _ = generate_expression_source(
+        source, _, params = generate_expression_source(
             expression, two_column_schema()
         )
-        assert source.count("np.dtype('float64').type(0.5)") == 1
+        assert params == (0.5, 0.5)
+        assert "k0 = params[0]  # float64" in source
+        assert "k1 = params[1]  # float64" in source
+        assert "0.5" not in source
 
     def test_varchar_cast_is_non_compilable(self):
         builder = SourceBuilder(two_column_schema())
@@ -191,7 +199,7 @@ class TestGeneratedSource:
             header=("# model-table: m uid=1 version=2",),
             label="project(1)",
         )
-        source, _ = generate_kernel_source(spec)
+        source, _, _ = generate_kernel_source(spec)
         assert "# model-table: m uid=1 version=2" in source
 
 
@@ -358,7 +366,8 @@ class TestExplain:
             "SELECT id, a * b AS x FROM t WHERE a > 0.1"
         )
         assert "== Compiled Code ==" in plan
-        assert "def kernel(arrays, n, cancel):" in plan
+        assert "def kernel(arrays, n, cancel, params):" in plan
+        assert plan.endswith("# params: k0=0.1")
         assert "FusedPipeline" in plan
 
     def test_interpreted_plan_has_no_compiled_section(self, table_db):
@@ -479,6 +488,108 @@ class TestKernelCache:
         assert first.column("score").tobytes() != second.column(
             "score"
         ).tobytes()
+
+
+# ----------------------------------------------------------------------
+# literals are kernel parameters: the cache key is literal-free
+# ----------------------------------------------------------------------
+def compiled_code(db: Database, sql: str) -> list[str]:
+    """EXPLAIN's generated sources without the per-query lines: the
+    operator headers (they render the plan, literals included) and the
+    trailing parameter comments."""
+    section = db.explain(sql).split("== Compiled Code ==\n", 1)[1]
+    return [
+        line
+        for line in section.splitlines()
+        if not line.startswith(("-- ", "# params:"))
+    ]
+
+
+@pytest.fixture
+def mixed_db(table_db: Database) -> Database:
+    table_db.execute("CREATE TABLE s (id INTEGER, tag VARCHAR, v DOUBLE)")
+    table_db.execute(
+        "INSERT INTO s VALUES (1, 'a', 0.5), (2, 'b', -1.5), "
+        "(3, 'it''s', 2.25), (4, 'b', 8.0)"
+    )
+    return table_db
+
+
+#: statements that differ only in their literal values
+LITERAL_TWINS = [
+    (
+        "SELECT id, a * 2.5 + 1.0 AS x FROM t WHERE a > 0.25 AND id < 1000",
+        "SELECT id, a * -3.5 + 7.0 AS x FROM t WHERE a > -1.5 AND id < 3000",
+    ),
+    (
+        "SELECT grp, SUM(a * 2.0) AS s, COUNT(*) AS c FROM t "
+        "WHERE b > 0.5 GROUP BY grp",
+        "SELECT grp, SUM(a * 4.0) AS s, COUNT(*) AS c FROM t "
+        "WHERE b > -0.5 GROUP BY grp",
+    ),
+    (
+        "SELECT id, 'x' AS lit FROM s WHERE tag = 'b' OR v > 7.5",
+        "SELECT id, 'yy' AS lit FROM s WHERE tag = 'a' OR v > 0.0",
+    ),
+    (
+        "SELECT id, b FROM t WHERE id IN (5, 70, 900)",
+        "SELECT id, b FROM t WHERE id IN (6, 3000, 1)",
+    ),
+]
+
+#: one statement per literal kind, each run compiled and interpreted
+LITERAL_KINDS = {
+    "int": "SELECT id, grp + 3 AS g FROM t WHERE grp = 2 AND id > 10",
+    "float": "SELECT id, a * 0.5 AS h FROM t WHERE b < 0.75",
+    "nan": "SELECT id, a + 0.0 * 1e999 AS z FROM t WHERE id < 100",
+    "inf": "SELECT id, b * 1e999 AS w FROM t WHERE a < 1e999 AND b > -1e999",
+    "bool": (
+        "SELECT id, TRUE AS yes, FALSE AS no FROM t WHERE (a > 0.0) = TRUE"
+    ),
+    "varchar": "SELECT id, 'it''s' AS quote FROM s WHERE tag <> 'b'",
+    "case": (
+        "SELECT id, CASE WHEN a > 0.5 THEN 1.0 WHEN a < -0.5 THEN -1.0 "
+        "ELSE 0.0 END AS c, CASE WHEN b > 1.0 THEN 2 END AS d FROM t"
+    ),
+    "literal_outputs": (
+        "SELECT id, 7 AS seven, 2.5 AS half FROM t WHERE id < 50"
+    ),
+    "constant_true": "SELECT id, a FROM t WHERE 1 < 2",
+    "constant_false": "SELECT id, a FROM t WHERE 2.5 < 1.5",
+    "in_list": "SELECT id, a FROM t WHERE id IN (3, 3, 4000, -1) OR a > 2.5",
+}
+
+
+class TestLiteralParameters:
+    @pytest.mark.parametrize(
+        "first, second", LITERAL_TWINS, ids=["project", "agg", "varchar", "in"]
+    )
+    def test_fresh_literals_reuse_the_kernel(self, mixed_db, first, second):
+        assert compiled_code(mixed_db, first) == compiled_code(
+            mixed_db, second
+        )
+        mixed_db.execute(first)
+        entries = len(mixed_db.kernel_cache)
+        hits = mixed_db.metrics.counter("compile.cache_hit")
+        built = mixed_db.metrics.histogram("compile.time")
+        hits_before, built_before = hits.value, built.count
+        mixed_db.execute(second)
+        assert len(mixed_db.kernel_cache) == entries
+        assert hits.value > hits_before
+        assert built.count == built_before
+
+    @pytest.mark.parametrize("kind", sorted(LITERAL_KINDS))
+    def test_bit_exact_for_every_literal_kind(self, mixed_db, kind):
+        sql = LITERAL_KINDS[kind]
+        compiled, interpreted = run_both(mixed_db, sql)
+        assert_bit_exact(compiled, interpreted)
+        assert "== Compiled Code ==" in mixed_db.explain(sql)
+
+    def test_explain_prints_parameter_values_outside_the_key(self, table_db):
+        sql = "SELECT id, a * 2.5 AS x FROM t WHERE b > 0.125"
+        assert "# params: k0=0.125, k1=2.5" in table_db.explain(sql)
+        source = "\n".join(compiled_code(table_db, sql))
+        assert "0.125" not in source and "2.5" not in source
 
 
 # ----------------------------------------------------------------------

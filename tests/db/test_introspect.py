@@ -330,7 +330,7 @@ class TestPersistence:
         db.execute("SELECT a FROM t WHERE a < 5")
         db.checkpoint()
         # Crash-kill: no close(); the JSONL file is flushed per query.
-        del db
+        crashed = db
         db = repro.connect(path=root)
         result = db.execute(
             "SELECT query_id, sql, status FROM system.queries "
@@ -348,6 +348,7 @@ class TestPersistence:
         )
         assert new_max > restored_max
         db.close()
+        crashed.close()  # release what the killed process held open
 
     def test_torn_tail_line_is_skipped(self, tmp_path):
         root = str(tmp_path / "torn")

@@ -52,7 +52,23 @@ class TestFilterPushdownAndPruning:
 
     def test_equality_becomes_point_range(self, db_with_tables):
         plan = db_with_tables.explain("SELECT id FROM fact WHERE id = 7")
-        assert "prune: id in [7.0, 7.0]" in plan
+        assert "prune: id in {7}" in plan
+
+    def test_in_list_becomes_point_union(self, db_with_tables):
+        plan = db_with_tables.explain(
+            "SELECT id FROM fact WHERE id IN (9000, 5, 42, 5)"
+        )
+        assert "prune: id in {5, 42, 9000}" in plan
+        assert "sma-range-derivation: scan fact: id in {5, 42, 9000}" in plan
+
+    def test_not_in_and_mixed_ors_do_not_prune(self, db_with_tables):
+        for where in (
+            "id NOT IN (1, 2)",
+            "id = 1 OR node = 2",
+            "id = 1 OR id > 5",
+        ):
+            plan = db_with_tables.explain(f"SELECT id FROM fact WHERE {where}")
+            assert "prune" not in plan, where
 
     def test_pruning_disabled_by_option(self):
         db = Database(

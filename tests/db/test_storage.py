@@ -431,6 +431,51 @@ class TestPersistentDatabase:
         assert third.table("fact").row_count == 1001
         third.close()
 
+    def test_close_releases_column_file_handles(self, tmp_path):
+        db = make_persistent_db(tmp_path / "db")
+        db.close()
+        reopened = repro.connect(path=str(tmp_path / "db"))
+        result = reopened.execute(
+            "SELECT id, d FROM fact WHERE id IN (5, 7000) ORDER BY id"
+        )
+        assert result.column("id").tolist() == [5, 7000]
+        handles = [
+            reader._handle
+            for partition in reopened.table("fact").partitions
+            for reader in partition._readers
+            if reader._handle is not None
+        ]
+        assert handles
+        reopened.close()
+        assert all(handle.closed for handle in handles)
+
+    def test_superseded_and_dropped_generations_close_their_files(
+        self, tmp_path
+    ):
+        db = make_persistent_db(tmp_path / "db", rows=1000)
+        db.close()
+        reopened = repro.connect(path=str(tmp_path / "db"))
+        reopened.execute("CREATE TABLE other (x INTEGER)")
+        reopened.execute("INSERT INTO other VALUES (1), (2)")
+        reopened.close()
+        third = repro.connect(path=str(tmp_path / "db"))
+        full_table(third)  # opens every column file of fact
+        third.execute("SELECT x FROM other")
+        old = [
+            reader._handle
+            for table in ("fact", "other")
+            for partition in third.table(table).partitions
+            for reader in partition._readers
+        ]
+        assert all(handle is not None for handle in old)
+        third.execute(
+            "INSERT INTO fact VALUES (5000, 1, 0.5, 0.25, TRUE, 'x')"
+        )
+        third.execute("DROP TABLE other")
+        third.checkpoint()  # fact rewritten, other dropped
+        assert all(handle.closed for handle in old)
+        third.close()
+
     def test_uid_floor_prevents_collisions_after_reopen(self, tmp_path):
         db = make_persistent_db(tmp_path / "db", rows=100)
         fact_uid = db.table("fact").uid
@@ -519,6 +564,7 @@ class TestCrashSafety:
             np.asarray(before.column("id")),
         )
         reopened.close()
+        db.close()  # release what the dead process held open
 
     def test_leftover_tmp_manifest_is_ignored(self, tmp_path):
         root = tmp_path / "db"
