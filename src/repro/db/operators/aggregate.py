@@ -1,8 +1,13 @@
 """Grouped aggregation: hash-based and order-based.
 
 The hash aggregate is the generic strategy: it materializes its input
-(a pipeline breaker with memory proportional to the input), groups via
-a sort over packed keys, and reduces each group with ``ufunc.reduceat``.
+(a pipeline breaker with memory proportional to the input), groups it
+with :func:`~repro.db.operators.keys.group_order` (one sort of an int64
+composite key, or a lexsort of the key codes when that would overflow)
+and reduces each group with ``ufunc.reduceat``.  Groups come out in key
+code order: integers by value, VARCHAR lexicographically, floats by
+their IEEE bit pattern — so every NaN bit pattern is a group of its own,
+in a VARCHAR + float key as much as in a numeric one.
 
 The order-based aggregate is the optimization of paper Section 4.4: if
 the input is already sorted on the group keys it emits a group the
@@ -23,7 +28,7 @@ from repro.db.operators.base import (
     PhysicalOperator,
     UnaryOperator,
 )
-from repro.db.operators.keys import pack_keys, pack_keys_slow, supports_fast_keys
+from repro.db.operators.keys import equality_codes, group_order, run_starts
 from repro.db.schema import Column, Schema
 from repro.db.types import SqlType
 from repro.db.vector import VectorBatch
@@ -144,6 +149,33 @@ def _merge_partials(spec: AggregateSpec, left, right):
     return max(left, right)
 
 
+def _grouped_batch(
+    operator, keys: list[np.ndarray], values: list[np.ndarray]
+) -> VectorBatch:
+    """Group non-empty *keys* and reduce *values* per group: one output
+    row per group, in :func:`group_order`'s order."""
+    order, starts = group_order(keys)
+    counts = np.diff(np.append(starts, len(order)))
+    firsts = order[starts]
+    arrays: list[np.ndarray] = [key[firsts] for key in keys]
+    for spec, column in zip(operator.aggregates, values):
+        reduced = _reduce_segments(spec, column[order], starts)
+        if spec.function == "AVG":
+            reduced = reduced.astype(np.float64) / counts
+        arrays.append(reduced)
+    return VectorBatch(
+        operator.schema,
+        [
+            array.astype(column.sql_type.numpy_dtype, copy=False)
+            for array, column in zip(arrays, operator.schema)
+        ],
+    )
+
+
+def _row(columns: list[np.ndarray], index: int) -> tuple:
+    return tuple(column[index] for column in columns)
+
+
 class HashAggregate(UnaryOperator):
     """Generic grouped aggregation; materializes its input."""
 
@@ -196,35 +228,10 @@ class HashAggregate(UnaryOperator):
         if not key_chunks[0]:
             return
         keys = [np.concatenate(chunks) for chunks in key_chunks]
-        values = [np.concatenate(chunks) for chunks in value_chunks]
-        if supports_fast_keys(keys):
-            packed = pack_keys(keys)
-        else:
-            packed = pack_keys_slow(keys)
-        order = np.argsort(packed, kind="stable")
-        sorted_packed = packed[order]
-        if len(sorted_packed) == 0:
+        if len(keys[0]) == 0:
             return
-        new_group = np.empty(len(sorted_packed), dtype=np.bool_)
-        new_group[0] = True
-        new_group[1:] = sorted_packed[1:] != sorted_packed[:-1]
-        starts = np.flatnonzero(new_group)
-        group_counts = np.diff(
-            np.append(starts, len(sorted_packed))
-        ).astype(np.int64)
-        arrays: list[np.ndarray] = [key[order][starts] for key in keys]
-        for spec, column in zip(self.aggregates, values):
-            reduced = _reduce_segments(spec, column[order], starts)
-            if spec.function == "AVG":
-                reduced = reduced.astype(np.float64) / group_counts
-            arrays.append(reduced)
-        result = VectorBatch(
-            self.schema,
-            [
-                array.astype(column.sql_type.numpy_dtype, copy=False)
-                for array, column in zip(arrays, self.schema)
-            ],
-        )
+        values = [np.concatenate(chunks) for chunks in value_chunks]
+        result = _grouped_batch(self, keys, values)
         for start in range(0, len(result), self.context.vector_size):
             yield result.slice(start, start + self.context.vector_size)
 
@@ -303,7 +310,7 @@ class OrderedAggregate(UnaryOperator):
 
     def _produce(self) -> Iterator[VectorBatch]:
         pending_key_rows: list | None = None
-        pending_packed = None
+        pending_key = None
         pending_partials: list = []
         pending_count = 0
 
@@ -314,15 +321,9 @@ class OrderedAggregate(UnaryOperator):
             if inputs is None:
                 continue
             keys, values = inputs
-            if supports_fast_keys(keys):
-                packed = pack_keys(keys)
-            else:
-                packed = pack_keys_slow(keys)
-            new_group = np.empty(len(packed), dtype=np.bool_)
-            new_group[0] = True
-            new_group[1:] = packed[1:] != packed[:-1]
-            starts = np.flatnonzero(new_group)
-            counts = np.diff(np.append(starts, len(packed))).astype(np.int64)
+            codes = equality_codes(keys)
+            starts = run_starts(codes)
+            counts = np.diff(np.append(starts, len(codes[0])))
             partials = [
                 _reduce_segments(spec, column, starts)
                 for spec, column in zip(self.aggregates, values)
@@ -330,7 +331,7 @@ class OrderedAggregate(UnaryOperator):
             segment_keys = [key[starts] for key in keys]
             merged_row: list | None = None
             first = 0
-            if pending_packed is not None and packed[0] == pending_packed:
+            if pending_key is not None and _row(codes, 0) == pending_key:
                 # The open group continues into this batch: fold in the
                 # first segment.
                 pending_partials = [
@@ -346,12 +347,12 @@ class OrderedAggregate(UnaryOperator):
                     merged_row = self._finish_group(
                         pending_key_rows, pending_partials, pending_count
                     )
-                    pending_packed = None
-            elif pending_packed is not None:
+                    pending_key = None
+            elif pending_key is not None:
                 merged_row = self._finish_group(
                     pending_key_rows, pending_partials, pending_count
                 )
-                pending_packed = None
+                pending_key = None
             # Segments [first, last) are complete within the batch: emit
             # them as one array slice (no per-group Python work).
             last = len(starts) - 1
@@ -364,8 +365,8 @@ class OrderedAggregate(UnaryOperator):
                 pending_key_rows = [key[last] for key in segment_keys]
                 pending_partials = [column[last] for column in partials]
                 pending_count = int(counts[last])
-                pending_packed = packed[starts[last]]
-        if pending_packed is not None:
+                pending_key = _row(codes, starts[last])
+        if pending_key is not None:
             final = self._finish_group(
                 pending_key_rows, pending_partials, pending_count
             )
@@ -560,7 +561,7 @@ class SegmentedAggregate(UnaryOperator):
                 buffered_bytes, "aggregation-segment"
             )
             buffered_bytes = 0
-            return self._aggregate_segment(keys, values)
+            return _grouped_batch(self, keys, values)
 
         for batch in self.child.next_batches():
             if len(batch) == 0:
@@ -569,20 +570,15 @@ class SegmentedAggregate(UnaryOperator):
             if inputs is None:
                 continue
             keys, values = inputs
-            prefix_arrays = keys[: self.prefix_length]
-            if supports_fast_keys(prefix_arrays):
-                prefix_packed = pack_keys(prefix_arrays)
-            else:
-                prefix_packed = pack_keys_slow(prefix_arrays)
-            rows = len(prefix_packed)
+            prefix = equality_codes(keys[: self.prefix_length])
+            rows = len(prefix[0])
             # Start of the final (still open) segment of this batch.
-            change = prefix_packed[1:] != prefix_packed[:-1]
-            boundaries = np.flatnonzero(change) + 1
+            boundaries = run_starts(prefix)[1:]
             last_start = int(boundaries[-1]) if len(boundaries) else 0
             # 1. Resolve the carried-over open segment.
             continues = (
                 pending_prefix is not None
-                and prefix_packed[0] == pending_prefix
+                and _row(prefix, 0) == pending_prefix
             )
             if continues:
                 # Extend the buffer with the first segment's rows.
@@ -602,7 +598,8 @@ class SegmentedAggregate(UnaryOperator):
                 closed_start = 0
             # 2. All segments that both start and end in this batch.
             if closed_start < last_start:
-                result = self._aggregate_segment(
+                result = _grouped_batch(
+                    self,
                     [key[closed_start:last_start] for key in keys],
                     [
                         value[closed_start:last_start]
@@ -614,43 +611,10 @@ class SegmentedAggregate(UnaryOperator):
             tail_start = max(last_start, closed_start)
             if tail_start < rows:
                 buffer_slice(keys, values, tail_start, rows)
-            pending_prefix = prefix_packed[-1]
+            pending_prefix = _row(prefix, rows - 1)
         final = flush()
         if final is not None:
             yield final
-
-    def _aggregate_segment(
-        self, keys: list[np.ndarray], values: list[np.ndarray]
-    ) -> VectorBatch:
-        """Hash-aggregate one closed segment (sort + reduceat)."""
-        if supports_fast_keys(keys):
-            packed = pack_keys(keys)
-        else:
-            packed = pack_keys_slow(keys)
-        order = np.argsort(packed, kind="stable")
-        sorted_packed = packed[order]
-        new_group = np.empty(len(sorted_packed), dtype=np.bool_)
-        new_group[0] = True
-        new_group[1:] = sorted_packed[1:] != sorted_packed[:-1]
-        starts = np.flatnonzero(new_group)
-        group_counts = np.diff(
-            np.append(starts, len(sorted_packed))
-        ).astype(np.int64)
-        arrays: list[np.ndarray] = [key[order][starts] for key in keys]
-        for spec, column in zip(self.aggregates, values):
-            reduced = _reduce_segments(spec, column[order], starts)
-            if spec.function == "AVG":
-                reduced = reduced.astype(np.float64) / group_counts
-            arrays.append(reduced)
-        return VectorBatch(
-            self.schema,
-            [
-                array.astype(column.sql_type.numpy_dtype, copy=False)
-                if array.dtype != np.dtype(object)
-                else array
-                for array, column in zip(arrays, self.schema)
-            ],
-        )
 
     def describe(self) -> str:
         keys = ", ".join(map(str, self.group_expressions))

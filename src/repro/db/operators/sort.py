@@ -1,4 +1,4 @@
-"""Sort operator (pipeline breaker)."""
+"""Sort operator (pipeline breaker), optionally keeping only the top rows."""
 
 from __future__ import annotations
 
@@ -12,12 +12,33 @@ from repro.db.operators.base import (
     PhysicalOperator,
     UnaryOperator,
 )
+from repro.db.operators.keys import string_ranks
 from repro.db.vector import VectorBatch, concat_batches
 from repro.errors import PlanError
 
 
+def _sort_column(values: np.ndarray, ascending: bool) -> np.ndarray:
+    """A numeric column whose ascending order is the wanted key order.
+
+    VARCHAR sorts by its ranks; DESC reverses integer codes with ``~``
+    (exact, cannot overflow) and negates floats, so NaN stays last.
+    """
+    if values.dtype == object:
+        values = string_ranks(values)
+    if ascending:
+        return values
+    if values.dtype.kind == "f":
+        return -values
+    return ~values.astype(np.int64)
+
+
 class SortOperator(UnaryOperator):
-    """Materializes its input and emits it sorted by the given columns."""
+    """Materializes its input and emits it sorted by the given columns.
+
+    With *top* it emits only the first *top* rows of that order (the
+    planner sets it for ``ORDER BY … LIMIT``).  Rows tie on all keys in
+    input order, so the top rows are exactly a prefix of the full sort.
+    """
 
     def __init__(
         self,
@@ -25,6 +46,7 @@ class SortOperator(UnaryOperator):
         child: PhysicalOperator,
         keys: list[ColumnRef],
         ascending: list[bool] | None = None,
+        top: int | None = None,
     ):
         super().__init__(context, child.schema, child)
         if not keys:
@@ -35,6 +57,7 @@ class SortOperator(UnaryOperator):
             child.schema.position_of(key.name)
         self.keys = list(keys)
         self.ascending = ascending or [True] * len(keys)
+        self.top = top
         self._accounted_bytes = 0
 
     @property
@@ -47,24 +70,37 @@ class SortOperator(UnaryOperator):
         whole = concat_batches(self.schema, list(self.child.next_batches()))
         self._accounted_bytes = whole.nominal_bytes()
         self.context.memory.allocate(self._accounted_bytes, "sort")
-        if len(whole) == 0:
+        if len(whole) == 0 or self.top == 0:
             return
-        # np.lexsort sorts by the *last* key first, so reverse the list.
-        columns = []
-        for key, ascending in zip(reversed(self.keys), reversed(self.ascending)):
-            values = whole.column(key.name)
-            if not ascending:
-                if values.dtype.kind in "if":
-                    values = -values.astype(np.float64)
-                else:
-                    raise PlanError(
-                        "DESC is only supported for numeric sort keys"
-                    )
-            columns.append(values)
-        order = np.lexsort(columns)
-        ordered = whole.take(order)
+        columns = [
+            _sort_column(whole.column(key.name), ascending)
+            for key, ascending in zip(self.keys, self.ascending)
+        ]
+        ordered = whole.take(self._order(columns))
         for start in range(0, len(ordered), self.context.vector_size):
             yield ordered.slice(start, start + self.context.vector_size)
+
+    def _order(self, columns: list[np.ndarray]) -> np.ndarray:
+        """Stable sort permutation of the rows (its first *top* only).
+
+        For a top-k, ``np.partition`` finds the k-th value of the first
+        key and only the rows ``<=`` it (ties included, in input order)
+        are lexsorted.  A NaN k-th value means fewer than k non-NaN
+        rows, so that case sorts everything.
+        """
+        candidates = None
+        top = self.top
+        if top is not None and top < len(columns[0]):
+            first = columns[0]
+            kth = np.partition(first, top - 1)[top - 1]
+            if not np.isnan(kth):
+                candidates = np.flatnonzero(first <= kth)
+                columns = [column[candidates] for column in columns]
+        # np.lexsort sorts by the *last* key first, so reverse the list.
+        order = np.lexsort(columns[::-1])
+        if candidates is not None:
+            order = candidates[order]
+        return order if top is None else order[:top]
 
     def close(self) -> None:
         if self._accounted_bytes:
@@ -77,4 +113,5 @@ class SortOperator(UnaryOperator):
             f"{key.name} {'ASC' if ascending else 'DESC'}"
             for key, ascending in zip(self.keys, self.ascending)
         )
-        return f"Sort({rendered})"
+        suffix = "" if self.top is None else f" [top {self.top}]"
+        return f"Sort({rendered}){suffix}"

@@ -111,6 +111,11 @@ class FragmentPlan:
     distinct: bool = False
     estimated_rows: int = 0
 
+    @property
+    def top(self) -> int | None:
+        """Rows the merge sort must keep: LIMIT + OFFSET, or all."""
+        return None if self.limit is None else self.limit + self.offset
+
 
 def _tail(name: str) -> str:
     return name.rsplit(".", 1)[-1].lower()
@@ -469,7 +474,7 @@ def build_merge_plan(context, fragment: FragmentPlan, source):
     if fragment.order_by:
         names, ascending = order_keys(fragment.order_by)
         keys = [ColumnRef(name.rsplit(".", 1)[-1]) for name in names]
-        plan = SortOperator(context, plan, keys, ascending)
+        plan = SortOperator(context, plan, keys, ascending, fragment.top)
     if fragment.limit is not None:
         plan = LimitOperator(context, plan, fragment.limit, fragment.offset)
     return plan

@@ -212,7 +212,12 @@ class Lowering:
         if isinstance(node, LogicalOrderBy):
             return self._lower_order_by(node)
         if isinstance(node, LogicalLimit):
-            child = self.lower(node.child)
+            if isinstance(node.child, LogicalOrderBy):
+                child = self._lower_order_by(
+                    node.child, top=node.limit + node.offset
+                )
+            else:
+                child = self.lower(node.child)
             return LimitOperator(
                 self.context, child, node.limit, node.offset
             )
@@ -529,7 +534,10 @@ class Lowering:
         ]
         return order, len(prefix_indices)
 
-    def _lower_order_by(self, node: LogicalOrderBy) -> PhysicalOperator:
+    def _lower_order_by(
+        self, node: LogicalOrderBy, top: int | None = None
+    ) -> PhysicalOperator:
+        """*top*: a LIMIT above keeps only that many leading rows."""
         child = self.lower(node.child)
         keys = [ColumnRef(name) for name in node.keys]
         for key in keys:
@@ -539,7 +547,7 @@ class Lowering:
         have = tuple(name.lower() for name in child.ordering)
         if all(node.ascending) and have[: len(wanted)] == wanted:
             return child
-        return SortOperator(self.context, child, keys, node.ascending)
+        return SortOperator(self.context, child, keys, node.ascending, top)
 
 
 def _accepts_keyword(callable_, name: str) -> bool:
@@ -689,7 +697,8 @@ def render_fragment_tree(fragment, shard_count: int, shard_workers: int) -> str:
             f"{item.expression}{'' if item.ascending else ' DESC'}"
             for item in fragment.order_by
         )
-        lines.append(f"{indent}Sort [{keys}]")
+        top = "" if fragment.top is None else f"; top {fragment.top}"
+        lines.append(f"{indent}Sort [{keys}{top}]")
         indent += "  "
     if fragment.distinct:
         lines.append(f"{indent}Distinct")

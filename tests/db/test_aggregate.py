@@ -235,7 +235,13 @@ class TestOrderedAggregate:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    keys=st.lists(st.integers(min_value=-5, max_value=5), max_size=200),
+    keys=st.lists(
+        st.tuples(
+            st.integers(min_value=-5, max_value=5),
+            st.integers(min_value=0, max_value=2),
+        ),
+        max_size=200,
+    ),
     functions=st.sets(
         st.sampled_from(["SUM", "COUNT", "MIN", "MAX", "AVG"]),
         min_size=1,
@@ -243,9 +249,11 @@ class TestOrderedAggregate:
     ),
 )
 def test_hash_equals_ordered_on_sorted_input(keys, functions):
-    """Property: both strategies agree on any sorted input."""
+    """Property: both strategies agree on any input sorted by the two
+    group keys (so a batch may continue the first key but not the
+    second)."""
     keys = sorted(keys)
-    values = [float(key) * 0.5 + 1.0 for key in keys]
+    values = [float(g) * 0.5 + h + 1.0 for g, h in keys]
     context = ExecutionContext(vector_size=7)
     specs = [
         AggregateSpec(
@@ -255,19 +263,27 @@ def test_hash_equals_ordered_on_sorted_input(keys, functions):
         )
         for function in sorted(functions)
     ]
+    schema = Schema.of(
+        ("g", SqlType.INTEGER), ("h", SqlType.INTEGER), ("x", SqlType.FLOAT)
+    )
 
     def run(cls):
-        table = grouped_table(keys, values, sort_key=("g",))
+        table = Table("t", schema, sort_key=("g", "h"), block_size=8)
+        table.append_columns(
+            g=np.asarray([g for g, _ in keys], dtype=np.int64),
+            h=np.asarray([h for _, h in keys], dtype=np.int64),
+            x=np.asarray(values, dtype=np.float32),
+        )
         scan = TableScan(context, table)
-        operator = cls(context, scan, [ColumnRef("g")], ["g"], specs)
-        return collect(operator)
+        group = [ColumnRef("g"), ColumnRef("h")]
+        return collect(cls(context, scan, group, ["g", "h"], specs))
 
     hash_rows = run(HashAggregate)
     ordered_rows = run(OrderedAggregate)
     assert len(hash_rows) == len(ordered_rows)
     for left, right in zip(hash_rows, ordered_rows):
-        assert left[0] == right[0]
-        np.testing.assert_allclose(left[1:], right[1:], rtol=1e-5)
+        assert left[:2] == right[:2]
+        np.testing.assert_allclose(left[2:], right[2:], rtol=1e-5)
 
 
 @settings(max_examples=30, deadline=None)

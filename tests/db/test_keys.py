@@ -1,4 +1,5 @@
-"""Key packing and range expansion (the join/aggregation kernel)."""
+"""Key coding, grouping order and range expansion (the join/aggregation
+kernel)."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.operators.keys import (
+    _int64_codes,
+    group_order,
     pack_keys,
     pack_keys_slow,
     ranges_to_indices,
@@ -80,6 +83,120 @@ class TestPackKeys:
                     ints[i] == ints[j] and floats[i] == floats[j]
                 )
                 assert (packed[i] == packed[j]) == same_value
+
+
+INT64 = np.iinfo(np.int64)
+_PAYLOAD_NANS = np.array(
+    [0x7FF8000000000001, 0x7FF0000000000F00, -0x0008000000000000],
+    dtype=np.int64,
+).view(np.float64)
+#: ties, signed zeros, infinities and NaNs with distinct bit patterns
+FLOAT_POOL = np.concatenate(
+    [
+        [0.0, -0.0, np.inf, -np.inf, np.nan],
+        _PAYLOAD_NANS,
+        np.arange(-2.0, 2.5, 0.5),
+    ]
+)
+
+
+@st.composite
+def key_columns(draw):
+    """1-4 key columns of 0, 1 or many rows, drawn from small pools."""
+    rows = draw(st.sampled_from([0, 1]) | st.integers(2, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(
+            st.sampled_from(["int", "wide_int", "bool", "float64", "float32"])
+        )
+        if kind in ("float64", "float32"):
+            picks = draw(
+                st.lists(
+                    st.integers(0, len(FLOAT_POOL) - 1),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            )
+            column = FLOAT_POOL[np.asarray(picks, dtype=np.int64)]
+            with np.errstate(invalid="ignore"):  # NaN payloads to float32
+                columns.append(column.astype(kind))
+            continue
+        if kind == "bool":
+            elements = st.booleans()
+        elif kind == "int":
+            elements = st.integers(-3, 3)
+        else:  # extremes force the lexsort fallback
+            elements = st.sampled_from(
+                [INT64.min, INT64.min + 1, -1, 0, INT64.max]
+            ) | st.integers(INT64.min, INT64.max)
+        values = draw(st.lists(elements, min_size=rows, max_size=rows))
+        dtype = np.bool_ if kind == "bool" else np.int64
+        columns.append(np.asarray(values, dtype=dtype))
+    return columns
+
+
+def lexsort_oracle(columns):
+    """Stable lexsort over the int64 codes; starts where a code changes."""
+    codes = [_int64_codes(column) for column in columns]
+    order = np.lexsort(codes[::-1])
+    rows = len(order)
+    new_group = np.zeros(rows, dtype=np.bool_)
+    if rows:
+        new_group[0] = True
+    for column in codes:
+        ordered = column[order]
+        new_group[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(new_group)
+
+
+class TestGroupOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=key_columns())
+    def test_matches_lexsort_over_codes(self, columns):
+        order, starts = group_order(columns)
+        want_order, want_starts = lexsort_oracle(columns)
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_array_equal(starts, want_starts)
+        if len(order):
+            # the permutation the structured-key stable argsort gave
+            np.testing.assert_array_equal(
+                order, np.argsort(pack_keys(columns), kind="stable")
+            )
+
+    def test_small_ranges_sort_one_composite(self, monkeypatch):
+        def no_lexsort(_keys):
+            raise AssertionError("composite key expected")
+
+        monkeypatch.setattr(np, "lexsort", no_lexsort)
+        order, starts = group_order(
+            [np.array([2, 1, 2, 1]), np.array([0.5, 0.5, 0.75, 0.5])]
+        )
+        assert order.tolist() == [1, 3, 0, 2]
+        assert starts.tolist() == [0, 2, 3]
+
+    def test_wide_ranges_fall_back_to_lexsort(self):
+        wide = np.array([INT64.max, INT64.min, INT64.max, 0])
+        order, starts = group_order([wide, np.array([1, 1, 0, 1])])
+        assert order.tolist() == [1, 3, 2, 0]
+        assert starts.tolist() == [0, 1, 2, 3]
+
+    def test_varchar_ranks_order_like_the_strings(self):
+        names = np.array(["pear", "apple", "pear", "fig"], dtype=object)
+        order, starts = group_order([names, np.array([1, 1, 1, 1])])
+        assert names[order].tolist() == ["apple", "fig", "pear", "pear"]
+        assert order.tolist() == [1, 3, 0, 2]
+        assert starts.tolist() == [0, 1, 2]
+
+    def test_nan_groups_by_bit_pattern_next_to_varchar(self):
+        names = np.array(["a", "a", "a", "a"], dtype=object)
+        floats = np.array([np.nan, _PAYLOAD_NANS[0], np.nan, 1.0])
+        order, starts = group_order([names, floats])
+        groups = np.split(order, starts[1:])
+        assert sorted(map(list, groups)) == [[0, 2], [1], [3]]
+
+    def test_empty_key_list_rejected(self):
+        with pytest.raises(ExecutionError):
+            group_order([])
 
 
 class TestRangesToIndices:
