@@ -127,10 +127,16 @@ class InferenceCostModel:
             flops = flops_per_tuple_of_metadata(metadata_or_model)
         else:
             flops = flops_per_tuple_of_model(metadata_or_model)
-        predicted = None
-        if self.coefficients is not None:
-            a, b, c = self.coefficients
-            predicted = float(a * tuples * flops + b * tuples + c)
         return CostEstimate(
-            flops_per_tuple=flops, tuples=tuples, predicted_seconds=predicted
+            flops_per_tuple=flops,
+            tuples=tuples,
+            predicted_seconds=self.predict(flops, tuples),
         )
+
+    def predict(self, flops_per_tuple: float, tuples: int) -> float | None:
+        """Predicted seconds for *tuples* rows of *flops_per_tuple*
+        (None while uncalibrated)."""
+        if self.coefficients is None:
+            return None
+        a, b, c = self.coefficients
+        return float(a * tuples * flops_per_tuple + b * tuples + c)

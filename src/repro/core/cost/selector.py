@@ -69,13 +69,12 @@ class CostBasedVariantSelector:
         self, metadata: ModelMetadata, tuples: int
     ) -> list[VariantEstimate]:
         """All variants, cheapest predicted runtime first."""
+        flops = flops_per_tuple_of_metadata(metadata)
         estimates = [
             VariantEstimate(
                 variant=variant,
                 predicted_seconds=float(
-                    self.models[variant]
-                    .estimate(metadata, tuples)
-                    .predicted_seconds
+                    self.models[variant].predict(flops, tuples)
                 ),
                 in_plan=variant in IN_PLAN_VARIANTS,
             )

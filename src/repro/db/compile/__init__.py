@@ -32,7 +32,9 @@ from repro.db.compile.kernels import (
     FusedKernel,
     KernelCompiler,
     KernelOutput,
+    KernelReplayError,
     KernelSpec,
+    ReplayCompiler,
     generate_expression_source,
     generate_kernel_source,
     project_outputs,
@@ -45,8 +47,10 @@ __all__ = [
     "FusedPipeline",
     "KernelCompiler",
     "KernelOutput",
+    "KernelReplayError",
     "KernelSpec",
     "NonCompilable",
+    "ReplayCompiler",
     "compile_range_checker",
     "generate_expression_source",
     "generate_kernel_source",

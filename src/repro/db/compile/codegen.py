@@ -8,7 +8,12 @@ occurrence is a positional parameter, declared by dtype only
 (``k0 = params[0]  # float64``), whose value the kernel reads from the
 ``params`` tuple it is called with.  Two statements that differ only in
 their literals therefore generate the same text, which is the cache key
-of the :class:`~repro.db.compile.kernels.CompiledKernelCache`.
+of the :class:`~repro.db.compile.kernels.CompiledKernelCache`.  Each
+parameter also remembers the statement's literal slot it came from
+(:class:`LiteralParameter`), so a plan template can feed a later
+statement's values to the same text.  The text does name every bound
+function's registration number: a UDF re-registered under the same name
+is a different kernel.
 
 Bit-exactness with the interpreted path is the hard invariant.  Three
 details matter:
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +61,7 @@ from repro.db.expressions import (
     Literal,
     UnaryOp,
 )
-from repro.db.functions import lookup_function
+from repro.db.functions import function_registration, lookup_function
 from repro.db.schema import Schema
 from repro.db.types import SqlType
 
@@ -98,6 +104,60 @@ def _case_when_default(conditions, values, n):
     return np.select(conditions, values, default=default)
 
 
+class NonCompilableLiteral(NonCompilable):
+    """A literal whose *value* has no compiled form (NaN, or an
+    integer outside int64): another statement of the same shape may
+    compile, so a plan template must not remember this outcome."""
+
+
+def constant_value(value: object, sql_type: SqlType) -> object:
+    """The kernel parameter a literal becomes inside an expression.
+
+    Numeric and boolean literals become NumPy scalars of the SQL
+    storage dtype: a typed scalar promotes exactly like the full-length
+    typed array the interpreted
+    :meth:`~repro.db.expressions.Literal.evaluate` allocates (NEP 50),
+    and ufuncs take the faster scalar operand path.  VARCHAR literals
+    keep the one-element object array, whose elementwise comparison
+    semantics a plain ``str`` would change.
+
+    A NaN literal has no exact compiled form: where both operands are
+    NaN, NumPy's SIMD add/multiply with a scalar operand returns the
+    scalar's NaN bits, the interpreted array-array loop the left
+    operand's.  Such a (rare, folded) statement stays interpreted, as
+    does an integer literal that does not fit the int64 storage dtype.
+    """
+    dtype = sql_type.numpy_dtype
+    if isinstance(value, float) and math.isnan(value):
+        raise NonCompilableLiteral("NaN literal")
+    if dtype == object:
+        return np.full(1, value, dtype=dtype)
+    try:
+        return dtype.type(value)
+    except OverflowError as error:
+        raise NonCompilableLiteral(f"literal {value!r} overflows") from error
+
+
+@dataclass(frozen=True)
+class LiteralParameter:
+    """A kernel parameter read from one literal slot of the statement.
+
+    *typed*: the parameter is the literal's :func:`constant_value`
+    (inside an expression); otherwise the raw value (a bare literal
+    output, which ``np.full`` converts).
+    """
+
+    slot: int
+    sql_type: SqlType
+    typed: bool
+
+    def value(self, values: tuple) -> object:
+        value = values[self.slot]
+        if self.typed:
+            return constant_value(value, self.sql_type)
+        return value
+
+
 class SourceBuilder:
     """Accumulates the parameters and name bindings of one kernel."""
 
@@ -105,6 +165,9 @@ class SourceBuilder:
         self.schema = schema
         #: one value per literal occurrence, in parameter order
         self.parameters: list[object] = []
+        #: per parameter: the LiteralParameter it reads, or None for a
+        #: literal the planner made (its value is part of the plan)
+        self.parameter_sources: list[LiteralParameter | None] = []
         #: the in-function lines reading each parameter from ``params``
         self.parameter_lines: list[str] = []
         #: exec() globals for the generated module
@@ -112,6 +175,10 @@ class SourceBuilder:
             "np": np,
             "CASE_WHEN_DEFAULT": _case_when_default,
         }
+        #: comment lines salting the source with the registration of
+        #: every bound function (a re-registered UDF must miss the
+        #: kernel cache, like a republished model table)
+        self.header: list[str] = []
         #: schema positions read by the generated code
         self.used_positions: set[int] = set()
 
@@ -120,7 +187,12 @@ class SourceBuilder:
         self.used_positions.add(position)
         return f"c{position}"
 
-    def parameter(self, value: object, dtype: np.dtype) -> str:
+    def parameter(
+        self,
+        value: object,
+        dtype: np.dtype,
+        source: LiteralParameter | None = None,
+    ) -> str:
         """Declare the next positional parameter, by dtype only.
 
         Never deduplicated by value: whether two literals are equal is
@@ -129,33 +201,24 @@ class SourceBuilder:
         """
         index = len(self.parameters)
         self.parameters.append(value)
+        self.parameter_sources.append(source)
         self.parameter_lines.append(
             f"    k{index} = params[{index}]  # {dtype.name}"
         )
         return f"k{index}"
 
-    def constant(self, value: object, sql_type: SqlType) -> str:
-        """A parameter holding a literal used inside an expression.
-
-        Numeric and boolean literals become NumPy scalars of the SQL
-        storage dtype: a typed scalar promotes exactly like the
-        full-length typed array the interpreted
-        :meth:`~repro.db.expressions.Literal.evaluate` allocates
-        (NEP 50), and ufuncs take the faster scalar operand path.
-        VARCHAR literals keep the one-element object array, whose
-        elementwise comparison semantics a plain ``str`` would change.
-
-        A NaN literal has no exact compiled form: where both operands
-        are NaN, NumPy's SIMD add/multiply with a scalar operand returns
-        the scalar's NaN bits, the interpreted array-array loop the left
-        operand's.  Such a (rare, folded) statement stays interpreted.
-        """
-        dtype = sql_type.numpy_dtype
-        if isinstance(value, float) and math.isnan(value):
-            raise NonCompilable("NaN literal")
-        if dtype == object:
-            return self.parameter(np.full(1, value, dtype=dtype), dtype)
-        return self.parameter(dtype.type(value), dtype)
+    def constant(self, literal: Literal) -> str:
+        """A parameter holding a literal used inside an expression (see
+        :func:`constant_value`)."""
+        sql_type = literal.sql_type
+        source = None
+        if literal.slot is not None:
+            source = LiteralParameter(literal.slot, sql_type, typed=True)
+        return self.parameter(
+            constant_value(literal.value, sql_type),
+            sql_type.numpy_dtype,
+            source,
+        )
 
     def function(self, name: str):
         """Bind a registered scalar function, returning its local name."""
@@ -164,7 +227,12 @@ class SourceBuilder:
         bound = self.bindings.get(local)
         if bound is not None and bound is not implementation:
             raise NonCompilable(f"function name collision for {name!r}")
-        self.bindings[local] = implementation
+        if bound is None:
+            self.bindings[local] = implementation
+            self.header.append(
+                f"# function: {name.upper()} "
+                f"registration={function_registration(name)}"
+            )
         return local
 
 
@@ -177,7 +245,7 @@ def emit(expression: Expression, builder: SourceBuilder) -> str:
     if isinstance(expression, ColumnRef):
         return builder.column(expression.name)
     if isinstance(expression, Literal):
-        return builder.constant(expression.value, expression.sql_type)
+        return builder.constant(expression)
     if isinstance(expression, BinaryOp):
         operator = _BINARY_OPS.get(expression.operator)
         if operator is None:
@@ -252,7 +320,12 @@ def emit_output(
     """
     if isinstance(expression, Literal):
         dtype = expression.sql_type.numpy_dtype
-        name = builder.parameter(expression.value, dtype)
+        source = None
+        if expression.slot is not None:
+            source = LiteralParameter(
+                expression.slot, expression.sql_type, typed=False
+            )
+        name = builder.parameter(expression.value, dtype, source)
         return f"np.full(n, {name}, dtype=np.dtype({dtype.name!r}))"
     return emit(expression, builder)
 

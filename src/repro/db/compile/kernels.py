@@ -15,7 +15,15 @@ Exec'd functions are cached engine-lifetime in a
 text carries no literal values, so a statement re-run with fresh
 literals hits; it does carry, for ModelJoin epilogue fusion, the model
 table's ``uid``/``version`` header, so a model republish or version
-bump misses the cache, exactly like the ModelCache keying.
+bump misses the cache, exactly like the ModelCache keying, and the
+registration number of every bound function, so a re-registered UDF
+misses it too.
+
+A lowering can also *record* each request as a :class:`KernelRecord`
+(source, bindings, which literal slot feeds each parameter); the plan
+cache keeps the records with its template, and the lowering of a later
+statement of the same shape replays them through
+:class:`ReplayCompiler` — kernels fetched by stored source, no codegen.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ import numpy as np
 
 from repro.db import faults
 from repro.db.compile.codegen import (
+    LiteralParameter,
     NonCompilable,
+    NonCompilableLiteral,
     SourceBuilder,
     aliasing_column,
     emit,
@@ -107,6 +117,11 @@ def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict, tuple]:
     Raises :class:`~repro.db.compile.codegen.NonCompilable` when any
     piece of the spec has no exact compiled form.
     """
+    source, builder = _kernel_source(spec)
+    return source, builder.bindings, tuple(builder.parameters)
+
+
+def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
     schema = spec.schema
     builder = SourceBuilder(schema)
 
@@ -157,6 +172,7 @@ def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict, tuple]:
 
     lines = [f"# kernel: {spec.label}"]
     lines.extend(spec.header)
+    lines.extend(builder.header)
     lines.append("")
     lines.append("def kernel(arrays, n, cancel, params):")
     lines.append("    if cancel is not None:")
@@ -211,8 +227,7 @@ def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict, tuple]:
                 lines.append(f"    o{index} = o{index}.copy()")
     returns = ", ".join(f"o{index}" for index in range(len(spec.outputs)))
     lines.append(f"    return [{returns}]")
-    source = "\n".join(lines) + "\n"
-    return source, builder.bindings, tuple(builder.parameters)
+    return "\n".join(lines) + "\n", builder
 
 
 def generate_expression_source(
@@ -220,6 +235,13 @@ def generate_expression_source(
 ) -> tuple[str, dict, tuple]:
     """Source, bindings and parameter values of a single compiled
     expression (``CompiledExpr``)."""
+    source, builder = _expression_source(expression, schema)
+    return source, builder.bindings, tuple(builder.parameters)
+
+
+def _expression_source(
+    expression: Expression, schema: Schema
+) -> tuple[str, SourceBuilder]:
     builder = SourceBuilder(schema)
     text = emit_output(expression, builder)
     if not expression.referenced_columns() and not isinstance(
@@ -227,13 +249,13 @@ def generate_expression_source(
     ):
         # constant-folded expression: (1,) result -> writable (n,)
         text = f"np.broadcast_to({text}, n).copy()"
-    lines = ["def expr(arrays, n, params):"]
+    lines = list(builder.header)
+    lines.append("def expr(arrays, n, params):")
     lines.extend(builder.parameter_lines)
     for position in sorted(builder.used_positions):
         lines.append(f"    c{position} = arrays[{position}]")
     lines.append(f"    return {text}")
-    source = "\n".join(lines) + "\n"
-    return source, builder.bindings, tuple(builder.parameters)
+    return "\n".join(lines) + "\n", builder
 
 
 def _render_parameter(value: object) -> str:
@@ -369,6 +391,43 @@ class CompiledKernelCache:
             }
 
 
+@dataclass(eq=False, frozen=True)
+class KernelRecord:
+    """What one compile request of a lowering produced, kept by a plan
+    template so a later statement of the same shape skips codegen.
+
+    ``parameters`` holds, per kernel parameter, the
+    :class:`~repro.db.compile.codegen.LiteralParameter` naming the
+    literal slot it reads, or the value itself for a literal the
+    planner made.
+    """
+
+    #: the exec'd function's name: "kernel" or "expr"
+    entry: str
+    source: str
+    bindings: dict
+    parameters: tuple
+
+    def params(self, values: tuple) -> tuple:
+        """This record's parameters for a statement's literal *values*
+        (raises NonCompilableLiteral for a value with no compiled form,
+        exactly where codegen would have)."""
+        return tuple(
+            parameter.value(values)
+            if isinstance(parameter, LiteralParameter)
+            else parameter
+            for parameter in self.parameters
+        )
+
+
+_EXHAUSTED = object()
+
+
+class KernelReplayError(Exception):
+    """Internal signal: a template's kernels do not fit this statement
+    (a literal value has no compiled form); lower with codegen instead."""
+
+
 @dataclass
 class KernelCompiler:
     """Front-end the lowering uses to build kernels.
@@ -378,39 +437,70 @@ class KernelCompiler:
     failure on the compile circuit breaker and also falls back, so a
     code-generator bug degrades to interpreted execution instead of
     failing queries.
+
+    With *records* set, every request also appends its
+    :class:`KernelRecord` (None: kept interpreted) for the plan cache.
+    ``replayable`` turns False when a request failed on a literal's
+    value or on ``exec``: outcomes a template must not replay (another
+    value may compile; a failed exec must reach the breaker again).
     """
 
     cache: CompiledKernelCache | None = None
     metrics: object | None = None
     tracer: object = NULL_TRACER
     breaker: object | None = None
+    records: list | None = None
     compiled_count: int = field(default=0, init=False)
+    replayable: bool = field(default=True, init=False)
 
     def compile_kernel(self, spec: KernelSpec) -> FusedKernel | None:
-        try:
-            source, bindings, params = generate_kernel_source(spec)
-        except Exception:  # NonCompilable, or a generator bug
+        compiled = self._compile("kernel", lambda: _kernel_source(spec))
+        if compiled is None:
             return None
-        try:
-            function = self._function(source, bindings, "kernel")
-        except KernelCompileError:
-            return None
+        source, function, params = compiled
         return FusedKernel(source, function, params, label=spec.label)
 
     def compile_expression(
         self, expression: Expression, schema: Schema
     ) -> CompiledExpr | None:
-        try:
-            source, bindings, params = generate_expression_source(
-                expression, schema
-            )
-        except Exception:  # NonCompilable, or a generator bug
+        compiled = self._compile(
+            "expr", lambda: _expression_source(expression, schema)
+        )
+        if compiled is None:
             return None
-        try:
-            function = self._function(source, bindings, "expr")
-        except KernelCompileError:
-            return None
+        source, function, params = compiled
         return CompiledExpr(source, function, params, label=str(expression))
+
+    def _compile(self, entry: str, render):
+        """(source, function, params) of one request, or None."""
+        compiled = record = None
+        try:
+            source, builder = render()
+        except NonCompilableLiteral:
+            self.replayable = False
+        except Exception:  # NonCompilable, or a generator bug
+            pass
+        else:
+            try:
+                function = self._function(source, builder.bindings, entry)
+            except KernelCompileError:
+                self.replayable = False
+            else:
+                record = KernelRecord(
+                    entry,
+                    source,
+                    builder.bindings,
+                    tuple(
+                        value if parameter is None else parameter
+                        for value, parameter in zip(
+                            builder.parameters, builder.parameter_sources
+                        )
+                    ),
+                )
+                compiled = source, function, tuple(builder.parameters)
+        if self.records is not None:
+            self.records.append(record)
+        return compiled
 
     def _function(self, source: str, bindings: dict, entry: str):
         """The exec'd *entry* function of *source*, cached by text."""
@@ -447,3 +537,37 @@ class KernelCompiler:
         if self.cache is not None:
             self.cache.put(source, function)
         return function
+
+
+@dataclass
+class ReplayCompiler(KernelCompiler):
+    """Answers a lowering's compile requests from a plan template's
+    :class:`KernelRecord` list instead of generating source.
+
+    The lowering of an instantiated template issues the same requests
+    in the same order as the lowering that recorded them, so request
+    *i* takes record *i*: its function comes from the kernel cache by
+    the stored source text (exec'd again only if evicted) and its
+    parameters from this statement's literal *values*.
+    """
+
+    replay: tuple = ()
+    values: tuple = ()
+
+    def __post_init__(self) -> None:
+        self._pending = iter(self.replay)
+
+    def _compile(self, entry: str, render):
+        """Request *i* of the lowering answered by record *i* (*render*,
+        the codegen the request would run, is not called)."""
+        record = next(self._pending, _EXHAUSTED)
+        if record is None:
+            return None
+        if record is _EXHAUSTED or record.entry != entry:
+            raise KernelReplayError(f"no recorded {entry} for this request")
+        try:
+            params = record.params(self.values)
+        except NonCompilableLiteral as error:
+            raise KernelReplayError(str(error)) from error
+        function = self._function(record.source, record.bindings, entry)
+        return record.source, function, params

@@ -30,6 +30,7 @@ from repro.db.introspect.log import LOG_FILE_NAME
 from repro.db.operators import ExecutionContext, QueryContext
 from repro.db.operators.base import PhysicalOperator
 from repro.db.parallel import WorkerPool, run_plans
+from repro.db.plan.cache import PlanCache, SelectText
 from repro.db.plan.fragments import build_merge_plan, plan_fragments
 from repro.db.plan.physical import GatherExchange, render_explain
 from repro.db.planner import ModelJoinFactory, Planner, PlannerOptions
@@ -47,7 +48,8 @@ from repro.db.sql.ast import (
     SelectStatement,
     Statement,
 )
-from repro.db.sql.parser import parse_statement
+from repro.db.sql.lexer import lex
+from repro.db.sql.parser import parse_lexed, parse_statement
 from repro.db.table import Table
 from repro.db.tracing import MetricsRegistry, Tracer
 from repro.db.types import SqlType, parse_type_name
@@ -198,6 +200,10 @@ class Database:
         #: text (the plan signature); shared across queries so repeated
         #: statements skip codegen entirely
         self.kernel_cache = CompiledKernelCache()
+        #: engine-lifetime cache of plan templates, keyed by statement
+        #: shape: a SELECT repeated with fresh literals skips parse,
+        #: bind, rewrite and codegen (see repro.db.plan.cache)
+        self.plan_cache = PlanCache(self.metrics)
         #: circuit breaker for the compiled path: after repeated
         #: compile/runtime kernel failures the planner lowers fully
         #: interpreted for the cool-down period
@@ -376,6 +382,7 @@ class Database:
         if self.model_cache is not None:
             self.model_cache.clear()
         self.kernel_cache.clear()
+        self.plan_cache.clear()
         self.query_log.close()
 
     # ------------------------------------------------------------------
@@ -678,6 +685,9 @@ class Database:
             metrics=self.metrics,
             kernel_cache=self.kernel_cache,
             compile_breaker=self.compile_breaker,
+            # the interpreted retry after a kernel failure plans cold
+            # and records nothing
+            plan_cache=self.plan_cache if use_compiled is None else None,
         )
 
     # ------------------------------------------------------------------
@@ -703,14 +713,33 @@ class Database:
         usable).
         """
         return self.execute_statement(
-            parse_statement(sql),
+            self.parse(sql),
             self.query_context(sql, parallel, timeout_seconds),
         )
 
+    def parse(self, sql: str) -> Statement | SelectText:
+        """Lex *sql* and parse it unless the plan cache knows its shape.
+
+        Every SELECT comes back as a :class:`SelectText`: the planner
+        serves it from its shape's template when one is valid for the
+        query's catalog — never parsing it — and otherwise parses and
+        plans it, recording the template.  Other statements come back
+        parsed.
+        """
+        lexed = lex(sql)
+        if lexed.shape in self.plan_cache:
+            return SelectText(lexed)
+        statement = parse_lexed(lexed)
+        if isinstance(statement, SelectStatement):
+            return SelectText(lexed, statement)
+        return statement
+
     def execute_statement(
-        self, statement: Statement, query: QueryContext | None = None
+        self,
+        statement: Statement | SelectText,
+        query: QueryContext | None = None,
     ) -> Result:
-        """Execute a parsed statement under *query*.
+        """Execute a statement from :meth:`parse` under *query*.
 
         The serving layer and the shard workers enter here with the
         :class:`QueryContext` they built (snapshot catalog, session
@@ -719,7 +748,8 @@ class Database:
         """
         if query is None:
             query = self.query_context(f"<{type(statement).__name__}>")
-        if not isinstance(statement, SelectStatement):
+        select = isinstance(statement, (SelectStatement, SelectText))
+        if not select:
             # Only a client SELECT fans out per partition: the nested
             # query of an INSERT or CREATE MODEL runs serial to keep
             # serial row order (a CREATE MODEL source must yield the
@@ -767,7 +797,7 @@ class Database:
                 return self.run_query(
                     query, partial(self._insert_select, statement)
                 )
-        if isinstance(statement, SelectStatement):
+        if select:
             return self.run_query(query, partial(self.run_select, statement))
         raise PlanError(f"unsupported statement {type(statement).__name__}")
 
@@ -932,7 +962,10 @@ class Database:
         return Result.empty(result.profile)
 
     def run_select(
-        self, statement: SelectStatement, context: ExecutionContext, planner
+        self,
+        statement: SelectStatement | SelectText,
+        context: ExecutionContext,
+        planner,
     ) -> Result:
         """Plan and run a SELECT on *context* (a lifecycle body; also
         how ``CREATE MODEL`` and ``INSERT`` run their nested query).
@@ -943,8 +976,12 @@ class Database:
         """
         query = context.query
         prepared = planner.prepare(statement)
-        if query.collector is not None and prepared.selections:
-            query.collector.modeljoin_variant = prepared.selections[0].chosen
+        if query.collector is not None:
+            query.collector.plan_cached = prepared.cached
+            if prepared.selections:
+                query.collector.modeljoin_variant = (
+                    prepared.selections[0].chosen
+                )
         fragment = None
         if self.sharding is not None or context.parallelism > 1:
             fragment = plan_fragments(prepared, context.parallelism)
@@ -970,7 +1007,7 @@ class Database:
                 fragment, context, planner.catalog
             )
             return Result(schema, batches, query.profile)
-        if fragment.statement is not statement:
+        if fragment.statement is not prepared.statement:
             prepared = planner.prepare(fragment.statement)
         # Every partition pipeline is lowered from this one prepared
         # plan (one variant decision for all of them).

@@ -9,7 +9,7 @@ floating-point result, which keeps generated formulas like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,21 +57,29 @@ class ColumnRef(Expression):
 
 @dataclass(frozen=True)
 class Literal(Expression):
-    """A constant value, broadcast to the batch length."""
+    """A constant value, broadcast to the batch length.
+
+    ``slot`` is the literal's position among the NUMBER/STRING tokens
+    of the statement it was parsed from (None when the planner made
+    it); the plan cache substitutes a later statement's values by slot.
+    It is not part of equality: ``x + 1`` equals ``x + 1`` wherever
+    the ``1`` came from.
+    """
 
     value: object
     sql_type: SqlType
+    slot: int | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, value: object) -> "Literal":
+    def of(cls, value: object, slot: int | None = None) -> "Literal":
         if isinstance(value, bool):
-            return cls(value, SqlType.BOOLEAN)
+            return cls(value, SqlType.BOOLEAN, slot)
         if isinstance(value, int):
-            return cls(value, SqlType.INTEGER)
+            return cls(value, SqlType.INTEGER, slot)
         if isinstance(value, float):
-            return cls(value, SqlType.DOUBLE)
+            return cls(value, SqlType.DOUBLE, slot)
         if isinstance(value, str):
-            return cls(value, SqlType.VARCHAR)
+            return cls(value, SqlType.VARCHAR, slot)
         raise TypeMismatchError(f"unsupported literal {value!r}")
 
     def evaluate(self, batch: VectorBatch) -> np.ndarray:

@@ -10,6 +10,7 @@ expand them to portable arithmetic/CASE SQL (see
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -75,10 +76,33 @@ def _power(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 
 
 _REGISTRY: dict[str, ScalarFunction] = {}
+#: name -> registration number of its current implementation; every
+#: (re-)registration takes a fresh number, so a kernel source salted
+#: with it never outlives the implementation it bound
+_REGISTRATIONS: dict[str, int] = {}
+_registration_numbers = itertools.count()
+_latest_registration = -1
 
 
 def register_function(function: ScalarFunction) -> None:
-    _REGISTRY[function.name.upper()] = function
+    global _latest_registration
+    key = function.name.upper()
+    number = next(_registration_numbers)
+    _REGISTRY[key] = function
+    _REGISTRATIONS[key] = number
+    _latest_registration = number
+
+
+def function_registration(name: str) -> int:
+    """The registration number of *name*'s current implementation
+    (-1 for an unknown name)."""
+    return _REGISTRATIONS.get(name.upper(), -1)
+
+
+def registry_version() -> int:
+    """The newest registration number: changes whenever any function
+    is (re-)registered (what a cached plan template is valid under)."""
+    return _latest_registration
 
 
 def lookup_function(name: str) -> ScalarFunction:

@@ -63,10 +63,11 @@ ENTRY_FIELDS = (
     "compiled",
     "fallback",
     "modeljoin_variant",
-    # appended in PR8 so older JSONL rows (without them) still load:
+    # appended later so older JSONL rows (without them) still load:
     # the restore path reads entries with .get(name, default)
     "session_id",
     "tenant",
+    "plan_cached",
 )
 
 
@@ -117,6 +118,8 @@ class ResourceProfile:
     fallback: bool = False
     #: the optimizer's chosen ModelJoin execution variant ("" = none)
     modeljoin_variant: str = ""
+    #: the plan came from a cached template (no parse, bind or codegen)
+    plan_cached: bool = False
     #: serving-session identity ("" = direct single-caller use); set by
     #: the engine from the serve layer's admission record
     session_id: str = ""

@@ -53,6 +53,7 @@ _QUERY_COLUMN_TYPES = {
     "modeljoin_variant": SqlType.VARCHAR,
     "session_id": SqlType.VARCHAR,
     "tenant": SqlType.VARCHAR,
+    "plan_cached": SqlType.BOOLEAN,
 }
 
 _TYPE_DEFAULTS = {

@@ -16,7 +16,6 @@ its fallback chain.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 from repro.db.compile import (
@@ -174,10 +173,6 @@ class Lowering:
         #: KernelCompiler driving pipeline fusion (None = interpreted
         #: lowering: use_compiled_kernels=False or open compile breaker)
         self.compiler = compiler
-        self._factory_takes_variant = (
-            modeljoin_factory is not None
-            and _accepts_keyword(modeljoin_factory, "variant")
-        )
 
     def lower(self, node: LogicalNode) -> PhysicalOperator:
         if isinstance(node, LogicalScan):
@@ -385,19 +380,18 @@ class Lowering:
                 "is registered (import repro.core or use Database from "
                 "repro, not repro.db)"
             )
-        child = self.lower(node.child)
-        kwargs = dict(
+        return self.modeljoin_factory(
             context=self.context,
-            child=child,
+            child=self.lower(node.child),
             metadata=node.metadata,
             model_table=node.model_table,
             input_columns=node.input_columns,
             output_prefix=f"{node.binding}.{node.output_prefix}",
             partition_index=self.partition_index,
+            variant=(
+                node.selection.chosen if node.selection is not None else None
+            ),
         )
-        if self._factory_takes_variant and node.selection is not None:
-            kwargs["variant"] = node.selection.chosen
-        return self.modeljoin_factory(**kwargs)
 
     def _lower_aggregate(
         self, node: LogicalAggregate
@@ -548,19 +542,6 @@ class Lowering:
         if all(node.ascending) and have[: len(wanted)] == wanted:
             return child
         return SortOperator(self.context, child, keys, node.ascending, top)
-
-
-def _accepts_keyword(callable_, name: str) -> bool:
-    try:
-        signature = inspect.signature(callable_)
-    except (TypeError, ValueError):  # pragma: no cover - builtins only
-        return False
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if parameter.name == name:
-            return True
-    return False
 
 
 # ----------------------------------------------------------------------

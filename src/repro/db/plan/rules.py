@@ -317,16 +317,31 @@ def _extract_join_keys(
 # ----------------------------------------------------------------------
 # rule 4: SMA range derivation
 # ----------------------------------------------------------------------
+def derive_ranges(root: LogicalNode, firings: list[RuleFiring]) -> None:
+    """Rule 4 alone, region by region as :meth:`RuleEngine.run` applies
+    it: the one rule whose result depends on free literal values, re-run
+    when a cached plan template serves fresh literals."""
+    nodes = walk(root, into_subqueries=False)
+    for node in nodes:
+        if isinstance(node, LogicalSubquery):
+            derive_ranges(node.inner, firings)
+    _derive_sma_ranges(root, firings, nodes)
+
+
 def _derive_sma_ranges(
-    root: LogicalNode, firings: list[RuleFiring]
+    root: LogicalNode,
+    firings: list[RuleFiring],
+    nodes: list[LogicalNode] | None = None,
 ) -> None:
+    if nodes is None:
+        nodes = walk(root, into_subqueries=False)
     conjuncts: list[Expression] = []
-    for node in walk(root, into_subqueries=False):
+    for node in nodes:
         if isinstance(node, LogicalFilter):
             conjuncts.extend(node.conjuncts)
     if not conjuncts:
         return
-    for node in walk(root, into_subqueries=False):
+    for node in nodes:
         if not isinstance(node, LogicalScan):
             continue
         ranges = extract_ranges(conjuncts, node.binding, node.table.schema)

@@ -32,10 +32,10 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.db.plan.cache import SelectText
 from repro.db.serve.admission import AdmissionQueue, AdmittedQuery
 from repro.db.serve.session import Session
-from repro.db.sql.ast import Explain, SelectStatement
-from repro.db.sql.parser import parse_statement
+from repro.db.sql.ast import Explain
 from repro.errors import QueryCancelledError, QueryRejectedError
 
 
@@ -173,13 +173,13 @@ class Server:
                     "the query was queued"
                 )
             entry.token.check()
-            statement = parse_statement(entry.sql)
+            statement = self.database.parse(entry.sql)
         except Exception as error:
             self._fail_unexecuted(entry, error)
             return
         database = self.database
         try:
-            if isinstance(statement, (SelectStatement, Explain)):
+            if isinstance(statement, (SelectText, Explain)):
                 with database.snapshot() as snapshot:
                     result = database.execute_statement(
                         statement, entry.query_context(snapshot.catalog)

@@ -1,9 +1,30 @@
-"""SQL tokenizer."""
+"""SQL tokenizer: one compiled master regex, and the statement's shape.
+
+:func:`lex` splits SQL text into tokens with a single
+``re.finditer`` pass (one match per token, the whitespace and comments
+before it included) and, in the same pass, renders the statement's
+*shape*: the token stream with every NUMBER/STRING literal replaced by
+a slot typed by what it parses to (``?i`` int, ``?f`` float, ``?s``
+string).  Two statements with equal shapes parse to the same tree up
+to their literal values, which is what the plan cache
+(:mod:`repro.db.plan.cache`) keys on.
+
+The token classes are those of the original character loop, written
+as regex classes: ``\\s`` is exactly ``str.isspace``; identifiers are
+ASCII letters, digits and ``_`` plus the Kelvin sign, the one
+non-ASCII character whose ``lower()`` is an ASCII letter; a number is
+digits with an optional fraction and an exponent only when a digit
+follows it.  The one deliberate difference is ``\\d`` (decimal digits)
+where the loop used ``str.isdigit``: superscript or circled digits,
+which the loop lexed as NUMBER and then crashed ``int()`` on, are now
+an unexpected character.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -16,11 +37,13 @@ class TokenKind(enum.Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     position: int
+    #: literal slot of a NUMBER/STRING token (its index among the
+    #: statement's literals); None for every other token
+    slot: int | None = None
 
     def is_keyword(self, word: str) -> bool:
         return self.kind is TokenKind.IDENT and self.text.upper() == word
@@ -29,106 +52,97 @@ class Token:
         return self.kind is TokenKind.OPERATOR and self.text == symbol
 
 
-_MULTI_CHAR_OPERATORS = ("<=", ">=", "<>", "!=", "==")
-_SINGLE_CHAR_OPERATORS = set("+-*/()=<>,.;")
+class Lexed(NamedTuple):
+    """One statement's tokens, shape and literal tokens (by slot)."""
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyz_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+    tokens: list[Token]
+    shape: str
+    literals: tuple[Token, ...]
+
+
+#: one match per token: the whitespace and ``--`` comments before it
+#: (captured inside a lookahead, which makes the skip atomic — a
+#: comment must never be re-read as two minus signs), then exactly one
+#: token group, or the end of the text
+_TOKEN = re.compile(
+    r"(?=(?P<skip>(?:\s+|--[^\n]*\n?)*))(?P=skip)(?:"
+    r"(?P<ident>[A-Za-z_\u212a][A-Za-z0-9_\u212a]*)"
+    r"|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    # a quote pair inside a string is an escaped quote, so a closing
+    # quote is one not followed by another
+    r"|(?P<string>'[^']*(?:''[^']*)*'(?!'))"
+    r'|(?P<quoted>"[^"]*")'
+    r"|(?P<operator><=|>=|<>|!=|==|[-+*/()=<>,.;])"
+    r"|(?P<end>\Z))"
+)
+_SKIP = re.compile(r"(?:\s+|--[^\n]*\n?)*")
+_GROUP = _TOKEN.groupindex
+_IDENT_GROUP = _GROUP["ident"]
+_NUMBER_GROUP = _GROUP["number"]
+_STRING_GROUP = _GROUP["string"]
+_QUOTED_GROUP = _GROUP["quoted"]
+_OPERATOR_GROUP = _GROUP["operator"]
+
+_IDENT = TokenKind.IDENT
+_NUMBER = TokenKind.NUMBER
+_STRING = TokenKind.STRING
+_OPERATOR = TokenKind.OPERATOR
+_make_token = tuple.__new__
+
+
+def lex(text: str) -> Lexed:
+    """Tokens, shape and literals of SQL *text*; raises on bad input."""
+    tokens: list[Token] = []
+    shape: list[str] = []
+    literals: list[Token] = []
+    position = 0
+    for match in _TOKEN.finditer(text):
+        if match.start() != position:
+            _fail(text, position)
+        position = match.end()
+        group = match.lastindex
+        raw = match[group]
+        start = position - len(raw)
+        if group == _IDENT_GROUP or group == _OPERATOR_GROUP:
+            kind = _IDENT if group == _IDENT_GROUP else _OPERATOR
+            tokens.append(_make_token(Token, (kind, raw, start, None)))
+            shape.append(raw)
+        elif group == _NUMBER_GROUP:
+            token = _make_token(
+                Token, (_NUMBER, raw, start, len(literals))
+            )
+            literals.append(token)
+            tokens.append(token)
+            floating = "." in raw or "e" in raw or "E" in raw
+            shape.append("?f" if floating else "?i")
+        elif group == _STRING_GROUP:
+            value = raw[1:-1].replace("''", "'")
+            token = _make_token(
+                Token, (_STRING, value, start, len(literals))
+            )
+            literals.append(token)
+            tokens.append(token)
+            shape.append("?s")
+        elif group == _QUOTED_GROUP:  # the shape keeps the quotes
+            token = _make_token(Token, (_IDENT, raw[1:-1], start, None))
+            tokens.append(token)
+            shape.append(raw)
+    tokens.append(Token(TokenKind.EOF, "", len(text)))
+    return Lexed(tokens, " ".join(shape), tuple(literals))
 
 
 def tokenize(text: str) -> list[Token]:
     """Split SQL *text* into tokens; raises on unknown characters."""
-    tokens: list[Token] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        character = text[position]
-        if character.isspace():
-            position += 1
-            continue
-        if character == "-" and text.startswith("--", position):
-            newline = text.find("\n", position)
-            position = length if newline == -1 else newline + 1
-            continue
-        if character.lower() in _IDENT_START:
-            start = position
-            while (
-                position < length and text[position].lower() in _IDENT_CONT
-            ):
-                position += 1
-            tokens.append(
-                Token(TokenKind.IDENT, text[start:position], start)
-            )
-            continue
-        if character.isdigit() or (
-            character == "."
-            and position + 1 < length
-            and text[position + 1].isdigit()
-        ):
-            start = position
-            position = _scan_number(text, position)
-            tokens.append(
-                Token(TokenKind.NUMBER, text[start:position], start)
-            )
-            continue
-        if character == "'":
-            start = position
-            position += 1
-            pieces: list[str] = []
-            while True:
-                if position >= length:
-                    raise SqlSyntaxError("unterminated string literal", start)
-                if text[position] == "'":
-                    if position + 1 < length and text[position + 1] == "'":
-                        pieces.append("'")
-                        position += 2
-                        continue
-                    position += 1
-                    break
-                pieces.append(text[position])
-                position += 1
-            tokens.append(Token(TokenKind.STRING, "".join(pieces), start))
-            continue
-        if character == '"':
-            start = position
-            end = text.find('"', position + 1)
-            if end == -1:
-                raise SqlSyntaxError("unterminated quoted identifier", start)
-            tokens.append(Token(TokenKind.IDENT, text[start + 1 : end], start))
-            position = end + 1
-            continue
-        matched = False
-        for operator in _MULTI_CHAR_OPERATORS:
-            if text.startswith(operator, position):
-                tokens.append(Token(TokenKind.OPERATOR, operator, position))
-                position += len(operator)
-                matched = True
-                break
-        if matched:
-            continue
-        if character in _SINGLE_CHAR_OPERATORS:
-            tokens.append(Token(TokenKind.OPERATOR, character, position))
-            position += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {character!r}", position)
-    tokens.append(Token(TokenKind.EOF, "", length))
-    return tokens
+    return lex(text).tokens
 
 
-def _scan_number(text: str, position: int) -> int:
-    length = len(text)
-    while position < length and text[position].isdigit():
-        position += 1
-    if position < length and text[position] == ".":
-        position += 1
-        while position < length and text[position].isdigit():
-            position += 1
-    if position < length and text[position] in "eE":
-        lookahead = position + 1
-        if lookahead < length and text[lookahead] in "+-":
-            lookahead += 1
-        if lookahead < length and text[lookahead].isdigit():
-            position = lookahead
-            while position < length and text[position].isdigit():
-                position += 1
-    return position
+def _fail(text: str, position: int) -> None:
+    """Raise the syntax error for the first character after *position*
+    (and the whitespace or comments there) that starts no token."""
+    position = _SKIP.match(text, position).end()
+    character = text[position]
+    if character == "'":
+        raise SqlSyntaxError("unterminated string literal", position)
+    if character == '"':
+        raise SqlSyntaxError("unterminated quoted identifier", position)
+    raise SqlSyntaxError(f"unexpected character {character!r}", position)

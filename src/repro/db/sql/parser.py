@@ -33,7 +33,7 @@ from repro.db.sql.ast import (
     SubqueryRef,
     TableRef,
 )
-from repro.db.sql.lexer import Token, TokenKind, tokenize
+from repro.db.sql.lexer import Lexed, Token, TokenKind, lex
 from repro.db.types import parse_type_name
 from repro.errors import SqlSyntaxError
 
@@ -63,9 +63,8 @@ _AGGREGATE_NAMES = {"SUM", "COUNT", "MIN", "MAX", "AVG"}
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
         self.index = 0
 
     # ------------------------------------------------------------------
@@ -601,12 +600,9 @@ class _Parser:
 
     def _parse_primary(self) -> Expression:
         token = self.peek()
-        if token.kind is TokenKind.NUMBER:
+        if token.kind is TokenKind.NUMBER or token.kind is TokenKind.STRING:
             self.advance()
-            return Literal.of(_number_value(token.text))
-        if token.kind is TokenKind.STRING:
-            self.advance()
-            return Literal.of(token.text)
+            return Literal.of(literal_value(token), token.slot)
         if token.is_keyword("TRUE"):
             self.advance()
             return Literal.of(True)
@@ -676,14 +672,26 @@ class _Parser:
 
 
 def _number_value(text: str) -> int | float:
-    if any(character in text for character in ".eE"):
+    if "." in text or "e" in text or "E" in text:
         return float(text)
     return int(text)
 
 
+def literal_value(token: Token) -> int | float | str:
+    """The value a NUMBER or STRING token parses to."""
+    if token.kind is TokenKind.NUMBER:
+        return _number_value(token.text)
+    return token.text
+
+
 def parse_statement(text: str) -> Statement:
     """Parse a single SQL statement; raises on trailing input."""
-    parser = _Parser(text)
+    return parse_lexed(lex(text))
+
+
+def parse_lexed(lexed: Lexed) -> Statement:
+    """Parse the tokens of one lexed statement (see :func:`lex`)."""
+    parser = _Parser(lexed.tokens)
     statement = parser.parse_statement()
     parser.finish()
     return statement
@@ -691,7 +699,7 @@ def parse_statement(text: str) -> Statement:
 
 def parse_expression(text: str) -> Expression:
     """Parse a standalone scalar expression (used by tests and tools)."""
-    parser = _Parser(text)
+    parser = _Parser(lex(text).tokens)
     expression = parser.parse_expression()
     parser.finish()
     return expression

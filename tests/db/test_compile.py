@@ -35,6 +35,7 @@ from repro.db.planner import PlannerOptions
 from repro.db.resilience import CancellationToken
 from repro.db.schema import Column, Schema
 from repro.db.types import SqlType
+from repro.db.udf import PythonUdf, register_udf
 from repro.bench.variants import BenchEnvironment, make_variant
 from repro.core.registry import publish_model
 from repro.errors import KernelExecutionError, QueryTimeoutError
@@ -488,6 +489,28 @@ class TestKernelCache:
         assert first.column("score").tobytes() != second.column(
             "score"
         ).tobytes()
+
+
+    def test_reregistered_udf_is_not_served_from_the_cache(self, db):
+        # A kernel binds the implementation a function name had when it
+        # was compiled; its source names the registration, so binding a
+        # new implementation to the name compiles a new kernel.
+        db.execute("CREATE TABLE u (x INTEGER)")
+        db.execute("INSERT INTO u VALUES (1), (2), (3)")
+        sql = "SELECT bump(x) AS y FROM u"
+        for step, want in ((1, [2, 3, 4]), (100, [101, 102, 103])):
+            register_udf(
+                PythonUdf(
+                    "bump",
+                    1,
+                    lambda xs, step=step: [x + step for x in xs],
+                    result_type=SqlType.INTEGER,
+                )
+            )
+            compiled, interpreted = run_both(db, sql)
+            assert compiled.column("y").tolist() == want
+            assert_bit_exact(compiled, interpreted)
+            assert "# function: BUMP registration=" in db.explain(sql)
 
 
 # ----------------------------------------------------------------------
