@@ -36,15 +36,11 @@ class DenseLayerWeights:
 
     kernel: np.ndarray  # (input_dim, units)
     bias: np.ndarray  # (units,)
-    bias_matrix: np.ndarray | None  # (vector_size, units) if replicated
     activation: str
     units: int
 
     def nominal_bytes(self) -> int:
-        total = self.kernel.nbytes + self.bias.nbytes
-        if self.bias_matrix is not None:
-            total += self.bias_matrix.nbytes
-        return total
+        return self.kernel.nbytes + self.bias.nbytes
 
 
 @dataclass
@@ -54,26 +50,27 @@ class LstmLayerWeights:
     kernel: np.ndarray  # (features, 4*units)
     recurrent_kernel: np.ndarray  # (units, 4*units)
     bias: np.ndarray  # (4*units,)
-    bias_matrix: np.ndarray | None  # (vector_size, 4*units) if replicated
     activation: str
     recurrent_activation: str
     units: int
     time_steps: int
 
     def nominal_bytes(self) -> int:
-        total = (
+        return (
             self.kernel.nbytes
             + self.recurrent_kernel.nbytes
             + self.bias.nbytes
         )
-        if self.bias_matrix is not None:
-            total += self.bias_matrix.nbytes
-        return total
 
 
 @dataclass
 class BuiltModel:
-    """The shared, fully built model ready for vectorized inference."""
+    """The shared, fully built model ready for vectorized inference.
+
+    Only the weights: the bias replication of ``y := Ax + y`` is sized
+    by the batches a query scores, so it lives in the per-pipeline
+    :class:`~repro.core.modeljoin.inference.BufferArena`, not here.
+    """
 
     layers: list[DenseLayerWeights | LstmLayerWeights]
     input_width: int
@@ -92,7 +89,7 @@ class ModelBuilder:
     the execution context's shared state).  Each pipeline calls
     :meth:`consume_batch` for the model-table rows of its partition and
     then :meth:`wait_and_finalize`, which runs the barrier and performs
-    the one-time bias replication and device upload.
+    the one-time device upload.
     """
 
     def __init__(
@@ -100,15 +97,11 @@ class ModelBuilder:
         input_width: int,
         layers: list[LayerMetadata],
         parties: int,
-        vector_size: int,
-        replicate_bias: bool = True,
     ):
         if not layers:
             raise ModelJoinError("a model needs at least one layer")
         self.input_width = input_width
         self.layer_metadata = list(layers)
-        self.vector_size = vector_size
-        self.replicate_bias = replicate_bias
         self.blocks: list[LayerBlock] = blocks_from_dims(
             input_width,
             [
@@ -146,7 +139,6 @@ class ModelBuilder:
                             (meta.units, 4 * meta.units), np.float32
                         ),
                         bias=np.zeros(4 * meta.units, np.float32),
-                        bias_matrix=None,
                         activation=meta.activation,
                         recurrent_activation="sigmoid",
                         units=meta.units,
@@ -160,7 +152,6 @@ class ModelBuilder:
                             (previous_units, meta.units), np.float32
                         ),
                         bias=np.zeros(meta.units, np.float32),
-                        bias_matrix=None,
                         activation=meta.activation,
                         units=meta.units,
                     )
@@ -255,7 +246,7 @@ class ModelBuilder:
     # barrier + finalization
     # ------------------------------------------------------------------
     def wait_and_finalize(self, device: Device) -> BuiltModel:
-        """Barrier, then one thread replicates biases and uploads.
+        """Barrier, then one thread uploads the finished model.
 
         Every partition pipeline calls this once; all block until the
         model is ready, mirroring Figure 6's single synchronization
@@ -296,11 +287,6 @@ class ModelBuilder:
     def _finalize(self, device: Device) -> BuiltModel:
         layers = []
         for weights in self._host_layers:
-            bias_matrix = None
-            if self.replicate_bias:
-                bias_matrix = np.repeat(
-                    weights.bias[np.newaxis, :], self.vector_size, axis=0
-                )
             if isinstance(weights, LstmLayerWeights):
                 layers.append(
                     LstmLayerWeights(
@@ -309,11 +295,6 @@ class ModelBuilder:
                             weights.recurrent_kernel
                         ),
                         bias=device.to_device(weights.bias),
-                        bias_matrix=(
-                            device.to_device(bias_matrix)
-                            if bias_matrix is not None
-                            else None
-                        ),
                         activation=weights.activation,
                         recurrent_activation=weights.recurrent_activation,
                         units=weights.units,
@@ -325,11 +306,6 @@ class ModelBuilder:
                     DenseLayerWeights(
                         kernel=device.to_device(weights.kernel),
                         bias=device.to_device(weights.bias),
-                        bias_matrix=(
-                            device.to_device(bias_matrix)
-                            if bias_matrix is not None
-                            else None
-                        ),
                         activation=weights.activation,
                         units=weights.units,
                     )

@@ -17,8 +17,12 @@ everything the build depends on:
 * the registered model name (re-registration under the same name is
   additionally invalidated eagerly through the catalog's invalidation
   listeners, as is DROP TABLE);
-* the device name, the vector size (bias-matrix replication is sized
-  by it) and the ``replicate_bias`` flag.
+* the device name.
+
+A build holds weights only, so nothing in it depends on how a query
+batches its rows: the vector size and the bias replication are the
+scoring pipeline's business (its
+:class:`~repro.core.modeljoin.inference.BufferArena`).
 
 Entries are LRU-evicted once the configured byte cap is exceeded;
 bytes are tracked by a :class:`~repro.db.profiler.MemoryAccountant`
@@ -40,7 +44,7 @@ from repro.db import faults
 from repro.db.profiler import MemoryAccountant
 from repro.db.table import Table
 
-#: default cap on resident cached model bytes (weights + bias matrices)
+#: default cap on resident cached model bytes (weights and biases)
 DEFAULT_CAPACITY_BYTES = 256 * 1024 * 1024
 
 MEMORY_CATEGORY = "model-cache"
@@ -79,17 +83,10 @@ class CacheKey:
     table_version: int
     model_name: str
     device: str
-    vector_size: int
-    replicate_bias: bool
 
     @classmethod
     def for_build(
-        cls,
-        model_table: Table,
-        model_name: str,
-        device_name: str,
-        vector_size: int,
-        replicate_bias: bool,
+        cls, model_table: Table, model_name: str, device_name: str
     ) -> "CacheKey":
         return cls(
             model_table=model_table.name.lower(),
@@ -97,8 +94,6 @@ class CacheKey:
             table_version=model_table.version,
             model_name=model_name.lower(),
             device=device_name,
-            vector_size=vector_size,
-            replicate_bias=replicate_bias,
         )
 
 

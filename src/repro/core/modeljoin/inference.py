@@ -5,23 +5,33 @@ The inference phase receives a set of column vectors, packs them into a
 model layers through the BLAS-style device interface, and unpacks the
 result matrix into output column vectors.
 
-The bias-matrix replication optimization is honoured: when the builder
-replicated each bias vector to ``(vector_size, units)``, the layer
-forward starts from a copy of that matrix and lets ``sgemm`` accumulate
-into it (``y := Ax + y``), turning many fine-grained bias additions
-into one large copy (Section 5.4).
+The paper runs one forward per 1024-tuple vector; the operator here
+runs one per *inference batch* of :func:`inference_batch_rows` rows —
+a morsel of whole consecutive scan vectors, so the GEMMs see the same
+rows at the same offsets and the predictions stay bit-identical to
+per-vector scoring (docs/ARCHITECTURE.md, "Scan vectors and inference
+batches").
+
+The bias-matrix replication optimization is honoured: each bias vector
+is replicated to ``(rows, units)`` and the layer forward lets ``sgemm``
+accumulate into it (``y := Ax + y``), turning many fine-grained bias
+additions into one large copy (Section 5.4).  The replica is sized by
+the batches a pipeline actually scores, so it lives in the pipeline's
+:class:`BufferArena` — filled on first use, grown only when a batch is
+longer than any before — not in the cached model.
 
 Because the operator runs the same forward for thousands of
-execution vectors, per-vector heap churn is pure overhead: a
-:class:`BufferArena` preallocates every workspace (packed input, layer
-outputs, LSTM gate buffers) at the pipeline's vector size and the
-forwards write into them through the device interface's ``out=``
-contract.  The results are bit-exact with the allocating path — the
-arena only changes *where* the numbers land, never how they are
-computed.
+batches, per-batch heap churn is pure overhead: the arena preallocates
+every workspace (packed input, layer outputs, LSTM gate buffers) at the
+pipeline's batch length and the forwards write into them through the
+device interface's ``out=`` contract.  The results are bit-exact with
+the allocating path — the arena only changes *where* the numbers land,
+never how they are computed.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -30,9 +40,33 @@ from repro.core.modeljoin.builder import (
     DenseLayerWeights,
     LstmLayerWeights,
 )
+from repro.db.catalog import LayerMetadata
+from repro.db.parallel import MORSEL_ROWS
 from repro.db.profiler import ProfileCounters
 from repro.device.base import Device
 from repro.errors import ModelJoinError
+
+#: float32 bytes the widest activation of one inference batch may take:
+#: past it a longer batch no longer saves dispatch, it spills the cache
+BATCH_WORKSPACE_BYTES = 512 * 1024
+
+
+def inference_batch_rows(
+    layers: Iterable[LayerMetadata], vector_size: int
+) -> int:
+    """Rows the native ModelJoin scores per forward pass.
+
+    One morsel (``MORSEL_ROWS``) capped so that the widest activation —
+    ``4·units`` gate pre-activations for an LSTM — stays within
+    :data:`BATCH_WORKSPACE_BYTES`, rounded down to whole scan vectors
+    and never below one.
+    """
+    widest = max(
+        4 * layer.units if layer.layer_type == "lstm" else layer.units
+        for layer in layers
+    )
+    rows = min(MORSEL_ROWS, BATCH_WORKSPACE_BYTES // (4 * widest))
+    return max(vector_size, rows - rows % vector_size)
 
 
 def pack_columns(
@@ -87,8 +121,9 @@ class BufferArena:
 
     ``take(tag, rows, cols)`` returns a ``(rows, cols)`` view of a
     buffer allocated once at ``max(rows, capacity_rows)`` rows; the
-    same tag returns the same storage on every subsequent vector, so
-    the steady state of the inference loop allocates nothing.  Not
+    same tag returns the same storage on every subsequent batch, so
+    the steady state of the inference loop allocates nothing.
+    :meth:`replicated` keeps the bias replicas the same way.  Not
     thread-safe by design — each partition pipeline owns its own arena.
     """
 
@@ -102,6 +137,7 @@ class BufferArena:
         self.capacity_rows = capacity_rows
         self.counters = counters
         self._buffers: dict[str, np.ndarray] = {}
+        self._replicas: dict[str, np.ndarray] = {}
         #: bytes of allocation avoided by handing out reused buffers
         self.reused_bytes = 0
 
@@ -122,33 +158,62 @@ class BufferArena:
                 self.counters.increment("buffer-bytes-reused", saved)
         return buffer[:rows]
 
+    def replicated(
+        self, tag: str, row: np.ndarray, rows: int, device: Device
+    ) -> np.ndarray:
+        """*row* repeated *rows* times: the ``y`` of ``y := Ax + y``.
+
+        Filled by a device-side copy on the first batch and refilled
+        only when a batch is longer than any before, so a one-row query
+        replicates one row and a replica never outgrows the batches
+        actually scored.  On a simulated GPU the fill is a device kernel,
+        not a host→device transfer.
+        """
+        replica = self._replicas.get(tag)
+        if replica is None or replica.shape[0] < rows:
+            replica = device.copy(
+                np.broadcast_to(row, (rows, row.shape[0])),
+                out=device.allocate((rows, row.shape[0])),
+            )
+            self._replicas[tag] = replica
+        return replica[:rows]
+
     def nominal_bytes(self) -> int:
-        return sum(buffer.nbytes for buffer in self._buffers.values())
+        return sum(
+            buffer.nbytes
+            for buffers in (self._buffers, self._replicas)
+            for buffer in buffers.values()
+        )
 
 
 class VectorizedInference:
     """Executes the layer-forward functions for one built model.
 
-    With *vector_size* set, a :class:`BufferArena` is installed and all
+    With *batch_rows* set, a :class:`BufferArena` is installed and all
     forwards reuse preallocated workspaces; the returned result matrix
     is then a live buffer that the caller must copy out of (which
     :func:`unpack_columns` does) before the next :meth:`infer` call.
     Without it, every call allocates fresh arrays — the contract the
-    pre-arena callers rely on.
+    pre-arena callers rely on — and biases are broadcast-added.
+    *replicate_bias* False broadcast-adds with an arena too (the
+    ablation of Section 5.4's replication); the sums are the same
+    either way.
     """
 
     def __init__(
         self,
         built: BuiltModel,
         device: Device,
-        vector_size: int | None = None,
+        batch_rows: int | None = None,
         counters: ProfileCounters | None = None,
+        replicate_bias: bool = True,
     ):
         self.built = built
         self.device = device
+        self.replicate_bias = replicate_bias
         self.arena = (
-            BufferArena(vector_size, counters)
-            if vector_size is not None
+            BufferArena(batch_rows, counters)
+            if batch_rows is not None
             else None
         )
 
@@ -181,22 +246,14 @@ class VectorizedInference:
     # layer forward functions
     # ------------------------------------------------------------------
     def _bias_accumulator(
-        self,
-        bias: np.ndarray,
-        bias_matrix: np.ndarray | None,
-        rows: int,
+        self, bias: np.ndarray, rows: int, prefix: str
     ) -> np.ndarray:
         """The ``y`` of ``y := Ax + y``: replicated bias rows."""
-        if bias_matrix is not None:
-            if rows > bias_matrix.shape[0]:
-                raise ModelJoinError(
-                    f"batch of {rows} rows exceeds the replicated bias "
-                    f"matrix ({bias_matrix.shape[0]} rows); increase the "
-                    "vector size the model was built for"
-                )
-            return bias_matrix[:rows]
-        # Unreplicated fallback (the ablation case): broadcast add.
-        return bias[np.newaxis, :]
+        if self.arena is None or not self.replicate_bias:
+            return bias[np.newaxis, :]  # broadcast add
+        return self.arena.replicated(
+            f"{prefix}-bias", bias, rows, self.device
+        )
 
     def _dense_forward(
         self,
@@ -206,9 +263,7 @@ class VectorizedInference:
     ) -> np.ndarray:
         device = self.device
         rows = current.shape[0]
-        accumulator = self._bias_accumulator(
-            layer.bias, layer.bias_matrix, rows
-        )
+        accumulator = self._bias_accumulator(layer.bias, rows, prefix)
         out = self._take(prefix, rows, layer.kernel.shape[1])
         pre = device.gemm(
             current, layer.kernel, accumulate=accumulator, out=out
@@ -246,9 +301,7 @@ class VectorizedInference:
             else:
                 x_t = self.arena.take(f"{prefix}-x", rows, features)
                 np.copyto(x_t, window)
-            accumulator = self._bias_accumulator(
-                layer.bias, layer.bias_matrix, rows
-            )
+            accumulator = self._bias_accumulator(layer.bias, rows, prefix)
             # z_x := x W + b (sger for the rank-1 scalar-series case).
             z = device.gemm(
                 x_t,

@@ -3,10 +3,13 @@
 A two-phase join in the Volcano model (Figure 5): on the first
 ``next()`` the operator drains the model side and builds the shared
 weight matrices (cooperating with the other partition pipelines through
-a barrier); afterwards every ``next()`` pulls a vector from the input
+a barrier); afterwards every ``next()`` pulls a batch from the input
 flow, runs vectorized inference and returns the input columns plus the
-prediction columns.  Because it is a regular operator, it can be nested
-into arbitrary queries — aggregations over predictions and the like.
+prediction columns.  The lowering sizes the scan that feeds the
+operator to :attr:`ModelJoinOperator.batch_rows`, so one forward pass
+scores a morsel of whole scan vectors rather than a single vector.
+Because it is a regular operator, it can be nested into arbitrary
+queries — aggregations over predictions and the like.
 
 Unlike ML-To-SQL, payload columns are simply passed through untouched
 (no "late projection" join needed, Section 5.3).
@@ -22,6 +25,7 @@ from repro.core.modeljoin.builder import BuiltModel, ModelBuilder
 from repro.core.modeljoin.cache import CacheKey, ModelCache
 from repro.core.modeljoin.inference import (
     VectorizedInference,
+    inference_batch_rows,
     pack_columns,
     unpack_columns,
     unpack_views,
@@ -54,7 +58,7 @@ _shared_state_lock = threading.Lock()
 class ModelJoinOperator(UnaryOperator):
     """Native ModelJoin: child (input flow) x model table -> predictions."""
 
-    # inference is per-vector and the build is coordinated through
+    # inference is per-batch and the build is coordinated through
     # shared state, not through which morsels this pipeline scans — so
     # the input flow may come from a shared morsel queue
     morsel_streaming = True
@@ -93,6 +97,11 @@ class ModelJoinOperator(UnaryOperator):
         )
         schema = Schema(child.schema.columns + prediction_columns)
         super().__init__(context, schema, child)
+        #: rows per forward pass; the lowering hands it to the feeding
+        #: scan as its vector length
+        self.batch_rows = inference_batch_rows(
+            metadata.layers, context.vector_size
+        )
         self._accounted_bytes = 0
         #: epilogue fusion: when True (set only by the lowering, after
         #: it compiled the direct consumer's kernel), prediction columns
@@ -175,11 +184,7 @@ class ModelJoinOperator(UnaryOperator):
     # ------------------------------------------------------------------
     def _cache_key(self) -> CacheKey:
         return CacheKey.for_build(
-            self.model_table,
-            self.metadata.model_name,
-            self.device.name,
-            self.context.vector_size,
-            self.replicate_bias,
+            self.model_table, self.metadata.model_name, self.device.name
         )
 
     def _decision_key(self) -> tuple:
@@ -242,8 +247,6 @@ class ModelJoinOperator(UnaryOperator):
                         input_width=self.metadata.input_width,
                         layers=list(self.metadata.layers),
                         parties=self.context.parallelism,
-                        vector_size=self.context.vector_size,
-                        replicate_bias=self.replicate_bias,
                     )
                     decision = ("miss", builder, cache_key)
                 self.context.shared_state[key] = decision
@@ -335,11 +338,15 @@ class ModelJoinOperator(UnaryOperator):
             self._accounted_bytes = built.nominal_bytes()
             self.context.memory.allocate(self._accounted_bytes, "model")
         self._built_model = built
+        return self._make_inference(self.device)
+
+    def _make_inference(self, device: Device) -> VectorizedInference:
         return VectorizedInference(
-            built,
-            self.device,
-            vector_size=self.context.vector_size,
+            self._built_model,
+            device,
+            batch_rows=self.batch_rows,
             counters=self.context.counters,
+            replicate_bias=self.replicate_bias,
         )
 
     # ------------------------------------------------------------------
@@ -419,12 +426,7 @@ class ModelJoinOperator(UnaryOperator):
         self._note_fallback(
             "device", f"{self.device.name}->{host.name}", error
         )
-        return VectorizedInference(
-            self._built_model,
-            host,
-            vector_size=self.context.vector_size,
-            counters=self.context.counters,
-        )
+        return self._make_inference(host)
 
     def _note_fallback(
         self, kind: str, note: str, error: Exception | None
@@ -466,7 +468,8 @@ class ModelJoinOperator(UnaryOperator):
         base = (
             f"ModelJoin(model={self.metadata.model_name}, "
             f"device={self.device.name}, "
-            f"inputs=[{', '.join(self.input_columns)}])"
+            f"inputs=[{', '.join(self.input_columns)}], "
+            f"batch={self.batch_rows})"
         )
         if self.emit_views:
             base += " [epilogue: fused]"

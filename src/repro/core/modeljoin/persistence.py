@@ -17,6 +17,11 @@ upload is cheap relative to the relational build it replaces.
 
 Both the per-entry files and the index are written via write-to-temp +
 rename, so a crash mid-save leaves the previous consistent warm set.
+
+Older warm sets keyed entries on two more fields (``vector_size``,
+``replicate_bias``) and stored each layer's replicated bias as an
+``l{i}_bias_matrix`` array; loading drops both, so a database
+checkpointed by those versions reopens with its builds still warm.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from repro.core.modeljoin.cache import CacheKey, ModelCache
 from repro.db.storage.checkpoint import atomic_write_json
 
 INDEX_NAME = "INDEX.json"
+
+_KEY_FIELDS = {field.name for field in dataclasses.fields(CacheKey)}
 
 
 def _entry_file_name(key: CacheKey) -> str:
@@ -61,13 +68,10 @@ def _serialize_layers(built: BuiltModel):
                     "kind": "dense",
                     "activation": layer.activation,
                     "units": layer.units,
-                    "has_bias_matrix": layer.bias_matrix is not None,
                 }
             )
             arrays[prefix + "kernel"] = layer.kernel
             arrays[prefix + "bias"] = layer.bias
-            if layer.bias_matrix is not None:
-                arrays[prefix + "bias_matrix"] = layer.bias_matrix
         elif isinstance(layer, LstmLayerWeights):
             metadata.append(
                 {
@@ -76,14 +80,11 @@ def _serialize_layers(built: BuiltModel):
                     "recurrent_activation": layer.recurrent_activation,
                     "units": layer.units,
                     "time_steps": layer.time_steps,
-                    "has_bias_matrix": layer.bias_matrix is not None,
                 }
             )
             arrays[prefix + "kernel"] = layer.kernel
             arrays[prefix + "recurrent_kernel"] = layer.recurrent_kernel
             arrays[prefix + "bias"] = layer.bias
-            if layer.bias_matrix is not None:
-                arrays[prefix + "bias_matrix"] = layer.bias_matrix
         else:  # unknown layer type (test stubs): skip the entry
             return None
     return metadata, arrays
@@ -93,17 +94,11 @@ def _deserialize_layers(metadata: list[dict], data) -> list:
     layers = []
     for index, layer in enumerate(metadata):
         prefix = f"l{index}_"
-        bias_matrix = (
-            data[prefix + "bias_matrix"]
-            if layer["has_bias_matrix"]
-            else None
-        )
         if layer["kind"] == "dense":
             layers.append(
                 DenseLayerWeights(
                     kernel=data[prefix + "kernel"],
                     bias=data[prefix + "bias"],
-                    bias_matrix=bias_matrix,
                     activation=layer["activation"],
                     units=int(layer["units"]),
                 )
@@ -114,7 +109,6 @@ def _deserialize_layers(metadata: list[dict], data) -> list:
                     kernel=data[prefix + "kernel"],
                     recurrent_kernel=data[prefix + "recurrent_kernel"],
                     bias=data[prefix + "bias"],
-                    bias_matrix=bias_matrix,
                     activation=layer["activation"],
                     recurrent_activation=layer["recurrent_activation"],
                     units=int(layer["units"]),
@@ -189,6 +183,11 @@ class ModelCachePersistence:
                 time_steps=int(entry["time_steps"]),
                 on_device=False,
             )
-            self.cache.put(CacheKey(**entry["key"]), built)
+            key = {
+                name: value
+                for name, value in entry["key"].items()
+                if name in _KEY_FIELDS
+            }
+            self.cache.put(CacheKey(**key), built)
             restored += 1
         return restored

@@ -55,6 +55,14 @@ class FusedPipeline(UnaryOperator):
         return self.kernel.listing
 
     @property
+    def filters_only(self) -> bool:
+        """A bare filter: every output passes its child column through."""
+        return [
+            (output.name, output.expression)
+            for output in self.spec.outputs
+        ] == [(name, ColumnRef(name)) for name in self.child.schema.names]
+
+    @property
     def ordering(self) -> tuple[str, ...]:
         # Same rule as ProjectOperator: ordering survives for leading
         # ordering columns that pass through as bare references (the

@@ -35,6 +35,12 @@ class TableScan(PhysicalOperator):
     through the engine's buffer pool: pruning uses the zone maps
     persisted in the column-file footers (no I/O), and only the
     projected columns' files are ever read.
+
+    A scan emits batches of ``context.vector_size`` rows — one scan
+    vector — unless the lowering set :attr:`vector_size` to a multiple
+    of it (the inference batch of the ModelJoin it feeds).  Either way a
+    batch is made of whole consecutive scan vectors of one block: a
+    block's trailing partial vector is always a batch of its own.
     """
 
     morsel_streaming = True
@@ -83,6 +89,10 @@ class TableScan(PhysicalOperator):
         self.bytes_scanned = 0
         #: distinct column files opened (disk-resident tables only)
         self._opened_files: set = set()
+        #: rows per emitted batch when larger than one scan vector (set
+        #: by the lowering for the scan feeding a ModelJoin); None = the
+        #: context's vector size
+        self.vector_size: int | None = None
 
     @property
     def ordering(self) -> tuple[str, ...]:
@@ -160,9 +170,18 @@ class TableScan(PhysicalOperator):
                     continue
                 self.blocks_scanned += 1
                 self.bytes_scanned += block.nominal_bytes()
-                batch = self._block_batch(block)
-                for start in range(0, len(batch), self.context.vector_size):
-                    yield batch.slice(start, start + self.context.vector_size)
+                yield from self._vectors(self._block_batch(block))
+
+    def _vectors(self, batch: VectorBatch) -> Iterator[VectorBatch]:
+        """Slice one block (or morsel) into batches of whole vectors."""
+        rows = len(batch)
+        vector = self.context.vector_size
+        step = self.vector_size or vector
+        whole = rows - rows % vector
+        for start in range(0, whole, step):
+            yield batch.slice(start, min(start + step, whole))
+        if whole < rows:
+            yield batch.slice(whole, rows)
 
     def _produce_morsels(self) -> Iterator[VectorBatch]:
         """Morsel-driven scanning: pull row ranges from a shared queue.
@@ -231,11 +250,11 @@ class TableScan(PhysicalOperator):
                 yield from self._emit_morsel(morsel)
 
     def _emit_morsel(self, morsel) -> Iterator[VectorBatch]:
-        batch = self._block_batch(morsel.block).slice(
-            morsel.row_start, morsel.row_stop
+        yield from self._vectors(
+            self._block_batch(morsel.block).slice(
+                morsel.row_start, morsel.row_stop
+            )
         )
-        for start in range(0, len(batch), self.context.vector_size):
-            yield batch.slice(start, start + self.context.vector_size)
 
     def close(self) -> None:
         # Fold this scan's totals into the per-query profile counters
@@ -273,4 +292,6 @@ class TableScan(PhysicalOperator):
         if self.ranges:
             rendered = ", ".join(str(r) for r in self.ranges)
             parts.append(f", prune: {rendered}")
+        if self.vector_size is not None:
+            parts.append(f", vector={self.vector_size}")
         return "".join(parts) + ")"

@@ -380,9 +380,10 @@ class Lowering:
                 "is registered (import repro.core or use Database from "
                 "repro, not repro.db)"
             )
-        return self.modeljoin_factory(
+        child = self.lower(node.child)
+        operator = self.modeljoin_factory(
             context=self.context,
-            child=self.lower(node.child),
+            child=child,
             metadata=node.metadata,
             model_table=node.model_table,
             input_columns=node.input_columns,
@@ -392,6 +393,10 @@ class Lowering:
                 node.selection.chosen if node.selection is not None else None
             ),
         )
+        scan = feeding_scan(child)
+        if scan is not None:
+            scan.vector_size = operator.batch_rows
+        return operator
 
     def _lower_aggregate(
         self, node: LogicalAggregate
@@ -542,6 +547,20 @@ class Lowering:
         if all(node.ascending) and have[: len(wanted)] == wanted:
             return child
         return SortOperator(self.context, child, keys, node.ascending, top)
+
+
+def feeding_scan(operator: PhysicalOperator) -> TableScan | None:
+    """The TableScan whose batches reach *operator* whole or filtered.
+
+    Looks through renames and filter-only pipelines: each passes every
+    row of a batch on or drops it, so the scan's batch length is the
+    longest batch *operator* can receive.
+    """
+    while isinstance(operator, (RenameOperator, FilterOperator)) or (
+        isinstance(operator, FusedPipeline) and operator.filters_only
+    ):
+        operator = operator.child
+    return operator if isinstance(operator, TableScan) else None
 
 
 # ----------------------------------------------------------------------

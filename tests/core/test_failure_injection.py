@@ -26,7 +26,6 @@ def fresh_builder(input_width=2, units=3):
         input_width=input_width,
         layers=[LayerMetadata("dense", units, "relu")],
         parties=1,
-        vector_size=16,
     )
 
 
@@ -62,7 +61,6 @@ class TestBuilderRejectsCorruption:
             input_width=3,
             layers=[LayerMetadata("lstm", 2, "tanh", time_steps=3)],
             parties=1,
-            vector_size=16,
         )
         batch = edge_batch(builder, [(7, 0) + (0.0,) * 12])
         with pytest.raises(ModelJoinError, match="state block"):

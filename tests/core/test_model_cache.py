@@ -9,6 +9,7 @@ from repro.core.modeljoin.runner import NativeModelJoin
 from repro.core.registry import publish_model
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
+from repro.workloads.models import make_dense_model
 
 ROWS = 600
 
@@ -108,6 +109,23 @@ class TestWarmQueries:
         assert len(warm_predictions) == ROWS
         db.close()
 
+    def test_entry_bytes_do_not_grow_with_vector_size(self):
+        # A build holds weights only: the bias replicas are sized by the
+        # scored batches and live in each pipeline's arena.
+        model = make_dense_model(32, 2, input_width=3, seed=5)
+        weights = sum(
+            layer.kernel.nbytes + layer.bias.nbytes for layer in model.layers
+        )
+        for vector_size in (64, 1024, 4096):
+            db = make_db()
+            db.vector_size = vector_size
+            publish_model(db, "m", model)
+            run_query(db)
+            (entry,) = [built for _, built in db.model_cache.entries()]
+            assert entry.nominal_bytes() == weights
+            assert db.model_cache.resident_bytes == weights
+            db.close()
+
     def test_sql_model_join_uses_the_same_cache(self):
         db = make_db()
         publish_model(db, "m", make_model())
@@ -196,8 +214,6 @@ def stub_key(tag: int) -> CacheKey:
         table_version=0,
         model_name="m",
         device="cpu",
-        vector_size=1024,
-        replicate_bias=True,
     )
 
 

@@ -24,7 +24,7 @@ from repro.nn.layers import Dense, Lstm
 from repro.nn.model import Sequential
 
 
-def build_from_table(db, model, parties=1, vector_size=1024):
+def build_from_table(db, model, parties=1):
     """Feed the stored model table through a ModelBuilder."""
     relational = load_model_table(db, "mj_model", model, replace=True)
     metadata = model_metadata("mj", "mj_model", model)
@@ -32,7 +32,6 @@ def build_from_table(db, model, parties=1, vector_size=1024):
         input_width=metadata.input_width,
         layers=list(metadata.layers),
         parties=parties,
-        vector_size=vector_size,
     )
     for batch in db.table("mj_model").scan():
         builder.consume_batch(batch)
@@ -69,33 +68,27 @@ class TestBuilder:
         np.testing.assert_allclose(lstm.bias, model.layers[0].bias)
         assert lstm.time_steps == 3
 
-    def test_bias_matrix_replicated_to_vector_size(self):
-        db = Database()
-        model = Sequential([Dense(2)], input_width=2, seed=0)
-        builder, _ = build_from_table(db, model, vector_size=64)
-        built = builder.wait_and_finalize(HostDevice())
-        assert built.layers[0].bias_matrix.shape == (64, 2)
-        assert (
-            built.layers[0].bias_matrix == built.layers[0].bias
-        ).all()
-
     def test_replication_disabled(self):
+        # The build holds weights only; replication is the arena's, and
+        # the broadcast add of replicate_bias=False sums the same values.
         db = Database()
-        model = Sequential([Dense(2)], input_width=2, seed=0)
-        relational = load_model_table(db, "mj_model", model, replace=True)
-        del relational
-        metadata = model_metadata("mj", "mj_model", model)
-        builder = ModelBuilder(
-            input_width=2,
-            layers=list(metadata.layers),
-            parties=1,
-            vector_size=64,
-            replicate_bias=False,
+        model = Sequential(
+            [Dense(5, "relu"), Dense(2, "sigmoid")], input_width=3, seed=0
         )
-        for batch in db.table("mj_model").scan():
-            builder.consume_batch(batch)
+        builder, _ = build_from_table(db, model)
         built = builder.wait_and_finalize(HostDevice())
-        assert built.layers[0].bias_matrix is None
+        assert built.nominal_bytes() == sum(
+            layer.kernel.nbytes + layer.bias.nbytes for layer in built.layers
+        )
+        x = np.random.default_rng(4).normal(size=(300, 3)).astype(np.float32)
+        replicated = VectorizedInference(built, HostDevice(), batch_rows=128)
+        broadcast = VectorizedInference(
+            built, HostDevice(), batch_rows=128, replicate_bias=False
+        )
+        assert np.array_equal(
+            replicated.infer(x).copy(), broadcast.infer(x)
+        )
+        assert not broadcast.arena._replicas
 
     def test_rows_consumed_counted(self):
         db = Database()
@@ -110,7 +103,19 @@ class TestBuilder:
         gpu = SimulatedGpu()
         built = builder.wait_and_finalize(gpu)
         assert built.on_device
-        assert gpu.stats.bytes_to_device > 0
+        assert gpu.stats.bytes_to_device == built.nominal_bytes()
+        # Scoring moves only the packed inputs: the bias replica is a
+        # device-side fill, not a host->device transfer.
+        inference = VectorizedInference(built, gpu, batch_rows=64)
+        launches = gpu.stats.kernel_launches
+        batches = [np.ones((rows, 2), np.float32) for rows in (64, 32)]
+        for batch in batches:
+            inference.infer(batch)
+        assert gpu.stats.bytes_to_device == built.nominal_bytes() + sum(
+            batch.nbytes for batch in batches
+        )
+        # two batches x (gemm + activation) + one replica fill
+        assert gpu.stats.kernel_launches - launches == 5
 
     def test_lstm_must_be_first(self):
         with pytest.raises(ModelJoinError):
@@ -121,13 +126,12 @@ class TestBuilder:
                     LayerMetadata("lstm", 2, "tanh", time_steps=2),
                 ],
                 parties=1,
-                vector_size=16,
             )
 
     def test_empty_layers_rejected(self):
         with pytest.raises(ModelJoinError):
             ModelBuilder(
-                input_width=2, layers=[], parties=1, vector_size=16
+                input_width=2, layers=[], parties=1
             )
 
 
@@ -152,7 +156,7 @@ class TestInference:
         model = Sequential(
             [Dense(4, "tanh"), Dense(2, "sigmoid")], input_width=3, seed=3
         )
-        builder, _ = build_from_table(db, model, vector_size=128)
+        builder, _ = build_from_table(db, model)
         built = builder.wait_and_finalize(HostDevice())
         inference = VectorizedInference(built, HostDevice())
         x = np.random.default_rng(0).normal(size=(50, 3)).astype(np.float32)
@@ -169,14 +173,39 @@ class TestInference:
         with pytest.raises(ModelJoinError):
             inference.infer(np.zeros((3, 5), dtype=np.float32))
 
-    def test_batch_larger_than_bias_matrix_rejected(self):
+    def test_one_row_query_replicates_one_bias_row(self):
         db = Database()
-        model = Sequential([Dense(1)], input_width=2, seed=0)
-        builder, _ = build_from_table(db, model, vector_size=8)
+        model = Sequential(
+            [Dense(4, "relu"), Dense(1, "sigmoid")], input_width=2, seed=0
+        )
+        builder, _ = build_from_table(db, model)
         built = builder.wait_and_finalize(HostDevice())
-        inference = VectorizedInference(built, HostDevice())
-        with pytest.raises(ModelJoinError, match="vector size"):
-            inference.infer(np.zeros((16, 2), dtype=np.float32))
+        inference = VectorizedInference(built, HostDevice(), batch_rows=4096)
+        x = np.array([[0.5, -1.0]], dtype=np.float32)
+        np.testing.assert_allclose(
+            inference.infer(x), model.predict(x), atol=1e-6
+        )
+        replicas = inference.arena._replicas
+        assert {tag: r.shape for tag, r in replicas.items()} == {
+            "layer0-bias": (1, 4),
+            "layer1-bias": (1, 1),
+        }
+
+    def test_longer_batch_grows_the_bias_replica(self):
+        db = Database()
+        model = Sequential([Dense(3, "tanh"), Dense(1)], input_width=2, seed=0)
+        builder, _ = build_from_table(db, model)
+        built = builder.wait_and_finalize(HostDevice())
+        inference = VectorizedInference(built, HostDevice(), batch_rows=8)
+        allocating = VectorizedInference(built, HostDevice())
+        rng = np.random.default_rng(5)
+        longest = 0
+        for rows in (8, 16, 4, 40):
+            x = rng.normal(size=(rows, 2)).astype(np.float32)
+            assert np.array_equal(inference.infer(x), allocating.infer(x))
+            longest = max(longest, rows)
+            replica = inference.arena._replicas["layer0-bias"]
+            assert replica.shape == (longest, 3)
 
     def test_lstm_step_mismatch(self):
         db = Database()

@@ -38,7 +38,8 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.workloads.iris import FEATURE_COLUMNS, load_iris_table
-from repro.workloads.models import make_dense_model
+from repro.workloads.models import make_dense_model, make_lstm_model
+from repro.workloads.timeseries import load_windowed_series_table
 
 PARALLELISM = 4
 
@@ -608,6 +609,41 @@ class TestCacheIntegrity:
         second = runner.predict("iris", "id", list(FEATURE_COLUMNS))
         assert np.array_equal(first, second)
         assert db.model_cache.statistics()["corruptions"] == 1
+
+    @pytest.mark.parametrize("kind", ["dense", "lstm"])
+    def test_flipped_byte_in_every_cached_array_detected(self, kind):
+        db = repro.connect()
+        if kind == "dense":
+            load_iris_table(db, 300)
+            model, table, inputs = (
+                make_dense_model(6, 2, seed=22), "iris", list(FEATURE_COLUMNS)
+            )
+        else:
+            load_windowed_series_table(db, 300)
+            model, table, inputs = (
+                make_lstm_model(5, seed=22), "sinus_windows", ["x1", "x2", "x3"]
+            )
+        publish_model(db, "fclf", model)
+
+        def score():
+            return NativeModelJoin(db, "fclf").predict(table, "id", inputs)
+
+        first = score()
+        (built,) = [entry for _, entry in db.model_cache.entries()]
+        arrays = [
+            (index, name)
+            for index, layer in enumerate(built.layers)
+            for name, value in vars(layer).items()
+            if isinstance(value, np.ndarray)
+        ]
+        assert len(arrays) == (6 if kind == "dense" else 5)
+        for flipped, (index, name) in enumerate(arrays, start=1):
+            (built,) = [entry for _, entry in db.model_cache.entries()]
+            raw = getattr(built.layers[index], name).reshape(-1).view(np.uint8)
+            raw[raw.size // 2] ^= 0x10
+            assert np.array_equal(score(), first)
+            assert db.model_cache.statistics()["corruptions"] == flipped
+        db.close()
 
 
 # ----------------------------------------------------------------------

@@ -638,3 +638,49 @@ class TestWarmModelCache:
         assert stats["hits"] >= 1
         assert stats["misses"] == 0
         reopened.close()
+
+    def test_older_warm_set_with_replicated_biases_reopens(self, tmp_path):
+        # Older releases keyed entries on vector_size/replicate_bias and
+        # stored each layer's replicated bias; rewrite the warm set into
+        # that layout and reopen.
+        import json
+
+        model = make_dense_model(32, 2, input_width=4, seed=7)
+        db = make_persistent_db(tmp_path / "db", rows=2_000)
+        before = self.publish_and_score(db, model)
+        models_dir = db.storage.models_dir
+        db.close()
+
+        index_path = models_dir / "INDEX.json"
+        index = json.loads(index_path.read_text())
+        for entry in index["entries"]:
+            entry["key"].update(vector_size=1024, replicate_bias=True)
+            for layer in entry["layers"]:
+                layer["has_bias_matrix"] = True
+            with np.load(models_dir / entry["file"]) as data:
+                arrays = dict(data)
+            for position in range(len(entry["layers"])):
+                bias = arrays[f"l{position}_bias"]
+                arrays[f"l{position}_bias_matrix"] = np.repeat(
+                    bias[np.newaxis, :], 1024, axis=0
+                )
+            with open(models_dir / entry["file"], "wb") as handle:
+                np.savez(handle, **arrays)
+        index_path.write_text(json.dumps(index))
+
+        reopened = repro.connect(path=str(tmp_path / "db"))
+        after = reopened.execute(
+            "SELECT id, prediction_0 FROM fact "
+            "MODEL JOIN clf USING (f, f, f, f) ORDER BY id"
+        )
+        assert_bit_equal(
+            np.asarray(after.column("prediction_0")),
+            np.asarray(before.column("prediction_0")),
+        )
+        stats = reopened.model_cache.statistics()
+        assert (stats["hits"], stats["misses"]) == (1, 0)
+        (built,) = [entry for _, entry in reopened.model_cache.entries()]
+        assert built.nominal_bytes() == sum(
+            layer.kernel.nbytes + layer.bias.nbytes for layer in model.layers
+        )
+        reopened.close()
