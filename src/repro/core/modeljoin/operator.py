@@ -300,15 +300,11 @@ class ModelJoinOperator(UnaryOperator):
                 try:
                     if faults.ACTIVE is not None:
                         faults.ACTIVE.fire("modeljoin.build")
-                    # The model side is drained in large batches: the
-                    # build phase is bulk weight placement, not
-                    # tuple-at-a-time processing, so there is no reason
-                    # to chop it into execution-sized vectors.
-                    build_vector_size = max(self.context.vector_size, 65536)
+                    # The model side is drained a whole block at a
+                    # time: the build phase is bulk weight placement,
+                    # not tuple-at-a-time processing.
                     for partition in self._my_model_partitions():
-                        for batch in self.model_table.scan_partition(
-                            partition, vector_size=build_vector_size
-                        ):
+                        for batch in self.model_table.scan(partition):
                             builder.consume_batch(batch)
                     if self.context.shared_state.get(ROUND_ABORTED_KEY):
                         # A sibling task already crashed this round; its

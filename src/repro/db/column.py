@@ -9,13 +9,16 @@ on for block pruning of the model table.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.db.schema import Schema
+from repro.db.types import SqlType
 from repro.db.vector import VectorBatch
 from repro.errors import ExecutionError
 
@@ -111,22 +114,53 @@ def _render_point(point: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def stats_may_match(
-    stats: list[MinMax | None],
-    schema: Schema,
-    ranges: list[ColumnRange],
-) -> bool:
-    """SMA check shared by in-memory and disk blocks.
+def block_pruner(
+    schema: Schema, ranges: list[ColumnRange]
+) -> Callable[[list], bool] | None:
+    """The one zone-map pruner: a ``stats -> bool`` closure, or None.
 
-    *stats* is positionally aligned with *schema*.
+    Column positions are resolved once; the returned closure only
+    indexes a block's positionally aligned ``stats`` and asks each
+    :meth:`ColumnRange.may_match`.  Returns ``None`` when no predicate
+    applies to *schema* (callers then skip the check entirely).
     """
-    for predicate in ranges:
-        if not schema.has_column(predicate.column):
-            continue
-        stat = stats[schema.position_of(predicate.column)]
-        if not predicate.may_match(stat):
-            return False
-    return True
+    resolved = [
+        (schema.position_of(predicate.column), predicate)
+        for predicate in ranges
+        if schema.has_column(predicate.column)
+    ]
+    if not resolved:
+        return None
+
+    def may_match(stats) -> bool:
+        for position, predicate in resolved:
+            if not predicate.may_match(stats[position]):
+                return False
+        return True
+
+    return may_match
+
+
+def zone_map_bounds(array: np.ndarray, sql_type: SqlType):
+    """The (min, max) a zone map records for one column of a block.
+
+    The one zone-map rule, shared by memory blocks and column-file
+    footers: NaN is left out, and a block records no zone map (None,
+    which never prunes) when its column is not numeric, holds no
+    non-NaN value, or has an infinite bound (JSON footers cannot hold
+    one).  The bounds are NumPy scalars, so integers stay exact.
+    """
+    if not sql_type.is_numeric or len(array) == 0:
+        return None
+    low, high = array.min(), array.max()
+    if low != low:  # NaN poisons min/max: bound the other values
+        array = array[~np.isnan(array)]
+        if len(array) == 0:
+            return None
+        low, high = array.min(), array.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        return None
+    return low, high
 
 
 class Block:
@@ -142,22 +176,16 @@ class Block:
         self.length = lengths.pop()
         self.stats: list[MinMax | None] = []
         for column, array in zip(schema, arrays):
-            if column.sql_type.is_numeric and self.length > 0:
-                self.stats.append(
-                    MinMax(float(array.min()), float(array.max()))
-                )
-            else:
-                self.stats.append(None)
+            bounds = zone_map_bounds(array, column.sql_type)
+            self.stats.append(
+                None if bounds is None else MinMax(*map(float, bounds))
+            )
 
     def nominal_bytes(self) -> int:
         return sum(
             array.nbytes if array.dtype != object else len(array) * 16
             for array in self.arrays
         )
-
-    def may_match(self, schema: Schema, ranges: list[ColumnRange]) -> bool:
-        """SMA check: can any row of this block satisfy all *ranges*?"""
-        return stats_may_match(self.stats, schema, ranges)
 
     def column_array(self, position: int) -> np.ndarray:
         """The array of one column (the disk block protocol)."""
@@ -172,18 +200,24 @@ class BlockBuilder:
 
     Rows are buffered until ``BLOCK_SIZE`` of them are available; sealed
     blocks get their SMA statistics computed once and become immutable.
+    Reads see the buffered rows as one unsealed *tail* block, so only a
+    partition's last block is ever short, however reads and appends
+    interleave.
     """
 
     def __init__(self, schema: Schema, block_size: int = BLOCK_SIZE):
         self.schema = schema
         self.block_size = block_size
-        self.blocks: list[Block] = []
+        self._sealed: list[Block] = []
         self._pending: list[VectorBatch] = []
         self._pending_rows = 0
+        #: the pending rows as one block, built by the first read after
+        #: an append and dropped by the next append
+        self._tail: Block | None = None
         self.row_count = 0
-        # Appends and flushes mutate the pending buffer; a broadcast
-        # table is scanned by every partition pipeline concurrently, so
-        # the first scans may race to seal the final block.
+        # Appends and reads mutate the pending buffer; a broadcast table
+        # is scanned by every partition pipeline concurrently, so the
+        # first scans may race to build the tail block.
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
@@ -205,13 +239,14 @@ class BlockBuilder:
             self._pending.append(batch)
             self._pending_rows += len(batch)
             self.row_count += len(batch)
+            self._tail = None
             while self._pending_rows >= self.block_size:
-                self._seal(self.block_size)
+                self._seal()
 
-    def _seal(self, rows: int) -> None:
-        """Move the first *rows* buffered rows into a sealed block."""
+    def _seal(self) -> None:
+        """Move the first ``block_size`` buffered rows into a block."""
         taken: list[VectorBatch] = []
-        need = rows
+        need = self.block_size
         while need > 0:
             batch = self._pending.pop(0)
             if len(batch) <= need:
@@ -221,24 +256,35 @@ class BlockBuilder:
                 taken.append(batch.slice(0, need))
                 self._pending.insert(0, batch.slice(need, len(batch)))
                 need = 0
-        arrays = [
-            np.concatenate([batch.arrays[i] for batch in taken])
-            for i in range(len(self.schema))
-        ]
-        self.blocks.append(Block(self.schema, arrays))
-        self._pending_rows -= rows
+        self._sealed.append(self._block_of(taken))
+        self._pending_rows -= self.block_size
 
-    def flush(self) -> None:
-        """Seal whatever is buffered into a final, possibly short block."""
-        with self._lock:
-            if self._pending_rows > 0:
-                self._seal(self._pending_rows)
+    def _block_of(self, batches: list[VectorBatch]) -> Block:
+        return Block(
+            self.schema,
+            [
+                np.concatenate([batch.arrays[i] for batch in batches])
+                for i in range(len(self.schema))
+            ],
+        )
 
     def all_blocks(self) -> list[Block]:
-        self.flush()
-        return self.blocks
+        """The sealed blocks, then the pending rows as one tail block.
+
+        The tail is cached until the next append and never sealed: a
+        read does not change how the partition is blocked.
+        """
+        with self._lock:
+            if not self._pending:
+                return list(self._sealed)
+            if self._tail is None:
+                self._tail = self._block_of(self._pending)
+                # Buffer the tail itself, so the next read after an
+                # append concatenates two batches, not every insert.
+                self._pending = [self._tail.to_batch(self.schema)]
+            return [*self._sealed, self._tail]
 
     def nominal_bytes(self) -> int:
-        sealed = sum(block.nominal_bytes() for block in self.blocks)
+        sealed = sum(block.nominal_bytes() for block in self._sealed)
         pending = sum(batch.nominal_bytes() for batch in self._pending)
         return sealed + pending

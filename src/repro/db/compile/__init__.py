@@ -21,10 +21,7 @@ query to the interpreted path (``use_compiled_kernels=False``) on the
 first :class:`~repro.errors.CompiledKernelError`.
 """
 
-from repro.db.compile.codegen import (
-    NonCompilable,
-    compile_range_checker,
-)
+from repro.db.compile.codegen import NonCompilable
 from repro.db.compile.fuse import FusedPipeline
 from repro.db.compile.kernels import (
     CompiledExpr,
@@ -51,7 +48,6 @@ __all__ = [
     "KernelSpec",
     "NonCompilable",
     "ReplayCompiler",
-    "compile_range_checker",
     "generate_expression_source",
     "generate_kernel_source",
     "project_outputs",

@@ -343,32 +343,3 @@ def aliasing_column(expression: Expression) -> str | None:
         return expression.name.lower()
     return None
 
-
-def compile_range_checker(schema: Schema, ranges) -> object | None:
-    """Zone-map predicate checker with column positions pre-resolved.
-
-    The interpreted :func:`repro.db.column.stats_may_match` re-resolves
-    each predicate's column name for every block; scans on disk-backed
-    tables call it once per block per query.  This compiles the name
-    lookups away: the returned ``may_match(stats)`` closure only indexes
-    the positionally aligned per-block stats list and asks each
-    :meth:`~repro.db.column.ColumnRange.may_match`.
-
-    Returns ``None`` when no predicate applies to *schema* (callers
-    then skip the check entirely).
-    """
-    resolved = [
-        (schema.position_of(predicate.column), predicate)
-        for predicate in ranges
-        if schema.has_column(predicate.column)
-    ]
-    if not resolved:
-        return None
-
-    def may_match(stats) -> bool:
-        for position, predicate in resolved:
-            if not predicate.may_match(stats[position]):
-                return False
-        return True
-
-    return may_match

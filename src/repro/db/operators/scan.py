@@ -5,8 +5,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 
-from repro.db.column import Block, ColumnRange
-from repro.db.compile.codegen import compile_range_checker
+from repro.db.column import Block, ColumnRange, block_pruner
 from repro.db.operators.base import ExecutionContext, PhysicalOperator
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -66,10 +65,9 @@ class TableScan(PhysicalOperator):
         super().__init__(context, schema)
         self.table = table
         self.ranges = ranges or []
-        #: zone-map checker with column positions resolved once (the
-        #: generic Block.may_match re-resolves names per block); None
-        #: when no range predicate applies to this table
-        self._may_match = compile_range_checker(table.schema, self.ranges)
+        #: zone-map pruner over a block's stats; None when no range
+        #: predicate applies to this table
+        self._may_match = block_pruner(table.schema, self.ranges)
         self.partition_index = partition_index
         self._positions = positions
         self._projected = columns is not None and len(positions) < len(

@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.db.catalog import Catalog, ModelMetadata
-from repro.db.column import ColumnRange
+from repro.db.column import ColumnRange, block_pruner
 from repro.db.expressions import (
     BinaryOp,
     CaseWhen,
@@ -103,12 +103,13 @@ def _zone_map_row_estimate(table, ranges) -> int | None:
     """
     if not getattr(table, "disk_resident", False):
         return None
-    surviving = 0
-    for partition in table.partitions:
-        for block in partition.blocks():
-            if block.may_match(table.schema, ranges):
-                surviving += block.length
-    return surviving
+    may_match = block_pruner(table.schema, ranges)
+    return sum(
+        block.length
+        for partition in table.partitions
+        for block in partition.blocks()
+        if may_match is None or may_match(block.stats)
+    )
 
 
 class LogicalScan(LogicalNode):

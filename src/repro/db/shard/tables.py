@@ -72,18 +72,12 @@ class ShardedTable(Table):
             self._coordinator.append_to_shard(shard_id, self.name, routed)
             self.rows_per_shard[shard_id] += len(routed)
 
-    def scan(self, ranges=None, vector_size=1024):  # type: ignore[override]
+    def scan(self, partition=None):  # type: ignore[override]
         raise ShardError(
             f"table {self.name!r} is sharded across "
             f"{self.shard_count} processes and cannot be scanned at "
             "the coordinator; this query should have been dispatched "
             "through the shard coordinator"
-        )
-
-    def scan_partition(self, partition_index, ranges=None, vector_size=1024):
-        raise ShardError(
-            f"table {self.name!r} is sharded and has no "
-            "coordinator-local partitions to scan"
         )
 
     def __getstate__(self) -> dict:

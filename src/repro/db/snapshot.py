@@ -2,24 +2,28 @@
 
 A :class:`DatabaseSnapshot` captures, at one instant, an immutable view
 of every user table — a :class:`FrozenTable` whose partitions hold a
-frozen list of sealed blocks — inside a read-only
+frozen list of blocks — inside a read-only
 :class:`~repro.db.catalog.Catalog` clone that the planner consumes
-exactly like the live catalog.  Because sealed blocks are immutable
+exactly like the live catalog.  Because captured blocks are immutable
 (memory blocks by construction, disk blocks because the backing
 generation directory is *pinned*), a query planned against the snapshot
 sees bit-exactly the state at capture time no matter how many appends,
 checkpoints or generation publishes happen concurrently:
 
-* **Memory tables** — :meth:`~repro.db.table.Partition.blocks` seals
-  the pending buffer and returns the sealed blocks; appends only ever
-  add *new* blocks, so the captured list is a stable prefix.
+* **Memory tables** — :meth:`~repro.db.table.Partition.blocks` returns
+  the sealed blocks plus the not-yet-sealed rows as one tail block,
+  built for the read and never sealed.  Sealed blocks never change and
+  an append replaces the tail instead of mutating it, so the captured
+  list stays exactly the rows present at capture.
 * **Disk tables** — the snapshot pins the current checkpoint
   generation in the :class:`~repro.db.storage.store.StorageEngine`
   (refcounted).  A later checkpoint publishes a *fresh* generation
   directory and retires the old one, but the storage layer defers
   closing and deleting a pinned generation until its last pin drops
   (see ``StorageEngine.unpin_generations``), so the snapshot's block
-  readers stay valid for the snapshot's whole lifetime.
+  readers stay valid for the snapshot's whole lifetime.  The in-memory
+  overlay of appends since the last checkpoint is captured like a
+  memory table.
 
 Capture happens under the engine's ``catalog_lock`` — the same lock
 writers hold for the whole mutating statement and ``checkpoint`` holds
@@ -34,25 +38,18 @@ so pinned generations are garbage-collected promptly.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from repro.db.catalog import Catalog
-from repro.db.column import ColumnRange
-from repro.db.vector import VECTOR_SIZE, VectorBatch
+from repro.db.table import Table
+from repro.db.vector import VectorBatch
 from repro.errors import ExecutionError
 
 
 class FrozenPartition:
-    """An immutable view of one partition's sealed blocks."""
+    """An immutable view of one partition's blocks."""
 
-    def __init__(self, schema, blocks: list):
-        self.schema = schema
-        self._blocks = list(blocks)
-        self._rows = sum(block.length for block in self._blocks)
-
-    @property
-    def row_count(self) -> int:
-        return self._rows
+    def __init__(self, blocks: list):
+        self._blocks = tuple(blocks)
+        self.row_count = sum(block.length for block in self._blocks)
 
     def blocks(self) -> list:
         return list(self._blocks)
@@ -60,25 +57,9 @@ class FrozenPartition:
     def nominal_bytes(self) -> int:
         return sum(block.nominal_bytes() for block in self._blocks)
 
-    def append(self, batch: VectorBatch) -> None:
-        raise ExecutionError("snapshot partitions are read-only")
 
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        ranges = ranges or []
-        for block in self._blocks:
-            if ranges and not block.may_match(self.schema, ranges):
-                continue
-            batch = block.to_batch(self.schema)
-            for start in range(0, len(batch), vector_size):
-                yield batch.slice(start, start + vector_size)
-
-
-class FrozenTable:
-    """A read-only table view duck-typing :class:`~repro.db.table.Table`.
+class FrozenTable(Table):
+    """A read-only :class:`~repro.db.table.Table` over frozen partitions.
 
     Carries the source table's ``uid``/``version``, so version-keyed
     caches (the ModelJoin build cache, compiled epilogue kernels) hit
@@ -86,6 +67,8 @@ class FrozenTable:
     """
 
     def __init__(self, table):
+        # No Table.__init__: a snapshot keeps the source's identity
+        # instead of allocating a fresh uid.
         self.name = table.name
         self.schema = table.schema
         self.partition_key = table.partition_key
@@ -94,60 +77,15 @@ class FrozenTable:
         self.version = table.version
         self.disk_resident = table.disk_resident
         self.partitions = [
-            FrozenPartition(table.schema, partition.blocks())
+            FrozenPartition(partition.blocks())
             for partition in table.partitions
         ]
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.partitions)
-
-    @property
-    def row_count(self) -> int:
-        return sum(partition.row_count for partition in self.partitions)
-
-    def nominal_bytes(self) -> int:
-        return sum(
-            partition.nominal_bytes() for partition in self.partitions
-        )
 
     def append_batch(self, batch: VectorBatch) -> None:
         raise ExecutionError(
             f"table {self.name!r} is a read-only snapshot; "
             "write through the live catalog"
         )
-
-    def append_columns(self, **columns) -> None:
-        raise ExecutionError(
-            f"table {self.name!r} is a read-only snapshot; "
-            "write through the live catalog"
-        )
-
-    def append_rows(self, rows: list[tuple]) -> None:
-        raise ExecutionError(
-            f"table {self.name!r} is a read-only snapshot; "
-            "write through the live catalog"
-        )
-
-    def scan_partition(
-        self,
-        partition_index: int,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        if not 0 <= partition_index < self.num_partitions:
-            raise ExecutionError(
-                f"table {self.name!r} has no partition {partition_index}"
-            )
-        return self.partitions[partition_index].scan(ranges, vector_size)
-
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        for partition in self.partitions:
-            yield from partition.scan(ranges, vector_size)
 
 
 class DatabaseSnapshot:

@@ -28,7 +28,6 @@ into retries instead of query errors.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import threading
@@ -38,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.db import faults
+from repro.db.column import zone_map_bounds
 from repro.db.resilience import backoff_seconds
 from repro.db.storage import codecs
 from repro.db.types import SqlType
@@ -113,29 +113,18 @@ class ColumnFileWriter:
 
 
 def _zone_map(array: np.ndarray, sql_type: SqlType) -> dict:
-    """Per-block SMA statistics recorded in the footer."""
-    if len(array) == 0:
-        return {"min": None, "max": None, "nulls": 0}
-    if sql_type.is_numeric:
-        nulls = 0
-        values = array
-        if array.dtype.kind == "f":
-            nan_mask = np.isnan(array)
-            nulls = int(nan_mask.sum())
-            if nulls == len(array):
-                return {"min": None, "max": None, "nulls": nulls}
-            values = array[~nan_mask] if nulls else array
-        minimum = values.min()
-        maximum = values.max()
-        if sql_type is SqlType.INTEGER:
-            return {"min": int(minimum), "max": int(maximum), "nulls": nulls}
-        low = float(minimum)
-        high = float(maximum)
-        # JSON has no inf; an unbounded zone map simply never prunes.
-        if not (math.isfinite(low) and math.isfinite(high)):
-            return {"min": None, "max": None, "nulls": nulls}
-        return {"min": low, "max": high, "nulls": nulls}
-    return {"min": None, "max": None, "nulls": 0}
+    """Per-block SMA statistics recorded in the footer.
+
+    The bounds follow :func:`repro.db.column.zone_map_bounds`, so a
+    reopened block prunes exactly as it did in memory; integers are
+    stored exactly, and ``nulls`` counts NaNs.
+    """
+    nulls = int(np.isnan(array).sum()) if array.dtype.kind == "f" else 0
+    bounds = zone_map_bounds(array, sql_type)
+    if bounds is None:
+        return {"min": None, "max": None, "nulls": nulls}
+    exact = int if sql_type is SqlType.INTEGER else float
+    return {"min": exact(bounds[0]), "max": exact(bounds[1]), "nulls": nulls}
 
 
 class ColumnFileReader:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import shutil
 import threading
-from collections.abc import Iterator
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -34,13 +33,7 @@ from repro.db.catalog import (
     ModelMetadata,
     ModelVersionRecord,
 )
-from repro.db.column import (
-    BLOCK_SIZE,
-    BlockBuilder,
-    ColumnRange,
-    MinMax,
-    stats_may_match,
-)
+from repro.db.column import BLOCK_SIZE, BlockBuilder, MinMax
 from repro.db.schema import Column, Schema
 from repro.db.storage.blockio import ColumnFileReader, ColumnFileWriter
 from repro.db.storage.bufferpool import (
@@ -54,7 +47,7 @@ from repro.db.storage.checkpoint import (
 )
 from repro.db.table import Table, ensure_uid_floor
 from repro.db.types import SqlType
-from repro.db.vector import VECTOR_SIZE, VectorBatch
+from repro.db.vector import VectorBatch
 from repro.errors import ExecutionError
 
 TABLES_DIR = "tables"
@@ -123,11 +116,6 @@ class DiskBlock:
         self.index = index
         self.length = length
         self.stats = stats
-
-    def may_match(
-        self, schema: Schema, ranges: list[ColumnRange]
-    ) -> bool:
-        return stats_may_match(self.stats, schema, ranges)
 
     def column_array(self, position: int) -> np.ndarray:
         return self.partition.column_array(self.index, position)
@@ -286,19 +274,6 @@ class DiskPartition:
     def overlay_blocks(self) -> list:
         """In-memory blocks appended since the last checkpoint."""
         return self._overlay.all_blocks()
-
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        ranges = ranges or []
-        for block in self.blocks():
-            if ranges and not block.may_match(self.schema, ranges):
-                continue
-            batch = block.to_batch(self.schema)
-            for start in range(0, len(batch), vector_size):
-                yield batch.slice(start, start + vector_size)
 
     # -- block data access ----------------------------------------------
     def _frame_key(self, index: int, position: int) -> tuple:

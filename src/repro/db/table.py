@@ -18,14 +18,14 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.db.column import BLOCK_SIZE, Block, BlockBuilder, ColumnRange
+from repro.db.column import BLOCK_SIZE, Block, BlockBuilder
 from repro.db.schema import Schema
-from repro.db.vector import VECTOR_SIZE, VectorBatch
+from repro.db.vector import VectorBatch
 from repro.errors import DatabaseError, ExecutionError
 
 
 class Partition:
-    """One horizontal slice of a table, stored as sealed blocks."""
+    """One horizontal slice of a table, stored as blocks."""
 
     def __init__(self, schema: Schema, block_size: int = BLOCK_SIZE):
         self.schema = schema
@@ -43,20 +43,6 @@ class Partition:
 
     def nominal_bytes(self) -> int:
         return self._builder.nominal_bytes()
-
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        """Yield vectors, skipping blocks pruned by SMA statistics."""
-        ranges = ranges or []
-        for block in self.blocks():
-            if ranges and not block.may_match(self.schema, ranges):
-                continue
-            batch = block.to_batch(self.schema)
-            for start in range(0, len(batch), vector_size):
-                yield batch.slice(start, start + vector_size)
 
 
 #: process-wide unique table identities (survives DROP + re-CREATE of
@@ -184,23 +170,16 @@ class Table:
                 )
         self.append_batch(VectorBatch(self.schema, list(columns.values())))
 
-    def scan_partition(
-        self,
-        partition_index: int,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        if not 0 <= partition_index < self.num_partitions:
+    def scan(self, partition: int | None = None) -> Iterator[VectorBatch]:
+        """Yield one batch per block: of one partition, or of all in order."""
+        if partition is None:
+            partitions = self.partitions
+        elif 0 <= partition < self.num_partitions:
+            partitions = [self.partitions[partition]]
+        else:
             raise ExecutionError(
-                f"table {self.name!r} has no partition {partition_index}"
+                f"table {self.name!r} has no partition {partition}"
             )
-        return self.partitions[partition_index].scan(ranges, vector_size)
-
-    def scan(
-        self,
-        ranges: list[ColumnRange] | None = None,
-        vector_size: int = VECTOR_SIZE,
-    ) -> Iterator[VectorBatch]:
-        """Scan all partitions in order."""
-        for partition in self.partitions:
-            yield from partition.scan(ranges, vector_size)
+        for part in partitions:
+            for block in part.blocks():
+                yield block.to_batch(self.schema)

@@ -6,6 +6,7 @@ from repro.db.column import (
     BlockBuilder,
     ColumnRange,
     MinMax,
+    block_pruner,
 )
 from repro.db.schema import Schema
 from repro.db.types import SqlType
@@ -90,14 +91,30 @@ class TestBlock:
             schema,
             [np.array([10, 20]), np.zeros(2, dtype=np.float32)],
         )
-        assert block.may_match(schema, [ColumnRange("k", 15, 25)])
-        assert not block.may_match(schema, [ColumnRange("k", 21, None)])
+        assert block_pruner(schema, [ColumnRange("k", 15, 25)])(block.stats)
+        assert not block_pruner(schema, [ColumnRange("k", 21, None)])(
+            block.stats
+        )
 
     def test_may_match_ignores_unknown_columns(self, schema):
+        # no predicate applies, so there is no pruner: nothing is skipped
+        assert block_pruner(schema, [ColumnRange("zzz", 5, 6)]) is None
+        may_match = block_pruner(
+            schema, [ColumnRange("zzz", 5, 6), ColumnRange("k", 0, 2)]
+        )
         block = Block(
             schema, [np.array([1]), np.zeros(1, dtype=np.float32)]
         )
-        assert block.may_match(schema, [ColumnRange("zzz", 5, 6)])
+        assert may_match(block.stats)
+
+    def test_nan_is_left_out_and_inf_records_no_zone_map(self):
+        schema = Schema.of(("f", SqlType.DOUBLE))
+        nan, inf = float("nan"), float("inf")
+        stats = [
+            Block(schema, [np.array(values)]).stats[0]
+            for values in ([3.0, nan, -1.0], [nan, nan], [1.0, inf])
+        ]
+        assert stats == [MinMax(-1.0, 3.0), None, None]
 
     def test_varchar_has_no_stats(self):
         schema = Schema.of(("s", SqlType.VARCHAR))
@@ -127,6 +144,15 @@ class TestBlockBuilder:
         builder.append(make_batch(schema, []))
         assert builder.all_blocks() == []
 
+    def test_reads_do_not_seal_the_tail(self, schema):
+        builder = BlockBuilder(schema, block_size=4)
+        seen = []
+        for key in range(6):
+            builder.append(make_batch(schema, [key]))
+            seen.append([block.length for block in builder.all_blocks()])
+        assert seen == [[1], [2], [3], [4], [4, 1], [4, 2]]
+        assert builder.all_blocks()[1].arrays[0].tolist() == [4, 5]
+
     def test_stats_per_block(self, schema):
         builder = BlockBuilder(schema, block_size=3)
         builder.append(make_batch(schema, [5, 1, 9, 100, 50, 60]))
@@ -138,8 +164,8 @@ class TestBlockBuilder:
 class TestBlockBuilderConcurrency:
     def test_concurrent_first_scan_seals_once(self, schema):
         """Regression: broadcast tables are scanned by all partition
-        pipelines at once; racing flushes must seal the pending block
-        exactly once (this used to pop from an empty list)."""
+        pipelines at once; racing first reads must build one tail block
+        from the pending rows (sealing used to pop from an empty list)."""
         import threading
 
         from repro.db.table import Table
@@ -168,3 +194,5 @@ class TestBlockBuilderConcurrency:
                 thread.join()
             assert not errors
             assert counts == [1000] * 4
+            blocks = table.partitions[0].blocks()
+            assert [block.length for block in blocks] == [1000]

@@ -6,9 +6,11 @@ clauses mixing ``IN`` lists (1-8 values: duplicates, out-of-domain,
 negative, ±inf and NaN literals) with ``BETWEEN`` on the same column
 (the ranges intersect), ``NOT IN`` and ORs across two columns (neither
 prunes), and runs each on every :class:`ExecutionPath` — serial,
-threads=4, shards=2, and a disk-resident table after a reopen, whose
-footer zone maps skip NaN and give up on ±inf — comparing the ids with
-the serial engine planned with ``PlannerOptions(use_block_pruning=False)``.
+threads=4, shards=2, a disk-resident table after a reopen, and a
+``Server`` session reading a snapshot — comparing the ids with the
+serial engine planned with ``PlannerOptions(use_block_pruning=False)``.
+Memory and disk blocks share one zone-map rule: NaN is left out, and a
+block with an infinite bound records no zone map.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.db.serve import Server
 from tests.db.test_partition_paths import (
     SERIAL,
     SHARDS,
@@ -33,7 +36,8 @@ ROWS = 20_000
 BLOCKS = 8
 
 DISK = ExecutionPath("disk-after-reopen")
-PATHS = (SERIAL, THREADS, SHARDS, DISK)
+SERVED = ExecutionPath("served")
+PATHS = (SERIAL, THREADS, SHARDS, DISK, SERVED)
 
 
 def _load(database):
@@ -43,7 +47,7 @@ def _load(database):
     )
     ids = np.arange(ROWS, dtype=np.int64)
     v = (ids - ROWS // 2) / 8.0
-    v[3000:3010] = np.nan  # poisons one memory zone map
+    v[3000:3010] = np.nan  # left out of the zone map of its block
     v[500] = -np.inf
     v[15000] = np.inf
     database.table("p").append_columns(
@@ -55,7 +59,8 @@ def _load(database):
 @pytest.fixture(scope="module")
 def engines(tmp_path_factory):
     engines = {
-        path: _load(path.connect()) for path in (SERIAL, THREADS, SHARDS)
+        path: _load(path.connect())
+        for path in (SERIAL, THREADS, SHARDS, SERVED)
     }
     directory = str(tmp_path_factory.mktemp("pruning") / "db")
     _load(repro.connect(path=directory)).close()
@@ -66,13 +71,28 @@ def engines(tmp_path_factory):
         database.close()
 
 
-def ids(database, path: ExecutionPath, sql: str, pruning: bool = True):
+@pytest.fixture(scope="module")
+def sessions(engines):
+    """SERVED reads go through a session, so they plan on a snapshot."""
+    with Server(engines[SERVED], dispatchers=1) as server:
+        with server.open_session() as session:
+            yield {SERVED: session}
+
+
+def ids(
+    database,
+    path: ExecutionPath,
+    sql: str,
+    pruning: bool = True,
+    session=None,
+):
     saved = database.planner_options
     database.planner_options = dataclasses.replace(
         saved, use_block_pruning=pruning
     )
     try:
-        result = database.execute(sql, parallel=path.parallel)
+        execute = database.execute if session is None else session.execute
+        result = execute(sql, parallel=path.parallel)
     finally:
         database.planner_options = saved
     return sorted(result.column("id").tolist())
@@ -130,11 +150,12 @@ WHERE = st.lists(PREDICATE, min_size=1, max_size=3).map(" AND ".join)
 
 @settings(max_examples=40, deadline=None)
 @given(where=WHERE)
-def test_pruned_rows_equal_unpruned_on_every_path(engines, where):
+def test_pruned_rows_equal_unpruned_on_every_path(engines, sessions, where):
     sql = f"SELECT id FROM p WHERE {where}"
     want = ids(engines[SERIAL], SERIAL, sql, pruning=False)
     for path in PATHS:
-        assert ids(engines[path], path, sql) == want, (str(path), sql)
+        got = ids(engines[path], path, sql, session=sessions.get(path))
+        assert got == want, (str(path), sql)
 
 
 @pytest.mark.parametrize("path", [SERIAL, DISK], ids=str)

@@ -24,7 +24,7 @@ from repro.db.storage import (
 )
 from repro.db.storage import codecs
 from repro.db.storage.checkpoint import MANIFEST_NAME, load_manifest
-from repro.db.column import ColumnRange
+from repro.db.column import BLOCK_SIZE, ColumnRange, block_pruner
 from repro.db.schema import Column, Schema
 from repro.db.types import SqlType
 from repro.errors import ExecutionError
@@ -302,13 +302,10 @@ class TestDiskPartition:
         # 10k rows in 4096-row blocks -> 3 blocks; id <= 100 touches 1.
         blocks = partition.blocks()
         assert len(blocks) == 3
-        ranges = [ColumnRange("id", None, 100.0)]
-        surviving = [
-            b for b in blocks if b.may_match(schema, ranges)
-        ]
+        may_match = block_pruner(schema, [ColumnRange("id", None, 100.0)])
+        surviving = [b for b in blocks if may_match(b.stats)]
         assert len(surviving) == 1
-        batches = list(partition.scan(ranges=ranges))
-        scanned = np.concatenate([b.column("id") for b in batches])
+        scanned = surviving[0].to_batch(schema).column("id")
         assert scanned.max() < 4096  # only the first block was read
         partition.close()
 
@@ -338,10 +335,55 @@ class TestDiskPartition:
         )
         assert partition.row_count == 10
         ids = np.concatenate(
-            [batch.column("id") for batch in partition.scan()]
+            [block.to_batch(schema).column("id") for block in partition.blocks()]
         )
         assert sorted(ids.tolist()) == list(range(8)) + [100, 101]
         partition.close()
+
+    def test_memory_zone_maps_equal_reopened_footer_zone_maps(self, tmp_path):
+        # One zone-map rule: NaN is left out, an all-NaN or infinite
+        # block records none, integers stay exact past 2**53.
+        db = repro.connect(path=str(tmp_path / "db"))
+        db.execute("CREATE TABLE z (i INTEGER, f FLOAT, d DOUBLE, s VARCHAR)")
+        rows = 6 * BLOCK_SIZE + 100
+        d = np.arange(rows, dtype=np.float64)
+        d[5] = np.nan  # block 0: some NaN
+        d[BLOCK_SIZE : 2 * BLOCK_SIZE] = np.nan  # block 1: all NaN
+        d[2 * BLOCK_SIZE + 7] = np.inf  # block 2: +inf
+        d[3 * BLOCK_SIZE + 7] = -np.inf  # block 3: -inf
+        d[4 * BLOCK_SIZE + 1 : 4 * BLOCK_SIZE + 9] = np.nan
+        d[4 * BLOCK_SIZE + 9] = np.inf  # block 4: NaN and +inf
+        f = d.astype(np.float32)
+        i = np.arange(rows, dtype=np.int64) + 2**60 + 1
+        db.table("z").append_columns(
+            i=i, f=f, d=d, s=np.array(["x"] * rows, dtype=object)
+        )
+
+        def stats(database):
+            return [
+                [
+                    None if stat is None else (stat.minimum, stat.maximum)
+                    for stat in block.stats
+                ]
+                for block in database.table("z").partitions[0].blocks()
+            ]
+
+        memory = stats(db)
+        db.close()
+        reopened = repro.connect(path=str(tmp_path / "db"))
+        assert reopened.table("z").disk_resident
+        assert stats(reopened) == memory
+        assert [block[2] for block in memory] == [
+            (0.0, BLOCK_SIZE - 1.0),
+            None,
+            None,
+            None,
+            None,
+            (5.0 * BLOCK_SIZE, 6.0 * BLOCK_SIZE - 1),
+            (6.0 * BLOCK_SIZE, 6.0 * BLOCK_SIZE + 99),
+        ]
+        assert [block[3] for block in memory] == [None] * 7
+        reopened.close()
 
 
 def make_persistent_db(path, rows=20_000, partitions=2, parallelism=1):

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from repro.db.column import ColumnRange
+import repro
+from repro.db.column import BLOCK_SIZE, ColumnRange
+from repro.db.operators import ExecutionContext, TableScan
 from repro.db.schema import Schema
+from repro.db.serve import Server
 from repro.db.table import Table
 from repro.db.types import SqlType
 from repro.errors import DatabaseError
@@ -64,8 +69,8 @@ class TestPartitioning:
     def test_hash_routing_is_deterministic(self, schema):
         table = Table("t", schema, num_partitions=3, partition_key="id")
         fill(table, 30)
-        for index, partition in enumerate(table.partitions):
-            for batch in partition.scan():
+        for index in range(table.num_partitions):
+            for batch in table.scan(index):
                 assert (batch.column("id") % 3 == index).all()
 
     def test_round_robin_without_key(self, schema):
@@ -83,9 +88,9 @@ class TestPartitioning:
             sort_key=("id",),
         )
         fill(table, 500)
-        for partition in table.partitions:
+        for index in range(table.num_partitions):
             ids = np.concatenate(
-                [batch.column("id") for batch in partition.scan()]
+                [batch.column("id") for batch in table.scan(index)]
             )
             assert (np.diff(ids) > 0).all()
 
@@ -94,28 +99,97 @@ class TestPartitioning:
 
         table = Table("t", schema, num_partitions=2)
         with pytest.raises(ExecutionError):
-            list(table.scan_partition(5))
+            list(table.scan(5))
+
+
+def pruned_scan(table: Table, low, high) -> list:
+    scan = TableScan(
+        ExecutionContext(), table, ranges=[ColumnRange("id", low, high)]
+    )
+    return list(scan.batches())
 
 
 class TestScan:
-    def test_scan_respects_vector_size(self, schema):
-        table = Table("t", schema, block_size=64)
-        fill(table, 200)
-        sizes = [len(batch) for batch in table.scan(vector_size=50)]
-        assert max(sizes) <= 50
-        assert sum(sizes) == 200
+    def test_scan_yields_one_batch_per_block(self, schema):
+        table = Table("t", schema, num_partitions=2, block_size=64)
+        fill(table, 300)
+        assert [len(batch) for batch in table.scan()] == [64, 64, 22] * 2
+        assert [len(batch) for batch in table.scan(1)] == [64, 64, 22]
 
     def test_scan_with_pruning_skips_blocks(self, schema):
         table = Table("t", schema, block_size=10)
         fill(table, 100)
-        batches = list(table.scan(ranges=[ColumnRange("id", 95, None)]))
-        total = sum(len(batch) for batch in batches)
+        total = sum(len(batch) for batch in pruned_scan(table, 95, None))
         # Only the last block (ids 90..99) survives pruning.
         assert total == 10
 
     def test_pruning_never_loses_matching_rows(self, schema):
         table = Table("t", schema, block_size=7)
         fill(table, 100)
-        batches = list(table.scan(ranges=[ColumnRange("id", 50, 60)]))
+        batches = pruned_scan(table, 50, 60)
         ids = np.concatenate([batch.column("id") for batch in batches])
         assert set(range(50, 61)) <= set(ids.tolist())
+
+
+def assert_unfragmented(table) -> None:
+    """Only the last block of a partition may be short."""
+    for partition in table.partitions:
+        blocks = partition.blocks()
+        assert len(blocks) <= math.ceil(partition.row_count / BLOCK_SIZE)
+        assert all(block.length == BLOCK_SIZE for block in blocks[:-1])
+
+
+class TestReadsDoNotFragment:
+    """Reads see the rows not yet sealed as one tail block and never
+    seal it, so interleaving inserts with reads keeps full blocks."""
+
+    PAIRS = 40
+
+    def load(self, database, rows=2 * 5000):
+        database.execute(
+            "CREATE TABLE t (id INTEGER, v DOUBLE) "
+            "PARTITION BY (id) PARTITIONS 2"
+        )
+        database.table("t").append_columns(
+            id=np.arange(rows, dtype=np.int64),
+            v=np.arange(rows, dtype=np.float64),
+        )
+        return rows
+
+    def test_direct_and_served_reads(self):
+        database = repro.connect()
+        key = self.load(database)
+        for _ in range(self.PAIRS):
+            database.execute(f"INSERT INTO t VALUES ({key}, 0.5)")
+            sql = f"SELECT id FROM t WHERE id = {key}"
+            assert database.execute(sql).column("id").tolist() == [key]
+            key += 1
+        assert_unfragmented(database.table("t"))
+        with Server(database, dispatchers=1) as server:
+            with server.open_session() as session:
+                for _ in range(self.PAIRS):
+                    session.execute(f"INSERT INTO t VALUES ({key}, 0.5)")
+                    sql = f"SELECT id FROM t WHERE id = {key}"
+                    result = session.execute(sql)
+                    assert result.column("id").tolist() == [key]
+                    key += 1
+        table = database.table("t")
+        assert table.row_count == key
+        assert_unfragmented(table)
+        database.close()
+
+    def test_disk_overlay_reads(self, tmp_path):
+        database = repro.connect(path=str(tmp_path / "db"))
+        key = self.load(database)
+        database.close()
+        database = repro.connect(path=str(tmp_path / "db"))
+        for _ in range(self.PAIRS):
+            database.execute(f"INSERT INTO t VALUES ({key}, 0.5)")
+            sql = f"SELECT id FROM t WHERE id = {key}"
+            assert database.execute(sql).column("id").tolist() == [key]
+            key += 1
+        for partition in database.table("t").partitions:
+            overlay = partition.overlay_blocks()
+            rows = sum(block.length for block in overlay)
+            assert len(overlay) <= math.ceil(rows / BLOCK_SIZE)
+        database.close()
