@@ -60,16 +60,14 @@ from repro.errors import (
 class KernelOutput:
     """One output position of a fused kernel.
 
-    ``expression is None`` is the COUNT sentinel: the kernel emits a
-    ones vector (the aggregate argument the interpreted path produces
-    for ``COUNT``).  ``dtype`` is the coercion target for projection
+    ``dtype`` is the coercion target for projection
     outputs; ``None`` keeps the raw evaluation result (filter
     pass-through and aggregate inputs, which the consuming operator
     coerces after reduction, exactly like the interpreted path).
     """
 
     name: str
-    expression: Expression | None
+    expression: Expression
     dtype: np.dtype | None = None
 
 
@@ -145,10 +143,6 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
     output_refs: set[int] = set()
     guarded: list[bool] = []
     for output in spec.outputs:
-        if output.expression is None:
-            output_texts.append("np.ones(n, dtype=np.int64)")
-            guarded.append(False)
-            continue
         text = emit_output(output.expression, builder)
         if output.dtype is not None:
             text = (

@@ -2,12 +2,20 @@
 
 The hash aggregate is the generic strategy: it materializes its input
 (a pipeline breaker with memory proportional to the input), groups it
-with :func:`~repro.db.operators.keys.group_order` (one sort of an int64
-composite key, or a lexsort of the key codes when that would overflow)
-and reduces each group with ``ufunc.reduceat``.  Groups come out in key
-code order: integers by value, VARCHAR lexicographically, floats by
-their IEEE bit pattern — so every NaN bit pattern is a group of its own,
-in a VARCHAR + float key as much as in a numeric one.
+with :func:`~repro.db.operators.keys.group_order` (a counting pass over
+a small composite key domain, one sort of an int64 composite key, or a
+lexsort of the key codes when that would overflow) and reduces each
+group with ``ufunc.reduceat``.  Groups come out in key code order:
+integers by value, VARCHAR lexicographically, floats by their IEEE bit
+pattern — so every NaN bit pattern is a group of its own, in a VARCHAR +
+float key as much as in a numeric one.
+
+Every aggregate operator evaluates each distinct argument once
+(:func:`aggregate_inputs`): ``SUM(v), COUNT(v), AVG(v)`` materializes
+and gathers ``v`` once and reduces it with one ``np.add.reduceat``, and
+``COUNT`` is the group size, so it evaluates nothing.  Unless it calls a
+function, a hash aggregate's input arrives in one batch per block (the
+lowering sizes the scan that feeds it).
 
 The order-based aggregate is the optimization of paper Section 4.4: if
 the input is already sorted on the group keys it emits a group the
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.expressions import ColumnRef, Expression
+from repro.db.expressions import ColumnRef, Expression, Literal
 from repro.db.operators.base import (
     ExecutionContext,
     PhysicalOperator,
@@ -31,10 +39,19 @@ from repro.db.operators.base import (
 from repro.db.operators.keys import equality_codes, group_order, run_starts
 from repro.db.schema import Column, Schema
 from repro.db.types import SqlType
-from repro.db.vector import VectorBatch
+from repro.db.vector import VectorBatch, concat_batches
 from repro.errors import PlanError
 
 _SUPPORTED = ("SUM", "COUNT", "MIN", "MAX", "AVG")
+
+#: the ufunc that reduces a group's values, or merges two partials
+_REDUCERS = {
+    "SUM": np.add,
+    "COUNT": np.add,
+    "AVG": np.add,
+    "MIN": np.minimum,
+    "MAX": np.maximum,
+}
 
 
 @dataclass(frozen=True)
@@ -85,14 +102,57 @@ def _output_schema(
     return Schema(tuple(columns))
 
 
-def _evaluate_argument(
-    spec: AggregateSpec, batch: VectorBatch
-) -> np.ndarray:
-    if spec.function == "COUNT":
-        # COUNT and COUNT(*) both reduce a ones vector; the argument
-        # (when present) never needs evaluating.
-        return np.ones(len(batch), dtype=np.int64)
-    return spec.argument.evaluate(batch)
+def _argument_key(argument: Expression) -> tuple:
+    """*argument* with the statement slots of its literals.
+
+    A cached plan re-instantiates every literal slot with its own value,
+    so two arguments share one input only when they are equal and read
+    the same slots — the kernel layout must not depend on the values.
+    """
+    slots: list = []
+
+    def visit(node) -> None:
+        if isinstance(node, Literal):
+            slots.append(node.slot)
+        elif isinstance(node, tuple):
+            for item in node:
+                visit(item)
+        elif isinstance(node, Expression):
+            for value in vars(node).values():
+                visit(value)
+
+    visit(argument)
+    return argument, tuple(slots)
+
+
+def aggregate_inputs(
+    aggregates: list[AggregateSpec],
+) -> tuple[list[AggregateSpec], list[int | None]]:
+    """The aggregates whose argument an aggregate operator evaluates —
+    the first one of each distinct argument, in the order of its input
+    arrays and of its compiled kernel's outputs — and each aggregate's
+    position among them (None for COUNT, which is the group size)."""
+    inputs: list[AggregateSpec] = []
+    positions: dict[tuple, int] = {}
+    slots: list[int | None] = []
+    for spec in aggregates:
+        if spec.function == "COUNT":
+            slots.append(None)
+            continue
+        key = _argument_key(spec.argument)
+        if key not in positions:
+            positions[key] = len(inputs)
+            inputs.append(spec)
+        slots.append(positions[key])
+    return inputs, slots
+
+
+def _nbytes(arrays: list[np.ndarray]) -> int:
+    """Accounted size of buffered arrays (16 bytes per VARCHAR value)."""
+    return sum(
+        array.nbytes if array.dtype != object else len(array) * 16
+        for array in arrays
+    )
 
 
 def _batch_inputs(operator, batch: VectorBatch):
@@ -116,7 +176,7 @@ def _batch_inputs(operator, batch: VectorBatch):
         expression.evaluate(batch)
         for expression in operator.group_expressions
     ]
-    values = [_evaluate_argument(spec, batch) for spec in operator.aggregates]
+    values = [spec.argument.evaluate(batch) for spec in operator.inputs]
     return keys, values
 
 
@@ -129,37 +189,43 @@ def _describe_fusion(operator) -> str:
     return " [compiled input]"
 
 
-def _reduce_segments(
-    spec: AggregateSpec, values: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """Reduce contiguous segments beginning at *starts*."""
-    if spec.function in ("SUM", "COUNT", "AVG"):
-        return np.add.reduceat(values, starts)
-    if spec.function == "MIN":
-        return np.minimum.reduceat(values, starts)
-    return np.maximum.reduceat(values, starts)
+def _partials(
+    operator, columns: list[np.ndarray], starts: np.ndarray, counts
+) -> list[np.ndarray]:
+    """Each aggregate reduced over the segments beginning at *starts*.
 
-
-def _merge_partials(spec: AggregateSpec, left, right):
-    """Combine two partial aggregates of the same group."""
-    if spec.function in ("SUM", "COUNT", "AVG"):
-        return left + right
-    if spec.function == "MIN":
-        return min(left, right)
-    return max(left, right)
+    *columns* are the operator's input arrays; COUNT is *counts* and AVG
+    its SUM (the caller divides), and each (ufunc, input) pair is
+    reduced once however many aggregates use it.
+    """
+    reduced: dict[tuple, np.ndarray] = {}
+    partials = []
+    for spec, slot in zip(operator.aggregates, operator.input_slots):
+        if slot is None:
+            partials.append(counts)
+            continue
+        ufunc = _REDUCERS[spec.function]
+        key = (ufunc, slot)
+        if key not in reduced:
+            reduced[key] = ufunc.reduceat(columns[slot], starts)
+        partials.append(reduced[key])
+    return partials
 
 
 def _grouped_batch(
     operator, keys: list[np.ndarray], values: list[np.ndarray]
 ) -> VectorBatch:
-    """Group non-empty *keys* and reduce *values* per group: one output
-    row per group, in :func:`group_order`'s order."""
+    """Group non-empty *keys* and reduce *values* (the operator's input
+    arrays) per group: one output row per group, in
+    :func:`group_order`'s order."""
     order, starts = group_order(keys)
     counts = np.diff(np.append(starts, len(order)))
     firsts = order[starts]
     arrays: list[np.ndarray] = [key[firsts] for key in keys]
-    for spec, column in zip(operator.aggregates, values):
-        reduced = _reduce_segments(spec, column[order], starts)
+    partials = _partials(
+        operator, [column[order] for column in values], starts, counts
+    )
+    for spec, reduced in zip(operator.aggregates, partials):
         if spec.function == "AVG":
             reduced = reduced.astype(np.float64) / counts
         arrays.append(reduced)
@@ -198,6 +264,7 @@ class HashAggregate(UnaryOperator):
         self.group_expressions = list(group_expressions)
         self.group_names = list(group_names)
         self.aggregates = list(aggregates)
+        self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
         self.input_kernel = input_kernel
         self.fused_filter = fused_filter
         self._accounted_bytes = 0
@@ -211,7 +278,7 @@ class HashAggregate(UnaryOperator):
         key_chunks: list[list[np.ndarray]] = [
             [] for _ in self.group_expressions
         ]
-        value_chunks: list[list[np.ndarray]] = [[] for _ in self.aggregates]
+        value_chunks: list[list[np.ndarray]] = [[] for _ in self.inputs]
         for batch in self.child.next_batches():
             if len(batch) == 0:
                 continue
@@ -219,12 +286,13 @@ class HashAggregate(UnaryOperator):
             if inputs is None:
                 continue
             keys, values = inputs
-            for slot, array in enumerate(keys):
-                key_chunks[slot].append(array)
-                self._account(array)
-            for slot, array in enumerate(values):
-                value_chunks[slot].append(array)
-                self._account(array)
+            for chunks, array in zip(key_chunks, keys):
+                chunks.append(array)
+            for chunks, array in zip(value_chunks, values):
+                chunks.append(array)
+            nbytes = _nbytes(keys) + _nbytes(values)
+            self._accounted_bytes += nbytes
+            self.context.memory.allocate(nbytes, "aggregation")
         if not key_chunks[0]:
             return
         keys = [np.concatenate(chunks) for chunks in key_chunks]
@@ -234,11 +302,6 @@ class HashAggregate(UnaryOperator):
         result = _grouped_batch(self, keys, values)
         for start in range(0, len(result), self.context.vector_size):
             yield result.slice(start, start + self.context.vector_size)
-
-    def _account(self, values: np.ndarray) -> None:
-        nbytes = values.nbytes if values.dtype != object else len(values) * 16
-        self._accounted_bytes += nbytes
-        self.context.memory.allocate(nbytes, "aggregation")
 
     def close(self) -> None:
         if self._accounted_bytes:
@@ -297,6 +360,7 @@ class OrderedAggregate(UnaryOperator):
         self.group_expressions = list(group_expressions)
         self.group_names = list(group_names)
         self.aggregates = list(aggregates)
+        self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
         self.input_kernel = input_kernel
         self.fused_filter = fused_filter
 
@@ -324,18 +388,16 @@ class OrderedAggregate(UnaryOperator):
             codes = equality_codes(keys)
             starts = run_starts(codes)
             counts = np.diff(np.append(starts, len(codes[0])))
-            partials = [
-                _reduce_segments(spec, column, starts)
-                for spec, column in zip(self.aggregates, values)
-            ]
+            partials = _partials(self, values, starts, counts)
             segment_keys = [key[starts] for key in keys]
             merged_row: list | None = None
             first = 0
             if pending_key is not None and _row(codes, 0) == pending_key:
                 # The open group continues into this batch: fold in the
                 # first segment.
+                # ufuncs, not min()/max(): a NaN must win in any order
                 pending_partials = [
-                    _merge_partials(spec, old, new[0])
+                    _REDUCERS[spec.function](old, new[:1])
                     for spec, old, new in zip(
                         self.aggregates, pending_partials, partials
                     )
@@ -363,7 +425,9 @@ class OrderedAggregate(UnaryOperator):
                 yield complete
             if last >= first:
                 pending_key_rows = [key[last] for key in segment_keys]
-                pending_partials = [column[last] for column in partials]
+                pending_partials = [
+                    column[last:last + 1] for column in partials
+                ]
                 pending_count = int(counts[last])
                 pending_key = _row(codes, starts[last])
         if pending_key is not None:
@@ -407,18 +471,17 @@ class OrderedAggregate(UnaryOperator):
         if merged_row is not None:
             merged = self._rows_to_batch([merged_row])
             # The merged boundary group precedes this batch's segments.
-            from repro.db.vector import concat_batches
-
             result = concat_batches(self.schema, [merged, result])
         return result
 
     def _finish_group(self, key_row: list, partials: list, count: int) -> list:
+        """One output row; *partials* are one-element arrays."""
         row = list(key_row)
         for spec, partial in zip(self.aggregates, partials):
             if spec.function == "AVG":
-                row.append(float(partial) / count)
+                row.append(float(partial[0]) / count)
             else:
-                row.append(partial)
+                row.append(partial[0])
         return row
 
     def _rows_to_batch(self, rows: list[list]) -> VectorBatch:
@@ -495,6 +558,7 @@ class SegmentedAggregate(UnaryOperator):
         self.group_expressions = list(group_expressions)
         self.group_names = list(group_names)
         self.aggregates = list(aggregates)
+        self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
         self.prefix_length = prefix_length
         self.input_kernel = input_kernel
         self.fused_filter = fused_filter
@@ -519,16 +583,10 @@ class SegmentedAggregate(UnaryOperator):
             [] for _ in self.group_expressions
         ]
         buffered_values: list[list[np.ndarray]] = [
-            [] for _ in self.aggregates
+            [] for _ in self.inputs
         ]
         buffered_bytes = 0
         pending_prefix = None
-
-        def account(arrays: list[np.ndarray]) -> int:
-            return sum(
-                array.nbytes if array.dtype != object else len(array) * 16
-                for array in arrays
-            )
 
         def buffer_slice(
             keys: list[np.ndarray],
@@ -543,7 +601,7 @@ class SegmentedAggregate(UnaryOperator):
                 buffered_keys[slot].append(piece)
             for slot, piece in enumerate(value_slices):
                 buffered_values[slot].append(piece)
-            added = account(key_slices) + account(value_slices)
+            added = _nbytes(key_slices) + _nbytes(value_slices)
             buffered_bytes += added
             self.context.memory.allocate(added, "aggregation-segment")
 

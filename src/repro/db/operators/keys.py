@@ -8,10 +8,13 @@ streaming fashion (:func:`pack_keys` stacks a multi-column join key
 into one structured array that ``np.searchsorted`` can probe).
 
 Grouping never sorts that structured array.  :func:`group_order` folds
-the codes into one int64 composite key and sorts it with plain
-``ndarray.sort``, or lexsorts the code columns when the composite would
-overflow.  VARCHAR columns join the codes as their ``np.unique`` ranks,
-which order like the strings themselves.
+the codes into one mixed-radix composite key.  A composite of at most
+2^16 values (and no more values than rows) is ordered by a stable radix
+argsort of its uint8/uint16 cast and split by ``np.bincount``; a wider
+one is sorted with plain ``ndarray.sort``, and the code columns are
+lexsorted when the composite would overflow.  VARCHAR columns join the
+codes as their ``np.unique`` ranks, which order like the strings
+themselves.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from repro.errors import ExecutionError
 #: ``rows × Π(max − min + 1)`` must stay below this for the composite
 #: key (including its row-index tiebreak) to fit a signed int64
 _COMPOSITE_LIMIT = 1 << 62
+#: composite domains up to this size are counted, not compared: NumPy's
+#: stable argsort is a radix sort for 8- and 16-bit integers
+_DENSE_LIMIT = 1 << 16
 
 
 def _int64_codes(values: np.ndarray) -> np.ndarray:
@@ -95,11 +101,16 @@ def group_order(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     :func:`string_ranks`, compared left to right.  *starts* are the
     positions in ``order`` where each group begins.
 
-    When ``rows × Π(max − min + 1)`` fits, the codes are folded into one
-    mixed-radix composite, and ``composite * rows + row_index`` is sorted
-    with ``ndarray.sort``: the values are unique, so the unstable sort
-    yields the stable order, recovered as ``value % rows``.  Otherwise
-    ``np.lexsort`` orders the code columns.
+    The codes are folded into one mixed-radix composite whenever
+    ``rows × D`` fits, with ``D = Π(max − min + 1)`` its domain:
+    - ``D ≤ min(2^16, rows)``: a stable argsort of the composite cast to
+      uint8/uint16 (a radix sort) gives *order*, and the cumulative
+      ``np.bincount`` of the groups present gives *starts*;
+    - otherwise ``composite * rows + row_index`` is sorted with
+      ``ndarray.sort``: the values are unique, so the unstable sort
+      yields the stable order, recovered as ``value % rows``.
+    When even that would overflow, ``np.lexsort`` orders the code
+    columns.  All three give the same ``(order, starts)``.
     """
     if not keys:
         raise ExecutionError("group_order needs at least one key column")
@@ -113,11 +124,20 @@ def group_order(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         return empty, empty
     lows = [int(column.min()) for column in codes]
     spans = [int(column.max()) - low + 1 for column, low in zip(codes, lows)]
-    if rows * math.prod(spans) < _COMPOSITE_LIMIT:
+    domain = math.prod(spans)
+    if rows * domain < _COMPOSITE_LIMIT:
         composite = codes[0] - lows[0]
         for column, low, span in zip(codes[1:], lows[1:], spans[1:]):
             composite *= span
             composite += column - low
+        if domain <= min(_DENSE_LIMIT, rows):
+            narrow = np.uint8 if domain <= 256 else np.uint16
+            order = np.argsort(composite.astype(narrow), kind="stable")
+            sizes = np.bincount(composite)
+            sizes = sizes[sizes > 0]
+            starts = np.zeros(len(sizes), dtype=np.int64)
+            np.cumsum(sizes[:-1], out=starts[1:])
+            return order, starts
         tagged = composite * rows + np.arange(rows, dtype=np.int64)
         tagged.sort()
         order = tagged % rows

@@ -1,4 +1,9 @@
-"""Table scan with SMA block pruning and column projection."""
+"""Table scan with SMA block pruning and column projection.
+
+Batches are scan vectors, or whole blocks when the lowering sizes the
+scan for the ModelJoin or hash aggregate it feeds
+(:attr:`TableScan.vector_size`).
+"""
 
 from __future__ import annotations
 
@@ -37,9 +42,10 @@ class TableScan(PhysicalOperator):
 
     A scan emits batches of ``context.vector_size`` rows — one scan
     vector — unless the lowering set :attr:`vector_size` to a multiple
-    of it (the inference batch of the ModelJoin it feeds).  Either way a
-    batch is made of whole consecutive scan vectors of one block: a
-    block's trailing partial vector is always a batch of its own.
+    of it: the inference batch of the ModelJoin it feeds, or a whole
+    block for a hash aggregate whose input calls no function.  Either
+    way a batch is made of whole consecutive scan vectors of one block:
+    a block's trailing partial vector is always a batch of its own.
     """
 
     morsel_streaming = True
@@ -88,8 +94,8 @@ class TableScan(PhysicalOperator):
         #: distinct column files opened (disk-resident tables only)
         self._opened_files: set = set()
         #: rows per emitted batch when larger than one scan vector (set
-        #: by the lowering for the scan feeding a ModelJoin); None = the
-        #: context's vector size
+        #: by the lowering for the scan feeding a ModelJoin or a hash
+        #: aggregate); None = the context's vector size
         self.vector_size: int | None = None
 
     @property

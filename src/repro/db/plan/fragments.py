@@ -352,8 +352,14 @@ def _decompose_aggregation(
     partial_items: list[SelectItem] = []
     merge_specs: list[AggregateSpec] = []
     replacements: dict[FunctionCall, Expression] = {}
+    partials: dict[tuple, ColumnRef] = {}
 
     def partial(function: str, argument, merge_function: str) -> ColumnRef:
+        # one partial per (function, argument): AVG(v) reuses SUM(v)'s
+        # and COUNT(v)'s, so each is computed and shipped once
+        shipped = partials.get((function, argument))
+        if shipped is not None:
+            return shipped
         name = f"__p{len(partial_items)}"
         arguments = () if argument is None else (argument,)
         partial_items.append(
@@ -362,6 +368,7 @@ def _decompose_aggregation(
         merge_specs.append(
             AggregateSpec(merge_function, ColumnRef(name), name)
         )
+        partials[(function, argument)] = ColumnRef(name)
         return ColumnRef(name)
 
     def rewrite(expression: Expression) -> Expression:

@@ -24,7 +24,8 @@ from repro.db.compile import (
     KernelSpec,
     project_outputs,
 )
-from repro.db.expressions import ColumnRef
+from repro.db.column import BLOCK_SIZE
+from repro.db.expressions import ColumnRef, Expression, FunctionCall
 from repro.db.operators import (
     CrossJoin,
     ExecutionContext,
@@ -38,7 +39,11 @@ from repro.db.operators import (
     SortOperator,
     TableScan,
 )
-from repro.db.operators.aggregate import SegmentedAggregate
+from repro.db.operators.aggregate import (
+    AggregateSpec,
+    SegmentedAggregate,
+    aggregate_inputs,
+)
 from repro.db.operators.misc import RenameOperator
 from repro.db.plan.logical import (
     LogicalAggregate,
@@ -53,6 +58,7 @@ from repro.db.plan.logical import (
     LogicalScan,
     LogicalSubquery,
     conjoin,
+    rebuild,
     walk,
 )
 from repro.errors import PlanError
@@ -450,12 +456,8 @@ class Lowering:
                 for expression, name in zip(group_exprs, group_names)
             ]
             outputs.extend(
-                KernelOutput(
-                    spec.name,
-                    None if spec.function == "COUNT" else spec.argument,
-                    None,
-                )
-                for spec in node.aggregates
+                KernelOutput(spec.name, spec.argument, None)
+                for spec in aggregate_inputs(node.aggregates)[0]
             )
             label = (
                 f"filter({len(predicates)})+aggregate-input"
@@ -494,6 +496,13 @@ class Lowering:
                 input_kernel=kernel,
                 fused_filter=fused_filter,
             )
+        scan = feeding_scan(child)
+        if scan is not None and not _calls_function(node):
+            # Grouping is indifferent to batch boundaries: take whole
+            # blocks (in whole scan vectors), unless a function — a UDF
+            # the paper calls once per scan vector — evaluates the input.
+            vector = self.context.vector_size
+            scan.vector_size = max(vector, BLOCK_SIZE - BLOCK_SIZE % vector)
         return HashAggregate(
             self.context,
             child,
@@ -547,6 +556,26 @@ class Lowering:
         if all(node.ascending) and have[: len(wanted)] == wanted:
             return child
         return SortOperator(self.context, child, keys, node.ascending, top)
+
+
+def _calls_function(node: LogicalNode) -> bool:
+    """Whether an expression of *node* or of any node below it calls a
+    function."""
+    found = False
+
+    def visit(expression: Expression) -> Expression:
+        nonlocal found
+        found = found or isinstance(expression, FunctionCall)
+        return rebuild(expression, visit)
+
+    for below in walk(node):
+        for value in vars(below).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, AggregateSpec):
+                    item = item.argument
+                if isinstance(item, Expression):
+                    visit(item)
+    return found
 
 
 def feeding_scan(operator: PhysicalOperator) -> TableScan | None:

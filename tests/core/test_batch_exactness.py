@@ -37,6 +37,9 @@ from repro.device import HostDevice
 from repro.nn.layers import Lstm
 from repro.workloads.models import make_dense_model, make_lstm_model
 
+# runs again under `python -X dev` with ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 VECTOR = 1024
 SIZES = (1023, 1024, 1025, 4095, 4097, 10_000)
 MODELS = {

@@ -1,10 +1,13 @@
 """Aggregation operators: hash, ordered, and their equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.db.engine import Database
 from repro.db.expressions import BinaryOp, ColumnRef, Literal
 from repro.db.operators import (
     AggregateSpec,
@@ -17,6 +20,7 @@ from repro.db.operators.misc import ValuesOperator
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.db.types import SqlType
+from repro.db.udf import PythonUdf
 from repro.errors import PlanError
 
 
@@ -233,11 +237,11 @@ class TestOrderedAggregate:
         assert context.memory.by_category.get("aggregation", 0) == 0
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     keys=st.lists(
         st.tuples(
-            st.integers(min_value=-5, max_value=5),
+            st.integers(min_value=-3, max_value=3),
             st.integers(min_value=0, max_value=2),
         ),
         max_size=200,
@@ -247,13 +251,20 @@ class TestOrderedAggregate:
         min_size=1,
         max_size=3,
     ),
+    nans=st.sets(st.integers(min_value=0, max_value=40), max_size=4),
 )
-def test_hash_equals_ordered_on_sorted_input(keys, functions):
-    """Property: both strategies agree on any input sorted by the two
-    group keys (so a batch may continue the first key but not the
-    second)."""
+# one group over three batches, its NaN in the second
+@example(keys=[(0, 0)] * 20, functions={"MIN", "MAX"}, nans={10})
+def test_hash_equals_ordered_on_sorted_input(keys, functions, nans):
+    """Property: both strategies agree exactly on any input sorted by
+    the two group keys (so a batch may continue the first key but not
+    the second), NaNs included.  Values are halves, so every float32
+    sum is exact in any association."""
     keys = sorted(keys)
-    values = [float(g) * 0.5 + h + 1.0 for g, h in keys]
+    values = [
+        np.nan if row in nans else float(g) * 0.5 + h + 1.0
+        for row, (g, h) in enumerate(keys)
+    ]
     context = ExecutionContext(vector_size=7)
     specs = [
         AggregateSpec(
@@ -283,7 +294,10 @@ def test_hash_equals_ordered_on_sorted_input(keys, functions):
     assert len(hash_rows) == len(ordered_rows)
     for left, right in zip(hash_rows, ordered_rows):
         assert left[:2] == right[:2]
-        np.testing.assert_allclose(left[2:], right[2:], rtol=1e-5)
+        np.testing.assert_array_equal(
+            np.array(left[2:], dtype=np.float64),
+            np.array(right[2:], dtype=np.float64),
+        )
 
 
 @settings(max_examples=30, deadline=None)
@@ -334,3 +348,164 @@ def test_hash_aggregate_matches_python_reference(rows):
     for key, (total, count) in expected.items():
         np.testing.assert_allclose(got[key][0], total, rtol=1e-4)
         assert got[key][1] == count
+
+
+class TestNanAcrossBatches:
+    """OrderedAggregate merges a group's batches with the ufuncs that
+    reduce each batch, so a NaN in any batch wins MIN and MAX."""
+
+    SQL = "SELECT g, MIN(v) AS lo, MAX(v) AS hi FROM s GROUP BY g"
+
+    def run(self, sorted_by: str):
+        db = Database()
+        db.execute(f"CREATE TABLE s (g INTEGER, v DOUBLE){sorted_by}")
+        values = np.arange(2048, dtype=np.float64)
+        values[1500] = np.nan
+        db.table("s").append_columns(
+            g=np.zeros(2048, dtype=np.int64), v=values
+        )
+        return db.explain(self.SQL), db.execute(self.SQL).rows
+
+    @pytest.mark.parametrize(
+        "sorted_by, strategy",
+        [(" SORTED BY (g)", "OrderedAggregate"), ("", "HashAggregate")],
+    )
+    def test_nan_in_a_later_batch_wins(self, sorted_by, strategy):
+        plan, rows = self.run(sorted_by)
+        assert strategy in plan
+        ((group, low, high),) = rows
+        assert group == 0
+        assert np.isnan(low) and np.isnan(high)
+
+
+def _bits(result, name):
+    return result.column(name).tobytes()
+
+
+#: every aggregate of the duplicate-argument query, each once more alone
+SHARED = ["SUM(v)", "AVG(v)", "MIN(v)", "COUNT(v)", "COUNT(*)", "MAX(v)",
+          "SUM(v)", "AVG(v * 2)", "SUM(v * 2)"]
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize(
+    "sorted_by, keys, strategy",
+    [
+        ("", "g", "HashAggregate"),
+        ("", "g, h", "HashAggregate"),
+        (" SORTED BY (g)", "g", "OrderedAggregate"),
+        (" SORTED BY (g)", "g, h", "SegmentedAggregate"),
+    ],
+)
+def test_shared_arguments_match_one_aggregate_per_query(
+    compiled, sorted_by, keys, strategy
+):
+    """Aggregates sharing an argument share its column and reduction;
+    each result is bit-identical to the aggregate run on its own."""
+    rng = np.random.default_rng(5)
+    rows = 5000
+    db = Database()
+    db.planner_options = dataclasses.replace(
+        db.planner_options,
+        use_compiled_kernels=compiled,
+        use_segmented_aggregation=True,
+    )
+    db.execute(
+        f"CREATE TABLE d (g INTEGER, h INTEGER, v DOUBLE){sorted_by}"
+    )
+    values = rng.standard_normal(rows) * 1e3
+    values[rng.random(rows) < 0.01] = np.nan
+    db.table("d").append_columns(
+        g=np.sort(rng.integers(0, 9, rows)),
+        h=rng.integers(-3, 3, rows),
+        v=values,
+    )
+    items = ", ".join(
+        f"{aggregate} AS a{slot}" for slot, aggregate in enumerate(SHARED)
+    )
+    sql = f"SELECT {keys}, {items} FROM d GROUP BY {keys}"
+    assert strategy in db.explain(sql)
+    together = db.execute(sql)
+    for slot, aggregate in enumerate(SHARED):
+        alone = db.execute(
+            f"SELECT {keys}, {aggregate} AS a{slot} FROM d GROUP BY {keys}"
+        )
+        for key in keys.split(", "):
+            assert _bits(together, key) == _bits(alone, key)
+        assert _bits(together, f"a{slot}") == _bits(alone, f"a{slot}")
+
+
+class TestBlockBatches:
+    """A hash aggregate takes one batch per block unless a function
+    evaluates its input; UDFs keep one call per scan vector."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database()
+        db.execute("CREATE TABLE b (g INTEGER, v DOUBLE)")
+        db.table("b").append_columns(
+            g=np.arange(10_000) % 7, v=np.arange(10_000) * 0.5
+        )
+        db.execute("CREATE TABLE bs (g INTEGER, v DOUBLE) SORTED BY (g)")
+        db.table("bs").append_columns(
+            g=np.sort(np.arange(10_000) % 7), v=np.arange(10_000) * 0.5
+        )
+        return db
+
+    def test_hash_aggregate_scans_whole_blocks(self, db):
+        plan = db.explain("SELECT g, SUM(v) AS s FROM b GROUP BY g")
+        assert "vector=4096" in plan
+        plan = db.explain("SELECT g, SUM(v) AS s FROM bs GROUP BY g")
+        assert "OrderedAggregate" in plan
+        assert "vector=" not in plan
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT g, SUM(probe(v)) AS s FROM b GROUP BY g",
+            "SELECT g, SUM(v) AS s FROM b WHERE probe(v) >= 0 GROUP BY g",
+            "SELECT probe(v) AS k, COUNT(*) AS n FROM b GROUP BY probe(v)",
+        ],
+    )
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_udf_inputs_keep_scan_vectors(self, db, sql, compiled):
+        db.planner_options = dataclasses.replace(
+            db.planner_options, use_compiled_kernels=compiled
+        )
+        lengths = []
+
+        def probe(values):
+            lengths.append(len(values))
+            return values
+
+        db.register_udf(
+            PythonUdf(
+                "probe", 1, probe, result_type=SqlType.DOUBLE, marshal=False
+            )
+        )
+        assert "vector=" not in db.explain(sql)
+        db.execute(sql)
+        assert sum(lengths) == 10_000
+        assert max(lengths) == 1024
+
+
+def test_shared_arguments_follow_literal_slots_in_cached_plans():
+    """Equal arguments with literals from different statement slots keep
+    their own input: a cached plan replays its kernels for statements of
+    the same shape whose literals then differ."""
+    shape = "SELECT g, SUM(v * {}) AS a, SUM(v * {}) AS b FROM d GROUP BY g"
+
+    def load(db):
+        db.execute("CREATE TABLE d (g INTEGER, v DOUBLE)")
+        db.table("d").append_columns(
+            g=np.arange(3000) % 5, v=np.arange(3000) * 0.25
+        )
+        return db
+
+    db = load(Database())
+    for literals in ((2, 2), (2, 2), (2, 3)):
+        cached = db.execute(shape.format(*literals))
+    assert db.query_log.entries()[-1]["plan_cached"]
+    fresh = load(Database()).execute(shape.format(2, 3))
+    for name in ("g", "a", "b"):
+        assert _bits(cached, name) == _bits(fresh, name)

@@ -27,6 +27,9 @@ from repro.db.introspect import (
 from repro.db.introspect.log import LOG_FILE_NAME
 from repro.errors import BindError, CatalogError
 
+# runs again under `python -X dev` with ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 
 def _fill(db: Database, rows: int = 64) -> None:
     db.execute("CREATE TABLE t (a INTEGER, b DOUBLE)")

@@ -12,6 +12,8 @@ from repro.db.operators.keys import (
     pack_keys,
     pack_keys_slow,
     ranges_to_indices,
+    run_starts,
+    string_ranks,
     supports_fast_keys,
 )
 from repro.errors import ExecutionError
@@ -197,6 +199,121 @@ class TestGroupOrder:
     def test_empty_key_list_rejected(self):
         with pytest.raises(ExecutionError):
             group_order([])
+
+
+def composite_sort_reference(columns):
+    """``group_order`` before it counted small domains: every composite
+    that fits is tagged with its row index and sorted, the rest
+    lexsorted."""
+    codes = [
+        string_ranks(column) if column.dtype == object
+        else _int64_codes(column)
+        for column in columns
+    ]
+    rows = len(codes[0])
+    if rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    lows = [int(column.min()) for column in codes]
+    spans = [int(column.max()) - low + 1 for column, low in zip(codes, lows)]
+    if rows * int(np.prod(spans, dtype=object)) < 1 << 62:
+        composite = codes[0] - lows[0]
+        for column, low, span in zip(codes[1:], lows[1:], spans[1:]):
+            composite *= span
+            composite += column - low
+        tagged = composite * rows + np.arange(rows, dtype=np.int64)
+        tagged.sort()
+        return tagged % rows, run_starts([tagged // rows])
+    order = np.lexsort(codes[::-1])
+    return order, run_starts([column[order] for column in codes])
+
+
+FLOAT_PAIRS = [
+    (0.0, -0.0),
+    (np.nan, np.nan),
+    (1.5, np.nextafter(1.5, 2.0)),
+    tuple(np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(np.float64)),
+    (-0.0, np.nextafter(0.0, 1.0)),
+]
+
+#: composite domains around the uint8 / uint16 / dense-limit edges
+DOMAINS = [
+    (1,), (255,), (256,), (257,), (65535,), (65536,), (65537,),
+    (3, 85), (16, 16), (2, 2, 64), (255, 257), (256, 256), (257, 255),
+]
+
+
+@st.composite
+def dense_key_columns(draw):
+    """Key columns whose codes span a drawn composite domain exactly
+    (when there are at least two rows), of int / negative int / bool /
+    VARCHAR / float kind, at fewer, as many or more rows than values."""
+    spans = draw(st.sampled_from(DOMAINS))
+    domain = int(np.prod(spans))
+    rows = draw(
+        st.sampled_from([0, 1, 2, domain - 1, domain, domain + 1])
+        | st.integers(2, domain + min(2 * domain, 4096))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for span in spans:
+        codes = rng.integers(0, span, rows)
+        codes[: min(rows, 2)] = [0, span - 1][: min(rows, 2)]
+        kind = draw(st.sampled_from(["int", "negative", "bool", "varchar",
+                                     "float"]))
+        if kind == "bool" and span <= 2:
+            columns.append(codes.astype(np.bool_))
+        elif kind == "varchar":
+            columns.append(np.array([f"k{c:05d}" for c in codes], dtype=object))
+        elif kind == "float" and span <= 2:
+            # -0.0 and 0.0 are one code, a NaN is one bit pattern, and
+            # adjacent floats (or NaN payloads) are a domain of two
+            pool = draw(st.sampled_from(FLOAT_PAIRS))
+            columns.append(np.where(codes == 0, pool[0], pool[1]))
+        else:
+            low = -span - 7 if kind == "negative" else 11
+            columns.append(codes.astype(np.int64) + low)
+    return columns
+
+
+class TestDenseGroupOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(columns=dense_key_columns())
+    def test_matches_composite_sort(self, columns):
+        order, starts = group_order(columns)
+        want_order, want_starts = composite_sort_reference(columns)
+        assert order.dtype == want_order.dtype == np.int64
+        assert starts.dtype == want_starts.dtype
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_array_equal(starts, want_starts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(columns=key_columns())
+    def test_mixed_pools_match_composite_sort(self, columns):
+        order, starts = group_order(columns)
+        want_order, want_starts = composite_sort_reference(columns)
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_array_equal(starts, want_starts)
+
+    @pytest.mark.parametrize(
+        "rows, domain, counted",
+        [(300, 256, True), (300, 257, True), (300, 299, True),
+         (300, 301, False), (70000, 65536, True), (70000, 65537, False)],
+    )
+    def test_counts_only_small_domains(self, monkeypatch, rows, domain,
+                                       counted):
+        calls = []
+        real = np.bincount
+        monkeypatch.setattr(
+            np, "bincount", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        keys = np.arange(rows) % domain
+        keys[-1] = domain - 1
+        order, starts = group_order([keys])
+        assert bool(calls) is counted
+        want_order, want_starts = composite_sort_reference([keys])
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_array_equal(starts, want_starts)
 
 
 class TestRangesToIndices:

@@ -156,6 +156,57 @@ class TestPartialMerge:
             single.schema, single
         )
 
+    def test_one_partial_per_function_and_argument(self):
+        fragment = _partial_fragment(
+            "SELECT g, SUM(v) AS s, COUNT(v) AS c, AVG(v) AS a "
+            "FROM t GROUP BY g"
+        )
+        partials = [
+            str(item.expression)
+            for item in fragment.statement.select_items[1:]
+        ]
+        assert partials == ["SUM(v)", "COUNT(v)"]
+        assert len(fragment.merge_specs) == 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.floats(-1e6, 1e6)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from([2, 3, 5]),
+    )
+    def test_shared_partials_merge_avg_bit_identically(self, rows, k):
+        """AVG reusing SUM's and COUNT's partials merges to the same bits
+        as AVG decomposed on its own (arbitrary floats: not exact)."""
+        parts = [rows[shard::k] for shard in range(k)]
+
+        def merged_avg(sql):
+            fragment = _partial_fragment(sql)
+            results = [
+                _run_statement(part, fragment.statement)
+                for part in parts
+                if part
+            ]
+            schema, batches = _merge(fragment, results)
+            position = schema.position_of("a")
+            return {
+                row[0]: row[position]
+                for row in _sorted_rows(schema, batches)
+            }
+
+        shared = merged_avg(
+            "SELECT g, SUM(v) AS s, COUNT(v) AS c, AVG(v) AS a "
+            "FROM t GROUP BY g"
+        )
+        alone = merged_avg("SELECT g, AVG(v) AS a FROM t GROUP BY g")
+        assert shared.keys() == alone.keys()
+        for group, value in alone.items():
+            assert np.float64(shared[group]).tobytes() == (
+                np.float64(value).tobytes()
+            )
+
     def test_having_applied_after_merge(self):
         sql = (
             "SELECT g, SUM(v) AS s FROM t GROUP BY g "

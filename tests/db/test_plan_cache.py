@@ -54,6 +54,9 @@ from repro.nn.model import Sequential
 from tests.db.test_partition_paths import SERIAL, SHARDS, THREADS
 from tests.db.test_partition_paths import _load as load_partitioned
 
+# runs again under `python -X dev` with ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 #: three storage blocks, so pruning and zone-map estimates show
 ROWS = 9_000
 

@@ -31,6 +31,9 @@ from tests.db.test_partition_paths import (
     ExecutionPath,
 )
 
+# runs again under `python -X dev` with ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 #: 4 partitions of 5 000 contiguous ids: 2 blocks each (4096 + 904)
 ROWS = 20_000
 BLOCKS = 8

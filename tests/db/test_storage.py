@@ -30,6 +30,9 @@ from repro.db.types import SqlType
 from repro.errors import ExecutionError
 from repro.workloads.models import make_dense_model
 
+# runs again under `python -X dev` with ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 RNG_SEED = 20260806
 
 

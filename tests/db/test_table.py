@@ -12,6 +12,9 @@ from repro.db.table import Table
 from repro.db.types import SqlType
 from repro.errors import DatabaseError
 
+# runs again under `python -X dev` with ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 
 @pytest.fixture
 def schema() -> Schema:
