@@ -17,6 +17,10 @@ upload is cheap relative to the relational build it replaces.
 
 Both the per-entry files and the index are written via write-to-temp +
 rename, so a crash mid-save leaves the previous consistent warm set.
+An entry file's name derives from its cache key (table uid and
+version), so a save skips the files this object already wrote or
+loaded, and rewrites the index only when the entry set changed: the
+checkpoint of a database that built nothing new writes nothing here.
 
 Older warm sets keyed entries on two more fields (``vector_size``,
 ``replicate_bias``) and stored each layer's replicated bias as an
@@ -125,6 +129,11 @@ class ModelCachePersistence:
         self.cache = cache
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        #: entry files this object wrote or loaded (same name, same
+        #: content: the name hashes the key)
+        self._stored: set[str] = set()
+        #: the entry files the index on disk lists; None until known
+        self._indexed: set[str] | None = None
 
     def save(self) -> int:
         """Persist every host-resident build; returns the entry count."""
@@ -137,12 +146,15 @@ class ModelCachePersistence:
                 continue
             metadata, arrays = serialized
             file_name = _entry_file_name(key)
-            temp = self.directory / (file_name + ".tmp")
-            with open(temp, "wb") as handle:
-                np.savez(handle, **arrays)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, self.directory / file_name)
+            path = self.directory / file_name
+            if file_name not in self._stored or not path.exists():
+                temp = self.directory / (file_name + ".tmp")
+                with open(temp, "wb") as handle:
+                    np.savez(handle, **arrays)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(temp, path)
+                self._stored.add(file_name)
             index_entries.append(
                 {
                     "key": dataclasses.asdict(key),
@@ -153,13 +165,15 @@ class ModelCachePersistence:
                     "layers": metadata,
                 }
             )
-        atomic_write_json(
-            self.directory / INDEX_NAME, {"entries": index_entries}
-        )
         keep = {entry["file"] for entry in index_entries}
-        for path in self.directory.glob("model-*.npz"):
-            if path.name not in keep:
-                path.unlink()
+        if keep != self._indexed:
+            atomic_write_json(
+                self.directory / INDEX_NAME, {"entries": index_entries}
+            )
+            self._indexed = keep
+            for path in self.directory.glob("model-*.npz"):
+                if path.name not in keep:
+                    path.unlink()
         return len(index_entries)
 
     def load(self) -> int:
@@ -169,8 +183,10 @@ class ModelCachePersistence:
             return 0
         with open(index_path, encoding="utf-8") as handle:
             index = json.load(handle)
+        entries = index.get("entries", [])
+        self._indexed = {entry["file"] for entry in entries}
         restored = 0
-        for entry in index.get("entries", []):
+        for entry in entries:
             path = self.directory / entry["file"]
             if not path.exists():
                 continue
@@ -189,5 +205,6 @@ class ModelCachePersistence:
                 if name in _KEY_FIELDS
             }
             self.cache.put(CacheKey(**key), built)
+            self._stored.add(entry["file"])
             restored += 1
         return restored

@@ -38,7 +38,12 @@ class QueryLog:
             raise ValueError("query log capacity must be >= 1")
         self.capacity = capacity
         self.path = Path(path) if path is not None else None
+        #: guards the ring and the file; held across record()'s write
+        #: and flush
         self._lock = threading.Lock()
+        #: guards only the id counter, so a query start never waits
+        #: behind another query's disk write
+        self._id_lock = threading.Lock()
         self._entries: deque[dict] = deque(maxlen=capacity)
         self._handle = None
         self._next_query_id = 0
@@ -84,7 +89,7 @@ class QueryLog:
 
     def allocate_query_id(self) -> int:
         """The next query id (monotonic across restarts)."""
-        with self._lock:
+        with self._id_lock:
             query_id = self._next_query_id
             self._next_query_id += 1
             return query_id

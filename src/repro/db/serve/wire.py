@@ -93,8 +93,10 @@ class WireServer:
 
     def _serve_connection(self, connection: socket.socket) -> None:
         session = None
+        # The reader holds a reference on the socket: close() alone
+        # leaves the fd open until both are closed.
+        reader = connection.makefile("r", encoding="utf-8")
         try:
-            reader = connection.makefile("r", encoding="utf-8")
             for line in reader:
                 line = line.strip()
                 if not line:
@@ -125,10 +127,11 @@ class WireServer:
                 session.close(reason="client disconnected")
             with self._lock:
                 self._connections.pop(connection, None)
-            try:
-                connection.close()
-            except OSError:
-                pass
+            for handle in (reader, connection):
+                try:
+                    handle.close()
+                except OSError:
+                    pass
 
     def _handle(self, connection, session, request):
         op = request.get("op")
@@ -300,10 +303,11 @@ class WireClient:
             self.request({"op": "close"})
         except (OSError, ConnectionError):
             pass
-        try:
-            self._socket.close()
-        except OSError:
-            pass
+        for handle in (self._reader, self._socket):
+            try:
+                handle.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "WireClient":
         return self

@@ -31,6 +31,15 @@ while swapping partitions — so a snapshot can never observe a write or
 a generation publish half-applied (no torn reads across partitions or
 tables).
 
+Capture makes no filesystem call.  The generation keys it pins are
+recorded when a manifest is published (``StorageEngine`` resolves its
+root once, at construction), and disk partitions load their
+column-file footers at publish too, so what runs under
+``catalog_lock`` is refcount increments and copies of block references
+— never a ``stat``, ``resolve`` or ``open``.  A syscall there would
+release the GIL while the lock is held and queue every other
+dispatcher behind it (``tests/db/test_snapshot_capture.py`` checks it).
+
 The serving layer (:mod:`repro.db.serve`) gives every admitted read
 query such a snapshot; release is mandatory (use the context manager)
 so pinned generations are garbage-collected promptly.

@@ -367,7 +367,7 @@ class GenerationPin:
 
     __slots__ = ("dirs",)
 
-    def __init__(self, dirs: list[Path]):
+    def __init__(self, dirs: tuple[Path, ...]):
         self.dirs = dirs
 
 
@@ -381,8 +381,11 @@ class StorageEngine:
         metrics=None,
         tracer=None,
     ):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        root = Path(root)
+        root.mkdir(parents=True, exist_ok=True)
+        #: resolved once, here: every generation key is a pure join
+        #: under it, so pinning and GC compare paths without syscalls
+        self.root = root.resolve()
         (self.root / TABLES_DIR).mkdir(exist_ok=True)
         (self.root / MODELS_DIR).mkdir(exist_ok=True)
         self.metrics = metrics
@@ -399,6 +402,9 @@ class StorageEngine:
         #: manifest entries currently backed by on-disk data, by
         #: lower-cased table name (used to skip rewriting clean tables)
         self._persisted: dict[str, dict] = {}
+        #: keys (``root / data_dir``) of the generation dirs the
+        #: committed manifest references, recorded when it is published
+        self._published: tuple[Path, ...] = ()
         #: snapshot pinning (MVCC-lite, see repro.db.snapshot): a
         #: refcount per pinned generation directory, plus the retired
         #: generations (superseded by a later checkpoint while pinned)
@@ -410,6 +416,15 @@ class StorageEngine:
         #: partitions of generations the manifest references (their
         #: column-file readers are closed at retirement or close())
         self._live: set[DiskPartition] = set()
+
+    def _publish(self, entries: list[dict]) -> None:
+        """Record the committed manifest's table entries and their keys."""
+        self._persisted = {
+            entry["name"].lower(): dict(entry) for entry in entries
+        }
+        self._published = tuple(
+            self.root / entry["data_dir"] for entry in entries
+        )
 
     @property
     def models_dir(self) -> Path:
@@ -430,7 +445,7 @@ class StorageEngine:
                 table = self._load_table(entry)
                 catalog.create_table(table)
                 highest_uid = max(highest_uid, table.uid)
-                self._persisted[table.name.lower()] = dict(entry)
+            self._publish(manifest["tables"])
             ensure_uid_floor(highest_uid + 1)
             for model in manifest.get("models", []):
                 catalog.register_model(_metadata_from_entry(model))
@@ -480,10 +495,6 @@ class StorageEngine:
         table.partitions = self._open_partitions(
             schema, self.root / entry["data_dir"], table.num_partitions
         )
-        for partition in table.partitions:
-            # Load the column-file footers now so the first query after a
-            # restart pays no metadata I/O (the catalog opens warm).
-            partition._ensure_meta()
         return table
 
     def _open_partitions(
@@ -499,6 +510,10 @@ class StorageEngine:
             )
             for index in range(count)
         ]
+        for partition in partitions:
+            # Load the column-file footers at publish, so neither the
+            # first query nor a snapshot capture pays metadata I/O.
+            partition._ensure_meta()
         with self._pin_lock:
             self._live.update(partitions)
         return partitions
@@ -513,15 +528,15 @@ class StorageEngine:
         later checkpoints: its readers stay open, its buffer-pool
         frames stay resident, and its files stay on disk.  Call
         :meth:`unpin_generations` with the returned pin to release.
+        Only refcounts move: the keys were recorded at publish, so a
+        pin makes no filesystem call.
         """
         with self._pin_lock:
-            dirs: list[Path] = []
-            for entry in self._persisted.values():
-                directory = (self.root / entry["data_dir"]).resolve()
+            dirs = self._published
+            for directory in dirs:
                 self._pin_counts[directory] = (
                     self._pin_counts.get(directory, 0) + 1
                 )
-                dirs.append(directory)
         if self.metrics is not None:
             self.metrics.counter("storage.generations_pinned").increment(
                 len(dirs)
@@ -584,7 +599,7 @@ class StorageEngine:
         """
         groups: dict[Path, list] = {}
         for partition in partitions:
-            directory = Path(partition.directory).parent.resolve()
+            directory = partition.directory.parent
             groups.setdefault(directory, []).append(partition)
         detach_now: list[list] = []
         with self._pin_lock:
@@ -643,10 +658,8 @@ class StorageEngine:
                 "current_versions": dict(catalog.current_versions),
             }
             save_manifest(self.root, manifest)
-            self._persisted = {
-                entry["name"].lower(): dict(entry) for entry in tables
-            }
-            self._cleanup_stale_generations(manifest)
+            self._publish(tables)
+            self._cleanup_stale_generations()
         if self.metrics is not None:
             self.metrics.counter("storage.checkpoints").increment()
         return manifest
@@ -694,32 +707,29 @@ class StorageEngine:
             )
         return entry
 
-    def _cleanup_stale_generations(self, manifest: dict) -> None:
-        referenced = {
-            (self.root / entry["data_dir"]).resolve()
-            for entry in manifest["tables"]
-        }
+    def _cleanup_stale_generations(self) -> None:
+        referenced = set(self._published)
         # Partitions of superseded or dropped tables go through the
         # retire path: closed now when no snapshot pins their
         # generation, when the last pin drops otherwise.
         self._retire_partitions([
             partition
             for partition in self._live
-            if partition.directory.parent.resolve() not in referenced
+            if partition.directory.parent not in referenced
         ])
+        # iterdir() under the resolved root yields keys directly.
         tables_root = self.root / TABLES_DIR
         for table_dir in tables_root.iterdir():
             if not table_dir.is_dir():
                 continue
             for generation_dir in table_dir.iterdir():
-                resolved = generation_dir.resolve()
-                if resolved in referenced:
+                if generation_dir in referenced:
                     continue
                 with self._pin_lock:
-                    if self._pin_counts.get(resolved):
+                    if self._pin_counts.get(generation_dir):
                         # A snapshot still reads this generation: keep
                         # the files and let the last unpin delete them.
-                        self._retired.setdefault(resolved, [])
+                        self._retired.setdefault(generation_dir, [])
                         continue
                 shutil.rmtree(generation_dir, ignore_errors=True)
             if not any(table_dir.iterdir()):

@@ -5,7 +5,9 @@ error, fault, slow and fallback rows; the top-5-slowest ranking),
 joins of ``system.*`` tables against user tables (bit-exact vs the
 providers' Python-side state), live progress through
 ``system.active_queries`` from a second thread, query-log persistence
-across a crash-kill restart, and the Prometheus round trip.
+across a crash-kill restart, query ids that stay unique and monotonic
+while another query's row is being flushed, and the Prometheus round
+trip.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.db.introspect import (
     metrics_to_prometheus,
     parse_prometheus_text,
 )
-from repro.db.introspect.log import LOG_FILE_NAME
+from repro.db.introspect.log import LOG_FILE_NAME, QueryLog
 from repro.errors import BindError, CatalogError
 
 # runs again under `python -X dev` with ResourceWarnings as errors
@@ -403,6 +405,93 @@ class TestPersistence:
         assert any(
             entry["sql"] == "SELECT a FROM t LIMIT 2" for entry in parsed
         )
+
+
+class _BlockingHandle:
+    """A log file whose flush waits until released (a slow disk)."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.flushing = threading.Event()
+        self.release = threading.Event()
+
+    def write(self, text):
+        self._handle.write(text)
+
+    def flush(self):
+        self.flushing.set()
+        self.release.wait(5.0)
+        self._handle.flush()
+
+    def close(self):
+        self._handle.close()
+
+
+class TestQueryIds:
+    THREADS = 8
+    IDS_PER_THREAD = 200
+
+    def test_unique_and_monotonic_while_record_flushes(self, tmp_path):
+        path = tmp_path / LOG_FILE_NAME
+        log = QueryLog(capacity=16, path=path)
+        allocated = [[] for _ in range(self.THREADS)]
+        stop = threading.Event()
+
+        def allocate(ids):
+            for _ in range(self.IDS_PER_THREAD):
+                query_id = log.allocate_query_id()
+                ids.append(query_id)
+                log.record({"query_id": query_id, "sql": "x"})
+
+        def record():
+            while not stop.is_set():
+                log.record({"query_id": -1, "sql": "flush"})
+
+        recorder = threading.Thread(target=record)
+        recorder.start()
+        workers = [
+            threading.Thread(target=allocate, args=(ids,))
+            for ids in allocated
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        stop.set()
+        recorder.join()
+        flat = [query_id for ids in allocated for query_id in ids]
+        total = self.THREADS * self.IDS_PER_THREAD
+        assert sorted(flat) == list(range(total))
+        assert all(ids == sorted(ids) for ids in allocated)
+        log.close()
+        # reopen continues above every id the file holds
+        reopened = QueryLog(capacity=16, path=path)
+        assert reopened.allocate_query_id() == total
+        reopened.close()
+
+    def test_allocation_does_not_wait_for_a_flush(self, tmp_path):
+        log = QueryLog(capacity=4, path=tmp_path / LOG_FILE_NAME)
+        slow = _BlockingHandle(log._handle)
+        log._handle = slow
+        writer = threading.Thread(
+            target=log.record, args=({"query_id": 0, "sql": "x"},)
+        )
+        writer.start()
+        try:
+            assert slow.flushing.wait(5.0)
+            allocated = []
+            starter = threading.Thread(
+                target=lambda: allocated.append(log.allocate_query_id())
+            )
+            starter.start()
+            starter.join(2.0)
+            # the id came back while record() was still flushing
+            assert allocated == [0]
+            assert writer.is_alive()
+        finally:
+            slow.release.set()
+            writer.join()
+            log.close()
 
 
 class TestPrometheus:

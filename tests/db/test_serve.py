@@ -37,6 +37,10 @@ from repro.errors import (
     SqlSyntaxError,
 )
 
+# runs again under `python -X dev` with ResourceWarnings as errors:
+# served reads pin generations and hold sockets
+pytestmark = pytest.mark.leak_guard
+
 EVENT_ROWS = 120
 
 

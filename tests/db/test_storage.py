@@ -684,6 +684,71 @@ class TestWarmModelCache:
         assert stats["misses"] == 0
         reopened.close()
 
+    def test_save_writes_only_new_builds(self, tmp_path, monkeypatch):
+        import os
+
+        db = make_persistent_db(tmp_path / "db", rows=2_000)
+        self.publish_and_score(
+            db, make_dense_model(32, 2, input_width=4, seed=7)
+        )
+        persistence = db.model_cache_persistence
+        assert persistence.save() == 1
+        models_dir = db.storage.models_dir
+
+        def stats():
+            return {
+                path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+                for path in models_dir.iterdir()
+            }
+
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        before = stats()
+        assert persistence.save() == 1
+        assert fsyncs == []
+        assert stats() == before
+
+        # a new build writes its own file (and the index), nothing else
+        publish_model(
+            db, "other", make_dense_model(16, 1, input_width=2, seed=3)
+        )
+        db.execute(
+            "SELECT id, prediction_0 FROM fact "
+            "MODEL JOIN other USING (f, d)"
+        )
+        assert persistence.save() == 2
+        after = stats()
+        (new_file,) = set(after) - set(before)
+        assert new_file.startswith("model-")
+        changed = {
+            name for name in before if after.get(name) != before[name]
+        }
+        assert changed == {"INDEX.json"}
+        db.close()
+
+        reopened = repro.connect(path=str(tmp_path / "db"))
+        reopened.execute(
+            "SELECT id, prediction_0 FROM fact "
+            "MODEL JOIN clf USING (f, f, f, f) ORDER BY id"
+        )
+        reopened.execute(
+            "SELECT id, prediction_0 FROM fact "
+            "MODEL JOIN other USING (f, d)"
+        )
+        stats_after = reopened.model_cache.statistics()
+        assert (stats_after["hits"], stats_after["misses"]) == (2, 0)
+        # the unchanged warm set is not rewritten by a later save
+        fsyncs.clear()
+        reopened.model_cache_persistence.save()
+        assert fsyncs == []
+        reopened.close()
+
     def test_older_warm_set_with_replicated_biases_reopens(self, tmp_path):
         # Older releases keyed entries on vector_size/replicate_bias and
         # stored each layer's replicated bias; rewrite the warm set into
