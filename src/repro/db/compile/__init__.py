@@ -1,13 +1,18 @@
 """Pipeline-fusing query compilation (PR6, ROADMAP item 3).
 
-Turns bound expression trees and adjacent filter→project→aggregate
-operator chains into generated, cached NumPy kernels:
+Turns adjacent filter→project→aggregate-input chains into generated,
+cached NumPy kernels:
 
-* :class:`~repro.db.compile.kernels.CompiledExpr` — one scalar or
-  predicate expression compiled to a single vectorized callable.
-* :class:`~repro.db.compile.fuse.FusedPipeline` — a filter→project
-  chain fused into one kernel with short-circuit mask narrowing; the
-  same kernels feed the aggregate operators as *input kernels*.
+* :class:`~repro.db.compile.kernels.KernelSpec` — one pipeline segment;
+  the lowering asks :meth:`~repro.db.compile.kernels.KernelCompiler.kernel`
+  for exactly one kernel per segment: the generated
+  :class:`~repro.db.compile.kernels.FusedKernel` (short-circuit mask
+  narrowing, all outputs in one call), or, when codegen is off or has
+  no exact form, the :class:`~repro.db.compile.kernels.InterpretedKernel`
+  with the same call contract.
+* :class:`~repro.db.compile.fuse.FusedPipeline` — the one filter /
+  projection operator, calling its kernel once per batch; the same
+  kernels feed the aggregate operators as their input kernels.
 * :class:`~repro.db.compile.kernels.CompiledKernelCache` — engine-
   lifetime LRU of exec'd functions keyed on the generated source text.
   Literals are kernel parameters, so the text is literal-free and a
@@ -24,31 +29,29 @@ first :class:`~repro.errors.CompiledKernelError`.
 from repro.db.compile.codegen import NonCompilable
 from repro.db.compile.fuse import FusedPipeline
 from repro.db.compile.kernels import (
-    CompiledExpr,
     CompiledKernelCache,
     FusedKernel,
+    InterpretedKernel,
     KernelCompiler,
     KernelOutput,
     KernelReplayError,
     KernelSpec,
     ReplayCompiler,
-    generate_expression_source,
     generate_kernel_source,
     project_outputs,
 )
 
 __all__ = [
-    "CompiledExpr",
     "CompiledKernelCache",
     "FusedKernel",
     "FusedPipeline",
+    "InterpretedKernel",
     "KernelCompiler",
     "KernelOutput",
     "KernelReplayError",
     "KernelSpec",
     "NonCompilable",
     "ReplayCompiler",
-    "generate_expression_source",
     "generate_kernel_source",
     "project_outputs",
 ]

@@ -1,18 +1,20 @@
-"""The fused pipeline operator executing one compiled kernel per batch.
+"""The pipeline operator: every filter and projection of a plan.
 
-A :class:`FusedPipeline` replaces an adjacent filter→project chain (or
-a bare filter, whose outputs are then the pass-through of the child
-schema) with a single operator that calls one generated kernel per
-input batch.  The kernel applies all filter conjuncts with mask
-narrowing and computes all outputs in one pass, so per-batch Python
-interpretation of the expression trees disappears from the hot loop.
+A :class:`FusedPipeline` runs an adjacent filter→project chain (or a
+bare filter, whose outputs are then the pass-through of the child
+schema) as one operator that calls one kernel per input batch.  A
+generated kernel applies all filter conjuncts with mask narrowing and
+computes all outputs in one pass, so per-batch Python interpretation of
+the expression trees disappears from the hot loop; an interpreted
+kernel (compilation off, or no exact generated form) walks the trees
+instead, with the same results.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.db.compile.kernels import FusedKernel, KernelSpec
+from repro.db.compile.kernels import FusedKernel, InterpretedKernel
 from repro.db.expressions import ColumnRef
 from repro.db.operators.base import (
     ExecutionContext,
@@ -24,7 +26,7 @@ from repro.db.vector import VectorBatch
 
 
 class FusedPipeline(UnaryOperator):
-    """Filter + projection fused into one compiled kernel call."""
+    """Filter + projection as one kernel call per batch."""
 
     morsel_streaming = True
 
@@ -32,27 +34,22 @@ class FusedPipeline(UnaryOperator):
         self,
         context: ExecutionContext,
         child: PhysicalOperator,
-        kernel: FusedKernel,
-        spec: KernelSpec,
+        kernel: FusedKernel | InterpretedKernel,
     ):
+        self.spec = kernel.spec
         columns = tuple(
             Column(output.name, output.expression.output_type(child.schema))
-            for output in spec.outputs
+            for output in self.spec.outputs
         )
         super().__init__(context, Schema(columns), child)
         self.kernel = kernel
-        self.spec = spec
 
     def open(self) -> None:
         super().open()
-        # Marks the query as compiled in its resource profile (the
-        # query log's ``compiled`` flag reads this counter).
-        self.context.counters.increment("compile.fused_pipelines")
-
-    @property
-    def compiled_source(self) -> str:
-        """Generated kernel source and parameters (rendered by EXPLAIN)."""
-        return self.kernel.listing
+        if self.kernel.generated:
+            # Marks the query as compiled in its resource profile (the
+            # query log's ``compiled`` flag reads this counter).
+            self.context.counters.increment("compile.fused_pipelines")
 
     @property
     def filters_only(self) -> bool:
@@ -64,9 +61,9 @@ class FusedPipeline(UnaryOperator):
 
     @property
     def ordering(self) -> tuple[str, ...]:
-        # Same rule as ProjectOperator: ordering survives for leading
-        # ordering columns that pass through as bare references (the
-        # fused filter preserves relative row order).
+        # Ordering survives for the leading ordering columns that pass
+        # through as bare references, possibly renamed (the filter
+        # preserves relative row order).
         passthrough: dict[str, str] = {}
         for output in self.spec.outputs:
             if isinstance(output.expression, ColumnRef):
@@ -104,4 +101,6 @@ class FusedPipeline(UnaryOperator):
             for output in self.spec.outputs
         )
         parts.append(f"project: {rendered}")
-        return f"FusedPipeline({' | '.join(parts)}) [compiled]"
+        if self.kernel.generated:
+            return f"FusedPipeline({' | '.join(parts)}) [compiled]"
+        return f"Pipeline({' | '.join(parts)})"

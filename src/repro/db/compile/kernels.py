@@ -8,7 +8,10 @@ once, and wraps the resulting function and this query's values in a
 :class:`FusedKernel` whose call path adds the ``compile.kernel`` fault
 site and converts unexpected errors into
 :class:`~repro.errors.KernelExecutionError` so the engine's one-shot
-fallback can revert the query to the interpreted path.
+fallback can revert the query to the interpreted path.  A spec with no
+generated form — or any spec, when compilation is off — gets an
+:class:`InterpretedKernel` with the same call contract, which walks the
+expression trees and is the oracle the generated kernels must match.
 
 Exec'd functions are cached engine-lifetime in a
 :class:`CompiledKernelCache` keyed on the generated source text.  The
@@ -49,7 +52,9 @@ from repro.db.expressions import Expression, Literal
 from repro.db.schema import Schema
 from repro.db.tracing import NULL_TRACER
 from repro.db.types import SqlType
+from repro.db.vector import VectorBatch
 from repro.errors import (
+    ExecutionError,
     KernelCompileError,
     KernelExecutionError,
     QueryTimeoutError,
@@ -90,12 +95,9 @@ class KernelSpec:
 def project_outputs(
     expressions, names, schema: Schema
 ) -> tuple[KernelOutput, ...]:
-    """Projection outputs with the interpreted coercion behavior.
-
-    Mirrors :class:`~repro.db.operators.project.ProjectOperator`: each
-    value is cast to its output column's storage dtype, except VARCHAR
-    results, which stay object arrays untouched.
-    """
+    """Projection outputs: each value is cast to its output column's
+    storage dtype, except VARCHAR results, which stay object arrays
+    untouched."""
     outputs = []
     for expression, name in zip(expressions, names):
         output_type = expression.output_type(schema)
@@ -127,7 +129,7 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
     predicate_refs: list[set[int]] = []
     for predicate in spec.predicates:
         if predicate.output_type(schema) is not SqlType.BOOLEAN:
-            # interpreted FilterOperator raises; keep it interpreted
+            # the interpreted kernel raises ExecutionError for it
             raise NonCompilable(f"predicate is not boolean: {predicate}")
         text = emit(predicate, builder)
         references = predicate.referenced_columns()
@@ -224,34 +226,6 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
     return "\n".join(lines) + "\n", builder
 
 
-def generate_expression_source(
-    expression: Expression, schema: Schema
-) -> tuple[str, dict, tuple]:
-    """Source, bindings and parameter values of a single compiled
-    expression (``CompiledExpr``)."""
-    source, builder = _expression_source(expression, schema)
-    return source, builder.bindings, tuple(builder.parameters)
-
-
-def _expression_source(
-    expression: Expression, schema: Schema
-) -> tuple[str, SourceBuilder]:
-    builder = SourceBuilder(schema)
-    text = emit_output(expression, builder)
-    if not expression.referenced_columns() and not isinstance(
-        expression, Literal
-    ):
-        # constant-folded expression: (1,) result -> writable (n,)
-        text = f"np.broadcast_to({text}, n).copy()"
-    lines = list(builder.header)
-    lines.append("def expr(arrays, n, params):")
-    lines.extend(builder.parameter_lines)
-    for position in sorted(builder.used_positions):
-        lines.append(f"    c{position} = arrays[{position}]")
-    lines.append(f"    return {text}")
-    return "\n".join(lines) + "\n", builder
-
-
 def _render_parameter(value: object) -> str:
     if isinstance(value, np.ndarray):  # a VARCHAR literal's (1,) array
         value = value[0]
@@ -260,21 +234,28 @@ def _render_parameter(value: object) -> str:
     return repr(value)
 
 
-class CompiledFunction:
-    """Generated source, its exec'd function and one query's parameters.
+class FusedKernel:
+    """A generated pipeline kernel: ``(arrays, n, cancel) -> list | None``.
 
-    The function is shared through the kernel cache by every statement
-    with the same literal-free source; *params* are this statement's
-    literal values, passed to every call.
+    ``None`` means every row of the batch was filtered out.  The exec'd
+    function is shared through the kernel cache by every statement with
+    the same literal-free source; *params* are this statement's literal
+    values, passed to every call.  The call path fires the
+    ``compile.kernel`` fault site and wraps unexpected errors as
+    :class:`~repro.errors.KernelExecutionError`; cooperative
+    cancellation passes through untouched.
     """
 
-    __slots__ = ("source", "function", "params", "label")
+    __slots__ = ("spec", "source", "function", "params")
 
-    def __init__(self, source: str, function, params: tuple, label: str):
+    #: generated source (EXPLAIN prints it; the query counts as compiled)
+    generated = True
+
+    def __init__(self, spec: KernelSpec, source: str, function, params):
+        self.spec = spec
         self.source = source
         self.function = function
         self.params = params
-        self.label = label
 
     @property
     def listing(self) -> str:
@@ -288,18 +269,6 @@ class CompiledFunction:
         )
         return f"{self.source}# params: {values}\n"
 
-
-class FusedKernel(CompiledFunction):
-    """A compiled pipeline kernel: ``(arrays, n, cancel) -> list | None``.
-
-    ``None`` means every row of the batch was filtered out.  The call
-    path fires the ``compile.kernel`` fault site and wraps unexpected
-    errors as :class:`~repro.errors.KernelExecutionError`; cooperative
-    cancellation passes through untouched.
-    """
-
-    __slots__ = ()
-
     def __call__(self, arrays, n, cancel=None):
         try:
             if faults.ACTIVE is not None:
@@ -309,26 +278,53 @@ class FusedKernel(CompiledFunction):
             raise
         except Exception as error:
             raise KernelExecutionError(
-                f"compiled kernel {self.label!r} failed: {error}"
+                f"compiled kernel {self.spec.label!r} failed: {error}"
             ) from error
 
 
-class CompiledExpr(CompiledFunction):
-    """One scalar/predicate expression compiled to a vectorized callable."""
+class InterpretedKernel:
+    """A spec run by walking its expression trees: the kernel of a
+    segment with no generated form, of every segment when compilation
+    is off, and the oracle the generated kernels match bit for bit.
 
-    __slots__ = ()
+    Same contract as :class:`FusedKernel`.  The predicates are evaluated
+    over the whole batch, the outputs over the rows that pass; errors
+    surface as they are, so a non-boolean predicate raises
+    :class:`~repro.errors.ExecutionError`.
+    """
 
-    def evaluate(self, batch) -> np.ndarray:
-        try:
-            if faults.ACTIVE is not None:
-                faults.ACTIVE.fire("compile.kernel")
-            return self.function(batch.arrays, len(batch), self.params)
-        except QueryTimeoutError:
-            raise
-        except Exception as error:
-            raise KernelExecutionError(
-                f"compiled expression {self.label!r} failed: {error}"
-            ) from error
+    __slots__ = ("spec",)
+
+    generated = False
+
+    def __init__(self, spec: KernelSpec):
+        self.spec = spec
+
+    def __call__(self, arrays, n, cancel=None):
+        if cancel is not None:
+            cancel.check()
+        spec = self.spec
+        batch = VectorBatch(spec.schema, arrays)
+        if spec.predicates:
+            mask = None
+            for predicate in spec.predicates:
+                values = predicate.evaluate(batch)
+                if values.dtype != np.bool_:
+                    raise ExecutionError(
+                        f"WHERE predicate is not boolean: {predicate}"
+                    )
+                mask = values if mask is None else mask & values
+            if not mask.all():
+                if not mask.any():
+                    return None
+                batch = batch.filter(mask)
+        outputs = []
+        for output in spec.outputs:
+            values = output.expression.evaluate(batch)
+            if output.dtype is not None:
+                values = values.astype(output.dtype, copy=False)
+            outputs.append(values)
+        return outputs
 
 
 class CompiledKernelCache:
@@ -396,8 +392,6 @@ class KernelRecord:
     planner made.
     """
 
-    #: the exec'd function's name: "kernel" or "expr"
-    entry: str
     source: str
     bindings: dict
     parameters: tuple
@@ -424,15 +418,17 @@ class KernelReplayError(Exception):
 
 @dataclass
 class KernelCompiler:
-    """Front-end the lowering uses to build kernels.
+    """Front-end the lowering asks for each segment's one kernel.
 
-    Returns ``None`` (keep the interpreted operator) for anything
-    :class:`NonCompilable`; source that fails to ``exec`` records a
-    failure on the compile circuit breaker and also falls back, so a
-    code-generator bug degrades to interpreted execution instead of
-    failing queries.
+    :meth:`kernel` returns the generated :class:`FusedKernel` when
+    *generate* is set and codegen succeeds, else the segment's
+    :class:`InterpretedKernel`: anything :class:`NonCompilable`, and
+    source that fails to ``exec`` — which also records a failure on the
+    compile circuit breaker — degrades to interpretation instead of
+    failing queries.  *generate* is off under
+    ``use_compiled_kernels=False`` and while the breaker is open.
 
-    With *records* set, every request also appends its
+    With *records* set, every codegen request also appends its
     :class:`KernelRecord` (None: kept interpreted) for the plan cache.
     ``replayable`` turns False when a request failed on a literal's
     value or on ``exec``: outcomes a template must not replay (another
@@ -444,28 +440,24 @@ class KernelCompiler:
     tracer: object = NULL_TRACER
     breaker: object | None = None
     records: list | None = None
+    generate: bool = True
     compiled_count: int = field(default=0, init=False)
     replayable: bool = field(default=True, init=False)
 
+    def kernel(self, spec: KernelSpec) -> FusedKernel | InterpretedKernel:
+        """The kernel one pipeline segment runs."""
+        kernel = self.compile_kernel(spec) if self.generate else None
+        return kernel if kernel is not None else InterpretedKernel(spec)
+
     def compile_kernel(self, spec: KernelSpec) -> FusedKernel | None:
-        compiled = self._compile("kernel", lambda: _kernel_source(spec))
+        """The generated kernel of *spec*, or None."""
+        compiled = self._compile(lambda: _kernel_source(spec))
         if compiled is None:
             return None
         source, function, params = compiled
-        return FusedKernel(source, function, params, label=spec.label)
+        return FusedKernel(spec, source, function, params)
 
-    def compile_expression(
-        self, expression: Expression, schema: Schema
-    ) -> CompiledExpr | None:
-        compiled = self._compile(
-            "expr", lambda: _expression_source(expression, schema)
-        )
-        if compiled is None:
-            return None
-        source, function, params = compiled
-        return CompiledExpr(source, function, params, label=str(expression))
-
-    def _compile(self, entry: str, render):
+    def _compile(self, render):
         """(source, function, params) of one request, or None."""
         compiled = record = None
         try:
@@ -476,12 +468,11 @@ class KernelCompiler:
             pass
         else:
             try:
-                function = self._function(source, builder.bindings, entry)
+                function = self._function(source, builder.bindings)
             except KernelCompileError:
                 self.replayable = False
             else:
                 record = KernelRecord(
-                    entry,
                     source,
                     builder.bindings,
                     tuple(
@@ -496,8 +487,8 @@ class KernelCompiler:
             self.records.append(record)
         return compiled
 
-    def _function(self, source: str, bindings: dict, entry: str):
-        """The exec'd *entry* function of *source*, cached by text."""
+    def _function(self, source: str, bindings: dict):
+        """The exec'd ``kernel`` function of *source*, cached by text."""
         if self.metrics is not None:
             self.metrics.counter("compile.requests").increment()
         if self.cache is not None:
@@ -509,13 +500,13 @@ class KernelCompiler:
         started = time.perf_counter()
         try:
             with self.tracer.span(
-                f"compile.{entry}", category="compile",
+                "compile.kernel", category="compile",
                 args={"chars": len(source)},
             ):
                 namespace = dict(bindings)
                 code = compile(source, "<repro.db.compile>", "exec")
                 exec(code, namespace)  # noqa: S102 - engine-generated source
-                function = namespace[entry]
+                function = namespace["kernel"]
         except Exception as error:
             if self.breaker is not None:
                 self.breaker.record_failure()
@@ -551,17 +542,17 @@ class ReplayCompiler(KernelCompiler):
     def __post_init__(self) -> None:
         self._pending = iter(self.replay)
 
-    def _compile(self, entry: str, render):
+    def _compile(self, render):
         """Request *i* of the lowering answered by record *i* (*render*,
         the codegen the request would run, is not called)."""
         record = next(self._pending, _EXHAUSTED)
         if record is None:
             return None
-        if record is _EXHAUSTED or record.entry != entry:
-            raise KernelReplayError(f"no recorded {entry} for this request")
+        if record is _EXHAUSTED:
+            raise KernelReplayError("no recorded kernel for this request")
         try:
             params = record.params(self.values)
         except NonCompilableLiteral as error:
             raise KernelReplayError(str(error)) from error
-        function = self._function(record.source, record.bindings, entry)
+        function = self._function(record.source, record.bindings)
         return record.source, function, params

@@ -1004,7 +1004,7 @@ class Database:
                     "(EXPLAIN shows the fragment tree)"
                 )
             schema, batches = self.sharding.execute_fragments(
-                fragment, context, planner.catalog
+                fragment, context, planner.catalog, planner.kernel_compiler()
             )
             return Result(schema, batches, query.profile)
         if fragment.statement is not prepared.statement:
@@ -1027,7 +1027,10 @@ class Database:
             retries=self.task_retries,
         )
         plan = build_merge_plan(
-            context, fragment, GatherExchange(context, schema, per_partition)
+            context,
+            fragment,
+            GatherExchange(context, schema, per_partition),
+            planner.kernel_compiler(),
         )
         if query.analyze:
             query.coordinator = plan

@@ -24,13 +24,13 @@ site                      fires in
                           itself retries with bounded backoff, so scans
                           survive transient disk faults without help from
                           the pipeline retry layer
-``compile.kernel``        :class:`repro.db.compile.kernels.FusedKernel` and
-                          :class:`~repro.db.compile.kernels.CompiledExpr`
+``compile.kernel``        :class:`repro.db.compile.kernels.FusedKernel`
                           invocations (inside the error-wrapping scope, so
                           an injected fault surfaces as a
                           :class:`~repro.errors.KernelExecutionError` and
                           exercises the engine's one-shot interpreted
-                          fallback + compile circuit breaker)
+                          fallback + compile circuit breaker); an
+                          ``InterpretedKernel`` never fires it
 ``serve.admit``           :meth:`repro.db.serve.admission.AdmissionQueue.
                           admit`, once per admission attempt (an injected
                           fault surfaces as a

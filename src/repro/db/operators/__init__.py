@@ -14,8 +14,6 @@ from repro.db.operators.base import (
     QueryContext,
 )
 from repro.db.operators.scan import TableScan
-from repro.db.operators.filter import FilterOperator
-from repro.db.operators.project import ProjectOperator
 from repro.db.operators.join import HashJoin
 from repro.db.operators.cross_join import CrossJoin
 from repro.db.operators.aggregate import (
@@ -31,8 +29,6 @@ __all__ = [
     "PhysicalOperator",
     "QueryContext",
     "TableScan",
-    "FilterOperator",
-    "ProjectOperator",
     "HashJoin",
     "CrossJoin",
     "AggregateSpec",

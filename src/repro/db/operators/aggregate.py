@@ -10,12 +10,14 @@ integers by value, VARCHAR lexicographically, floats by their IEEE bit
 pattern — so every NaN bit pattern is a group of its own, in a VARCHAR +
 float key as much as in a numeric one.
 
-Every aggregate operator evaluates each distinct argument once
-(:func:`aggregate_inputs`): ``SUM(v), COUNT(v), AVG(v)`` materializes
-and gathers ``v`` once and reduces it with one ``np.add.reduceat``, and
-``COUNT`` is the group size, so it evaluates nothing.  Unless it calls a
-function, a hash aggregate's input arrives in one batch per block (the
-lowering sizes the scan that feeds it).
+Every aggregate operator evaluates its group keys and each distinct
+argument once per batch with one input kernel (:func:`input_outputs`;
+generated, or interpreted — see :mod:`repro.db.compile`), into which
+the lowering fuses the filter below: ``SUM(v), COUNT(v), AVG(v)``
+materializes and gathers ``v`` once and reduces it with one
+``np.add.reduceat``, and ``COUNT`` is the group size, so it evaluates
+nothing.  Unless it calls a function, a hash aggregate's input arrives
+in one batch per block (the lowering sizes the scan that feeds it).
 
 The order-based aggregate is the optimization of paper Section 4.4: if
 the input is already sorted on the group keys it emits a group the
@@ -27,10 +29,17 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from repro.db.expressions import ColumnRef, Expression, Literal
+from repro.db.compile.kernels import (
+    FusedKernel,
+    InterpretedKernel,
+    KernelOutput,
+    KernelSpec,
+)
+from repro.db.expressions import BinaryOp, ColumnRef, Expression, Literal
 from repro.db.operators.base import (
     ExecutionContext,
     PhysicalOperator,
@@ -155,38 +164,62 @@ def _nbytes(arrays: list[np.ndarray]) -> int:
     )
 
 
-def _batch_inputs(operator, batch: VectorBatch):
-    """Group-key and aggregate-argument arrays for one input batch.
-
-    With a compiled input kernel (see :mod:`repro.db.compile`) the
-    fused filter + expression evaluation happens in one generated
-    call; ``None`` means the fused filter dropped every row.  Without
-    a kernel this is the interpreted per-expression walk.
-    """
-    kernel = operator.input_kernel
-    if kernel is not None:
-        arrays = kernel(
-            batch.arrays, len(batch), operator.context.query.cancellation
-        )
-        if arrays is None:
-            return None
-        split = len(operator.group_expressions)
-        return arrays[:split], arrays[split:]
-    keys = [
-        expression.evaluate(batch)
-        for expression in operator.group_expressions
+def input_outputs(
+    group_expressions: list[Expression],
+    group_names: list[str],
+    aggregates: list[AggregateSpec],
+) -> tuple[KernelOutput, ...]:
+    """The outputs of an aggregate's input kernel: the group keys, then
+    each argument the aggregate evaluates (:func:`aggregate_inputs`),
+    raw — the aggregate coerces after reduction."""
+    outputs = [
+        KernelOutput(name, expression)
+        for expression, name in zip(group_expressions, group_names)
     ]
-    values = [spec.argument.evaluate(batch) for spec in operator.inputs]
-    return keys, values
+    outputs.extend(
+        KernelOutput(spec.name, spec.argument)
+        for spec in aggregate_inputs(aggregates)[0]
+    )
+    return tuple(outputs)
+
+
+def _input_kernel(operator, child, kernel):
+    """*kernel*, or the interpreted kernel of the operator's inputs."""
+    if kernel is not None:
+        return kernel
+    outputs = input_outputs(
+        operator.group_expressions, operator.group_names, operator.aggregates
+    )
+    return InterpretedKernel(
+        KernelSpec(child.schema, outputs=outputs, label="aggregate-input")
+    )
+
+
+def _batch_inputs(operator, batch: VectorBatch):
+    """Group-key and aggregate-argument arrays for one input batch, from
+    one input-kernel call; ``None`` means its fused filter dropped every
+    row."""
+    arrays = operator.kernel(
+        batch.arrays, len(batch), operator.context.query.cancellation
+    )
+    if arrays is None:
+        return None
+    split = len(operator.group_expressions)
+    return arrays[:split], arrays[split:]
 
 
 def _describe_fusion(operator) -> str:
-    """Suffix describing a compiled input kernel, for EXPLAIN."""
-    if operator.input_kernel is None:
-        return ""
-    if operator.fused_filter is not None:
-        return f" [compiled input | fused filter: {operator.fused_filter}]"
-    return " [compiled input]"
+    """Suffix describing the input kernel, for EXPLAIN."""
+    predicates = operator.kernel.spec.predicates
+    fused = ""
+    if predicates:
+        conjunction = reduce(
+            lambda left, right: BinaryOp("AND", left, right), predicates
+        )
+        fused = f"fused filter: {conjunction}"
+    if not operator.kernel.generated:
+        return f" [{fused}]" if fused else ""
+    return f" [compiled input | {fused}]" if fused else " [compiled input]"
 
 
 def _partials(
@@ -252,8 +285,7 @@ class HashAggregate(UnaryOperator):
         group_expressions: list[Expression],
         group_names: list[str],
         aggregates: list[AggregateSpec],
-        input_kernel=None,
-        fused_filter: Expression | None = None,
+        kernel: FusedKernel | InterpretedKernel | None = None,
     ):
         if not group_expressions:
             raise PlanError("global aggregation uses group keys = ()")
@@ -265,14 +297,8 @@ class HashAggregate(UnaryOperator):
         self.group_names = list(group_names)
         self.aggregates = list(aggregates)
         self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
-        self.input_kernel = input_kernel
-        self.fused_filter = fused_filter
+        self.kernel = _input_kernel(self, child, kernel)
         self._accounted_bytes = 0
-
-    @property
-    def compiled_source(self) -> str | None:
-        """Input-kernel source (rendered by EXPLAIN), if compiled."""
-        return None if self.input_kernel is None else self.input_kernel.listing
 
     def _produce(self) -> Iterator[VectorBatch]:
         key_chunks: list[list[np.ndarray]] = [
@@ -333,8 +359,7 @@ class OrderedAggregate(UnaryOperator):
         group_expressions: list[Expression],
         group_names: list[str],
         aggregates: list[AggregateSpec],
-        input_kernel=None,
-        fused_filter: Expression | None = None,
+        kernel: FusedKernel | InterpretedKernel | None = None,
     ):
         for expression in group_expressions:
             if not isinstance(expression, ColumnRef):
@@ -361,12 +386,7 @@ class OrderedAggregate(UnaryOperator):
         self.group_names = list(group_names)
         self.aggregates = list(aggregates)
         self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
-        self.input_kernel = input_kernel
-        self.fused_filter = fused_filter
-
-    @property
-    def compiled_source(self) -> str | None:
-        return None if self.input_kernel is None else self.input_kernel.listing
+        self.kernel = _input_kernel(self, child, kernel)
 
     @property
     def ordering(self) -> tuple[str, ...]:
@@ -531,8 +551,7 @@ class SegmentedAggregate(UnaryOperator):
         group_names: list[str],
         aggregates: list[AggregateSpec],
         prefix_length: int,
-        input_kernel=None,
-        fused_filter: Expression | None = None,
+        kernel: FusedKernel | InterpretedKernel | None = None,
     ):
         if not 0 < prefix_length <= len(group_expressions):
             raise PlanError("invalid segmented-aggregation prefix length")
@@ -560,12 +579,7 @@ class SegmentedAggregate(UnaryOperator):
         self.aggregates = list(aggregates)
         self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
         self.prefix_length = prefix_length
-        self.input_kernel = input_kernel
-        self.fused_filter = fused_filter
-
-    @property
-    def compiled_source(self) -> str | None:
-        return None if self.input_kernel is None else self.input_kernel.listing
+        self.kernel = _input_kernel(self, child, kernel)
 
     @property
     def ordering(self) -> tuple[str, ...]:

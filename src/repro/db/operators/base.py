@@ -123,6 +123,12 @@ class PhysicalOperator:
     #: default False.
     morsel_streaming = False
 
+    #: the kernel evaluating this operator's expressions — a pipeline's
+    #: or an aggregate's input, generated (``FusedKernel``, printed by
+    #: EXPLAIN) or interpreted (``InterpretedKernel``); None for
+    #: operators without one
+    kernel = None
+
     def __init__(self, context: ExecutionContext, schema: Schema):
         self.context = context
         self.schema = schema

@@ -24,7 +24,7 @@ class TableScan(PhysicalOperator):
     whole storage blocks via their min/max statistics — the mechanism
     the paper uses to prune the model table to the layer being joined
     (Section 4.4).  Pruned predicates are *hints*: rows of surviving
-    blocks are still filtered exactly by a FilterOperator above.
+    blocks are still filtered exactly by the pipeline kernel above.
 
     With *columns* set (the optimizer's projection-pushdown rule) only
     those columns are materialized into batches; SMA pruning still

@@ -48,14 +48,8 @@ from dataclasses import dataclass
 
 from repro.db.catalog import is_system_table_name
 from repro.db.expressions import BinaryOp, ColumnRef, Expression, FunctionCall
-from repro.db.operators import (
-    FilterOperator,
-    HashAggregate,
-    LimitOperator,
-    ProjectOperator,
-    SortOperator,
-)
-from repro.db.operators.aggregate import AggregateSpec
+from repro.db.operators import HashAggregate, LimitOperator, SortOperator
+from repro.db.operators.aggregate import AggregateSpec, input_outputs
 from repro.db.plan.logical import (
     LogicalAggregate,
     LogicalDistinct,
@@ -63,15 +57,18 @@ from repro.db.plan.logical import (
     LogicalLimit,
     LogicalModelJoin,
     LogicalNode,
+    LogicalOrderBy,
     LogicalProject,
     LogicalScan,
     LogicalSubquery,
+    bare_name,
     contains_aggregate,
-    order_keys,
     rebuild,
+    split_conjuncts,
     walk,
 )
-from repro.db.sql.ast import OrderItem, SelectItem, SelectStatement, Star
+from repro.db.plan.physical import pipeline, segment_kernel
+from repro.db.sql.ast import SelectItem, SelectStatement, Star
 from repro.db.sql.parser import is_aggregate_call
 from repro.errors import PlanError
 
@@ -104,8 +101,10 @@ class FragmentPlan:
     final_names: tuple[str, ...] = ()
     #: HAVING rewritten over the merged columns (partial merge only)
     having: Expression | None = None
-    #: global operations the merge re-applies
-    order_by: tuple[OrderItem, ...] = ()
+    #: global operations the merge re-applies: the bound ORDER BY keys
+    #: (output column names) and directions, LIMIT / OFFSET, DISTINCT
+    order_keys: tuple[str, ...] = ()
+    ascending: tuple[bool, ...] = ()
     limit: int | None = None
     offset: int = 0
     distinct: bool = False
@@ -300,13 +299,18 @@ def plan_fragments(prepared, pipelines: int) -> FragmentPlan:
         reason=reason,
         partitions=partitions,
         sharded=sharded,
-        order_by=statement.order_by,
         limit=statement.limit,
         offset=statement.offset,
         distinct=statement.distinct,
     )
     if merge == "decline":
         return plan
+    top = prepared.logical
+    if isinstance(top, LogicalLimit):
+        top = top.child
+    if isinstance(top, LogicalOrderBy):
+        plan.order_keys = tuple(top.keys)
+        plan.ascending = tuple(top.ascending)
     if sharded:
         plan.estimated_rows = max(
             scan.table.row_count for scan in scans if _shard_count(scan.table)
@@ -415,7 +419,7 @@ def _decompose_aggregation(
         if item.alias:
             final_names.append(item.alias)
         elif isinstance(item.expression, ColumnRef):
-            final_names.append(item.expression.name.rsplit(".", 1)[-1])
+            final_names.append(bare_name(item.expression.name, final_names))
         else:
             final_names.append(f"col{len(final_names)}")
     having = None
@@ -450,25 +454,34 @@ def _matches_group(expression: Expression, group_expr: Expression) -> bool:
     return False
 
 
-def build_merge_plan(context, fragment: FragmentPlan, source):
+def build_merge_plan(context, fragment: FragmentPlan, source, compiler):
     """The merge pipeline above a GatherExchange *source*: the one
-    place partition results are merged, for threads and shards alike."""
+    place partition results are merged, for threads and shards alike.
+    Its aggregate input and its HAVING→projection segment each ask
+    *compiler* for their kernel, like a lowered plan's."""
     plan = source
     if fragment.merge == "partial":
+        keys = [ColumnRef(name) for name in fragment.group_names]
+        outputs = input_outputs(
+            keys, fragment.group_names, fragment.merge_specs
+        )
         plan = HashAggregate(
             context,
             plan,
-            [ColumnRef(name) for name in fragment.group_names],
+            keys,
             list(fragment.group_names),
             list(fragment.merge_specs),
+            kernel=segment_kernel(
+                compiler, plan, (), outputs, "aggregate-input"
+            ),
         )
-        if fragment.having is not None:
-            plan = FilterOperator(context, plan, fragment.having)
-        plan = ProjectOperator(
+        plan = pipeline(
             context,
+            compiler,
             plan,
-            list(fragment.final_exprs),
-            list(fragment.final_names),
+            split_conjuncts(fragment.having) if fragment.having else [],
+            fragment.final_exprs,
+            fragment.final_names,
         )
     if fragment.distinct:
         plan = HashAggregate(
@@ -478,10 +491,11 @@ def build_merge_plan(context, fragment: FragmentPlan, source):
             list(plan.schema.names),
             [],
         )
-    if fragment.order_by:
-        names, ascending = order_keys(fragment.order_by)
-        keys = [ColumnRef(name.rsplit(".", 1)[-1]) for name in names]
-        plan = SortOperator(context, plan, keys, ascending, fragment.top)
+    if fragment.order_keys:
+        keys = [ColumnRef(name) for name in fragment.order_keys]
+        plan = SortOperator(
+            context, plan, keys, list(fragment.ascending), fragment.top
+        )
     if fragment.limit is not None:
         plan = LimitOperator(context, plan, fragment.limit, fragment.offset)
     return plan

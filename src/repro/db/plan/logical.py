@@ -661,15 +661,44 @@ def range_of_conjunct(
 
 
 def order_keys(
-    order_by: tuple[OrderItem, ...]
+    order_by: tuple[OrderItem, ...],
+    select_exprs: list[Expression],
+    output_names: list[str],
+    scope: Scope,
 ) -> tuple[list[str], list[bool]]:
-    """Column names and directions of an ORDER BY; the binder, the
-    parallel merge and the shard merge all sort on output columns only."""
+    """The output columns an ORDER BY sorts on, and their directions.
+
+    A key names an output column as written, or is a column reference
+    resolving to the same column as a select-list item:
+    ``SELECT t.id AS x FROM t ORDER BY t.id`` sorts on ``x``.  The
+    binder resolves the keys once; the thread and shard merges sort on
+    the bound keys (:func:`repro.db.plan.fragments.plan_fragments`).
+    """
+    available = [name.lower() for name in output_names]
+    keys: list[str] = []
     for item in order_by:
-        if not isinstance(item.expression, ColumnRef):
+        expression = item.expression
+        if not isinstance(expression, ColumnRef):
             raise PlanError("ORDER BY supports only output column references")
-    names = [item.expression.name for item in order_by]
-    return names, [item.ascending for item in order_by]
+        if expression.name.lower() in available:
+            keys.append(expression.name)
+            continue
+        try:
+            resolved = ColumnRef(scope.resolve(expression.name))
+        except BindError:
+            resolved = None
+        matches = [
+            name
+            for select, name in zip(select_exprs, output_names)
+            if select == resolved
+        ]
+        if not matches:
+            raise BindError(
+                f"column {expression.name!r} not found; "
+                f"available: {list(output_names)}"
+            )
+        keys.append(matches[0])
+    return keys, [item.ascending for item in order_by]
 
 
 def bare_name(qualified: str, taken: list[str]) -> str:
@@ -740,7 +769,10 @@ class LogicalBinder:
         if statement.distinct:
             root = LogicalDistinct(root)
         if statement.order_by:
-            root = self._bind_order_by(root, statement.order_by)
+            keys, ascending = order_keys(
+                statement.order_by, select_exprs, select_names, scope
+            )
+            root = LogicalOrderBy(root, keys, ascending)
         if statement.limit is not None:
             root = LogicalLimit(root, statement.limit, statement.offset)
         recompute_estimates(root)
@@ -904,17 +936,3 @@ class LogicalBinder:
                 result, split_conjuncts(rewritten_having)
             )
         return LogicalProject(result, rewritten_select, select_names)
-
-    @staticmethod
-    def _bind_order_by(
-        root: LogicalNode, order_by: tuple[OrderItem, ...]
-    ) -> LogicalNode:
-        available = {name.lower() for name in root.output_names()}
-        keys, ascending = order_keys(order_by)
-        for name in keys:
-            if name.lower() not in available:
-                raise BindError(
-                    f"column {name!r} not found; "
-                    f"available: {list(root.output_names())}"
-                )
-        return LogicalOrderBy(root, keys, ascending)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.db.compile import (
     FusedPipeline,
+    KernelCompiler,
     KernelOutput,
     KernelSpec,
     project_outputs,
@@ -29,20 +30,18 @@ from repro.db.expressions import ColumnRef, Expression, FunctionCall
 from repro.db.operators import (
     CrossJoin,
     ExecutionContext,
-    FilterOperator,
     HashAggregate,
     HashJoin,
     LimitOperator,
     OrderedAggregate,
     PhysicalOperator,
-    ProjectOperator,
     SortOperator,
     TableScan,
 )
 from repro.db.operators.aggregate import (
     AggregateSpec,
     SegmentedAggregate,
-    aggregate_inputs,
+    input_outputs,
 )
 from repro.db.operators.misc import RenameOperator
 from repro.db.plan.logical import (
@@ -169,16 +168,16 @@ class Lowering:
         context: ExecutionContext,
         options,
         modeljoin_factory,
+        compiler: KernelCompiler,
         partition_index: int | None = None,
-        compiler=None,
     ):
         self.context = context
         self.options = options
         self.modeljoin_factory = modeljoin_factory
-        self.partition_index = partition_index
-        #: KernelCompiler driving pipeline fusion (None = interpreted
-        #: lowering: use_compiled_kernels=False or open compile breaker)
+        #: answers each pipeline segment's one kernel request (generated
+        #: or interpreted, see KernelCompiler.generate)
         self.compiler = compiler
+        self.partition_index = partition_index
 
     def lower(self, node: LogicalNode) -> PhysicalOperator:
         if isinstance(node, LogicalScan):
@@ -190,8 +189,11 @@ class Lowering:
             ]
             return RenameOperator(self.context, inner, names)
         if isinstance(node, LogicalFilter):
-            return self._lower_filter(
-                list(node.conjuncts), self.lower(node.child)
+            return pipeline(
+                self.context,
+                self.compiler,
+                self.lower(node.child),
+                node.conjuncts,
             )
         if isinstance(node, LogicalJoin):
             return self._lower_join(node)
@@ -226,111 +228,22 @@ class Lowering:
             f"cannot lower logical node {type(node).__name__}"
         )  # pragma: no cover - all node types are handled above
 
-    # ------------------------------------------------------------------
-    # pipeline fusion (repro.db.compile)
-    # ------------------------------------------------------------------
-    def _make_spec(
-        self, child: PhysicalOperator, predicates, outputs, label: str
-    ) -> KernelSpec:
-        """Kernel spec for a segment consuming *child*'s output.
-
-        When the child is a ModelJoin, the spec carries the prediction
-        columns as *transient* (they become arena views under epilogue
-        fusion) and bakes the model table's identity into the source
-        header, so a model republish or version bump misses the kernel
-        cache exactly like it misses the ModelCache.
-        """
-        transient: frozenset = frozenset()
-        header: tuple[str, ...] = ()
-        if getattr(child, "supports_emit_views", False):
-            table = child.model_table
-            transient = frozenset(
-                name.lower() for name in child.prediction_column_names
-            )
-            header = (
-                f"# model-table: {table.name} uid={table.uid} "
-                f"version={table.version}",
-            )
-        return KernelSpec(
-            schema=child.schema,
-            predicates=tuple(predicates),
-            outputs=tuple(outputs),
-            transient=transient,
-            header=header,
-            label=label,
-        )
-
-    def _fuse_pipeline(
-        self, child: PhysicalOperator, spec: KernelSpec
-    ) -> PhysicalOperator | None:
-        """Compile *spec*; on success wire up epilogue fusion."""
-        kernel = self.compiler.compile_kernel(spec)
-        if kernel is None:
-            return None
-        if spec.transient:
-            child.emit_views = True
-        return FusedPipeline(self.context, child, kernel, spec)
-
-    def _lower_filter(
-        self, conjuncts: list, child: PhysicalOperator
-    ) -> PhysicalOperator:
-        """A filter as a fused kernel, falling back to FilterOperator.
-
-        The fused form passes every child column through (schema
-        preserved) and applies the conjuncts with mask narrowing; when
-        any conjunct is non-compilable the interpreted operator still
-        gets a :class:`CompiledExpr` for the whole predicate when that
-        much is compilable.
-        """
-        if self.compiler is not None:
-            outputs = [
-                KernelOutput(name, ColumnRef(name), None)
-                for name in child.schema.names
-            ]
-            spec = self._make_spec(
-                child, conjuncts, outputs, label=f"filter({len(conjuncts)})"
-            )
-            fused = self._fuse_pipeline(child, spec)
-            if fused is not None:
-                return fused
-        predicate = conjoin(conjuncts)
-        compiled = (
-            self.compiler.compile_expression(predicate, child.schema)
-            if self.compiler is not None
-            else None
-        )
-        return FilterOperator(
-            self.context, child, predicate, compiled=compiled
-        )
-
     def _lower_project(self, node: LogicalProject) -> PhysicalOperator:
         child_node = node.child
         predicates: list = []
-        if self.compiler is not None and isinstance(
-            child_node, LogicalFilter
-        ):
-            # Absorb the adjacent filter into one filter→project kernel.
+        if isinstance(child_node, LogicalFilter):
+            # Absorb the adjacent filter into one filter→project segment.
             child = self.lower(child_node.child)
             predicates = list(child_node.conjuncts)
         else:
             child = self.lower(child_node)
-        if self.compiler is not None:
-            outputs = project_outputs(
-                node.expressions, node.names, child.schema
-            )
-            label = (
-                f"filter({len(predicates)})+project({len(outputs)})"
-                if predicates
-                else f"project({len(outputs)})"
-            )
-            spec = self._make_spec(child, predicates, outputs, label)
-            fused = self._fuse_pipeline(child, spec)
-            if fused is not None:
-                return fused
-        if predicates:
-            child = self._lower_filter(predicates, child)
-        return ProjectOperator(
-            self.context, child, node.expressions, node.names
+        return pipeline(
+            self.context,
+            self.compiler,
+            child,
+            predicates,
+            node.expressions,
+            node.names,
         )
 
     # ------------------------------------------------------------------
@@ -374,7 +287,9 @@ class Lowering:
         residual_conjuncts = node.residual + node.conjuncts
         joined: PhysicalOperator = CrossJoin(self.context, left, right)
         if residual_conjuncts:
-            joined = self._lower_filter(residual_conjuncts, joined)
+            joined = pipeline(
+                self.context, self.compiler, joined, residual_conjuncts
+            )
         return joined
 
     def _lower_model_join(
@@ -409,13 +324,11 @@ class Lowering:
     ) -> PhysicalOperator:
         child_node = node.child
         predicates: list = []
-        if self.compiler is not None and isinstance(
-            child_node, LogicalFilter
-        ):
-            # Absorb the adjacent filter into the aggregate's compiled
-            # input kernel.  Selection preserves ordering, so choosing
-            # the aggregation strategy against the grandchild's ordering
-            # is equivalent to choosing it above the filter operator.
+        if isinstance(child_node, LogicalFilter):
+            # Absorb the adjacent filter into the aggregate's input
+            # kernel.  Selection preserves ordering, so choosing the
+            # aggregation strategy against the grandchild's ordering is
+            # equivalent to choosing it above the filter.
             child = self.lower(child_node.child)
             predicates = list(child_node.conjuncts)
         else:
@@ -448,33 +361,14 @@ class Lowering:
                 group_names = [node.group_names[i] for i in order]
                 strategy = "segmented"
 
-        kernel = None
-        fused_filter = None
-        if self.compiler is not None:
-            outputs = [
-                KernelOutput(name, expression, None)
-                for expression, name in zip(group_exprs, group_names)
-            ]
-            outputs.extend(
-                KernelOutput(spec.name, spec.argument, None)
-                for spec in aggregate_inputs(node.aggregates)[0]
-            )
-            label = (
-                f"filter({len(predicates)})+aggregate-input"
-                if predicates
-                else "aggregate-input"
-            )
-            spec = self._make_spec(child, predicates, outputs, label)
-            kernel = self.compiler.compile_kernel(spec)
-            if kernel is not None:
-                if predicates:
-                    fused_filter = conjoin(predicates)
-                if spec.transient:
-                    child.emit_views = True
-        if kernel is None and predicates:
-            # the filter would not fuse: lower it as its own operator
-            child = self._lower_filter(predicates, child)
-
+        child, kernel = filtered_segment(
+            self.context,
+            self.compiler,
+            child,
+            predicates,
+            input_outputs(group_exprs, group_names, node.aggregates),
+            "aggregate-input",
+        )
         if strategy == "ordered":
             return OrderedAggregate(
                 self.context,
@@ -482,8 +376,7 @@ class Lowering:
                 group_exprs,
                 group_names,
                 node.aggregates,
-                input_kernel=kernel,
-                fused_filter=fused_filter,
+                kernel=kernel,
             )
         if strategy == "segmented":
             return SegmentedAggregate(
@@ -493,8 +386,7 @@ class Lowering:
                 group_names,
                 node.aggregates,
                 prefix_length=prefix_length,
-                input_kernel=kernel,
-                fused_filter=fused_filter,
+                kernel=kernel,
             )
         scan = feeding_scan(child)
         if scan is not None and not _calls_function(node):
@@ -509,8 +401,7 @@ class Lowering:
             group_exprs,
             group_names,
             node.aggregates,
-            input_kernel=kernel,
-            fused_filter=fused_filter,
+            kernel=kernel,
         )
 
     def _segmented_layout(
@@ -578,6 +469,118 @@ def _calls_function(node: LogicalNode) -> bool:
     return found
 
 
+# ----------------------------------------------------------------------
+# pipeline segments: one kernel each (repro.db.compile)
+# ----------------------------------------------------------------------
+def segment_kernel(
+    compiler: KernelCompiler,
+    child: PhysicalOperator,
+    predicates,
+    outputs,
+    label: str,
+):
+    """The one kernel of a segment consuming *child*'s output.
+
+    When the child is a ModelJoin, the spec carries the prediction
+    columns as *transient* and bakes the model table's identity into the
+    source header, so a model republish or version bump misses the
+    kernel cache exactly like it misses the ModelCache; a generated
+    kernel then lets the ModelJoin emit arena views (epilogue fusion),
+    since it copies what it passes through.
+    """
+    transient: frozenset = frozenset()
+    header: tuple[str, ...] = ()
+    if getattr(child, "supports_emit_views", False):
+        table = child.model_table
+        transient = frozenset(
+            name.lower() for name in child.prediction_column_names
+        )
+        header = (
+            f"# model-table: {table.name} uid={table.uid} "
+            f"version={table.version}",
+        )
+    kernel = compiler.kernel(
+        KernelSpec(
+            schema=child.schema,
+            predicates=tuple(predicates),
+            outputs=tuple(outputs),
+            transient=transient,
+            header=header,
+            label=label,
+        )
+    )
+    if kernel.generated and transient:
+        child.emit_views = True
+    return kernel
+
+
+def pipeline(
+    context: ExecutionContext,
+    compiler: KernelCompiler,
+    child: PhysicalOperator,
+    predicates,
+    expressions=None,
+    names=None,
+) -> FusedPipeline:
+    """*child* filtered by the *predicates* conjuncts and projected to
+    *expressions* AS *names* (None: every child column passes through)."""
+    if expressions is None:
+        kernel = _filter_kernel(compiler, child, predicates)
+    else:
+        outputs = project_outputs(expressions, names, child.schema)
+        child, kernel = filtered_segment(
+            context,
+            compiler,
+            child,
+            predicates,
+            outputs,
+            f"project({len(outputs)})",
+        )
+    return FusedPipeline(context, child, kernel)
+
+
+def filtered_segment(
+    context: ExecutionContext,
+    compiler: KernelCompiler,
+    child: PhysicalOperator,
+    predicates,
+    outputs,
+    label: str,
+):
+    """``(input, kernel)`` of a segment computing *outputs* over the rows
+    of *child* that pass the *predicates* conjuncts.
+
+    One kernel does both; when it is interpreted but the filter alone
+    has a generated form, the filter becomes its own generated pipeline
+    — the *input* — and the kernel computes just the outputs over it.
+    """
+    if predicates:
+        kernel = segment_kernel(
+            compiler,
+            child,
+            predicates,
+            outputs,
+            f"filter({len(predicates)})+{label}",
+        )
+        if kernel.generated:
+            return child, kernel
+        filter_kernel = _filter_kernel(compiler, child, predicates)
+        if not filter_kernel.generated:
+            return child, kernel
+        child = FusedPipeline(context, child, filter_kernel)
+    return child, segment_kernel(compiler, child, (), outputs, label)
+
+
+def _filter_kernel(compiler: KernelCompiler, child, predicates):
+    """The kernel of a bare filter: every child column passes through."""
+    outputs = [
+        KernelOutput(name, ColumnRef(name)) for name in child.schema.names
+    ]
+    return segment_kernel(
+        compiler, child, predicates, outputs, f"filter({len(predicates)})"
+    )
+
+
 def feeding_scan(operator: PhysicalOperator) -> TableScan | None:
     """The TableScan whose batches reach *operator* whole or filtered.
 
@@ -585,7 +588,7 @@ def feeding_scan(operator: PhysicalOperator) -> TableScan | None:
     row of a batch on or drops it, so the scan's batch length is the
     longest batch *operator* can receive.
     """
-    while isinstance(operator, (RenameOperator, FilterOperator)) or (
+    while isinstance(operator, RenameOperator) or (
         isinstance(operator, FusedPipeline) and operator.filters_only
     ):
         operator = operator.child
@@ -644,10 +647,9 @@ def render_explain(prepared, physical: PhysicalOperator) -> str:
 
 def _compiled_sections(operator: PhysicalOperator):
     """Generated kernel sources in the physical tree, top-down."""
-    source = getattr(operator, "compiled_source", None)
-    if source is not None:
+    if operator.kernel is not None and operator.kernel.generated:
         yield f"-- {operator.describe()}"
-        yield source.rstrip("\n")
+        yield operator.kernel.listing.rstrip("\n")
     for child in operator.children():
         yield from _compiled_sections(child)
 
@@ -721,10 +723,10 @@ def render_fragment_tree(fragment, shard_count: int, shard_workers: int) -> str:
     if fragment.limit is not None:
         lines.append(f"{indent}Limit [{fragment.limit}]")
         indent += "  "
-    if fragment.order_by:
+    if fragment.order_keys:
         keys = ", ".join(
-            f"{item.expression}{'' if item.ascending else ' DESC'}"
-            for item in fragment.order_by
+            f"{key}{'' if ascending else ' DESC'}"
+            for key, ascending in zip(fragment.order_keys, fragment.ascending)
         )
         top = "" if fragment.top is None else f"; top {fragment.top}"
         lines.append(f"{indent}Sort [{keys}{top}]")

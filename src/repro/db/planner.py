@@ -141,16 +141,17 @@ class Planner:
             breaker is not None and breaker.is_open
         )
 
-    def _compiler(
+    def kernel_compiler(
         self, kind=KernelCompiler, **fields
-    ) -> KernelCompiler | None:
-        if not self._compiles():
-            return None
+    ) -> KernelCompiler:
+        """The compiler a plan asks for its pipeline kernels: generated
+        ones unless compilation is off or the breaker is open."""
         return kind(
             cache=self.kernel_cache,
             metrics=self.metrics,
             tracer=self.tracer,
             breaker=self.compile_breaker,
+            generate=self._compiles(),
             **fields,
         )
 
@@ -260,7 +261,7 @@ class Planner:
         with self.tracer.span("optimizer.lower", category="planner"):
             template = prepared.template
             if template is not None and template.kernels is not None:
-                replay = self._compiler(
+                replay = self.kernel_compiler(
                     ReplayCompiler,
                     replay=template.kernels,
                     values=prepared.values,
@@ -274,15 +275,15 @@ class Planner:
                     # codegen, as a cold plan of this statement does
                     template = None
             if template is None:
+                compiler = self.kernel_compiler()
                 return self._lower(
-                    prepared, context, partition_index, self._compiler()
+                    prepared, context, partition_index, compiler
                 )
-            compiler = self._compiler(records=[])
+            compiler = self.kernel_compiler(records=[])
             plan = self._lower(prepared, context, partition_index, compiler)
-            if compiler is not None:
-                prepared.template = self.plan_cache.with_kernels(
-                    template, compiler
-                )
+            prepared.template = self.plan_cache.with_kernels(
+                template, compiler
+            )
             return plan
 
     def _lower(
@@ -292,7 +293,7 @@ class Planner:
             context,
             self.options,
             self.modeljoin_factory,
+            compiler,
             partition_index=partition_index,
-            compiler=compiler,
         )
         return lowering.lower(prepared.logical)

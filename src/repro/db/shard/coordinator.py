@@ -568,9 +568,11 @@ class ShardCoordinator:
     # query execution
     # ------------------------------------------------------------------
     def execute_fragments(
-        self, fragment: FragmentPlan, context, catalog
+        self, fragment: FragmentPlan, context, catalog, compiler
     ):
-        """Dispatch the fragment, gather, merge; returns (schema, batches)."""
+        """Dispatch the fragment, gather, merge; returns (schema, batches).
+
+        *compiler* answers the merge pipeline's kernel requests."""
         _require_distributable(fragment)
         cancellation = context.query.cancellation
         per_shard = fragment.estimated_rows // max(self.shard_count, 1)
@@ -610,7 +612,7 @@ class ShardCoordinator:
                 context.counters.increment(name, value)
                 context.counters.increment(f"{name}.shard-{shard_id}", value)
         gather = GatherExchange(context, schema, sources)
-        plan = build_merge_plan(context, fragment, gather)
+        plan = build_merge_plan(context, fragment, gather, compiler)
         return plan.schema, list(plan.batches())
 
     def explain_fragments(self, fragment: FragmentPlan) -> str:

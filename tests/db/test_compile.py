@@ -24,7 +24,6 @@ from repro.db.compile import (
     KernelOutput,
     KernelSpec,
     NonCompilable,
-    generate_expression_source,
     generate_kernel_source,
 )
 from repro.db.compile.codegen import SourceBuilder, emit
@@ -123,14 +122,6 @@ def kernel(arrays, n, cancel, params):
     return [o0, o1]
 """
 
-GOLDEN_EXPR = """\
-def expr(arrays, n, params):
-    k0 = params[0]  # float64
-    c0 = arrays[0]
-    return (c0 > k0)
-"""
-
-
 def two_column_schema() -> Schema:
     return Schema(
         (Column("a", SqlType.DOUBLE), Column("b", SqlType.INTEGER))
@@ -162,13 +153,6 @@ class TestGeneratedSource:
         assert params == (0.5,)
         assert type(params[0]) is np.float64
 
-    def test_expression_source_golden(self):
-        source, _bindings, params = generate_expression_source(
-            self.predicate(), two_column_schema()
-        )
-        assert source == GOLDEN_EXPR
-        assert params == (0.5,)
-
     def test_one_parameter_per_literal_occurrence(self):
         # Equal literals are not merged: that would make the source
         # depend on whether the values happen to be equal.
@@ -178,9 +162,11 @@ class TestGeneratedSource:
             BinaryOp("*", ColumnRef("a"), half),
             BinaryOp("*", ColumnRef("b"), half),
         )
-        source, _, params = generate_expression_source(
-            expression, two_column_schema()
+        spec = KernelSpec(
+            schema=two_column_schema(),
+            outputs=(KernelOutput("x", expression, None),),
         )
+        source, _, params = generate_kernel_source(spec)
         assert params == (0.5, 0.5)
         assert "k0 = params[0]  # float64" in source
         assert "k1 = params[1]  # float64" in source
@@ -387,8 +373,13 @@ class TestExplain:
         plan = db.explain(
             "SELECT CAST(id AS VARCHAR) AS label FROM s WHERE v > 0.0"
         )
-        # str() conversion stays interpreted: no fused kernel for it
-        assert "Project(" in plan
+        # str() conversion stays interpreted: the projection keeps no
+        # [compiled] marker and only the filter's kernel is listed
+        (projection,) = [
+            line for line in plan.splitlines() if "CAST(s.id" in line
+        ]
+        assert "[compiled]" not in projection
+        assert plan.count("def kernel(") == 1
         compiled, interpreted = run_both(
             db, "SELECT CAST(id AS VARCHAR) AS label FROM s"
         )
@@ -633,19 +624,91 @@ def compile_simple_kernel():
     return kernel
 
 
+#: statement shapes whose generated kernels the ``compile.kernel``
+#: fault reaches, and whether each runs with ``parallel=True``
+FALLBACK_SHAPES = {
+    # the filter pushed below the join is a bare filter segment
+    "filter": (
+        "SELECT t.id, d.w FROM t JOIN d ON t.id = d.id "
+        "WHERE t.a > 0.1 ORDER BY id",
+        False,
+    ),
+    "filter_project": (
+        "SELECT id, a * b AS x FROM t WHERE a > 0.1 ORDER BY id",
+        False,
+    ),
+    "aggregate_fused_filter": (
+        "SELECT grp, SUM(a) AS s, COUNT(*) AS c FROM t WHERE b > 0.0 "
+        "GROUP BY grp ORDER BY grp",
+        False,
+    ),
+    # partition pipelines, then the coordinator's HAVING→projection
+    "parallel_having": (
+        "SELECT grp, SUM(b) AS s FROM t GROUP BY grp "
+        "HAVING SUM(b) > 0.0 ORDER BY grp",
+        True,
+    ),
+    "modeljoin_epilogue": (
+        "SELECT id, prediction_0 + 1.0 AS score FROM f "
+        "MODEL JOIN clf USING (c0, c1, c2, c3) ORDER BY id",
+        False,
+    ),
+}
+
+
+@pytest.fixture
+def fallback_db():
+    """Partitioned table, a join partner and a model, on 4 pipelines."""
+    database = repro.connect(parallelism=4)
+    database.execute(
+        "CREATE TABLE t (id INTEGER, grp INTEGER, a DOUBLE, b DOUBLE) "
+        "PARTITION BY (id) PARTITIONS 4"
+    )
+    rng = np.random.default_rng(3)
+    n = 2000
+    a = rng.normal(size=n)
+    a[::17] = np.nan
+    database.table("t").append_columns(
+        id=np.arange(n),
+        grp=rng.integers(0, 7, size=n),
+        a=a,
+        b=rng.normal(size=n),
+    )
+    database.execute("CREATE TABLE d (id INTEGER, w DOUBLE)")
+    ids = np.arange(0, n, 3)
+    database.table("d").append_columns(id=ids, w=rng.normal(size=len(ids)))
+    database.execute(
+        "CREATE TABLE f (id INTEGER, c0 FLOAT, c1 FLOAT, c2 FLOAT, c3 FLOAT)"
+    )
+    x = rng.normal(size=(40, 4)).astype(np.float32)
+    database.table("f").append_columns(
+        id=np.arange(40), c0=x[:, 0], c1=x[:, 1], c2=x[:, 2], c3=x[:, 3]
+    )
+    publish_model(database, "clf", make_dense_model(8, 2, input_width=4))
+    yield database
+    database.close()
+
+
 class TestResilience:
-    def test_injected_fault_falls_back_to_interpreted(self, table_db):
-        faults.install(FaultInjector(seed=1).raise_once("compile.kernel"))
-        result = table_db.execute(
-            "SELECT id, a * b AS x FROM t WHERE a > 0.1 ORDER BY id"
-        )
-        assert table_db.metrics.counter("compile.fallback").value == 1
-        faults.uninstall()
-        table_db.compile_breaker.record_success()
-        reference = table_db.execute(
-            "SELECT id, a * b AS x FROM t WHERE a > 0.1 ORDER BY id"
-        )
-        assert_bit_exact(result, reference)
+    def test_injected_fault_falls_back_to_interpreted(self, fallback_db):
+        # The one-shot interpreted retry never re-enters generated code:
+        # with the fault armed for every call, a generated kernel in the
+        # retry would fail it.
+        db = fallback_db
+        fallbacks = db.metrics.counter("compile.fallback")
+        for shape, (sql, parallel) in FALLBACK_SHAPES.items():
+            assert "== Compiled Code ==" in db.explain(sql), shape
+            before = fallbacks.value
+            faults.install(
+                FaultInjector(seed=1).raise_once("compile.kernel", count=100)
+            )
+            result = db.execute(sql, parallel=parallel)
+            faults.uninstall()
+            assert fallbacks.value == before + 1, shape
+            assert db.query_log.entries()[-1]["compiled"] is False, shape
+            db.compile_breaker.record_success()
+            _, interpreted = run_both(db, sql, parallel=parallel)
+            assert_bit_exact(result, interpreted)
 
     def test_repeated_faults_open_the_breaker(self, table_db):
         faults.install(
@@ -660,7 +723,10 @@ class TestResilience:
         # site is never reached and no further fallbacks happen
         table_db.execute(sql)
         assert table_db.metrics.counter("compile.fallback").value == 3
-        assert "FusedPipeline" not in table_db.explain(sql)
+        plan = table_db.explain(sql)
+        assert "FusedPipeline" not in plan
+        assert "[compiled]" not in plan
+        assert "== Compiled Code ==" not in plan
 
     def test_kernel_wraps_runtime_errors(self):
         kernel = compile_simple_kernel()

@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.db.compile import KernelCompiler
 from repro.db.expressions import BinaryOp, ColumnRef, Literal
 from repro.db.operators import (
     CrossJoin,
     ExecutionContext,
-    FilterOperator,
     HashJoin,
     LimitOperator,
-    ProjectOperator,
     SortOperator,
     TableScan,
     UnionAll,
     ValuesOperator,
 )
 from repro.db.operators.misc import RenameOperator
+from repro.db.plan.physical import pipeline
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.db.types import SqlType
@@ -78,51 +78,81 @@ class TestScanAndLifecycle:
         assert scan.blocks_pruned > 0
 
 
+def filtered(context, child, predicate, generate):
+    """The filter pipeline, with a generated or an interpreted kernel."""
+    compiler = KernelCompiler(generate=generate)
+    return pipeline(context, compiler, child, [predicate])
+
+
+def projected(context, child, expressions, names, generate):
+    compiler = KernelCompiler(generate=generate)
+    return pipeline(context, compiler, child, [], expressions, names)
+
+
+#: every pipeline test runs on both kernels of the one operator
+KERNELS = (False, True)
+
+
 class TestFilterProject:
     def test_filter_keeps_matching(self, context):
-        scan = TableScan(context, make_table("t", 50))
-        predicate = BinaryOp("<", ColumnRef("id"), Literal.of(5))
-        rows = collect(FilterOperator(context, scan, predicate))
-        assert [row[0] for row in rows] == [0, 1, 2, 3, 4]
+        for generate in KERNELS:
+            scan = TableScan(context, make_table("t", 50))
+            predicate = BinaryOp("<", ColumnRef("id"), Literal.of(5))
+            operator = filtered(context, scan, predicate, generate)
+            assert operator.kernel.generated is generate
+            rows = collect(operator)
+            assert [row[0] for row in rows] == [0, 1, 2, 3, 4]
 
     def test_filter_rejects_non_boolean(self, context):
-        scan = TableScan(context, make_table("t", 5))
-        operator = FilterOperator(context, scan, ColumnRef("id"))
-        with pytest.raises(ExecutionError):
-            collect(operator)
+        # no generated form: both compilers give the interpreted kernel
+        for generate in KERNELS:
+            scan = TableScan(context, make_table("t", 5))
+            operator = filtered(context, scan, ColumnRef("id"), generate)
+            with pytest.raises(ExecutionError):
+                collect(operator)
 
     def test_filter_preserves_ordering(self, context):
-        scan = TableScan(context, make_table("t", 5, sort_key=("id",)))
-        predicate = BinaryOp(">", ColumnRef("id"), Literal.of(1))
-        assert FilterOperator(context, scan, predicate).ordering == ("id",)
+        for generate in KERNELS:
+            scan = TableScan(context, make_table("t", 5, sort_key=("id",)))
+            predicate = BinaryOp(">", ColumnRef("id"), Literal.of(1))
+            operator = filtered(context, scan, predicate, generate)
+            assert operator.ordering == ("id",)
 
     def test_project_computes_and_names(self, context):
-        scan = TableScan(context, make_table("t", 3))
-        project = ProjectOperator(
-            context,
-            scan,
-            [BinaryOp("*", ColumnRef("v"), Literal.of(2)), ColumnRef("id")],
-            ["double_v", "key"],
-        )
-        assert project.schema.names == ("double_v", "key")
-        assert collect(project)[2] == (2.0, 2)
+        for generate in KERNELS:
+            scan = TableScan(context, make_table("t", 3))
+            project = projected(
+                context,
+                scan,
+                [
+                    BinaryOp("*", ColumnRef("v"), Literal.of(2)),
+                    ColumnRef("id"),
+                ],
+                ["double_v", "key"],
+                generate,
+            )
+            assert project.schema.names == ("double_v", "key")
+            assert collect(project)[2] == (2.0, 2)
 
     def test_project_ordering_through_rename(self, context):
-        scan = TableScan(context, make_table("t", 3, sort_key=("id",)))
-        project = ProjectOperator(
-            context, scan, [ColumnRef("id")], ["renamed"]
-        )
-        assert project.ordering == ("renamed",)
+        for generate in KERNELS:
+            scan = TableScan(context, make_table("t", 3, sort_key=("id",)))
+            project = projected(
+                context, scan, [ColumnRef("id")], ["renamed"], generate
+            )
+            assert project.ordering == ("renamed",)
 
     def test_project_ordering_breaks_on_computed_key(self, context):
-        scan = TableScan(context, make_table("t", 3, sort_key=("id",)))
-        project = ProjectOperator(
-            context,
-            scan,
-            [BinaryOp("+", ColumnRef("id"), Literal.of(1))],
-            ["idplus"],
-        )
-        assert project.ordering == ()
+        for generate in KERNELS:
+            scan = TableScan(context, make_table("t", 3, sort_key=("id",)))
+            project = projected(
+                context,
+                scan,
+                [BinaryOp("+", ColumnRef("id"), Literal.of(1))],
+                ["idplus"],
+                generate,
+            )
+            assert project.ordering == ()
 
     def test_rename_operator(self, context):
         scan = TableScan(context, make_table("t", 3, sort_key=("id",)))

@@ -21,6 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db.compile import KernelCompiler
 from repro.db.engine import Database
 from repro.db.operators import ExecutionContext
 from repro.db.plan.physical import GatherExchange
@@ -74,7 +75,7 @@ def _merge(fragment, results):
     schema = results[0].schema
     sources = [result.batches for result in results]
     gather = GatherExchange(context, schema, sources)
-    plan = build_merge_plan(context, fragment, gather)
+    plan = build_merge_plan(context, fragment, gather, KernelCompiler())
     return plan.schema, list(plan.batches())
 
 

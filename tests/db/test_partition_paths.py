@@ -21,7 +21,7 @@ from repro.core.ml_to_sql.generator import SqlGenerator
 from repro.core.ml_to_sql.loader import load_model_table
 from repro.core.ml_to_sql.representation import build_relational_model
 from repro.core.registry import publish_model
-from repro.errors import ShardError
+from repro.errors import BindError, ShardError
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 
@@ -157,6 +157,49 @@ def test_shape_matches_serial(run, path, shape):
 def test_order_by_limit_matches_serial(run, path):
     sql = "SELECT id, v FROM t ORDER BY v DESC, id LIMIT 7"
     assert run(path, sql).rows == run(SERIAL, sql).rows
+
+
+#: ORDER BY a qualified select-list column, and the same keys spelled
+#: as output names; every path must sort both the same way
+QUALIFIED_ORDERS = {
+    "column": (
+        "SELECT t.id FROM t ORDER BY t.id",
+        "SELECT id FROM t ORDER BY id",
+    ),
+    "alias": (
+        "SELECT t.id AS x, t.v FROM t ORDER BY t.v DESC, t.id LIMIT 9",
+        "SELECT t.id AS x, t.v FROM t ORDER BY v DESC, x LIMIT 9",
+    ),
+    # the output column of n.v is n_v: sorting on "v" would be t.v
+    "join": (
+        "SELECT t.id, t.v, n.v FROM t JOIN n ON t.id = n.id "
+        "ORDER BY n.v DESC, t.id LIMIT 20",
+        "SELECT t.id, t.v, n.v FROM t JOIN n ON t.id = n.id "
+        "ORDER BY n_v DESC, id LIMIT 20",
+    ),
+    "grouped": (
+        "SELECT t.a, SUM(t.v) AS s FROM t GROUP BY t.a ORDER BY t.a DESC",
+        "SELECT t.a, SUM(t.v) AS s FROM t GROUP BY t.a ORDER BY a DESC",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", (SERIAL,) + SPLIT_PATHS, ids=str)
+@pytest.mark.parametrize("shape", sorted(QUALIFIED_ORDERS))
+def test_qualified_order_by_sorts_like_the_output_name(run, path, shape):
+    qualified, unqualified = QUALIFIED_ORDERS[shape]
+    got = run(path, qualified)
+    want = run(SERIAL, unqualified)
+    assert got.schema.names == want.schema.names
+    assert got.row_count == want.row_count > 0
+    for name in want.schema.names:
+        np.testing.assert_array_equal(got.column(name), want.column(name))
+
+
+@pytest.mark.parametrize("path", (SERIAL,) + SPLIT_PATHS, ids=str)
+def test_order_by_outside_the_select_list_is_a_bind_error(run, path):
+    with pytest.raises(BindError, match="not found"):
+        run(path, "SELECT t.id FROM t ORDER BY t.v")
 
 
 #: first keys with ties and NaN; the trailing id makes the order total,
