@@ -43,8 +43,18 @@ DEFAULT_COEFFICIENTS: dict[str, tuple[float, float, float]] = {
 }
 
 
+#: rankings one selector remembers before it starts over
+RANK_MEMO_CAPACITY = 1024
+
+
 class CostBasedVariantSelector:
-    """Ranks ModelJoin execution variants by predicted runtime."""
+    """Ranks ModelJoin execution variants by predicted runtime.
+
+    A ranking depends only on the model's metadata, the tuple count and
+    the coefficients, so :meth:`rank` remembers it per (metadata,
+    tuples) until :meth:`calibrate` changes a coefficient: a repeated
+    point statement ranks once.
+    """
 
     def __init__(
         self,
@@ -60,6 +70,7 @@ class CostBasedVariantSelector:
             model = InferenceCostModel()
             model.coefficients = np.array([a, b, c], dtype=np.float64)
             self.models[variant] = model
+        self._rankings: dict[tuple, tuple[VariantEstimate, ...]] = {}
 
     # -- planner protocol ------------------------------------------------
     def flops_per_tuple(self, metadata: ModelMetadata) -> float:
@@ -69,20 +80,30 @@ class CostBasedVariantSelector:
         self, metadata: ModelMetadata, tuples: int
     ) -> list[VariantEstimate]:
         """All variants, cheapest predicted runtime first."""
-        flops = flops_per_tuple_of_metadata(metadata)
-        estimates = [
-            VariantEstimate(
-                variant=variant,
-                predicted_seconds=float(
-                    self.models[variant].predict(flops, tuples)
-                ),
-                in_plan=variant in IN_PLAN_VARIANTS,
+        key = (metadata, tuples)
+        ranking = self._rankings.get(key)
+        if ranking is None:
+            flops = flops_per_tuple_of_metadata(metadata)
+            ranking = tuple(
+                sorted(
+                    (
+                        VariantEstimate(
+                            variant=variant,
+                            predicted_seconds=float(
+                                self.models[variant].predict(flops, tuples)
+                            ),
+                            in_plan=variant in IN_PLAN_VARIANTS,
+                        )
+                        for variant in ALL_VARIANTS
+                        if variant in self.models
+                    ),
+                    key=lambda e: e.predicted_seconds,
+                )
             )
-            for variant in ALL_VARIANTS
-            if variant in self.models
-        ]
-        estimates.sort(key=lambda e: e.predicted_seconds)
-        return estimates
+            if len(self._rankings) >= RANK_MEMO_CAPACITY:
+                self._rankings.clear()
+            self._rankings[key] = ranking
+        return list(ranking)
 
     def predict(
         self, variant: str, metadata: ModelMetadata, tuples: int
@@ -102,3 +123,4 @@ class CostBasedVariantSelector:
         """Refit one variant from (tuples, flops_per_tuple, seconds)."""
         model = self.models.setdefault(variant, InferenceCostModel())
         model.calibrate(observations)
+        self._rankings.clear()

@@ -162,6 +162,10 @@ class ModelJoinOperator(UnaryOperator):
     def ordering(self) -> tuple[str, ...]:
         return self.child.ordering
 
+    def cloned(self, binding) -> None:
+        self.device = self.device.fresh()
+        self.partition_index = binding.partition_index or 0
+
     def open(self) -> None:
         super().open()
         if self.device.is_gpu and breaker_for(self.device).is_open:

@@ -114,29 +114,103 @@ def _render_point(point: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
+class ZoneMaps:
+    """The zone maps of a list of blocks as ``[blocks × columns]`` arrays.
+
+    ``low`` / ``high`` hold each block's per-column min/max as float64,
+    NaN where the block records no zone map (a ``None`` stat, which
+    never prunes); ``rows`` holds each block's row count.  Partitions
+    keep them beside their block lists (:meth:`BlockBuilder.zoned_blocks`),
+    so pruning a partition is one vectorised pass (:func:`block_pruner`).
+    """
+
+    __slots__ = ("low", "high", "rows")
+
+    def __init__(self, low: np.ndarray, high: np.ndarray, rows: np.ndarray):
+        self.low = low
+        self.high = high
+        self.rows = rows
+
+    @classmethod
+    def of(cls, blocks, width: int) -> "ZoneMaps":
+        """The zone maps of *blocks* (each with ``stats`` and ``length``)."""
+        nan = math.nan
+        low = [
+            nan if stat is None else stat.minimum
+            for block in blocks
+            for stat in block.stats
+        ]
+        high = [
+            nan if stat is None else stat.maximum
+            for block in blocks
+            for stat in block.stats
+        ]
+        shape = (len(blocks), width)
+        return cls(
+            np.array(low, dtype=np.float64).reshape(shape),
+            np.array(high, dtype=np.float64).reshape(shape),
+            np.array([block.length for block in blocks], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __add__(self, other: "ZoneMaps") -> "ZoneMaps":
+        if not len(other):
+            return self
+        if not len(self):
+            return other
+        return ZoneMaps(
+            np.concatenate([self.low, other.low]),
+            np.concatenate([self.high, other.high]),
+            np.concatenate([self.rows, other.rows]),
+        )
+
+
 def block_pruner(
     schema: Schema, ranges: list[ColumnRange]
-) -> Callable[[list], bool] | None:
-    """The one zone-map pruner: a ``stats -> bool`` closure, or None.
+) -> Callable[[ZoneMaps], np.ndarray] | None:
+    """The one zone-map pruner: a ``zone maps -> keep mask`` closure, or
+    None when no predicate applies to *schema* (callers then skip the
+    check entirely).
 
-    Column positions are resolved once; the returned closure only
-    indexes a block's positionally aligned ``stats`` and asks each
-    :meth:`ColumnRange.may_match`.  Returns ``None`` when no predicate
-    applies to *schema* (callers then skip the check entirely).
+    The closure evaluates every range over a partition's zone-map
+    arrays at once and answers, per block, exactly what
+    :meth:`ColumnRange.may_match` answers for that block's stat: a NaN
+    bound compares false, so a missing or NaN-poisoned zone map prunes
+    only by the bound it has, and never by a point list.
     """
     resolved = [
-        (schema.position_of(predicate.column), predicate)
+        (
+            schema.position_of(predicate.column),
+            predicate,
+            None
+            if predicate.points is None
+            else np.asarray(predicate.points, dtype=np.float64),
+        )
         for predicate in ranges
         if schema.has_column(predicate.column)
     ]
     if not resolved:
         return None
 
-    def may_match(stats) -> bool:
-        for position, predicate in resolved:
-            if not predicate.may_match(stats[position]):
-                return False
-        return True
+    def may_match(zones: ZoneMaps) -> np.ndarray:
+        keep = np.ones(len(zones), dtype=bool)
+        for position, predicate, points in resolved:
+            low = zones.low[:, position]
+            high = zones.high[:, position]
+            if predicate.low is not None:
+                keep &= ~(high < predicate.low)
+            if predicate.high is not None:
+                keep &= ~(low > predicate.high)
+            if points is not None:
+                hit = ~(low <= high)
+                if len(points):
+                    index = np.searchsorted(points, low)
+                    nearest = points[np.minimum(index, len(points) - 1)]
+                    hit |= (index < len(points)) & (nearest <= high)
+                keep &= hit
+        return keep
 
     return may_match
 
@@ -202,7 +276,8 @@ class BlockBuilder:
     blocks get their SMA statistics computed once and become immutable.
     Reads see the buffered rows as one unsealed *tail* block, so only a
     partition's last block is ever short, however reads and appends
-    interleave.
+    interleave.  The blocks' zone maps are kept as arrays beside them
+    (:class:`ZoneMaps`), extended as blocks seal.
     """
 
     def __init__(self, schema: Schema, block_size: int = BLOCK_SIZE):
@@ -214,6 +289,10 @@ class BlockBuilder:
         #: the pending rows as one block, built by the first read after
         #: an append and dropped by the next append
         self._tail: Block | None = None
+        #: zone maps of the first len(_zones) sealed blocks, and of the
+        #: sealed blocks plus the tail (dropped with the tail)
+        self._zones = ZoneMaps.of([], len(schema))
+        self._tail_zones: ZoneMaps | None = None
         self.row_count = 0
         # Appends and reads mutate the pending buffer; a broadcast table
         # is scanned by every partition pipeline concurrently, so the
@@ -240,6 +319,7 @@ class BlockBuilder:
             self._pending_rows += len(batch)
             self.row_count += len(batch)
             self._tail = None
+            self._tail_zones = None
             while self._pending_rows >= self.block_size:
                 self._seal()
 
@@ -269,20 +349,32 @@ class BlockBuilder:
         )
 
     def all_blocks(self) -> list[Block]:
-        """The sealed blocks, then the pending rows as one tail block.
+        """The sealed blocks, then the pending rows as one tail block."""
+        return self.zoned_blocks()[0]
+
+    def zoned_blocks(self) -> tuple[list[Block], ZoneMaps]:
+        """:meth:`all_blocks` and their zone maps, read together.
 
         The tail is cached until the next append and never sealed: a
         read does not change how the partition is blocked.
         """
         with self._lock:
+            sealed = len(self._zones)
+            if sealed < len(self._sealed):
+                self._zones = self._zones + ZoneMaps.of(
+                    self._sealed[sealed:], len(self.schema)
+                )
             if not self._pending:
-                return list(self._sealed)
+                return list(self._sealed), self._zones
             if self._tail is None:
                 self._tail = self._block_of(self._pending)
                 # Buffer the tail itself, so the next read after an
                 # append concatenates two batches, not every insert.
                 self._pending = [self._tail.to_batch(self.schema)]
-            return [*self._sealed, self._tail]
+                self._tail_zones = self._zones + ZoneMaps.of(
+                    [self._tail], len(self.schema)
+                )
+            return [*self._sealed, self._tail], self._tail_zones
 
     def nominal_bytes(self) -> int:
         sealed = sum(block.nominal_bytes() for block in self._sealed)

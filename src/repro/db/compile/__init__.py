@@ -34,9 +34,7 @@ from repro.db.compile.kernels import (
     InterpretedKernel,
     KernelCompiler,
     KernelOutput,
-    KernelReplayError,
     KernelSpec,
-    ReplayCompiler,
     generate_kernel_source,
     project_outputs,
 )
@@ -48,10 +46,8 @@ __all__ = [
     "InterpretedKernel",
     "KernelCompiler",
     "KernelOutput",
-    "KernelReplayError",
     "KernelSpec",
     "NonCompilable",
-    "ReplayCompiler",
     "generate_kernel_source",
     "project_outputs",
 ]

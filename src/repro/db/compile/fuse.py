@@ -36,13 +36,16 @@ class FusedPipeline(UnaryOperator):
         child: PhysicalOperator,
         kernel: FusedKernel | InterpretedKernel,
     ):
-        self.spec = kernel.spec
         columns = tuple(
             Column(output.name, output.expression.output_type(child.schema))
-            for output in self.spec.outputs
+            for output in kernel.spec.outputs
         )
         super().__init__(context, Schema(columns), child)
         self.kernel = kernel
+
+    @property
+    def spec(self):
+        return self.kernel.spec
 
     def open(self) -> None:
         super().open()

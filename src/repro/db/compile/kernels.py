@@ -22,11 +22,12 @@ bump misses the cache, exactly like the ModelCache keying, and the
 registration number of every bound function, so a re-registered UDF
 misses it too.
 
-A lowering can also *record* each request as a :class:`KernelRecord`
-(source, bindings, which literal slot feeds each parameter); the plan
-cache keeps the records with its template, and the lowering of a later
-statement of the same shape replays them through
-:class:`ReplayCompiler` — kernels fetched by stored source, no codegen.
+Every generated kernel carries its :class:`KernelRecord` (source,
+bindings, which literal slot feeds each parameter).  A plan-cache
+prototype keeps the kernels of a lowered plan, and each later statement
+of the same shape rebinds them to its own literal values
+(:meth:`KernelCompiler.rebind`): the function is fetched from the cache
+by its stored source, with no codegen.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,16 +248,35 @@ class FusedKernel:
     cancellation passes through untouched.
     """
 
-    __slots__ = ("spec", "source", "function", "params")
+    __slots__ = ("_spec", "source", "function", "params", "record")
 
     #: generated source (EXPLAIN prints it; the query counts as compiled)
     generated = True
 
-    def __init__(self, spec: KernelSpec, source: str, function, params):
-        self.spec = spec
+    def __init__(
+        self,
+        spec: KernelSpec | Callable[[], KernelSpec],
+        source: str,
+        function,
+        params,
+        record: "KernelRecord",
+    ):
+        #: the segment, or a function that makes it: the generated code
+        #: runs on *params* alone, so a plan-cache clone puts its
+        #: literal values into the spec only when something reads it
+        self._spec = spec
         self.source = source
         self.function = function
         self.params = params
+        #: where the parameters come from, for rebinding to other values
+        self.record = record
+
+    @property
+    def spec(self) -> KernelSpec:
+        spec = self._spec
+        if callable(spec):
+            spec = self._spec = spec()
+        return spec
 
     @property
     def listing(self) -> str:
@@ -383,8 +404,8 @@ class CompiledKernelCache:
 
 @dataclass(eq=False, frozen=True)
 class KernelRecord:
-    """What one compile request of a lowering produced, kept by a plan
-    template so a later statement of the same shape skips codegen.
+    """What one compile request produced: what a plan-cache hit needs to
+    rebind the kernel to its own literal values without codegen.
 
     ``parameters`` holds, per kernel parameter, the
     :class:`~repro.db.compile.codegen.LiteralParameter` naming the
@@ -408,14 +429,6 @@ class KernelRecord:
         )
 
 
-_EXHAUSTED = object()
-
-
-class KernelReplayError(Exception):
-    """Internal signal: a template's kernels do not fit this statement
-    (a literal value has no compiled form); lower with codegen instead."""
-
-
 @dataclass
 class KernelCompiler:
     """Front-end the lowering asks for each segment's one kernel.
@@ -428,21 +441,19 @@ class KernelCompiler:
     failing queries.  *generate* is off under
     ``use_compiled_kernels=False`` and while the breaker is open.
 
-    With *records* set, every codegen request also appends its
-    :class:`KernelRecord` (None: kept interpreted) for the plan cache.
-    ``replayable`` turns False when a request failed on a literal's
-    value or on ``exec``: outcomes a template must not replay (another
-    value may compile; a failed exec must reach the breaker again).
+    ``reusable`` turns False when a request failed on a literal's
+    value or on ``exec``: outcomes a plan-cache prototype must not keep
+    (another value may compile; a failed exec must reach the breaker
+    again).
     """
 
     cache: CompiledKernelCache | None = None
     metrics: object | None = None
     tracer: object = NULL_TRACER
     breaker: object | None = None
-    records: list | None = None
     generate: bool = True
     compiled_count: int = field(default=0, init=False)
-    replayable: bool = field(default=True, init=False)
+    reusable: bool = field(default=True, init=False)
 
     def kernel(self, spec: KernelSpec) -> FusedKernel | InterpretedKernel:
         """The kernel one pipeline segment runs."""
@@ -451,41 +462,47 @@ class KernelCompiler:
 
     def compile_kernel(self, spec: KernelSpec) -> FusedKernel | None:
         """The generated kernel of *spec*, or None."""
-        compiled = self._compile(lambda: _kernel_source(spec))
-        if compiled is None:
-            return None
-        source, function, params = compiled
-        return FusedKernel(spec, source, function, params)
-
-    def _compile(self, render):
-        """(source, function, params) of one request, or None."""
-        compiled = record = None
         try:
-            source, builder = render()
+            source, builder = _kernel_source(spec)
         except NonCompilableLiteral:
-            self.replayable = False
+            self.reusable = False
+            return None
         except Exception:  # NonCompilable, or a generator bug
-            pass
-        else:
-            try:
-                function = self._function(source, builder.bindings)
-            except KernelCompileError:
-                self.replayable = False
-            else:
-                record = KernelRecord(
-                    source,
-                    builder.bindings,
-                    tuple(
-                        value if parameter is None else parameter
-                        for value, parameter in zip(
-                            builder.parameters, builder.parameter_sources
-                        )
-                    ),
+            return None
+        try:
+            function = self._function(source, builder.bindings)
+        except KernelCompileError:
+            self.reusable = False
+            return None
+        record = KernelRecord(
+            source,
+            builder.bindings,
+            tuple(
+                value if parameter is None else parameter
+                for value, parameter in zip(
+                    builder.parameters, builder.parameter_sources
                 )
-                compiled = source, function, tuple(builder.parameters)
-        if self.records is not None:
-            self.records.append(record)
-        return compiled
+            ),
+        )
+        return FusedKernel(
+            spec, source, function, tuple(builder.parameters), record
+        )
+
+    def rebind(
+        self,
+        kernel: FusedKernel,
+        spec: KernelSpec | Callable[[], KernelSpec],
+        values: tuple,
+    ) -> FusedKernel:
+        """*kernel* over *spec* — the same segment with a statement's
+        literal *values* substituted, or a function making it — taking
+        its parameters from *values* and its function from the cache by
+        source.  Raises NonCompilableLiteral for a value with no
+        compiled form, exactly where codegen would have."""
+        record = kernel.record
+        params = record.params(values)
+        function = self._function(record.source, record.bindings)
+        return FusedKernel(spec, record.source, function, params, record)
 
     def _function(self, source: str, bindings: dict):
         """The exec'd ``kernel`` function of *source*, cached by text."""
@@ -522,37 +539,3 @@ class KernelCompiler:
         if self.cache is not None:
             self.cache.put(source, function)
         return function
-
-
-@dataclass
-class ReplayCompiler(KernelCompiler):
-    """Answers a lowering's compile requests from a plan template's
-    :class:`KernelRecord` list instead of generating source.
-
-    The lowering of an instantiated template issues the same requests
-    in the same order as the lowering that recorded them, so request
-    *i* takes record *i*: its function comes from the kernel cache by
-    the stored source text (exec'd again only if evicted) and its
-    parameters from this statement's literal *values*.
-    """
-
-    replay: tuple = ()
-    values: tuple = ()
-
-    def __post_init__(self) -> None:
-        self._pending = iter(self.replay)
-
-    def _compile(self, render):
-        """Request *i* of the lowering answered by record *i* (*render*,
-        the codegen the request would run, is not called)."""
-        record = next(self._pending, _EXHAUSTED)
-        if record is None:
-            return None
-        if record is _EXHAUSTED:
-            raise KernelReplayError("no recorded kernel for this request")
-        try:
-            params = record.params(self.values)
-        except NonCompilableLiteral as error:
-            raise KernelReplayError(str(error)) from error
-        function = self._function(record.source, record.bindings)
-        return record.source, function, params

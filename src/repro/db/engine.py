@@ -272,7 +272,16 @@ class Database:
             self.sharding = ShardCoordinator(
                 self, shards, shard_workers=shard_workers, path=path
             )
-            self.sharding.start()
+            try:
+                self.sharding.start()
+            except BaseException:
+                # e.g. reopened with another shard count: leave no
+                # shard, column file or query-log handle behind
+                self.sharding.close(drain_seconds=1.0)
+                if self.storage is not None:
+                    self.storage.close()
+                self.query_log.close()
+                raise
 
     # ------------------------------------------------------------------
     # engine-lifetime resources

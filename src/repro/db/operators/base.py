@@ -286,6 +286,15 @@ class PhysicalOperator:
     def children(self) -> list["PhysicalOperator"]:
         return []
 
+    def cloned(self, binding) -> None:
+        """Finish this operator as a fresh copy of a plan-cache
+        prototype (:class:`repro.db.plan.cache.Prototype`).
+
+        The copy already holds *binding*'s context, tables, kernels and
+        literal values; an operator with state derived from them, from
+        its partition or from a per-operator resource rebuilds it here.
+        """
+
 
 class UnaryOperator(PhysicalOperator):
     """An operator with exactly one input."""

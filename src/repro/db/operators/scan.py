@@ -10,6 +10,8 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.db.column import Block, ColumnRange, block_pruner
 from repro.db.operators.base import ExecutionContext, PhysicalOperator
 from repro.db.schema import Schema
@@ -71,9 +73,11 @@ class TableScan(PhysicalOperator):
         super().__init__(context, schema)
         self.table = table
         self.ranges = ranges or []
-        #: zone-map pruner over a block's stats; None when no range
-        #: predicate applies to this table
+        #: zone-map pruner over a partition's zone maps; None when no
+        #: range predicate applies to this table
         self._may_match = block_pruner(table.schema, self.ranges)
+        #: keep masks of the morsel source's partitions, by index
+        self._morsel_masks: dict[int, np.ndarray] = {}
         self.partition_index = partition_index
         self._positions = positions
         self._projected = columns is not None and len(positions) < len(
@@ -97,6 +101,15 @@ class TableScan(PhysicalOperator):
         #: by the lowering for the scan feeding a ModelJoin or a hash
         #: aggregate); None = the context's vector size
         self.vector_size: int | None = None
+        #: the logical scan's position in its plan-cache template (set
+        #: by the lowering; picks a clone's ranges)
+        self.template_index: int | None = None
+
+    def cloned(self, binding) -> None:
+        self.ranges = binding.scan_ranges(self)
+        self._may_match = block_pruner(self.table.schema, self.ranges)
+        if self.partition_index is not None:
+            self.partition_index = binding.partition_index
 
     @property
     def ordering(self) -> tuple[str, ...]:
@@ -150,12 +163,18 @@ class TableScan(PhysicalOperator):
             self.schema, [block.arrays[p] for p in self._positions]
         )
 
-    def _prune_block(self, block) -> None:
-        self.blocks_pruned += 1
-        if getattr(block, "is_disk", False):
-            metrics = self.context.metrics
-            if metrics is not None:
-                metrics.counter("storage.blocks_skipped").increment()
+    def _pruned(self, blocks: list, keep) -> None:
+        """Count the *blocks* their zone maps ruled out (*keep* False)."""
+        self.blocks_pruned += len(blocks) - int(np.count_nonzero(keep))
+        metrics = self.context.metrics
+        if metrics is not None and self.table.disk_resident:
+            disk = sum(
+                1
+                for block, kept in zip(blocks, keep)
+                if not kept and getattr(block, "is_disk", False)
+            )
+            if disk:
+                metrics.counter("storage.blocks_skipped").increment(disk)
 
     def _produce(self) -> Iterator[VectorBatch]:
         if self.morsel_source is not None:
@@ -166,12 +185,12 @@ class TableScan(PhysicalOperator):
         else:
             partitions = [self.table.partitions[self.partition_index]]
         for partition in partitions:
-            for block in partition.blocks():
-                if self._may_match is not None and not self._may_match(
-                    block.stats
-                ):
-                    self._prune_block(block)
-                    continue
+            blocks, zones = partition.zoned_blocks()
+            if self._may_match is not None:
+                keep = self._may_match(zones)
+                self._pruned(blocks, keep)
+                blocks = [blocks[i] for i in np.flatnonzero(keep)]
+            for block in blocks:
                 self.blocks_scanned += 1
                 self.bytes_scanned += block.nominal_bytes()
                 yield from self._vectors(self._block_batch(block))
@@ -228,10 +247,10 @@ class TableScan(PhysicalOperator):
             counters.increment("morsels")
             counters.increment(f"morsels.{worker}")
             block = morsel.block
-            if self._may_match is not None and not self._may_match(
-                block.stats
+            if self._may_match is not None and not self._morsel_keeps(
+                morsel
             ):
-                self._prune_block(block)
+                self._pruned([block], [False])
                 continue
             self.blocks_scanned += 1
             span = morsel.row_stop - morsel.row_start
@@ -252,6 +271,17 @@ class TableScan(PhysicalOperator):
                     yield from self._emit_morsel(morsel)
             else:
                 yield from self._emit_morsel(morsel)
+
+    def _morsel_keeps(self, morsel) -> bool:
+        """Whether the zone maps let *morsel*'s block match; one mask per
+        partition of the morsel source, computed at its first morsel."""
+        mask = self._morsel_masks.get(morsel.partition_index)
+        if mask is None:
+            mask = self._may_match(
+                self.morsel_source.zone_maps[morsel.partition_index]
+            )
+            self._morsel_masks[morsel.partition_index] = mask
+        return bool(mask[morsel.block_index])
 
     def _emit_morsel(self, morsel) -> Iterator[VectorBatch]:
         yield from self._vectors(

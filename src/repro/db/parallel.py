@@ -255,7 +255,10 @@ class Morsel:
     """One unit of stealable scan work: a row range of one block."""
 
     partition_index: int
+    #: the block, and its index in the partition's block list (and so
+    #: in the source's ``zone_maps`` of that partition)
     block: object
+    block_index: int
     row_start: int
     row_stop: int
 
@@ -278,23 +281,27 @@ class MorselSource:
     def __init__(self, table, morsel_rows: int = MORSEL_ROWS):
         self.table = table
         self._lock = threading.Lock()
+        #: zone maps of each partition's blocks, read with the blocks
+        self.zone_maps: list = []
         self._morsels = self._split(table, morsel_rows)
         self._cursor = 0
         self.dispensed = 0
         self.requeued = 0
         self._inflight: dict[object, list[Morsel]] = {}
 
-    @staticmethod
-    def _split(table, morsel_rows: int) -> list[Morsel]:
+    def _split(self, table, morsel_rows: int) -> list[Morsel]:
         morsels: list[Morsel] = []
         for partition_index, partition in enumerate(table.partitions):
-            for block in partition.blocks():
+            blocks, zones = partition.zoned_blocks()
+            self.zone_maps.append(zones)
+            for block_index, block in enumerate(blocks):
                 rows = block.length
                 for start in range(0, rows, morsel_rows):
                     morsels.append(
                         Morsel(
                             partition_index,
                             block,
+                            block_index,
                             start,
                             min(start + morsel_rows, rows),
                         )

@@ -1,5 +1,5 @@
 """Auto-parameterized plan cache: a repeated statement shape skips
-parse, bind, rewrite and kernel generation.
+parse, bind, rewrite, kernel generation and lowering.
 
 Served in-database ML is mostly the same point-scoring statement over
 and over with a fresh key literal.  The lexer
@@ -20,26 +20,30 @@ by the last SELECT planned cold with it:
   literal of a GROUP BY key (the binder matches select items against
   keys by value) and every literal in a position constant folding could
   take (``7 / 0`` stays unfolded);
-* the :class:`~repro.db.compile.kernels.KernelRecord` list of a
-  lowering: kernel sources and which slot feeds each parameter.
+* the :class:`Prototype` of each kind of lowering a hit asked for: a
+  pristine copy of the lowered operator tree, holding identities, no
+  context, and kernels with their
+  :class:`~repro.db.compile.kernels.KernelRecord`.
 
 A statement whose shape has a template is a hit when its fixed slots
 match and the identities still hold in the statement's own catalog (a
-served query's snapshot).  :meth:`PlanTemplate.instantiate` then builds
-a fresh AST and logical tree with the new values, rebinding scans and
-model joins by name; the planner re-derives pruning ranges, estimates
-and the ModelJoin variant, which all depend on the values, and lowers
-with the recorded kernels
-(:class:`~repro.db.compile.kernels.ReplayCompiler`).  Anything else is
-a miss: the ordinary parse → prepare → lower, recording the template
-as a by-product.  EXPLAIN, statements reading ``system.*`` and the
+served query's snapshot).  A hit builds no tree: it derives each scan's
+pruning ranges from its query block's conjuncts with the new values
+(:meth:`PlanTemplate.ranges`), estimates each ModelJoin's input
+(:meth:`PlanTemplate.model_join_inputs`) and picks its variant, then
+clones the prototype with its context, tables, values, ranges and
+rebound kernels (:meth:`Prototype.clone`).  The statement and logical
+tree are instantiated only when asked for — the fragment planner, or a
+value with no compiled form, which lowers cold.  Anything else is a
+miss: the ordinary parse → prepare → lower, recording the template as a
+by-product.  EXPLAIN, statements reading ``system.*`` and the
 interpreted compile-fallback retry are never cached.
 
 A miss records only what needs the live plan (the tree without its
-tables, the identities); the fixed slots and the kernels are worked out
-by the shape's first hit, so a statement that never repeats — an
-ad-hoc query, a fresh engine per operation — pays no more than a copy
-of its logical tree.
+tables, the identities); the fixed slots, the range inputs and the
+prototype are worked out by the shape's first hit, so a statement that
+never repeats — an ad-hoc query, a fresh engine per operation — pays no
+more than a copy of its logical tree.
 """
 
 from __future__ import annotations
@@ -47,24 +51,33 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 from repro.db.catalog import ModelMetadata, is_system_table_name
+from repro.db.compile.kernels import FusedKernel, InterpretedKernel
 from repro.db.expressions import BinaryOp, Expression, Literal, UnaryOp
 from repro.db.functions import registry_version
+from repro.db.operators import PhysicalOperator
 from repro.db.operators.aggregate import AggregateSpec
 from repro.db.plan.logical import (
     LogicalAggregate,
     LogicalModelJoin,
     LogicalNode,
     LogicalScan,
+    estimate_rows,
+    extract_ranges,
     rebuild,
+    recompute_estimates,
+    scan_estimate,
     walk,
 )
+from repro.db.plan.rules import RuleFiring, scan_regions, set_ranges
 from repro.db.schema import Schema
 from repro.db.sql.ast import SelectStatement
 from repro.db.sql.lexer import Lexed
 from repro.db.sql.parser import literal_value, parse_lexed
+from repro.db.table import Table
 from repro.errors import CatalogError
 
 #: templates one engine keeps (least recently used evicted first)
@@ -160,18 +173,28 @@ class PlanTemplate:
     functions: int
     #: the recorded statement's literal texts, by slot
     texts: tuple[str, ...]
+    #: the scans of ``logical``, by their ``template_index``
+    scans: tuple[LogicalScan, ...] = ()
     #: (slot, text) pairs a hit must repeat verbatim; None until the
     #: shape's first hit works them out (see :meth:`analyzed`)
     fixed: tuple[tuple[int, str], ...] | None = None
+    #: the slots a later statement may change
+    free: frozenset = frozenset()
     #: ids of the objects in ``statement`` and ``logical`` whose
-    #: subtree holds a free slot: what instantiation copies
+    #: subtree holds a free slot: what a hit substitutes
     marked: frozenset = frozenset()
-    #: the compile requests of the first lowering of a hit; None
-    #: until then (a sharded SELECT lowers on the shards, never here)
-    kernels: tuple | None = None
+    #: per scan (by ``template_index``), the filter conjuncts of its
+    #: query block: where a hit derives the scan's pruning ranges from
+    regions: tuple[tuple[Expression, ...], ...] = ()
+    #: the ModelJoin nodes of ``logical`` in planning order
+    model_joins: tuple[LogicalModelJoin, ...] = ()
+    #: lowered plans a hit clones, by :func:`prototype_key` (a sharded
+    #: SELECT lowers on the shards, never here)
+    prototypes: dict = field(default_factory=dict)
 
     def analyzed(self) -> "PlanTemplate":
-        """This template with its fixed slots and copy marks."""
+        """This template with its fixed slots, copy marks and the
+        inputs of its value-dependent planning steps."""
         if self.fixed is not None:
             return self
         free = _free_slots(self.logical)
@@ -183,6 +206,9 @@ class PlanTemplate:
                     continue
                 for item in value if isinstance(value, list) else (value,):
                     _mark(item, free, marked)
+        regions: list = [()] * len(self.scans)
+        for scan, conjuncts in scan_regions(self.logical):
+            regions[scan.template_index] = tuple(conjuncts)
         return dataclasses.replace(
             self,
             fixed=tuple(
@@ -190,14 +216,20 @@ class PlanTemplate:
                 for slot, text in enumerate(self.texts)
                 if slot not in free
             ),
+            free=frozenset(free),
             marked=frozenset(marked),
+            regions=tuple(regions),
+            model_joins=tuple(
+                node
+                for node in walk(self.logical)
+                if isinstance(node, LogicalModelJoin)
+            ),
         )
 
-    def instantiate(self, text: SelectText, catalog, options: tuple):
-        """``(statement, logical, values)`` for *text* against *catalog*,
-        or None when this (analyzed) template cannot serve it.  Never
-        mutates the template: the copies share only the parts no free
-        slot reaches."""
+    def bind(self, text: SelectText, catalog, options: tuple):
+        """The tables this (analyzed) template's identities name in
+        *catalog*, as an ``identity -> table`` dict, or None when the
+        template cannot serve *text*."""
         if options != self.options or registry_version() != self.functions:
             return None
         literals = text.lexed.literals
@@ -211,15 +243,69 @@ class PlanTemplate:
             bound[model.table] = model.resolve(catalog)
         if any(table is None for table in bound.values()):
             return None
-        values = text.values()
-        marked = self.marked
-        statement = self.statement
-        if id(statement) in marked:
-            statement = _substitute(statement, values, marked)
-        logical = _copy_tree(
-            self.logical, bound.__getitem__, values, marked
+        return bound
+
+    def ranges(self, values: tuple) -> tuple[list, ...]:
+        """Each scan's pruning ranges for the literal *values*: rule 4
+        over its query block's conjuncts, reading free slots' values."""
+        free = self.free
+
+        def value_of(literal: Literal):
+            if literal.slot in free:
+                return values[literal.slot]
+            return literal.value
+
+        return tuple(
+            extract_ranges(
+                conjuncts, scan.binding, scan.table.schema, value_of
+            )
+            if conjuncts
+            else []
+            for scan, conjuncts in zip(self.scans, self.regions)
         )
-        return statement, logical, values
+
+    def model_join_inputs(self, tables: dict, ranges: tuple) -> list[float]:
+        """The estimated input rows of each ModelJoin, with the scans
+        reading *tables* under *ranges* (no tree is copied)."""
+
+        def scan_rows(scan: LogicalScan) -> float:
+            return scan_estimate(
+                tables[scan.table], ranges[scan.template_index]
+            )
+
+        return [
+            estimate_rows(node.child, scan_rows) for node in self.model_joins
+        ]
+
+    def statement_for(self, values: tuple) -> SelectStatement:
+        """The statement with the literal *values* (copies only the
+        parts a free slot reaches)."""
+        if id(self.statement) not in self.marked:
+            return self.statement
+        return _substitute(self.statement, values, self.marked)
+
+    def instantiate(
+        self, tables: dict, values: tuple, ranges: tuple, selections: list
+    ) -> tuple[LogicalNode, list[RuleFiring]]:
+        """The optimized logical tree of a hit and its range firings —
+        what a cold plan of the statement holds — for the fragment
+        planner and for a hit that lowers cold.  Never mutates the
+        template: the copy shares only the parts no free slot reaches."""
+        logical = _copy_tree(
+            self.logical, tables.__getitem__, values, self.marked
+        )
+        firings: list[RuleFiring] = []
+        for scan, _ in scan_regions(logical):
+            set_ranges(scan, list(ranges[scan.template_index]), firings)
+        recompute_estimates(logical)
+        model_joins = [
+            node
+            for node in walk(logical)
+            if isinstance(node, LogicalModelJoin)
+        ]
+        for node, selection in zip(model_joins, selections):
+            node.selection = selection
+        return logical, firings
 
 
 def record_template(
@@ -231,7 +317,8 @@ def record_template(
     """The template of a cold-planned SELECT, or None if uncacheable."""
     tables: dict[int, TableIdentity] = {}
     models: list[ModelIdentity] = []
-    skeleton = _skeleton(logical, tables, models)
+    scans: list[LogicalScan] = []
+    skeleton = _skeleton(logical, tables, models, scans)
     if any(is_system_table_name(table.name) for table in tables.values()):
         return None
     return PlanTemplate(
@@ -243,19 +330,23 @@ def record_template(
         models=tuple(models),
         functions=registry_version(),
         texts=tuple(token.text for token in text.lexed.literals),
+        scans=tuple(scans),
     )
 
 
-def _skeleton(node: LogicalNode, tables: dict, models: list) -> LogicalNode:
+def _skeleton(
+    node: LogicalNode, tables: dict, models: list, scans: list
+) -> LogicalNode:
     """A copy of a live logical tree that holds no table: scans and
     model joins point at identities (collected into *tables*, by table
-    object, and *models*); ranges and variant selections are cleared."""
+    object, and *models*), scans are numbered (collected into *scans*);
+    ranges and variant selections are cleared."""
     clone = object.__new__(type(node))
     attributes = clone.__dict__
     attributes.update(node.__dict__)
     for name, value in attributes.items():
         if isinstance(value, LogicalNode):
-            attributes[name] = _skeleton(value, tables, models)
+            attributes[name] = _skeleton(value, tables, models, scans)
         elif type(value) is list:
             attributes[name] = value.copy()
     if isinstance(clone, LogicalScan):
@@ -263,6 +354,8 @@ def _skeleton(node: LogicalNode, tables: dict, models: list) -> LogicalNode:
             id(node.table), TableIdentity.of(node.table)
         )
         clone.ranges = []
+        clone.template_index = len(scans)
+        scans.append(clone)
     elif isinstance(clone, LogicalModelJoin):
         model = ModelIdentity(
             node.model_name,
@@ -274,6 +367,214 @@ def _skeleton(node: LogicalNode, tables: dict, models: list) -> LogicalNode:
         clone.model_table = model.table
         clone.selection = None
     return clone
+
+
+# ----------------------------------------------------------------------
+# prototypes: lowered plans a hit clones
+# ----------------------------------------------------------------------
+def prototype_key(
+    partition_index: int | None, vector_size: int, selections
+) -> tuple:
+    """What a lowered plan's shape depends on beyond its template: a
+    serial plan or one partition pipeline (scan orderings differ), the
+    scan-vector length, and each ModelJoin's variant (its device)."""
+    return (
+        partition_index is None,
+        vector_size,
+        tuple(selection.chosen for selection in selections),
+    )
+
+
+#: how :class:`Prototype` copies an operator attribute
+_OPERATOR, _CONTEXT, _TABLE, _KERNEL, _LIST, _COPY, _SUBSTITUTE = range(7)
+
+
+def _attribute_kinds(operator, marked) -> tuple[tuple[str, int], ...]:
+    """The attributes of *operator* a copy does not simply share."""
+    kinds = []
+    for name, value in operator.__dict__.items():
+        if isinstance(value, PhysicalOperator):
+            kind = _OPERATOR
+        elif name == "context":
+            kind = _CONTEXT
+        elif isinstance(value, (Table, TableIdentity)):
+            kind = _TABLE
+        elif isinstance(value, (FusedKernel, InterpretedKernel)):
+            kind = _KERNEL
+        elif isinstance(value, list):
+            kind = _LIST
+        elif isinstance(value, (set, dict)):
+            kind = _COPY
+        elif id(value) in marked:
+            kind = _SUBSTITUTE
+        else:
+            continue
+        kinds.append((name, kind))
+    return tuple(kinds)
+
+
+class _Binding:
+    """What a copy of an operator tree binds: *context*, the tables,
+    kernels and literal values, the partition and the scans' ranges.
+
+    Capturing a prototype binds tables to identities and keeps kernels,
+    literals and ranges; cloning one binds them all for a hit, with the
+    attribute *kinds* worked out at capture."""
+
+    def __init__(
+        self,
+        context,
+        partition_index: int | None,
+        tables: dict,
+        values: tuple = (),
+        marked: frozenset = frozenset(),
+        ranges: tuple | None = None,
+        compiler=None,
+        kinds: dict | None = None,
+    ):
+        self.context = context
+        self.partition_index = partition_index
+        self.tables = tables
+        self.values = values
+        self.marked = marked
+        self._ranges = ranges
+        self._compiler = compiler
+        self._kinds = kinds
+
+    def scan_ranges(self, scan) -> list:
+        if self._ranges is None:
+            return list(scan.ranges)
+        return list(self._ranges[scan.template_index])
+
+    def substitute(self, value):
+        return _substitute(value, self.values, self.marked)
+
+    def kernel(self, kernel):
+        if self._compiler is None:
+            return kernel
+        spec = kernel.spec
+        if not kernel.generated:
+            if id(spec) in self.marked:
+                spec = self.substitute(spec)
+            return InterpretedKernel(spec)
+        if id(spec) in self.marked:
+            spec = partial(_substitute, spec, self.values, self.marked)
+        return self._compiler.rebind(kernel, spec, self.values)
+
+    def copy(self, operator, kinds: tuple):
+        """A fresh copy of *operator* whose *kinds* attributes are bound."""
+        twin = object.__new__(type(operator))
+        state = operator.__dict__.copy()
+        marked = self.marked
+        for name, kind in kinds:
+            value = state[name]
+            if kind == _OPERATOR:
+                state[name] = self.copy(value, self.kinds(value))
+            elif kind == _CONTEXT:
+                state[name] = self.context
+            elif kind == _TABLE:
+                state[name] = self.tables[value]
+            elif kind == _KERNEL:
+                state[name] = self.kernel(value)
+            elif kind == _LIST:
+                state[name] = [
+                    item if id(item) not in marked else self.substitute(item)
+                    for item in value
+                ]
+            elif kind == _COPY:
+                state[name] = value.copy()
+            else:
+                state[name] = self.substitute(value)
+        twin.__dict__ = state
+        twin.cloned(self)
+        return twin
+
+    def kinds(self, operator) -> tuple:
+        if self._kinds is None:
+            return _attribute_kinds(operator, self.marked)
+        return self._kinds[id(operator)]
+
+
+@dataclass(frozen=True, eq=False)
+class Prototype:
+    """A pristine, never-opened copy of a lowered plan, kept by a
+    template: its tables are identities, it has no context, and its
+    kernels and expressions carry the literals of the hit it was
+    captured from.  :meth:`clone` gives each later hit its own plan."""
+
+    root: PhysicalOperator
+    #: ids of the objects in the tree whose subtree holds a free slot
+    marked: frozenset
+    #: per operator id, the attributes a clone binds (_attribute_kinds)
+    kinds: dict
+
+    @classmethod
+    def capture(
+        cls,
+        plan: PhysicalOperator,
+        partition_index: int | None,
+        tables: dict,
+        free: frozenset,
+    ) -> "Prototype":
+        """The prototype of *plan*, lowered for *partition_index* by a
+        hit that bound *tables* (``identity -> table``)."""
+        capture = _Binding(
+            None,
+            partition_index,
+            {table: identity for identity, table in tables.items()},
+        )
+        root = capture.copy(plan, capture.kinds(plan))
+        marked: set[int] = set()
+        operators = []
+        stack = [root]
+        while stack:
+            operator = stack.pop()
+            operators.append(operator)
+            for value in operator.__dict__.values():
+                if isinstance(value, PhysicalOperator):
+                    stack.append(value)
+                elif isinstance(value, (FusedKernel, InterpretedKernel)):
+                    _mark(value.spec, free, marked)
+                elif isinstance(value, list):
+                    for item in value:
+                        _mark(item, free, marked)
+                else:
+                    _mark(value, free, marked)
+        marked = frozenset(marked)
+        return cls(
+            root,
+            marked,
+            {
+                id(operator): _attribute_kinds(operator, marked)
+                for operator in operators
+            },
+        )
+
+    def clone(
+        self,
+        context,
+        partition_index: int | None,
+        tables: dict,
+        values: tuple,
+        ranges: tuple,
+        compiler,
+    ) -> PhysicalOperator:
+        """A fresh plan for one hit: its *context* and partition, the
+        *tables* it bound (``identity -> table``), its literal *values*
+        in every expression and kernel spec, its scans' *ranges*, and
+        kernels rebound by *compiler* (raises NonCompilableLiteral for
+        a value with no compiled form)."""
+        binding = _Binding(
+            context,
+            partition_index,
+            tables,
+            values,
+            self.marked,
+            ranges,
+            compiler,
+            self.kinds,
+        )
+        return binding.copy(self.root, self.kinds[id(self.root)])
 
 
 # ----------------------------------------------------------------------
@@ -443,17 +744,17 @@ class PlanCache:
             self._replace(template, completed)
         return completed
 
-    def with_kernels(
-        self, template: PlanTemplate, compiler
+    def with_prototype(
+        self, template: PlanTemplate, key: tuple, prototype
     ) -> PlanTemplate | None:
-        """*template* completed with what *compiler* recorded while
-        lowering it — or None, dropping the shape, when that lowering
-        did something a replay must not repeat."""
-        if not compiler.replayable:
+        """*template* with *prototype* kept for its later hits under
+        *key* — or None, dropping the shape, when *prototype* is None:
+        the lowering did something a clone must not repeat."""
+        if prototype is None:
             self._replace(template, None)
             return None
         completed = dataclasses.replace(
-            template, kernels=tuple(compiler.records)
+            template, prototypes={**template.prototypes, key: prototype}
         )
         self._replace(template, completed)
         return completed

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.db.catalog import Catalog, ModelMetadata
 from repro.db.column import ColumnRange, block_pruner
@@ -72,10 +73,9 @@ class LogicalNode:
     def describe(self) -> str:
         return type(self).__name__
 
-    def estimate(self) -> float:
-        """This node's cardinality, assuming children are up to date."""
-        children = self.children()
-        return children[0].estimated_rows if children else 0.0
+    def estimate(self, inputs: list[float]) -> float:
+        """This node's cardinality from its children's (*inputs*)."""
+        return inputs[0] if inputs else 0.0
 
     def render(self, indent: int = 0) -> str:
         """Human-readable logical tree (the EXPLAIN logical section)."""
@@ -88,6 +88,20 @@ class LogicalNode:
         for child in self.children():
             rendered.append(child.render(indent + 2))
         return "\n".join(rendered)
+
+
+def scan_estimate(table, ranges) -> float:
+    """The rows a scan of *table* is estimated to produce under the
+    pruning *ranges*: the rows of the surviving blocks of a disk table,
+    else half the table per range."""
+    rows = float(table.row_count)
+    if ranges:
+        surviving = _zone_map_row_estimate(table, ranges)
+        if surviving is not None:
+            return float(surviving)
+    for _ in ranges:
+        rows *= 0.5
+    return rows
 
 
 def _zone_map_row_estimate(table, ranges) -> int | None:
@@ -104,12 +118,14 @@ def _zone_map_row_estimate(table, ranges) -> int | None:
     if not getattr(table, "disk_resident", False):
         return None
     may_match = block_pruner(table.schema, ranges)
-    return sum(
-        block.length
-        for partition in table.partitions
-        for block in partition.blocks()
-        if may_match is None or may_match(block.stats)
-    )
+    surviving = 0
+    for partition in table.partitions:
+        zones = partition.zoned_blocks()[1]
+        rows = zones.rows
+        if may_match is not None:
+            rows = rows[may_match(zones)]
+        surviving += int(rows.sum())
+    return surviving
 
 
 class LogicalScan(LogicalNode):
@@ -121,19 +137,15 @@ class LogicalScan(LogicalNode):
         self.binding = binding
         self.columns = list(columns)
         self.ranges: list[ColumnRange] = []
+        #: this scan's position among the scans of the plan-cache
+        #: template it was instantiated from (None: planned cold)
+        self.template_index: int | None = None
 
     def output_names(self) -> list[str]:
         return [f"{self.binding}.{name}" for name in self.columns]
 
-    def estimate(self) -> float:
-        rows = float(self.table.row_count)
-        if self.ranges:
-            surviving = _zone_map_row_estimate(self.table, self.ranges)
-            if surviving is not None:
-                return float(surviving)
-        for _ in self.ranges:
-            rows *= 0.5
-        return rows
+    def estimate(self, inputs: list[float]) -> float:
+        return scan_estimate(self.table, self.ranges)
 
     def describe(self) -> str:
         parts = [f"Scan({self.table.name}"]
@@ -177,8 +189,8 @@ class LogicalFilter(LogicalNode):
     def output_names(self) -> list[str]:
         return self.child.output_names()
 
-    def estimate(self) -> float:
-        rows = self.child.estimated_rows
+    def estimate(self, inputs: list[float]) -> float:
+        rows = inputs[0]
         for conjunct in self.conjuncts:
             rows *= _selectivity(conjunct)
         return max(rows, 1.0)
@@ -212,9 +224,8 @@ class LogicalJoin(LogicalNode):
     def output_names(self) -> list[str]:
         return self.left.output_names() + self.right.output_names()
 
-    def estimate(self) -> float:
-        left = self.left.estimated_rows
-        right = self.right.estimated_rows
+    def estimate(self, inputs: list[float]) -> float:
+        left, right = inputs
         if self.left_keys:
             rows = max(left, right)
         elif self.conjuncts:
@@ -340,8 +351,8 @@ class LogicalAggregate(LogicalNode):
     def output_names(self) -> list[str]:
         return self.group_names + [spec.name for spec in self.aggregates]
 
-    def estimate(self) -> float:
-        return max(self.child.estimated_rows / 10.0, 1.0)
+    def estimate(self, inputs: list[float]) -> float:
+        return max(inputs[0] / 10.0, 1.0)
 
     def describe(self) -> str:
         groups = ", ".join(str(e) for e in self.group_exprs)
@@ -363,8 +374,8 @@ class LogicalDistinct(LogicalNode):
     def output_names(self) -> list[str]:
         return self.child.output_names()
 
-    def estimate(self) -> float:
-        return max(self.child.estimated_rows * 0.5, 1.0)
+    def estimate(self, inputs: list[float]) -> float:
+        return max(inputs[0] * 0.5, 1.0)
 
     def describe(self) -> str:
         return "Distinct"
@@ -409,8 +420,8 @@ class LogicalLimit(LogicalNode):
     def output_names(self) -> list[str]:
         return self.child.output_names()
 
-    def estimate(self) -> float:
-        return min(float(self.limit), self.child.estimated_rows)
+    def estimate(self, inputs: list[float]) -> float:
+        return min(float(self.limit), inputs[0])
 
     def describe(self) -> str:
         return f"Limit({self.limit}, offset={self.offset})"
@@ -418,9 +429,23 @@ class LogicalLimit(LogicalNode):
 
 def recompute_estimates(node: LogicalNode) -> None:
     """Refresh cardinality estimates bottom-up."""
-    for child in node.children():
+    children = node.children()
+    for child in children:
         recompute_estimates(child)
-    node.estimated_rows = node.estimate()
+    node.estimated_rows = node.estimate(
+        [child.estimated_rows for child in children]
+    )
+
+
+def estimate_rows(node: LogicalNode, scan_rows) -> float:
+    """*node*'s cardinality with each scan's taken from *scan_rows*
+    (a ``LogicalScan -> float`` function), leaving the tree untouched:
+    how a plan-cache hit estimates a template's ModelJoin inputs."""
+    if isinstance(node, LogicalScan):
+        return scan_rows(node)
+    return node.estimate(
+        [estimate_rows(child, scan_rows) for child in node.children()]
+    )
 
 
 def walk(
@@ -584,16 +609,18 @@ def extract_ranges(
     conjuncts: list[Expression],
     binding: str,
     table_schema,
+    value_of: Callable[[Literal], object] = attrgetter("value"),
 ) -> list[ColumnRange]:
     """Turn pushable comparisons with literals into SMA pruning ranges.
 
     Works on fully *resolved* conjuncts, whose column references are
     all qualified — a reference belongs to this scan iff its qualifier
-    is *binding*.
+    is *binding*.  *value_of* reads a literal's value (a plan-cache hit
+    reads its own statement's values by slot).
     """
     ranges: dict[str, ColumnRange] = {}
     for conjunct in conjuncts:
-        extracted = range_of_conjunct(conjunct, binding)
+        extracted = range_of_conjunct(conjunct, binding, value_of)
         if extracted is None:
             continue
         if not table_schema.has_column(extracted.column):
@@ -607,7 +634,9 @@ def extract_ranges(
 
 
 def range_of_conjunct(
-    conjunct: Expression, binding: str
+    conjunct: Expression,
+    binding: str,
+    value_of: Callable[[Literal], object] = attrgetter("value"),
 ) -> ColumnRange | None:
     """The pruning range one conjunct implies on this scan, if any.
 
@@ -620,8 +649,8 @@ def range_of_conjunct(
     operator = conjunct.operator
     left, right = conjunct.left, conjunct.right
     if operator == "OR":
-        left = range_of_conjunct(left, binding)
-        right = range_of_conjunct(right, binding)
+        left = range_of_conjunct(left, binding, value_of)
+        right = range_of_conjunct(right, binding, value_of)
         if (
             left is None
             or right is None
@@ -637,14 +666,13 @@ def range_of_conjunct(
         left, right = right, left
     if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
         return None
-    if not isinstance(right.value, (int, float)) or isinstance(
-        right.value, bool
-    ):
+    value = value_of(right)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         return None
     item_binding, _, column = left.name.partition(".")
     if not column or item_binding.lower() != binding:
         return None
-    value = float(right.value)
+    value = float(value)
     if math.isnan(value):
         return None  # NaN is unordered: it bounds nothing
     if operator == "=":

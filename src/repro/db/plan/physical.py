@@ -114,50 +114,56 @@ def select_variants(root: LogicalNode, selector, metrics=None):
     """
     selections: list[VariantSelection] = []
     for node in walk(root):
-        if not isinstance(node, LogicalModelJoin):
-            continue
-        tuples = max(int(round(node.child.estimated_rows)), 1)
-        estimates: tuple[VariantEstimate, ...] = ()
-        flops = 0.0
-        if selector is not None:
-            estimates = tuple(selector.rank(node.metadata, tuples))
-            flops = selector.flops_per_tuple(node.metadata)
-        if node.variant_override is not None:
-            chosen = node.variant_override
-            if chosen not in IN_PLAN_VARIANTS:
-                raise PlanError(
-                    f"variant {chosen!r} cannot run inside a query plan; "
-                    f"in-plan variants are {list(IN_PLAN_VARIANTS)}"
-                )
-            reason = "explicit override (VARIANT clause)"
-        elif estimates:
-            in_plan = [e for e in estimates if e.in_plan]
-            best = min(in_plan, key=lambda e: e.predicted_seconds)
-            chosen = best.variant
-            reason = (
-                f"lowest predicted cost among in-plan variants "
-                f"({best.predicted_seconds * 1e3:.3f} ms for "
-                f"~{tuples} tuples)"
+        if isinstance(node, LogicalModelJoin):
+            node.selection = select_variant(
+                node, node.child.estimated_rows, selector, metrics
             )
-        else:
-            chosen = "native-cpu"
-            reason = "default (no cost selector installed)"
-        selection = VariantSelection(
-            model_name=node.metadata.model_name,
-            tuples=tuples,
-            flops_per_tuple=flops,
-            estimates=estimates,
-            chosen=chosen,
-            reason=reason,
-        )
-        node.selection = selection
-        selections.append(selection)
-        if metrics is not None:
-            metrics.counter("planner.variant_selected").increment()
-            metrics.counter(
-                f"planner.variant_selected.{chosen}"
-            ).increment()
+            selections.append(node.selection)
     return selections
+
+
+def select_variant(
+    node: LogicalModelJoin, estimated_rows: float, selector, metrics=None
+) -> VariantSelection:
+    """The variant decision of one ModelJoin whose input is estimated
+    at *estimated_rows* tuples."""
+    tuples = max(int(round(estimated_rows)), 1)
+    estimates: tuple[VariantEstimate, ...] = ()
+    flops = 0.0
+    if selector is not None:
+        estimates = tuple(selector.rank(node.metadata, tuples))
+        flops = selector.flops_per_tuple(node.metadata)
+    if node.variant_override is not None:
+        chosen = node.variant_override
+        if chosen not in IN_PLAN_VARIANTS:
+            raise PlanError(
+                f"variant {chosen!r} cannot run inside a query plan; "
+                f"in-plan variants are {list(IN_PLAN_VARIANTS)}"
+            )
+        reason = "explicit override (VARIANT clause)"
+    elif estimates:
+        in_plan = [e for e in estimates if e.in_plan]
+        best = min(in_plan, key=lambda e: e.predicted_seconds)
+        chosen = best.variant
+        reason = (
+            f"lowest predicted cost among in-plan variants "
+            f"({best.predicted_seconds * 1e3:.3f} ms for "
+            f"~{tuples} tuples)"
+        )
+    else:
+        chosen = "native-cpu"
+        reason = "default (no cost selector installed)"
+    if metrics is not None:
+        metrics.counter("planner.variant_selected").increment()
+        metrics.counter(f"planner.variant_selected.{chosen}").increment()
+    return VariantSelection(
+        model_name=node.metadata.model_name,
+        tuples=tuples,
+        flops_per_tuple=flops,
+        estimates=estimates,
+        chosen=chosen,
+        reason=reason,
+    )
 
 
 class Lowering:
@@ -266,6 +272,7 @@ class Lowering:
             partition_index=scan_partition,
             columns=columns,
         )
+        scan.template_index = node.template_index
         names = [f"{node.binding}.{name}" for name in node.columns]
         return RenameOperator(self.context, scan, names)
 

@@ -317,42 +317,53 @@ def _extract_join_keys(
 # ----------------------------------------------------------------------
 # rule 4: SMA range derivation
 # ----------------------------------------------------------------------
-def derive_ranges(root: LogicalNode, firings: list[RuleFiring]) -> None:
-    """Rule 4 alone, region by region as :meth:`RuleEngine.run` applies
-    it: the one rule whose result depends on free literal values, re-run
-    when a cached plan template serves fresh literals."""
+def scan_regions(root: LogicalNode) -> list[tuple[LogicalScan, list]]:
+    """Every scan with the filter conjuncts of its query block — rule
+    4's inputs, region by region as :meth:`RuleEngine.run` applies it,
+    nested blocks first.  A plan-cache template keeps them so a hit
+    derives its ranges from the literal values alone."""
     nodes = walk(root, into_subqueries=False)
+    pairs = []
     for node in nodes:
         if isinstance(node, LogicalSubquery):
-            derive_ranges(node.inner, firings)
-    _derive_sma_ranges(root, firings, nodes)
+            pairs.extend(scan_regions(node.inner))
+    return pairs + _region_scans(nodes)
 
 
-def _derive_sma_ranges(
-    root: LogicalNode,
-    firings: list[RuleFiring],
-    nodes: list[LogicalNode] | None = None,
-) -> None:
-    if nodes is None:
-        nodes = walk(root, into_subqueries=False)
+def _region_scans(nodes: list[LogicalNode]) -> list[tuple[LogicalScan, list]]:
     conjuncts: list[Expression] = []
     for node in nodes:
         if isinstance(node, LogicalFilter):
             conjuncts.extend(node.conjuncts)
-    if not conjuncts:
-        return
-    for node in nodes:
-        if not isinstance(node, LogicalScan):
-            continue
-        ranges = extract_ranges(conjuncts, node.binding, node.table.schema)
-        if ranges:
-            node.ranges = ranges
-            rendered = ", ".join(str(r) for r in ranges)
-            firings.append(
-                RuleFiring(
-                    "sma-range-derivation",
-                    f"scan {node.binding}: {rendered}",
-                )
+    return [
+        (node, conjuncts) for node in nodes if isinstance(node, LogicalScan)
+    ]
+
+
+def set_ranges(
+    scan: LogicalScan, ranges: list, firings: list[RuleFiring]
+) -> None:
+    """Give *scan* its derived pruning *ranges*, recording the firing
+    (no ranges: the scan keeps none)."""
+    if ranges:
+        scan.ranges = ranges
+        rendered = ", ".join(str(r) for r in ranges)
+        firings.append(
+            RuleFiring(
+                "sma-range-derivation", f"scan {scan.binding}: {rendered}"
+            )
+        )
+
+
+def _derive_sma_ranges(
+    root: LogicalNode, firings: list[RuleFiring]
+) -> None:
+    for scan, conjuncts in _region_scans(walk(root, into_subqueries=False)):
+        if conjuncts:
+            set_ranges(
+                scan,
+                extract_ranges(conjuncts, scan.binding, scan.table.schema),
+                firings,
             )
 
 

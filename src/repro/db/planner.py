@@ -18,41 +18,39 @@ Planning is a three-stage pipeline (see :mod:`repro.db.plan`):
 Execution prepares once and lowers once per partition pipeline.  A
 SELECT that arrives as text (:class:`~repro.db.plan.cache.SelectText`)
 goes through the engine's plan cache: a statement whose shape has a
-valid template is instantiated from it — no parse, no bind, no codegen
-— and re-runs only the value-dependent steps (pruning ranges,
-estimates, variant selection); any other one is planned as above and
-records the template (:mod:`repro.db.plan.cache`).
+valid template is served from it — no parse, bind, rewrite, codegen or
+lowering — computing only what its values decide (pruning ranges, the
+ModelJoin input estimates and variants) and cloning the template's
+lowered prototype; any other one is planned as above and records the
+template (:mod:`repro.db.plan.cache`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.db.catalog import Catalog
-from repro.db.compile import (
-    KernelCompiler,
-    KernelReplayError,
-    ReplayCompiler,
-)
+from repro.db.compile import KernelCompiler
+from repro.db.compile.codegen import NonCompilableLiteral
 from repro.db.operators import ExecutionContext, PhysicalOperator
 from repro.db.plan.cache import (
     PlanCache,
     PlanTemplate,
+    Prototype,
     SelectText,
+    prototype_key,
     record_template,
 )
-from repro.db.plan.logical import (
-    LogicalBinder,
-    LogicalNode,
-    recompute_estimates,
-)
+from repro.db.plan.logical import LogicalBinder, LogicalNode
 from repro.db.plan.physical import (
     Lowering,
     VariantSelection,
+    select_variant,
     select_variants,
 )
-from repro.db.plan.rules import RuleEngine, RuleFiring, derive_ranges
+from repro.db.plan.rules import RuleEngine, RuleFiring
 from repro.db.sql.ast import SelectStatement
 from repro.db.tracing import NULL_TRACER, MetricsRegistry, Tracer
 
@@ -92,16 +90,59 @@ class PreparedPlan:
     logical: LogicalNode
     firings: list[RuleFiring]
     selections: list[VariantSelection]
-    #: the plan-cache template a hit was instantiated from: lowering
-    #: replays its kernels (the first lowering records them)
-    template: PlanTemplate | None = None
-    #: the statement's literal values by slot (template plans only)
-    values: tuple = ()
-    #: instantiated from a cached template: no parse, bind or rewrite
-    cached: bool = False
+
+    #: planned cold, not served from a plan-cache template
+    cached = False
+    template = None
 
     def explain_logical(self) -> str:
         return self.logical.render()
+
+
+class CachedPlan(PreparedPlan):
+    """A SELECT served from its shape's plan template: a plan-cache hit.
+
+    It holds what the values decide — each scan's pruning *ranges* and
+    each ModelJoin's variant *selections* — plus the *tables* the
+    template's identities bound and the literal *values*.  Lowering
+    clones the template's prototype with them; the statement and the
+    logical tree are built only when asked for (the fragment planner,
+    a lowering with no prototype to clone).
+    """
+
+    cached = True
+
+    def __init__(
+        self,
+        template: PlanTemplate,
+        tables: dict,
+        values: tuple,
+        ranges: tuple,
+        selections: list[VariantSelection],
+    ):
+        self.template = template
+        self.tables = tables
+        self.values = values
+        self.ranges = ranges
+        self.selections = selections
+
+    @cached_property
+    def statement(self) -> SelectStatement:
+        return self.template.statement_for(self.values)
+
+    @cached_property
+    def _instance(self) -> tuple[LogicalNode, list[RuleFiring]]:
+        return self.template.instantiate(
+            self.tables, self.values, self.ranges, self.selections
+        )
+
+    @property
+    def logical(self) -> LogicalNode:
+        return self._instance[0]
+
+    @property
+    def firings(self) -> list[RuleFiring]:
+        return self._instance[1]
 
 
 class Planner:
@@ -141,18 +182,15 @@ class Planner:
             breaker is not None and breaker.is_open
         )
 
-    def kernel_compiler(
-        self, kind=KernelCompiler, **fields
-    ) -> KernelCompiler:
+    def kernel_compiler(self) -> KernelCompiler:
         """The compiler a plan asks for its pipeline kernels: generated
         ones unless compilation is off or the breaker is open."""
-        return kind(
+        return KernelCompiler(
             cache=self.kernel_cache,
             metrics=self.metrics,
             tracer=self.tracer,
             breaker=self.compile_breaker,
             generate=self._compiles(),
-            **fields,
         )
 
     def _options_key(self) -> tuple:
@@ -203,48 +241,41 @@ class Planner:
                 self.plan_cache.put(template)
         return PreparedPlan(statement, logical, firings, selections)
 
-    def _instantiate(self, text: SelectText) -> PreparedPlan | None:
+    def _instantiate(self, text: SelectText) -> CachedPlan | None:
         """The plan of *text* from its shape's template, if one serves.
 
-        A hit has no bind step: instantiating the template — checking
-        the identities it bound against this planner's catalog and
-        substituting the statement's values — rewrites a plan bound
-        before, so it runs under the rewrite span with the range
-        derivation and estimates it redoes.
+        A hit has no bind step: checking the identities the template
+        bound against this planner's catalog and deriving each scan's
+        pruning ranges and the ModelJoin input estimates from the
+        literal values is the rewrite a hit does, so it runs under the
+        rewrite span.  No tree is copied.
         """
         template = self.plan_cache.get(text.lexed.shape)
         if template is None:
             return None
         with self.tracer.span("optimizer.rewrite", category="planner"):
             template = self.plan_cache.analyzed(template)
-            instance = template.instantiate(
-                text, self.catalog, self._options_key()
-            )
-            if instance is None:
+            tables = template.bind(text, self.catalog, self._options_key())
+            if tables is None:
                 return None
-            statement, logical, values = instance
-            firings: list[RuleFiring] = []
-            if self.options.use_optimizer_rules and (
-                self.options.use_block_pruning
-            ):
-                derive_ranges(logical, firings)
-            recompute_estimates(logical)
+            values = text.values()
+            options = self.options
+            if options.use_optimizer_rules and options.use_block_pruning:
+                ranges = template.ranges(values)
+            else:
+                ranges = ([],) * len(template.scans)
+            inputs = template.model_join_inputs(tables, ranges)
         with self.tracer.span(
             "optimizer.select_variant", category="planner"
         ):
-            selections = select_variants(
-                logical, self.variant_selector, metrics=self.metrics
-            )
+            selections = [
+                select_variant(
+                    node, rows, self.variant_selector, metrics=self.metrics
+                )
+                for node, rows in zip(template.model_joins, inputs)
+            ]
         self.plan_cache.count_hit()
-        return PreparedPlan(
-            statement,
-            logical,
-            firings,
-            selections,
-            template=template,
-            values=values,
-            cached=True,
-        )
+        return CachedPlan(template, tables, values, ranges, selections)
 
     def lower(
         self,
@@ -254,35 +285,49 @@ class Planner:
     ) -> PhysicalOperator:
         """Lower a prepared plan for one partition (or serially).
 
-        A plan instantiated from a template takes its kernels from the
-        recorded sources; the first one lowered for a template records
-        them.
+        A plan-cache hit clones its template's prototype for this kind
+        of lowering; the first hit without one lowers the logical tree
+        and keeps the result as the prototype.
         """
         with self.tracer.span("optimizer.lower", category="planner"):
             template = prepared.template
-            if template is not None and template.kernels is not None:
-                replay = self.kernel_compiler(
-                    ReplayCompiler,
-                    replay=template.kernels,
-                    values=prepared.values,
+            if template is None:
+                return self._lower(
+                    prepared, context, partition_index, self.kernel_compiler()
                 )
+            key = prototype_key(
+                partition_index, context.vector_size, prepared.selections
+            )
+            prototype = template.prototypes.get(key)
+            if prototype is not None:
                 try:
-                    return self._lower(
-                        prepared, context, partition_index, replay
+                    return prototype.clone(
+                        context,
+                        partition_index,
+                        prepared.tables,
+                        prepared.values,
+                        prepared.ranges,
+                        self.kernel_compiler(),
                     )
-                except KernelReplayError:
+                except NonCompilableLiteral:
                     # a literal value with no compiled form: lower with
                     # codegen, as a cold plan of this statement does
-                    template = None
-            if template is None:
-                compiler = self.kernel_compiler()
-                return self._lower(
-                    prepared, context, partition_index, compiler
-                )
-            compiler = self.kernel_compiler(records=[])
+                    return self._lower(
+                        prepared,
+                        context,
+                        partition_index,
+                        self.kernel_compiler(),
+                    )
+            compiler = self.kernel_compiler()
             plan = self._lower(prepared, context, partition_index, compiler)
-            prepared.template = self.plan_cache.with_kernels(
-                template, compiler
+            prepared.template = self.plan_cache.with_prototype(
+                template,
+                key,
+                Prototype.capture(
+                    plan, partition_index, prepared.tables, template.free
+                )
+                if compiler.reusable
+                else None,
             )
             return plan
 

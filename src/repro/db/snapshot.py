@@ -48,20 +48,26 @@ so pinned generations are garbage-collected promptly.
 from __future__ import annotations
 
 from repro.db.catalog import Catalog
+from repro.db.column import ZoneMaps
 from repro.db.table import Table
 from repro.db.vector import VectorBatch
 from repro.errors import ExecutionError
 
 
 class FrozenPartition:
-    """An immutable view of one partition's blocks."""
+    """An immutable view of one partition's blocks and their zone maps
+    (shared with the partition they were read from)."""
 
-    def __init__(self, blocks: list):
+    def __init__(self, partition):
+        blocks, self._zones = partition.zoned_blocks()
         self._blocks = tuple(blocks)
-        self.row_count = sum(block.length for block in self._blocks)
+        self.row_count = int(self._zones.rows.sum())
 
     def blocks(self) -> list:
         return list(self._blocks)
+
+    def zoned_blocks(self) -> tuple[list, ZoneMaps]:
+        return list(self._blocks), self._zones
 
     def nominal_bytes(self) -> int:
         return sum(block.nominal_bytes() for block in self._blocks)
@@ -86,7 +92,7 @@ class FrozenTable(Table):
         self.version = table.version
         self.disk_resident = table.disk_resident
         self.partitions = [
-            FrozenPartition(partition.blocks())
+            FrozenPartition(partition)
             for partition in table.partitions
         ]
 

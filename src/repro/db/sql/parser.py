@@ -57,7 +57,17 @@ _STOP_WORDS = {
     "NOT",
     "BETWEEN",
     "IN",
+    # join words: `FROM t LEFT JOIN u` must not read LEFT as t's alias
+    "LEFT",
+    "RIGHT",
+    "FULL",
+    "OUTER",
+    "CROSS",
+    "NATURAL",
 }
+
+#: outer joins, which the engine does not run (only inner joins)
+_OUTER_JOINS = {"LEFT", "RIGHT", "FULL"}
 
 _AGGREGATE_NAMES = {"SUM", "COUNT", "MIN", "MAX", "AVG"}
 
@@ -433,6 +443,21 @@ class _Parser:
     def _parse_from_item(self) -> FromItem:
         item = self._parse_primary_from()
         while True:
+            token = self.peek()
+            if (
+                token.kind is TokenKind.IDENT
+                and token.text.upper() in _OUTER_JOINS
+                and (
+                    self.peek(1).is_keyword("JOIN")
+                    or self.peek(1).is_keyword("OUTER")
+                )
+            ):
+                raise SqlSyntaxError(
+                    f"{token.text.upper()} JOIN is not supported: only "
+                    "inner joins (JOIN, INNER JOIN, comma lists) and "
+                    "MODEL JOIN",
+                    token.position,
+                )
             if self.accept_keyword("INNER"):
                 self.expect_keyword("JOIN")
                 right = self._parse_primary_from()

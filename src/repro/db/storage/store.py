@@ -33,7 +33,7 @@ from repro.db.catalog import (
     ModelMetadata,
     ModelVersionRecord,
 )
-from repro.db.column import BLOCK_SIZE, BlockBuilder, MinMax
+from repro.db.column import BLOCK_SIZE, BlockBuilder, MinMax, ZoneMaps
 from repro.db.schema import Column, Schema
 from repro.db.storage.blockio import ColumnFileReader, ColumnFileWriter
 from repro.db.storage.bufferpool import (
@@ -167,10 +167,15 @@ class DiskPartition:
         self.pool = pool
         self.metrics = metrics
         self.tracer = tracer
+        self.block_size = block_size
         self._overlay = BlockBuilder(schema, block_size)
         self._readers: list[ColumnFileReader] | None = None
         self._disk_blocks: list[DiskBlock] | None = None
         self._disk_rows = 0
+        #: zone maps of the disk blocks (from the footers), and the last
+        #: (overlay zone maps, disk + overlay zone maps) pair read
+        self._disk_zones: ZoneMaps | None = None
+        self._zoned: tuple[ZoneMaps, ZoneMaps] | None = None
 
     # -- footer metadata ------------------------------------------------
     def _ensure_meta(self) -> None:
@@ -219,6 +224,7 @@ class DiskPartition:
         self._readers = readers
         self._disk_blocks = blocks
         self._disk_rows = rows_total
+        self._disk_zones = ZoneMaps.of(blocks, len(self.schema))
 
     # -- Partition protocol ---------------------------------------------
     @property
@@ -230,8 +236,17 @@ class DiskPartition:
         self._overlay.append(batch)
 
     def blocks(self) -> list:
+        return self.zoned_blocks()[0]
+
+    def zoned_blocks(self) -> tuple[list, ZoneMaps]:
+        """The disk blocks, then the overlay's, with their zone maps."""
         self._ensure_meta()
-        return list(self._disk_blocks) + self._overlay.all_blocks()
+        overlay, overlay_zones = self._overlay.zoned_blocks()
+        zoned = self._zoned
+        if zoned is None or zoned[0] is not overlay_zones:
+            zoned = overlay_zones, self._disk_zones + overlay_zones
+            self._zoned = zoned
+        return list(self._disk_blocks) + overlay, zoned[1]
 
     def nominal_bytes(self) -> int:
         self._ensure_meta()
@@ -270,6 +285,23 @@ class DiskPartition:
                     }
                 )
         return rows
+
+    def checkpoint_blocks(self) -> list:
+        """The blocks a checkpoint writes: :meth:`blocks`, except that a
+        short last disk block is re-blocked together with the overlay,
+        so only the partition's final block is short."""
+        blocks = self.blocks()
+        disk = self._disk_blocks
+        if (
+            not disk
+            or len(blocks) == len(disk)
+            or disk[-1].length >= self.block_size
+        ):
+            return blocks
+        merged = BlockBuilder(self.schema, self.block_size)
+        for block in blocks[len(disk) - 1:]:
+            merged.append(block.to_batch(self.schema))
+        return blocks[: len(disk) - 1] + merged.all_blocks()
 
     def overlay_blocks(self) -> list:
         """In-memory blocks appended since the last checkpoint."""
@@ -681,8 +713,13 @@ class StorageEngine:
         data_dir = self.root / relative
         row_count = 0
         for index, partition in enumerate(table.partitions):
+            blocks = (
+                partition.checkpoint_blocks()
+                if table.disk_resident
+                else partition.blocks()
+            )
             row_count += write_partition(
-                data_dir / f"p{index}", table.schema, partition.blocks()
+                data_dir / f"p{index}", table.schema, blocks
             )
         entry = {
             "name": table.name,

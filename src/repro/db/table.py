@@ -18,7 +18,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.db.column import BLOCK_SIZE, Block, BlockBuilder
+from repro.db.column import BLOCK_SIZE, Block, BlockBuilder, ZoneMaps
 from repro.db.schema import Schema
 from repro.db.vector import VectorBatch
 from repro.errors import DatabaseError, ExecutionError
@@ -40,6 +40,10 @@ class Partition:
 
     def blocks(self) -> list[Block]:
         return self._builder.all_blocks()
+
+    def zoned_blocks(self) -> tuple[list[Block], ZoneMaps]:
+        """:meth:`blocks` and their zone maps, read together."""
+        return self._builder.zoned_blocks()
 
     def nominal_bytes(self) -> int:
         return self._builder.nominal_bytes()

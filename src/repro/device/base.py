@@ -9,6 +9,7 @@ devices is *accounting*, not representation.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,13 @@ class Device:
         self._tracer = None
         #: optional cooperative deadline (see :meth:`set_cancellation`)
         self._cancellation = None
+
+    def fresh(self) -> "Device":
+        """An unused device of this kind and configuration: its own
+        stats, tracer and cancellation (one device per operator)."""
+        twin = copy.copy(self)
+        Device.__init__(twin)
+        return twin
 
     def set_tracer(self, tracer) -> None:
         """Attach a :class:`repro.db.tracing.Tracer`.

@@ -8,6 +8,7 @@ from repro.core.cost.model import (
     flops_per_tuple_of_metadata,
     flops_per_tuple_of_model,
 )
+from repro.core.cost.selector import CostBasedVariantSelector
 from repro.core.encoding import (
     min_max_encode_query,
     min_max_expression,
@@ -76,6 +77,32 @@ class TestCostModel:
     def test_calibration_needs_observations(self):
         with pytest.raises(ModelJoinError):
             InferenceCostModel().calibrate([(1, 1.0, 1.0)])
+
+    def test_variant_ranking_is_memoised_until_calibrate(self, monkeypatch):
+        selector = CostBasedVariantSelector()
+        model = Sequential([Dense(8, "relu"), Dense(1)], input_width=4)
+        metadata = model_metadata("m", "t", model)
+        predicted = []
+        original = InferenceCostModel.predict
+
+        def counting(self, flops, tuples):
+            predicted.append(tuples)
+            return original(self, flops, tuples)
+
+        monkeypatch.setattr(InferenceCostModel, "predict", counting)
+        first = selector.rank(metadata, 100)
+        assert selector.rank(metadata, 100) == first
+        assert len(predicted) == len(first)  # ranked once
+        selector.rank(metadata, 200)
+        assert len(predicted) == 2 * len(first)
+        # a refit changes the ranking: the memo is cleared
+        selector.calibrate(
+            "native-gpu",
+            [(tuples, 100.0, 1e-12 * tuples) for tuples in (10, 100, 1000)],
+        )
+        refit = selector.rank(metadata, 100)
+        assert len(predicted) == 3 * len(first)
+        assert refit[0].variant == "native-gpu" != first[0].variant
 
 
 class TestDecisionTree:

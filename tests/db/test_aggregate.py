@@ -491,7 +491,7 @@ class TestBlockBatches:
 
 def test_shared_arguments_follow_literal_slots_in_cached_plans():
     """Equal arguments with literals from different statement slots keep
-    their own input: a cached plan replays its kernels for statements of
+    their own input: a cached plan clones its kernels for statements of
     the same shape whose literals then differ."""
     shape = "SELECT g, SUM(v * {}) AS a, SUM(v * {}) AS b FROM d GROUP BY g"
 

@@ -1,11 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.column import (
     Block,
     BlockBuilder,
     ColumnRange,
     MinMax,
+    ZoneMaps,
     block_pruner,
 )
 from repro.db.schema import Schema
@@ -79,6 +84,53 @@ class TestColumnRange:
         assert union.intersect(ColumnRange("x", 10, 20)).points == ()
 
 
+#: zone-map bounds: ordinary, equal, infinite and NaN values
+_BOUNDS = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+#: a block's stat of one column: none, ordered, reversed or NaN-poisoned
+_STATS = st.one_of(
+    st.none(), st.builds(MinMax, _BOUNDS, _BOUNDS)
+)
+_POINTS = st.lists(
+    st.one_of(st.integers(-7, 7).map(float), st.just(float("inf"))),
+    max_size=4,
+)
+_RANGES = st.one_of(
+    st.builds(
+        ColumnRange,
+        st.sampled_from(["k", "v"]),
+        st.one_of(st.none(), _BOUNDS),
+        st.one_of(st.none(), _BOUNDS),
+    ),
+    st.builds(ColumnRange.of_points, st.sampled_from(["k", "v"]), _POINTS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks=st.lists(st.tuples(_STATS, _STATS), max_size=6),
+    ranges=st.lists(_RANGES, min_size=1, max_size=3),
+)
+def test_array_pruner_answers_like_may_match(blocks, ranges):
+    """The vectorised pruner over zone-map arrays keeps exactly the
+    blocks for which every range's may_match (the oracle) holds —
+    None, NaN-poisoned and reversed stats, empty point unions included."""
+    schema = Schema.of(("k", SqlType.INTEGER), ("v", SqlType.FLOAT))
+    zones = ZoneMaps.of(
+        [SimpleNamespace(stats=list(stats), length=1) for stats in blocks],
+        len(schema),
+    )
+    keep = block_pruner(schema, ranges)(zones)
+    positions = {"k": 0, "v": 1}
+    want = [
+        all(r.may_match(stats[positions[r.column]]) for r in ranges)
+        for stats in blocks
+    ]
+    assert keep.tolist() == want
+
+
 class TestBlock:
     def test_stats_computed_for_numeric(self, schema):
         block = Block(
@@ -91,10 +143,11 @@ class TestBlock:
             schema,
             [np.array([10, 20]), np.zeros(2, dtype=np.float32)],
         )
-        assert block_pruner(schema, [ColumnRange("k", 15, 25)])(block.stats)
+        zones = ZoneMaps.of([block], len(schema))
+        assert block_pruner(schema, [ColumnRange("k", 15, 25)])(zones)[0]
         assert not block_pruner(schema, [ColumnRange("k", 21, None)])(
-            block.stats
-        )
+            zones
+        )[0]
 
     def test_may_match_ignores_unknown_columns(self, schema):
         # no predicate applies, so there is no pruner: nothing is skipped
@@ -105,7 +158,7 @@ class TestBlock:
         block = Block(
             schema, [np.array([1]), np.zeros(1, dtype=np.float32)]
         )
-        assert may_match(block.stats)
+        assert may_match(ZoneMaps.of([block], len(schema)))[0]
 
     def test_nan_is_left_out_and_inf_records_no_zone_map(self):
         schema = Schema.of(("f", SqlType.DOUBLE))

@@ -41,6 +41,10 @@ from repro.errors import KernelExecutionError, QueryTimeoutError
 from repro.workloads.models import make_dense_model
 
 
+# reopens persistent databases: runs again under `python -X dev` with
+# ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 @pytest.fixture(autouse=True)
 def no_leaked_injector():
     yield

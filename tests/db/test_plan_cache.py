@@ -140,9 +140,10 @@ def assert_same_outcome(got, want) -> None:
             assert a.tobytes() == b.tobytes(), name
 
 
-def planned(database, sql: str, from_template: bool):
+def planned(database, sql: str, from_template: bool, partition=None):
     """The physical plan and compiled listings *database* lowers *sql*
-    to — from its template, or cold — and its variant selections.
+    to — from its template, or cold; serially or for one *partition*
+    pipeline — and its variant selections.
 
     Kernel headers name the model table's uid, which differs between
     engines, so it is masked."""
@@ -151,7 +152,7 @@ def planned(database, sql: str, from_template: bool):
         planner.plan_cache = None
     prepared = planner.prepare(database.parse(sql))
     assert prepared.cached is from_template
-    plan = planner.lower(prepared, ExecutionContext())
+    plan = planner.lower(prepared, ExecutionContext(), partition)
     physical = render_explain(prepared, plan).split("== Physical Plan ==")[1]
     selections = [
         (s.model_name, s.tuples, s.chosen, s.reason, s.estimates)
@@ -232,7 +233,7 @@ def statements(draw):
     def vector():
         return [draw(_VALUES[kind]) for kind in kinds]
 
-    vectors = [vector() for _ in range(3)]
+    vectors = [vector() for _ in range(4)]
     for later in vectors[1:]:
         if draw(st.booleans()):  # keep the fixed slots, so it hits
             for index, kind in enumerate(kinds):
@@ -270,9 +271,10 @@ def test_a_hit_plans_like_a_fresh_engine(pair, drawn):
             return  # e.g. GROUP BY keys that differ: no template
         assert cached(warm) == (key == template_key), text
         template_key = key
-    # one more hit of the last statement, lowered with the recorded
-    # kernels, against the cold plan of the fresh engine
-    assert planned(warm, texts[-1], True) == planned(fresh, texts[-1], False)
+        # one more hit of the statement — the template's first hit
+        # keeps its lowering, later ones clone it — against the cold
+        # plan of the fresh engine
+        assert planned(warm, text, True) == planned(fresh, text, False)
 
 
 # ----------------------------------------------------------------------
@@ -415,15 +417,20 @@ def test_pruning_is_rederived_for_each_hit(db):
 
 def test_int64_overflow_fails_like_a_cold_plan(db):
     # The template's kernel reads the slot as an int64 parameter; a
-    # value outside int64 has no compiled form, so the hit lowers with
-    # codegen — interpreted, as a cold plan — and fails the same way.
+    # value outside int64 has no compiled form, so the hit cannot clone
+    # the prototype and lowers with codegen — interpreted, as a cold
+    # plan — and fails the same way.
     sql = "SELECT id FROM t WHERE id < {}"
-    db.execute(sql.format(5))
-    db.execute(sql.format(6))
+    for value in (5, 6, 7):  # a miss, the prototype's hit, a clone
+        db.execute(sql.format(value))
     overflow = sql.format(10**20)
     got = outcome(db, overflow)
     assert cached(db)
     assert got[0] == "error"
+    template = db.plan_cache.get(lex_shape(overflow))
+    assert len(template.prototypes) == 1
+    assert db.execute(sql.format(8)).row_count == 8
+    assert cached(db)
     assert_same_outcome(got, cold(db, overflow))
     # the shape keeps serving ordinary values
     db.execute(sql.format(5))
@@ -457,6 +464,55 @@ def test_disk_table_estimates_follow_the_values(tmp_path):
             for bounds in ((0, 10), (4000, 4200), (10, 8500))
         }
         assert len(tuples) == 3
+    finally:
+        database.close()
+
+
+def test_each_variant_clones_its_own_prototype(tmp_path):
+    # the ModelJoin variant follows the estimate, and the device is part
+    # of the lowered plan: a hit whose values pick the other variant
+    # captures a second prototype and plans like a cold plan
+    path = str(tmp_path / "db")
+    _load(repro.connect(path=path)).close()
+    database = repro.connect(path=path)
+    try:
+        selector = database.variant_selector
+        for variant, fixed, per_tuple in (
+            ("native-gpu", 1e-2, 1e-9),
+            ("native-cpu", 1e-4, 2e-5),
+        ):
+            selector.calibrate(
+                variant,
+                [
+                    (tuples, flops, fixed + per_tuple * tuples)
+                    for tuples in (10, 100, 1000, 10000)
+                    for flops in (10.0, 100.0)
+                ],
+            )
+        sql = (
+            "SELECT id, prediction_0 FROM t MODEL JOIN m USING (f0, f1) "
+            "WHERE id BETWEEN {} AND {}"
+        )
+        texts = [
+            sql.format(*bounds)
+            for bounds in ((0, 10), (0, 20), (10, 8500), (0, 30), (20, 8900))
+        ]
+        chosen, results = [], []
+        for text in texts:
+            results.append(outcome(database, text))
+            hit_plan = planned(database, text, True)
+            assert hit_plan == planned(database, text, False)
+            chosen.append(hit_plan[1][0][2])
+        assert chosen == [
+            "native-cpu", "native-cpu", "native-gpu", "native-cpu",
+            "native-gpu",
+        ]
+        template = database.plan_cache.get(lex_shape(texts[0]))
+        assert sorted(key[2] for key in template.prototypes) == [
+            ("native-cpu",), ("native-gpu",),
+        ]
+        for text, got in zip(texts, results):
+            assert_same_outcome(got, cold(database, text))
     finally:
         database.close()
 
@@ -691,6 +747,69 @@ def test_a_template_keeps_no_table_alive(db):
     assert table() is None
 
 
+def test_a_template_keeps_no_snapshot_table_alive(db):
+    # hits planned against a snapshot bind its FrozenTable: neither the
+    # template nor the prototype its first hit captured may keep it
+    sql = "SELECT k, v FROM r WHERE k = {}"
+    db.execute("CREATE TABLE r (k INTEGER, v DOUBLE)")
+    db.execute("INSERT INTO r VALUES (1, 1.5), (2, 2.5)")
+    snapshot = db.snapshot()
+    frozen = weakref.ref(snapshot.catalog.table("r"))
+    planner = db._planner(catalog=snapshot.catalog)
+    for key in (1, 2, 3):
+        prepared = planner.prepare(db.parse(sql.format(key)))
+        plan = planner.lower(prepared, ExecutionContext())
+        rows = sum(len(batch) for batch in plan.batches())
+    assert prepared.cached and rows == 0
+    template = db.plan_cache.get(lex_shape(sql.format(1)))
+    assert template.prototypes
+    snapshot.release()
+    del snapshot, planner, prepared, plan
+    db.last_profile = None
+    gc.collect()
+    assert lex_shape(sql.format(1)) in db.plan_cache
+    assert frozen() is None
+
+
+def test_concurrent_hits_on_two_snapshots_read_their_own(db):
+    # One template, its prototype already captured: a served hit held
+    # in a UDF on the snapshot before an INSERT and a served hit on the
+    # snapshot after it run their clones at the same time.
+    entered, release = threading.Event(), threading.Event()
+    release.set()
+
+    def slow(values):
+        entered.set()
+        release.wait(10.0)
+        return values
+
+    register_udf(PythonUdf("hold2", 1, slow, result_type=SqlType.DOUBLE))
+    sql = "SELECT id, hold2(x) AS h FROM t WHERE id >= {}"
+    before = ROWS - 3
+    with Server(db, dispatchers=2) as server:
+        with server.open_session() as reader, server.open_session() as other:
+            reader.execute(sql.format(0))
+            other.execute(sql.format(ROWS - 1))
+            release.clear()
+            entered.clear()
+            pending = reader.submit(sql.format(before), timeout_seconds=20)
+            assert entered.wait(10.0)
+            other.execute(
+                f"INSERT INTO t VALUES ({ROWS}, 1, 0.5, 0.0, 0.0, 'c')"
+            )
+            late = other.submit(sql.format(before), timeout_seconds=20)
+            release.set()
+            early, late = pending.wait(), late.wait()
+    assert early.column("id").tolist() == list(range(before, ROWS))
+    assert late.column("id").tolist() == list(range(before, ROWS + 1))
+    logged = [
+        entry["plan_cached"]
+        for entry in db.query_log.entries()
+        if entry["sql"].startswith("SELECT id, hold2(x)")
+    ]
+    assert logged == [False, True, True, True]
+
+
 def lex_shape(sql: str) -> str:
     from repro.db.sql.lexer import lex
 
@@ -757,9 +876,10 @@ def test_every_path_serves_hits(path_engines, path, shape):
     sql, first, second = PATH_SHAPES[shape]
     database = path_engines[path]
     database.plan_cache.clear()
-    for value in (first, second):
+    # a miss, the hit that keeps its lowering, then hits that clone it
+    for index, value in enumerate((first, second, first, second)):
         got = database.execute(sql.format(value), parallel=path.parallel)
-    assert cached(database)
+        assert cached(database) is (index > 0)
     reference = path_engines[SERIAL]
     reference.plan_cache.clear()
     want = reference.execute(sql.format(second))
@@ -769,6 +889,23 @@ def test_every_path_serves_hits(path_engines, path, shape):
     else:
         assert sorted(got.rows) == sorted(want.rows)
     assert got.row_count > 0
+
+
+@pytest.mark.parametrize("shape", sorted(PATH_SHAPES))
+def test_partition_pipelines_clone_like_cold_plans(path_engines, shape):
+    # every pipeline of a parallel hit is a clone of the prototype the
+    # first pipeline kept; each must lower like a cold plan of it
+    sql, first, second = PATH_SHAPES[shape]
+    database = path_engines[THREADS]
+    database.plan_cache.clear()
+    for value in (first, second):
+        database.execute(sql.format(value), parallel=True)
+    text = sql.format(second)
+    for partition in range(4):
+        assert planned(database, text, True, partition) == planned(
+            database, text, False, partition
+        )
+    assert planned(database, text, True) == planned(database, text, False)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,10 @@ from repro.errors import PlanError, ShardCrashError, ShardError
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 
+# reopens persistent databases: runs again under `python -X dev` with
+# ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 ROWS = 1200
 
 

@@ -194,6 +194,26 @@ class TestSelectParsing:
         statement = parse_statement("SELECT * FROM t model")
         assert statement.from_items[0].alias == "model"
 
+    @pytest.mark.parametrize(
+        "join",
+        ["LEFT JOIN", "RIGHT JOIN", "FULL JOIN", "LEFT OUTER JOIN",
+         "right outer join", "FULL OUTER JOIN"],
+    )
+    def test_outer_joins_fail_typed_naming_the_word(self, join):
+        # the join word once became t's alias and the join ran inner
+        word = join.split()[0].upper()
+        with pytest.raises(SqlSyntaxError, match=f"{word} JOIN"):
+            parse_statement(f"SELECT t.id FROM t {join} u ON {word}.id = u.id")
+
+    @pytest.mark.parametrize(
+        "word", ["LEFT", "RIGHT", "FULL", "OUTER", "CROSS", "NATURAL"]
+    )
+    def test_join_words_end_an_implicit_alias(self, word):
+        with pytest.raises(SqlSyntaxError, match=word.lower()):
+            parse_statement(f"SELECT * FROM t {word.lower()} WHERE x = 1")
+        statement = parse_statement(f"SELECT * FROM t AS {word.lower()}")
+        assert statement.from_items[0].alias == word.lower()
+
 
 class TestOtherStatements:
     def test_create_table(self):

@@ -303,10 +303,10 @@ class TestDiskPartition:
         partition = DiskPartition(schema, tmp_path / "p0", pool)
         assert partition.row_count == 10_000
         # 10k rows in 4096-row blocks -> 3 blocks; id <= 100 touches 1.
-        blocks = partition.blocks()
+        blocks, zones = partition.zoned_blocks()
         assert len(blocks) == 3
         may_match = block_pruner(schema, [ColumnRange("id", None, 100.0)])
-        surviving = [b for b in blocks if may_match(b.stats)]
+        surviving = [b for b, keep in zip(blocks, may_match(zones)) if keep]
         assert len(surviving) == 1
         scanned = surviving[0].to_batch(schema).column("id")
         assert scanned.max() < 4096  # only the first block was read
@@ -475,6 +475,28 @@ class TestPersistentDatabase:
         assert result.column("tag").tolist() == ["late"]
         assert third.table("fact").row_count == 1001
         third.close()
+
+    def test_checkpoint_reblocks_a_short_last_disk_block(self, tmp_path):
+        # 5000 rows checkpoint as 4096 + 904; appending 5000 more and
+        # checkpointing again merges the 904 with the overlay, so only
+        # the partition's final block is short
+        path = str(tmp_path / "db")
+        db = repro.connect(path=path)
+        db.execute("CREATE TABLE r (id INTEGER, v DOUBLE)")
+        ids = np.arange(10_000, dtype=np.int64)
+        db.table("r").append_columns(id=ids[:5000], v=ids[:5000] * 0.5)
+        db.close()
+        db = repro.connect(path=path)
+        db.table("r").append_columns(id=ids[5000:], v=ids[5000:] * 0.5)
+        want = db.execute("SELECT id, v FROM r").rows
+        db.close()
+        db = repro.connect(path=path)
+        try:
+            blocks = db.table("r").partitions[0].blocks()
+            assert [block.length for block in blocks] == [4096, 4096, 1808]
+            assert db.execute("SELECT id, v FROM r").rows == want
+        finally:
+            db.close()
 
     def test_close_releases_column_file_handles(self, tmp_path):
         db = make_persistent_db(tmp_path / "db")

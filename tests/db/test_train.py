@@ -40,6 +40,10 @@ from repro.errors import (
     TrainingError,
 )
 
+# reopens persistent databases: runs again under `python -X dev` with
+# ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 ROWS = 192
 
 
