@@ -7,6 +7,11 @@ Usage::
     python -m repro.bench table2  ...
     python -m repro.bench table3  ...
     python -m repro.bench all     ...
+    python -m repro.bench digest  [--preset ...] [--variants ...]
+
+``digest`` prints one SHA-256 of the predictions per Figure 8/9 cell
+(variant x model x fact rows), so two checkouts' predictions compare
+with ``diff``.
 
 ``--trace out.json`` records every swept engine into one shared span
 timeline and exports it as Chrome-trace/Perfetto JSON (open at
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.bench.harness import (
     BenchConfig,
@@ -50,6 +56,7 @@ def main(argv: list[str] | None = None) -> int:
             "table2",
             "table3",
             "all",
+            "digest",
         ],
     )
     parser.add_argument(
@@ -82,6 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     arguments = parser.parse_args(argv)
     config = BenchConfig.from_preset(arguments.preset)
+    if arguments.experiment == "digest":
+        config = replace(config, verify_predictions=True)
     if arguments.parallel:
         config = BenchConfig(
             **{**config.__dict__, "parallel": True}
@@ -99,6 +108,14 @@ def main(argv: list[str] | None = None) -> int:
 
     sections: list[str] = []
     all_points = []
+    if arguments.experiment == "digest":
+        for point in run_dense_sweep(config) + run_lstm_sweep(config):
+            print(
+                f"{point.experiment} {point.variant} rows={point.rows} "
+                f"width={point.width} depth={point.depth} "
+                f"{point.digest or 'skipped'}"
+            )
+        return 0
     if arguments.experiment in ("fig8", "all", "table2"):
         dense = run_dense_sweep(config, tracer=tracer)
         all_points.extend(dense)

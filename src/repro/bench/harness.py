@@ -12,6 +12,7 @@ sooner on a Python substrate.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -99,6 +100,9 @@ class SweepPoint:
     skipped: bool = False
     note: str = ""
     extra: dict = field(default_factory=dict)
+    #: SHA-256 of the predictions' bytes (kept only when the config
+    #: verifies predictions); the ``digest`` command prints it per cell
+    digest: str = ""
 
 
 def _verify(
@@ -246,9 +250,13 @@ def _run_cell(
     variant = make_variant(variant_name)
     variant.prepare(env)
     measurement = variant.run(env)
-    note = ""
+    note = digest = ""
     if config.verify_predictions:
         note = _verify(env.model, verify_inputs, measurement)
+    if measurement.predictions is not None:
+        digest = hashlib.sha256(
+            np.ascontiguousarray(measurement.predictions).tobytes()
+        ).hexdigest()
     return SweepPoint(
         experiment=experiment,
         variant=variant_name,
@@ -260,6 +268,7 @@ def _run_cell(
         peak_memory_bytes=measurement.peak_memory_bytes,
         note=note,
         extra=measurement.extra,
+        digest=digest,
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.db.engine import Database
+from repro.db.vector import VECTOR_SIZE
 
 
 def attach(database: Database) -> Database:
@@ -59,7 +60,7 @@ def attach(database: Database) -> Database:
 
 def connect(
     parallelism: int = 1,
-    vector_size: int = 1024,
+    vector_size: int = VECTOR_SIZE,
     planner_options=None,
     tracer=None,
     metrics=None,

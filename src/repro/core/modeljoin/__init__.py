@@ -8,10 +8,11 @@ A two-phase join operator integrated into the vectorized engine:
   the fill is synchronization-free; a single barrier separates build
   from inference (Figure 6),
 - **inference phase** (:mod:`repro.core.modeljoin.inference`): per
-  1024-tuple vector, input columns are packed into a matrix once, the
-  layer-forward functions run through the BLAS-style device interface
-  (Listing 5 for LSTM), and results are unpacked into output vectors
-  (Figure 7).  Runs on the host CPU or on the simulated GPU.
+  inference batch of whole 1024-tuple vectors, input columns are packed
+  into a matrix once, the layer-forward functions run through the
+  BLAS-style device interface (Listing 5 for LSTM), and results are
+  unpacked into output vectors (Figure 7).  Runs on the host CPU or on
+  the simulated GPU.
 """
 
 from repro.core.modeljoin.builder import BuiltModel, ModelBuilder

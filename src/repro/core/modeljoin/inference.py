@@ -9,8 +9,8 @@ The paper runs one forward per 1024-tuple vector; the operator here
 runs one per *inference batch* of :func:`inference_batch_rows` rows —
 a morsel of whole consecutive scan vectors, so the GEMMs see the same
 rows at the same offsets and the predictions stay bit-identical to
-per-vector scoring (docs/ARCHITECTURE.md, "Scan vectors and inference
-batches").
+per-vector scoring (docs/ARCHITECTURE.md, "Execution batches and
+inference batches").
 
 The bias-matrix replication optimization is honoured: each bias vector
 is replicated to ``(rows, units)`` and the layer forward lets ``sgemm``

@@ -5,9 +5,11 @@ A two-phase join in the Volcano model (Figure 5): on the first
 weight matrices (cooperating with the other partition pipelines through
 a barrier); afterwards every ``next()`` pulls a batch from the input
 flow, runs vectorized inference and returns the input columns plus the
-prediction columns.  The lowering sizes the scan that feeds the
-operator to :attr:`ModelJoinOperator.batch_rows`, so one forward pass
-scores a morsel of whole scan vectors rather than a single vector.
+prediction columns.  The operator cuts its input batches into
+inference batches of at most :attr:`ModelJoinOperator.batch_rows` rows,
+so one forward pass scores a morsel of whole scan vectors of one block
+(a scan batch, see :func:`repro.db.operators.scan.scan_batches`) rather
+than a single vector.
 Because it is a regular operator, it can be nested into arbitrary
 queries — aggregations over predictions and the like.
 
@@ -97,8 +99,7 @@ class ModelJoinOperator(UnaryOperator):
         )
         schema = Schema(child.schema.columns + prediction_columns)
         super().__init__(context, schema, child)
-        #: rows per forward pass; the lowering hands it to the feeding
-        #: scan as its vector length
+        #: most rows per forward pass: longer input batches are cut
         self.batch_rows = inference_batch_rows(
             metadata.layers, context.vector_size
         )
@@ -358,19 +359,18 @@ class ModelJoinOperator(UnaryOperator):
         prediction_schema = Schema(
             self.schema.columns[len(self.child.schema) :]
         )
-        for batch in self.child.next_batches():
-            if len(batch) == 0:
-                continue
-            if tracer.enabled:
-                with tracer.span(
-                    "modeljoin-infer",
-                    category="phase",
-                    parent_id=self._span_id,
-                    args={"rows": len(batch)},
-                ):
+        for input_batch in self.child.next_batches():
+            for batch in input_batch.pieces(self.batch_rows):
+                if tracer.enabled:
+                    with tracer.span(
+                        "modeljoin-infer",
+                        category="phase",
+                        parent_id=self._span_id,
+                        args={"rows": len(batch)},
+                    ):
+                        yield self._infer_batch(prediction_schema, batch)
+                else:
                     yield self._infer_batch(prediction_schema, batch)
-            else:
-                yield self._infer_batch(prediction_schema, batch)
 
     def _infer_batch(
         self,

@@ -202,7 +202,7 @@ class NativeModelJoin(DirectRunner):
         return super().execute(fact_table, *args, **kwargs)
 
     def operator(self, context, scan, partition_index, input_columns):
-        operator = ModelJoinOperator(
+        return ModelJoinOperator(
             context,
             scan,
             self.metadata,
@@ -213,5 +213,3 @@ class NativeModelJoin(DirectRunner):
             replicate_bias=self.replicate_bias,
             model_cache=self.database.model_cache,
         )
-        scan.vector_size = operator.batch_rows
-        return operator

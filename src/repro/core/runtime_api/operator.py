@@ -97,19 +97,19 @@ class RuntimeApiOperator(UnaryOperator):
         prediction_schema = Schema(
             self.schema.columns[len(self.child.schema) :]
         )
-        for batch in self.child.next_batches():
-            if len(batch) == 0:
-                continue
-            if tracer.enabled:
-                with tracer.span(
-                    "runtime-infer",
-                    category="phase",
-                    parent_id=self._span_id,
-                    args={"rows": len(batch)},
-                ):
+        for input_batch in self.child.next_batches():
+            # The runtime is invoked once per vector, as in the paper.
+            for batch in input_batch.pieces(self.context.vector_size):
+                if tracer.enabled:
+                    with tracer.span(
+                        "runtime-infer",
+                        category="phase",
+                        parent_id=self._span_id,
+                        args={"rows": len(batch)},
+                    ):
+                        yield self._infer_batch(prediction_schema, batch)
+                else:
                     yield self._infer_batch(prediction_schema, batch)
-            else:
-                yield self._infer_batch(prediction_schema, batch)
 
     def _infer_batch(
         self, prediction_schema: Schema, batch: VectorBatch

@@ -5,7 +5,8 @@ the paper.  It provides:
 
 - block-wise columnar storage with Small Materialized Aggregates
   (min/max zone maps) enabling block pruning (:mod:`repro.db.column`),
-- a Volcano-style vectorized executor working on batches of 1024 values
+- a Volcano-style vectorized executor working on batches of up to one
+  4096-row storage block, made of the paper's 1024-value vectors
   (:mod:`repro.db.operators`),
 - a SQL frontend (lexer, parser, planner) for the dialect needed by the
   ML-To-SQL code generator plus the ``MODEL JOIN`` extension

@@ -82,15 +82,12 @@ class FusedPipeline(UnaryOperator):
         return tuple(preserved)
 
     def _produce(self) -> Iterator[VectorBatch]:
-        kernel = self.kernel
+        outputs = self.kernel.outputs
+        vector_size = self.context.vector_size
         cancellation = self.context.query.cancellation
         for batch in self.child.next_batches():
-            if len(batch) == 0:
-                continue
-            arrays = kernel(batch.arrays, len(batch), cancellation)
-            if arrays is None:
-                continue
-            yield VectorBatch(self.schema, arrays)
+            for arrays in outputs(batch, vector_size, cancellation):
+                yield VectorBatch(self.schema, arrays)
 
     def describe(self) -> str:
         parts = []

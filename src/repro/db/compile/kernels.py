@@ -50,7 +50,7 @@ from repro.db.compile.codegen import (
     emit,
     emit_output,
 )
-from repro.db.expressions import Expression, Literal
+from repro.db.expressions import Expression, Literal, calls_per_vector
 from repro.db.schema import Schema
 from repro.db.tracing import NULL_TRACER
 from repro.db.types import SqlType
@@ -92,6 +92,14 @@ class KernelSpec:
     #: the fused ModelJoin's model-table identity)
     header: tuple[str, ...] = ()
     label: str = "pipeline"
+
+    def calls_per_vector(self) -> bool:
+        """Whether a predicate or output calls a per-vector function."""
+        return any(
+            calls_per_vector(expression)
+            for expression in self.predicates
+            + tuple(output.expression for output in self.outputs)
+        )
 
 
 def project_outputs(
@@ -236,7 +244,27 @@ def _render_parameter(value: object) -> str:
     return repr(value)
 
 
-class FusedKernel:
+class _Kernel:
+    """What both kernel kinds share: :meth:`outputs` over a batch."""
+
+    __slots__ = ()
+
+    #: the kernel calls a UDF, which the paper calls once per vector
+    per_vector: bool
+
+    def outputs(self, batch: VectorBatch, vector_size: int, cancel=None):
+        """The output arrays of each kernel call over *batch*: one call,
+        or one per *vector_size* rows when the kernel calls a UDF.
+        Calls whose filter drops every row yield nothing."""
+        pieces = batch.pieces(vector_size) if self.per_vector else (batch,)
+        for piece in pieces:
+            if len(piece):
+                arrays = self(piece.arrays, len(piece), cancel)
+                if arrays is not None:
+                    yield arrays
+
+
+class FusedKernel(_Kernel):
     """A generated pipeline kernel: ``(arrays, n, cancel) -> list | None``.
 
     ``None`` means every row of the batch was filtered out.  The exec'd
@@ -272,6 +300,10 @@ class FusedKernel:
         self.record = record
 
     @property
+    def per_vector(self) -> bool:
+        return self.record.per_vector
+
+    @property
     def spec(self) -> KernelSpec:
         spec = self._spec
         if callable(spec):
@@ -303,7 +335,7 @@ class FusedKernel:
             ) from error
 
 
-class InterpretedKernel:
+class InterpretedKernel(_Kernel):
     """A spec run by walking its expression trees: the kernel of a
     segment with no generated form, of every segment when compilation
     is off, and the oracle the generated kernels match bit for bit.
@@ -314,12 +346,13 @@ class InterpretedKernel:
     :class:`~repro.errors.ExecutionError`.
     """
 
-    __slots__ = ("spec",)
+    __slots__ = ("spec", "per_vector")
 
     generated = False
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
+        self.per_vector = spec.calls_per_vector()
 
     def __call__(self, arrays, n, cancel=None):
         if cancel is not None:
@@ -416,6 +449,8 @@ class KernelRecord:
     source: str
     bindings: dict
     parameters: tuple
+    #: the kernel calls a per-vector function (see ``KernelSpec``)
+    per_vector: bool = False
 
     def params(self, values: tuple) -> tuple:
         """This record's parameters for a statement's literal *values*
@@ -483,6 +518,7 @@ class KernelCompiler:
                     builder.parameters, builder.parameter_sources
                 )
             ),
+            spec.calls_per_vector(),
         )
         return FusedKernel(
             spec, source, function, tuple(builder.parameters), record

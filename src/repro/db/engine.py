@@ -48,7 +48,6 @@ from repro.db.sql.ast import (
     SelectStatement,
     Statement,
 )
-from repro.db.sql.lexer import lex
 from repro.db.sql.parser import parse_lexed, parse_statement
 from repro.db.table import Table
 from repro.db.tracing import MetricsRegistry, Tracer
@@ -134,7 +133,8 @@ class Database:
 
     Parameters mirror the paper's experimental setup: *parallelism* is
     the number of partition pipelines a parallel query uses (12 in the
-    paper), *vector_size* the execution batch size (1024).
+    paper), *vector_size* the execution vector (1024): scans emit whole
+    vectors of a block together, and UDFs are called once per vector.
     """
 
     def __init__(
@@ -727,7 +727,8 @@ class Database:
         )
 
     def parse(self, sql: str) -> Statement | SelectText:
-        """Lex *sql* and parse it unless the plan cache knows its shape.
+        """Lex *sql* (memoized by text in the plan cache) and parse it
+        unless the plan cache knows its shape.
 
         Every SELECT comes back as a :class:`SelectText`: the planner
         serves it from its shape's template when one is valid for the
@@ -735,7 +736,7 @@ class Database:
         plans it, recording the template.  Other statements come back
         parsed.
         """
-        lexed = lex(sql)
+        lexed = self.plan_cache.lex(sql)
         if lexed.shape in self.plan_cache:
             return SelectText(lexed)
         statement = parse_lexed(lexed)

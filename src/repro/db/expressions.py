@@ -319,3 +319,24 @@ class Cast(Expression):
 def infer_type_from_array(values: np.ndarray) -> SqlType:
     """Engine type of an already-evaluated array (for derived schemas)."""
     return type_of_dtype(values.dtype)
+
+
+def calls_per_vector(expression: Expression) -> bool:
+    """Whether *expression* calls a function that is called once per
+    execution vector (a UDF, see :mod:`repro.db.udf`)."""
+    if isinstance(expression, FunctionCall):
+        implementation = lookup_function(expression.name).implementation
+        if getattr(implementation, "per_vector", False):
+            return True
+        children = expression.arguments
+    elif isinstance(expression, BinaryOp):
+        children = (expression.left, expression.right)
+    elif isinstance(expression, (UnaryOp, Cast)):
+        children = (expression.operand,)
+    elif isinstance(expression, CaseWhen):
+        children = [part for branch in expression.branches for part in branch]
+        if expression.otherwise is not None:
+            children.append(expression.otherwise)
+    else:
+        return False
+    return any(calls_per_vector(child) for child in children)

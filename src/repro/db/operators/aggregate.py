@@ -16,8 +16,8 @@ generated, or interpreted — see :mod:`repro.db.compile`), into which
 the lowering fuses the filter below: ``SUM(v), COUNT(v), AVG(v)``
 materializes and gathers ``v`` once and reduces it with one
 ``np.add.reduceat``, and ``COUNT`` is the group size, so it evaluates
-nothing.  Unless it calls a function, a hash aggregate's input arrives
-in one batch per block (the lowering sizes the scan that feeds it).
+nothing.  Input from a scan arrives in one batch per block; an input
+kernel that calls a UDF still calls it once per vector.
 
 The order-based aggregate is the optimization of paper Section 4.4: if
 the input is already sorted on the group keys it emits a group the
@@ -39,6 +39,7 @@ from repro.db.compile.kernels import (
     KernelOutput,
     KernelSpec,
 )
+from repro.db.column import BLOCK_SIZE
 from repro.db.expressions import BinaryOp, ColumnRef, Expression, Literal
 from repro.db.operators.base import (
     ExecutionContext,
@@ -195,17 +196,18 @@ def _input_kernel(operator, child, kernel):
     )
 
 
-def _batch_inputs(operator, batch: VectorBatch):
-    """Group-key and aggregate-argument arrays for one input batch, from
-    one input-kernel call; ``None`` means its fused filter dropped every
-    row."""
-    arrays = operator.kernel(
-        batch.arrays, len(batch), operator.context.query.cancellation
-    )
-    if arrays is None:
-        return None
+def _inputs(operator) -> Iterator[tuple[list, list]]:
+    """Group-key and aggregate-argument arrays of each input-kernel call
+    over the operator's input (one per batch, or per vector when the
+    kernel calls a UDF); calls whose fused filter dropped every row
+    yield nothing."""
     split = len(operator.group_expressions)
-    return arrays[:split], arrays[split:]
+    context = operator.context
+    for batch in operator.child.next_batches():
+        for arrays in operator.kernel.outputs(
+            batch, context.vector_size, context.query.cancellation
+        ):
+            yield arrays[:split], arrays[split:]
 
 
 def _describe_fusion(operator) -> str:
@@ -305,13 +307,7 @@ class HashAggregate(UnaryOperator):
             [] for _ in self.group_expressions
         ]
         value_chunks: list[list[np.ndarray]] = [[] for _ in self.inputs]
-        for batch in self.child.next_batches():
-            if len(batch) == 0:
-                continue
-            inputs = _batch_inputs(self, batch)
-            if inputs is None:
-                continue
-            keys, values = inputs
+        for keys, values in _inputs(self):
             for chunks, array in zip(key_chunks, keys):
                 chunks.append(array)
             for chunks, array in zip(value_chunks, values):
@@ -326,8 +322,7 @@ class HashAggregate(UnaryOperator):
             return
         values = [np.concatenate(chunks) for chunks in value_chunks]
         result = _grouped_batch(self, keys, values)
-        for start in range(0, len(result), self.context.vector_size):
-            yield result.slice(start, start + self.context.vector_size)
+        yield from result.pieces(BLOCK_SIZE)
 
     def close(self) -> None:
         if self._accounted_bytes:
@@ -398,13 +393,7 @@ class OrderedAggregate(UnaryOperator):
         pending_partials: list = []
         pending_count = 0
 
-        for batch in self.child.next_batches():
-            if len(batch) == 0:
-                continue
-            inputs = _batch_inputs(self, batch)
-            if inputs is None:
-                continue
-            keys, values = inputs
+        for keys, values in _inputs(self):
             codes = equality_codes(keys)
             starts = run_starts(codes)
             counts = np.diff(np.append(starts, len(codes[0])))
@@ -635,13 +624,7 @@ class SegmentedAggregate(UnaryOperator):
             buffered_bytes = 0
             return _grouped_batch(self, keys, values)
 
-        for batch in self.child.next_batches():
-            if len(batch) == 0:
-                continue
-            inputs = _batch_inputs(self, batch)
-            if inputs is None:
-                continue
-            keys, values = inputs
+        for keys, values in _inputs(self):
             prefix = equality_codes(keys[: self.prefix_length])
             rows = len(prefix[0])
             # Start of the final (still open) segment of this batch.

@@ -13,6 +13,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.db.column import BLOCK_SIZE
 from repro.db.operators.base import (
     BinaryOperator,
     ExecutionContext,
@@ -58,8 +59,7 @@ class CrossJoin(BinaryOperator):
             product = batch.take(left_indices).concat_columns(
                 self._right_batch.take(right_indices)
             )
-            for start in range(0, len(product), self.context.vector_size):
-                yield product.slice(start, start + self.context.vector_size)
+            yield from product.pieces(BLOCK_SIZE)
 
     def close(self) -> None:
         if self._accounted_bytes:

@@ -3,7 +3,7 @@
 The build side (by planner convention the *right* child — in ModelJoin
 queries this is the small model table) is fully consumed first; the
 probe side then streams through.  The implementation codes the build
-keys once, sorts them, and answers each probe vector with two
+keys once, sorts them, and answers each probe batch with two
 ``searchsorted`` calls — semantically a hash join, with the same
 memory profile (build side materialized) and the same pipelining
 property: probe-side order is preserved because every probe row's
@@ -17,6 +17,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.db.column import BLOCK_SIZE
 from repro.db.expressions import Expression
 from repro.db.operators.base import (
     BinaryOperator,
@@ -113,10 +114,9 @@ class HashJoin(BinaryOperator):
             joined = self._probe(batch)
             if joined is None:
                 continue
-            # Joined batches can exceed the vector size (one probe row
-            # may match many build rows); re-slice to engine granularity.
-            for start in range(0, len(joined), self.context.vector_size):
-                yield joined.slice(start, start + self.context.vector_size)
+            # One probe row may match many build rows: cut the output
+            # to batches of at most one block.
+            yield from joined.pieces(BLOCK_SIZE)
 
     def close(self) -> None:
         if self._accounted_bytes:

@@ -6,6 +6,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.db.column import BLOCK_SIZE
 from repro.db.operators.base import (
     ExecutionContext,
     PhysicalOperator,
@@ -106,8 +107,8 @@ class ValuesOperator(PhysicalOperator):
         self.rows = list(rows)
 
     def _produce(self) -> Iterator[VectorBatch]:
-        for start in range(0, len(self.rows), self.context.vector_size):
-            chunk = self.rows[start : start + self.context.vector_size]
+        for start in range(0, len(self.rows), BLOCK_SIZE):
+            chunk = self.rows[start : start + BLOCK_SIZE]
             arrays = []
             for position, column in enumerate(self.schema):
                 values = [row[position] for row in chunk]

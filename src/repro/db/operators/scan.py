@@ -1,8 +1,6 @@
 """Table scan with SMA block pruning and column projection.
 
-Batches are scan vectors, or whole blocks when the lowering sizes the
-scan for the ModelJoin or hash aggregate it feeds
-(:attr:`TableScan.vector_size`).
+A batch is the whole scan vectors of one block (see :func:`scan_batches`).
 """
 
 from __future__ import annotations
@@ -12,11 +10,35 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.db.column import Block, ColumnRange, block_pruner
+from repro.db.column import BLOCK_SIZE, Block, ColumnRange, block_pruner
 from repro.db.operators.base import ExecutionContext, PhysicalOperator
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.db.vector import VectorBatch
+
+
+def scan_batches(
+    batch: VectorBatch, vector_size: int
+) -> Iterator[VectorBatch]:
+    """One block's rows (or a morsel's) as scan batches.
+
+    A batch is whole consecutive vectors of *vector_size* rows, up to a
+    block's worth, and a trailing partial vector is a batch of its own:
+    every batch a consumer cuts into whole vectors — the ModelJoin's
+    inference batches, a UDF's per-vector calls — holds the rows a
+    per-vector scan would have delivered at the same offsets.
+    """
+    rows = len(batch)
+    whole = rows - rows % vector_size
+    step = max(vector_size, BLOCK_SIZE - BLOCK_SIZE % vector_size)
+    if whole == rows and rows <= step:
+        if rows:
+            yield batch
+        return
+    for start in range(0, whole, step):
+        yield batch.slice(start, min(start + step, whole))
+    if whole < rows:
+        yield batch.slice(whole, rows)
 
 
 class TableScan(PhysicalOperator):
@@ -42,12 +64,10 @@ class TableScan(PhysicalOperator):
     persisted in the column-file footers (no I/O), and only the
     projected columns' files are ever read.
 
-    A scan emits batches of ``context.vector_size`` rows — one scan
-    vector — unless the lowering set :attr:`vector_size` to a multiple
-    of it: the inference batch of the ModelJoin it feeds, or a whole
-    block for a hash aggregate whose input calls no function.  Either
-    way a batch is made of whole consecutive scan vectors of one block:
-    a block's trailing partial vector is always a batch of its own.
+    Every scan emits the same batches, whatever consumes them: the
+    whole ``context.vector_size`` vectors of one block together, and a
+    block's trailing partial vector as a batch of its own
+    (:func:`scan_batches`).
     """
 
     morsel_streaming = True
@@ -97,10 +117,6 @@ class TableScan(PhysicalOperator):
         self.bytes_scanned = 0
         #: distinct column files opened (disk-resident tables only)
         self._opened_files: set = set()
-        #: rows per emitted batch when larger than one scan vector (set
-        #: by the lowering for the scan feeding a ModelJoin or a hash
-        #: aggregate); None = the context's vector size
-        self.vector_size: int | None = None
         #: the logical scan's position in its plan-cache template (set
         #: by the lowering; picks a clone's ranges)
         self.template_index: int | None = None
@@ -193,18 +209,9 @@ class TableScan(PhysicalOperator):
             for block in blocks:
                 self.blocks_scanned += 1
                 self.bytes_scanned += block.nominal_bytes()
-                yield from self._vectors(self._block_batch(block))
-
-    def _vectors(self, batch: VectorBatch) -> Iterator[VectorBatch]:
-        """Slice one block (or morsel) into batches of whole vectors."""
-        rows = len(batch)
-        vector = self.context.vector_size
-        step = self.vector_size or vector
-        whole = rows - rows % vector
-        for start in range(0, whole, step):
-            yield batch.slice(start, min(start + step, whole))
-        if whole < rows:
-            yield batch.slice(whole, rows)
+                yield from scan_batches(
+                    self._block_batch(block), self.context.vector_size
+                )
 
     def _produce_morsels(self) -> Iterator[VectorBatch]:
         """Morsel-driven scanning: pull row ranges from a shared queue.
@@ -284,10 +291,11 @@ class TableScan(PhysicalOperator):
         return bool(mask[morsel.block_index])
 
     def _emit_morsel(self, morsel) -> Iterator[VectorBatch]:
-        yield from self._vectors(
+        yield from scan_batches(
             self._block_batch(morsel.block).slice(
                 morsel.row_start, morsel.row_stop
-            )
+            ),
+            self.context.vector_size,
         )
 
     def close(self) -> None:
@@ -326,6 +334,4 @@ class TableScan(PhysicalOperator):
         if self.ranges:
             rendered = ", ".join(str(r) for r in self.ranges)
             parts.append(f", prune: {rendered}")
-        if self.vector_size is not None:
-            parts.append(f", vector={self.vector_size}")
         return "".join(parts) + ")"

@@ -6,6 +6,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.db.column import BLOCK_SIZE
 from repro.db.expressions import ColumnRef
 from repro.db.operators.base import (
     ExecutionContext,
@@ -77,8 +78,7 @@ class SortOperator(UnaryOperator):
             for key, ascending in zip(self.keys, self.ascending)
         ]
         ordered = whole.take(self._order(columns))
-        for start in range(0, len(ordered), self.context.vector_size):
-            yield ordered.slice(start, start + self.context.vector_size)
+        yield from ordered.pieces(BLOCK_SIZE)
 
     def _order(self, columns: list[np.ndarray]) -> np.ndarray:
         """Stable sort permutation of the rows (its first *top* only).

@@ -44,6 +44,10 @@ tables, the identities); the fixed slots, the range inputs and the
 prototype are worked out by the shape's first hit, so a statement that
 never repeats — an ad-hoc query, a fresh engine per operation — pays no
 more than a copy of its logical tree.
+
+Beside the templates the cache memoizes the lexer by statement text
+(:meth:`PlanCache.lex`, as many texts as templates): a statement re-run
+verbatim reaches its template without lexing.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from repro.db.plan.logical import (
 from repro.db.plan.rules import RuleFiring, scan_regions, set_ranges
 from repro.db.schema import Schema
 from repro.db.sql.ast import SelectStatement
-from repro.db.sql.lexer import Lexed
+from repro.db.sql.lexer import Lexed, lex
 from repro.db.sql.parser import literal_value, parse_lexed
 from repro.db.table import Table
 from repro.errors import CatalogError
@@ -704,13 +708,35 @@ class PlanCache:
     Counts ``plan_cache.hits`` / ``.misses`` / ``.evictions`` in the
     engine's metrics registry (hence also the Prometheus export).  A
     miss is a SELECT planned cold from its text; re-recording a shape
-    replaces its template without counting an eviction.
+    replaces its template without counting an eviction.  The lexer memo
+    counts ``plan_cache.text_hits`` / ``.text_misses``.
     """
 
     def __init__(self, metrics=None):
         self._metrics = metrics
         self._lock = threading.Lock()
         self._templates: OrderedDict[str, PlanTemplate] = OrderedDict()
+        #: the last CAPACITY statement texts lexed, least recent first
+        self._texts: OrderedDict[str, Lexed] = OrderedDict()
+
+    def lex(self, text: str) -> Lexed:
+        """:func:`~repro.db.sql.lexer.lex` of *text*, memoized: a text
+        seen among the last ``CAPACITY`` is not lexed again.  Callers
+        only read a :class:`Lexed`, so one is shared by every repeat."""
+        with self._lock:
+            lexed = self._texts.get(text)
+            if lexed is not None:
+                self._texts.move_to_end(text)
+        if lexed is not None:
+            self._count("plan_cache.text_hits")
+            return lexed
+        lexed = lex(text)
+        with self._lock:
+            self._texts[text] = lexed
+            if len(self._texts) > CAPACITY:
+                self._texts.popitem(last=False)
+        self._count("plan_cache.text_misses")
+        return lexed
 
     def __contains__(self, shape: str) -> bool:
         return shape in self._templates

@@ -25,8 +25,7 @@ from repro.db.compile import (
     KernelSpec,
     project_outputs,
 )
-from repro.db.column import BLOCK_SIZE
-from repro.db.expressions import ColumnRef, Expression, FunctionCall
+from repro.db.expressions import ColumnRef
 from repro.db.operators import (
     CrossJoin,
     ExecutionContext,
@@ -38,11 +37,7 @@ from repro.db.operators import (
     SortOperator,
     TableScan,
 )
-from repro.db.operators.aggregate import (
-    AggregateSpec,
-    SegmentedAggregate,
-    input_outputs,
-)
+from repro.db.operators.aggregate import SegmentedAggregate, input_outputs
 from repro.db.operators.misc import RenameOperator
 from repro.db.plan.logical import (
     LogicalAggregate,
@@ -57,7 +52,6 @@ from repro.db.plan.logical import (
     LogicalScan,
     LogicalSubquery,
     conjoin,
-    rebuild,
     walk,
 )
 from repro.errors import PlanError
@@ -309,7 +303,7 @@ class Lowering:
                 "repro, not repro.db)"
             )
         child = self.lower(node.child)
-        operator = self.modeljoin_factory(
+        return self.modeljoin_factory(
             context=self.context,
             child=child,
             metadata=node.metadata,
@@ -321,10 +315,6 @@ class Lowering:
                 node.selection.chosen if node.selection is not None else None
             ),
         )
-        scan = feeding_scan(child)
-        if scan is not None:
-            scan.vector_size = operator.batch_rows
-        return operator
 
     def _lower_aggregate(
         self, node: LogicalAggregate
@@ -395,13 +385,6 @@ class Lowering:
                 prefix_length=prefix_length,
                 kernel=kernel,
             )
-        scan = feeding_scan(child)
-        if scan is not None and not _calls_function(node):
-            # Grouping is indifferent to batch boundaries: take whole
-            # blocks (in whole scan vectors), unless a function — a UDF
-            # the paper calls once per scan vector — evaluates the input.
-            vector = self.context.vector_size
-            scan.vector_size = max(vector, BLOCK_SIZE - BLOCK_SIZE % vector)
         return HashAggregate(
             self.context,
             child,
@@ -454,26 +437,6 @@ class Lowering:
         if all(node.ascending) and have[: len(wanted)] == wanted:
             return child
         return SortOperator(self.context, child, keys, node.ascending, top)
-
-
-def _calls_function(node: LogicalNode) -> bool:
-    """Whether an expression of *node* or of any node below it calls a
-    function."""
-    found = False
-
-    def visit(expression: Expression) -> Expression:
-        nonlocal found
-        found = found or isinstance(expression, FunctionCall)
-        return rebuild(expression, visit)
-
-    for below in walk(node):
-        for value in vars(below).values():
-            for item in value if isinstance(value, list) else (value,):
-                if isinstance(item, AggregateSpec):
-                    item = item.argument
-                if isinstance(item, Expression):
-                    visit(item)
-    return found
 
 
 # ----------------------------------------------------------------------
@@ -586,20 +549,6 @@ def _filter_kernel(compiler: KernelCompiler, child, predicates):
     return segment_kernel(
         compiler, child, predicates, outputs, f"filter({len(predicates)})"
     )
-
-
-def feeding_scan(operator: PhysicalOperator) -> TableScan | None:
-    """The TableScan whose batches reach *operator* whole or filtered.
-
-    Looks through renames and filter-only pipelines: each passes every
-    row of a batch on or drops it, so the scan's batch length is the
-    longest batch *operator* can receive.
-    """
-    while isinstance(operator, RenameOperator) or (
-        isinstance(operator, FusedPipeline) and operator.filters_only
-    ):
-        operator = operator.child
-    return operator if isinstance(operator, TableScan) else None
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from repro.db.catalog import ModelMetadata
 from repro.db.schema import Schema
 from repro.db.sql.ast import SelectStatement
+from repro.db.vector import VECTOR_SIZE
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class WorkerConfig:
     shard_count: int
     #: worker-local thread parallelism (``shard_workers`` knob)
     parallelism: int = 1
-    vector_size: int = 1024
+    vector_size: int = VECTOR_SIZE
     task_retries: int = 2
     #: storage directory for this shard, None for in-memory shards
     path: str | None = None

@@ -127,17 +127,22 @@ class BufferPool:
     def _evict_over_cap(self) -> None:
         """Evict LRU unpinned frames until the cap holds (lock held).
 
-        If everything resident is pinned the pool overshoots rather
-        than deadlocking — pins are short-lived (one batch assembly).
+        Walks from the LRU end and stops at the first frame that brings
+        the pool under the cap.  If everything resident is pinned the
+        pool overshoots rather than deadlocking — pins are short-lived
+        (one batch assembly).
         """
-        if self.memory.current_bytes <= self.capacity_bytes:
+        excess = self.memory.current_bytes - self.capacity_bytes
+        if excess <= 0:
             return
-        victims = [
-            key for key, frame in self._frames.items() if frame.pins == 0
-        ]
+        victims = []
+        for key, frame in self._frames.items():
+            if frame.pins == 0:
+                victims.append(key)
+                excess -= frame.nbytes
+                if excess <= 0:
+                    break
         for key in victims:
-            if self.memory.current_bytes <= self.capacity_bytes:
-                break
             frame = self._frames.pop(key)
             self.memory.release(frame.nbytes, MEMORY_CATEGORY)
             self.statistics.evictions += 1

@@ -53,6 +53,10 @@ class PythonUdf:
     marshal: bool = True
     statistics: UdfStatistics | None = None
 
+    #: called once per execution vector: a kernel that calls a UDF
+    #: cuts longer batches into vectors (see repro.db.compile.kernels)
+    per_vector = True
+
     def __post_init__(self) -> None:
         if self.statistics is None:
             self.statistics = UdfStatistics()

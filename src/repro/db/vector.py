@@ -2,12 +2,16 @@
 
 Mirroring x100's execution model, operators exchange
 :class:`VectorBatch` objects — a small set of equally long NumPy arrays,
-one per column, at most ``VECTOR_SIZE`` values long (1024 by default, as
-in the paper's experiments).
+one per column.  A batch is up to one storage block long (4096 rows):
+scans emit the whole ``VECTOR_SIZE`` vectors of a block together.  The
+paper's 1024-row vector stays the unit of per-vector calls — a UDF is
+called once per vector, the ModelJoin builds its inference batches of
+whole vectors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +19,8 @@ import numpy as np
 from repro.db.schema import Schema
 from repro.errors import ExecutionError
 
-#: Default number of tuples per execution vector (paper Section 6.1).
+#: Default number of tuples per execution vector (paper Section 6.1);
+#: the one place the default is stated.
 VECTOR_SIZE = 1024
 
 
@@ -93,6 +98,17 @@ class VectorBatch:
         return VectorBatch(
             self.schema, [array[start:stop] for array in self.arrays]
         )
+
+    def pieces(self, rows: int) -> Iterator["VectorBatch"]:
+        """Consecutive slices of at most *rows* rows; the batch itself
+        when it fits, nothing when it is empty."""
+        length = len(self)
+        if length <= rows:
+            if length:
+                yield self
+            return
+        for start in range(0, length, rows):
+            yield self.slice(start, start + rows)
 
     def concat_columns(self, other: "VectorBatch") -> "VectorBatch":
         """Stitch two equally long batches side by side (join output)."""

@@ -389,3 +389,32 @@ class TestModelJoinSqlSyntax:
             "ORDER BY id"
         )
         assert len(result.rows) == 3
+
+
+def test_inference_batches_are_cut_from_block_batches():
+    """A 10 000-row scan emits 4096 + 4096 + 1024 + 784 rows; a narrow
+    model scores each batch in one forward pass, a 512-wide one (1024-row
+    inference batches) cuts the two whole blocks into four each."""
+    import repro
+    from repro.workloads.models import make_dense_model
+
+    db = repro.connect()
+    db.execute(
+        "CREATE TABLE t (id INTEGER, x1 FLOAT, x2 FLOAT, x3 FLOAT, x4 FLOAT)"
+    )
+    x = np.random.default_rng(0).standard_normal((10_000, 4))
+    db.table("t").append_columns(
+        id=np.arange(10_000),
+        **{f"x{i + 1}": x[:, i].astype(np.float32) for i in range(4)},
+    )
+    for name, width, batches in (("narrow", 8, 4), ("wide", 512, 10)):
+        publish_model(db, name, make_dense_model(width, 2, seed=width))
+        plan, _ = db.explain_analyze(
+            f"SELECT id, prediction_0 FROM t MODEL JOIN {name} "
+            "USING (x1, x2, x3, x4)"
+        )
+        line = next(
+            line for line in plan.splitlines() if "ModelJoin(" in line
+        )
+        assert f"[rows: 10000] [batches: {batches}]" in line
+    db.close()

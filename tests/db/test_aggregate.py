@@ -16,12 +16,24 @@ from repro.db.operators import (
     OrderedAggregate,
     TableScan,
 )
-from repro.db.operators.misc import ValuesOperator
+from repro.db.operators.misc import UnionAll, ValuesOperator
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.db.types import SqlType
 from repro.db.udf import PythonUdf
 from repro.errors import PlanError
+
+
+def values_in_batches(context, schema, rows, size):
+    """*rows* as a source of *size*-row batches: a UNION ALL of VALUES
+    operators, each of which emits its rows as one batch."""
+    return UnionAll(
+        context,
+        [
+            ValuesOperator(context, schema, rows[start : start + size])
+            for start in range(0, max(len(rows), 1), size)
+        ],
+    )
 
 
 @pytest.fixture
@@ -324,7 +336,7 @@ def test_hash_aggregate_matches_python_reference(rows):
         ("b", SqlType.INTEGER),
         ("x", SqlType.FLOAT),
     )
-    source = ValuesOperator(context, schema, rows)
+    source = values_in_batches(context, schema, rows, 13)
     agg = HashAggregate(
         context,
         source,
@@ -436,8 +448,8 @@ def test_shared_arguments_match_one_aggregate_per_query(
 
 
 class TestBlockBatches:
-    """A hash aggregate takes one batch per block unless a function
-    evaluates its input; UDFs keep one call per scan vector."""
+    """Every aggregate takes one batch per block from its scan; UDFs
+    keep one call per scan vector."""
 
     @pytest.fixture
     def db(self):
@@ -453,11 +465,18 @@ class TestBlockBatches:
         return db
 
     def test_hash_aggregate_scans_whole_blocks(self, db):
-        plan = db.explain("SELECT g, SUM(v) AS s FROM b GROUP BY g")
-        assert "vector=4096" in plan
-        plan = db.explain("SELECT g, SUM(v) AS s FROM bs GROUP BY g")
-        assert "OrderedAggregate" in plan
-        assert "vector=" not in plan
+        for table, strategy in (
+            ("b", "HashAggregate"),
+            ("bs", "OrderedAggregate"),
+        ):
+            plan, _ = db.explain_analyze(
+                f"SELECT g, SUM(v) AS s FROM {table} GROUP BY g"
+            )
+            assert strategy in plan
+            # blocks of 4096, 4096 and 1808 rows: the last one's whole
+            # vector and its trailing partial vector are batches of
+            # their own
+            assert f"TableScan({table})  [rows: 10000] [batches: 4]" in plan
 
     @pytest.mark.parametrize(
         "sql",

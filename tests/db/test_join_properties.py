@@ -6,9 +6,21 @@ from hypothesis import strategies as st
 
 from repro.db.expressions import ColumnRef
 from repro.db.operators import ExecutionContext, HashJoin
-from repro.db.operators.misc import ValuesOperator
+from repro.db.operators.misc import UnionAll, ValuesOperator
 from repro.db.schema import Schema
 from repro.db.types import SqlType
+
+
+def values_in_batches(context, schema, rows, size):
+    """*rows* as a source of *size*-row batches: a UNION ALL of VALUES
+    operators, each of which emits its rows as one batch."""
+    return UnionAll(
+        context,
+        [
+            ValuesOperator(context, schema, rows[start : start + size])
+            for start in range(0, max(len(rows), 1), size)
+        ],
+    )
 
 
 def reference_join(left_rows, right_rows):
@@ -39,15 +51,17 @@ def reference_join(left_rows, right_rows):
 )
 def test_hash_join_matches_nested_loops(left_rows, right_rows):
     context = ExecutionContext(vector_size=9)
-    left = ValuesOperator(
+    left = values_in_batches(
         context,
         Schema.of(("k", SqlType.INTEGER), ("lv", SqlType.INTEGER)),
         left_rows,
+        9,
     )
-    right = ValuesOperator(
+    right = values_in_batches(
         context,
         Schema.of(("k2", SqlType.INTEGER), ("rv", SqlType.INTEGER)),
         right_rows,
+        9,
     )
     join = HashJoin(
         context, left, right, [ColumnRef("k")], [ColumnRef("k2")]

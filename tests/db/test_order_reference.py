@@ -15,9 +15,21 @@ from repro.db.engine import Database
 from repro.db.expressions import ColumnRef
 from repro.db.operators import ExecutionContext, SortOperator
 from repro.db.operators.keys import _int64_codes
-from repro.db.operators.misc import ValuesOperator
+from repro.db.operators.misc import UnionAll, ValuesOperator
 from repro.db.schema import Schema
 from repro.db.types import SqlType
+
+
+def values_in_batches(context, schema, rows, size):
+    """*rows* as a source of *size*-row batches: a UNION ALL of VALUES
+    operators, each of which emits its rows as one batch."""
+    return UnionAll(
+        context,
+        [
+            ValuesOperator(context, schema, rows[start : start + size])
+            for start in range(0, max(len(rows), 1), size)
+        ],
+    )
 
 BIG = 2**53
 #: ties, signed zeros, infinities and NaN
@@ -159,7 +171,7 @@ def _sorted_ids(rows, keys, top=None) -> list[int]:
     context = ExecutionContext(vector_size=8)
     operator = SortOperator(
         context,
-        ValuesOperator(context, SORT_SCHEMA, rows),
+        values_in_batches(context, SORT_SCHEMA, rows, 8),
         [ColumnRef(name) for name, _ in keys],
         [ascending for _, ascending in keys],
         top,

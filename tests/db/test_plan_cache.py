@@ -939,6 +939,42 @@ def test_lru_evictions_are_counted(db):
     assert db.metrics.counter("plan_cache.evictions").value == 3
 
 
+def test_repeated_text_skips_the_lexer(db, monkeypatch):
+    from repro.db.plan import cache as cache_module
+
+    lexed = []
+    real_lex = cache_module.lex
+
+    def counting_lex(text):
+        lexed.append(text)
+        return real_lex(text)
+
+    monkeypatch.setattr(cache_module, "lex", counting_lex)
+    hits = db.metrics.counter("plan_cache.text_hits")
+    misses = db.metrics.counter("plan_cache.text_misses")
+    before = hits.value, misses.value
+    sql = "SELECT id FROM t WHERE id = {}"
+    for key in (1, 1, 2, 1):
+        db.execute(sql.format(key))
+    assert lexed == [sql.format(1), sql.format(2)]
+    assert (hits.value - before[0], misses.value - before[1]) == (2, 2)
+    # a memoized statement still runs against the live table
+    db.execute("INSERT INTO t VALUES (1, 1, 0.5, 0.5, 0.5, 'a')")
+    assert len(db.execute(sql.format(1)).rows) == 2
+
+
+def test_lexer_memo_keeps_the_last_capacity_texts(db):
+    cache = db.plan_cache
+    first = cache.lex("SELECT id FROM t")
+    assert cache.lex("SELECT id FROM t") is first
+    for index in range(CAPACITY):
+        cache.lex(f"SELECT id AS c{index} FROM t")
+    assert cache.lex("SELECT id FROM t") is not first
+    assert cache.lex("SELECT id AS c1 FROM t") is cache.lex(
+        "SELECT id AS c1 FROM t"
+    )
+
+
 def test_plan_cached_is_persisted_and_defaults_to_false(tmp_path):
     path = str(tmp_path / "db")
     database = _load(repro.connect(path=path), rows=100)

@@ -8,6 +8,8 @@ restart-warm model cache (fig8 dense-grid models reopen bit-exact and
 the first ModelJoin after a restart is a cache hit).
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,55 @@ class TestBufferPool:
             pool.get(key, self.loader())
         with pool._lock:
             assert "pinned" not in pool._frames
+
+    def test_eviction_stops_once_under_cap(self):
+        frame = 1000 * 8
+        pool = BufferPool(capacity_bytes=100 * frame)
+        for key in range(100):
+            pool.get(key, self.loader())
+
+        class CountingFrames(OrderedDict):
+            visited = 0
+
+            def items(self):
+                for item in super().items():
+                    CountingFrames.visited += 1
+                    yield item
+
+        pool._frames = CountingFrames(pool._frames)
+        pool.get("double", self.loader(2000))
+        # two LRU frames make room for the double frame: the walk
+        # visits them and nothing else
+        assert CountingFrames.visited == 2
+        assert pool.statistics.evictions == 2
+        assert pool.resident_bytes == 100 * frame
+        with pool._lock:
+            assert 0 not in pool._frames and 1 not in pool._frames
+            assert 2 in pool._frames and "double" in pool._frames
+
+    def test_eviction_skips_pinned_lru_frames(self):
+        frame = 1000 * 8
+        pool = BufferPool(capacity_bytes=3 * frame)
+        pool.get("a", self.loader(), pin=True)
+        for key in "bcd":
+            pool.get(key, self.loader())
+        assert pool.statistics.evictions == 1
+        with pool._lock:
+            assert list(pool._frames) == ["a", "c", "d"]
+
+    def test_all_pinned_pool_overshoots(self):
+        frame = 1000 * 8
+        pool = BufferPool(capacity_bytes=2 * frame)
+        for key in "abc":
+            pool.get(key, self.loader(), pin=True)
+        assert pool.statistics.evictions == 0
+        assert pool.resident_bytes == 3 * frame
+        pool.unpin("a")
+        pool.get("d", self.loader(), pin=True)
+        # the one unpinned frame goes; the pool still overshoots
+        assert pool.statistics.evictions == 1
+        with pool._lock:
+            assert list(pool._frames) == ["b", "c", "d"]
 
     def test_invalidate_prefix(self):
         pool = BufferPool(capacity_bytes=1 << 20)

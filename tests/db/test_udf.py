@@ -112,3 +112,31 @@ class TestUdfInSql:
         db.execute("SELECT my_add(a, b) AS s FROM big")
         assert udf.statistics.rows == n
         assert udf.statistics.calls == 3
+
+    def test_udf_over_join_output_called_per_vector(self, db):
+        """A join emits batches of up to one block; the kernel calling
+        the UDF still cuts them into 1024-row vectors."""
+        db.execute("CREATE TABLE f (k INTEGER, a DOUBLE)")
+        db.execute("CREATE TABLE d (k INTEGER, b DOUBLE)")
+        db.table("f").append_columns(k=np.arange(3000) % 2, a=np.ones(3000))
+        db.table("d").append_columns(k=np.array([0, 0, 1]), b=np.ones(3))
+        lengths = []
+
+        def probe(values):
+            lengths.append(len(values))
+            return values
+
+        db.register_udf(
+            PythonUdf(
+                "probe", 1, probe, result_type=SqlType.DOUBLE, marshal=False
+            )
+        )
+        plan, result = db.explain_analyze(
+            "SELECT probe(f.a + d.b) AS s FROM f, d WHERE f.k = d.k"
+        )
+        # probe batches of 2048 and 952 rows join to 3072 and 1428 rows
+        assert "[rows: 4500] [batches: 2]" in next(
+            line for line in plan.splitlines() if "HashJoin" in line
+        )
+        assert len(result.rows) == 4500
+        assert lengths == [1024, 1024, 1024, 1024, 404]
