@@ -12,9 +12,8 @@
   Python process over (simulated) ODBC and infer there,
 - :mod:`repro.core.cost` — the inference cost model sketched as future
   work in Section 7,
-- :mod:`repro.core.trees` / :mod:`repro.core.encoding` — decision-tree
-  to SQL translation and SQL feature encodings, the adjacent techniques
-  the paper points to.
+- :mod:`repro.core.encoding` — SQL feature encodings, an adjacent
+  technique the paper points to.
 
 Importing this package registers the MODEL JOIN operator factory, so
 use :func:`repro.core.attach` (or the top-level :func:`repro.connect`)

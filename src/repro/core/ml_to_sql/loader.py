@@ -4,8 +4,8 @@ The framework "generates SQL code to automatically load a Python model
 object into the relational table representation" (Section 4.1):
 :func:`insert_statements` yields exactly those ``CREATE TABLE`` /
 ``INSERT`` statements.  :func:`load_model_table` is the fast path that
-creates the table through the engine API and bulk-appends the rows —
-both paths produce identical tables (tested).
+creates the table through the engine API and appends the columns in
+one batch — both paths produce identical tables (tested).
 """
 
 from __future__ import annotations
@@ -41,12 +41,6 @@ def _create_table_sql(
     return f"CREATE TABLE {table_name} ({columns}){suffix}"
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 def insert_statements(
     relational: RelationalModel,
     table_name: str,
@@ -54,25 +48,19 @@ def insert_statements(
 ) -> Iterator[str]:
     """Yield the DDL + INSERT statements that load the model table."""
     yield _create_table_sql(relational, table_name)
-    rows = _sorted_rows(relational)
-    for start in range(0, len(rows), rows_per_statement):
-        chunk = rows[start : start + rows_per_statement]
+    for start in range(0, relational.edge_count, rows_per_statement):
+        rows = zip(
+            *(
+                column[start : start + rows_per_statement].tolist()
+                for column in relational.columns.values()
+            )
+        )
+        # tolist() yields Python ints and floats, whose repr is the
+        # literal (a float's shortest round-tripping decimal).
         values = ", ".join(
-            "(" + ", ".join(_format_value(value) for value in row) + ")"
-            for row in chunk
+            "(" + ", ".join(map(repr, row)) + ")" for row in rows
         )
         yield f"INSERT INTO {table_name} VALUES {values}"
-
-
-def _sorted_rows(relational: RelationalModel) -> list[tuple]:
-    """Rows in (node, node_in) order, so node-range pruning is tight."""
-    schema = model_table_schema(relational.options)
-    node_position = schema.position_of("node")
-    node_in_position = schema.position_of("node_in")
-    return sorted(
-        relational.rows,
-        key=lambda row: (row[node_position], row[node_in_position]),
-    )
 
 
 def load_model_table(
@@ -100,6 +88,6 @@ def load_model_table(
             database.execute(statement)
     else:
         database.execute(_create_table_sql(relational, table_name))
-        database.table(table_name).append_rows(_sorted_rows(relational))
+        database.table(table_name).append_columns(**relational.columns)
     relational.table_name = table_name
     return relational

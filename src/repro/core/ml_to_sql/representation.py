@@ -37,12 +37,14 @@ Graph construction follows Section 4.3:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.db.schema import Schema
 from repro.db.types import SqlType
 from repro.errors import UnsupportedModelError
-from repro.nn.layers import Dense, Lstm
+from repro.nn.layers import Lstm
 from repro.nn.model import Sequential
 
 #: the 12 weight columns of the model table, in paper order
@@ -87,7 +89,7 @@ class MlToSqlOptions:
 class LayerBlock:
     """One block of contiguous node ids in the relational graph."""
 
-    kind: str  # "input" | "dense" | "lstm_kernel" | "lstm_recurrent"
+    kind: str  # "input" | "dense" | "lstm_state"
     layer_index: int  # the model-table Layer value (classic scheme)
     first_node: int  # first global node id (optimized scheme)
     units: int
@@ -101,12 +103,13 @@ class LayerBlock:
 
 @dataclass
 class RelationalModel:
-    """A model converted to relational rows plus its layout metadata."""
+    """A model converted to model-table columns plus its layout metadata."""
 
     options: MlToSqlOptions
     blocks: list[LayerBlock]
-    #: rows matching :func:`model_table_schema` for ``options``
-    rows: list[tuple]
+    #: one array per column of :func:`model_table_schema` for
+    #: ``options``, in schema order, rows in ``(node, node_in)`` order
+    columns: dict[str, np.ndarray]
     input_width: int
     output_width: int
     time_steps: int
@@ -116,7 +119,7 @@ class RelationalModel:
 
     @property
     def edge_count(self) -> int:
-        return len(self.rows)
+        return len(self.columns["node"])
 
     def block(self, kind: str, occurrence: int = 0) -> LayerBlock:
         matches = [block for block in self.blocks if block.kind == kind]
@@ -142,28 +145,21 @@ def model_table_schema(options: MlToSqlOptions) -> Schema:
     return Schema.of(*(keys + weights))
 
 
-def _edge_row(
-    options: MlToSqlOptions,
-    layer_in: int,
-    node_in: int,
-    layer: int,
-    node: int,
-    weights: dict[str, float],
-) -> tuple:
-    vector = [float(weights.get(name, 0.0)) for name in WEIGHT_COLUMNS]
-    if options.optimized_node_ids:
-        return (node_in, node, *vector)
-    return (layer_in, node_in, layer, node, *vector)
+#: the artificial input node (id and layer ``-1``) feeding the input layer
+_ARTIFICIAL_INPUT = LayerBlock("artificial", -1, -1, 1)
 
 
 def build_relational_model(
     model: Sequential, options: MlToSqlOptions | None = None
 ) -> RelationalModel:
-    """Convert *model* into relational rows (Section 4.3).
+    """Convert *model* into model-table columns (Section 4.3).
 
     Supports the architectures of the paper's evaluation: dense-only
     stacks, and an LSTM first layer (scalar time series) followed by
-    dense layers.
+    dense layers.  Each block's incoming edges form one target-major
+    ``target x source`` grid, written as a slice of every column, and
+    blocks take ascending node ids, so the columns come out already in
+    ``(node, node_in)`` order.
     """
     options = options or MlToSqlOptions()
     if model.has_lstm and model.features_per_step != 1:
@@ -171,129 +167,66 @@ def build_relational_model(
             "ML-To-SQL supports scalar time series only "
             "(one input column per time step, as in the paper)"
         )
-    blocks: list[LayerBlock] = []
-    rows: list[tuple] = []
-    next_node = 0
-    layer_index = 0
-
-    if model.has_lstm:
-        previous = None  # LSTM connects straight to the artificial input
-    else:
-        # Identity input layer: node i receives input column i with
-        # weight 1 from the artificial input node (Listing 3).
-        input_block = LayerBlock(
-            "input", layer_index, next_node, model.input_width
-        )
-        blocks.append(input_block)
-        for node in range(model.input_width):
-            rows.append(
-                _edge_row(
-                    options,
-                    layer_in=-1,
-                    node_in=-1,
-                    layer=layer_index,
-                    node=input_block.first_node + node,
-                    weights={"w_i": 1.0},
-                )
-            )
-        next_node += model.input_width
-        layer_index += 1
-        previous = input_block
-
-    for layer in model.layers:
+    blocks = blocks_from_dims(
+        model.input_width,
+        [
+            (layer.layer_type, layer.units, layer.activation.name)
+            for layer in model.layers
+        ],
+    )
+    # (source block, target block, layer) per grid; the identity input
+    # layer has no weights of its own and an LSTM feeds its own state.
+    layers = ([None] if blocks[0].kind == "input" else []) + model.layers
+    grids = []
+    source = _ARTIFICIAL_INPUT
+    for index, layer in enumerate(layers):
         if isinstance(layer, Lstm):
-            # One block of w state nodes with w*w recurrent edges; the
-            # diagonal self-edges additionally carry the kernel weights
-            # and the biases.  Both weight matrices are stored exactly
-            # once (Section 4.3.3); the merged-diagonal layout lets the
-            # generated query compute kernel and recurrence in a single
-            # pass per time step (see templates.py for the algebra).
-            state_block = LayerBlock(
-                "lstm_state",
-                layer_index,
-                next_node,
-                layer.units,
-                activation=layer.activation.name,
+            # the generated LSTM steps read the gate activation here
+            blocks[index] = source = replace(
+                blocks[index],
                 recurrent_activation=layer.recurrent_activation.name,
             )
-            next_node += layer.units
-            blocks.append(state_block)
-            gates = layer.gate_slices()
-            for source in range(layer.units):
-                for target in range(layer.units):
-                    weights = {
-                        f"u_{gate}": layer.recurrent_kernel[
-                            source, gates[gate]
-                        ][target]
-                        for gate in ("i", "f", "c", "o")
-                    }
-                    if source == target:
-                        weights.update(
-                            {
-                                f"w_{gate}": layer.kernel[0, gates[gate]][
-                                    target
-                                ]
-                                for gate in ("i", "f", "c", "o")
-                            }
-                        )
-                        weights.update(
-                            {
-                                f"b_{gate}": layer.bias[gates[gate]][target]
-                                for gate in ("i", "f", "c", "o")
-                            }
-                        )
-                    rows.append(
-                        _edge_row(
-                            options,
-                            layer_in=state_block.layer_index,
-                            node_in=state_block.first_node + source,
-                            layer=state_block.layer_index,
-                            node=state_block.first_node + target,
-                            weights=weights,
-                        )
-                    )
-            layer_index += 1
-            previous = state_block
-        elif isinstance(layer, Dense):
-            block = LayerBlock(
-                "dense",
-                layer_index,
-                next_node,
-                layer.units,
-                activation=layer.activation.name,
-            )
-            next_node += layer.units
-            blocks.append(block)
-            if previous is None:
-                raise UnsupportedModelError(
-                    "dense layer without a predecessor block"
-                )
-            for source in range(previous.units):
-                for target in range(layer.units):
-                    rows.append(
-                        _edge_row(
-                            options,
-                            layer_in=previous.layer_index,
-                            node_in=previous.first_node + source,
-                            layer=block.layer_index,
-                            node=block.first_node + target,
-                            weights={
-                                "w_i": layer.kernel[source, target],
-                                "b_i": layer.bias[target],
-                            },
-                        )
-                    )
-            layer_index += 1
-            previous = block
-        else:  # pragma: no cover - closed layer set
-            raise UnsupportedModelError(
-                f"unsupported layer type {layer.layer_type}"
-            )
+        grids.append((source, blocks[index], layer))
+        source = blocks[index]
+
+    schema = model_table_schema(options)
+    edges = sum(source.units * target.units for source, target, _ in grids)
+    columns = {
+        column.name: np.zeros(edges, column.sql_type.numpy_dtype)
+        for column in schema
+    }
+    start = 0
+    for source, target, layer in grids:
+        stop = start + source.units * target.units
+        grid = {
+            name: array[start:stop].reshape(target.units, source.units)
+            for name, array in columns.items()
+        }
+        start = stop
+        targets = np.arange(target.first_node, target.last_node + 1)
+        grid["node"][:] = targets[:, None]
+        grid["node_in"][:] = np.arange(source.first_node, source.last_node + 1)
+        if not options.optimized_node_ids:
+            grid["layer"][:] = target.layer_index
+            grid["layer_in"][:] = source.layer_index
+        if layer is None:
+            grid["w_i"][:] = 1.0  # identity edges (Listing 3)
+        elif isinstance(layer, Lstm):
+            # The diagonal self-edges additionally carry the kernel
+            # weights and the biases; both weight matrices are stored
+            # exactly once (Section 4.3.3, see templates.py).
+            for gate, cells in layer.gate_slices().items():
+                grid[f"u_{gate}"][:] = layer.recurrent_kernel[:, cells].T
+                np.fill_diagonal(grid[f"w_{gate}"], layer.kernel[0, cells])
+                np.fill_diagonal(grid[f"b_{gate}"], layer.bias[cells])
+        else:
+            grid["w_i"][:] = layer.kernel.T
+            grid["b_i"][:] = layer.bias[:, None]
 
     return RelationalModel(
         options=options,
         blocks=blocks,
-        rows=rows,
+        columns=columns,
         input_width=model.input_width,
         output_width=model.output_width,
         time_steps=model.time_steps,
@@ -309,9 +242,9 @@ def blocks_from_dims(
     """Node-id layout from layer metadata alone (no weights needed).
 
     *layer_dims* is a list of ``(layer_type, units, activation)``.  The
-    native operator's build phase uses this to map model-table rows to
-    weight-matrix cells; it must assign the same ids as
-    :func:`build_relational_model` (asserted by tests).
+    one node layout: :func:`build_relational_model` writes the model
+    table with these ids and the native operator's build phase maps
+    model-table rows back to weight-matrix cells with them.
     """
     blocks: list[LayerBlock] = []
     next_node = 0

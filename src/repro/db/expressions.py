@@ -340,3 +340,15 @@ def calls_per_vector(expression: Expression) -> bool:
     else:
         return False
     return any(calls_per_vector(child) for child in children)
+
+
+def evaluate_per_vector(
+    expression: Expression, batch: VectorBatch, vector_size: int
+) -> np.ndarray:
+    """*expression* over *batch*: in one call, or in *vector_size*-row
+    pieces when it :func:`calls_per_vector` (as the kernels cut it)."""
+    if len(batch) <= vector_size or not calls_per_vector(expression):
+        return expression.evaluate(batch)
+    return np.concatenate(
+        [expression.evaluate(piece) for piece in batch.pieces(vector_size)]
+    )

@@ -18,7 +18,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.db.column import BLOCK_SIZE
-from repro.db.expressions import Expression
+from repro.db.expressions import Expression, evaluate_per_vector
 from repro.db.operators.base import (
     BinaryOperator,
     ExecutionContext,
@@ -62,12 +62,15 @@ class HashJoin(BinaryOperator):
     def ordering(self) -> tuple[str, ...]:
         return self.left.ordering
 
+    def _evaluate(self, expression: Expression, batch: VectorBatch):
+        return evaluate_per_vector(expression, batch, self.context.vector_size)
+
     def _build(self) -> None:
         """Drain the build (right) side and index its keys."""
         batches = list(self.right.next_batches())
         build = concat_batches(self.right.schema, batches)
         self._build_batch = build
-        key_arrays = [key.evaluate(build) for key in self.right_keys]
+        key_arrays = [self._evaluate(key, build) for key in self.right_keys]
         self._fast_keys = supports_fast_keys(key_arrays)
         if self._fast_keys:
             packed = pack_keys(key_arrays)
@@ -81,7 +84,7 @@ class HashJoin(BinaryOperator):
         self.context.memory.allocate(self._accounted_bytes, "join-build")
 
     def _probe(self, batch: VectorBatch) -> VectorBatch | None:
-        key_arrays = [key.evaluate(batch) for key in self.left_keys]
+        key_arrays = [self._evaluate(key, batch) for key in self.left_keys]
         if self._fast_keys:
             packed = pack_keys(key_arrays)
         else:
@@ -101,7 +104,7 @@ class HashJoin(BinaryOperator):
         right_out = self._build_batch.take(build_indices)
         joined = left_out.concat_columns(right_out)
         if self.residual is not None:
-            mask = self.residual.evaluate(joined)
+            mask = self._evaluate(self.residual, joined)
             if mask.dtype != np.bool_:
                 raise ExecutionError("join residual predicate is not boolean")
             if not mask.all():

@@ -1,4 +1,4 @@
-"""Cost model, decision-tree-to-SQL, and SQL encodings."""
+"""Cost model and SQL encodings."""
 
 import numpy as np
 import pytest
@@ -16,13 +16,8 @@ from repro.core.encoding import (
     window_self_join_query,
 )
 from repro.core.registry import model_metadata
-from repro.core.trees import (
-    DecisionTreeRegressor,
-    tree_inference_query,
-    tree_to_sql,
-)
 from repro.db.engine import Database
-from repro.errors import ModelError, ModelJoinError
+from repro.errors import ModelJoinError
 from repro.nn.layers import Dense, Lstm
 from repro.nn.model import Sequential
 
@@ -103,58 +98,6 @@ class TestCostModel:
         refit = selector.rank(metadata, 100)
         assert len(predicted) == 3 * len(first)
         assert refit[0].variant == "native-gpu" != first[0].variant
-
-
-class TestDecisionTree:
-    def _data(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-1, 1, size=(300, 2))
-        y = np.where(x[:, 0] > 0.2, 5.0, np.where(x[:, 1] > 0, 2.0, -1.0))
-        return x, y
-
-    def test_fit_predict_partitions_space(self):
-        x, y = self._data()
-        tree = DecisionTreeRegressor(max_depth=3).fit(x, y)
-        predictions = tree.predict(x)
-        assert np.abs(predictions - y).mean() < 0.5
-
-    def test_depth_limited(self):
-        x, y = self._data()
-        tree = DecisionTreeRegressor(max_depth=2).fit(x, y)
-        assert tree.depth() <= 2
-        assert tree.leaf_count() <= 4
-
-    def test_predict_before_fit(self):
-        with pytest.raises(ModelError):
-            DecisionTreeRegressor().predict(np.zeros((1, 2)))
-
-    def test_sql_translation_matches_python(self):
-        x, y = self._data()
-        tree = DecisionTreeRegressor(max_depth=4).fit(x, y)
-        db = Database()
-        db.execute("CREATE TABLE pts (id INTEGER, a DOUBLE, b DOUBLE)")
-        db.table("pts").append_columns(
-            id=np.arange(len(x), dtype=np.int64),
-            a=x[:, 0],
-            b=x[:, 1],
-        )
-        sql = tree_inference_query(tree, "pts", "id", ["a", "b"])
-        result = db.execute(sql + " ORDER BY id")
-        np.testing.assert_allclose(
-            result.column("prediction"), tree.predict(x), atol=1e-9
-        )
-
-    def test_sql_feature_count_checked(self):
-        x, y = self._data()
-        tree = DecisionTreeRegressor(max_depth=2).fit(x, y)
-        with pytest.raises(ModelError):
-            tree_to_sql(tree, ["only_one"])
-
-    def test_single_leaf_tree_is_constant(self):
-        tree = DecisionTreeRegressor(max_depth=1, min_samples=100).fit(
-            np.zeros((10, 1)), np.full(10, 3.5)
-        )
-        assert tree_to_sql(tree, ["x"]) == "3.5"
 
 
 class TestEncoding:

@@ -59,33 +59,22 @@ class TestDenseRepresentation:
 
     def test_input_edges_have_unit_weight(self, dense_model):
         relational = build_relational_model(dense_model)
-        schema = model_table_schema(relational.options)
-        node_in = schema.position_of("node_in")
-        w_i = schema.position_of("w_i")
-        input_rows = [
-            row for row in relational.rows if row[node_in] == -1
-        ]
-        assert len(input_rows) == 4
-        assert all(row[w_i] == 1.0 for row in input_rows)
+        columns = relational.columns
+        inputs = columns["node_in"] == -1
+        assert inputs.sum() == 4
+        assert (columns["w_i"][inputs] == 1.0).all()
 
     def test_weights_recoverable_from_rows(self, dense_model):
         relational = build_relational_model(dense_model)
-        schema = model_table_schema(relational.options)
-        positions = {
-            name: schema.position_of(name)
-            for name in ("node_in", "node", "w_i", "b_i")
-        }
+        columns = relational.columns
         block = relational.blocks[1]
         kernel = np.zeros((4, 3), dtype=np.float32)
         bias = np.zeros(3, dtype=np.float32)
-        for row in relational.rows:
-            node = row[positions["node"]]
-            if block.first_node <= node <= block.last_node:
-                source = row[positions["node_in"]]
-                kernel[source, node - block.first_node] = row[
-                    positions["w_i"]
-                ]
-                bias[node - block.first_node] = row[positions["b_i"]]
+        node = columns["node"]
+        rows = (block.first_node <= node) & (node <= block.last_node)
+        targets = node[rows] - block.first_node
+        kernel[columns["node_in"][rows], targets] = columns["w_i"][rows]
+        bias[targets] = columns["b_i"][rows]
         np.testing.assert_allclose(
             kernel, dense_model.layers[0].kernel, atol=1e-7
         )
@@ -96,10 +85,18 @@ class TestDenseRepresentation:
     def test_classic_rows_carry_layers(self, dense_model):
         options = MlToSqlOptions(optimized_node_ids=False)
         relational = build_relational_model(dense_model, options)
-        schema = model_table_schema(options)
-        layer = schema.position_of("layer")
-        layers = {row[layer] for row in relational.rows}
-        assert layers == {0, 1, 2}
+        assert set(relational.columns["layer"].tolist()) == {0, 1, 2}
+
+    def test_columns_follow_schema(self, dense_model):
+        for optimized in (True, False):
+            options = MlToSqlOptions(optimized_node_ids=optimized)
+            relational = build_relational_model(dense_model, options)
+            schema = model_table_schema(options)
+            assert tuple(relational.columns) == schema.names
+            for column in schema:
+                array = relational.columns[column.name]
+                assert array.dtype == column.sql_type.numpy_dtype
+                assert len(array) == relational.edge_count
 
 
 class TestLstmRepresentation:
@@ -115,20 +112,24 @@ class TestLstmRepresentation:
 
     def test_diagonal_edges_carry_kernel_and_bias(self, lstm_model):
         relational = build_relational_model(lstm_model)
-        schema = model_table_schema(relational.options)
-        node_in = schema.position_of("node_in")
-        node = schema.position_of("node")
-        w_i = schema.position_of("w_i")
+        columns = relational.columns
         block = relational.block("lstm_state")
-        for row in relational.rows:
-            if not block.first_node <= row[node] <= block.last_node:
-                continue
-            if row[node_in] == row[node]:
-                unit = row[node] - block.first_node
-                expected = lstm_model.layers[0].kernel[0, unit]
-                assert row[w_i] == pytest.approx(expected)
-            else:
-                assert row[w_i] == 0.0
+        node, node_in = columns["node"], columns["node_in"]
+        rows = (block.first_node <= node) & (node <= block.last_node)
+        diagonal = rows & (node_in == node)
+        units = node[diagonal] - block.first_node
+        np.testing.assert_allclose(
+            columns["w_i"][diagonal], lstm_model.layers[0].kernel[0, units]
+        )
+        assert (columns["w_i"][rows & ~diagonal] == 0.0).all()
+
+    def test_recurrent_activation_recorded(self):
+        model = Sequential(
+            [Lstm(2, recurrent_activation="tanh"), Dense(1)],
+            input_width=3,
+        )
+        block = build_relational_model(model).block("lstm_state")
+        assert block.recurrent_activation == "tanh"
 
     def test_multifeature_lstm_rejected(self):
         model = Sequential(

@@ -140,3 +140,42 @@ class TestUdfInSql:
         )
         assert len(result.rows) == 4500
         assert lengths == [1024, 1024, 1024, 1024, 404]
+
+    def test_udf_join_keys_and_residual_called_per_vector(self, db):
+        """A UDF in a hash-join key is evaluated per 1024-row vector on
+        both sides, and in the residual over the joined rows."""
+        db.execute("CREATE TABLE f (k INTEGER, a DOUBLE)")
+        db.execute("CREATE TABLE d (k INTEGER, b DOUBLE)")
+        db.table("f").append_columns(
+            k=np.arange(5000) % 1500, a=np.arange(5000, dtype=np.float64)
+        )
+        db.table("d").append_columns(
+            k=np.arange(3000) % 2000, b=np.arange(3000, dtype=np.float64)
+        )
+        lengths = []
+
+        def ident(values):
+            lengths.append(len(values))
+            return values
+
+        db.register_udf(
+            PythonUdf(
+                "ident", 1, ident, result_type=SqlType.INTEGER, marshal=False
+            )
+        )
+        got = db.execute(
+            "SELECT f.a, d.b FROM f, d "
+            "WHERE ident(f.k) = ident(d.k) AND ident(f.k) + d.b > 10"
+        )
+        assert "HashJoin(IDENT(f.k) = IDENT(d.k)" in db.explain(
+            "SELECT f.a FROM f, d WHERE ident(f.k) = ident(d.k)"
+        )
+        want = db.execute(
+            "SELECT f.a, d.b FROM f, d WHERE f.k = d.k AND f.k + d.b > 10"
+        )
+        assert sorted(got.rows) == sorted(want.rows)
+        assert len(got.rows) == 8476
+        matches = len(db.execute("SELECT f.a FROM f, d WHERE f.k = d.k").rows)
+        # build keys, probe keys, and the residual over every key match
+        assert sum(lengths) == 3000 + 5000 + matches
+        assert max(lengths) <= 1024
