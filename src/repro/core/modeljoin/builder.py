@@ -69,7 +69,7 @@ class BuiltModel:
 
     Only the weights: the bias replication of ``y := Ax + y`` is sized
     by the batches a query scores, so it lives in the per-pipeline
-    :class:`~repro.core.modeljoin.inference.BufferArena`, not here.
+    :class:`~repro.device.arena.BufferArena`, not here.
     """
 
     layers: list[DenseLayerWeights | LstmLayerWeights]

@@ -22,7 +22,7 @@ everything the build depends on:
 A build holds weights only, so nothing in it depends on how a query
 batches its rows: the vector size and the bias replication are the
 scoring pipeline's business (its
-:class:`~repro.core.modeljoin.inference.BufferArena`).
+:class:`~repro.device.arena.BufferArena`).
 
 Entries are LRU-evicted once the configured byte cap is exceeded;
 bytes are tracked by a :class:`~repro.db.profiler.MemoryAccountant`

@@ -17,8 +17,8 @@ is replicated to ``(rows, units)`` and the layer forward lets ``sgemm``
 accumulate into it (``y := Ax + y``), turning many fine-grained bias
 additions into one large copy (Section 5.4).  The replica is sized by
 the batches a pipeline actually scores, so it lives in the pipeline's
-:class:`BufferArena` — filled on first use, grown only when a batch is
-longer than any before — not in the cached model.
+:class:`~repro.device.arena.BufferArena` — filled on first use, grown
+only when a batch is longer than any before — not in the cached model.
 
 Because the operator runs the same forward for thousands of
 batches, per-batch heap churn is pure overhead: the arena preallocates
@@ -43,6 +43,7 @@ from repro.core.modeljoin.builder import (
 from repro.db.catalog import LayerMetadata
 from repro.db.parallel import MORSEL_ROWS
 from repro.db.profiler import ProfileCounters
+from repro.device.arena import BufferArena
 from repro.device.base import Device
 from repro.errors import ModelJoinError
 
@@ -114,76 +115,6 @@ def unpack_views(matrix: np.ndarray) -> list[np.ndarray]:
     views across batches.
     """
     return [matrix[:, index] for index in range(matrix.shape[1])]
-
-
-class BufferArena:
-    """Named, preallocated float32 workspaces for one pipeline.
-
-    ``take(tag, rows, cols)`` returns a ``(rows, cols)`` view of a
-    buffer allocated once at ``max(rows, capacity_rows)`` rows; the
-    same tag returns the same storage on every subsequent batch, so
-    the steady state of the inference loop allocates nothing.
-    :meth:`replicated` keeps the bias replicas the same way.  Not
-    thread-safe by design — each partition pipeline owns its own arena.
-    """
-
-    def __init__(
-        self,
-        capacity_rows: int,
-        counters: ProfileCounters | None = None,
-    ):
-        if capacity_rows < 1:
-            raise ModelJoinError("arena capacity must be positive")
-        self.capacity_rows = capacity_rows
-        self.counters = counters
-        self._buffers: dict[str, np.ndarray] = {}
-        self._replicas: dict[str, np.ndarray] = {}
-        #: bytes of allocation avoided by handing out reused buffers
-        self.reused_bytes = 0
-
-    def take(self, tag: str, rows: int, cols: int) -> np.ndarray:
-        buffer = self._buffers.get(tag)
-        if (
-            buffer is None
-            or buffer.shape[0] < rows
-            or buffer.shape[1] != cols
-        ):
-            capacity = max(rows, self.capacity_rows)
-            buffer = np.empty((capacity, cols), dtype=np.float32)
-            self._buffers[tag] = buffer
-        else:
-            saved = rows * cols * buffer.itemsize
-            self.reused_bytes += saved
-            if self.counters is not None:
-                self.counters.increment("buffer-bytes-reused", saved)
-        return buffer[:rows]
-
-    def replicated(
-        self, tag: str, row: np.ndarray, rows: int, device: Device
-    ) -> np.ndarray:
-        """*row* repeated *rows* times: the ``y`` of ``y := Ax + y``.
-
-        Filled by a device-side copy on the first batch and refilled
-        only when a batch is longer than any before, so a one-row query
-        replicates one row and a replica never outgrows the batches
-        actually scored.  On a simulated GPU the fill is a device kernel,
-        not a host→device transfer.
-        """
-        replica = self._replicas.get(tag)
-        if replica is None or replica.shape[0] < rows:
-            replica = device.copy(
-                np.broadcast_to(row, (rows, row.shape[0])),
-                out=device.allocate((rows, row.shape[0])),
-            )
-            self._replicas[tag] = replica
-        return replica[:rows]
-
-    def nominal_bytes(self) -> int:
-        return sum(
-            buffer.nbytes
-            for buffers in (self._buffers, self._replicas)
-            for buffer in buffers.values()
-        )
 
 
 class VectorizedInference:

@@ -85,7 +85,6 @@ def run_inference(
         schema, per_pipeline = run_plans(
             [lower(index) for index in range(pipelines)],
             pool=database.worker_pool if pipelines > 1 else None,
-            morsel_driven=True,
             plan_builder=lower,
             retries=database.task_retries,
         )

@@ -323,6 +323,17 @@ class BlockBuilder:
             while self._pending_rows >= self.block_size:
                 self._seal()
 
+    def last_values(self, positions: list[int]) -> list | None:
+        """The last row's values at *positions*; None when empty."""
+        with self._lock:
+            if self._pending:
+                arrays = self._pending[-1].arrays
+            elif self._sealed:
+                arrays = self._sealed[-1].arrays
+            else:
+                return None
+        return [arrays[position][-1] for position in positions]
+
     def _seal(self) -> None:
         """Move the first ``block_size`` buffered rows into a block."""
         taken: list[VectorBatch] = []

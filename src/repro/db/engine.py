@@ -1032,7 +1032,6 @@ class Database:
         schema, per_partition = run_plans(
             plans,
             pool=self.worker_pool,
-            morsel_driven=True,
             plan_builder=lower,
             retries=self.task_retries,
         )

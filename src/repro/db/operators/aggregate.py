@@ -1,14 +1,17 @@
-"""Grouped aggregation: hash-based and order-based.
+"""Grouped aggregation: segment-buffering and order-based.
 
-The hash aggregate is the generic strategy: it materializes its input
-(a pipeline breaker with memory proportional to the input), groups it
-with :func:`~repro.db.operators.keys.group_order` (a counting pass over
-a small composite key domain, one sort of an int64 composite key, or a
-lexsort of the key codes when that would overflow) and reduces each
-group with ``ufunc.reduceat``.  Groups come out in key code order:
-integers by value, VARCHAR lexicographically, floats by their IEEE bit
-pattern — so every NaN bit pattern is a group of its own, in a VARCHAR +
-float key as much as in a numeric one.
+:class:`HashAggregate` buffers the rows of its open segment and groups
+them with :func:`~repro.db.operators.keys.group_order` (a counting pass
+over a small composite key domain, one sort of an int64 composite key,
+or a lexsort of the key codes when that would overflow), reducing each
+group with ``ufunc.reduceat``.  With no sorted prefix the open segment
+is the whole input: the generic strategy, a pipeline breaker with
+memory proportional to the input, whose groups come out in key code
+order — integers by value, VARCHAR lexicographically, floats by their
+IEEE bit pattern, so every NaN bit pattern is a group of its own.  With
+the input sorted by k leading group keys (paper Section 4.4's
+pipelining) a segment closes at each new prefix value, and segments
+leave in input order.
 
 Every aggregate operator evaluates its group keys and each distinct
 argument once per batch with one input kernel (:func:`input_outputs`;
@@ -20,7 +23,7 @@ nothing.  Input from a scan arrives in one batch per block; an input
 kernel that calls a UDF still calls it once per vector.
 
 The order-based aggregate is the optimization of paper Section 4.4: if
-the input is already sorted on the group keys it emits a group the
+the input is already sorted on all group keys it emits a group the
 moment its key changes, holding only constant state — this is what
 makes the ML-To-SQL pipeline fully streaming and low-memory.
 """
@@ -49,7 +52,7 @@ from repro.db.operators.base import (
 from repro.db.operators.keys import equality_codes, group_order, run_starts
 from repro.db.schema import Column, Schema
 from repro.db.types import SqlType
-from repro.db.vector import VectorBatch, concat_batches
+from repro.db.vector import VectorBatch
 from repro.errors import PlanError
 
 _SUPPORTED = ("SUM", "COUNT", "MIN", "MAX", "AVG")
@@ -247,19 +250,15 @@ def _partials(
     return partials
 
 
-def _grouped_batch(
-    operator, keys: list[np.ndarray], values: list[np.ndarray]
+def _output_batch(
+    operator,
+    keys: list[np.ndarray],
+    partials: list[np.ndarray],
+    counts: np.ndarray,
 ) -> VectorBatch:
-    """Group non-empty *keys* and reduce *values* (the operator's input
-    arrays) per group: one output row per group, in
-    :func:`group_order`'s order."""
-    order, starts = group_order(keys)
-    counts = np.diff(np.append(starts, len(order)))
-    firsts = order[starts]
-    arrays: list[np.ndarray] = [key[firsts] for key in keys]
-    partials = _partials(
-        operator, [column[order] for column in values], starts, counts
-    )
+    """One output row per group: its *keys*, then each aggregate's
+    partial (AVG divided by the group's count), cast to the schema."""
+    arrays = list(keys)
     for spec, reduced in zip(operator.aggregates, partials):
         if spec.function == "AVG":
             reduced = reduced.astype(np.float64) / counts
@@ -273,12 +272,68 @@ def _grouped_batch(
     )
 
 
+def _grouped_batch(
+    operator,
+    keys: list[np.ndarray],
+    values: list[np.ndarray],
+    grouping: list[np.ndarray],
+) -> VectorBatch:
+    """Group non-empty rows by *grouping* and reduce *values* (the
+    operator's input arrays) per group: one output row per group, with
+    the *keys* of its first row, in :func:`group_order`'s order."""
+    order, starts = group_order(grouping)
+    counts = np.diff(np.append(starts, len(order)))
+    firsts = order[starts]
+    partials = _partials(
+        operator, [column[order] for column in values], starts, counts
+    )
+    return _output_batch(
+        operator, [key[firsts] for key in keys], partials, counts
+    )
+
+
 def _row(columns: list[np.ndarray], index: int) -> tuple:
     return tuple(column[index] for column in columns)
 
 
+def _rows(keys: list, values: list, start: int, stop: int) -> tuple:
+    """Rows [start, stop) of an aggregate's key and value arrays."""
+    return (
+        [key[start:stop] for key in keys],
+        [value[start:stop] for value in values],
+    )
+
+
+def _check_ordered_by(child: PhysicalOperator, keys: list[Expression]):
+    """Raise unless *keys* are bare columns and the child's ordering
+    starts with them (in any order: rows of one key are contiguous
+    either way)."""
+    for expression in keys:
+        if not isinstance(expression, ColumnRef):
+            raise PlanError(
+                "order-based aggregation requires bare column group keys"
+            )
+    names = {expression.name.lower() for expression in keys}
+    child_order = tuple(name.lower() for name in child.ordering)
+    if set(child_order[: len(names)]) != names:
+        raise PlanError(
+            f"input ordering {child.ordering} does not cover group "
+            f"keys {sorted(names)}"
+        )
+
+
 class HashAggregate(UnaryOperator):
-    """Generic grouped aggregation; materializes its input."""
+    """Grouped aggregation that buffers its open prefix segment.
+
+    The input is sorted by the first *prefix_length* (k) group keys —
+    bare columns; the planner arranges both.  Rows of one prefix value
+    are then contiguous, so only the open segment is buffered: when a
+    batch closes it, the segment and the batch's rows before its last
+    run are grouped on (segment number, remaining keys), and segments
+    leave in input order (paper Section 4.4: "the aggregation does not
+    need the full dataset").  With k = 0 the open segment is the whole
+    input: the generic, materializing hash aggregate.
+    """
 
     def __init__(
         self,
@@ -288,9 +343,17 @@ class HashAggregate(UnaryOperator):
         group_names: list[str],
         aggregates: list[AggregateSpec],
         kernel: FusedKernel | InterpretedKernel | None = None,
+        prefix_length: int = 0,
     ):
         if not group_expressions:
             raise PlanError("global aggregation uses group keys = ()")
+        if not 0 <= prefix_length < len(group_expressions):
+            raise PlanError(
+                f"invalid prefix length {prefix_length} for "
+                f"{len(group_expressions)} group keys"
+            )
+        if prefix_length:
+            _check_ordered_by(child, group_expressions[:prefix_length])
         schema = _output_schema(
             child.schema, group_expressions, group_names, aggregates
         )
@@ -299,52 +362,115 @@ class HashAggregate(UnaryOperator):
         self.group_names = list(group_names)
         self.aggregates = list(aggregates)
         self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
+        self.prefix_length = prefix_length
         self.kernel = _input_kernel(self, child, kernel)
+        self._category = (
+            "aggregation-segment" if prefix_length else "aggregation"
+        )
         self._accounted_bytes = 0
 
+    @property
+    def ordering(self) -> tuple[str, ...]:
+        # Segments leave in input order; rows within one are unordered.
+        return tuple(self.group_names[: self.prefix_length])
+
     def _produce(self) -> Iterator[VectorBatch]:
-        key_chunks: list[list[np.ndarray]] = [
-            [] for _ in self.group_expressions
-        ]
-        value_chunks: list[list[np.ndarray]] = [[] for _ in self.inputs]
+        prefix = self.prefix_length
+        #: the open segment, as (keys, values) pieces
+        held: list[tuple[list, list]] = []
+        open_codes = None
         for keys, values in _inputs(self):
-            for chunks, array in zip(key_chunks, keys):
-                chunks.append(array)
-            for chunks, array in zip(value_chunks, values):
-                chunks.append(array)
-            nbytes = _nbytes(keys) + _nbytes(values)
-            self._accounted_bytes += nbytes
-            self.context.memory.allocate(nbytes, "aggregation")
-        if not key_chunks[0]:
-            return
-        keys = [np.concatenate(chunks) for chunks in key_chunks]
+            rows = len(keys[0])
+            if not prefix:  # the whole input is one open segment
+                held.append(self._hold(keys, values))
+                continue
+            codes = equality_codes(keys[:prefix])
+            runs = run_starts(codes)
+            # 1 when the batch's first run continues the open segment
+            first = int(open_codes == _row(codes, 0))
+            open_codes = _row(codes, rows - 1)
+            # Rows [0, stop) continue the open segment.
+            stop = int(runs[first]) if first < len(runs) else rows
+            if stop:
+                held.append(self._hold(*_rows(keys, values, 0, stop)))
+            if stop == rows:
+                continue
+            # The open segment closes, and so does every run of the
+            # batch but its last: they are segments 1, 2, ...
+            cut = int(runs[-1])
+            lengths = np.diff(runs[first:])
+            closed = self._grouped(
+                [*held, _rows(keys, values, stop, cut)],
+                np.repeat(np.arange(1, len(lengths) + 1), lengths),
+            )
+            self._release()
+            held = [self._hold(*_rows(keys, values, cut, rows))]
+            if closed is not None:
+                yield from closed.pieces(BLOCK_SIZE)
+        if held:
+            result = self._grouped(held, np.empty(0, dtype=np.int64))
+            if prefix:  # a hash aggregate's input is held until close
+                self._release()
+            if result is not None:
+                yield from result.pieces(BLOCK_SIZE)
+
+    def _hold(self, keys: list, values: list) -> tuple:
+        """*keys* and *values*, accounted as buffered."""
+        nbytes = _nbytes(keys) + _nbytes(values)
+        self._accounted_bytes += nbytes
+        self.context.memory.allocate(nbytes, self._category)
+        return keys, values
+
+    def _release(self) -> None:
+        if self._accounted_bytes:
+            self.context.memory.release(
+                self._accounted_bytes, self._category
+            )
+            self._accounted_bytes = 0
+
+    def _grouped(
+        self, pieces: list[tuple[list, list]], segments: np.ndarray
+    ) -> VectorBatch | None:
+        """The groups of the rows in *pieces*: the open segment's rows
+        (segment 0), then rows of the given *segments*."""
+        keys, values = (
+            [np.concatenate(column) for column in zip(*columns)]
+            for columns in zip(*pieces)
+        )
         if len(keys[0]) == 0:
-            return
-        values = [np.concatenate(chunks) for chunks in value_chunks]
-        result = _grouped_batch(self, keys, values)
-        yield from result.pieces(BLOCK_SIZE)
+            return None
+        grouping = keys
+        if self.prefix_length:
+            opened = np.zeros(len(keys[0]) - len(segments), dtype=np.int64)
+            grouping = [
+                np.concatenate([opened, segments]),
+                *keys[self.prefix_length:],
+            ]
+        return _grouped_batch(self, keys, values, grouping)
 
     def close(self) -> None:
-        if self._accounted_bytes:
-            self.context.memory.release(self._accounted_bytes, "aggregation")
-            self._accounted_bytes = 0
+        self._release()
         super().close()
 
     def describe(self) -> str:
         keys = ", ".join(map(str, self.group_expressions))
         aggs = ", ".join(str(spec) for spec in self.aggregates)
+        label = "HashAggregate("
+        if self.prefix_length:
+            label = f"SegmentedAggregate(prefix={self.prefix_length} "
         return (
-            f"HashAggregate(by [{keys}] compute [{aggs}])"
-            f"{_describe_fusion(self)}"
+            f"{label}by [{keys}] compute [{aggs}]){_describe_fusion(self)}"
         )
 
 
 class OrderedAggregate(UnaryOperator):
-    """Streaming aggregation over input sorted by the group keys.
+    """Streaming aggregation over input sorted by all group keys.
 
     Only legal when the child's ordering starts with the group key
     columns (the planner checks this).  Group keys must be bare column
-    references.  Memory is constant: one open group.
+    references.  Memory is constant: one open group, kept as
+    one-element arrays and folded into the next batch's first group
+    with the aggregates' ufuncs.
     """
 
     def __init__(
@@ -356,23 +482,7 @@ class OrderedAggregate(UnaryOperator):
         aggregates: list[AggregateSpec],
         kernel: FusedKernel | InterpretedKernel | None = None,
     ):
-        for expression in group_expressions:
-            if not isinstance(expression, ColumnRef):
-                raise PlanError(
-                    "order-based aggregation requires bare column group keys"
-                )
-        key_names = {
-            expression.name.lower() for expression in group_expressions
-        }
-        child_order = tuple(name.lower() for name in child.ordering)
-        # The first len(keys) ordering columns must be exactly the group
-        # keys (their relative order is irrelevant: rows of one group are
-        # contiguous either way).
-        if set(child_order[: len(key_names)]) != key_names:
-            raise PlanError(
-                f"input ordering {child.ordering} does not cover group "
-                f"keys {sorted(key_names)}; use HashAggregate"
-            )
+        _check_ordered_by(child, group_expressions)
         schema = _output_schema(
             child.schema, group_expressions, group_names, aggregates
         )
@@ -388,123 +498,50 @@ class OrderedAggregate(UnaryOperator):
         return tuple(self.group_names)
 
     def _produce(self) -> Iterator[VectorBatch]:
-        pending_key_rows: list | None = None
-        pending_key = None
-        pending_partials: list = []
-        pending_count = 0
-
+        split = len(self.group_expressions)
+        # Per column of a group list (keys, partials, counts): the ufunc
+        # folding two partials of one group; a key keeps its first value.
+        folds = [None] * split
+        folds += [_REDUCERS[spec.function] for spec in self.aggregates]
+        folds.append(np.add)
+        open_group: list[np.ndarray] | None = None
+        open_codes = None
         for keys, values in _inputs(self):
             codes = equality_codes(keys)
             starts = run_starts(codes)
             counts = np.diff(np.append(starts, len(codes[0])))
-            partials = _partials(self, values, starts, counts)
-            segment_keys = [key[starts] for key in keys]
-            merged_row: list | None = None
-            first = 0
-            if pending_key is not None and _row(codes, 0) == pending_key:
-                # The open group continues into this batch: fold in the
-                # first segment.
-                # ufuncs, not min()/max(): a NaN must win in any order
-                pending_partials = [
-                    _REDUCERS[spec.function](old, new[:1])
-                    for spec, old, new in zip(
-                        self.aggregates, pending_partials, partials
-                    )
-                ]
-                pending_count += int(counts[0])
-                first = 1
-                if len(starts) > 1:
-                    # More segments follow, so the merged group is done.
-                    merged_row = self._finish_group(
-                        pending_key_rows, pending_partials, pending_count
-                    )
-                    pending_key = None
-            elif pending_key is not None:
-                merged_row = self._finish_group(
-                    pending_key_rows, pending_partials, pending_count
-                )
-                pending_key = None
-            # Segments [first, last) are complete within the batch: emit
-            # them as one array slice (no per-group Python work).
-            last = len(starts) - 1
-            complete = self._segments_to_batch(
-                segment_keys, partials, counts, first, last, merged_row
-            )
-            if complete is not None:
-                yield complete
-            if last >= first:
-                pending_key_rows = [key[last] for key in segment_keys]
-                pending_partials = [
-                    column[last:last + 1] for column in partials
-                ]
-                pending_count = int(counts[last])
-                pending_key = _row(codes, starts[last])
-        if pending_key is not None:
-            final = self._finish_group(
-                pending_key_rows, pending_partials, pending_count
-            )
-            yield self._rows_to_batch([final])
+            groups = [key[starts] for key in keys]
+            groups += _partials(self, values, starts, counts)
+            groups.append(counts)
+            if open_group is not None:
+                if _row(codes, 0) == open_codes:
+                    # The open group continues: fold in the first one.
+                    # ufuncs, not min()/max(): a NaN must win in any order
+                    groups = [
+                        np.concatenate([
+                            old if fold is None else fold(old, new[:1]),
+                            new[1:],
+                        ])
+                        for fold, old, new in zip(folds, open_group, groups)
+                    ]
+                else:
+                    groups = [
+                        np.concatenate([old, new])
+                        for old, new in zip(open_group, groups)
+                    ]
+            last = len(groups[-1]) - 1
+            if last:
+                yield self._batch([column[:last] for column in groups])
+            open_group = [column[last:] for column in groups]
+            open_codes = _row(codes, starts[-1])
+        if open_group is not None:
+            yield self._batch(open_group)
 
-    def _segments_to_batch(
-        self,
-        segment_keys: list[np.ndarray],
-        partials: list[np.ndarray],
-        counts: np.ndarray,
-        first: int,
-        last: int,
-        merged_row: list | None,
-    ) -> VectorBatch | None:
-        """Completed segments [first, last) (+ one merged boundary row)
-        as a single output batch, built with array slicing."""
-        if first >= last and merged_row is None:
-            return None
-        arrays: list[np.ndarray] = []
-        slot = 0
-        for key in segment_keys:
-            arrays.append(key[first:last])
-            slot += 1
-        for spec, column in zip(self.aggregates, partials):
-            values = column[first:last]
-            if spec.function == "AVG":
-                values = values.astype(np.float64) / counts[first:last]
-            arrays.append(values)
-        result = VectorBatch(
-            self.schema,
-            [
-                array.astype(column.sql_type.numpy_dtype, copy=False)
-                if array.dtype != np.dtype(object)
-                else array
-                for array, column in zip(arrays, self.schema)
-            ],
+    def _batch(self, groups: list[np.ndarray]) -> VectorBatch:
+        split = len(self.group_expressions)
+        return _output_batch(
+            self, groups[:split], groups[split:-1], groups[-1]
         )
-        if merged_row is not None:
-            merged = self._rows_to_batch([merged_row])
-            # The merged boundary group precedes this batch's segments.
-            result = concat_batches(self.schema, [merged, result])
-        return result
-
-    def _finish_group(self, key_row: list, partials: list, count: int) -> list:
-        """One output row; *partials* are one-element arrays."""
-        row = list(key_row)
-        for spec, partial in zip(self.aggregates, partials):
-            if spec.function == "AVG":
-                row.append(float(partial[0]) / count)
-            else:
-                row.append(partial[0])
-        return row
-
-    def _rows_to_batch(self, rows: list[list]) -> VectorBatch:
-        arrays = []
-        for position, column in enumerate(self.schema):
-            values = [row[position] for row in rows]
-            if column.sql_type.numpy_dtype == np.dtype(object):
-                array = np.array(values, dtype=object)
-            else:
-                array = np.asarray(
-                    values, dtype=column.sql_type.numpy_dtype
-                )
-            arrays.append(array)
-        return VectorBatch(self.schema, arrays)
 
     def describe(self) -> str:
         keys = ", ".join(map(str, self.group_expressions))
@@ -512,169 +549,4 @@ class OrderedAggregate(UnaryOperator):
         return (
             f"OrderedAggregate(by [{keys}] compute [{aggs}])"
             f"{_describe_fusion(self)}"
-        )
-
-
-class SegmentedAggregate(UnaryOperator):
-    """Partially ordered aggregation (paper Section 4.4's pipelining).
-
-    When the input is sorted by a *prefix* of the group keys (the fact
-    table's unique ID in ModelJoin queries) but not by all of them, a
-    fully streaming aggregate is impossible — yet the pipeline does not
-    have to break: rows of one prefix value are contiguous, so the
-    operator buffers only the *current segment* (one ID's rows — a few
-    hundred values for the paper's models) and hash-aggregates each
-    segment as it closes.  "The aggregation does not need the full
-    dataset, leading to a low memory footprint and pipelined
-    execution."
-
-    The prefix keys must be the leading group keys and bare columns;
-    the planner arranges both.
-    """
-
-    def __init__(
-        self,
-        context: ExecutionContext,
-        child: PhysicalOperator,
-        group_expressions: list[Expression],
-        group_names: list[str],
-        aggregates: list[AggregateSpec],
-        prefix_length: int,
-        kernel: FusedKernel | InterpretedKernel | None = None,
-    ):
-        if not 0 < prefix_length <= len(group_expressions):
-            raise PlanError("invalid segmented-aggregation prefix length")
-        for expression in group_expressions[:prefix_length]:
-            if not isinstance(expression, ColumnRef):
-                raise PlanError(
-                    "segmented aggregation needs bare-column prefix keys"
-                )
-        prefix_names = {
-            expression.name.lower()
-            for expression in group_expressions[:prefix_length]
-        }
-        child_order = tuple(name.lower() for name in child.ordering)
-        if set(child_order[:prefix_length]) != prefix_names:
-            raise PlanError(
-                f"input ordering {child.ordering} does not cover the "
-                f"prefix keys {sorted(prefix_names)}"
-            )
-        schema = _output_schema(
-            child.schema, group_expressions, group_names, aggregates
-        )
-        super().__init__(context, schema, child)
-        self.group_expressions = list(group_expressions)
-        self.group_names = list(group_names)
-        self.aggregates = list(aggregates)
-        self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
-        self.prefix_length = prefix_length
-        self.kernel = _input_kernel(self, child, kernel)
-
-    @property
-    def ordering(self) -> tuple[str, ...]:
-        # Output is ordered by the prefix keys (segments are emitted in
-        # input order); the within-segment order is unspecified.
-        return tuple(self.group_names[: self.prefix_length])
-
-    def _produce(self) -> Iterator[VectorBatch]:
-        # Only the OPEN tail segment is ever buffered; all segments
-        # that close within a batch are aggregated together in one
-        # sort+reduceat pass (their prefixes are disjoint, so a single
-        # full-key grouping is equivalent to per-segment grouping and
-        # avoids a Python round trip per segment).
-        buffered_keys: list[list[np.ndarray]] = [
-            [] for _ in self.group_expressions
-        ]
-        buffered_values: list[list[np.ndarray]] = [
-            [] for _ in self.inputs
-        ]
-        buffered_bytes = 0
-        pending_prefix = None
-
-        def buffer_slice(
-            keys: list[np.ndarray],
-            values: list[np.ndarray],
-            start: int,
-            stop: int,
-        ) -> None:
-            nonlocal buffered_bytes
-            key_slices = [key[start:stop] for key in keys]
-            value_slices = [value[start:stop] for value in values]
-            for slot, piece in enumerate(key_slices):
-                buffered_keys[slot].append(piece)
-            for slot, piece in enumerate(value_slices):
-                buffered_values[slot].append(piece)
-            added = _nbytes(key_slices) + _nbytes(value_slices)
-            buffered_bytes += added
-            self.context.memory.allocate(added, "aggregation-segment")
-
-        def flush() -> VectorBatch | None:
-            nonlocal buffered_bytes
-            if not buffered_keys[0]:
-                return None
-            keys = [np.concatenate(chunks) for chunks in buffered_keys]
-            values = [np.concatenate(chunks) for chunks in buffered_values]
-            for chunks in buffered_keys:
-                chunks.clear()
-            for chunks in buffered_values:
-                chunks.clear()
-            self.context.memory.release(
-                buffered_bytes, "aggregation-segment"
-            )
-            buffered_bytes = 0
-            return _grouped_batch(self, keys, values)
-
-        for keys, values in _inputs(self):
-            prefix = equality_codes(keys[: self.prefix_length])
-            rows = len(prefix[0])
-            # Start of the final (still open) segment of this batch.
-            boundaries = run_starts(prefix)[1:]
-            last_start = int(boundaries[-1]) if len(boundaries) else 0
-            # 1. Resolve the carried-over open segment.
-            continues = (
-                pending_prefix is not None
-                and _row(prefix, 0) == pending_prefix
-            )
-            if continues:
-                # Extend the buffer with the first segment's rows.
-                first_stop = (
-                    int(boundaries[0]) if len(boundaries) else rows
-                )
-                buffer_slice(keys, values, 0, first_stop)
-                closed_start = first_stop
-                if first_stop < rows:
-                    result = flush()
-                    if result is not None:
-                        yield result
-            else:
-                result = flush()
-                if result is not None:
-                    yield result
-                closed_start = 0
-            # 2. All segments that both start and end in this batch.
-            if closed_start < last_start:
-                result = _grouped_batch(
-                    self,
-                    [key[closed_start:last_start] for key in keys],
-                    [
-                        value[closed_start:last_start]
-                        for value in values
-                    ],
-                )
-                yield result
-            # 3. Buffer the open tail segment.
-            tail_start = max(last_start, closed_start)
-            if tail_start < rows:
-                buffer_slice(keys, values, tail_start, rows)
-            pending_prefix = _row(prefix, rows - 1)
-        final = flush()
-        if final is not None:
-            yield final
-
-    def describe(self) -> str:
-        keys = ", ".join(map(str, self.group_expressions))
-        aggs = ", ".join(str(spec) for spec in self.aggregates)
-        return (
-            f"SegmentedAggregate(prefix={self.prefix_length} "
-            f"by [{keys}] compute [{aggs}]){_describe_fusion(self)}"
         )

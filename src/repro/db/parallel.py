@@ -459,52 +459,28 @@ def _run_round(
     pool: WorkerPool | None,
     on_error: Callable[[TaskOutcome], None] | None = None,
 ) -> list[TaskOutcome]:
-    """Execute the pending pipelines once, capturing every outcome."""
+    """Execute the pending pipelines once, capturing every outcome.
+
+    *pool* may be None only for a single pipeline."""
     functions = [lambda index=index: run_one(index) for index in pending]
-    if len(functions) == 1:
-        # Serial (or single-pipeline retry) fast path on the caller's
-        # thread — by definition a different "worker" than a crashed
-        # pool task.
-        outcome = TaskOutcome(worker=current_worker_name())
-        try:
-            outcome.result = functions[0]()
-        except BaseException as error:
-            outcome.error = error
-        return [outcome]
-    if pool is not None:
+    if len(functions) > 1:
         return pool.run_task_outcomes(
             functions, worker_offset=attempt, on_error=on_error
         )
-    outcomes = [TaskOutcome() for _ in functions]
-
-    def run_at(position: int) -> None:
-        outcome = outcomes[position]
-        outcome.worker = threading.current_thread().name
-        try:
-            outcome.result = functions[position]()
-        except BaseException as error:
-            outcome.error = error
-            if on_error is not None:
-                try:
-                    on_error(outcome)
-                except Exception:
-                    pass
-
-    threads = [
-        threading.Thread(target=run_at, args=(position,))
-        for position in range(len(functions))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return outcomes
+    # Serial (or single-pipeline retry) fast path on the caller's
+    # thread — by definition a different "worker" than a crashed pool
+    # task.
+    outcome = TaskOutcome(worker=current_worker_name())
+    try:
+        outcome.result = functions[0]()
+    except BaseException as error:
+        outcome.error = error
+    return [outcome]
 
 
 def run_plans(
     plans: list[PhysicalOperator],
     pool: WorkerPool | None = None,
-    morsel_driven: bool = False,
     plan_builder: PlanBuilder | None = None,
     retries: int = 0,
 ) -> tuple[Schema, list[list[VectorBatch]]]:
@@ -530,7 +506,7 @@ def run_plans(
     """
     if not plans:
         raise ValueError("need at least one plan")
-    sources = attach_morsel_sources(plans) if morsel_driven else []
+    sources = attach_morsel_sources(plans)
     source = sources[0] if sources else None
     context = plans[0].context
     tracer = context.tracer

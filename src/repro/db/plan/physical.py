@@ -37,7 +37,7 @@ from repro.db.operators import (
     SortOperator,
     TableScan,
 )
-from repro.db.operators.aggregate import SegmentedAggregate, input_outputs
+from repro.db.operators.aggregate import input_outputs
 from repro.db.operators.misc import RenameOperator
 from repro.db.plan.logical import (
     LogicalAggregate,
@@ -331,33 +331,18 @@ class Lowering:
         else:
             child = self.lower(child_node)
 
-        group_exprs = list(node.group_exprs)
-        group_names = list(node.group_names)
-        strategy = "hash"
-        prefix_length = 0
-        if self.options.use_ordered_aggregation and all(
-            isinstance(expression, ColumnRef)
-            for expression in node.group_exprs
-        ):
-            keys = {
-                expression.name.lower()
-                for expression in node.group_exprs
-            }
-            prefix = {
-                name.lower() for name in child.ordering[: len(keys)]
-            }
-            if prefix == keys:
-                strategy = "ordered"
-        if strategy == "hash" and getattr(
-            self.options, "use_segmented_aggregation", False
-        ):
-            layout = self._segmented_layout(child, node)
-            if layout is not None:
-                order, prefix_length = layout
-                group_exprs = [node.group_exprs[i] for i in order]
-                group_names = [node.group_names[i] for i in order]
-                strategy = "segmented"
-
+        prefix = _streaming_prefix(child.ordering, node.group_exprs)
+        keys, options = len(node.group_exprs), self.options
+        streaming = len(prefix) == keys and options.use_ordered_aggregation
+        segmented = (
+            0 < len(prefix) < keys and options.use_segmented_aggregation
+        )
+        order = list(range(keys))
+        if streaming or segmented:
+            # The prefix keys lead, in the input's order.
+            order = prefix + [i for i in order if i not in prefix]
+        group_exprs = [node.group_exprs[i] for i in order]
+        group_names = [node.group_names[i] for i in order]
         child, kernel = filtered_segment(
             self.context,
             self.compiler,
@@ -366,23 +351,13 @@ class Lowering:
             input_outputs(group_exprs, group_names, node.aggregates),
             "aggregate-input",
         )
-        if strategy == "ordered":
+        if streaming:
             return OrderedAggregate(
                 self.context,
                 child,
                 group_exprs,
                 group_names,
                 node.aggregates,
-                kernel=kernel,
-            )
-        if strategy == "segmented":
-            return SegmentedAggregate(
-                self.context,
-                child,
-                group_exprs,
-                group_names,
-                node.aggregates,
-                prefix_length=prefix_length,
                 kernel=kernel,
             )
         return HashAggregate(
@@ -392,36 +367,8 @@ class Lowering:
             group_names,
             node.aggregates,
             kernel=kernel,
+            prefix_length=len(prefix) if segmented else 0,
         )
-
-    def _segmented_layout(
-        self, child: PhysicalOperator, node: LogicalAggregate
-    ) -> tuple[list[int], int] | None:
-        """Group-key reordering for SegmentedAggregate, when the input
-        ordering covers a proper, non-empty prefix of the group keys
-        (paper §4.4).  Returns (key order, prefix length) or None."""
-        bare = {}
-        for index, expression in enumerate(node.group_exprs):
-            if isinstance(expression, ColumnRef):
-                bare.setdefault(expression.name.lower(), index)
-        prefix_indices: list[int] = []
-        seen: set[int] = set()
-        for name in child.ordering:
-            index = bare.get(name.lower())
-            if index is None or index in seen:
-                break
-            prefix_indices.append(index)
-            seen.add(index)
-        if not prefix_indices or len(prefix_indices) >= len(
-            node.group_exprs
-        ):
-            return None
-        order = prefix_indices + [
-            index
-            for index in range(len(node.group_exprs))
-            if index not in seen
-        ]
-        return order, len(prefix_indices)
 
     def _lower_order_by(
         self, node: LogicalOrderBy, top: int | None = None
@@ -437,6 +384,24 @@ class Lowering:
         if all(node.ascending) and have[: len(wanted)] == wanted:
             return child
         return SortOperator(self.context, child, keys, node.ascending, top)
+
+
+def _streaming_prefix(ordering, group_exprs) -> list[int]:
+    """Positions of the group keys that the input is sorted by (paper
+    Section 4.4): the longest prefix of *ordering* made of bare-column
+    group keys, in ordering order.  All of them → the order-based
+    aggregate; some → the segment-buffering one; none → plain hash."""
+    positions: dict[str, list[int]] = {}
+    for index, expression in enumerate(group_exprs):
+        if isinstance(expression, ColumnRef):
+            positions.setdefault(expression.name.lower(), []).append(index)
+    prefix: list[int] = []
+    for name in ordering:
+        indices = positions.pop(name.lower(), None)
+        if indices is None:
+            break
+        prefix.extend(indices)
+    return prefix
 
 
 # ----------------------------------------------------------------------

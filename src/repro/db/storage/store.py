@@ -235,6 +235,19 @@ class DiskPartition:
     def append(self, batch: VectorBatch) -> None:
         self._overlay.append(batch)
 
+    def last_values(self, positions: list[int]) -> list | None:
+        """The last row's values at *positions*; None when empty."""
+        values = self._overlay.last_values(positions)
+        if values is not None:
+            return values
+        self._ensure_meta()
+        if not self._disk_blocks:
+            return None
+        last = len(self._disk_blocks) - 1
+        return [
+            array[-1] for array in self.read_block_columns(last, positions)
+        ]
+
     def blocks(self) -> list:
         return self.zoned_blocks()[0]
 

@@ -6,9 +6,9 @@ key — a unique key yields balanced partitions and, because the ModelJoin
 group key ``(ID, Node)`` is derivable from an ``ID`` partitioning, no
 repartitioning is ever needed (paper Section 4.4).
 
-Tables may declare a *sort key*: the engine then trusts (and optionally
-verifies) that rows arrive in that order per partition, which unlocks
-order-based aggregation downstream.
+Tables may declare a *sort key*: every append checks that rows arrive
+in that order per partition, which unlocks order-based aggregation and
+Sort elision downstream.
 """
 
 from __future__ import annotations
@@ -24,6 +24,29 @@ from repro.db.vector import VectorBatch
 from repro.errors import DatabaseError, ExecutionError
 
 
+def _out_of_order(columns: list[np.ndarray]) -> bool:
+    """Whether some row of *columns* precedes the row before it in
+    ascending ``ORDER BY`` order (NaN last; columns compared left to
+    right)."""
+    tied = None  # adjacent pairs equal on every column so far
+    for index, column in enumerate(columns):
+        before, after = column[:-1], column[1:]
+        descending = before > after
+        if column.dtype.kind == "f":
+            before_nan, after_nan = np.isnan(before), np.isnan(after)
+            descending |= before_nan & ~after_nan
+        if tied is not None:
+            descending &= tied
+        if descending.any():
+            return True
+        if index + 1 < len(columns):
+            equal = before == after
+            if column.dtype.kind == "f":
+                equal |= before_nan & after_nan
+            tied = equal if tied is None else tied & equal
+    return False
+
+
 class Partition:
     """One horizontal slice of a table, stored as blocks."""
 
@@ -37,6 +60,9 @@ class Partition:
 
     def append(self, batch: VectorBatch) -> None:
         self._builder.append(batch)
+
+    def last_values(self, positions: list[int]) -> list | None:
+        return self._builder.last_values(positions)
 
     def blocks(self) -> list[Block]:
         return self._builder.all_blocks()
@@ -124,23 +150,38 @@ class Table:
         return sum(partition.nominal_bytes() for partition in self.partitions)
 
     def append_batch(self, batch: VectorBatch) -> None:
-        """Route the rows of *batch* to their partitions and store them."""
+        """Route the rows of *batch* to their partitions and store them.
+
+        A sort key is a contract: each partition must receive its rows
+        in ``ORDER BY`` order (NaN last), after its last row, or the
+        append stores nothing and raises :class:`DatabaseError`.
+        """
         if len(batch) == 0:
             return
+        pieces = self._route(batch)
+        if self.sort_key:
+            for partition, piece in pieces:
+                self._check_order(partition, piece)
         self.version += 1
-        if self.num_partitions == 1:
-            self.partitions[0].append(batch)
-            return
+        for partition, piece in pieces:
+            partition.append(piece)
+
+    def _route(self, batch: VectorBatch) -> list[tuple]:
+        """``(partition, rows)`` for each partition *batch* has rows for."""
+        count = self.num_partitions
+        if count == 1:
+            return [(self.partitions[0], batch)]
         if self.partition_key is None:
             # Round-robin in whole batches keeps insertion order per
             # partition, which is what preserves a declared sort key.
-            sizes = np.full(self.num_partitions, len(batch) // self.num_partitions)
-            sizes[: len(batch) % self.num_partitions] += 1
-            start = 0
-            for partition, size in zip(self.partitions, sizes):
-                partition.append(batch.slice(start, start + int(size)))
-                start += int(size)
-            return
+            sizes = np.full(count, len(batch) // count)
+            sizes[: len(batch) % count] += 1
+            stops = np.cumsum(sizes)
+            return [
+                (partition, batch.slice(int(stop - size), int(stop)))
+                for partition, size, stop in zip(self.partitions, sizes, stops)
+                if size
+            ]
         keys = batch.column(self.partition_key)
         if keys.dtype == object:
             hashes = np.fromiter(
@@ -148,11 +189,29 @@ class Table:
             )
         else:
             hashes = keys.astype(np.int64, copy=False)
-        assignment = np.abs(hashes) % self.num_partitions
+        assignment = np.abs(hashes) % count
+        pieces = []
         for index, partition in enumerate(self.partitions):
             mask = assignment == index
             if mask.any():
-                partition.append(batch.filter(mask))
+                pieces.append((partition, batch.filter(mask)))
+        return pieces
+
+    def _check_order(self, partition, batch: VectorBatch) -> None:
+        positions = [self.schema.position_of(key) for key in self.sort_key]
+        columns = [batch.arrays[position] for position in positions]
+        last = partition.last_values(positions)
+        if last is not None:
+            columns = [
+                np.concatenate([np.array([value], column.dtype), column])
+                for value, column in zip(last, columns)
+            ]
+        if _out_of_order(columns):
+            raise DatabaseError(
+                f"table {self.name!r} is SORTED BY "
+                f"({', '.join(self.sort_key)}): rows must arrive in that "
+                "order (NaN last) in each partition"
+            )
 
     def append_columns(self, **columns: np.ndarray) -> None:
         """Convenience bulk load from named arrays."""

@@ -186,17 +186,9 @@ def _run_create_model(database, statement: CreateModel, context, planner):
 
     # 2. Train (unlocked — serving traffic proceeds meanwhile).
     model = _build_model(statement, features.shape[1], spec.seed)
-    arena = None
-    try:
-        from repro.core.modeljoin.inference import BufferArena
-
-        arena = BufferArena(max(spec.batch_size, 1))
-    except ImportError:  # bare repro.db usage; operator self-provisions
-        pass
     operator = TrainOperator(
         model,
         spec,
-        arena=arena,
         tracer=database.tracer,
         metrics=database.metrics,
         retries=database.task_retries,

@@ -21,8 +21,9 @@ import numpy as np
 
 from repro.db import faults
 from repro.db.train.spec import TrainingSpec
+from repro.device.arena import BufferArena
 from repro.errors import InjectedFaultError, TrainingError
-from repro.nn.backward import DenseBackward, WorkspaceArena
+from repro.nn.backward import DenseBackward
 from repro.nn.model import Sequential
 
 
@@ -41,7 +42,6 @@ class TrainOperator:
         model: Sequential,
         spec: TrainingSpec,
         device=None,
-        arena=None,
         tracer=None,
         metrics=None,
         retries: int = 2,
@@ -54,7 +54,7 @@ class TrainOperator:
         self.model = model
         self.spec = spec
         self.device = device
-        self.arena = arena if arena is not None else WorkspaceArena()
+        self.arena = BufferArena(max(spec.batch_size, 1))
         self.tracer = tracer
         self.metrics = metrics
         self.retries = retries

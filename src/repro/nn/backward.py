@@ -6,9 +6,8 @@ expresses the same minibatch-SGD math through the
 ``activation``) over reusable arena views, so training shares the
 accounting, tracing and cancellation machinery of the inference
 kernels.  The engine's ``CREATE MODEL ... AS TRAIN`` operator
-(:mod:`repro.db.train`) drives it with the real inference
-``BufferArena``; :class:`WorkspaceArena` is a standalone stand-in with
-the same ``take`` contract.
+(:mod:`repro.db.train`) drives it with the same
+:class:`~repro.device.arena.BufferArena` as inference.
 
 Dense-only, like :func:`~repro.nn.training.fit`: LSTM backpropagation
 through time is out of scope (the paper trains nothing at all).
@@ -21,31 +20,6 @@ import numpy as np
 from repro.errors import ModelError
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
-
-
-class WorkspaceArena:
-    """Minimal named-buffer arena.
-
-    Same ``take(tag, rows, cols)`` contract as the inference
-    ``BufferArena``: one float32 buffer per tag, reused across calls,
-    grown only when a request exceeds its capacity.
-    """
-
-    def __init__(self, capacity_rows: int = 1):
-        self.capacity_rows = max(capacity_rows, 1)
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, tag: str, rows: int, cols: int) -> np.ndarray:
-        buffer = self._buffers.get(tag)
-        if (
-            buffer is None
-            or buffer.shape[0] < rows
-            or buffer.shape[1] != cols
-        ):
-            capacity = max(rows, self.capacity_rows)
-            buffer = np.empty((capacity, cols), dtype=np.float32)
-            self._buffers[tag] = buffer
-        return buffer[:rows]
 
 
 def mse_loss_and_grad(

@@ -103,7 +103,9 @@ class TestValidatorGuardsTheBuilder:
     def test_corruption_that_breaks_build_fails_validation(self):
         db, _ = self._published()
         table = db.table("clf_table")
-        table.append_rows([(42, 3) + (1.0,) * 12])  # dangling source
+        # a dangling source on the last node (SORTED BY (node) holds)
+        nodes = db.execute("SELECT node FROM clf_table").column("node")
+        table.append_rows([(42, int(nodes.max())) + (1.0,) * 12])
         report = verify_model_table(db, "clf")
         assert not report.ok
         runner = NativeModelJoin(db, "clf")

@@ -147,10 +147,10 @@ class TestInvalidation:
 
         # Overwrite one weight: rows fill by (node_in, node) coordinates
         # and later rows win, so re-inserting an existing coordinate
-        # with a new w_i value changes the rebuilt model.
+        # with a new w_i value changes the rebuilt model.  The last
+        # row's: appends keep the table's SORTED BY (node) order.
         table = db.table("m_table")
-        batch = next(table.scan())
-        row = list(batch.to_rows()[len(batch) // 2])
+        row = list(list(table.scan())[-1].to_rows()[-1])
         weight_position = table.schema.position_of("w_i")
         row[weight_position] = float(row[weight_position]) + 5.0
         version_before = table.version

@@ -46,9 +46,10 @@ class TestCorruptionDetected:
 
     def test_extra_edge_detected(self, published):
         db, _ = published
-        # A duplicate edge inside the first dense block.
+        # A duplicate edge inside the last dense block (appended rows
+        # keep the table's SORTED BY (node) order).
         self._table(db).append_rows(
-            [(0, 3) + (0.5,) * 12]
+            [(3, 8) + (0.5,) * 12]
         )
         report = verify_model_table(db, "clf")
         assert not report.ok
@@ -65,7 +66,7 @@ class TestCorruptionDetected:
         db, _ = published
         # Dense block at nodes 7..8 fed from node 0 (the input block,
         # not the previous layer).
-        self._table(db).append_rows([(0, 7) + (0.0,) * 12])
+        self._table(db).append_rows([(0, 8) + (0.0,) * 12])
         report = verify_model_table(db, "clf")
         assert any(
             "do not originate" in issue or "expected" in issue
@@ -75,7 +76,7 @@ class TestCorruptionDetected:
     def test_non_finite_weight_detected(self, published):
         db, _ = published
         self._table(db).append_rows(
-            [(1, 7, float("nan")) + (0.0,) * 11]
+            [(1, 8, float("nan")) + (0.0,) * 11]
         )
         report = verify_model_table(db, "clf")
         assert any("non-finite" in issue for issue in report.issues)

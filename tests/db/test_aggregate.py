@@ -390,6 +390,20 @@ class TestNanAcrossBatches:
         assert np.isnan(low) and np.isnan(high)
 
 
+def test_streaming_keys_follow_the_input_order():
+    """GROUP BY h, g over input sorted by (g, h) streams in (g, h)
+    order, so ORDER BY h, g still needs its Sort."""
+    db = Database()
+    db.execute(
+        "CREATE TABLE u (g INTEGER, h INTEGER, v INTEGER) SORTED BY (g, h)"
+    )
+    db.table("u").append_rows([(1, 2, 1), (2, 1, 1), (3, 0, 1)])
+    sql = "SELECT h, g, SUM(v) AS s FROM u GROUP BY h, g ORDER BY h, g"
+    plan = db.explain(sql)
+    assert "OrderedAggregate(by [u.g, u.h]" in plan and "Sort(" in plan
+    assert db.execute(sql).rows == [(0, 3, 1), (1, 2, 1), (2, 1, 1)]
+
+
 def _bits(result, name):
     return result.column(name).tobytes()
 

@@ -324,3 +324,22 @@ class TestBatchBoundaryFuzz:
             fact_rows(fact), lambda row: (row[2], row[1])
         )
         assert db.execute(sql).rows == expected
+        # ORDER BY the prefix alone elides the Sort, so the segments'
+        # own order shows — on a negative FLOAT key too.
+        g = 0.5 * fact["g"] - 0.25 * fact["g"].max() - 0.5
+        fact["g"] = g.astype(np.float32)
+        db.execute(
+            "CREATE TABLE ffact (id INTEGER, k INTEGER, g FLOAT, "
+            "v INTEGER, f FLOAT) SORTED BY (g)"
+        )
+        db.table("ffact").append_columns(**fact)
+        sql = sql.replace("FROM fact", "FROM ffact")
+        sql = sql.replace("ORDER BY g, k", "ORDER BY g")
+        plan = db.explain(sql).split("== Physical Plan ==")[1]
+        assert "SegmentedAggregate" in plan and "Sort(" not in plan
+        rows = db.execute(sql).rows
+        assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+        expected = grouped_reference(
+            fact_rows(fact), lambda row: (row[2], row[1])
+        )
+        assert sorted(rows) == expected

@@ -11,9 +11,9 @@ from repro.db.expressions import ColumnRef
 from repro.db.operators import (
     AggregateSpec,
     ExecutionContext,
+    HashAggregate,
     TableScan,
 )
-from repro.db.operators.aggregate import SegmentedAggregate
 from repro.db.planner import PlannerOptions
 from repro.db.schema import Schema
 from repro.db.table import Table
@@ -21,15 +21,17 @@ from repro.db.types import SqlType
 from repro.errors import PlanError
 
 
-def make_table(ids, nodes, values, sort_key=("id",)):
+def make_table(
+    ids, nodes, values, sort_key=("id",), id_type=SqlType.INTEGER
+):
     schema = Schema.of(
-        ("id", SqlType.INTEGER),
+        ("id", id_type),
         ("node", SqlType.INTEGER),
         ("v", SqlType.FLOAT),
     )
     table = Table("t", schema, sort_key=sort_key, block_size=16)
     table.append_columns(
-        id=np.asarray(ids, dtype=np.int64),
+        id=np.asarray(ids, dtype=id_type.numpy_dtype),
         node=np.asarray(nodes, dtype=np.int64),
         v=np.asarray(values, dtype=np.float32),
     )
@@ -37,7 +39,7 @@ def make_table(ids, nodes, values, sort_key=("id",)):
 
 
 def run_segmented(table, context, prefix_length=1):
-    operator = SegmentedAggregate(
+    operator = HashAggregate(
         context,
         TableScan(context, table),
         [ColumnRef("id"), ColumnRef("node")],
@@ -91,7 +93,7 @@ class TestOperator:
         table = make_table([1, 2], [0, 0], [1.0, 1.0], sort_key=())
         context = ExecutionContext()
         with pytest.raises(PlanError, match="ordering"):
-            SegmentedAggregate(
+            HashAggregate(
                 context,
                 TableScan(context, table),
                 [ColumnRef("id"), ColumnRef("node")],
@@ -104,34 +106,41 @@ class TestOperator:
         table = make_table([1], [0], [1.0])
         context = ExecutionContext()
         with pytest.raises(PlanError, match="prefix"):
-            SegmentedAggregate(
+            HashAggregate(
                 context,
                 TableScan(context, table),
                 [ColumnRef("id")],
                 ["id"],
                 [AggregateSpec("SUM", ColumnRef("v"), "s")],
-                prefix_length=0,
+                prefix_length=1,
             )
 
     def test_output_ordered_by_prefix(self):
         ids = np.sort(np.arange(100) % 20)
-        context = ExecutionContext(vector_size=7)
-        table = make_table(ids, ids % 3, np.ones(100))
-        operator = SegmentedAggregate(
-            context,
-            TableScan(context, table),
-            [ColumnRef("id"), ColumnRef("node")],
-            ["id", "node"],
-            [AggregateSpec("SUM", ColumnRef("v"), "s")],
-            prefix_length=1,
-        )
-        assert operator.ordering == ("id",)
-        emitted = [
-            row[0]
-            for batch in operator.batches()
-            for row in batch.to_rows()
-        ]
-        assert emitted == sorted(emitted)
+        for id_type, prefix in (
+            (SqlType.INTEGER, ids),
+            # negative floats: their int64 bit patterns run backwards
+            (SqlType.FLOAT, 2.0 - 0.5 * ids[::-1]),
+        ):
+            context = ExecutionContext(vector_size=7)
+            table = make_table(
+                prefix, ids % 3, np.ones(100), id_type=id_type
+            )
+            operator = HashAggregate(
+                context,
+                TableScan(context, table),
+                [ColumnRef("id"), ColumnRef("node")],
+                ["id", "node"],
+                [AggregateSpec("SUM", ColumnRef("v"), "s")],
+                prefix_length=1,
+            )
+            assert operator.ordering == ("id",)
+            emitted = [
+                row[0]
+                for batch in operator.batches()
+                for row in batch.to_rows()
+            ]
+            assert emitted == sorted(emitted)
 
 
 @settings(max_examples=40, deadline=None)

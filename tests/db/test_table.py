@@ -97,12 +97,80 @@ class TestPartitioning:
             )
             assert (np.diff(ids) > 0).all()
 
+    def test_round_robin_sorted_loads_in_order(self, schema):
+        table = Table("t", schema, num_partitions=3, sort_key=("id",))
+        for start in range(0, 100, 25):
+            table.append_columns(
+                id=np.arange(start, start + 25, dtype=np.int64),
+                v=np.zeros(25, dtype=np.float32),
+            )
+        assert table.row_count == 100
+
     def test_scan_partition_out_of_range(self, schema):
         from repro.errors import ExecutionError
 
         table = Table("t", schema, num_partitions=2)
         with pytest.raises(ExecutionError):
             list(table.scan(5))
+
+
+class TestSortKeyContract:
+    """A sort key is checked on every append: each partition's rows
+    must arrive in ORDER BY order (NaN last), after its last row."""
+
+    def test_unsorted_insert_is_rejected(self):
+        db = repro.connect()
+        db.execute("CREATE TABLE t (g INTEGER, v INTEGER) SORTED BY (g)")
+        with pytest.raises(DatabaseError, match=r"'t' is SORTED BY \(g\)"):
+            db.execute("INSERT INTO t VALUES (2, 1), (1, 1), (2, 1)")
+        table = db.table("t")
+        assert table.row_count == 0 and table.version == 0
+        db.close()
+
+    def test_append_must_follow_the_last_row(self, schema):
+        table = Table("t", schema, sort_key=("id",), block_size=4)
+        table.append_rows([(1, 0.0), (5, 0.0), (5, 1.0)])
+        with pytest.raises(DatabaseError, match="SORTED BY"):
+            table.append_rows([(4, 0.0)])
+        table.append_rows([(5, 2.0), (9, 0.0)])  # ties are in order
+        assert table.row_count == 5
+
+    def test_nan_sorts_last(self, schema):
+        table = Table("t", schema, sort_key=("v", "id"))
+        table.append_rows([(3, -1.0), (1, 2.0), (0, math.nan)])
+        table.append_rows([(2, math.nan)])
+        with pytest.raises(DatabaseError):
+            table.append_rows([(1, math.nan)])  # id breaks the NaN tie
+        with pytest.raises(DatabaseError):
+            table.append_rows([(9, 7.0)])
+        assert table.row_count == 4
+
+    def test_partitions_are_checked_separately(self, schema):
+        table = Table(
+            "t",
+            schema,
+            num_partitions=2,
+            partition_key="id",
+            sort_key=("v",),
+        )
+        # partition 0 gets v 1, 2; partition 1 gets v 0, 5
+        table.append_rows([(0, 1.0), (1, 0.0), (2, 2.0), (3, 5.0)])
+        table.append_rows([(4, 3.0)])
+        with pytest.raises(DatabaseError):
+            table.append_rows([(5, 4.0)])
+
+    def test_checked_after_reopen(self, tmp_path):
+        db = repro.connect(path=str(tmp_path / "db"))
+        db.execute("CREATE TABLE s (k VARCHAR, v INTEGER) SORTED BY (k)")
+        db.execute("INSERT INTO s VALUES ('a', 1), ('m', 2)")
+        db.checkpoint()
+        db.close()
+        reopened = repro.connect(path=str(tmp_path / "db"))
+        with pytest.raises(DatabaseError, match="SORTED BY"):
+            reopened.execute("INSERT INTO s VALUES ('b', 3)")
+        reopened.execute("INSERT INTO s VALUES ('m', 3), ('z', 4)")
+        assert reopened.table("s").row_count == 4
+        reopened.close()
 
 
 def pruned_scan(table: Table, low, high) -> list:
