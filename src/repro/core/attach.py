@@ -20,7 +20,7 @@ def attach(database: Database) -> Database:
     """
     from repro.core.cost.selector import CostBasedVariantSelector
     from repro.core.modeljoin.cache import ModelCache
-    from repro.core.modeljoin.operator import modeljoin_operator_factory
+    from repro.core.modeljoin.operator import ModelJoinOperator
 
     if database.variant_selector is None:
         # Cost-based ModelJoin variant selection: the planner ranks all
@@ -52,7 +52,7 @@ def attach(database: Database) -> Database:
 
     def factory(**kwargs):
         kwargs.setdefault("model_cache", database.model_cache)
-        return modeljoin_operator_factory(**kwargs)
+        return ModelJoinOperator(**kwargs)
 
     database.set_modeljoin_factory(factory)
     return database

@@ -7,25 +7,20 @@ A two-phase join operator integrated into the vectorized engine:
   weight matrices — distinct partitions touch distinct matrix cells, so
   the fill is synchronization-free; a single barrier separates build
   from inference (Figure 6),
-- **inference phase** (:mod:`repro.core.modeljoin.inference`): per
-  inference batch of whole 1024-tuple vectors, input columns are packed
-  into a matrix once, the layer-forward functions run through the
-  BLAS-style device interface (Listing 5 for LSTM), and results are
-  unpacked into output vectors (Figure 7).  Runs on the host CPU or on
-  the simulated GPU.
+- **inference phase** (:mod:`repro.core.modeljoin.inference`): one
+  kernel per inference batch of whole 1024-tuple vectors packs the
+  input columns into a matrix once and runs the layers through the
+  BLAS-style device interface (Figure 7, Listing 5 for LSTM), on the
+  host CPU or on the simulated GPU.
 """
 
 from repro.core.modeljoin.builder import BuiltModel, ModelBuilder
 from repro.core.modeljoin.inference import VectorizedInference
-from repro.core.modeljoin.operator import (
-    ModelJoinOperator,
-    modeljoin_operator_factory,
-)
+from repro.core.modeljoin.operator import ModelJoinOperator
 
 __all__ = [
     "BuiltModel",
     "ModelBuilder",
     "VectorizedInference",
     "ModelJoinOperator",
-    "modeljoin_operator_factory",
 ]

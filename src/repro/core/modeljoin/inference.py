@@ -1,37 +1,33 @@
 """Vectorized model inference (paper Section 5.4, Figure 7, Listing 5).
 
-The inference phase receives a set of column vectors, packs them into a
-``(rows, n)`` input matrix (each column copied exactly once), walks the
-model layers through the BLAS-style device interface, and unpacks the
-result matrix into output column vectors.
+One inference batch packs its input columns into a ``(rows, n)``
+matrix (each column copied once), runs the model's layers through the
+BLAS-style device interface and hands the result matrix's columns on.
+:class:`ModelForward` renders that as the straight-line source of the
+ModelJoin's generated kernel; :class:`VectorizedInference` walks the
+layers one forward function at a time — the interpreted kernel and the
+oracle the generated one matches bit for bit.
 
 The paper runs one forward per 1024-tuple vector; the operator here
 runs one per *inference batch* of :func:`inference_batch_rows` rows —
-a morsel of whole consecutive scan vectors, so the GEMMs see the same
-rows at the same offsets and the predictions stay bit-identical to
-per-vector scoring (docs/ARCHITECTURE.md, "Execution batches and
-inference batches").
+whole consecutive scan vectors, so the GEMMs see the same rows at the
+same offsets and the predictions stay bit-identical to per-vector
+scoring (docs/ARCHITECTURE.md, "Execution batches and inference
+batches").
 
-The bias-matrix replication optimization is honoured: each bias vector
-is replicated to ``(rows, units)`` and the layer forward lets ``sgemm``
-accumulate into it (``y := Ax + y``), turning many fine-grained bias
-additions into one large copy (Section 5.4).  The replica is sized by
-the batches a pipeline actually scores, so it lives in the pipeline's
-:class:`~repro.device.arena.BufferArena` — filled on first use, grown
-only when a batch is longer than any before — not in the cached model.
-
-Because the operator runs the same forward for thousands of
-batches, per-batch heap churn is pure overhead: the arena preallocates
-every workspace (packed input, layer outputs, LSTM gate buffers) at the
-pipeline's batch length and the forwards write into them through the
-device interface's ``out=`` contract.  The results are bit-exact with
-the allocating path — the arena only changes *where* the numbers land,
-never how they are computed.
+Each bias vector is replicated to ``(rows, units)`` and ``sgemm``
+accumulates into it (``y := Ax + y``, Section 5.4).  Replicas and every
+workspace (packed input, layer outputs, LSTM gates) live in the
+pipeline's :class:`~repro.device.arena.BufferArena`, sized by the
+batches actually scored, and the kernels write into them through the
+device interface's ``out=`` contract: the arena changes where the
+numbers land, never how they are computed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +37,12 @@ from repro.core.modeljoin.builder import (
     LstmLayerWeights,
 )
 from repro.db.catalog import LayerMetadata
+from repro.db.compile.codegen import NonCompilable
 from repro.db.parallel import MORSEL_ROWS
-from repro.db.profiler import ProfileCounters
 from repro.device.arena import BufferArena
 from repro.device.base import Device
 from repro.errors import ModelJoinError
+from repro.nn.activations import get_activation
 
 #: float32 bytes the widest activation of one inference batch may take:
 #: past it a longer batch no longer saves dispatch, it spills the cache
@@ -104,17 +101,89 @@ def unpack_columns(matrix: np.ndarray) -> list[np.ndarray]:
     return [matrix[:, index].copy() for index in range(matrix.shape[1])]
 
 
-def unpack_views(matrix: np.ndarray) -> list[np.ndarray]:
-    """Strided column views into *matrix* — no copies (epilogue fusion).
+#: source of one dense layer: :meth:`VectorizedInference._dense_forward`
+_DENSE = """\
+    # {p}: dense({u}, {act})
+    w = layers[{index}]
+    h = gemm(h, w.kernel, accumulate=bias(w.bias, n, '{p}'),
+             out=take('{p}', n, {u}))
+    h = act('{act}', h, out=h)
+"""
+#: source of an LSTM layer (only ever the first): the walk's
+#: :meth:`VectorizedInference.lstm_step` once per time step, unrolled
+_LSTM = """\
+    # {p}: lstm({u}, {act})
+    w, step = layers[0], inference.lstm_step
+    hidden = cell = None
+"""
+_LSTM_STEP = """\
+    hidden, cell = step(w, h[:, {t}:{next}], hidden, cell, '{p}')
+"""
 
-    Counterpart of :func:`unpack_columns` used when a compiled consumer
-    kernel is fused onto the ModelJoin's output: the kernel reads (and,
-    for pass-through outputs, copies) the prediction columns before the
-    next inference call reuses the arena buffer, so the intermediate
-    per-column materialization disappears.  Callers must not hold these
-    views across batches.
+
+@dataclass(frozen=True)
+class ModelForward:
+    """The forward half of a ModelJoin kernel (``KernelSpec.model``).
+
+    Straight-line source packing the input columns at schema positions
+    *inputs*, then making the per-layer walk's device calls, on the same
+    arena buffers, in the same order.  It reads weights, device and
+    arena from the kernel's ``inference`` argument (a
+    :class:`VectorizedInference`); :meth:`run` is the walk itself.
     """
-    return [matrix[:, index] for index in range(matrix.shape[1])]
+
+    layers: tuple[LayerMetadata, ...]
+    inputs: tuple[int, ...]
+
+    @property
+    def output_width(self) -> int:
+        return self.layers[-1].units
+
+    def source(self) -> str:
+        """Kernel body leaving the host result matrix in ``y``.
+
+        Raises NonCompilable for a model the builder would not build
+        (an LSTM past the first layer or over more than one feature per
+        step) or an unknown activation: the interpreted kernel then
+        raises the walk's own error.
+        """
+        lines = [
+            "    device, take = inference.device, inference.arena.take",
+            "    bias = inference.bias_accumulator",
+            "    layers = inference.built.layers",
+            "    gemm, act = device.gemm, device.activation",
+            f"    x = take('pack', n, {len(self.inputs)})",
+        ]
+        lines.extend(
+            f"    x[:, {index}] = arrays[{position}]"
+            for index, position in enumerate(self.inputs)
+        )
+        lines.append("    h = device.to_device(x)\n")
+        source = "\n".join(lines)
+        for index, layer in enumerate(self.layers):
+            get_activation(layer.activation)  # raises for an unknown one
+            names = dict(
+                p=f"layer{index}", u=layer.units, act=layer.activation
+            )
+            if layer.layer_type == "dense":
+                source += _DENSE.format(index=index, **names)
+                continue
+            if index or layer.time_steps != len(self.inputs):
+                raise NonCompilable("an LSTM layer the builder rejects")
+            source += _LSTM.format(**names) + "".join(
+                _LSTM_STEP.format(t=step, next=step + 1, **names)
+                for step in range(layer.time_steps)
+            )
+            source += "    h = hidden\n"
+        return source + "    y = device.to_host(h)\n"
+
+    def run(
+        self, arrays: list[np.ndarray], n: int, inference: VectorizedInference
+    ) -> list[np.ndarray]:
+        """The interpreted forward: fresh prediction columns."""
+        pack = inference.arena.take("pack", n, len(self.inputs))
+        matrix = pack_columns([arrays[p] for p in self.inputs], out=pack)
+        return unpack_columns(inference.infer(matrix))
 
 
 class VectorizedInference:
@@ -136,21 +205,19 @@ class VectorizedInference:
         built: BuiltModel,
         device: Device,
         batch_rows: int | None = None,
-        counters: ProfileCounters | None = None,
         replicate_bias: bool = True,
     ):
         self.built = built
         self.device = device
         self.replicate_bias = replicate_bias
         self.arena = (
-            BufferArena(batch_rows, counters)
-            if batch_rows is not None
-            else None
+            BufferArena(batch_rows) if batch_rows is not None else None
         )
 
-    def _take(self, tag: str, rows: int, cols: int) -> np.ndarray | None:
+    def _take(self, tag: str, rows: int, cols: int) -> np.ndarray:
+        """A workspace: the arena's, or a fresh one without an arena."""
         if self.arena is None:
-            return None
+            return np.empty((rows, cols), dtype=np.float32)
         return self.arena.take(tag, rows, cols)
 
     def infer(self, input_matrix: np.ndarray) -> np.ndarray:
@@ -176,7 +243,7 @@ class VectorizedInference:
     # ------------------------------------------------------------------
     # layer forward functions
     # ------------------------------------------------------------------
-    def _bias_accumulator(
+    def bias_accumulator(
         self, bias: np.ndarray, rows: int, prefix: str
     ) -> np.ndarray:
         """The ``y`` of ``y := Ax + y``: replicated bias rows."""
@@ -187,33 +254,22 @@ class VectorizedInference:
         )
 
     def _dense_forward(
-        self,
-        layer: DenseLayerWeights,
-        current: np.ndarray,
-        prefix: str = "dense",
+        self, layer: DenseLayerWeights, current: np.ndarray, prefix: str
     ) -> np.ndarray:
-        device = self.device
         rows = current.shape[0]
-        accumulator = self._bias_accumulator(layer.bias, rows, prefix)
-        out = self._take(prefix, rows, layer.kernel.shape[1])
-        pre = device.gemm(
-            current, layer.kernel, accumulate=accumulator, out=out
+        pre = self.device.gemm(
+            current,
+            layer.kernel,
+            accumulate=self.bias_accumulator(layer.bias, rows, prefix),
+            out=self._take(prefix, rows, layer.kernel.shape[1]),
         )
-        # With an arena the activation runs in place over the gemm
-        # output; without one it allocates, as it always has.
-        return device.activation(
-            layer.activation, pre, out=pre if out is not None else None
-        )
+        return self.device.activation(layer.activation, pre, out=pre)
 
     def _lstm_forward(
-        self,
-        layer: LstmLayerWeights,
-        sequence: np.ndarray,
-        prefix: str = "lstm",
+        self, layer: LstmLayerWeights, sequence: np.ndarray, prefix: str
     ) -> np.ndarray:
-        """Listing 5: the LSTM layer forward via BLAS primitives."""
-        device = self.device
-        rows = sequence.shape[0]
+        """Listing 5: the LSTM layer forward via BLAS primitives, one
+        :meth:`lstm_step` per time step."""
         features = layer.kernel.shape[0]
         steps = sequence.shape[1] // features
         if steps != layer.time_steps:
@@ -221,85 +277,61 @@ class VectorizedInference:
                 f"LSTM built for {layer.time_steps} time steps, input "
                 f"provides {steps}"
             )
-        units = layer.units
-        gates = layer.kernel.shape[1]
-        hidden: np.ndarray | None = None
-        cell: np.ndarray | None = None
-        for step in range(steps):
-            window = sequence[:, step * features : (step + 1) * features]
-            if self.arena is None:
-                x_t = np.ascontiguousarray(window)
-            else:
-                x_t = self.arena.take(f"{prefix}-x", rows, features)
-                np.copyto(x_t, window)
-            accumulator = self._bias_accumulator(layer.bias, rows, prefix)
-            # z_x := x W + b (sger for the rank-1 scalar-series case).
-            z = device.gemm(
-                x_t,
-                layer.kernel,
-                accumulate=accumulator,
-                out=self._take(f"{prefix}-z", rows, gates),
-            )
-            if hidden is not None:
-                # z_x := h U + z_x (sgemm accumulate).
-                recurrent = device.gemm(
-                    hidden,
-                    layer.recurrent_kernel,
-                    out=self._take(f"{prefix}-hz", rows, gates),
-                )
-                z = device.add(
-                    z, recurrent, out=z if self.arena is not None else None
-                )
-            gate_i = device.activation(
-                layer.recurrent_activation,
-                z[:, :units],
-                out=self._take(f"{prefix}-gi", rows, units),
-            )
-            gate_f = device.activation(
-                layer.recurrent_activation,
-                z[:, units : 2 * units],
-                out=self._take(f"{prefix}-gf", rows, units),
-            )
-            candidate = device.activation(
-                layer.activation,
-                z[:, 2 * units : 3 * units],
-                out=self._take(f"{prefix}-cand", rows, units),
-            )
-            gate_o = device.activation(
-                layer.recurrent_activation,
-                z[:, 3 * units :],
-                out=self._take(f"{prefix}-go", rows, units),
-            )
-            fresh = device.multiply(  # vsMul
-                gate_i,
-                candidate,
-                out=self._take(f"{prefix}-fresh", rows, units),
-            )
-            if cell is None:
-                cell = device.copy(
-                    fresh, out=self._take(f"{prefix}-cell", rows, units)
-                )
-            else:
-                decayed = device.multiply(
-                    gate_f,
-                    cell,
-                    out=self._take(f"{prefix}-decay", rows, units),
-                )
-                cell = device.add(
-                    decayed,
-                    fresh,
-                    out=cell if self.arena is not None else None,
-                )
-            activated = device.activation(
-                layer.activation,
-                cell,
-                out=self._take(f"{prefix}-ac", rows, units),
-            )
-            hidden = device.multiply(
-                gate_o,
-                activated,
-                out=self._take(f"{prefix}-hidden", rows, units),
-            )
-        if hidden is None:
+        if not steps:
             raise ModelJoinError("LSTM with zero time steps")
+        hidden = cell = None
+        for step in range(steps):
+            window = sequence[:, step * features:(step + 1) * features]
+            hidden, cell = self.lstm_step(layer, window, hidden, cell, prefix)
         return hidden
+
+    def lstm_step(
+        self,
+        layer: LstmLayerWeights,
+        window: np.ndarray,
+        hidden: np.ndarray | None,
+        cell: np.ndarray | None,
+        prefix: str,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One time step over the inputs *window*: the next hidden and
+        cell state (the first step has none to start from)."""
+        device = self.device
+        rows, features = window.shape
+        units = layer.units
+        gate, act = layer.recurrent_activation, layer.activation
+
+        def take(tag: str, cols: int) -> np.ndarray:
+            return self._take(f"{prefix}-{tag}", rows, cols)
+
+        x_t = take("x", features)
+        np.copyto(x_t, window)
+        accumulator = self.bias_accumulator(layer.bias, rows, prefix)
+        # z_x := x W + b (sger for the rank-1 scalar-series case).
+        z = device.gemm(
+            x_t, layer.kernel, accumulate=accumulator, out=take("z", 4 * units)
+        )
+        if hidden is not None:
+            # z_x := h U + z_x (sgemm accumulate).
+            recurrent = device.gemm(
+                hidden, layer.recurrent_kernel, out=take("hz", 4 * units)
+            )
+            z = device.add(z, recurrent, out=z)
+        gate_i = device.activation(gate, z[:, :units], out=take("gi", units))
+        gate_f = device.activation(
+            gate, z[:, units:2 * units], out=take("gf", units)
+        )
+        candidate = device.activation(
+            act, z[:, 2 * units:3 * units], out=take("cand", units)
+        )
+        gate_o = device.activation(
+            gate, z[:, 3 * units:], out=take("go", units)
+        )
+        fresh = device.multiply(gate_i, candidate, out=take("fresh", units))
+        if cell is None:
+            cell = device.copy(fresh, out=take("cell", units))
+        else:
+            decayed = device.multiply(gate_f, cell, out=take("decay", units))
+            cell = device.add(decayed, fresh, out=cell)
+        activated = device.activation(act, cell, out=take("ac", units))
+        hidden = device.multiply(gate_o, activated, out=take("hidden", units))
+        return hidden, cell

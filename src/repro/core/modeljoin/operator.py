@@ -9,7 +9,8 @@ prediction columns.  The operator cuts its input batches into
 inference batches of at most :attr:`ModelJoinOperator.batch_rows` rows,
 so one forward pass scores a morsel of whole scan vectors of one block
 (a scan batch, see :func:`repro.db.operators.scan.scan_batches`) rather
-than a single vector.
+than a single vector, with one call of its one kernel: pack, forward
+and the filter and projection the lowering fused onto the join.
 Because it is a regular operator, it can be nested into arbitrary
 queries — aggregations over predictions and the like.
 
@@ -26,14 +27,19 @@ from collections.abc import Iterator
 from repro.core.modeljoin.builder import BuiltModel, ModelBuilder
 from repro.core.modeljoin.cache import CacheKey, ModelCache
 from repro.core.modeljoin.inference import (
+    ModelForward,
     VectorizedInference,
     inference_batch_rows,
-    pack_columns,
-    unpack_columns,
-    unpack_views,
 )
 from repro.db import faults
 from repro.db.catalog import ModelMetadata
+from repro.db.compile import KernelCompiler, KernelSpec, project_outputs
+from repro.db.compile.fuse import (
+    describe_segment,
+    output_schema,
+    passthrough_ordering,
+)
+from repro.db.expressions import ColumnRef
 from repro.db.operators.base import (
     ExecutionContext,
     PhysicalOperator,
@@ -46,6 +52,7 @@ from repro.db.table import Table
 from repro.db.types import SqlType
 from repro.db.vector import VectorBatch
 from repro.device.base import Device
+from repro.device.gpu import SimulatedGpu
 from repro.device.host import HostDevice
 from repro.errors import (
     DeviceError,
@@ -65,26 +72,31 @@ class ModelJoinOperator(UnaryOperator):
     # the input flow may come from a shared morsel queue
     morsel_streaming = True
 
-    #: duck-typing hook for the lowering (repro.db.compile): a direct
-    #: consumer kernel may ask this operator to emit prediction columns
-    #: as views into the inference result matrix (epilogue fusion)
-    supports_emit_views = True
-
     def __init__(
         self,
         context: ExecutionContext,
         child: PhysicalOperator,
         metadata: ModelMetadata,
         model_table: Table,
+        compiler: KernelCompiler,
         input_columns: list[str] | None = None,
         output_prefix: str = "prediction",
         device: Device | None = None,
         partition_index: int | None = None,
         replicate_bias: bool = True,
         model_cache: ModelCache | None = None,
+        predicates=(),
+        projection: tuple | None = None,
+        variant: str | None = None,
     ):
+        """*predicates* and *projection* ``(expressions, names)`` are the
+        fused epilogue (default: every column, predictions last);
+        *variant*, the optimizer's in-plan choice ("native-cpu" /
+        "native-gpu"), picks the device when none is given."""
         self.metadata = metadata
         self.model_table = model_table
+        if device is None and variant == "native-gpu":
+            device = SimulatedGpu()
         self.device = device or HostDevice()
         self.partition_index = partition_index or 0
         self.replicate_bias = replicate_bias
@@ -97,20 +109,45 @@ class ModelJoinOperator(UnaryOperator):
             Column(f"{output_prefix}_{index}", SqlType.FLOAT)
             for index in range(metadata.output_width)
         )
-        schema = Schema(child.schema.columns + prediction_columns)
-        super().__init__(context, schema, child)
-        #: most rows per forward pass: longer input batches are cut
-        self.batch_rows = inference_batch_rows(
-            metadata.layers, context.vector_size
+        joined = Schema(child.schema.columns + prediction_columns)
+        expressions, names = projection or (
+            [ColumnRef(name) for name in joined.names], joined.names
+        )
+        self.kernel = compiler.kernel(
+            KernelSpec(
+                schema=joined,
+                predicates=tuple(predicates),
+                outputs=project_outputs(expressions, names, joined),
+                # predictions are views of a reused arena buffer: the
+                # kernel copies the ones it passes through
+                transient=frozenset(
+                    column.name.lower() for column in prediction_columns
+                ),
+                # a republish, a version bump or another device misses
+                # the kernel cache, as it misses the ModelCache
+                header=(
+                    f"# model-table: {model_table.name} "
+                    f"uid={model_table.uid} version={model_table.version}",
+                    f"# device: {self.device.name}",
+                ),
+                label=f"modeljoin({metadata.model_name})",
+                model=ModelForward(
+                    metadata.layers,
+                    tuple(map(joined.position_of, self.input_columns)),
+                ),
+            )
+        )
+        super().__init__(context, output_schema(self.kernel.spec), child)
+        #: whether a filter or projection above the join is fused
+        self.epilogue = bool(predicates) or projection is not None
+        #: most rows per forward pass: longer input batches are cut —
+        #: to one vector when the epilogue calls a UDF
+        self.batch_rows = (
+            context.vector_size
+            if self.kernel.per_vector
+            else inference_batch_rows(metadata.layers, context.vector_size)
         )
         self._accounted_bytes = 0
-        #: epilogue fusion: when True (set only by the lowering, after
-        #: it compiled the direct consumer's kernel), prediction columns
-        #: are strided views into the BLAS output matrix — a reused
-        #: arena buffer — instead of per-column copies.  The consumer
-        #: kernel copies any pass-through of these transient columns
-        #: before the next inference call overwrites the buffer.
-        self.emit_views = False
         #: fallback notes ('gpu-sim->cpu', ...) rendered by describe()
         #: (and so by EXPLAIN ANALYZE) once a fallback engaged
         self.fallbacks: list[str] = []
@@ -118,15 +155,6 @@ class ModelJoinOperator(UnaryOperator):
         #: fallback inference without re-running the build)
         self._built_model: BuiltModel | None = None
         self._inference: VectorizedInference | None = None
-
-    @property
-    def prediction_column_names(self) -> tuple[str, ...]:
-        """Names of the appended prediction columns (transient under
-        epilogue fusion — the lowering marks them in the kernel spec)."""
-        return tuple(
-            column.name
-            for column in self.schema.columns[len(self.child.schema):]
-        )
 
     @staticmethod
     def _resolve_input_columns(
@@ -161,7 +189,7 @@ class ModelJoinOperator(UnaryOperator):
 
     @property
     def ordering(self) -> tuple[str, ...]:
-        return self.child.ordering
+        return passthrough_ordering(self.kernel.spec, self.child.ordering)
 
     def cloned(self, binding) -> None:
         self.device = self.device.fresh()
@@ -183,6 +211,9 @@ class ModelJoinOperator(UnaryOperator):
         # query's deadline between kernels.
         self.device.set_tracer(self.context.tracer)
         self.device.set_cancellation(self.context.query.cancellation)
+        if self.kernel.generated:
+            # the query counts as compiled (the query log's flag)
+            self.context.counters.increment("compile.fused_pipelines")
 
     # ------------------------------------------------------------------
     # build phase
@@ -275,17 +306,13 @@ class ModelJoinOperator(UnaryOperator):
         return list(range(self.partition_index, total, stride))
 
     def _build(self) -> VectorizedInference:
-        tracer = self.context.tracer
         started = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(
-                "modeljoin-build",
-                category="phase",
-                parent_id=self._span_id,
-                args={"partition": self.partition_index},
-            ):
-                inference = self._build_inner()
-        else:
+        with self.context.tracer.span(
+            "modeljoin-build",
+            category="phase",
+            parent_id=self._span_id,
+            args={"partition": self.partition_index},
+        ):
             inference = self._build_inner()
         if self.partition_index == 0 and self.context.metrics is not None:
             self.context.metrics.histogram(
@@ -346,64 +373,58 @@ class ModelJoinOperator(UnaryOperator):
             self._built_model,
             device,
             batch_rows=self.batch_rows,
-            counters=self.context.counters,
             replicate_bias=self.replicate_bias,
         )
+
+    def _count_reused_bytes(self) -> None:
+        """Report the arena of the inference being retired."""
+        inference, self._inference = self._inference, None
+        if inference is not None and inference.arena.reused_bytes:
+            self.context.counters.increment(
+                "buffer-bytes-reused", inference.arena.reused_bytes
+            )
 
     # ------------------------------------------------------------------
     # inference phase
     # ------------------------------------------------------------------
     def _produce(self) -> Iterator[VectorBatch]:
         self._inference = self._build()
-        tracer = self.context.tracer
-        prediction_schema = Schema(
-            self.schema.columns[len(self.child.schema) :]
-        )
+        span = self.context.tracer.span
         for input_batch in self.child.next_batches():
             for batch in input_batch.pieces(self.batch_rows):
-                if tracer.enabled:
-                    with tracer.span(
-                        "modeljoin-infer",
-                        category="phase",
-                        parent_id=self._span_id,
-                        args={"rows": len(batch)},
-                    ):
-                        yield self._infer_batch(prediction_schema, batch)
-                else:
-                    yield self._infer_batch(prediction_schema, batch)
+                with span(
+                    "modeljoin-infer",
+                    category="phase",
+                    parent_id=self._span_id,
+                    args={"rows": len(batch)},
+                ):
+                    arrays = self._infer_batch(batch)
+                    if arrays is not None:
+                        yield VectorBatch(self.schema, arrays)
 
-    def _infer_batch(
-        self,
-        prediction_schema: Schema,
-        batch: VectorBatch,
-    ) -> VectorBatch:
-        with self.context.stopwatch.measure("modeljoin-infer"):
-            inference = self._inference
-            pack_buffer = None
-            if inference.arena is not None:
-                pack_buffer = inference.arena.take(
-                    "pack", len(batch), len(self.input_columns)
-                )
-            matrix = pack_columns(
-                [batch.column(name) for name in self.input_columns],
-                out=pack_buffer,
-            )
-            transient = matrix.nbytes
-            self.context.memory.allocate(transient, "modeljoin-vector")
+    def _infer_batch(self, batch: VectorBatch) -> list | None:
+        """One kernel call: the output arrays, None when the fused
+        filter dropped every row."""
+        context = self.context
+        with context.stopwatch.measure("modeljoin-infer"):
+            rows = len(batch)
+            cancel = context.query.cancellation
+            # the packed input matrix
+            transient = 4 * rows * len(self.input_columns)
+            context.memory.allocate(transient, "modeljoin-vector")
             try:
                 try:
-                    result = inference.infer(matrix)
+                    return self.kernel(
+                        batch.arrays, rows, cancel, self._inference
+                    )
                 except (DeviceError, InjectedFaultError) as error:
                     fallback = self._host_fallback_inference(error)
                     if fallback is None:
                         raise
                     self._inference = fallback
-                    result = fallback.infer(matrix)
+                    return self.kernel(batch.arrays, rows, cancel, fallback)
             finally:
-                self.context.memory.release(transient, "modeljoin-vector")
-            unpack = unpack_views if self.emit_views else unpack_columns
-            predictions = VectorBatch(prediction_schema, unpack(result))
-        return batch.concat_columns(predictions)
+                context.memory.release(transient, "modeljoin-vector")
 
     def _host_fallback_inference(
         self, error: Exception
@@ -426,6 +447,7 @@ class ModelJoinOperator(UnaryOperator):
         self._note_fallback(
             "device", f"{self.device.name}->{host.name}", error
         )
+        self._count_reused_bytes()
         return self._make_inference(host)
 
     def _note_fallback(
@@ -451,6 +473,7 @@ class ModelJoinOperator(UnaryOperator):
             )
 
     def close(self) -> None:
+        self._count_reused_bytes()
         if self._accounted_bytes:
             self.context.memory.release(self._accounted_bytes, "model")
             self._accounted_bytes = 0
@@ -469,45 +492,15 @@ class ModelJoinOperator(UnaryOperator):
             f"ModelJoin(model={self.metadata.model_name}, "
             f"device={self.device.name}, "
             f"inputs=[{', '.join(self.input_columns)}], "
-            f"batch={self.batch_rows})"
+            f"batch={self.batch_rows}"
         )
-        if self.emit_views:
-            base += " [epilogue: fused]"
+        if self.epilogue:
+            spec = self.kernel.spec
+            base += f" | {describe_segment(spec)}) [epilogue: fused]"
+        else:
+            base += ")"
+        if self.kernel.generated:
+            base += " [compiled]"
         if self.fallbacks:
             base += f" [fallback: {', '.join(self.fallbacks)}]"
         return base
-
-
-def modeljoin_operator_factory(
-    context: ExecutionContext,
-    child: PhysicalOperator,
-    metadata: ModelMetadata,
-    model_table: Table,
-    input_columns: list[str] | None = None,
-    output_prefix: str = "prediction",
-    partition_index: int | None = None,
-    device: Device | None = None,
-    model_cache: ModelCache | None = None,
-    variant: str | None = None,
-) -> ModelJoinOperator:
-    """Factory the planner calls for ``MODEL JOIN`` FROM items.
-
-    *variant* is the optimizer's in-plan variant decision
-    ("native-cpu" / "native-gpu"); it picks the execution device when
-    the caller did not pass one explicitly.
-    """
-    if device is None and variant == "native-gpu":
-        from repro.device.gpu import SimulatedGpu
-
-        device = SimulatedGpu()
-    return ModelJoinOperator(
-        context,
-        child,
-        metadata,
-        model_table,
-        input_columns=input_columns,
-        output_prefix=output_prefix,
-        partition_index=partition_index,
-        device=device,
-        model_cache=model_cache,
-    )

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.modeljoin.operator import ModelJoinOperator
 from repro.core.predictions import predictions_by_id
 from repro.db.catalog import ModelMetadata
+from repro.db.compile import KernelCompiler
 from repro.db.engine import Database, Result
 from repro.db.operators import ExecutionContext, TableScan
 from repro.db.operators.base import PhysicalOperator
@@ -32,9 +33,9 @@ from repro.device.base import Device, DeviceWindow
 from repro.device.host import HostDevice
 from repro.errors import ShardError
 
-#: ``(context, scan, partition_index) -> operator`` over one pipeline's scan
+#: ``(context, scan, partition_index, compiler) -> operator`` per pipeline
 OperatorFactory = Callable[
-    [ExecutionContext, TableScan, int], PhysicalOperator
+    [ExecutionContext, TableScan, int, KernelCompiler], PhysicalOperator
 ]
 
 
@@ -59,7 +60,7 @@ def run_inference(
     """
     query = database.query_context(label, parallel, timeout_seconds)
 
-    def body(context: ExecutionContext, _planner) -> Result:
+    def body(context: ExecutionContext, planner) -> Result:
         table = query.catalog.table(fact_table)
         if getattr(table, "shard_count", 0):
             raise ShardError(
@@ -80,7 +81,8 @@ def run_inference(
             scan = TableScan(
                 context, table, partition_index=index if pipelines > 1 else None
             )
-            return make_operator(context, scan, index)
+            compiler = planner.kernel_compiler()
+            return make_operator(context, scan, index, compiler)
 
         schema, per_pipeline = run_plans(
             [lower(index) for index in range(pipelines)],
@@ -116,6 +118,7 @@ class DirectRunner:
         scan: TableScan,
         partition_index: int,
         input_columns: list[str] | None,
+        compiler: KernelCompiler,
     ) -> PhysicalOperator:
         raise NotImplementedError
 
@@ -131,8 +134,8 @@ class DirectRunner:
             self.database,
             self.label,
             fact_table,
-            lambda context, scan, index: self.operator(
-                context, scan, index, input_columns
+            lambda context, scan, index, compiler: self.operator(
+                context, scan, index, input_columns, compiler
             ),
             self.device,
             parallel,
@@ -200,15 +203,16 @@ class NativeModelJoin(DirectRunner):
             self.device = self._device_from_selector(fact_table) or self.device
         return super().execute(fact_table, *args, **kwargs)
 
-    def operator(self, context, scan, partition_index, input_columns):
+    def operator(self, context, scan, index, input_columns, compiler):
         return ModelJoinOperator(
             context,
             scan,
             self.metadata,
             context.query.catalog.table(self.metadata.table_name),
+            compiler,
             input_columns=input_columns,
             device=self.device,
-            partition_index=partition_index,
+            partition_index=index,
             replicate_bias=self.replicate_bias,
             model_cache=self.database.model_cache,
         )

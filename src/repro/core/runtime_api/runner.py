@@ -32,7 +32,7 @@ class RuntimeApiModelJoin(DirectRunner):
         self.device = device or HostDevice()
         self.runtime = MlRuntime(self.device)
 
-    def operator(self, context, scan, partition_index, input_columns):
+    def operator(self, context, scan, partition_index, input_columns, _):
         return RuntimeApiOperator(
             context,
             scan,

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.db.schema import Schema
 from repro.db.types import SqlType
-from repro.db.vector import VectorBatch
+from repro.db.vector import VectorBatch, nominal_bytes
 from repro.errors import ExecutionError
 
 #: Number of rows per storage block.
@@ -256,10 +256,7 @@ class Block:
             )
 
     def nominal_bytes(self) -> int:
-        return sum(
-            array.nbytes if array.dtype != object else len(array) * 16
-            for array in self.arrays
-        )
+        return nominal_bytes(self.arrays)
 
     def column_array(self, position: int) -> np.ndarray:
         """The array of one column (the disk block protocol)."""

@@ -13,12 +13,16 @@ cached NumPy kernels:
 * :class:`~repro.db.compile.fuse.FusedPipeline` — the one filter /
   projection operator, calling its kernel once per batch; the same
   kernels feed the aggregate operators as their input kernels.
+* the ModelJoin's one kernel per inference batch: pack, the model's
+  layers as straight-line device calls, then the filter and projection
+  above the join (``KernelSpec.model``, rendered by
+  :class:`~repro.core.modeljoin.inference.ModelForward`).
 * :class:`~repro.db.compile.kernels.CompiledKernelCache` — engine-
   lifetime LRU of exec'd functions keyed on the generated source text.
   Literals are kernel parameters, so the text is literal-free and a
-  statement re-run with fresh literals hits; for ModelJoin epilogue
-  fusion the text embeds the model table's uid/version, making text
-  equality the invalidation rule.
+  statement re-run with fresh literals hits; a ModelJoin kernel's text
+  embeds the model table's uid/version and the device kind, making
+  text equality the invalidation rule.
 
 The lowering (:mod:`repro.db.plan.physical`) drives compilation; the
 engine owns the cache and a compile circuit breaker, and reverts a

@@ -36,16 +36,8 @@ class FusedPipeline(UnaryOperator):
         child: PhysicalOperator,
         kernel: FusedKernel | InterpretedKernel,
     ):
-        columns = tuple(
-            Column(output.name, output.expression.output_type(child.schema))
-            for output in kernel.spec.outputs
-        )
-        super().__init__(context, Schema(columns), child)
+        super().__init__(context, output_schema(kernel.spec), child)
         self.kernel = kernel
-
-    @property
-    def spec(self):
-        return self.kernel.spec
 
     def open(self) -> None:
         super().open()
@@ -55,31 +47,8 @@ class FusedPipeline(UnaryOperator):
             self.context.counters.increment("compile.fused_pipelines")
 
     @property
-    def filters_only(self) -> bool:
-        """A bare filter: every output passes its child column through."""
-        return [
-            (output.name, output.expression)
-            for output in self.spec.outputs
-        ] == [(name, ColumnRef(name)) for name in self.child.schema.names]
-
-    @property
     def ordering(self) -> tuple[str, ...]:
-        # Ordering survives for the leading ordering columns that pass
-        # through as bare references, possibly renamed (the filter
-        # preserves relative row order).
-        passthrough: dict[str, str] = {}
-        for output in self.spec.outputs:
-            if isinstance(output.expression, ColumnRef):
-                passthrough.setdefault(
-                    output.expression.name.lower(), output.name
-                )
-        preserved: list[str] = []
-        for key in self.child.ordering:
-            new_name = passthrough.get(key.lower())
-            if new_name is None:
-                break
-            preserved.append(new_name)
-        return tuple(preserved)
+        return passthrough_ordering(self.kernel.spec, self.child.ordering)
 
     def _produce(self) -> Iterator[VectorBatch]:
         outputs = self.kernel.outputs
@@ -90,17 +59,48 @@ class FusedPipeline(UnaryOperator):
                 yield VectorBatch(self.schema, arrays)
 
     def describe(self) -> str:
-        parts = []
-        if self.spec.predicates:
-            rendered = " AND ".join(
-                str(predicate) for predicate in self.spec.predicates
-            )
-            parts.append(f"filter: {rendered}")
-        rendered = ", ".join(
-            f"{output.expression} AS {output.name}"
-            for output in self.spec.outputs
-        )
-        parts.append(f"project: {rendered}")
+        segment = describe_segment(self.kernel.spec)
         if self.kernel.generated:
-            return f"FusedPipeline({' | '.join(parts)}) [compiled]"
-        return f"Pipeline({' | '.join(parts)})"
+            return f"FusedPipeline({segment}) [compiled]"
+        return f"Pipeline({segment})"
+
+
+def output_schema(spec) -> Schema:
+    """The schema of a kernel's outputs."""
+    return Schema(
+        tuple(
+            Column(output.name, output.expression.output_type(spec.schema))
+            for output in spec.outputs
+        )
+    )
+
+
+def describe_segment(spec) -> str:
+    """``filter: … | project: …`` of a kernel spec, for EXPLAIN."""
+    parts = []
+    if spec.predicates:
+        rendered = " AND ".join(map(str, spec.predicates))
+        parts.append(f"filter: {rendered}")
+    rendered = ", ".join(
+        f"{output.expression} AS {output.name}" for output in spec.outputs
+    )
+    parts.append(f"project: {rendered}")
+    return " | ".join(parts)
+
+
+def passthrough_ordering(spec, ordering) -> tuple[str, ...]:
+    """What survives of an input *ordering* through a kernel's outputs:
+    the leading ordering columns passed through as bare references,
+    possibly renamed (a filter preserves relative row order)."""
+    passthrough: dict[str, str] = {}
+    for output in spec.outputs:
+        if isinstance(output.expression, ColumnRef):
+            key = output.expression.name.lower()
+            passthrough.setdefault(key, output.name)
+    preserved: list[str] = []
+    for key in ordering:
+        new_name = passthrough.get(key.lower())
+        if new_name is None:
+            break
+        preserved.append(new_name)
+    return tuple(preserved)

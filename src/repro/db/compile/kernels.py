@@ -1,7 +1,8 @@
 """Compiled kernels: specs, the LRU cache, and the compiler front-end.
 
 A :class:`KernelSpec` describes one fused pipeline segment — optional
-filter conjuncts plus a list of outputs over one input schema.  The
+filter conjuncts plus a list of outputs over one input schema, led for
+a ModelJoin by the model's forward pass (``KernelSpec.model``).  The
 compiler renders it to literal-free Python source plus the tuple of
 literal values (:func:`generate_kernel_source`), ``exec``'s the source
 once, and wraps the resulting function and this query's values in a
@@ -16,11 +17,11 @@ expression trees and is the oracle the generated kernels must match.
 Exec'd functions are cached engine-lifetime in a
 :class:`CompiledKernelCache` keyed on the generated source text.  The
 text carries no literal values, so a statement re-run with fresh
-literals hits; it does carry, for ModelJoin epilogue fusion, the model
-table's ``uid``/``version`` header, so a model republish or version
-bump misses the cache, exactly like the ModelCache keying, and the
-registration number of every bound function, so a re-registered UDF
-misses it too.
+literals hits, and so does a ModelJoin kernel for any batch length.  It
+does carry, for a ModelJoin, the model table's ``uid``/``version`` and
+the device kind, so a model republish or version bump misses the cache
+exactly like the ModelCache keying, and the registration number of
+every bound function, so a re-registered UDF misses it too.
 
 Every generated kernel carries its :class:`KernelRecord` (source,
 bindings, which literal slot feeds each parameter).  A plan-cache
@@ -56,6 +57,7 @@ from repro.db.tracing import NULL_TRACER
 from repro.db.types import SqlType
 from repro.db.vector import VectorBatch
 from repro.errors import (
+    DeviceError,
     ExecutionError,
     KernelCompileError,
     KernelExecutionError,
@@ -89,9 +91,13 @@ class KernelSpec:
     #: ModelJoin arena views); pass-through outputs of these are copied
     transient: frozenset = frozenset()
     #: extra comment lines baked into the source (cache-key salt, e.g.
-    #: the fused ModelJoin's model-table identity)
+    #: the ModelJoin's model-table identity and device kind)
     header: tuple[str, ...] = ()
     label: str = "pipeline"
+    #: a ModelJoin forward (``ModelForward``) run first, its predictions
+    #: the last columns of *schema*; the kernel then takes the
+    #: operator's inference state as a last argument
+    model: object | None = None
 
     def calls_per_vector(self) -> bool:
         """Whether a predicate or output calls a per-vector function."""
@@ -175,17 +181,25 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
         guarded.append(alias is not None and alias in spec.transient)
 
     track_narrowing = any(guarded) and bool(spec.predicates)
+    model = spec.model
+    predictions = len(schema) - (model.output_width if model else 0)
 
     lines = [f"# kernel: {spec.label}"]
     lines.extend(spec.header)
     lines.extend(builder.header)
     lines.append("")
-    lines.append("def kernel(arrays, n, cancel, params):")
+    state = ", inference" if model is not None else ""
+    lines.append(f"def kernel(arrays, n, cancel, params{state}):")
     lines.append("    if cancel is not None:")
     lines.append("        cancel.check()")
     lines.extend(builder.parameter_lines)
+    if model is not None:
+        lines.append(model.source().rstrip("\n"))
     for position in sorted(builder.used_positions):
-        lines.append(f"    c{position} = arrays[{position}]")
+        if position < predictions:
+            lines.append(f"    c{position} = arrays[{position}]")
+        else:  # a prediction: a column view of the result matrix
+            lines.append(f"    c{position} = y[:, {position - predictions}]")
     if track_narrowing:
         lines.append("    narrowed = False")
     if len(predicate_texts) > 1:
@@ -322,14 +336,21 @@ class FusedKernel(_Kernel):
         )
         return f"{self.source}# params: {values}\n"
 
-    def __call__(self, arrays, n, cancel=None):
+    def __call__(self, arrays, n, cancel=None, *model):
+        # *model*: a ModelJoin's inference state, whose device errors
+        # reach the operator's device fallback unwrapped
         try:
             if faults.ACTIVE is not None:
                 faults.ACTIVE.fire("compile.kernel")
-            return self.function(arrays, n, cancel, self.params)
+            return self.function(arrays, n, cancel, self.params, *model)
         except QueryTimeoutError:
             raise
         except Exception as error:
+            if model and (
+                isinstance(error, DeviceError)
+                or getattr(error, "site", "").startswith("device.")
+            ):
+                raise
             raise KernelExecutionError(
                 f"compiled kernel {self.spec.label!r} failed: {error}"
             ) from error
@@ -340,9 +361,10 @@ class InterpretedKernel(_Kernel):
     segment with no generated form, of every segment when compilation
     is off, and the oracle the generated kernels match bit for bit.
 
-    Same contract as :class:`FusedKernel`.  The predicates are evaluated
-    over the whole batch, the outputs over the rows that pass; errors
-    surface as they are, so a non-boolean predicate raises
+    Same contract as :class:`FusedKernel`.  A ModelJoin spec runs its
+    forward first, layer by layer (``spec.model.run``).  The predicates
+    are evaluated over the whole batch, the outputs over the rows that
+    pass; errors surface as they are, so a non-boolean predicate raises
     :class:`~repro.errors.ExecutionError`.
     """
 
@@ -354,10 +376,12 @@ class InterpretedKernel(_Kernel):
         self.spec = spec
         self.per_vector = spec.calls_per_vector()
 
-    def __call__(self, arrays, n, cancel=None):
+    def __call__(self, arrays, n, cancel=None, *model):
         if cancel is not None:
             cancel.check()
         spec = self.spec
+        if spec.model is not None:
+            arrays = arrays + spec.model.run(arrays, n, *model)
         batch = VectorBatch(spec.schema, arrays)
         if spec.predicates:
             mask = None

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.db.functions import lookup_function
 from repro.db.schema import Schema
-from repro.db.types import SqlType, common_numeric_type, type_of_dtype
+from repro.db.types import SqlType, common_numeric_type
 from repro.db.vector import VectorBatch
 from repro.errors import ExecutionError, TypeMismatchError
 
@@ -314,11 +314,6 @@ class Cast(Expression):
 
     def __str__(self) -> str:
         return f"CAST({self.operand} AS {self.target})"
-
-
-def infer_type_from_array(values: np.ndarray) -> SqlType:
-    """Engine type of an already-evaluated array (for derived schemas)."""
-    return type_of_dtype(values.dtype)
 
 
 def calls_per_vector(expression: Expression) -> bool:

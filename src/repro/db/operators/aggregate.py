@@ -24,7 +24,7 @@ kernel that calls a UDF still calls it once per vector.
 
 The order-based aggregate is the optimization of paper Section 4.4: if
 the input is already sorted on all group keys it emits a group the
-moment its key changes, holding only constant state — this is what
+moment its key changes, holding only that group's rows — this is what
 makes the ML-To-SQL pipeline fully streaming and low-memory.
 """
 
@@ -52,7 +52,7 @@ from repro.db.operators.base import (
 from repro.db.operators.keys import equality_codes, group_order, run_starts
 from repro.db.schema import Column, Schema
 from repro.db.types import SqlType
-from repro.db.vector import VectorBatch
+from repro.db.vector import VectorBatch, nominal_bytes
 from repro.errors import PlanError
 
 _SUPPORTED = ("SUM", "COUNT", "MIN", "MAX", "AVG")
@@ -158,14 +158,6 @@ def aggregate_inputs(
             inputs.append(spec)
         slots.append(positions[key])
     return inputs, slots
-
-
-def _nbytes(arrays: list[np.ndarray]) -> int:
-    """Accounted size of buffered arrays (16 bytes per VARCHAR value)."""
-    return sum(
-        array.nbytes if array.dtype != object else len(array) * 16
-        for array in arrays
-    )
 
 
 def input_outputs(
@@ -292,6 +284,15 @@ def _grouped_batch(
     )
 
 
+def _concatenated(pieces: list[tuple[list, list]]) -> tuple[list, list]:
+    """The key and value columns of ``(keys, values)`` row pieces."""
+    keys, values = (
+        [np.concatenate(column) for column in zip(*columns)]
+        for columns in zip(*pieces)
+    )
+    return keys, values
+
+
 def _row(columns: list[np.ndarray], index: int) -> tuple:
     return tuple(column[index] for column in columns)
 
@@ -335,6 +336,9 @@ class HashAggregate(UnaryOperator):
     input: the generic, materializing hash aggregate.
     """
 
+    #: whether the prefix is every key (:class:`OrderedAggregate`)
+    full = False
+
     def __init__(
         self,
         context: ExecutionContext,
@@ -347,7 +351,9 @@ class HashAggregate(UnaryOperator):
     ):
         if not group_expressions:
             raise PlanError("global aggregation uses group keys = ()")
-        if not 0 <= prefix_length < len(group_expressions):
+        if self.full:
+            prefix_length = len(group_expressions)
+        if not 0 <= prefix_length < len(group_expressions) + self.full:
             raise PlanError(
                 f"invalid prefix length {prefix_length} for "
                 f"{len(group_expressions)} group keys"
@@ -416,7 +422,7 @@ class HashAggregate(UnaryOperator):
 
     def _hold(self, keys: list, values: list) -> tuple:
         """*keys* and *values*, accounted as buffered."""
-        nbytes = _nbytes(keys) + _nbytes(values)
+        nbytes = nominal_bytes(keys) + nominal_bytes(values)
         self._accounted_bytes += nbytes
         self.context.memory.allocate(nbytes, self._category)
         return keys, values
@@ -433,10 +439,7 @@ class HashAggregate(UnaryOperator):
     ) -> VectorBatch | None:
         """The groups of the rows in *pieces*: the open segment's rows
         (segment 0), then rows of the given *segments*."""
-        keys, values = (
-            [np.concatenate(column) for column in zip(*columns)]
-            for columns in zip(*pieces)
-        )
+        keys, values = _concatenated(pieces)
         if len(keys[0]) == 0:
             return None
         grouping = keys
@@ -456,97 +459,66 @@ class HashAggregate(UnaryOperator):
         keys = ", ".join(map(str, self.group_expressions))
         aggs = ", ".join(str(spec) for spec in self.aggregates)
         label = "HashAggregate("
-        if self.prefix_length:
+        if self.full:
+            label = "OrderedAggregate("
+        elif self.prefix_length:
             label = f"SegmentedAggregate(prefix={self.prefix_length} "
         return (
             f"{label}by [{keys}] compute [{aggs}]){_describe_fusion(self)}"
         )
 
 
-class OrderedAggregate(UnaryOperator):
+class OrderedAggregate(HashAggregate):
     """Streaming aggregation over input sorted by all group keys.
 
-    Only legal when the child's ordering starts with the group key
-    columns (the planner checks this).  Group keys must be bare column
-    references.  Memory is constant: one open group, kept as
-    one-element arrays and folded into the next batch's first group
-    with the aggregates' ufuncs.
+    Only legal when the child's ordering starts with the group keys,
+    bare columns (the planner checks this): the prefix is every key.
+    Memory is one group's rows, which wait for the key that closes the
+    group; each group is reduced over all of its rows at once, as
+    :class:`HashAggregate` reduces it, so float results match bit for
+    bit.  A group spanning batches is concatenated, and accounted.
     """
 
-    def __init__(
-        self,
-        context: ExecutionContext,
-        child: PhysicalOperator,
-        group_expressions: list[Expression],
-        group_names: list[str],
-        aggregates: list[AggregateSpec],
-        kernel: FusedKernel | InterpretedKernel | None = None,
-    ):
-        _check_ordered_by(child, group_expressions)
-        schema = _output_schema(
-            child.schema, group_expressions, group_names, aggregates
-        )
-        super().__init__(context, schema, child)
-        self.group_expressions = list(group_expressions)
-        self.group_names = list(group_names)
-        self.aggregates = list(aggregates)
-        self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
-        self.kernel = _input_kernel(self, child, kernel)
-
-    @property
-    def ordering(self) -> tuple[str, ...]:
-        return tuple(self.group_names)
+    full = True
 
     def _produce(self) -> Iterator[VectorBatch]:
-        split = len(self.group_expressions)
-        # Per column of a group list (keys, partials, counts): the ufunc
-        # folding two partials of one group; a key keeps its first value.
-        folds = [None] * split
-        folds += [_REDUCERS[spec.function] for spec in self.aggregates]
-        folds.append(np.add)
-        open_group: list[np.ndarray] | None = None
+        #: the open group's rows, one (keys, values) piece per batch
+        held: list[tuple[list, list]] = []
         open_codes = None
         for keys, values in _inputs(self):
+            rows = len(keys[0])
             codes = equality_codes(keys)
             starts = run_starts(codes)
-            counts = np.diff(np.append(starts, len(codes[0])))
-            groups = [key[starts] for key in keys]
-            groups += _partials(self, values, starts, counts)
-            groups.append(counts)
-            if open_group is not None:
-                if _row(codes, 0) == open_codes:
-                    # The open group continues: fold in the first one.
-                    # ufuncs, not min()/max(): a NaN must win in any order
-                    groups = [
-                        np.concatenate([
-                            old if fold is None else fold(old, new[:1]),
-                            new[1:],
-                        ])
-                        for fold, old, new in zip(folds, open_group, groups)
-                    ]
-                else:
-                    groups = [
-                        np.concatenate([old, new])
-                        for old, new in zip(open_group, groups)
-                    ]
-            last = len(groups[-1]) - 1
-            if last:
-                yield self._batch([column[:last] for column in groups])
-            open_group = [column[last:] for column in groups]
-            open_codes = _row(codes, starts[-1])
-        if open_group is not None:
-            yield self._batch(open_group)
+            if open_codes == _row(codes, 0):  # the open group continues
+                stop = int(starts[1]) if len(starts) > 1 else rows
+                held.append(_rows(keys, values, 0, stop))
+                if stop == rows:
+                    continue
+                starts = starts[1:]
+            if held:
+                yield self._reduced(held, np.zeros(1, dtype=np.intp))
+            cut = int(starts[-1])  # the batch's last group stays open
+            if len(starts) > 1:
+                head = int(starts[0])
+                interior = [_rows(keys, values, head, cut)]
+                yield self._reduced(interior, starts[:-1] - head)
+            held = [_rows(keys, values, cut, rows)]
+            open_codes = _row(codes, cut)
+        if held:
+            yield self._reduced(held, np.zeros(1, dtype=np.intp))
 
-    def _batch(self, groups: list[np.ndarray]) -> VectorBatch:
-        split = len(self.group_expressions)
+    def _reduced(self, pieces: list, starts: np.ndarray) -> VectorBatch:
+        """One row per group of the rows in *pieces*, the groups beginning
+        at *starts*.  Pieces of a group that spans batches are
+        concatenated, and accounted while they are."""
+        (keys, values), nbytes = pieces[0], 0
+        if len(pieces) > 1:
+            keys, values = _concatenated(pieces)
+            nbytes = nominal_bytes(keys) + nominal_bytes(values)
+        self.context.memory.allocate(nbytes, "aggregation-group")
+        counts = np.diff(np.append(starts, len(keys[0])))
+        partials = _partials(self, values, starts, counts)
+        self.context.memory.release(nbytes, "aggregation-group")
         return _output_batch(
-            self, groups[:split], groups[split:-1], groups[-1]
-        )
-
-    def describe(self) -> str:
-        keys = ", ".join(map(str, self.group_expressions))
-        aggs = ", ".join(str(spec) for spec in self.aggregates)
-        return (
-            f"OrderedAggregate(by [{keys}] compute [{aggs}])"
-            f"{_describe_fusion(self)}"
+            self, [key[starts] for key in keys], partials, counts
         )

@@ -189,6 +189,8 @@ class Lowering:
             ]
             return RenameOperator(self.context, inner, names)
         if isinstance(node, LogicalFilter):
+            if isinstance(node.child, LogicalModelJoin):
+                return self._lower_model_join(node.child, node.conjuncts)
             return pipeline(
                 self.context,
                 self.compiler,
@@ -233,10 +235,13 @@ class Lowering:
         predicates: list = []
         if isinstance(child_node, LogicalFilter):
             # Absorb the adjacent filter into one filter→project segment.
-            child = self.lower(child_node.child)
             predicates = list(child_node.conjuncts)
-        else:
-            child = self.lower(child_node)
+            child_node = child_node.child
+        if isinstance(child_node, LogicalModelJoin):
+            return self._lower_model_join(
+                child_node, predicates, (node.expressions, node.names)
+            )
+        child = self.lower(child_node)
         return pipeline(
             self.context,
             self.compiler,
@@ -294,26 +299,30 @@ class Lowering:
         return joined
 
     def _lower_model_join(
-        self, node: LogicalModelJoin
+        self, node: LogicalModelJoin, predicates=(), projection=None
     ) -> PhysicalOperator:
+        """The ModelJoin, with the filter *predicates* and *projection*
+        ``(expressions, names)`` above it fused into its kernel."""
         if self.modeljoin_factory is None:
             raise PlanError(
                 "MODEL JOIN is not available: no ModelJoin operator factory "
                 "is registered (import repro.core or use Database from "
                 "repro, not repro.db)"
             )
-        child = self.lower(node.child)
         return self.modeljoin_factory(
             context=self.context,
-            child=child,
+            child=self.lower(node.child),
             metadata=node.metadata,
             model_table=node.model_table,
+            compiler=self.compiler,
             input_columns=node.input_columns,
             output_prefix=f"{node.binding}.{node.output_prefix}",
             partition_index=self.partition_index,
             variant=(
                 node.selection.chosen if node.selection is not None else None
             ),
+            predicates=tuple(predicates),
+            projection=projection,
         )
 
     def _lower_aggregate(
@@ -414,39 +423,15 @@ def segment_kernel(
     outputs,
     label: str,
 ):
-    """The one kernel of a segment consuming *child*'s output.
-
-    When the child is a ModelJoin, the spec carries the prediction
-    columns as *transient* and bakes the model table's identity into the
-    source header, so a model republish or version bump misses the
-    kernel cache exactly like it misses the ModelCache; a generated
-    kernel then lets the ModelJoin emit arena views (epilogue fusion),
-    since it copies what it passes through.
-    """
-    transient: frozenset = frozenset()
-    header: tuple[str, ...] = ()
-    if getattr(child, "supports_emit_views", False):
-        table = child.model_table
-        transient = frozenset(
-            name.lower() for name in child.prediction_column_names
-        )
-        header = (
-            f"# model-table: {table.name} uid={table.uid} "
-            f"version={table.version}",
-        )
-    kernel = compiler.kernel(
+    """The one kernel of a segment consuming *child*'s output."""
+    return compiler.kernel(
         KernelSpec(
             schema=child.schema,
             predicates=tuple(predicates),
             outputs=tuple(outputs),
-            transient=transient,
-            header=header,
             label=label,
         )
     )
-    if kernel.generated and transient:
-        child.emit_views = True
-    return kernel
 
 
 def pipeline(

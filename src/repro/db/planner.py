@@ -55,9 +55,10 @@ from repro.db.sql.ast import SelectStatement
 from repro.db.tracing import NULL_TRACER, MetricsRegistry, Tracer
 
 #: the MODEL JOIN operator factory registered by repro.core, called with
-#: keywords ``context, child, metadata, model_table, input_columns,
-#: output_prefix, partition_index, variant`` (``variant``: the
-#: optimizer's in-plan choice, "native-cpu" / "native-gpu")
+#: keywords ``context, child, metadata, model_table, compiler,
+#: input_columns, output_prefix, partition_index, variant, predicates,
+#: projection`` (``variant``: the optimizer's in-plan choice,
+#: "native-cpu" / "native-gpu"; the last two: the fused epilogue)
 ModelJoinFactory = Callable[..., PhysicalOperator]
 
 

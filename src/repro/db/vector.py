@@ -67,10 +67,6 @@ class VectorBatch:
             return 0
         return len(self.arrays[0])
 
-    @property
-    def num_rows(self) -> int:
-        return len(self)
-
     def column(self, name: str) -> np.ndarray:
         """The array backing the column named *name*."""
         return self.arrays[self.schema.position_of(name)]
@@ -121,17 +117,22 @@ class VectorBatch:
         )
 
     def nominal_bytes(self) -> int:
-        """Approximate memory footprint, for the accountant."""
-        return sum(
-            array.nbytes if array.dtype != object else len(array) * 16
-            for array in self.arrays
-        )
+        return nominal_bytes(self.arrays)
 
     def to_rows(self) -> list[tuple]:
         """Materialize as Python row tuples (result delivery / tests)."""
         if not self.arrays:
             return []
         return list(zip(*(array.tolist() for array in self.arrays)))
+
+
+def nominal_bytes(arrays: list[np.ndarray]) -> int:
+    """Approximate memory footprint, for the accountant: 16 bytes per
+    VARCHAR value."""
+    return sum(
+        array.nbytes if array.dtype != object else len(array) * 16
+        for array in arrays
+    )
 
 
 def concat_batches(schema: Schema, batches: list[VectorBatch]) -> VectorBatch:

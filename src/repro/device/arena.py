@@ -22,16 +22,14 @@ class BufferArena:
     same tag returns the same storage on every subsequent batch, so
     the steady state of the inference loop allocates nothing.
     :meth:`replicated` keeps the bias replicas the same way.  Not
-    thread-safe by design — each partition pipeline owns its own arena.
-    *counters* (e.g. a query's ``ProfileCounters``), when given, count
-    the reused bytes as ``buffer-bytes-reused``.
+    thread-safe by design — each partition pipeline owns its own arena,
+    and its owner reports :attr:`reused_bytes` when it is done.
     """
 
-    def __init__(self, capacity_rows: int, counters=None):
+    def __init__(self, capacity_rows: int):
         if capacity_rows < 1:
             raise DeviceError("arena capacity must be positive")
         self.capacity_rows = capacity_rows
-        self.counters = counters
         self._buffers: dict[str, np.ndarray] = {}
         self._replicas: dict[str, np.ndarray] = {}
         #: bytes of allocation avoided by handing out reused buffers
@@ -48,10 +46,7 @@ class BufferArena:
             buffer = np.empty((capacity, cols), dtype=np.float32)
             self._buffers[tag] = buffer
         else:
-            saved = rows * cols * buffer.itemsize
-            self.reused_bytes += saved
-            if self.counters is not None:
-                self.counters.increment("buffer-bytes-reused", saved)
+            self.reused_bytes += rows * cols * buffer.itemsize
         return buffer[:rows]
 
     def replicated(
@@ -73,10 +68,3 @@ class BufferArena:
             )
             self._replicas[tag] = replica
         return replica[:rows]
-
-    def nominal_bytes(self) -> int:
-        return sum(
-            buffer.nbytes
-            for buffers in (self._buffers, self._replicas)
-            for buffer in buffers.values()
-        )

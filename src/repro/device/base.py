@@ -230,9 +230,6 @@ class Device:
         matrix once before the first layer, Section 5.4)."""
         return np.ascontiguousarray(array.T)
 
-    def synchronize(self) -> None:
-        """Wait for outstanding device work (no-op on the host)."""
-
     @staticmethod
     def _check_float32(*arrays: np.ndarray) -> None:
         for array in arrays:

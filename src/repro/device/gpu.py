@@ -146,19 +146,3 @@ class SimulatedGpu(Device):
         return self._elementwise(
             lambda: np.ascontiguousarray(array.T), int(np.size(array))
         )
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def adjusted_seconds(self, wall_seconds: float) -> float:
-        """Swap measured kernel time for modeled device time.
-
-        Clamped at zero from below for safety (cannot happen unless the
-        clock misbehaves).
-        """
-        adjusted = (
-            wall_seconds
-            - self.stats.host_kernel_seconds
-            + self.stats.modeled_seconds
-        )
-        return max(adjusted, 0.0)

@@ -8,8 +8,6 @@ its modeled time is zero: CPU variants are reported at wall-clock.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.device.base import Device
 
 
@@ -25,15 +23,15 @@ class HostDevice(Device):
 
     def multiply(self, a, b, out=None):
         self.stats.kernel_launches += 1
-        self.stats.elementwise_elements += int(np.size(a))
+        self.stats.elementwise_elements += a.size
         return super().multiply(a, b, out)
 
     def add(self, a, b, out=None):
         self.stats.kernel_launches += 1
-        self.stats.elementwise_elements += int(np.size(a))
+        self.stats.elementwise_elements += a.size
         return super().add(a, b, out)
 
     def activation(self, name, array, out=None):
         self.stats.kernel_launches += 1
-        self.stats.elementwise_elements += int(np.size(array))
+        self.stats.elementwise_elements += array.size
         return super().activation(name, array, out)

@@ -542,3 +542,47 @@ def test_shared_arguments_follow_literal_slots_in_cached_plans():
     fresh = load(Database()).execute(shape.format(2, 3))
     for name in ("g", "a", "b"):
         assert _bits(cached, name) == _bits(fresh, name)
+
+
+@settings(max_examples=25, deadline=None)
+@example(sizes=[2000] * 5, seed=0)
+@given(
+    sizes=st.lists(
+        st.integers(min_value=1, max_value=3000), min_size=1, max_size=8
+    ).filter(lambda sizes: sum(sizes) > 4096),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_ordered_matches_hash_bitwise_across_blocks(sizes, seed):
+    """Groups straddling the 4096-row block boundary reduce to the same
+    float bits whether the aggregate streams or hashes: both reduce a
+    group's rows with one ``reduceat``, never from per-batch partials."""
+    db = Database()
+    db.execute("CREATE TABLE t (g INTEGER, v DOUBLE, f FLOAT) SORTED BY (g)")
+    rng = np.random.default_rng(seed)
+    rows = sum(sizes)
+    db.table("t").append_columns(
+        g=np.repeat(np.arange(len(sizes)), sizes),
+        v=rng.normal(size=rows),
+        f=rng.normal(size=rows).astype(np.float32),
+    )
+    sql = (
+        "SELECT g, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(f) AS hi, "
+        "SUM(f) AS sf, COUNT(*) AS c FROM t GROUP BY g"
+    )
+    results = {}
+    for ordered, strategy in (
+        (True, "OrderedAggregate"),
+        (False, "HashAggregate"),
+    ):
+        db.planner_options = dataclasses.replace(
+            db.planner_options, use_ordered_aggregation=ordered
+        )
+        assert strategy in db.explain(sql)
+        results[strategy] = db.execute(sql)
+        if ordered:
+            # one group's rows at most: key g, then v and f
+            assert db.last_profile.peak_memory_bytes <= max(sizes) * 20
+    for name in results["HashAggregate"].schema.names:
+        assert _bits(results["OrderedAggregate"], name) == _bits(
+            results["HashAggregate"], name
+        ), name

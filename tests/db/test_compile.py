@@ -38,7 +38,7 @@ from repro.db.udf import PythonUdf, register_udf
 from repro.bench.variants import BenchEnvironment, make_variant
 from repro.core.registry import publish_model
 from repro.errors import KernelExecutionError, QueryTimeoutError
-from repro.workloads.models import make_dense_model
+from repro.workloads.models import make_dense_model, make_lstm_model
 
 
 # reopens persistent databases: runs again under `python -X dev` with
@@ -657,6 +657,18 @@ FALLBACK_SHAPES = {
         "MODEL JOIN clf USING (c0, c1, c2, c3) ORDER BY id",
         False,
     ),
+    # the one ModelJoin kernel: dense forward plus a filtered epilogue
+    "modeljoin_dense": (
+        "SELECT id, prediction_0 FROM f MODEL JOIN clf "
+        "USING (c0, c1, c2, c3) WHERE prediction_0 > 0.5 ORDER BY id",
+        False,
+    ),
+    # ... and the LSTM's unrolled time steps
+    "modeljoin_lstm": (
+        "SELECT id, prediction_0 FROM w MODEL JOIN seq "
+        "USING (x1, x2, x3) ORDER BY id",
+        False,
+    ),
 }
 
 
@@ -689,6 +701,14 @@ def fallback_db():
         id=np.arange(40), c0=x[:, 0], c1=x[:, 1], c2=x[:, 2], c3=x[:, 3]
     )
     publish_model(database, "clf", make_dense_model(8, 2, input_width=4))
+    database.execute(
+        "CREATE TABLE w (id INTEGER, x1 FLOAT, x2 FLOAT, x3 FLOAT)"
+    )
+    x = rng.normal(size=(30, 3)).astype(np.float32)
+    database.table("w").append_columns(
+        id=np.arange(30), x1=x[:, 0], x2=x[:, 1], x3=x[:, 2]
+    )
+    publish_model(database, "seq", make_lstm_model(8, time_steps=3))
     yield database
     database.close()
 

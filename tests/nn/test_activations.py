@@ -33,6 +33,23 @@ class TestForward:
         values = np.array([-1.0, 0.0, 2.0], dtype=np.float32)
         assert get_activation("relu")(values).tolist() == [0.0, 0.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "shape", [(5,), (1024, 32), (4096, 64), (2, 3, 4), (0, 8)]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bits_match_broadcast_maximum(self, shape, dtype):
+        # NaN passes through and -0.0 keeps its sign, as with maximum
+        # against one broadcast zero; the shared zeros stay zeros
+        values = np.random.default_rng(1).normal(size=shape).astype(dtype)
+        values.flat[:2] = [np.nan, -0.0][: values.size]
+        want = np.maximum(values, np.zeros(1, dtype=dtype)).tobytes()
+        relu = get_activation("relu")
+        assert relu(values).tobytes() == want
+        assert relu.apply(values, out=np.empty_like(values)).tobytes() == want
+        strided = np.repeat(values, 2, axis=-1)[..., ::2]
+        assert relu.apply(strided, out=strided).tobytes() == want
+        assert not relu(-np.ones(shape, dtype)).any()
+
     def test_sigmoid_range_and_midpoint(self):
         sigmoid = get_activation("sigmoid")
         assert sigmoid(np.array([0.0], dtype=np.float32))[0] == 0.5
