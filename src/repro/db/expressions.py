@@ -10,12 +10,13 @@ floating-point result, which keeps generated formulas like
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, eq, ge, gt, le, lt, mul, ne, sub, truediv
 
 import numpy as np
 
 from repro.db.functions import lookup_function
 from repro.db.schema import Schema
-from repro.db.types import SqlType, common_numeric_type
+from repro.db.types import SqlType, check_comparable, common_numeric_type
 from repro.db.vector import VectorBatch
 from repro.errors import ExecutionError, TypeMismatchError
 
@@ -98,8 +99,13 @@ class Literal(Expression):
         return str(self.value)
 
 
-_ARITHMETIC = {"+", "-", "*", "/"}
-_COMPARISON = {"=", "<>", "<", "<=", ">", ">="}
+#: NumPy operator of each arithmetic and comparison operator; division
+#: is always floating point (true division), as in SQL generated formulas
+_NUMPY_OPERATORS = {
+    "+": add, "-": sub, "*": mul, "/": truediv,
+    "=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge,
+}
+COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 _LOGICAL = {"AND", "OR"}
 
 
@@ -114,44 +120,24 @@ class BinaryOp(Expression):
     def evaluate(self, batch: VectorBatch) -> np.ndarray:
         left = self.left.evaluate(batch)
         right = self.right.evaluate(batch)
-        operator = self.operator
-        if operator in _ARITHMETIC:
-            if operator == "+":
-                return left + right
-            if operator == "-":
-                return left - right
-            if operator == "*":
-                return left * right
-            # SQL-style: division is always floating point in this engine.
-            if left.dtype.kind in "iu" and right.dtype.kind in "iu":
-                return left / right  # NumPy true division -> float64
-            return left / right
-        if operator in _COMPARISON:
-            if operator == "=":
-                return left == right
-            if operator == "<>":
-                return left != right
-            if operator == "<":
-                return left < right
-            if operator == "<=":
-                return left <= right
-            if operator == ">":
-                return left > right
-            return left >= right
-        if operator in _LOGICAL:
+        if self.operator in _LOGICAL:
             if left.dtype != np.bool_ or right.dtype != np.bool_:
                 raise ExecutionError(
-                    f"{operator} requires boolean operands"
+                    f"{self.operator} requires boolean operands"
                 )
-            if operator == "AND":
-                return left & right
-            return left | right
-        raise ExecutionError(f"unknown binary operator {operator!r}")
+            return left & right if self.operator == "AND" else left | right
+        function = _NUMPY_OPERATORS.get(self.operator)
+        if function is None:
+            raise ExecutionError(f"unknown binary operator {self.operator!r}")
+        return function(left, right)
 
     def output_type(self, schema: Schema) -> SqlType:
         left = self.left.output_type(schema)
         right = self.right.output_type(schema)
-        if self.operator in _COMPARISON or self.operator in _LOGICAL:
+        if self.operator in COMPARISONS:
+            check_comparable(left, right)
+            return SqlType.BOOLEAN
+        if self.operator in _LOGICAL:
             return SqlType.BOOLEAN
         if self.operator == "/":
             promoted = common_numeric_type(left, right)

@@ -1,14 +1,16 @@
 """Hash (equi-) join.
 
 The build side (by planner convention the *right* child — in ModelJoin
-queries this is the small model table) is fully consumed first; the
-probe side then streams through.  The implementation codes the build
-keys once, sorts them, and answers each probe batch with two
-``searchsorted`` calls — semantically a hash join, with the same
-memory profile (build side materialized) and the same pipelining
-property: probe-side order is preserved because every probe row's
-matches are emitted contiguously and in probe order.  That preserved
+queries this is the small model table) is fully consumed first and its
+keys indexed once (:class:`~repro.db.operators.keys.JoinIndex`); each
+probe batch is then coded through the build side's dictionaries —
+semantically a hash join, with the same memory profile (build side
+materialized) and the same pipelining property: probe-side order is
+preserved because every probe row's matches are emitted contiguously,
+in probe order and in build order within one key.  That preserved
 order is what enables the order-based aggregation of paper Section 4.4.
+A key pair is coded as its types say, once: an INTEGER paired with a
+FLOAT or DOUBLE as float64, NumPy's common type of the two.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from repro.db.operators.base import (
     PhysicalOperator,
 )
 from repro.db.operators.keys import (
-    pack_keys,
-    pack_keys_slow,
+    JoinIndex,
+    equality_codes,
     ranges_to_indices,
-    supports_fast_keys,
 )
+from repro.db.types import SqlType, check_comparable
 from repro.db.vector import VectorBatch, concat_batches
 from repro.errors import ExecutionError
 
@@ -52,10 +54,18 @@ class HashJoin(BinaryOperator):
         self.left_keys = list(left_keys)
         self.right_keys = list(right_keys)
         self.residual = residual
+        #: per key pair, whether both sides are coded as float64
+        self._as_float = []
+        for pair in zip(left_keys, right_keys):
+            types = [
+                key.output_type(side.schema)
+                for key, side in zip(pair, (left, right))
+            ]
+            check_comparable(*types)
+            floats = SqlType.FLOAT in types or SqlType.DOUBLE in types
+            self._as_float.append(floats)
         self._build_batch: VectorBatch | None = None
-        self._sorted_keys: np.ndarray | None = None
-        self._order: np.ndarray | None = None
-        self._fast_keys = True
+        self._index: JoinIndex | None = None
         self._accounted_bytes = 0
 
     @property
@@ -65,41 +75,36 @@ class HashJoin(BinaryOperator):
     def _evaluate(self, expression: Expression, batch: VectorBatch):
         return evaluate_per_vector(expression, batch, self.context.vector_size)
 
+    def _key_codes(self, keys, batch: VectorBatch) -> list[np.ndarray]:
+        """The key columns of *batch*, coded as the index compares them."""
+        columns = [self._evaluate(key, batch) for key in keys]
+        return equality_codes(
+            [
+                column.astype(np.float64, copy=False) if as_float else column
+                for column, as_float in zip(columns, self._as_float)
+            ]
+        )
+
     def _build(self) -> None:
         """Drain the build (right) side and index its keys."""
         batches = list(self.right.next_batches())
         build = concat_batches(self.right.schema, batches)
         self._build_batch = build
-        key_arrays = [self._evaluate(key, build) for key in self.right_keys]
-        self._fast_keys = supports_fast_keys(key_arrays)
-        if self._fast_keys:
-            packed = pack_keys(key_arrays)
-        else:
-            packed = pack_keys_slow(key_arrays)
-        self._order = np.argsort(packed, kind="stable")
-        self._sorted_keys = packed[self._order]
-        self._accounted_bytes = (
-            build.nominal_bytes() + self._sorted_keys.size * 8 * 2
-        )
+        self._index = JoinIndex(self._key_codes(self.right_keys, build))
+        # the index is charged 16 B per build row, whatever its layout
+        self._accounted_bytes = build.nominal_bytes() + 16 * len(build)
         self.context.memory.allocate(self._accounted_bytes, "join-build")
 
     def _probe(self, batch: VectorBatch) -> VectorBatch | None:
-        key_arrays = [self._evaluate(key, batch) for key in self.left_keys]
-        if self._fast_keys:
-            packed = pack_keys(key_arrays)
-        else:
-            packed = pack_keys_slow(key_arrays)
-        low = np.searchsorted(self._sorted_keys, packed, side="left")
-        high = np.searchsorted(self._sorted_keys, packed, side="right")
-        counts = (high - low).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
+        starts, counts = self._index.lookup(
+            self._key_codes(self.left_keys, batch)
+        )
+        if not counts.any():
             return None
         probe_indices = np.repeat(
             np.arange(len(batch), dtype=np.int64), counts
         )
-        build_positions = ranges_to_indices(low.astype(np.int64), counts)
-        build_indices = self._order[build_positions]
+        build_indices = self._index.order[ranges_to_indices(starts, counts)]
         left_out = batch.take(probe_indices)
         right_out = self._build_batch.take(build_indices)
         joined = left_out.concat_columns(right_out)
@@ -126,8 +131,7 @@ class HashJoin(BinaryOperator):
             self.context.memory.release(self._accounted_bytes, "join-build")
             self._accounted_bytes = 0
         self._build_batch = None
-        self._sorted_keys = None
-        self._order = None
+        self._index = None
         super().close()
 
     def describe(self) -> str:

@@ -2,19 +2,19 @@
 
 Every numeric key column is coded as int64 (:func:`_int64_codes`).  The
 coding is value-deterministic (bit patterns, not factorization), so two
-relations can be coded independently and still compare equal — which
-is what lets the hash join code its build side once and probe in a
-streaming fashion (:func:`pack_keys` stacks a multi-column join key
-into one structured array that ``np.searchsorted`` can probe).
+relations coded independently compare equal.  The hash join indexes
+its build side once (:class:`JoinIndex`): the sorted distinct codes of
+each key column (VARCHAR: values) are its dictionary, and a row's
+ranks in them fold into one dense code; a probe row is coded through
+the same dictionaries, and a value the build side lacks is a miss.
 
-Grouping never sorts that structured array.  :func:`group_order` folds
-the codes into one mixed-radix composite key.  A composite of at most
-2^16 values (and no more values than rows) is ordered by a stable radix
-argsort of its uint8/uint16 cast and split by ``np.bincount``; a wider
-one is sorted with plain ``ndarray.sort``, and the code columns are
-lexsorted when the composite would overflow.  VARCHAR columns join the
-codes as their ``np.unique`` ranks, which order like the strings
-themselves.
+Grouping folds the codes into one mixed-radix composite key
+(:func:`group_order`).  A composite of at most 2^16 values (and no
+more values than rows) is ordered by a stable radix argsort of its
+uint8/uint16 cast and split by ``np.bincount``; a wider one is sorted
+with plain ``ndarray.sort``, and the code columns are lexsorted when
+the composite would overflow.  VARCHAR columns join the codes as their
+``np.unique`` ranks, which order like the strings themselves.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def _int64_codes(values: np.ndarray) -> np.ndarray:
     - integers/booleans: the value itself,
     - floats: IEEE bit pattern of the float64 value (with ``-0.0``
       normalized to ``0.0`` so SQL equality and code equality agree),
-    - anything else is rejected (VARCHAR keys are ranked or packed as
-      tuples by the caller, not here).
+    - anything else is rejected (VARCHAR keys are ranked or indexed by
+      value by the caller, not here).
     """
     kind = values.dtype.kind
     if kind in "iu":
@@ -53,7 +53,7 @@ def _int64_codes(values: np.ndarray) -> np.ndarray:
         if zero_mask.any():
             as_double[zero_mask] = 0.0
         return as_double.view(np.int64)
-    raise ExecutionError(f"cannot pack key column of dtype {values.dtype}")
+    raise ExecutionError(f"cannot code key column of dtype {values.dtype}")
 
 
 def string_ranks(values: np.ndarray) -> np.ndarray:
@@ -146,51 +146,61 @@ def group_order(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, run_starts([column[order] for column in codes])
 
 
-def supports_fast_keys(arrays: list[np.ndarray]) -> bool:
-    """Whether all key columns can be bit-pattern coded."""
-    return all(array.dtype.kind in "iubf" for array in arrays)
+def _rank(dictionary, values, hit) -> np.ndarray:
+    """Position of each of *values* in the sorted *dictionary*; clears
+    *hit* where the dictionary lacks the value."""
+    positions = np.searchsorted(dictionary, values)
+    np.minimum(positions, len(dictionary) - 1, out=positions)
+    hit &= dictionary[positions] == values
+    return positions
 
 
-def pack_keys(arrays: list[np.ndarray]) -> np.ndarray:
-    """Encode join key columns into one comparable array.
+class JoinIndex:
+    """An equi-join's build side, indexed by its coded key *columns*.
 
-    Returns an int64 array for a single key column, otherwise a
-    structured array with one int64 field per key column.  The result
-    supports ``np.argsort`` and ``np.searchsorted`` with lexicographic
-    field order, which is all the join needs.
+    After each column its ranks are folded into the code so far and
+    re-ranked through the distinct folded codes (``folds``), so a code
+    stays below the build row count.  Key code ``c``'s build rows, in
+    build order, are ``order[starts[c]:][:sizes[c]]``.
     """
-    if not arrays:
-        raise ExecutionError("pack_keys needs at least one key column")
-    codes = [_int64_codes(array) for array in arrays]
-    if len(codes) == 1:
-        return codes[0]
-    stacked = np.ascontiguousarray(np.column_stack(codes))
-    dtype = np.dtype([(f"f{i}", np.int64) for i in range(len(codes))])
-    return stacked.view(dtype).reshape(len(arrays[0]))
 
+    def __init__(self, columns: list[np.ndarray]):
+        if not columns:
+            raise ExecutionError("a join index needs at least one key column")
+        dictionary, code = np.unique(columns[0], return_inverse=True)
+        self.dictionaries, self.folds = [dictionary], []
+        for column in columns[1:]:
+            dictionary, ranks = np.unique(column, return_inverse=True)
+            self.dictionaries.append(dictionary)
+            fold, code = np.unique(
+                code * len(dictionary) + ranks, return_inverse=True
+            )
+            self.folds.append(fold)
+        self.sizes = np.bincount(code)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.order = np.argsort(code, kind="stable")
 
-def pack_keys_slow(arrays: list[np.ndarray]) -> np.ndarray:
-    """Object-array-of-tuples coding for string or mixed join keys.
-
-    Slower, but comparable and hashable — the join's path for VARCHAR
-    keys.
-    """
-    rows = list(zip(*(array.tolist() for array in arrays)))
-    packed = np.empty(len(rows), dtype=object)
-    packed[:] = rows
-    return packed
+    def lookup(self, columns: list[np.ndarray]):
+        """``(starts, counts)`` of each probe row's matches in ``order``."""
+        if not len(self.order):
+            nothing = np.zeros(len(columns[0]), dtype=np.int64)
+            return nothing, nothing
+        hit = np.ones(len(columns[0]), dtype=np.bool_)
+        code = _rank(self.dictionaries[0], columns[0], hit)
+        for column, dictionary, fold in zip(
+            columns[1:], self.dictionaries[1:], self.folds
+        ):
+            ranks = _rank(dictionary, column, hit)
+            code = _rank(fold, code * len(dictionary) + ranks, hit)
+        return self.starts[code], np.where(hit, self.sizes[code], 0)
 
 
 def ranges_to_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flatten per-row match ranges ``[start, start+count)`` to indices.
 
-    Used by the join to expand ``searchsorted`` hit ranges into gather
-    indices without a Python loop.
+    Used by the join to expand :meth:`JoinIndex.lookup` ranges into
+    gather indices without a Python loop.
     """
+    shifts = starts - (np.cumsum(counts) - counts)
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    repeated_starts = np.repeat(starts, counts)
-    cumulative = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(cumulative, counts)
-    return repeated_starts + within
+    return np.repeat(shifts, counts) + np.arange(total, dtype=np.int64)

@@ -25,6 +25,7 @@ from operator import attrgetter
 from repro.db.catalog import Catalog, ModelMetadata
 from repro.db.column import ColumnRange, block_pruner
 from repro.db.expressions import (
+    COMPARISONS,
     BinaryOp,
     CaseWhen,
     Cast,
@@ -49,6 +50,7 @@ from repro.db.sql.ast import (
 )
 from repro.db.sql.parser import is_aggregate_call
 from repro.db.table import Table
+from repro.db.types import SqlType
 from repro.errors import BindError, PlanError
 
 # ----------------------------------------------------------------------
@@ -478,11 +480,20 @@ class Scope:
 
     qualified: dict[str, str] = field(default_factory=dict)
     by_bare_name: dict[str, list[str]] = field(default_factory=dict)
+    #: SQL type of each qualified column (lowercase), None if unknown
+    types: dict[str, SqlType | None] = field(default_factory=dict)
 
-    def add(self, binding: str, column: str) -> None:
+    def add(self, binding: str, column: str, sql_type=None) -> None:
         qualified = f"{binding}.{column}"
         self.qualified[qualified.lower()] = qualified
         self.by_bare_name.setdefault(column.lower(), []).append(qualified)
+        self.types[qualified.lower()] = sql_type
+
+    def type_of(self, name: str) -> SqlType:
+        """:meth:`Schema.type_of`, for :meth:`Expression.output_type`."""
+        if self.types.get(name.lower()) is None:
+            raise BindError(f"type of column {name!r} is not known")
+        return self.types[name.lower()]
 
     def resolve(self, name: str) -> str:
         key = name.lower()
@@ -549,7 +560,9 @@ def rebuild(
 
 
 def resolve_expression(expression: Expression, scope: Scope) -> Expression:
-    """Resolve all column references in *expression* against *scope*."""
+    """Resolve all column references in *expression* against *scope*;
+    a comparison of a VARCHAR with a number of known types raises
+    :class:`~repro.errors.TypeMismatchError`."""
 
     def transform(node: Expression) -> Expression:
         if isinstance(node, ColumnRef):
@@ -557,9 +570,20 @@ def resolve_expression(expression: Expression, scope: Scope) -> Expression:
         if isinstance(node, FunctionCall) and not has_function(node.name):
             if node.name not in ("SUM", "COUNT", "MIN", "MAX", "AVG"):
                 raise BindError(f"unknown function {node.name!r}")
-        return rebuild(node, transform)
+        resolved = rebuild(node, transform)
+        if isinstance(resolved, BinaryOp) and resolved.operator in COMPARISONS:
+            type_in_scope(resolved, scope)
+        return resolved
 
     return transform(expression)
+
+
+def type_in_scope(expression: Expression, scope: Scope) -> SqlType | None:
+    """Type of a resolved *expression*, None where the binder cannot tell."""
+    try:
+        return expression.output_type(scope)
+    except BindError:  # an aggregate, or a column of unknown type
+        return None
 
 
 def bindings_of(expression: Expression) -> set[str]:
@@ -755,6 +779,10 @@ class LogicalBinder:
         self.has_modeljoin_factory = has_modeljoin_factory
 
     def bind(self, statement: SelectStatement) -> LogicalNode:
+        return self._bind_block(statement)[0]
+
+    def _bind_block(self, statement: SelectStatement):
+        """The bound block and its output columns' types (or None)."""
         scope = Scope()
         items = [
             self._bind_from_item(item, scope)
@@ -804,7 +832,7 @@ class LogicalBinder:
         if statement.limit is not None:
             root = LogicalLimit(root, statement.limit, statement.offset)
         recompute_estimates(root)
-        return root
+        return root, [type_in_scope(e, scope) for e in select_exprs]
 
     # ------------------------------------------------------------------
     # FROM clause
@@ -813,14 +841,14 @@ class LogicalBinder:
         if isinstance(item, TableRef):
             table = self.catalog.table(item.table_name)
             binding = item.binding_name.lower()
-            for name in table.schema.names:
-                scope.add(binding, name)
+            for column in table.schema:
+                scope.add(binding, column.name, column.sql_type)
             return LogicalScan(table, binding, list(table.schema.names))
         if isinstance(item, SubqueryRef):
-            inner = self.bind(item.query)
+            inner, types = self._bind_block(item.query)
             binding = item.alias.lower()
-            for name in inner.output_names():
-                scope.add(binding, name)
+            for name, sql_type in zip(inner.output_names(), types):
+                scope.add(binding, name, sql_type)
             return LogicalSubquery(binding, inner)
         if isinstance(item, JoinRef):
             left = self._bind_from_item(item.left, scope)
@@ -860,7 +888,8 @@ class LogicalBinder:
             version=version,
         )
         for index in range(metadata.output_width):
-            scope.add(node.binding, f"{item.output_prefix}_{index}")
+            name = f"{item.output_prefix}_{index}"
+            scope.add(node.binding, name, SqlType.FLOAT)
         return node
 
     # ------------------------------------------------------------------

@@ -105,9 +105,5 @@ class Schema:
             )
         )
 
-    def row_byte_width(self) -> int:
-        """Nominal bytes per row, used by the memory accountant."""
-        return sum(column.sql_type.byte_width for column in self.columns)
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return "(" + ", ".join(str(column) for column in self.columns) + ")"

@@ -81,20 +81,6 @@ def parse_type_name(name: str) -> SqlType:
     return sql_type
 
 
-def type_of_dtype(dtype: np.dtype) -> SqlType:
-    """Map a NumPy dtype onto the engine type that stores it."""
-    kind = np.dtype(dtype).kind
-    if kind in "iu":
-        return SqlType.INTEGER
-    if kind == "f":
-        return SqlType.FLOAT if np.dtype(dtype).itemsize <= 4 else SqlType.DOUBLE
-    if kind == "b":
-        return SqlType.BOOLEAN
-    if kind in "OUS":
-        return SqlType.VARCHAR
-    raise TypeMismatchError(f"no SQL type for NumPy dtype {dtype!r}")
-
-
 def common_numeric_type(left: SqlType, right: SqlType) -> SqlType:
     """The result type of an arithmetic operation between two types.
 
@@ -108,20 +94,8 @@ def common_numeric_type(left: SqlType, right: SqlType) -> SqlType:
     return order[max(order.index(left), order.index(right))]
 
 
-def coerce_array(values: np.ndarray, sql_type: SqlType) -> np.ndarray:
-    """Cast *values* to the storage dtype of *sql_type*.
-
-    Strings are only accepted for VARCHAR columns; numeric narrowing is
-    allowed (the engine, like most engines, truncates on explicit cast).
-    """
-    target = sql_type.numpy_dtype
-    array = np.asarray(values)
-    if sql_type is SqlType.VARCHAR:
-        if array.dtype.kind not in "OUS":
-            raise TypeMismatchError(
-                f"cannot store {array.dtype} values in a VARCHAR column"
-            )
-        return array.astype(object)
-    if array.dtype.kind in "OUS":
-        raise TypeMismatchError(f"cannot store strings in a {sql_type} column")
-    return array.astype(target, copy=False)
+def check_comparable(left: SqlType, right: SqlType) -> None:
+    """Reject a comparison (``= <> < <= > >=``, or an equi-join key
+    pair) between a VARCHAR and a non-VARCHAR operand."""
+    if (left is SqlType.VARCHAR) != (right is SqlType.VARCHAR):
+        raise TypeMismatchError(f"cannot compare {left} with {right}")

@@ -7,57 +7,67 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.operators.keys import (
+    JoinIndex,
     _int64_codes,
+    equality_codes,
     group_order,
-    pack_keys,
-    pack_keys_slow,
     ranges_to_indices,
     run_starts,
     string_ranks,
-    supports_fast_keys,
 )
 from repro.errors import ExecutionError
 
 
+def index_matches(build, probe):
+    """Build rows each probe row matches through a :class:`JoinIndex`
+    over *build*'s key columns, in the order the join emits them."""
+    index = JoinIndex(equality_codes(build))
+    starts, counts = index.lookup(equality_codes(probe))
+    return [
+        index.order[start : start + count].tolist()
+        for start, count in zip(starts, counts)
+    ]
+
+
 class TestPackKeys:
+    """Packing key columns into the join's build-side index."""
+
     def test_single_int_column_passthrough(self):
-        values = np.array([3, -1, 7], dtype=np.int64)
-        packed = pack_keys([values])
-        np.testing.assert_array_equal(packed, values)
+        values = np.array([3, -1, 7, 3], dtype=np.int64)
+        index = JoinIndex([values])
+        np.testing.assert_array_equal(index.dictionaries[0], [-1, 3, 7])
+        assert index_matches([values], [values[:3]]) == [[0, 3], [1], [2]]
 
     def test_multi_column_equality_semantics(self):
         a = np.array([1, 1, 2])
         b = np.array([5, 6, 5])
-        packed = pack_keys([a, b])
-        assert packed[0] != packed[1]
-        assert packed[0] != packed[2]
-        again = pack_keys([a.copy(), b.copy()])
-        np.testing.assert_array_equal(packed == again, True)
+        assert index_matches([a, b], [a.copy(), b.copy()]) == [[0], [1], [2]]
+        assert index_matches([a, b], [np.array([2, 1]), np.array([6, 7])]) \
+            == [[], []]
 
     def test_float_zero_normalization(self):
         values = np.array([0.0, -0.0], dtype=np.float32)
-        packed = pack_keys([values])
-        assert packed[0] == packed[1]
+        assert index_matches([values], [values]) == [[0, 1], [0, 1]]
 
     def test_bool_column(self):
-        packed = pack_keys([np.array([True, False, True])])
-        assert packed[0] == packed[2] != packed[1]
+        values = np.array([True, False, True])
+        assert index_matches([values], [values]) == [[0, 2], [1], [0, 2]]
 
-    def test_object_column_rejected_by_fast_path(self):
-        strings = np.array(["a"], dtype=object)
-        assert not supports_fast_keys([strings])
+    def test_varchar_column_indexed_by_value(self):
+        strings = np.array(["b", "a", "b"], dtype=object)
         with pytest.raises(ExecutionError):
-            pack_keys([strings])
+            _int64_codes(strings)
+        probe = np.array(["b", "c", "a"], dtype=object)
+        assert index_matches([strings], [probe]) == [[0, 2], [], [1]]
 
-    def test_slow_path_tuples(self):
-        packed = pack_keys_slow(
-            [np.array(["x", "y"], dtype=object), np.array([1, 2])]
-        )
-        assert packed[0] == ("x", 1)
+    def test_varchar_and_integer_pair(self):
+        build = [np.array(["x", "y", "x"], dtype=object), np.array([1, 2, 2])]
+        probe = [np.array(["x", "x", "y"], dtype=object), np.array([2, 1, 1])]
+        assert index_matches(build, probe) == [[2], [0], []]
 
     def test_empty_key_list_rejected(self):
         with pytest.raises(ExecutionError):
-            pack_keys([])
+            JoinIndex([])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -78,13 +88,25 @@ class TestPackKeys:
         floats = np.array(
             [np.float32(pair[1]) for pair in left], dtype=np.float32
         )
-        packed = pack_keys([ints, floats])
+        matches = index_matches([ints, floats], [ints, floats])
         for i in range(len(left)):
-            for j in range(len(left)):
-                same_value = (
-                    ints[i] == ints[j] and floats[i] == floats[j]
-                )
-                assert (packed[i] == packed[j]) == same_value
+            assert matches[i] == [
+                j for j in range(len(left))
+                if ints[i] == ints[j] and floats[i] == floats[j]
+            ]
+
+    def test_codes_stay_below_build_rows(self):
+        wide = np.array([INT64.min, INT64.max, 0, INT64.max], dtype=np.int64)
+        floats = np.array([0.5, np.nan, -0.0, 1e300])
+        columns = [wide, wide[::-1].copy(), floats]
+        index = JoinIndex(equality_codes(columns))
+        assert all(len(fold) <= len(wide) for fold in index.folds)
+        assert index_matches(columns, columns) == [[0], [1], [2], [3]]
+
+    def test_empty_build_side_misses(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert index_matches([empty, empty], [np.arange(3), np.arange(3)]) \
+            == [[], [], []]
 
 
 INT64 = np.iinfo(np.int64)
@@ -159,11 +181,6 @@ class TestGroupOrder:
         want_order, want_starts = lexsort_oracle(columns)
         np.testing.assert_array_equal(order, want_order)
         np.testing.assert_array_equal(starts, want_starts)
-        if len(order):
-            # the permutation the structured-key stable argsort gave
-            np.testing.assert_array_equal(
-                order, np.argsort(pack_keys(columns), kind="stable")
-            )
 
     def test_small_ranges_sort_one_composite(self, monkeypatch):
         def no_lexsort(_keys):

@@ -31,9 +31,6 @@ class TestSchemaBasics:
         with pytest.raises(DatabaseError):
             Schema.of(("a", SqlType.INTEGER), ("A", SqlType.FLOAT))
 
-    def test_row_byte_width(self, schema):
-        assert schema.row_byte_width() == 8 + 4 + 16
-
 
 class TestLookup:
     def test_position_is_case_insensitive(self, schema):

@@ -3,10 +3,9 @@ import pytest
 
 from repro.db.types import (
     SqlType,
-    coerce_array,
+    check_comparable,
     common_numeric_type,
     parse_type_name,
-    type_of_dtype,
 )
 from repro.errors import TypeMismatchError
 
@@ -41,13 +40,6 @@ class TestDtypeMapping:
     def test_integer_is_int64(self):
         assert SqlType.INTEGER.numpy_dtype == np.dtype(np.int64)
 
-    def test_type_of_dtype_roundtrip(self):
-        for sql_type in (SqlType.INTEGER, SqlType.FLOAT, SqlType.DOUBLE):
-            assert type_of_dtype(sql_type.numpy_dtype) is sql_type
-
-    def test_type_of_string_dtype(self):
-        assert type_of_dtype(np.dtype("U10")) is SqlType.VARCHAR
-
     def test_byte_width(self):
         assert SqlType.FLOAT.byte_width == 4
         assert SqlType.INTEGER.byte_width == 8
@@ -72,19 +64,18 @@ class TestPromotion:
             common_numeric_type(SqlType.VARCHAR, SqlType.INTEGER)
 
 
-class TestCoerceArray:
-    def test_int_to_float_narrows(self):
-        result = coerce_array(np.array([1, 2]), SqlType.FLOAT)
-        assert result.dtype == np.float32
-
-    def test_string_into_numeric_rejected(self):
+class TestComparable:
+    @pytest.mark.parametrize(
+        "other", [SqlType.INTEGER, SqlType.FLOAT, SqlType.DOUBLE,
+                  SqlType.BOOLEAN],
+    )
+    def test_varchar_against_non_varchar_rejected(self, other):
         with pytest.raises(TypeMismatchError):
-            coerce_array(np.array(["a"]), SqlType.FLOAT)
-
-    def test_numeric_into_varchar_rejected(self):
+            check_comparable(SqlType.VARCHAR, other)
         with pytest.raises(TypeMismatchError):
-            coerce_array(np.array([1.0]), SqlType.VARCHAR)
+            check_comparable(other, SqlType.VARCHAR)
 
-    def test_varchar_accepts_objects(self):
-        result = coerce_array(np.array(["a", "b"]), SqlType.VARCHAR)
-        assert result.dtype == object
+    def test_same_family_accepted(self):
+        check_comparable(SqlType.VARCHAR, SqlType.VARCHAR)
+        check_comparable(SqlType.INTEGER, SqlType.FLOAT)
+        check_comparable(SqlType.BOOLEAN, SqlType.INTEGER)
