@@ -240,7 +240,7 @@ def zone_map_bounds(array: np.ndarray, sql_type: SqlType):
 class Block:
     """An immutable horizontal slice of a partition with SMA stats."""
 
-    __slots__ = ("arrays", "stats", "length")
+    __slots__ = ("arrays", "stats", "length", "_nominal_bytes")
 
     def __init__(self, schema: Schema, arrays: list[np.ndarray]):
         lengths = {len(array) for array in arrays}
@@ -248,6 +248,7 @@ class Block:
             raise ExecutionError(f"ragged block: column lengths {lengths}")
         self.arrays = arrays
         self.length = lengths.pop()
+        self._nominal_bytes = nominal_bytes(arrays)
         self.stats: list[MinMax | None] = []
         for column, array in zip(schema, arrays):
             bounds = zone_map_bounds(array, column.sql_type)
@@ -256,14 +257,14 @@ class Block:
             )
 
     def nominal_bytes(self) -> int:
-        return nominal_bytes(self.arrays)
+        return self._nominal_bytes
 
     def column_array(self, position: int) -> np.ndarray:
         """The array of one column (the disk block protocol)."""
         return self.arrays[position]
 
     def to_batch(self, schema: Schema) -> VectorBatch:
-        return VectorBatch(schema, self.arrays)
+        return VectorBatch.validated(schema, self.arrays)
 
 
 class BlockBuilder:

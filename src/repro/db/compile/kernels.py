@@ -62,6 +62,7 @@ from repro.errors import (
     KernelCompileError,
     KernelExecutionError,
     QueryTimeoutError,
+    TypeMismatchError,
 )
 
 
@@ -343,7 +344,9 @@ class FusedKernel(_Kernel):
             if faults.ACTIVE is not None:
                 faults.ACTIVE.fire("compile.kernel")
             return self.function(arrays, n, cancel, self.params, *model)
-        except QueryTimeoutError:
+        except (QueryTimeoutError, TypeMismatchError):
+            # a deadline, or the statement's own type error: the
+            # interpreted kernel would raise it again
             raise
         except Exception as error:
             if model and (

@@ -175,7 +175,7 @@ class TableScan(PhysicalOperator):
             )
         if not self._projected:
             return block.to_batch(self.schema)
-        return VectorBatch(
+        return VectorBatch.validated(
             self.schema, [block.arrays[p] for p in self._positions]
         )
 

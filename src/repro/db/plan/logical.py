@@ -578,11 +578,46 @@ def resolve_expression(expression: Expression, scope: Scope) -> Expression:
     return transform(expression)
 
 
+#: aggregates whose output type is not their argument's
+_AGGREGATE_TYPES = {"COUNT": SqlType.INTEGER, "AVG": SqlType.DOUBLE}
+
+
+class _AggregateScope:
+    """*scope* plus the types of the aggregate outputs an expression
+    reads (:func:`type_in_scope` names each one)."""
+
+    def __init__(self, scope: Scope):
+        self.scope = scope
+        self.types: dict[str, SqlType] = {}
+
+    def type_of(self, name: str) -> SqlType:
+        sql_type = self.types.get(name)
+        return self.scope.type_of(name) if sql_type is None else sql_type
+
+
 def type_in_scope(expression: Expression, scope: Scope) -> SqlType | None:
-    """Type of a resolved *expression*, None where the binder cannot tell."""
+    """Type of a resolved *expression*, None where the binder cannot tell
+    (a column of unknown type).  An aggregate is typed as its output:
+    SUM, MIN and MAX take their argument's type, COUNT is INTEGER and
+    AVG is DOUBLE."""
+    outputs = _AggregateScope(scope)
+
+    def typed(node: Expression) -> Expression:
+        if not is_aggregate_call(node):
+            return rebuild(node, typed)
+        sql_type = _AGGREGATE_TYPES.get(node.name)
+        if sql_type is None:
+            if len(node.arguments) != 1:
+                raise BindError(f"{node.name} takes exactly one argument")
+            sql_type = node.arguments[0].output_type(scope)
+        # a name no column has: it holds a space
+        name = f"aggregate {len(outputs.types)}"
+        outputs.types[name] = sql_type
+        return ColumnRef(name)
+
     try:
-        return expression.output_type(scope)
-    except BindError:  # an aggregate, or a column of unknown type
+        return typed(expression).output_type(outputs)
+    except BindError:
         return None
 
 

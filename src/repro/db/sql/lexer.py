@@ -90,6 +90,11 @@ _OPERATOR = TokenKind.OPERATOR
 _make_token = tuple.__new__
 
 
+def _floating(raw: str) -> bool:
+    """Whether a NUMBER literal's slot is ``?f`` (else ``?i``)."""
+    return "." in raw or "e" in raw or "E" in raw
+
+
 def lex(text: str) -> Lexed:
     """Tokens, shape and literals of SQL *text*; raises on bad input."""
     tokens: list[Token] = []
@@ -113,8 +118,7 @@ def lex(text: str) -> Lexed:
             )
             literals.append(token)
             tokens.append(token)
-            floating = "." in raw or "e" in raw or "E" in raw
-            shape.append("?f" if floating else "?i")
+            shape.append("?f" if _floating(raw) else "?i")
         elif group == _STRING_GROUP:
             value = raw[1:-1].replace("''", "'")
             token = _make_token(
@@ -134,6 +138,108 @@ def lex(text: str) -> Lexed:
 def tokenize(text: str) -> list[Token]:
     """Split SQL *text* into tokens; raises on unknown characters."""
     return lex(text).tokens
+
+
+# ----------------------------------------------------------------------
+# literal masks: re-lexing a text that differs only in its numbers
+# ----------------------------------------------------------------------
+#: a NUMBER literal where :func:`lex` starts one in a text with no quote
+#: and no comment: not inside an identifier or a number, and not after a
+#: ``.`` (``t.5`` lexes as ``t`` ``.5``, so its ``5`` is no literal)
+_MASKED_NUMBER = re.compile(
+    r"(?<![A-Za-z0-9_.])((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+)
+
+
+def mask_literals(text: str) -> list[str] | None:
+    """*text* split around its NUMBER literals in one regex pass: the
+    text between them at even indices, the literals at odd ones.
+
+    None for a text whose token boundaries the pass cannot vouch for: a
+    quote (string literal or quoted identifier), a ``--`` comment or a
+    non-ASCII character.  Two texts with equal even pieces lex to the
+    same tokens but for those NUMBER literals and the positions after
+    them (see :class:`MaskedLexed`).
+    """
+    if not text.isascii() or "'" in text or '"' in text or "--" in text:
+        return None
+    return _MASKED_NUMBER.split(text)
+
+
+class MaskedLexed(NamedTuple):
+    """A :class:`Lexed` and where its masked literals sit among its
+    tokens: what :meth:`relex` needs to lex another text of its mask."""
+
+    lexed: Lexed
+    #: text of each masked literal (the odd pieces of its mask)
+    numbers: list[str]
+    #: token index of each masked literal
+    at: tuple[int, ...]
+    #: token index of each literal, by slot
+    slots: tuple[int, ...]
+
+    @classmethod
+    def of(cls, lexed: Lexed, pieces: list[str]) -> "MaskedLexed | None":
+        """*lexed* (of the text *pieces* split) with its masked literals
+        found among its tokens; None if one is not one of them."""
+        tokens = lexed.tokens
+        numbers = pieces[1::2]
+        at = []
+        index = offset = 0
+        for gap, raw in zip(pieces[0::2], numbers):
+            offset += len(gap)
+            while tokens[index].position < offset:
+                index += 1
+            token = tokens[index]
+            if token.position != offset or token.text != raw:
+                return None
+            at.append(index)
+            offset += len(raw)
+        slots = tuple(
+            index
+            for index, token in enumerate(tokens)
+            if token.slot is not None
+        )
+        return cls(lexed, numbers, tuple(at), slots)
+
+    def relex(self, numbers: list[str]) -> Lexed | None:
+        """:func:`lex` of the text with this mask and the masked literals
+        *numbers*, without lexing it — None when a literal's slot type
+        changes (``7`` to ``7.5``: the shape changes with it)."""
+        lexed = self.lexed
+        if numbers == self.numbers:
+            return lexed  # the same literals: the same text
+        tokens = lexed.tokens.copy()
+        shift = start = 0
+        for index, raw, old in zip(self.at, numbers, self.numbers):
+            if raw == old and not shift:
+                continue
+            if _floating(raw) != _floating(old):
+                return None
+            _shift(tokens, start, index, shift)
+            token = tokens[index]
+            tokens[index] = _make_token(
+                Token, (_NUMBER, raw, token.position + shift, token.slot)
+            )
+            shift += len(raw) - len(old)
+            start = index + 1
+        _shift(tokens, start, len(tokens), shift)
+        return Lexed(
+            tokens,
+            lexed.shape,
+            tuple(tokens[index] for index in self.slots),
+        )
+
+
+def _shift(tokens: list[Token], start: int, stop: int, shift: int) -> None:
+    """Move the positions of ``tokens[start:stop]`` by *shift*."""
+    if not shift:
+        return
+    for index in range(start, stop):
+        kind, text, position, slot = tokens[index]
+        tokens[index] = _make_token(
+            Token, (kind, text, position + shift, slot)
+        )
 
 
 def _fail(text: str, position: int) -> None:

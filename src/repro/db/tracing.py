@@ -478,18 +478,19 @@ class MetricsRegistry:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
     def _get(self, name: str, kind):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = kind()
-                self._metrics[name] = metric
-            elif not isinstance(metric, kind):
-                raise ValueError(
-                    f"metric {name!r} is a "
-                    f"{type(metric).__name__.lower()}, not a "
-                    f"{kind.__name__.lower()}"
-                )
-            return metric
+        # one dict read finds an existing metric (atomic: no lock);
+        # only creating one takes the lock
+        metric = self._metrics.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.setdefault(name, kind())
+        if not isinstance(metric, kind):
+            raise ValueError(
+                f"metric {name!r} is a "
+                f"{type(metric).__name__.lower()}, not a "
+                f"{kind.__name__.lower()}"
+            )
+        return metric
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)

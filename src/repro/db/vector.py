@@ -32,14 +32,23 @@ class VectorBatch:
     arrays: list[np.ndarray]
 
     def __post_init__(self) -> None:
-        if len(self.arrays) != len(self.schema):
-            raise ExecutionError(
-                f"batch has {len(self.arrays)} arrays for "
-                f"{len(self.schema)} schema columns"
-            )
+        _check_width(self.schema, self.arrays)
         lengths = {len(array) for array in self.arrays}
         if len(lengths) > 1:
             raise ExecutionError(f"ragged batch: column lengths {lengths}")
+
+    @classmethod
+    def validated(
+        cls, schema: Schema, arrays: list[np.ndarray]
+    ) -> "VectorBatch":
+        """A batch of *arrays* already known to be equally long (a
+        block's, or a validated batch's sliced alike): only their count
+        is checked against *schema*, not every length again."""
+        _check_width(schema, arrays)
+        batch = object.__new__(cls)
+        batch.schema = schema
+        batch.arrays = arrays
+        return batch
 
     @classmethod
     def empty(cls, schema: Schema) -> "VectorBatch":
@@ -76,7 +85,7 @@ class VectorBatch:
 
     def with_schema(self, schema: Schema) -> "VectorBatch":
         """Same data, different column names (e.g. after aliasing)."""
-        return VectorBatch(schema, self.arrays)
+        return VectorBatch.validated(schema, self.arrays)
 
     def filter(self, mask: np.ndarray) -> "VectorBatch":
         """Keep only the rows where *mask* is true."""
@@ -91,7 +100,7 @@ class VectorBatch:
         )
 
     def slice(self, start: int, stop: int) -> "VectorBatch":
-        return VectorBatch(
+        return VectorBatch.validated(
             self.schema, [array[start:stop] for array in self.arrays]
         )
 
@@ -124,6 +133,14 @@ class VectorBatch:
         if not self.arrays:
             return []
         return list(zip(*(array.tolist() for array in self.arrays)))
+
+
+def _check_width(schema: Schema, arrays: list[np.ndarray]) -> None:
+    if len(arrays) != len(schema):
+        raise ExecutionError(
+            f"batch has {len(arrays)} arrays for "
+            f"{len(schema)} schema columns"
+        )
 
 
 def nominal_bytes(arrays: list[np.ndarray]) -> int:

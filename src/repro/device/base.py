@@ -9,7 +9,6 @@ devices is *accounting*, not representation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +75,8 @@ class Device:
     def fresh(self) -> "Device":
         """An unused device of this kind and configuration: its own
         stats, tracer and cancellation (one device per operator)."""
-        twin = copy.copy(self)
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
         Device.__init__(twin)
         return twin
 

@@ -162,3 +162,50 @@ class TestVarcharAgainstNumber:
         assert typed_db.execute("SELECT i FROM a WHERE s = 'x'").rows == [
             (2,)
         ]
+
+
+@pytest.fixture
+def grouped_db():
+    database = Database()
+    database.execute("CREATE TABLE t (g INTEGER, v DOUBLE, s VARCHAR)")
+    database.table("t").append_rows(
+        [(1, 1.5, "a"), (2, 2.5, "b"), (2, 1.0, "c")]
+    )
+    yield database
+    database.close()
+
+
+class TestAggregateOutputTypes:
+    """SUM/MIN/MAX output their argument's type, COUNT an INTEGER and
+    AVG a DOUBLE, at bind time: a VARCHAR-vs-number comparison on an
+    aggregate output is a TypeMismatchError before anything runs."""
+
+    MISMATCHED = [
+        "SELECT x.g FROM (SELECT g, SUM(v) AS total FROM t GROUP BY g) x "
+        "WHERE x.total = 'a'",
+        "SELECT g FROM t GROUP BY g HAVING SUM(v) = 'a'",
+        "SELECT x.g FROM (SELECT g, MIN(s) AS m FROM t GROUP BY g) x "
+        "WHERE x.m > 1",
+    ]
+
+    @pytest.mark.parametrize("sql", MISMATCHED, ids=["sum", "having", "min"])
+    def test_mismatch_raises_at_bind_time(self, grouped_db, sql):
+        with pytest.raises(TypeMismatchError):
+            grouped_db.explain(sql)  # plans, never runs
+        with pytest.raises(TypeMismatchError):
+            grouped_db.execute(sql)
+        # a typed error is not a kernel failure: no interpreted re-run
+        assert grouped_db.metrics.counter("compile.fallback").value == 0
+
+    def test_typed_outputs_still_compare(self, grouped_db):
+        assert grouped_db.execute(
+            "SELECT x.g FROM (SELECT g, COUNT(v) AS n FROM t GROUP BY g) x "
+            "WHERE x.n = 2"
+        ).rows == [(2,)]
+        assert grouped_db.execute(
+            "SELECT g FROM t GROUP BY g HAVING AVG(v) > 1.6"
+        ).rows == [(2,)]
+        assert grouped_db.execute(
+            "SELECT x.g FROM (SELECT g, MAX(s) AS m FROM t GROUP BY g) x "
+            "WHERE x.m = 'c'"
+        ).rows == [(2,)]

@@ -939,7 +939,9 @@ def test_lru_evictions_are_counted(db):
     assert db.metrics.counter("plan_cache.evictions").value == 3
 
 
-def test_repeated_text_skips_the_lexer(db, monkeypatch):
+def test_repeated_mask_skips_the_lexer(db, monkeypatch):
+    # the memo is keyed by the literal-masked text: a verbatim repeat
+    # and a text with other numbers (even of another length) both hit
     from repro.db.plan import cache as cache_module
 
     lexed = []
@@ -954,13 +956,107 @@ def test_repeated_text_skips_the_lexer(db, monkeypatch):
     misses = db.metrics.counter("plan_cache.text_misses")
     before = hits.value, misses.value
     sql = "SELECT id FROM t WHERE id = {}"
-    for key in (1, 1, 2, 1):
+    for key in (1, 1, 2, 1, 100):
         db.execute(sql.format(key))
-    assert lexed == [sql.format(1), sql.format(2)]
-    assert (hits.value - before[0], misses.value - before[1]) == (2, 2)
+    assert lexed == [sql.format(1)]
+    assert (hits.value - before[0], misses.value - before[1]) == (4, 1)
     # a memoized statement still runs against the live table
     db.execute("INSERT INTO t VALUES (1, 1, 0.5, 0.5, 0.5, 'a')")
     assert len(db.execute(sql.format(1)).rows) == 2
+
+
+#: statement texts for the lexer memo; ``$`` is a NUMBER literal.  The
+#: text around the slots holds no number the memo masks: digits inside
+#: identifiers (``d32x2``, ``x1``) and ``t.5`` (an identifier, then the
+#: literal ``.5``, which a mask must leave alone) stay verbatim
+MEMO_TEXTS = [
+    "SELECT id, d32x2, x1 FROM t WHERE id = $",
+    "SELECT id FROM t WHERE id IN ($, $, $)",
+    "SELECT id FROM t WHERE id IN ($, $)",
+    "SELECT id FROM t WHERE x > -$ AND x < $ + $",
+    "select a1b2 from t where x=$*$;",
+    "SELECT id FROM t\n\tWHERE x BETWEEN $ AND $ LIMIT $",
+    "SELECT t.5, id FROM t WHERE id = $",
+    "SELECT id FROM t WHERE id = $ AND t.5 > x1",
+    # the memo cannot vouch for these: memoized by the whole text
+    "SELECT id FROM t WHERE s = 'it''s 5' AND id = $",
+    "SELECT id FROM t -- id = 5\nWHERE id = $",
+    'SELECT "col 5" FROM t WHERE id = $',
+    # a bad character: lex raises, and so must the memo
+    "SELECT id FROM t WHERE id = $ @",
+    "SELECT id # FROM t WHERE id = $",
+]
+
+_NUMBER_TEXTS = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.tuples(st.integers(0, 999), st.integers(0, 999)).map(
+        lambda pair: f"{pair[0]}.{pair[1]}"
+    ),
+    st.integers(0, 999).map(lambda k: f".{k}"),
+    st.integers(0, 999).map(lambda k: f"{k}."),
+    st.tuples(
+        st.integers(0, 99),
+        st.sampled_from(["e", "E", "e-", "E+"]),
+        st.integers(0, 30),
+    ).map(lambda parts: "".join(map(str, parts))),
+)
+
+
+@st.composite
+def memo_texts(draw):
+    """(piece index, text) pairs: the memo texts with fresh numbers."""
+    drawn = []
+    for _ in range(draw(st.integers(1, 30))):
+        index = draw(st.integers(0, len(MEMO_TEXTS) - 1))
+        parts = MEMO_TEXTS[index].split("$")
+        numbers = [draw(_NUMBER_TEXTS) for _ in parts[1:]]
+        text = parts[0] + "".join(
+            number + part for number, part in zip(numbers, parts[1:])
+        )
+        drawn.append((index, text, numbers))
+    return drawn
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_texts())
+def test_lexer_memo_matches_lex(drawn):
+    # PlanCache.lex(t) == lex(t), errors included; a text whose numbers
+    # keep their int/float kinds hits the memo of its piece (a verbatim
+    # repeat is the only hit for a quoted or commented text)
+    from repro.db.plan.cache import PlanCache
+    from repro.db.sql.lexer import lex
+    from repro.db.tracing import MetricsRegistry
+    from repro.errors import SqlSyntaxError
+
+    metrics = MetricsRegistry()
+    cache = PlanCache(metrics)
+    kinds: dict[int, tuple] = {}
+    verbatim: set[str] = set()
+    hits = misses = 0
+    for index, text, numbers in drawn:
+        try:
+            want = lex(text)
+        except SqlSyntaxError as error:
+            with pytest.raises(SqlSyntaxError) as raised:
+                cache.lex(text)
+            assert str(raised.value) == str(error)
+            assert raised.value.position == error.position
+            continue
+        assert cache.lex(text) == want
+        if any(mark in text for mark in ("'", '"', "--")):
+            hit = text in verbatim
+            verbatim.add(text)
+        else:
+            floating = tuple(
+                any(mark in number for mark in ".eE") for number in numbers
+            )
+            hit = kinds.get(index) == floating
+            if not hit:
+                kinds[index] = floating
+        hits += hit
+        misses += not hit
+    assert metrics.counter("plan_cache.text_hits").value == hits
+    assert metrics.counter("plan_cache.text_misses").value == misses
 
 
 def test_lexer_memo_keeps_the_last_capacity_texts(db):
