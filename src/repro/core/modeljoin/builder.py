@@ -69,7 +69,10 @@ class BuiltModel:
 
     Only the weights: the bias replication of ``y := Ax + y`` is sized
     by the batches a query scores, so it lives in the per-pipeline
-    :class:`~repro.device.arena.BufferArena`, not here.
+    :class:`~repro.device.arena.BufferArena` or, on the host, beside the
+    build's model-cache entry
+    (:meth:`~repro.core.modeljoin.cache.ModelCache.bias_replica`), not
+    here.
     """
 
     layers: list[DenseLayerWeights | LstmLayerWeights]

@@ -336,6 +336,7 @@ class SystemSchema:
         schema = _schema(
             ("entries", SqlType.INTEGER),
             ("resident_bytes", SqlType.INTEGER),
+            ("replica_bytes", SqlType.INTEGER),
             ("hits", SqlType.INTEGER),
             ("misses", SqlType.INTEGER),
             ("evictions", SqlType.INTEGER),
@@ -351,6 +352,7 @@ class SystemSchema:
             (
                 stats["entries"],
                 stats["resident_bytes"],
+                stats["replica_bytes"],
                 stats["hits"],
                 stats["misses"],
                 stats["evictions"],
