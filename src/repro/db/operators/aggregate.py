@@ -1,24 +1,32 @@
 """Grouped aggregation: segment-buffering and order-based.
 
-:class:`HashAggregate` buffers the rows of its open segment and groups
-them with :func:`~repro.db.operators.keys.group_order` (a counting pass
-over a small composite key domain, one sort of an int64 composite key,
-or a lexsort of the key codes when that would overflow), reducing each
-group with ``ufunc.reduceat``.  With no sorted prefix the open segment
-is the whole input: the generic strategy, a pipeline breaker with
-memory proportional to the input, whose groups come out in key code
-order — integers by value, VARCHAR lexicographically, floats by their
-IEEE bit pattern, so every NaN bit pattern is a group of its own.  With
-the input sorted by k leading group keys (paper Section 4.4's
-pipelining) a segment closes at each new prefix value, and segments
-leave in input order.
+Every strategy numbers its groups, then reduces each aggregate in one
+pass over the rows in input order (:func:`_reduced`): ``SUM``/``AVG``
+of FLOAT/DOUBLE accumulate in float64 (``np.bincount`` weights) and
+round once to the result type, an INTEGER ``SUM`` is exact in int64 or
+raises :class:`~repro.errors.IntegerOverflowError`, ``COUNT`` is the
+group size, and ``MIN``/``MAX`` apply their ufunc row by row
+(``ufunc.at``; VARCHAR through its ranks).  A group's result therefore
+depends on its rows and their order only, never on how a strategy cut
+the input, so the strategies agree bit for bit.
+
+:class:`HashAggregate` buffers the rows of its open segment and numbers
+their groups with :func:`~repro.db.operators.keys.group_ids` (a
+counting pass over a small composite key domain, one sort of an int64
+composite key, or a lexsort of the key codes when that would overflow).
+With no sorted prefix the open segment is the whole input: the generic
+strategy, a pipeline breaker with memory proportional to the input,
+whose groups come out in key code order — integers by value, VARCHAR
+lexicographically, floats by their IEEE bit pattern, so every NaN bit
+pattern is a group of its own.  With the input sorted by k leading
+group keys (paper Section 4.4's pipelining) a segment closes at each
+new prefix value, and segments leave in input order.
 
 Every aggregate operator evaluates its group keys and each distinct
 argument once per batch with one input kernel (:func:`input_outputs`;
 generated, or interpreted — see :mod:`repro.db.compile`), into which
 the lowering fuses the filter below: ``SUM(v), COUNT(v), AVG(v)``
-materializes and gathers ``v`` once and reduces it with one
-``np.add.reduceat``, and ``COUNT`` is the group size, so it evaluates
+materializes ``v`` once and reduces it once, and ``COUNT`` evaluates
 nothing.  Input from a scan arrives in one batch per block; an input
 kernel that calls a UDF still calls it once per vector.
 
@@ -49,21 +57,80 @@ from repro.db.operators.base import (
     PhysicalOperator,
     UnaryOperator,
 )
-from repro.db.operators.keys import equality_codes, group_order, run_starts
+from repro.db.operators.keys import (
+    Groups,
+    equality_codes,
+    group_ids,
+    run_starts,
+)
 from repro.db.schema import Column, Schema
 from repro.db.types import SqlType
 from repro.db.vector import VectorBatch, nominal_bytes
-from repro.errors import PlanError
+from repro.errors import IntegerOverflowError, PlanError
 
 _SUPPORTED = ("SUM", "COUNT", "MIN", "MAX", "AVG")
 
-#: the ufunc that reduces a group's values, or merges two partials
+#: an INTEGER group is summed again exactly when its float64 shadow — the
+#: sum of its values' magnitudes, which bounds its sum and rounds far
+#: less than a factor of two — reaches this
+_SUM_RECHECK = 2.0**62
+
+
+def _checked_sum(totals, values, ids) -> None:
+    """Raise :class:`IntegerOverflowError` when a group's true sum of
+    the integer *values* leaves int64 (*totals* hold it wrapped)."""
+    bound = max(-int(values.min()), int(values.max())) * len(values)
+    if bound < _SUM_RECHECK:  # no group can reach the limit
+        return
+    shadow = np.bincount(
+        ids, weights=np.abs(values.astype(np.float64)),
+        minlength=len(totals),
+    )
+    for group in np.flatnonzero(shadow >= _SUM_RECHECK):
+        total = sum(map(int, values[ids == group]))
+        if total != int(totals[group]):
+            raise IntegerOverflowError(
+                f"integer SUM {total} is outside the INTEGER (int64) range"
+            )
+
+
+def _sum(values: np.ndarray, groups: Groups) -> np.ndarray:
+    """Per-group sums: float64 for floats, accumulated in row order;
+    exact int64 (or an :class:`IntegerOverflowError`) for integers."""
+    if values.dtype.kind == "f":
+        return np.bincount(
+            groups.ids, weights=values, minlength=len(groups.firsts)
+        )
+    totals = np.zeros(len(groups.firsts), dtype=np.int64)
+    np.add.at(totals, groups.ids, values)
+    if values.dtype.kind != "b":
+        _checked_sum(totals, values, groups.ids)
+    return totals
+
+
+def _extreme(ufunc):
+    """A MIN / MAX reduction: *ufunc* applied in row order, from each
+    group's first row (VARCHAR: over the values' ranks)."""
+
+    def extreme(values: np.ndarray, groups: Groups) -> np.ndarray:
+        if values.dtype == object:
+            distinct, ranks = np.unique(values, return_inverse=True)
+            return distinct[extreme(ranks, groups)]
+        accumulator = values[groups.firsts]
+        with np.errstate(invalid="ignore"):  # NaN is a MIN like any other
+            ufunc.at(accumulator, groups.ids, values)
+        return accumulator
+
+    return extreme
+
+
+#: the per-group reduction of each function (COUNT is the group size,
+#: AVG its SUM divided by it)
 _REDUCERS = {
-    "SUM": np.add,
-    "COUNT": np.add,
-    "AVG": np.add,
-    "MIN": np.minimum,
-    "MAX": np.maximum,
+    "SUM": _sum,
+    "AVG": _sum,
+    "MIN": _extreme(np.minimum),
+    "MAX": _extreme(np.maximum),
 }
 
 
@@ -219,68 +286,38 @@ def _describe_fusion(operator) -> str:
     return f" [compiled input | {fused}]" if fused else " [compiled input]"
 
 
-def _partials(
-    operator, columns: list[np.ndarray], starts: np.ndarray, counts
-) -> list[np.ndarray]:
-    """Each aggregate reduced over the segments beginning at *starts*.
-
-    *columns* are the operator's input arrays; COUNT is *counts* and AVG
-    its SUM (the caller divides), and each (ufunc, input) pair is
-    reduced once however many aggregates use it.
-    """
-    reduced: dict[tuple, np.ndarray] = {}
-    partials = []
-    for spec, slot in zip(operator.aggregates, operator.input_slots):
-        if slot is None:
-            partials.append(counts)
-            continue
-        ufunc = _REDUCERS[spec.function]
-        key = (ufunc, slot)
-        if key not in reduced:
-            reduced[key] = ufunc.reduceat(columns[slot], starts)
-        partials.append(reduced[key])
-    return partials
-
-
-def _output_batch(
+def _reduced(
     operator,
     keys: list[np.ndarray],
-    partials: list[np.ndarray],
-    counts: np.ndarray,
+    values: list[np.ndarray],
+    groups: Groups,
 ) -> VectorBatch:
-    """One output row per group: its *keys*, then each aggregate's
-    partial (AVG divided by the group's count), cast to the schema."""
-    arrays = list(keys)
-    for spec, reduced in zip(operator.aggregates, partials):
+    """One output row per group: the *keys* of its first row, then each
+    aggregate reduced over the rows ``groups.ids`` numbers, in input row
+    order — the one reduction of every strategy, so they agree bit for
+    bit.  *values* are the operator's input arrays; COUNT is the group
+    size and AVG its SUM divided by it, and each (reduction, input) pair
+    is reduced once however many aggregates use it."""
+    arrays = [key[groups.firsts] for key in keys]
+    reduced: dict[tuple, np.ndarray] = {}
+    for spec, slot in zip(operator.aggregates, operator.input_slots):
+        if slot is None:
+            arrays.append(groups.sizes)
+            continue
+        reducer = _REDUCERS[spec.function]
+        key = (reducer, slot)
+        if key not in reduced:
+            reduced[key] = reducer(values[slot], groups)
+        partial = reduced[key]
         if spec.function == "AVG":
-            reduced = reduced.astype(np.float64) / counts
-        arrays.append(reduced)
+            partial = partial.astype(np.float64) / groups.sizes
+        arrays.append(partial)
     return VectorBatch(
         operator.schema,
         [
             array.astype(column.sql_type.numpy_dtype, copy=False)
             for array, column in zip(arrays, operator.schema)
         ],
-    )
-
-
-def _grouped_batch(
-    operator,
-    keys: list[np.ndarray],
-    values: list[np.ndarray],
-    grouping: list[np.ndarray],
-) -> VectorBatch:
-    """Group non-empty rows by *grouping* and reduce *values* (the
-    operator's input arrays) per group: one output row per group, with
-    the *keys* of its first row, in :func:`group_order`'s order."""
-    order, starts = group_order(grouping)
-    counts = np.diff(np.append(starts, len(order)))
-    firsts = order[starts]
-    partials = _partials(
-        operator, [column[order] for column in values], starts, counts
-    )
-    return _output_batch(
-        operator, [key[firsts] for key in keys], partials, counts
     )
 
 
@@ -449,7 +486,7 @@ class HashAggregate(UnaryOperator):
                 np.concatenate([opened, segments]),
                 *keys[self.prefix_length:],
             ]
-        return _grouped_batch(self, keys, values, grouping)
+        return _reduced(self, keys, values, group_ids(grouping))
 
     def close(self) -> None:
         self._release()
@@ -516,9 +553,11 @@ class OrderedAggregate(HashAggregate):
             keys, values = _concatenated(pieces)
             nbytes = nominal_bytes(keys) + nominal_bytes(values)
         self.context.memory.allocate(nbytes, "aggregation-group")
-        counts = np.diff(np.append(starts, len(keys[0])))
-        partials = _partials(self, values, starts, counts)
+        rows = len(keys[0])
+        ids = np.zeros(rows, dtype=np.int64)
+        ids[starts[1:]] = 1
+        np.cumsum(ids, out=ids)
+        sizes = np.diff(np.append(starts, rows))
+        batch = _reduced(self, keys, values, Groups(ids, starts, sizes))
         self.context.memory.release(nbytes, "aggregation-group")
-        return _output_batch(
-            self, [key[starts] for key in keys], partials, counts
-        )
+        return batch

@@ -8,18 +8,23 @@ each key column (VARCHAR: values) are its dictionary, and a row's
 ranks in them fold into one dense code; a probe row is coded through
 the same dictionaries, and a value the build side lacks is a miss.
 
-Grouping folds the codes into one mixed-radix composite key
-(:func:`group_order`).  A composite of at most 2^16 values (and no
-more values than rows) is ordered by a stable radix argsort of its
-uint8/uint16 cast and split by ``np.bincount``; a wider one is sorted
-with plain ``ndarray.sort``, and the code columns are lexsorted when
-the composite would overflow.  VARCHAR columns join the codes as their
-``np.unique`` ranks, which order like the strings themselves.
+Grouping numbers rows, it does not order them (:func:`group_ids`): each
+row gets a dense group id, groups numbered in ascending key-code order.
+When the codes' mixed-radix composite domain is small (at most 2^16
+values, or no more than the rows) a row's id is the rank of its
+composite among the values present — a counting pass, no sort.  A
+wider composite is sorted with plain ``ndarray.sort``, and the code
+columns are lexsorted when the composite would overflow.  Float or
+VARCHAR keys that follow the integer keys and are constant within the
+integer keys' groups number nothing on their own.  VARCHAR columns join
+the codes as their ``np.unique`` ranks, which order like the strings
+themselves.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +33,8 @@ from repro.errors import ExecutionError
 #: ``rows × Π(max − min + 1)`` must stay below this for the composite
 #: key (including its row-index tiebreak) to fit a signed int64
 _COMPOSITE_LIMIT = 1 << 62
-#: composite domains up to this size are counted, not compared: NumPy's
-#: stable argsort is a radix sort for 8- and 16-bit integers
+#: composite domains up to this size (or up to the row count) are
+#: numbered by counting, not by sorting
 _DENSE_LIMIT = 1 << 16
 
 
@@ -93,57 +98,134 @@ def run_starts(columns: list[np.ndarray]) -> np.ndarray:
     return np.flatnonzero(change)
 
 
-def group_order(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, starts)`` that group rows by their key columns.
+class Groups(NamedTuple):
+    """A numbering of rows into groups ``0 .. len(firsts) - 1``."""
 
-    *order* is the stable permutation sorting the rows by their key
-    codes — numeric columns by :func:`_int64_codes`, VARCHAR columns by
-    :func:`string_ranks`, compared left to right.  *starts* are the
-    positions in ``order`` where each group begins.
+    #: each row's group
+    ids: np.ndarray
+    #: each group's first row
+    firsts: np.ndarray
+    #: each group's row count
+    sizes: np.ndarray
 
-    The codes are folded into one mixed-radix composite whenever
-    ``rows × D`` fits, with ``D = Π(max − min + 1)`` its domain:
-    - ``D ≤ min(2^16, rows)``: a stable argsort of the composite cast to
-      uint8/uint16 (a radix sort) gives *order*, and the cumulative
-      ``np.bincount`` of the groups present gives *starts*;
-    - otherwise ``composite * rows + row_index`` is sorted with
-      ``ndarray.sort``: the values are unique, so the unstable sort
-      yields the stable order, recovered as ``value % rows``.
-    When even that would overflow, ``np.lexsort`` orders the code
-    columns.  All three give the same ``(order, starts)``.
-    """
-    if not keys:
-        raise ExecutionError("group_order needs at least one key column")
-    codes = [
-        string_ranks(key) if key.dtype == object else _int64_codes(key)
-        for key in keys
-    ]
+
+def _numbered_by_order(order: np.ndarray, starts: np.ndarray) -> Groups:
+    """The groups of a stable sort: rows ``order[starts[g]:starts[g +
+    1]]`` are group ``g``."""
+    sizes = np.diff(np.append(starts, len(order)))
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.repeat(np.arange(len(starts), dtype=np.int64), sizes)
+    return Groups(ids, order[starts], sizes)
+
+
+def _first_rows(ids: np.ndarray, groups: int) -> np.ndarray:
+    """The first row of each of *groups* groups numbered by *ids*,
+    looked for in a prefix of the rows that doubles until every group
+    has been seen."""
+    rows = len(ids)
+    firsts = np.full(groups, rows, dtype=np.int64)
+    start, stop = 0, min(rows, 4 * groups + 1024)
+    while True:
+        np.minimum.at(
+            firsts, ids[start:stop], np.arange(start, stop, dtype=np.int64)
+        )
+        if stop == rows or firsts.max() < rows:
+            return firsts
+        start, stop = stop, min(rows, 2 * stop)
+
+
+def _numbered_by_count(composite: np.ndarray, domain: int) -> Groups:
+    """The groups of *composite* keys in ``[0, domain)``, sorting
+    nothing: a row's group is the number of present values below its
+    own."""
+    sizes = np.bincount(composite, minlength=domain)
+    present = sizes > 0
+    ids = composite
+    if not present.all():
+        remap = np.cumsum(present)
+        remap -= 1
+        ids = remap[composite]
+        sizes = sizes[present]
+    return Groups(ids, _first_rows(ids, len(sizes)), sizes)
+
+
+def _numbered_by_sort(composite: np.ndarray) -> Groups:
+    """The groups of non-negative *composite* keys below ``2^62 /
+    rows``: ``composite * rows + row_index`` is unique, so its unstable
+    sort gives the stable order, recovered as ``value % rows``."""
+    rows = len(composite)
+    tagged = composite * rows + np.arange(rows, dtype=np.int64)
+    tagged.sort()
+    return _numbered_by_order(tagged % rows, run_starts([tagged // rows]))
+
+
+def _numbered(codes: list[np.ndarray]) -> Groups:
+    """:func:`group_ids` over non-empty code columns."""
     rows = len(codes[0])
-    if rows == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     lows = [int(column.min()) for column in codes]
     spans = [int(column.max()) - low + 1 for column, low in zip(codes, lows)]
     domain = math.prod(spans)
-    if rows * domain < _COMPOSITE_LIMIT:
+    if rows * domain >= _COMPOSITE_LIMIT:
+        order = np.lexsort(codes[::-1])
+        starts = run_starts([column[order] for column in codes])
+        return _numbered_by_order(order, starts)
+    composite = codes[0]
+    if lows[0] or len(codes) > 1:  # a fresh array, folded in place
         composite = codes[0] - lows[0]
-        for column, low, span in zip(codes[1:], lows[1:], spans[1:]):
-            composite *= span
-            composite += column - low
-        if domain <= min(_DENSE_LIMIT, rows):
-            narrow = np.uint8 if domain <= 256 else np.uint16
-            order = np.argsort(composite.astype(narrow), kind="stable")
-            sizes = np.bincount(composite)
-            sizes = sizes[sizes > 0]
-            starts = np.zeros(len(sizes), dtype=np.int64)
-            np.cumsum(sizes[:-1], out=starts[1:])
-            return order, starts
-        tagged = composite * rows + np.arange(rows, dtype=np.int64)
-        tagged.sort()
-        order = tagged % rows
-        return order, run_starts([tagged // rows])
-    order = np.lexsort(codes[::-1])
-    return order, run_starts([column[order] for column in codes])
+    for column, low, span in zip(codes[1:], lows[1:], spans[1:]):
+        composite *= span
+        composite += column - low
+    if domain <= max(_DENSE_LIMIT, rows):
+        return _numbered_by_count(composite, domain)
+    return _numbered_by_sort(composite)
+
+
+def _constant_per_group(key: np.ndarray, groups: Groups) -> bool:
+    """Whether every row of *key* equals its group's first row, by code
+    (VARCHAR: by value)."""
+    column = key if key.dtype == object else _int64_codes(key)
+    return bool((column == column[groups.firsts][groups.ids]).all())
+
+
+def group_ids(keys: list[np.ndarray]) -> Groups:
+    """The :class:`Groups` of the rows by their key columns.
+
+    ``ids[i]`` is row ``i``'s group, ``firsts[g]`` the first row of
+    group ``g`` and ``sizes[g]`` its row count.  Groups are numbered in ascending order of their key
+    codes — numeric columns by :func:`_int64_codes`, VARCHAR columns by
+    :func:`string_ranks`, compared left to right.
+
+    The codes fold into one mixed-radix composite whenever
+    ``rows × D`` fits, with ``D = Π(max − min + 1)`` its domain:
+    - ``D ≤ max(2^16, rows)``: a row's group is the number of present
+      composite values below its own (``np.bincount`` marks them), so
+      nothing is sorted;
+    - otherwise the composite, tagged with the row index, is sorted.
+    When even that would overflow, ``np.lexsort`` orders the code
+    columns.  All three number the same groups alike.
+
+    Float or VARCHAR keys after every integer/boolean key are usually
+    functions of those (ML-To-SQL's ``GROUP BY t.id, m.node, m.b_i``):
+    the rows are numbered on the leading keys, and kept so when one
+    pass finds each trailing key constant within every group; else the
+    full key numbers them.  The groups and their order
+    are the same either way.
+    """
+    if not keys:
+        raise ExecutionError("group_ids needs at least one key column")
+    if len(keys[0]) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return Groups(empty, empty, empty)
+    exact = [key.dtype.kind in "iub" for key in keys]
+    lead = exact.index(False) if False in exact else len(keys)
+    if 0 < lead and not any(exact[lead:]):
+        groups = _numbered([_int64_codes(key) for key in keys[:lead]])
+        if all(_constant_per_group(key, groups) for key in keys[lead:]):
+            return groups
+    return _numbered([
+        string_ranks(key) if key.dtype == object else _int64_codes(key)
+        for key in keys
+    ])
 
 
 def _rank(dictionary, values, hit) -> np.ndarray:

@@ -42,6 +42,10 @@ class ExecutionError(DatabaseError):
     """A runtime failure while executing a physical plan."""
 
 
+class IntegerOverflowError(ExecutionError):
+    """An INTEGER result left the int64 range (a group's ``SUM``)."""
+
+
 class TypeMismatchError(DatabaseError):
     """An expression or insert used a value of an incompatible type."""
 

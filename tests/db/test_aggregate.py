@@ -555,7 +555,8 @@ def test_shared_arguments_follow_literal_slots_in_cached_plans():
 def test_ordered_matches_hash_bitwise_across_blocks(sizes, seed):
     """Groups straddling the 4096-row block boundary reduce to the same
     float bits whether the aggregate streams or hashes: both reduce a
-    group's rows with one ``reduceat``, never from per-batch partials."""
+    group's rows in one row-order pass of the shared reduction, never
+    from per-batch partials."""
     db = Database()
     db.execute("CREATE TABLE t (g INTEGER, v DOUBLE, f FLOAT) SORTED BY (g)")
     rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""Key coding, grouping order and range expansion (the join/aggregation
+"""Key coding, group numbering and range expansion (the join/aggregation
 kernel)."""
 
 import numpy as np
@@ -10,7 +10,7 @@ from repro.db.operators.keys import (
     JoinIndex,
     _int64_codes,
     equality_codes,
-    group_order,
+    group_ids,
     ranges_to_indices,
     run_starts,
     string_ranks,
@@ -159,6 +159,21 @@ def key_columns(draw):
     return columns
 
 
+def group_order(columns):
+    """``(order, starts)`` of :func:`group_ids`' numbering: the rows
+    stably sorted by group id, and where each group begins — checking
+    that the ids are dense and that ``firsts`` and ``sizes`` are the
+    groups' first rows and row counts."""
+    ids, firsts, sizes = group_ids(columns)
+    assert ids.dtype == firsts.dtype == sizes.dtype == np.int64
+    order = np.argsort(ids, kind="stable")
+    starts = np.searchsorted(ids[order], np.arange(len(firsts)))
+    np.testing.assert_array_equal(ids[order][starts], np.arange(len(firsts)))
+    np.testing.assert_array_equal(order[starts], firsts)
+    np.testing.assert_array_equal(sizes, np.diff(np.append(starts, len(ids))))
+    return order, starts
+
+
 def lexsort_oracle(columns):
     """Stable lexsort over the int64 codes; starts where a code changes."""
     codes = [_int64_codes(column) for column in columns]
@@ -215,11 +230,11 @@ class TestGroupOrder:
 
     def test_empty_key_list_rejected(self):
         with pytest.raises(ExecutionError):
-            group_order([])
+            group_ids([])
 
 
 def composite_sort_reference(columns):
-    """``group_order`` before it counted small domains: every composite
+    """Grouping before it counted small domains: every composite
     that fits is tagged with its row index and sorted, the rest
     lexsorted."""
     codes = [
@@ -315,7 +330,9 @@ class TestDenseGroupOrder:
     @pytest.mark.parametrize(
         "rows, domain, counted",
         [(300, 256, True), (300, 257, True), (300, 299, True),
-         (300, 301, False), (70000, 65536, True), (70000, 65537, False)],
+         (300, 301, True), (300, 65536, True), (300, 65537, False),
+         (70000, 65536, True), (70000, 65537, True), (70000, 70000, True),
+         (70000, 70001, False)],
     )
     def test_counts_only_small_domains(self, monkeypatch, rows, domain,
                                        counted):

@@ -1,7 +1,9 @@
 """GROUP BY and ORDER BY against independent references.
 
-GROUP BY must return the values *and* the row order of a NumPy
-``lexsort`` over the key codes followed by ``ufunc.reduceat``; ORDER BY
+GROUP BY must return the groups *and* the row order of a NumPy
+``lexsort`` over the key codes, each group's SUM/AVG accumulated in
+float64 in input row order (``np.bincount`` weights) and its MIN/MAX by
+``ufunc.reduceat`` over its rows in input order; ORDER BY
 must return the order of Python's stable ``sorted``, and a top-k sort
 (``ORDER BY … LIMIT``) exactly the leading rows of the full sort.
 """
@@ -79,13 +81,16 @@ def test_group_by_matches_lexsort_reduceat(rows):
         change[1:] |= column[order][1:] != column[order][:-1]
     starts = np.flatnonzero(change)
     counts = np.diff(np.append(starts, len(order)))
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.repeat(np.arange(len(starts)), counts)
+    sums = np.bincount(ids, weights=x, minlength=len(starts))
     expected = {
         "g": g[order][starts],
         "h": h[order][starts],
-        "s": np.add.reduceat(x[order], starts),
+        "s": sums,
         "lo": np.minimum.reduceat(x[order], starts),
         "hi": np.maximum.reduceat(x[order], starts),
-        "a": np.add.reduceat(x[order], starts) / counts,
+        "a": sums / counts,
         "c": counts,
     }
     for name, want in expected.items():
