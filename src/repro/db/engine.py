@@ -30,9 +30,9 @@ from repro.db.introspect.log import LOG_FILE_NAME
 from repro.db.operators import ExecutionContext, QueryContext
 from repro.db.operators.base import PhysicalOperator
 from repro.db.parallel import WorkerPool, run_plans
-from repro.db.plan.cache import PlanCache, SelectText
-from repro.db.plan.fragments import build_merge_plan, plan_fragments
-from repro.db.plan.physical import GatherExchange, render_explain
+from repro.db.plan.cache import FragmentText, PlanCache, SelectText
+from repro.db.plan.fragments import plan_fragments
+from repro.db.plan.physical import render_explain
 from repro.db.planner import ModelJoinFactory, Planner, PlannerOptions
 from repro.db.profiler import QueryProfile
 from repro.db.resilience import CancellationToken, CircuitBreaker
@@ -994,7 +994,7 @@ class Database:
                 )
         fragment = None
         if self.sharding is not None or context.parallelism > 1:
-            fragment = plan_fragments(prepared, context.parallelism)
+            fragment = planner.fragment(prepared, context.parallelism)
         if fragment is None or (
             fragment.merge == "decline" and not fragment.sharded
         ):
@@ -1013,12 +1013,28 @@ class Database:
                     "EXPLAIN ANALYZE does not cover sharded tables "
                     "(EXPLAIN shows the fragment tree)"
                 )
-            schema, batches = self.sharding.execute_fragments(
-                fragment, context, planner.catalog, planner.kernel_compiler()
+            schema, per_partition = self.sharding.execute_fragments(
+                fragment, context, planner.catalog
             )
-            return Result(schema, batches, query.profile)
-        if fragment.statement is not prepared.statement:
-            prepared = planner.prepare(fragment.statement)
+        else:
+            schema, per_partition = self._run_partitions(
+                fragment, prepared, context, planner
+            )
+        plan = planner.merge(fragment, context, schema, per_partition)
+        if query.analyze:
+            query.coordinator = plan
+        return Result(plan.schema, list(plan.batches()), query.profile)
+
+    def _run_partitions(self, fragment, prepared, context, planner):
+        """Run *fragment*'s per-partition statement on thread pipelines;
+        returns ``(schema, per-partition batch lists)``."""
+        if fragment.rewritten:
+            prepared = planner.prepare(
+                FragmentText(
+                    fragment.key, fragment.statement_values, fragment.statement
+                ),
+                counted=False,
+            )
         # Every partition pipeline is lowered from this one prepared
         # plan (one variant decision for all of them).
         context.parallelism = fragment.partitions
@@ -1027,20 +1043,11 @@ class Database:
             return planner.lower(prepared, context, partition_index=index)
 
         plans = [lower(index) for index in range(fragment.partitions)]
-        if query.analyze:
-            query.plans = plans
-        schema, per_partition = run_plans(
+        if context.query.analyze:
+            context.query.plans = plans
+        return run_plans(
             plans,
             pool=self.worker_pool,
             plan_builder=lower,
             retries=self.task_retries,
         )
-        plan = build_merge_plan(
-            context,
-            fragment,
-            GatherExchange(context, schema, per_partition),
-            planner.kernel_compiler(),
-        )
-        if query.analyze:
-            query.coordinator = plan
-        return Result(plan.schema, list(plan.batches()), query.profile)

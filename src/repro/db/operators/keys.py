@@ -62,13 +62,18 @@ def _int64_codes(values: np.ndarray) -> np.ndarray:
 
 
 def string_ranks(values: np.ndarray) -> np.ndarray:
-    """int64 rank of each value among the distinct values of *values*.
+    """int64 rank of each value among the distinct values of *values*
+    (``np.unique``'s inverse).
 
     Ranks order like the values, but are only comparable within one
-    call.
+    call.  Only the distinct values are sorted; each row looks its rank
+    up in a dict.
     """
-    _, inverse = np.unique(values, return_inverse=True)
-    return inverse.astype(np.int64, copy=False)
+    listed = values.tolist()
+    ranks = dict.fromkeys(listed)
+    for rank, value in enumerate(sorted(ranks)):
+        ranks[value] = rank
+    return np.fromiter(map(ranks.__getitem__, listed), np.int64, len(listed))
 
 
 def equality_codes(arrays: list[np.ndarray]) -> list[np.ndarray]:

@@ -45,6 +45,18 @@ prototype are worked out by the shape's first hit, so a statement that
 never repeats — an ad-hoc query, a fresh engine per operation — pays no
 more than a copy of its logical tree.
 
+A template also keeps how its statement splits over partitions (a
+:class:`FragmentTemplate` per thread-pipeline bound): the fragment plan
+and a partial merge's prototype.  A hit of a sharded or
+``parallel=True`` statement copies the plan with its values and clones
+a partial merge; the per-partition statement is planned in a plan cache too,
+keyed by the fragment's *key* instead of a shape — this engine's for
+thread pipelines, each shard's for shards, whose coordinator sends the
+key and the literal values (:class:`FragmentText`) and the statement's
+AST only to a shard that may not hold the key.  A cold plan of such a
+statement works its fixed slots out at once, so that its shards record
+the fragment under the key later hits send.
+
 Beside the templates the cache memoizes the lexer by each text's
 literal mask (:meth:`PlanCache.lex`, as many masks as templates): a
 statement re-run with fresh NUMBER literals reaches its template without
@@ -78,13 +90,14 @@ from repro.db.plan.logical import (
     scan_estimate,
     walk,
 )
+from repro.db.plan.fragments import FragmentPlan, literal_slots, shard_count
 from repro.db.plan.rules import RuleFiring, scan_regions, set_ranges
 from repro.db.schema import Schema
 from repro.db.sql.ast import SelectStatement
 from repro.db.sql.lexer import Lexed, MaskedLexed, lex, mask_literals
 from repro.db.sql.parser import literal_value, parse_lexed
 from repro.db.table import Table
-from repro.errors import CatalogError
+from repro.errors import CatalogError, PlanError
 
 #: templates one engine keeps (least recently used evicted first)
 CAPACITY = 256
@@ -105,6 +118,18 @@ class SelectText:
         self.lexed = lexed
         self._statement = statement
 
+    @property
+    def shape(self) -> str | None:
+        """The key of the statement's template in a :class:`PlanCache`."""
+        return self.lexed.shape
+
+    def literal_text(self, slot: int):
+        """What a template's fixed *slot* must repeat: the literal's text."""
+        return self.lexed.literals[slot].text
+
+    def literal_texts(self) -> tuple:
+        return tuple(token.text for token in self.lexed.literals)
+
     def statement(self) -> SelectStatement:
         if self._statement is None:
             self._statement = parse_lexed(self.lexed)
@@ -113,6 +138,52 @@ class SelectText:
     def values(self) -> tuple:
         """The literal values, by slot."""
         return tuple(literal_value(token) for token in self.lexed.literals)
+
+
+class UnknownFragment(PlanError):
+    """A :class:`FragmentText` came without its statement, and no valid
+    template of its key is at hand (evicted, or its tables changed)."""
+
+
+class FragmentText(SelectText):
+    """A fragment's per-partition SELECT known by its key
+    (:attr:`FragmentTemplate.key`) and its literal values by slot.
+
+    The key and the values decide the statement, so the AST comes along
+    only when the receiver may not hold a template of the key; planning
+    one that does not without it raises :class:`UnknownFragment`.  A
+    fixed slot repeats its value (there is no text); a None key plans
+    cold and records nothing."""
+
+    __slots__ = ("key", "_values")
+
+    def __init__(
+        self,
+        key: str | None,
+        values: tuple,
+        statement: SelectStatement | None = None,
+    ):
+        self.key = key
+        self._values = values
+        self._statement = statement
+
+    @property
+    def shape(self) -> str | None:
+        return self.key
+
+    def literal_text(self, slot: int):
+        return self._values[slot]
+
+    def literal_texts(self) -> tuple:
+        return self._values
+
+    def statement(self) -> SelectStatement:
+        if self._statement is None:
+            raise UnknownFragment(f"no plan of fragment {self.key!r}")
+        return self._statement
+
+    def values(self) -> tuple:
+        return self._values
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +268,10 @@ class PlanTemplate:
     #: lowered plans a hit clones, by :func:`prototype_key` (a sharded
     #: SELECT lowers on the shards, never here)
     prototypes: dict = field(default_factory=dict)
+    #: how the statement splits over partitions, by thread-pipeline
+    #: bound (:class:`FragmentTemplate`); filled in place, shared by the
+    #: shape's analyzed and prototype-bearing versions of the template
+    fragments: dict = field(default_factory=dict)
 
     def analyzed(self) -> "PlanTemplate":
         """This template with its fixed slots, copy marks and the
@@ -238,9 +313,8 @@ class PlanTemplate:
         template cannot serve *text*."""
         if options != self.options or registry_version() != self.functions:
             return None
-        literals = text.lexed.literals
         for slot, fixed in self.fixed:
-            if literals[slot].text != fixed:
+            if text.literal_text(slot) != fixed:
                 return None
         bound = {}
         for identity in self.tables:
@@ -328,14 +402,14 @@ def record_template(
     if any(is_system_table_name(table.name) for table in tables.values()):
         return None
     return PlanTemplate(
-        shape=text.lexed.shape,
+        shape=text.shape,
         options=options,
         statement=statement,
         logical=skeleton,
         tables=tuple(tables.values()),
         models=tuple(models),
         functions=registry_version(),
-        texts=tuple(token.text for token in text.lexed.literals),
+        texts=text.literal_texts(),
         scans=tuple(scans),
     )
 
@@ -581,6 +655,89 @@ class Prototype:
             self.kinds,
         )
         return binding.copy(self.root, self.kinds[id(self.root)])
+
+
+@dataclass(eq=False)
+class FragmentTemplate:
+    """How a template's statement splits over partitions, kept by the
+    template so that a hit runs neither the fragment planner nor the
+    merge's code generation.
+
+    *plan* is the :class:`~repro.db.plan.fragments.FragmentPlan` of the
+    statement that worked it out, its literals slotted; each hit gets a
+    copy with its own values (:meth:`instantiate`).  *key* names the
+    per-partition statement in a plan cache: the merge, the shape and the
+    fixed slots' texts decide that statement up to the free values.  The
+    first partial merge keeps its pipeline, whose kernels are generated,
+    as *merge*: a :class:`Prototype` later hits clone.
+    """
+
+    plan: FragmentPlan
+    #: None for a declined plan (nothing runs per partition)
+    key: str | None
+    #: the template's free slots (what a merge clone substitutes)
+    free: frozenset
+    #: ids of the objects in ``plan`` whose subtree holds a free slot
+    marked: frozenset
+    #: the slots the per-partition statement reads
+    slots: frozenset
+    merge: Prototype | None = None
+
+    @classmethod
+    def of(cls, plan: FragmentPlan, template: PlanTemplate):
+        """The fragment template of *plan*, split from a statement of
+        the (analyzed) *template*."""
+        marked: set[int] = set()
+        for part in (plan.statement, plan.having, plan.final_exprs):
+            _mark(part, template.free, marked)
+        key = None
+        if plan.merge != "decline":
+            key = (
+                f"\x00{plan.merge}\x00{template.shape}\x00{template.fixed!r}"
+            )
+        return cls(
+            plan,
+            key,
+            template.free,
+            frozenset(marked),
+            frozenset(literal_slots(plan.statement)),
+        )
+
+    def instantiate(
+        self, values: tuple, tables: dict | None = None
+    ) -> FragmentPlan:
+        """The fragment plan of a statement with the literal *values*
+        that bound *tables* (``identity -> table``; None: the tables the
+        plan was worked out on).  A declined plan is shared as it is."""
+        if self.key is None:
+            return self.plan
+        plan = object.__new__(FragmentPlan)
+        plan.__dict__.update(self.plan.__dict__)
+        marked = self.marked
+        if marked:
+            if id(plan.statement) in marked:
+                plan.statement = _substitute(plan.statement, values, marked)
+            if id(plan.having) in marked:
+                plan.having = _substitute(plan.having, values, marked)
+            if id(plan.final_exprs) in marked:
+                plan.final_exprs = _substitute(
+                    plan.final_exprs, values, marked
+                )
+        if tables is not None and plan.sharded:
+            plan.estimated_rows = max(
+                table.row_count
+                for table in tables.values()
+                if shard_count(table)
+            )
+        slots = self.slots
+        plan.key = self.key
+        plan.values = values
+        plan.statement_values = tuple(
+            value if slot in slots else None
+            for slot, value in enumerate(values)
+        )
+        plan.template = self
+        return plan
 
 
 # ----------------------------------------------------------------------

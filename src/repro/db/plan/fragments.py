@@ -27,7 +27,10 @@ partition key:
     :class:`~repro.db.operators.HashAggregate` and projects back to the
     original output expressions.  Merge order is not the serial fold
     order, so float results are exact only for exactly-representable
-    values (see ``tests/db/test_partition_merge.py``).
+    values (see ``tests/db/test_partition_merge.py``).  Equal aggregate
+    calls share one partial only when their literals share slots too, so
+    a plan-cache hit that gives them other values still merges the right
+    columns.
 
 ``decline``
     Anything else, including a plan that reads no partitioned input.
@@ -39,6 +42,13 @@ it reads none, every local table with more than one partition; other
 tables (and a MODEL JOIN's model table) are read whole by every
 partition.  ORDER BY / LIMIT / OFFSET and a top-level DISTINCT are
 stripped from the per-partition statement and re-applied by the merge.
+
+A statement served from the plan cache does not run this module's walk
+again: its template keeps the fragment plan and the merge pipeline's
+prototype (:class:`repro.db.plan.cache.FragmentTemplate`), and the
+per-partition statement is planned, in a plan cache too, under the
+fragment's *key* — this engine's for thread pipelines, each shard's for
+shards.
 """
 
 from __future__ import annotations
@@ -47,7 +57,13 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.db.catalog import is_system_table_name
-from repro.db.expressions import BinaryOp, ColumnRef, Expression, FunctionCall
+from repro.db.expressions import (
+    BinaryOp,
+    ColumnRef,
+    Expression,
+    FunctionCall,
+    Literal,
+)
 from repro.db.operators import HashAggregate, LimitOperator, SortOperator
 from repro.db.operators.aggregate import AggregateSpec, input_outputs
 from repro.db.plan.logical import (
@@ -109,6 +125,17 @@ class FragmentPlan:
     offset: int = 0
     distinct: bool = False
     estimated_rows: int = 0
+    #: whether partitions run a statement other than the query's own
+    #: (ORDER BY / LIMIT / OFFSET / DISTINCT stripped, or partials)
+    rewritten: bool = False
+    #: plan-cache products (:class:`repro.db.plan.cache.FragmentTemplate`):
+    #: the per-partition statement's plan-cache key (None: plan it cold),
+    #: the query's literal values by slot, the values *statement* reads
+    #: (None in the other slots) and the template itself
+    key: str | None = None
+    values: tuple = ()
+    statement_values: tuple = ()
+    template: object = None
 
     @property
     def top(self) -> int | None:
@@ -120,7 +147,7 @@ def _tail(name: str) -> str:
     return name.rsplit(".", 1)[-1].lower()
 
 
-def _shard_count(table) -> int:
+def shard_count(table) -> int:
     """Shard processes holding *table*'s rows (0 for a local table).
 
     Only the coordinator's :class:`~repro.db.shard.tables.ShardedTable`
@@ -165,7 +192,7 @@ def _decide(
         if sharded:
             if is_system_table_name(table.name):
                 raise _Decline("system tables are coordinator-local")
-            partitions = _shard_count(table)
+            partitions = shard_count(table)
         elif table.num_partitions > 1:
             partitions = table.num_partitions
         else:
@@ -289,7 +316,7 @@ def plan_fragments(prepared, pipelines: int) -> FragmentPlan:
     statement = prepared.statement
     nodes = walk(prepared.logical)
     scans = [node for node in nodes if isinstance(node, LogicalScan)]
-    sharded = any(_shard_count(scan.table) for scan in scans)
+    sharded = any(shard_count(scan.table) for scan in scans)
     merge, partitions, reason = _decide(
         prepared.logical, sharded, pipelines
     )
@@ -313,13 +340,13 @@ def plan_fragments(prepared, pipelines: int) -> FragmentPlan:
         plan.ascending = tuple(top.ascending)
     if sharded:
         plan.estimated_rows = max(
-            scan.table.row_count for scan in scans if _shard_count(scan.table)
+            scan.table.row_count for scan in scans if shard_count(scan.table)
         )
         plan.replicated_tables = tuple(
             dict.fromkeys(
                 scan.table.name
                 for scan in scans
-                if not _shard_count(scan.table)
+                if not shard_count(scan.table)
             )
         )
         plan.model_names = tuple(
@@ -340,6 +367,7 @@ def plan_fragments(prepared, pipelines: int) -> FragmentPlan:
         )
     if merge == "partial":
         _decompose_aggregation(plan, plan.statement)
+    plan.rewritten = plan.statement is not statement
     return plan
 
 
@@ -355,13 +383,14 @@ def _decompose_aggregation(
     group_names = [f"__k{i}" for i in range(len(statement.group_by))]
     partial_items: list[SelectItem] = []
     merge_specs: list[AggregateSpec] = []
-    replacements: dict[FunctionCall, Expression] = {}
+    replacements: dict[tuple, Expression] = {}
     partials: dict[tuple, ColumnRef] = {}
 
     def partial(function: str, argument, merge_function: str) -> ColumnRef:
         # one partial per (function, argument): AVG(v) reuses SUM(v)'s
         # and COUNT(v)'s, so each is computed and shipped once
-        shipped = partials.get((function, argument))
+        key = (function, argument, literal_slots(argument))
+        shipped = partials.get(key)
         if shipped is not None:
             return shipped
         name = f"__p{len(partial_items)}"
@@ -372,7 +401,7 @@ def _decompose_aggregation(
         merge_specs.append(
             AggregateSpec(merge_function, ColumnRef(name), name)
         )
-        partials[(function, argument)] = ColumnRef(name)
+        partials[key] = ColumnRef(name)
         return ColumnRef(name)
 
     def rewrite(expression: Expression) -> Expression:
@@ -380,7 +409,8 @@ def _decompose_aggregation(
             if _matches_group(expression, group_expr):
                 return ColumnRef(group_names[slot])
         if is_aggregate_call(expression):
-            cached = replacements.get(expression)
+            key = (expression, literal_slots(expression))
+            cached = replacements.get(key)
             if cached is not None:
                 return cached
             argument = None
@@ -404,7 +434,7 @@ def _decompose_aggregation(
                 replacement = partial(function, argument, "SUM")
             else:  # MIN / MAX merge with themselves
                 replacement = partial(function, argument, function)
-            replacements[expression] = replacement
+            replacements[key] = replacement
             return replacement
         return rebuild(expression, rewrite)
 
@@ -439,6 +469,20 @@ def _decompose_aggregation(
         + tuple(partial_items),
         having=None,
     )
+
+
+def literal_slots(node) -> tuple[int, ...]:
+    """The slots of the statement literals in *node* — an expression, an
+    AST node or a tuple of them — in field order."""
+    if isinstance(node, Literal):
+        return () if node.slot is None else (node.slot,)
+    if isinstance(node, tuple):
+        items = node
+    elif hasattr(node, "__dataclass_fields__"):
+        items = node.__dict__.values()
+    else:
+        return ()
+    return tuple(slot for item in items for slot in literal_slots(item))
 
 
 def _matches_group(expression: Expression, group_expr: Expression) -> bool:

@@ -584,11 +584,20 @@ class GatherExchange(PhysicalOperator):
 
     def __init__(self, context, schema, sources):
         super().__init__(context, schema)
-        #: list of per-partition batch lists, index = partition / shard
+        self.feed(sources)
+
+    def feed(self, sources) -> None:
+        """Gather *sources*: per-partition batch lists, index =
+        partition / shard."""
         self.sources = sources
         self.rows_per_source = [
             sum(len(batch) for batch in batches) for batches in sources
         ]
+
+    def cloned(self, binding) -> None:
+        # a merge prototype's copy holds no query's batches: it gathers
+        # what the hit feeds it
+        self.feed([])
 
     def describe(self) -> str:
         rows = ", ".join(

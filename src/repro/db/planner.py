@@ -22,7 +22,9 @@ valid template is served from it — no parse, bind, rewrite, codegen or
 lowering — computing only what its values decide (pruning ranges, the
 ModelJoin input estimates and variants) and cloning the template's
 lowered prototype; any other one is planned as above and records the
-template (:mod:`repro.db.plan.cache`).
+template (:mod:`repro.db.plan.cache`).  How a statement splits over
+partitions (:meth:`Planner.fragment`) and its merge pipeline
+(:meth:`Planner.merge`) are template products too.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.db.compile import KernelCompiler
 from repro.db.compile.codegen import NonCompilableLiteral
 from repro.db.operators import ExecutionContext, PhysicalOperator
 from repro.db.plan.cache import (
+    FragmentTemplate,
     PlanCache,
     PlanTemplate,
     Prototype,
@@ -43,8 +46,14 @@ from repro.db.plan.cache import (
     prototype_key,
     record_template,
 )
+from repro.db.plan.fragments import (
+    FragmentPlan,
+    build_merge_plan,
+    plan_fragments,
+)
 from repro.db.plan.logical import LogicalBinder, LogicalNode
 from repro.db.plan.physical import (
+    GatherExchange,
     Lowering,
     VariantSelection,
     select_variant,
@@ -95,6 +104,11 @@ class PreparedPlan:
     #: planned cold, not served from a plan-cache template
     cached = False
     template = None
+    #: a cold plan of a text: the template it recorded, the literal
+    #: values; tables bound by identity (hits only)
+    recorded = None
+    values = ()
+    tables = None
 
     def explain_logical(self) -> str:
         return self.logical.render()
@@ -203,23 +217,27 @@ class Planner:
     # pipeline stages
     # ------------------------------------------------------------------
     def prepare(
-        self, statement: SelectStatement | SelectText
+        self, statement: SelectStatement | SelectText, counted: bool = True
     ) -> PreparedPlan:
         """Bind and optimize *statement* (partition-independent work).
 
         A :class:`SelectText` is served from its shape's plan template
         when one is valid; otherwise it is parsed and planned here, and
-        the plan recorded as its shape's template.
+        the plan recorded as its shape's template.  An uncounted one (a
+        query's per-partition statement) rides on the query's own
+        ``plan_cache`` hit or miss.
         """
-        text = None
+        text = cache = None
         if isinstance(statement, SelectText):
             text = statement
-            if self.plan_cache is not None:
-                prepared = self._instantiate(text)
+            cache = self.plan_cache if text.shape is not None else None
+            if cache is not None:
+                prepared = self._instantiate(text, counted)
                 if prepared is not None:
                     return prepared
-                self.plan_cache.count_miss()
             statement = text.statement()
+            if self.plan_cache is not None and counted:
+                self.plan_cache.count_miss()
         with self.tracer.span("optimizer.bind", category="planner"):
             binder = LogicalBinder(
                 self.catalog,
@@ -234,15 +252,20 @@ class Planner:
             selections = select_variants(
                 logical, self.variant_selector, metrics=self.metrics
             )
-        if text is not None and self.plan_cache is not None:
+        prepared = PreparedPlan(statement, logical, firings, selections)
+        if cache is not None:
             template = record_template(
                 text, statement, logical, self._options_key()
             )
             if template is not None:
-                self.plan_cache.put(template)
-        return PreparedPlan(statement, logical, firings, selections)
+                cache.put(template)
+                prepared.recorded = template
+                prepared.values = text.values()
+        return prepared
 
-    def _instantiate(self, text: SelectText) -> CachedPlan | None:
+    def _instantiate(
+        self, text: SelectText, counted: bool = True
+    ) -> CachedPlan | None:
         """The plan of *text* from its shape's template, if one serves.
 
         A hit has no bind step: checking the identities the template
@@ -251,7 +274,7 @@ class Planner:
         literal values is the rewrite a hit does, so it runs under the
         rewrite span.  No tree is copied.
         """
-        template = self.plan_cache.get(text.lexed.shape)
+        template = self.plan_cache.get(text.shape)
         if template is None:
             return None
         with self.tracer.span("optimizer.rewrite", category="planner"):
@@ -275,8 +298,65 @@ class Planner:
                 )
                 for node, rows in zip(template.model_joins, inputs)
             ]
-        self.plan_cache.count_hit()
+        if counted:
+            self.plan_cache.count_hit()
         return CachedPlan(template, tables, values, ranges, selections)
+
+    def fragment(self, prepared: PreparedPlan, pipelines: int) -> FragmentPlan:
+        """How *prepared* splits over partitions (:func:`plan_fragments`;
+        *pipelines* bounds a thread-parallel plan's partitions).
+
+        A plan-cache product: the template keeps the fragment plan its
+        first split worked out — on a cold plan of the shape, which works
+        out the fixed slots for it — and later hits copy it with their
+        values.  A plan that recorded no template is split for itself.
+        """
+        template = prepared.template
+        if template is None:
+            template = prepared.recorded
+            if template is None:
+                return plan_fragments(prepared, pipelines)
+            template = self.plan_cache.analyzed(template)
+        shared = template.fragments.get(pipelines)
+        if shared is None:
+            shared = FragmentTemplate.of(
+                plan_fragments(prepared, pipelines), template
+            )
+            template.fragments[pipelines] = shared
+        return shared.instantiate(prepared.values, prepared.tables)
+
+    def merge(
+        self,
+        fragment: FragmentPlan,
+        context: ExecutionContext,
+        schema,
+        sources: list,
+    ) -> PhysicalOperator:
+        """The merge pipeline over the per-partition results *sources*
+        (:func:`build_merge_plan`).  A partial merge generates kernels,
+        so a hit clones the merge prototype its fragment template keeps
+        (the first merge builds and keeps it); any other merge generates
+        nothing and is built, which costs no more than a clone."""
+        compiler = self.kernel_compiler()
+        shared = fragment.template if fragment.merge == "partial" else None
+        if shared is not None and shared.merge is not None:
+            try:
+                plan = shared.merge.clone(
+                    context, None, {}, fragment.values, (), compiler
+                )
+            except NonCompilableLiteral:
+                pass  # built below, as a cold plan of the statement is
+            else:
+                gather = plan
+                while not isinstance(gather, GatherExchange):
+                    (gather,) = gather.children()
+                gather.feed(sources)
+                return plan
+        gather = GatherExchange(context, schema, sources)
+        plan = build_merge_plan(context, fragment, gather, compiler)
+        if shared is not None and shared.merge is None and compiler.reusable:
+            shared.merge = Prototype.capture(plan, None, {}, shared.free)
+        return plan
 
     def lower(
         self,

@@ -15,8 +15,10 @@ engine keeps acting as planner and merger:
   shard builds the model from its local copy and infers locally.
 - SELECTs over sharded tables are fragment-planned
   (:mod:`repro.db.plan.fragments`, the decomposition thread-parallel
-  queries use too), dispatched, gathered through a
-  :class:`~repro.db.plan.physical.GatherExchange` and merged locally.
+  queries use too), dispatched as a plan-cache key plus literal values
+  — the fragment's AST goes to a shard once per key, and again when the
+  shard answers that it cannot serve the key — gathered and merged by
+  the coordinating engine (:meth:`repro.db.planner.Planner.merge`).
 
 Failure semantics: a dead shard process surfaces as
 :class:`~repro.errors.ShardCrashError` at the next pipe interaction
@@ -28,18 +30,20 @@ still drains, shuts down the survivors and reaps the corpse.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
-from repro.db.plan.fragments import FragmentPlan, build_merge_plan
+from repro.db.plan.cache import CAPACITY
+from repro.db.plan.fragments import FragmentPlan
 from repro.db.plan.physical import (
-    GatherExchange,
     choose_worker_parallelism,
     render_fragment_tree,
 )
@@ -55,6 +59,7 @@ from repro.db.shard.messages import (
     ResultResponse,
     ShutdownRequest,
     StatsRequest,
+    UnknownFragmentResponse,
     WorkerConfig,
     raise_error,
 )
@@ -113,6 +118,11 @@ class ShardCoordinator:
             {} for _ in range(shard_count)
         ]
         self._model_versions: list[dict] = [{} for _ in range(shard_count)]
+        #: per shard: fragment keys sent with their AST, least recent
+        #: first (as many as a shard's plan cache keeps templates)
+        self._fragment_keys: list[OrderedDict] = [
+            OrderedDict() for _ in range(shard_count)
+        ]
         self._closed = False
         self.queries_dispatched = 0
 
@@ -567,12 +577,9 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------
-    def execute_fragments(
-        self, fragment: FragmentPlan, context, catalog, compiler
-    ):
-        """Dispatch the fragment, gather, merge; returns (schema, batches).
-
-        *compiler* answers the merge pipeline's kernel requests."""
+    def execute_fragments(self, fragment: FragmentPlan, context, catalog):
+        """Dispatch the fragment and gather it; returns ``(schema,
+        per-shard batch lists)`` for the merge."""
         _require_distributable(fragment)
         cancellation = context.query.cancellation
         per_shard = fragment.estimated_rows // max(self.shard_count, 1)
@@ -580,19 +587,40 @@ class ShardCoordinator:
         timeout = None
         if cancellation is not None:
             timeout = cancellation.remaining_seconds()
-        request = ExecuteRequest(
-            statement=fragment.statement,
+        key = fragment.key
+        by_key = ExecuteRequest(
+            key,
+            fragment.statement_values,
             parallel=parallel,
             timeout_seconds=timeout,
         )
+        with_ast = dataclasses.replace(by_key, statement=fragment.statement)
         with self._lock:
             self._drain_stale_locked()
             self._sync_fragment_inputs_locked(fragment, catalog)
             pending = {
-                handle.shard_id: self._send_locked(handle, request)
+                handle.shard_id: self._send_locked(
+                    handle,
+                    by_key
+                    if key in self._fragment_keys[handle.shard_id]
+                    else with_ast,
+                )
                 for handle in self._live_handles()
             }
             responses = self._gather_locked(pending, cancellation)
+            unknown = {
+                shard_id: self._send_locked(self.handles[shard_id], with_ast)
+                for shard_id, response in responses.items()
+                if isinstance(response, UnknownFragmentResponse)
+            }
+            if unknown:
+                responses.update(self._gather_locked(unknown, cancellation))
+            if key is not None:
+                for keys in self._fragment_keys:
+                    keys[key] = True
+                    keys.move_to_end(key)
+                    if len(keys) > CAPACITY:
+                        keys.popitem(last=False)
         self.queries_dispatched += 1
         self._database.metrics.counter("shard.queries").increment()
         sources: list[list[VectorBatch]] = []
@@ -611,9 +639,7 @@ class ShardCoordinator:
                     continue
                 context.counters.increment(name, value)
                 context.counters.increment(f"{name}.shard-{shard_id}", value)
-        gather = GatherExchange(context, schema, sources)
-        plan = build_merge_plan(context, fragment, gather, compiler)
-        return plan.schema, list(plan.batches())
+        return schema, sources
 
     def explain_fragments(self, fragment: FragmentPlan) -> str:
         _require_distributable(fragment)

@@ -95,9 +95,19 @@ class RegisterModelRequest:
 
 @dataclass(frozen=True)
 class ExecuteRequest:
-    """Run one plan fragment (an AST SELECT) on the shard's local data."""
+    """Run one plan fragment on the shard's local data.
 
-    statement: SelectStatement
+    The fragment is its plan-cache *key* and its literal *values* by
+    slot (:class:`~repro.db.plan.cache.FragmentText`); the AST
+    *statement* comes along the first time the coordinator sends the key
+    to this shard (and always with a None key: a plan nothing caches).
+    A shard that cannot serve a key without it answers
+    :class:`UnknownFragmentResponse`.
+    """
+
+    key: str | None
+    values: tuple
+    statement: SelectStatement | None = None
     #: run partition-parallel inside the worker (the coordinator only
     #: sets this when the fragment is partition-compatible)
     parallel: bool = False
@@ -136,6 +146,15 @@ class ResultResponse:
     #: the fragment's profile counters (scan.rows_read, morsels, ...)
     counters: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class UnknownFragmentResponse:
+    """An :class:`ExecuteRequest` without a statement whose key the
+    shard's plan cache cannot serve (evicted, or its tables changed):
+    the coordinator resends it with the AST."""
+
+    key: str
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ strictly ordered loop; ordering per pipe is the consistency model
 
 from __future__ import annotations
 
+from repro.db.plan.cache import FragmentText, UnknownFragment
 from repro.db.schema import Column, Schema
 from repro.db.shard.messages import (
     AppendRequest,
@@ -26,6 +27,7 @@ from repro.db.shard.messages import (
     ResultResponse,
     ShutdownRequest,
     StatsRequest,
+    UnknownFragmentResponse,
     WorkerConfig,
 )
 from repro.db.types import parse_type_name
@@ -128,17 +130,23 @@ class ShardWorker:
         return OkResponse()
 
     def _execute(self, message: ExecuteRequest):
+        """Run a fragment through the engine's plan cache: a key it
+        holds a valid template of is served from it (no parse, bind or
+        lowering), any other is planned from the AST and recorded."""
         import time
 
         started = time.perf_counter()
-        result = self.database.execute_statement(
-            message.statement,
-            self.database.query_context(
-                f"<{type(message.statement).__name__}>",
-                parallel=message.parallel,
-                timeout_seconds=message.timeout_seconds,
-            ),
-        )
+        try:
+            result = self.database.execute_statement(
+                FragmentText(message.key, message.values, message.statement),
+                self.database.query_context(
+                    "<fragment>",
+                    parallel=message.parallel,
+                    timeout_seconds=message.timeout_seconds,
+                ),
+            )
+        except UnknownFragment:
+            return UnknownFragmentResponse(message.key)
         counters = (
             result.profile.counters.snapshot()
             if result.profile is not None

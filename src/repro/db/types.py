@@ -16,6 +16,10 @@ import numpy as np
 from repro.errors import TypeMismatchError
 
 
+#: values of the numeric SqlType members
+_NUMERIC = frozenset(("INTEGER", "FLOAT", "DOUBLE"))
+
+
 class SqlType(enum.Enum):
     """A SQL column type supported by the engine."""
 
@@ -32,7 +36,7 @@ class SqlType(enum.Enum):
 
     @property
     def is_numeric(self) -> bool:
-        return self in (SqlType.INTEGER, SqlType.FLOAT, SqlType.DOUBLE)
+        return self._value_ in _NUMERIC
 
     @property
     def byte_width(self) -> int:

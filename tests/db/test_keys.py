@@ -233,6 +233,46 @@ class TestGroupOrder:
             group_ids([])
 
 
+#: strings that stress the ranking: empty, non-ASCII, shared prefixes
+_RANKED_TEXT = st.one_of(
+    st.sampled_from(["", "a", "ab", "abc", "abd", "b", "é", "éa", "Z", "ß"]),
+    st.text(max_size=6),
+)
+
+
+class TestStringRanks:
+    """:func:`string_ranks` numbers like ``np.unique``'s inverse."""
+
+    @staticmethod
+    def assert_unique_ranks(strings):
+        values = np.array(strings, dtype=object)
+        _, inverse = np.unique(values, return_inverse=True)
+        ranks = string_ranks(values)
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(ranks, inverse)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_RANKED_TEXT, max_size=60))
+    def test_matches_np_unique(self, strings):
+        self.assert_unique_ranks(strings)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_RANKED_TEXT, min_size=1, max_size=40, unique=True))
+    def test_all_values_distinct(self, strings):
+        self.assert_unique_ranks(strings)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_RANKED_TEXT, st.integers(1, 50))
+    def test_one_distinct_value(self, value, rows):
+        self.assert_unique_ranks([value] * rows)
+
+    @pytest.mark.parametrize(
+        "strings", [[], ["only"], [""], ["é"]], ids=repr
+    )
+    def test_empty_and_one_row(self, strings):
+        self.assert_unique_ranks(strings)
+
+
 def composite_sort_reference(columns):
     """Grouping before it counted small domains: every composite
     that fits is tagged with its row index and sorted, the rest

@@ -20,7 +20,10 @@ The contract is that a hit is indistinguishable from planning cold:
   SET VERSION``, INSERT, served snapshots, UDF re-registration; a
   template keeps no table alive;
 * every :class:`~tests.db.test_partition_paths.ExecutionPath` serves
-  hits with fresh literals;
+  hits with fresh literals; a sharded or ``parallel=True`` hit plans no
+  fragment and no merge, and each shard serves its fragment from its
+  own cache — through replica INSERTs, model changes, a re-created
+  table and an evicted shard template;
 * observability — ``plan_cache.*`` counters, ``system.queries``
   ``plan_cached`` (persisted, FALSE for older log rows).
 """
@@ -115,10 +118,10 @@ def cached(database) -> bool:
     return database.query_log.entries()[-1]["plan_cached"]
 
 
-def outcome(database, sql: str):
+def outcome(database, sql: str, parallel: bool = False):
     """``("ok", result)`` or ``("error", type name, message)``."""
     try:
-        return ("ok", database.execute(sql))
+        return ("ok", database.execute(sql, parallel=parallel))
     except Exception as error:  # compared between engines
         return ("error", type(error).__name__, str(error))
 
@@ -833,6 +836,12 @@ PATH_SHAPES = {
         1,
         2,
     ),
+    # the literal is in the merge's HAVING, not in the fragment
+    "having_off_key": (
+        "SELECT a, SUM(v) AS s FROM t GROUP BY a HAVING SUM(v) > {}",
+        0.5,
+        8.625,
+    ),
     "distinct": ("SELECT DISTINCT a FROM t WHERE id >= {}", 10, 500),
     "self_join_on_key": (
         "SELECT p.id, q.v FROM t p, t q WHERE p.id = q.id AND p.a = {}",
@@ -870,16 +879,54 @@ def path_engines():
         database.close()
 
 
+def shard_plan_counts(database) -> list[tuple[int, int]]:
+    """Each shard's ``plan_cache.hits`` and ``.misses``."""
+    database.sharding.refresh_stats()
+    return [
+        (
+            int(handle.last_stats["metrics"].get("plan_cache.hits", 0)),
+            int(handle.last_stats["metrics"].get("plan_cache.misses", 0)),
+        )
+        for handle in database.sharding.handles
+    ]
+
+
+def plan_counts(database) -> tuple[int, int]:
+    counter = database.metrics.counter
+    return (
+        counter("plan_cache.hits").value,
+        counter("plan_cache.misses").value,
+    )
+
+
+def counted_since(before, after):
+    return tuple(now - then for then, now in zip(before, after))
+
+
+def shard_counts_since(database, before) -> list[tuple[int, int]]:
+    return [
+        counted_since(then, now)
+        for then, now in zip(before, shard_plan_counts(database))
+    ]
+
+
 @pytest.mark.parametrize("path", (SERIAL, THREADS, SHARDS), ids=str)
 @pytest.mark.parametrize("shape", sorted(PATH_SHAPES))
 def test_every_path_serves_hits(path_engines, path, shape):
     sql, first, second = PATH_SHAPES[shape]
     database = path_engines[path]
     database.plan_cache.clear()
+    if path is SHARDS:
+        shards_before = shard_plan_counts(database)
     # a miss, the hit that keeps its lowering, then hits that clone it
     for index, value in enumerate((first, second, first, second)):
         got = database.execute(sql.format(value), parallel=path.parallel)
         assert cached(database) is (index > 0)
+    if path is SHARDS:
+        # each shard planned the fragment once and served every repeat
+        # from its own cache
+        counts = shard_counts_since(database, shards_before)
+        assert counts == [(3, 1), (3, 1)]
     reference = path_engines[SERIAL]
     reference.plan_cache.clear()
     want = reference.execute(sql.format(second))
@@ -906,6 +953,250 @@ def test_partition_pipelines_clone_like_cold_plans(path_engines, shape):
             database, text, False, partition
         )
     assert planned(database, text, True) == planned(database, text, False)
+
+
+def test_parallel_partial_merge_repeats_count_one_miss(path_engines):
+    # the per-partition statement of a partial merge is planned under
+    # the fragment key; it rides on the query's own hit or miss
+    sql, first, second = PATH_SHAPES["group_off_key"]
+    database = path_engines[THREADS]
+    database.plan_cache.clear()
+    before = plan_counts(database)
+    for value in (first, second, first, second, first):
+        database.execute(sql.format(value), parallel=True)
+    assert counted_since(before, plan_counts(database)) == (4, 1)
+
+
+@pytest.mark.parametrize("path", (THREADS, SHARDS), ids=str)
+def test_warm_split_statements_plan_nothing(path_engines, path, monkeypatch):
+    """After warm-up a sharded or parallel hit binds nothing, splits
+    nothing and generates no kernel source: not on the coordinator
+    (patched to fail below) and not on a shard, which binds only on a
+    miss."""
+    from repro.db import planner as planner_module
+    from repro.db.compile import kernels
+    from repro.db.plan.logical import LogicalBinder
+
+    database = path_engines[path]
+    database.plan_cache.clear()
+    shapes = ("group_off_key", "model_join", "top_k", "distinct")
+    texts = []
+    for shape in shapes:
+        sql, first, second = PATH_SHAPES[shape]
+        for value in (first, second):
+            database.execute(sql.format(value), parallel=path.parallel)
+        texts += [sql.format(value) for value in (second, first, first + 1)]
+    wanted = {
+        text: sorted(cold_result(path_engines[SERIAL], text).rows)
+        for text in texts
+    }
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("a warm split statement planned cold")
+
+    monkeypatch.setattr(planner_module, "plan_fragments", fail)
+    monkeypatch.setattr(kernels, "_kernel_source", fail)
+    monkeypatch.setattr(LogicalBinder, "bind", fail)
+    if path is SHARDS:
+        shards_before = shard_plan_counts(database)
+    for text in texts:
+        got = database.execute(text, parallel=path.parallel)
+        assert cached(database)
+        assert sorted(got.rows) == wanted[text]
+    if path is SHARDS:
+        counts = shard_counts_since(database, shards_before)
+        assert counts == [(12, 0), (12, 0)]
+
+
+@pytest.mark.parametrize("path", (THREADS, SHARDS), ids=str)
+def test_equal_aggregates_in_other_slots_merge_apart(path_engines, path):
+    # the first statement's two partials are equal calls; a hit that
+    # gives them other values must not merge them as one
+    sql = "SELECT a, SUM(v * {}) AS p, SUM(v * {}) AS q FROM t GROUP BY a"
+    database = path_engines[path]
+    database.plan_cache.clear()
+    for values in ((2, 2), (2, 3), (3, 2), (5, 5)):
+        text = sql.format(*values)
+        got = database.execute(text, parallel=path.parallel)
+        want = cold_result(path_engines[SERIAL], text)
+        assert sorted(got.rows) == sorted(want.rows)
+    assert cached(database)
+
+
+@pytest.mark.parametrize("path", (THREADS, SHARDS), ids=str)
+def test_a_merge_value_with_no_compiled_form_merges_like_a_cold_plan(
+    path_engines, path
+):
+    # the merge prototype's kernel reads the HAVING slot as an int64
+    # parameter; 10**20 has no compiled form, so that merge is built
+    # from the fragment plan with the hit's values, as a cold plan's is
+    sql = "SELECT a, COUNT(*) AS n FROM t GROUP BY a HAVING COUNT(*) > {}"
+    database = path_engines[path]
+    database.plan_cache.clear()
+    for value in (5, 6):
+        database.execute(sql.format(value), parallel=path.parallel)
+    for value in (10**20, 100):
+        text = sql.format(value)
+        got = outcome(database, text, path.parallel)
+        assert cached(database)
+        assert_same_outcome(got, cold(path_engines[SERIAL], text))
+
+
+@pytest.fixture
+def sharded_pair():
+    """(sharded, reference): two shard processes and a single engine
+    holding the test_partition_paths data."""
+    engines = (
+        load_partitioned(SHARDS.connect()),
+        load_partitioned(SERIAL.connect()),
+    )
+    yield engines
+    for database in engines:
+        database.close()
+
+
+def cold_result(database, sql: str):
+    status, result = cold(database, sql)[:2]
+    assert status == "ok", result
+    return result
+
+
+def same_as_cold(pair, sql: str):
+    """Run *sql* on the sharded engine; it must give the rows a cold plan
+    gives on the reference engine."""
+    sharded, reference = pair
+    got = sharded.execute(sql)
+    want = cold_result(reference, sql)
+    assert got.schema == want.schema
+    assert sorted(got.rows) == sorted(want.rows)
+    return got
+
+
+def both(pair, statement: str) -> None:
+    for database in pair:
+        database.execute(statement)
+
+
+def test_sharded_hits_see_a_replica_insert(sharded_pair):
+    sql = "SELECT t.id, u.a FROM t, u WHERE t.a = u.a AND t.id < {}"
+    same_as_cold(sharded_pair, sql.format(100))
+    same_as_cold(sharded_pair, sql.format(200))
+    both(sharded_pair, "INSERT INTO u VALUES (4)")
+    got = same_as_cold(sharded_pair, sql.format(300))
+    assert cached(sharded_pair[0])
+    assert 4 in got.column("a").tolist()
+
+
+def test_sharded_hits_follow_alter_model(sharded_pair):
+    both(sharded_pair, "CREATE TABLE src (f0 FLOAT, f1 FLOAT, y DOUBLE)")
+    both(
+        sharded_pair,
+        "INSERT INTO src VALUES (0.5, -0.25, 1.0), (-0.5, 0.75, 0.0), "
+        "(0.25, 0.25, 1.0), (-0.75, -0.5, 0.0)",
+    )
+    for mode, seed in (("TRAIN", 1), ("RETRAIN", 2)):
+        both(
+            sharded_pair,
+            f"CREATE MODEL clf AS {mode} DENSE(4 relu, 1 sigmoid) "
+            "ON (SELECT f0, f1, y FROM src) "
+            f"WITH (epochs=2, batch_size=2, lr=0.05, seed={seed})",
+        )
+    sql = (
+        "SELECT id, prediction_0 FROM t MODEL JOIN clf USING (f0, f1) "
+        "WHERE id < {}"
+    )
+    same_as_cold(sharded_pair, sql.format(100))
+    version_1 = same_as_cold(sharded_pair, sql.format(200))
+    both(sharded_pair, "ALTER MODEL clf SET VERSION 2")
+    version_2 = same_as_cold(sharded_pair, sql.format(200))
+    assert not np.array_equal(
+        version_1.column("prediction_0"), version_2.column("prediction_0")
+    )
+    same_as_cold(sharded_pair, sql.format(300))
+    assert cached(sharded_pair[0])
+
+
+def test_sharded_hits_follow_a_republished_model(sharded_pair):
+    sql = (
+        "SELECT id, prediction_0 FROM t MODEL JOIN m USING (f0, f1) "
+        "WHERE id < {}"
+    )
+    same_as_cold(sharded_pair, sql.format(100))
+    before = same_as_cold(sharded_pair, sql.format(200))
+    for database in sharded_pair:
+        publish_model(database, "m", _model(21), replace=True)
+    after = same_as_cold(sharded_pair, sql.format(200))
+    assert not np.array_equal(
+        before.column("prediction_0"), after.column("prediction_0")
+    )
+
+
+def test_sharded_hits_follow_a_recreated_table(sharded_pair):
+    sql = "SELECT a, SUM(v) AS s FROM t WHERE id < {} GROUP BY a"
+    same_as_cold(sharded_pair, sql.format(100))
+    same_as_cold(sharded_pair, sql.format(200))
+    shards_before = shard_plan_counts(sharded_pair[0])
+    both(sharded_pair, "DROP TABLE t")
+    both(
+        sharded_pair,
+        "CREATE TABLE t (id INTEGER, a INTEGER, v INTEGER) "
+        "PARTITION BY (id) PARTITIONS 4",
+    )
+    both(
+        sharded_pair,
+        "INSERT INTO t VALUES (1, 1, 10), (2, 1, 20), (3, 2, 5), (250, 2, 7)",
+    )
+    got = same_as_cold(sharded_pair, sql.format(200))
+    assert got.rows and got.column("s").dtype == np.int64
+    # each shard held a template of the key whose table is gone: it
+    # answered "unknown fragment" and planned the resent AST
+    counts = shard_counts_since(sharded_pair[0], shards_before)
+    assert counts == [(0, 1), (0, 1)]
+
+
+def test_an_evicted_shard_template_is_planned_from_the_resent_ast():
+    from repro.db.shard.messages import (
+        AppendRequest,
+        CreateTableRequest,
+        ExecuteRequest,
+        ResultResponse,
+        UnknownFragmentResponse,
+        WorkerConfig,
+    )
+    from repro.db.shard.worker import ShardWorker
+    from repro.db.sql.parser import parse_statement
+
+    worker = ShardWorker(WorkerConfig(shard_id=0, shard_count=1))
+    try:
+        worker.handle(
+            CreateTableRequest("r", (("k", "INTEGER"), ("v", "DOUBLE")))
+        )
+        worker.handle(
+            AppendRequest(
+                "r", ("k", "v"), (np.arange(10), np.arange(10) / 4.0)
+            )
+        )
+        sql = "SELECT k, v FROM r WHERE k < {}"
+        key = "\x00concat\x00r-test\x00()"
+        sent = worker.handle(
+            ExecuteRequest(key, (4,), parse_statement(sql.format(4)))
+        )
+        assert isinstance(sent, ResultResponse) and sent.row_count == 4
+        by_key = worker.handle(ExecuteRequest(key, (6,)))
+        assert isinstance(by_key, ResultResponse) and by_key.row_count == 6
+        worker.database.plan_cache.clear()
+        assert worker.handle(ExecuteRequest(key, (6,))) == (
+            UnknownFragmentResponse(key)
+        )
+        resent = worker.handle(
+            ExecuteRequest(key, (6,), parse_statement(sql.format(6)))
+        )
+        assert isinstance(resent, ResultResponse)
+        assert resent.arrays[0].tolist() == list(range(6))
+        counter = worker.database.metrics.counter
+        assert counter("plan_cache.misses").value == 2
+    finally:
+        worker.database.close()
 
 
 # ----------------------------------------------------------------------
