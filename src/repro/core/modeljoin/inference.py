@@ -133,14 +133,25 @@ class ModelForward:
     arena buffers, in the same order.  It reads weights, device and
     arena from the kernel's ``inference`` argument (a
     :class:`VectorizedInference`); :meth:`run` is the walk itself.
+
+    *packed*: the operator packs the inputs itself (gathering a filter's
+    selected rows straight into the arena's pack buffer), and the kernel
+    takes the ``(n, inputs)`` matrix as its argument ``x``; *inputs* are
+    then positions in the operator's input, not in ``arrays``.
     """
 
     layers: tuple[LayerMetadata, ...]
     inputs: tuple[int, ...]
+    packed: bool = False
 
     @property
     def output_width(self) -> int:
         return self.layers[-1].units
+
+    @property
+    def arguments(self) -> str:
+        """The kernel's arguments after ``params``."""
+        return ", inference, x" if self.packed else ", inference"
 
     def source(self) -> str:
         """Kernel body leaving the host result matrix in ``y``.
@@ -155,12 +166,13 @@ class ModelForward:
             "    bias = inference.bias_accumulator",
             "    layers = inference.built.layers",
             "    gemm, act = device.gemm, device.activation",
-            f"    x = take('pack', n, {len(self.inputs)})",
         ]
-        lines.extend(
-            f"    x[:, {index}] = arrays[{position}]"
-            for index, position in enumerate(self.inputs)
-        )
+        if not self.packed:
+            lines.append(f"    x = take('pack', n, {len(self.inputs)})")
+            lines.extend(
+                f"    x[:, {index}] = arrays[{position}]"
+                for index, position in enumerate(self.inputs)
+            )
         lines.append("    h = device.to_device(x)\n")
         source = "\n".join(lines)
         for index, layer in enumerate(self.layers):
@@ -181,12 +193,18 @@ class ModelForward:
         return source + "    y = device.to_host(h)\n"
 
     def run(
-        self, arrays: list[np.ndarray], n: int, inference: VectorizedInference
+        self,
+        arrays: list[np.ndarray],
+        n: int,
+        inference: VectorizedInference,
+        x: np.ndarray | None = None,
     ) -> list[np.ndarray]:
-        """The interpreted forward: fresh prediction columns."""
-        pack = inference.arena.take("pack", n, len(self.inputs))
-        matrix = pack_columns([arrays[p] for p in self.inputs], out=pack)
-        return unpack_columns(inference.infer(matrix))
+        """The interpreted forward: fresh prediction columns (of the
+        packed inputs *x*, when the operator packs them)."""
+        if x is None:
+            pack = inference.arena.take("pack", n, len(self.inputs))
+            x = pack_columns([arrays[p] for p in self.inputs], out=pack)
+        return unpack_columns(inference.infer(x))
 
 
 class VectorizedInference:

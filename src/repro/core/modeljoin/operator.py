@@ -10,7 +10,10 @@ inference batches of at most :attr:`ModelJoinOperator.batch_rows` rows,
 so one forward pass scores a morsel of whole scan vectors of one block
 (a scan batch, see :func:`repro.db.operators.scan.scan_batches`) rather
 than a single vector, with one call of its one kernel: pack, forward
-and the filter and projection the lowering fused onto the join.
+and the filter and projection the lowering fused onto the join.  A
+filter below the join is its *input filter*: a selection kernel picks
+each input batch's passing rows, and the rows selected from consecutive
+batches are gathered into one inference batch.
 Because it is a regular operator, it can be nested into arbitrary
 queries — aggregations over predictions and the like.
 
@@ -24,6 +27,8 @@ import functools
 import threading
 import time
 from collections.abc import Iterator
+
+import numpy as np
 
 from repro.core.modeljoin.builder import BuiltModel, ModelBuilder
 from repro.core.modeljoin.cache import CacheKey, ModelCache
@@ -89,11 +94,14 @@ class ModelJoinOperator(UnaryOperator):
         predicates=(),
         projection: tuple | None = None,
         variant: str | None = None,
+        input_kernel=None,
     ):
         """*predicates* and *projection* ``(expressions, names)`` are the
         fused epilogue (default: every column, predictions last);
         *variant*, the optimizer's in-plan choice ("native-cpu" /
-        "native-gpu"), picks the device when none is given."""
+        "native-gpu"), picks the device when none is given.
+        *input_kernel* is the selection kernel of a filter below the
+        join (``KernelSpec.selection``), applied to each input batch."""
         self.metadata = metadata
         self.model_table = model_table
         if device is None and variant == "native-gpu":
@@ -114,11 +122,35 @@ class ModelJoinOperator(UnaryOperator):
         expressions, names = projection or (
             [ColumnRef(name) for name in joined.names], joined.names
         )
+        outputs = project_outputs(expressions, names, joined)
+        #: the input positions the model packs
+        self.packs = tuple(map(child.schema.position_of, self.input_columns))
+        #: the selection kernel of the input predicates (None: no filter)
+        self.input_kernel = input_kernel
+        #: the input positions the kernel's *arrays* are (None: all): a
+        #: filtered join gathers only the columns its epilogue reads
+        self.reads = None
+        schema = joined
+        if input_kernel is not None:
+            expressions = (*predicates, *(o.expression for o in outputs))
+            read = {
+                joined.position_of(name)
+                for expression in expressions
+                for name in expression.referenced_columns()
+            }
+            self.reads = tuple(sorted(read - {
+                joined.position_of(column.name)
+                for column in prediction_columns
+            }))
+            schema = Schema(
+                tuple(child.schema.columns[p] for p in self.reads)
+                + prediction_columns
+            )
         self.kernel = compiler.kernel(
             KernelSpec(
-                schema=joined,
+                schema=schema,
                 predicates=tuple(predicates),
-                outputs=project_outputs(expressions, names, joined),
+                outputs=outputs,
                 # predictions are views of a reused arena buffer: the
                 # kernel copies the ones it passes through
                 transient=frozenset(
@@ -134,7 +166,8 @@ class ModelJoinOperator(UnaryOperator):
                 label=f"modeljoin({metadata.model_name})",
                 model=ModelForward(
                     metadata.layers,
-                    tuple(map(joined.position_of, self.input_columns)),
+                    self.packs,
+                    packed=input_kernel is not None,
                 ),
             )
         )
@@ -214,7 +247,7 @@ class ModelJoinOperator(UnaryOperator):
         # query's deadline between kernels.
         self.device.set_tracer(self.context.tracer)
         self.device.set_cancellation(self.context.query.cancellation)
-        if self.kernel.generated:
+        if any(kernel.generated for kernel in self.kernels()):
             # the query counts as compiled (the query log's flag)
             self.context.counters.increment("compile.fused_pipelines")
 
@@ -409,39 +442,117 @@ class ModelJoinOperator(UnaryOperator):
     def _produce(self) -> Iterator[VectorBatch]:
         self._inference = self._build()
         span = self.context.tracer.span
-        for input_batch in self.child.next_batches():
-            for batch in input_batch.pieces(self.batch_rows):
-                with span(
-                    "modeljoin-infer",
-                    category="phase",
-                    parent_id=self._span_id,
-                    args={"rows": len(batch)},
-                ):
-                    arrays = self._infer_batch(batch)
-                    if arrays is not None:
-                        yield VectorBatch(self.schema, arrays)
+        for rows, arrays, selected in self._batches():
+            with span(
+                "modeljoin-infer",
+                category="phase",
+                parent_id=self._span_id,
+                args={"rows": rows},
+            ):
+                arrays = self._infer_batch(rows, arrays, selected)
+                if arrays is not None:
+                    yield VectorBatch(self.schema, arrays)
 
-    def _infer_batch(self, batch: VectorBatch) -> list | None:
-        """One kernel call: the output arrays, None when the fused
-        filter dropped every row."""
+    def _batches(self):
+        """The inference batches: ``(rows, arrays, selected)`` each.
+
+        Without input predicates, each input batch cut to ``batch_rows``
+        (*arrays*, which the kernel packs itself).  With them, the
+        selected rows of consecutive input batches, ``(arrays,
+        positions)`` per input batch in *selected*, gathered only when
+        the batch is scored: a batch ends before the next input's
+        selection would overflow ``batch_rows``, and an input batch
+        whose every row passes is scored alone, cut as without
+        predicates — so an all-pass filter scores bit-identically to no
+        filter."""
+        limit = self.batch_rows
+        select = self.input_kernel
+        if select is None:
+            for input_batch in self.child.next_batches():
+                for batch in input_batch.pieces(limit):
+                    yield len(batch), batch.arrays, None
+            return
+        cancel = self.context.query.cancellation
+        pending: list = []
+        count = 0
+        for input_batch in self.child.next_batches():
+            rows = len(input_batch)
+            if not rows:
+                continue
+            arrays = input_batch.arrays
+            positions = select(arrays, rows, cancel)
+            if positions is None:
+                if count:
+                    yield count, None, pending
+                    pending, count = [], 0
+                for batch in input_batch.pieces(limit):
+                    yield len(batch), None, [(batch.arrays, None)]
+                continue
+            kept = len(positions)
+            if count + kept > limit and count:
+                yield count, None, pending
+                pending, count = [], 0
+            while kept > limit:  # more than a batch holds: cut it
+                yield limit, None, [(arrays, positions[:limit])]
+                positions = positions[limit:]
+                kept -= limit
+            if kept:
+                pending.append((arrays, positions))
+                count += kept
+        if count:
+            yield count, None, pending
+
+    def _gather(self, rows: int, selected: list) -> tuple[list, object]:
+        """The kernel's *arrays* and packed inputs of *rows* selected
+        rows: the model's inputs go straight into the arena's pack
+        buffer, and only the columns the epilogue reads are gathered."""
+        x = self._inference.arena.take("pack", rows, len(self.packs))
+        start = 0
+        for arrays, positions in selected:
+            end = rows if positions is None else start + len(positions)
+            for index, position in enumerate(self.packs):
+                column = arrays[position]
+                if positions is not None:
+                    column = column[positions]
+                x[start:end, index] = column
+            start = end
+        columns = []
+        for position in self.reads:
+            pieces = [
+                arrays[position] if positions is None
+                else arrays[position][positions]
+                for arrays, positions in selected
+            ]
+            columns.append(
+                pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            )
+        return columns, x
+
+    def _infer_batch(self, rows: int, arrays, selected=None) -> list | None:
+        """One kernel call over *rows* rows — of *arrays*, or of the
+        *selected* rows of input batches (:meth:`_batches`): the output
+        arrays, None when the fused filter dropped every row."""
         context = self.context
         with context.stopwatch.measure("modeljoin-infer"):
-            rows = len(batch)
             cancel = context.query.cancellation
             # the packed input matrix
             transient = 4 * rows * len(self.input_columns)
             context.memory.allocate(transient, "modeljoin-vector")
             try:
+                packed = ()
+                if selected is not None:
+                    arrays, x = self._gather(rows, selected)
+                    packed = (x,)
                 try:
                     return self.kernel(
-                        batch.arrays, rows, cancel, self._inference
+                        arrays, rows, cancel, self._inference, *packed
                     )
                 except (DeviceError, InjectedFaultError) as error:
                     fallback = self._host_fallback_inference(error)
                     if fallback is None:
                         raise
                     self._inference = fallback
-                    return self.kernel(batch.arrays, rows, cancel, fallback)
+                    return self.kernel(arrays, rows, cancel, fallback, *packed)
             finally:
                 context.memory.release(transient, "modeljoin-vector")
 
@@ -506,6 +617,11 @@ class ModelJoinOperator(UnaryOperator):
             if note not in self.fallbacks:
                 self.fallbacks.append(note)
 
+    def kernels(self) -> tuple:
+        if self.input_kernel is None:
+            return (self.kernel,)
+        return (self.input_kernel, self.kernel)
+
     def describe(self) -> str:
         base = (
             f"ModelJoin(model={self.metadata.model_name}, "
@@ -513,6 +629,12 @@ class ModelJoinOperator(UnaryOperator):
             f"inputs=[{', '.join(self.input_columns)}], "
             f"batch={self.batch_rows}"
         )
+        if self.input_kernel is not None:
+            select = self.input_kernel
+            rendered = " AND ".join(map(str, select.spec.predicates))
+            base += f" | input filter: {rendered}"
+            if select.generated and not self.kernel.generated:
+                base += " [compiled]"
         if self.epilogue:
             spec = self.kernel.spec
             base += f" | {describe_segment(spec)}) [epilogue: fused]"

@@ -40,6 +40,7 @@ from repro.db.compile.kernels import (
     KernelOutput,
     KernelSpec,
     generate_kernel_source,
+    has_generated_form,
     project_outputs,
 )
 
@@ -53,5 +54,6 @@ __all__ = [
     "KernelSpec",
     "NonCompilable",
     "generate_kernel_source",
+    "has_generated_form",
     "project_outputs",
 ]

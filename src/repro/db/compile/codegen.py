@@ -181,6 +181,8 @@ class SourceBuilder:
         self.header: list[str] = []
         #: schema positions read by the generated code
         self.used_positions: set[int] = set()
+        #: the code divides (the kernel then runs under np.errstate)
+        self.divides = False
 
     def column(self, name: str) -> str:
         position = self.schema.position_of(name)
@@ -262,6 +264,7 @@ def emit(expression: Expression, builder: SourceBuilder) -> str:
                     )
         left = emit(expression.left, builder)
         right = emit(expression.right, builder)
+        builder.divides |= operator == "/"
         return f"({left} {operator} {right})"
     if isinstance(expression, UnaryOp):
         if expression.operator == "-":

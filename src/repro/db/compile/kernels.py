@@ -33,6 +33,7 @@ by its stored source, with no codegen.
 
 from __future__ import annotations
 
+import textwrap
 import threading
 import time
 from collections import OrderedDict
@@ -97,8 +98,12 @@ class KernelSpec:
     label: str = "pipeline"
     #: a ModelJoin forward (``ModelForward``) run first, its predictions
     #: the last columns of *schema*; the kernel then takes the
-    #: operator's inference state as a last argument
+    #: operator's inference state (and the packed inputs, see
+    #: ``ModelForward.packed``) as its last arguments
     model: object | None = None
+    #: a selection kernel: no outputs, it returns which rows pass — None
+    #: for every row, else their positions (possibly none)
+    selection: bool = False
 
     def calls_per_vector(self) -> bool:
         """Whether a predicate or output calls a per-vector function."""
@@ -136,6 +141,15 @@ def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict, tuple]:
     """
     source, builder = _kernel_source(spec)
     return source, builder.bindings, tuple(builder.parameters)
+
+
+def has_generated_form(spec: KernelSpec) -> bool:
+    """Whether *spec* renders to source (codegen may be off)."""
+    try:
+        _kernel_source(spec)
+    except Exception:  # NonCompilable, or a generator bug
+        return False
+    return True
 
 
 def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
@@ -184,13 +198,15 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
     track_narrowing = any(guarded) and bool(spec.predicates)
     model = spec.model
     predictions = len(schema) - (model.output_width if model else 0)
+    selection = spec.selection
 
     lines = [f"# kernel: {spec.label}"]
     lines.extend(spec.header)
     lines.extend(builder.header)
     lines.append("")
-    state = ", inference" if model is not None else ""
+    state = model.arguments if model is not None else ""
     lines.append(f"def kernel(arrays, n, cancel, params{state}):")
+    start = len(lines)
     lines.append("    if cancel is not None:")
     lines.append("        cancel.check()")
     lines.extend(builder.parameter_lines)
@@ -203,6 +219,8 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
             lines.append(f"    c{position} = y[:, {position - predictions}]")
     if track_narrowing:
         lines.append("    narrowed = False")
+    if selection:
+        lines.append("    pos = None")
     if len(predicate_texts) > 1:
         lines.append("    pending = None")
     for index, text in enumerate(predicate_texts):
@@ -218,7 +236,10 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
         lines.append("    if not m.all():")
         lines.append("        kept = np.count_nonzero(m)")
         lines.append("        if kept == 0:")
-        lines.append("            return None")
+        lines.append(
+            "            return "
+            + ("np.empty(0, np.intp)" if selection else "None")
+        )
         # Adaptive narrowing: gather only a selective mask; defer an
         # unselective one into the next conjunct's `&` instead.  The
         # last conjunct always gathers — outputs need narrowed columns.
@@ -229,7 +250,13 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
         if track_narrowing:
             lines.append(indent + "narrowed = True")
         lines.append(indent + "sel = np.flatnonzero(m)")
-        lines.append(indent + "n = kept")
+        if selection:
+            # the positions of the rows left, in the input's numbering
+            lines.append(indent + "pos = sel" + (
+                "" if index == 0 else " if pos is None else pos[sel]"
+            ))
+        if not (selection and last):
+            lines.append(indent + "n = kept")
         for position in narrow:
             lines.append(indent + f"c{position} = c{position}[sel]")
         if not last:
@@ -247,7 +274,13 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
             else:
                 lines.append(f"    o{index} = o{index}.copy()")
     returns = ", ".join(f"o{index}" for index in range(len(spec.outputs)))
-    lines.append(f"    return [{returns}]")
+    lines.append("    return pos" if selection else f"    return [{returns}]")
+    if builder.divides:
+        # x / 0 is ±inf and 0 / 0 NaN (docs/API.md), without a warning
+        lines[start:] = [
+            "    with np.errstate(divide='ignore', invalid='ignore'):",
+            *(textwrap.indent(line, "    ") for line in lines[start:]),
+        ]
     return "\n".join(lines) + "\n", builder
 
 
@@ -395,6 +428,8 @@ class InterpretedKernel(_Kernel):
                         f"WHERE predicate is not boolean: {predicate}"
                     )
                 mask = values if mask is None else mask & values
+            if spec.selection:
+                return None if mask.all() else np.flatnonzero(mask)
             if not mask.all():
                 if not mask.any():
                     return None

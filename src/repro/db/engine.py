@@ -744,6 +744,11 @@ class Database:
             return SelectText(lexed, statement)
         return statement
 
+    def serves(self, text: SelectText) -> bool:
+        """Whether a plan template of this engine serves *text* as it
+        is, without its statement (:meth:`Planner.serves`)."""
+        return self._planner().serves(text)
+
     def execute_statement(
         self,
         statement: Statement | SelectText,

@@ -99,10 +99,16 @@ class Literal(Expression):
         return str(self.value)
 
 
+def _divide(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """True division: ``x / 0`` is ±inf and ``0 / 0`` NaN, quietly."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return truediv(left, right)
+
+
 #: NumPy operator of each arithmetic and comparison operator; division
 #: is always floating point (true division), as in SQL generated formulas
 _NUMPY_OPERATORS = {
-    "+": add, "-": sub, "*": mul, "/": truediv,
+    "+": add, "-": sub, "*": mul, "/": _divide,
     "=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge,
 }
 COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}

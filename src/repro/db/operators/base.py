@@ -283,6 +283,11 @@ class PhysicalOperator:
     def describe(self) -> str:
         return type(self).__name__
 
+    def kernels(self) -> tuple:
+        """The kernels this operator calls (EXPLAIN lists the
+        generated ones)."""
+        return () if self.kernel is None else (self.kernel,)
+
     def children(self) -> list["PhysicalOperator"]:
         return []
 

@@ -189,17 +189,22 @@ class FragmentText(SelectText):
 @dataclass(frozen=True, eq=False)
 class TableIdentity:
     """What a template bound a table name to; *version* is checked only
-    for model weight tables (their kernels embed it)."""
+    for model weight tables (their kernels embed it).  *shards* tells a
+    sharded table from a local one of the same uid: a plan of one never
+    serves the other."""
 
     name: str
     uid: int
     schema: Schema
     version: int | None = None
+    shards: int = 0
 
     @classmethod
     def of(cls, table, with_version: bool = False) -> "TableIdentity":
         version = table.version if with_version else None
-        return cls(table.name, table.uid, table.schema, version)
+        return cls(
+            table.name, table.uid, table.schema, version, shard_count(table)
+        )
 
     def resolve(self, catalog):
         """The table *catalog* binds the name to, if it is still this one."""
@@ -207,7 +212,11 @@ class TableIdentity:
             table = catalog.table(self.name)
         except CatalogError:
             return None
-        if table.uid != self.uid or table.schema != self.schema:
+        if (
+            table.uid != self.uid
+            or table.schema != self.schema
+            or shard_count(table) != self.shards
+        ):
             return None
         if self.version is not None and table.version != self.version:
             return None

@@ -104,8 +104,10 @@ class FragmentPlan:
     partitions: int = 0
     #: whether the partitioned input lives on shard processes
     sharded: bool = False
-    #: sharded plans: replicated tables the fragment also reads (synced
-    #: to shards before dispatch) and models it invokes
+    #: sharded plans: the sharded tables the fragment reads, replicated
+    #: tables it also reads (synced to shards before dispatch) and
+    #: models it invokes
+    sharded_tables: tuple[str, ...] = ()
     replicated_tables: tuple[str, ...] = ()
     model_names: tuple[str, ...] = ()
     #: "partial" merge: group key aliases (__k0..), merge aggregates
@@ -342,12 +344,12 @@ def plan_fragments(prepared, pipelines: int) -> FragmentPlan:
         plan.estimated_rows = max(
             scan.table.row_count for scan in scans if shard_count(scan.table)
         )
+        names = {scan.table.name: shard_count(scan.table) for scan in scans}
+        plan.sharded_tables = tuple(
+            name for name, shards in names.items() if shards
+        )
         plan.replicated_tables = tuple(
-            dict.fromkeys(
-                scan.table.name
-                for scan in scans
-                if not shard_count(scan.table)
-            )
+            name for name, shards in names.items() if not shards
         )
         plan.model_names = tuple(
             dict.fromkeys(

@@ -23,6 +23,7 @@ from repro.db.compile import (
     KernelCompiler,
     KernelOutput,
     KernelSpec,
+    has_generated_form,
     project_outputs,
 )
 from repro.db.expressions import ColumnRef
@@ -316,9 +317,22 @@ class Lowering:
                 "is registered (import repro.core or use Database from "
                 "repro, not repro.db)"
             )
+        input_kernel = None
+        if isinstance(node.child, LogicalFilter):
+            # The filter below the join becomes its input predicates: a
+            # selection per input batch, gathered by the join itself
+            conjuncts = node.child.conjuncts
+            child = self.lower(node.child.child)
+            input_kernel = selection_kernel(self.compiler, child, conjuncts)
+            if input_kernel is None:
+                child = pipeline(
+                    self.context, self.compiler, child, conjuncts
+                )
+        else:
+            child = self.lower(node.child)
         return self.modeljoin_factory(
             context=self.context,
-            child=self.lower(node.child),
+            child=child,
             metadata=node.metadata,
             model_table=node.model_table,
             compiler=self.compiler,
@@ -330,6 +344,7 @@ class Lowering:
             ),
             predicates=tuple(predicates),
             projection=projection,
+            input_kernel=input_kernel,
         )
 
     def _lower_aggregate(
@@ -498,6 +513,25 @@ def filtered_segment(
     return child, segment_kernel(compiler, child, (), outputs, label)
 
 
+def selection_kernel(compiler: KernelCompiler, child, predicates):
+    """The selection kernel (``KernelSpec.selection``) of a filter on
+    *child*'s rows — None when a conjunct calls a per-vector function,
+    which the paper calls once per vector, or the filter has no
+    generated form: such a filter stays a pipeline of its own."""
+    spec = KernelSpec(
+        schema=child.schema,
+        predicates=tuple(predicates),
+        label=f"select({len(predicates)})",
+        selection=True,
+    )
+    if spec.calls_per_vector():
+        return None
+    kernel = compiler.kernel(spec)
+    if kernel.generated or has_generated_form(spec):
+        return kernel
+    return None
+
+
 def _filter_kernel(compiler: KernelCompiler, child, predicates):
     """The kernel of a bare filter: every child column passes through."""
     outputs = [
@@ -560,9 +594,10 @@ def render_explain(prepared, physical: PhysicalOperator) -> str:
 
 def _compiled_sections(operator: PhysicalOperator):
     """Generated kernel sources in the physical tree, top-down."""
-    if operator.kernel is not None and operator.kernel.generated:
+    generated = [kernel for kernel in operator.kernels() if kernel.generated]
+    if generated:
         yield f"-- {operator.describe()}"
-        yield operator.kernel.listing.rstrip("\n")
+        yield from (kernel.listing.rstrip("\n") for kernel in generated)
     for child in operator.children():
         yield from _compiled_sections(child)
 

@@ -263,6 +263,16 @@ class Planner:
                 prepared.values = text.values()
         return prepared
 
+    def serves(self, text: SelectText) -> bool:
+        """Whether a template in the plan cache serves *text* (a
+        fragment known by its key then needs no statement)."""
+        template = self.plan_cache.get(text.shape)
+        if template is None:
+            return False
+        template = self.plan_cache.analyzed(template)
+        options = self._options_key()
+        return template.bind(text, self.catalog, options) is not None
+
     def _instantiate(
         self, text: SelectText, counted: bool = True
     ) -> CachedPlan | None:

@@ -581,6 +581,13 @@ class ShardCoordinator:
         """Dispatch the fragment and gather it; returns ``(schema,
         per-shard batch lists)`` for the merge."""
         _require_distributable(fragment)
+        if catalog is not self._database.catalog:
+            # a served read runs on a snapshot, which cannot pin the
+            # shards' rows: refused until snapshots reach the shards
+            raise ShardError(
+                f"table {fragment.sharded_tables[0]!r} is sharded: a read "
+                "on a snapshot (a served read) cannot see its shards"
+            )
         cancellation = context.query.cancellation
         per_shard = fragment.estimated_rows // max(self.shard_count, 1)
         parallel = choose_worker_parallelism(per_shard, self.shard_workers) > 1

@@ -12,7 +12,7 @@ strictly ordered loop; ordering per pipe is the consistency model
 
 from __future__ import annotations
 
-from repro.db.plan.cache import FragmentText, UnknownFragment
+from repro.db.plan.cache import FragmentText
 from repro.db.schema import Column, Schema
 from repro.db.shard.messages import (
     AppendRequest,
@@ -132,21 +132,24 @@ class ShardWorker:
     def _execute(self, message: ExecuteRequest):
         """Run a fragment through the engine's plan cache: a key it
         holds a valid template of is served from it (no parse, bind or
-        lowering), any other is planned from the AST and recorded."""
+        lowering), any other is planned from the AST and recorded.  A
+        key without a valid template and without its AST is refused
+        before the query lifecycle starts: a refusal is no query."""
         import time
 
         started = time.perf_counter()
-        try:
-            result = self.database.execute_statement(
-                FragmentText(message.key, message.values, message.statement),
-                self.database.query_context(
-                    "<fragment>",
-                    parallel=message.parallel,
-                    timeout_seconds=message.timeout_seconds,
-                ),
-            )
-        except UnknownFragment:
+        database = self.database
+        text = FragmentText(message.key, message.values, message.statement)
+        if message.statement is None and not database.serves(text):
             return UnknownFragmentResponse(message.key)
+        result = database.execute_statement(
+            text,
+            database.query_context(
+                "<fragment>",
+                parallel=message.parallel,
+                timeout_seconds=message.timeout_seconds,
+            ),
+        )
         counters = (
             result.profile.counters.snapshot()
             if result.profile is not None

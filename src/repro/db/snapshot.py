@@ -95,6 +95,9 @@ class FrozenTable(Table):
             FrozenPartition(partition)
             for partition in table.partitions
         ]
+        if getattr(table, "shard_count", 0):
+            # a sharded table's stub: its rows live on the shards
+            self.shard_count = table.shard_count
 
     def append_batch(self, batch: VectorBatch) -> None:
         raise ExecutionError(
