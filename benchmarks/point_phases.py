@@ -8,13 +8,15 @@ as one JSON line, the microseconds per statement of the median run:
 * ``lex`` — ``PlanCache.lex``;
 * ``prepare`` and, inside it, ``select_variant`` (the variant decision
   of a plan-cache hit);
-* ``lower`` — ``Planner.lower``, the clone of the template's prototype;
+* ``lower`` — ``Planner.lower``: the instance of the template's compiled
+  plan (on trees before compiled plans, the clone of its prototype);
 * ``mj_build`` — ``ModelJoinOperator._build`` (cache lookup with its
   CRC check, counters, the inference state);
 * ``bias`` — ``VectorizedInference.bias_accumulator`` (replica fills);
 * ``infer`` — ``ModelJoinOperator._infer_batch`` (the one-row kernel);
-* ``mj_open_close`` — the ModelJoin's own ``cloned`` + ``open`` +
-  ``close``, its child's open and close taken out;
+* ``mj_open_close`` — the ModelJoin's own ``open`` + ``close``, its
+  child's open and close taken out (on trees with a ``cloned`` hook, the
+  hook too);
 * ``statement`` — the whole ``Database.execute``.
 
 Wrappers add their own cost to every phase alike; compare two trees
@@ -34,12 +36,14 @@ from collections import defaultdict
 from benchmarks.ledger.workloads import PointLookup
 from repro.core.modeljoin import inference, operator
 from repro.db import planner
-from repro.db.compile import fuse
+from repro.db.operators import misc
 from repro.db.plan import cache
 
 
 def _wrap(totals: dict, owner, name: str, label: str) -> None:
-    original = getattr(owner, name)
+    original = getattr(owner, name, None)
+    if original is None:  # a step this tree does not have
+        return
 
     @functools.wraps(original)
     def timed(*args, **kwargs):
@@ -65,8 +69,10 @@ def main(statements: int = 1_000, seed: int = 7) -> dict:
         (operator.ModelJoinOperator, "cloned", "mj_cloned"),
         (operator.ModelJoinOperator, "open", "mj_open"),
         (operator.ModelJoinOperator, "close", "mj_close"),
-        (fuse.FusedPipeline, "open", "child_open"),
-        (fuse.FusedPipeline, "close", "child_close"),
+        # the ModelJoin's child: the scan's rename over the scan (its
+        # filter is the join's selection kernel)
+        (misc.RenameOperator, "open", "child_open"),
+        (misc.RenameOperator, "close", "child_close"),
     ):
         _wrap(totals, owner, name, label)
     workload = PointLookup(seed=seed, scale="full")

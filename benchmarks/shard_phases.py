@@ -17,7 +17,8 @@ statement of the median run:
 * ``shard_wall`` — the mean of the shards' ``ResultResponse.wall_seconds``
   (the shard's whole fragment: plan or plan-cache hit, then execution);
 * ``merge_build`` — the merge pipeline: ``Planner.merge`` where the tree
-  has it (a prototype clone on a hit), else ``build_merge_plan``;
+  has it (on a hit, an instance of the compiled merge its fragment
+  template keeps), else ``build_merge_plan``;
 * ``merge_run`` — running the merge pipeline (the coordinator's one
   plan);
 * ``statement`` — the whole ``Database.execute``.

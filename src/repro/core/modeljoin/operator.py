@@ -47,6 +47,7 @@ from repro.db.compile.fuse import (
 )
 from repro.db.expressions import ColumnRef
 from repro.db.operators.base import (
+    Bound,
     ExecutionContext,
     PhysicalOperator,
     UnaryOperator,
@@ -78,6 +79,19 @@ class ModelJoinOperator(UnaryOperator):
     # the input flow may come from a shared morsel queue
     morsel_streaming = True
 
+    # Execution state, made by open(); these class values are what an
+    # operator that never opened reports.
+    #: fallback notes ('gpu-sim->cpu', ...) rendered by describe() (and
+    #: so by EXPLAIN ANALYZE) once a fallback engaged
+    fallbacks: list | tuple = ()
+    #: the finalized model (kept for building a host-device fallback
+    #: inference without re-running the build)
+    _built_model: BuiltModel | None = None
+    _inference: VectorizedInference | None = None
+    #: the model-cache entry of the build (None: no cache)
+    _built_key: CacheKey | None = None
+    _accounted_bytes = 0
+
     def __init__(
         self,
         context: ExecutionContext,
@@ -99,20 +113,29 @@ class ModelJoinOperator(UnaryOperator):
         """*predicates* and *projection* ``(expressions, names)`` are the
         fused epilogue (default: every column, predictions last);
         *variant*, the optimizer's in-plan choice ("native-cpu" /
-        "native-gpu"), picks the device when none is given.
+        "native-gpu"), picks the device when none is given: each open
+        then runs on a fresh one of that kind.
         *input_kernel* is the selection kernel of a filter below the
-        join (``KernelSpec.selection``), applied to each input batch."""
+        join (``KernelSpec.selection``), applied to each input batch.
+        In a compiled plan *model_table* is the table's identity; the
+        table and the partition are the instance's."""
         self.metadata = metadata
-        self.model_table = model_table
-        if device is None and variant == "native-gpu":
-            device = SimulatedGpu()
-        self.device = device or HostDevice()
-        self.partition_index = partition_index or 0
+        #: the model table, or in a compiled plan its identity
+        self.model_source = model_table
+        #: whether each open runs on a fresh device (none was given)
+        self.fresh_device = device is None
+        if device is None:
+            device = SimulatedGpu() if variant == "native-gpu" else HostDevice()
+        self.device = device
+        # built for itself, the operator is bound to its own inputs
+        self.bound = Bound(
+            tables={model_table: model_table}, partition_index=partition_index
+        )
         self.replicate_bias = replicate_bias
         self.model_cache = model_cache
         self.output_prefix = output_prefix
-        self.input_columns = self._resolve_input_columns(
-            child.schema, metadata, input_columns
+        self.input_columns = tuple(
+            self._resolve_input_columns(child.schema, metadata, input_columns)
         )
         prediction_columns = tuple(
             Column(f"{output_prefix}_{index}", SqlType.FLOAT)
@@ -181,16 +204,14 @@ class ModelJoinOperator(UnaryOperator):
             if self.kernel.per_vector
             else inference_batch_rows(metadata.layers, context.vector_size)
         )
-        self._accounted_bytes = 0
-        #: fallback notes ('gpu-sim->cpu', ...) rendered by describe()
-        #: (and so by EXPLAIN ANALYZE) once a fallback engaged
-        self.fallbacks: list[str] = []
-        #: the finalized model (kept for building a host-device
-        #: fallback inference without re-running the build)
-        self._built_model: BuiltModel | None = None
-        self._inference: VectorizedInference | None = None
-        #: the model-cache entry of the build (None: no cache)
-        self._built_key: CacheKey | None = None
+
+    @property
+    def model_table(self):
+        return self.bound.tables[self.model_source]
+
+    @property
+    def partition_index(self) -> int:
+        return self.bound.partition_index or 0
 
     @staticmethod
     def _resolve_input_columns(
@@ -227,12 +248,15 @@ class ModelJoinOperator(UnaryOperator):
     def ordering(self) -> tuple[str, ...]:
         return passthrough_ordering(self.kernel.spec, self.child.ordering)
 
-    def cloned(self, binding) -> None:
-        self.device = self.device.fresh()
-        self.partition_index = binding.partition_index or 0
-
     def open(self) -> None:
         super().open()
+        if self.fresh_device:
+            self.device = self.device.fresh()
+        if self.input_kernel is not None:
+            self.input_kernel = self.input_kernel.bind(self.bound.values)
+        self.fallbacks = []
+        self._built_model = self._inference = self._built_key = None
+        self._accounted_bytes = 0
         if self.device.is_gpu and breaker_for(self.device).is_open:
             # The device's circuit breaker is open (too many recent
             # faults): skip it for the whole query instead of failing
@@ -631,13 +655,16 @@ class ModelJoinOperator(UnaryOperator):
         )
         if self.input_kernel is not None:
             select = self.input_kernel
-            rendered = " AND ".join(map(str, select.spec.predicates))
+            rendered = " AND ".join(
+                map(str, self.shown(select.spec.predicates))
+            )
             base += f" | input filter: {rendered}"
             if select.generated and not self.kernel.generated:
                 base += " [compiled]"
         if self.epilogue:
             spec = self.kernel.spec
-            base += f" | {describe_segment(spec)}) [epilogue: fused]"
+            segment = describe_segment(spec, self.bound.values)
+            base += f" | {segment}) [epilogue: fused]"
         else:
             base += ")"
         if self.kernel.generated:

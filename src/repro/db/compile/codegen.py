@@ -8,10 +8,11 @@ occurrence is a positional parameter, declared by dtype only
 (``k0 = params[0]  # float64``), whose value the kernel reads from the
 ``params`` tuple it is called with.  Two statements that differ only in
 their literals therefore generate the same text, which is the cache key
-of the :class:`~repro.db.compile.kernels.CompiledKernelCache`.  Each
-parameter also remembers the statement's literal slot it came from
-(:class:`LiteralParameter`), so a plan template can feed a later
-statement's values to the same text.  The text does name every bound
+of the :class:`~repro.db.compile.kernels.CompiledKernelCache`.  A
+parameter of a statement literal is its slot (:class:`LiteralParameter`),
+read from each statement's values when the kernel's operator opens, so
+the code is generated without looking at a value; only a literal the
+planner made carries its value.  The text does name every bound
 function's registration number: a UDF re-registered under the same name
 is a different kernel.
 
@@ -104,12 +105,6 @@ def _case_when_default(conditions, values, n):
     return np.select(conditions, values, default=default)
 
 
-class NonCompilableLiteral(NonCompilable):
-    """A literal whose *value* has no compiled form (NaN, or an
-    integer outside int64): another statement of the same shape may
-    compile, so a plan template must not remember this outcome."""
-
-
 def constant_value(value: object, sql_type: SqlType) -> object:
     """The kernel parameter a literal becomes inside an expression.
 
@@ -124,18 +119,19 @@ def constant_value(value: object, sql_type: SqlType) -> object:
     A NaN literal has no exact compiled form: where both operands are
     NaN, NumPy's SIMD add/multiply with a scalar operand returns the
     scalar's NaN bits, the interpreted array-array loop the left
-    operand's.  Such a (rare, folded) statement stays interpreted, as
-    does an integer literal that does not fit the int64 storage dtype.
+    operand's.  Such a value raises :class:`NonCompilable`, as does an
+    integer that does not fit the int64 storage dtype: the statement
+    runs the interpreted kernel instead.
     """
     dtype = sql_type.numpy_dtype
     if isinstance(value, float) and math.isnan(value):
-        raise NonCompilableLiteral("NaN literal")
+        raise NonCompilable("NaN literal")
     if dtype == object:
         return np.full(1, value, dtype=dtype)
     try:
         return dtype.type(value)
     except OverflowError as error:
-        raise NonCompilableLiteral(f"literal {value!r} overflows") from error
+        raise NonCompilable(f"literal {value!r} overflows") from error
 
 
 @dataclass(frozen=True)
@@ -144,18 +140,35 @@ class LiteralParameter:
 
     *typed*: the parameter is the literal's :func:`constant_value`
     (inside an expression); otherwise the raw value (a bare literal
-    output, which ``np.full`` converts).
+    output, which ``np.full`` converts).  *default* is the value the
+    literal was parsed with, what a plan run without a statement's
+    values reads.
     """
 
     slot: int
     sql_type: SqlType
     typed: bool
+    default: object
 
-    def value(self, values: tuple) -> object:
-        value = values[self.slot]
+    def value(self, values: tuple | None) -> object:
+        value = self.default if values is None else values[self.slot]
         if self.typed:
             return constant_value(value, self.sql_type)
         return value
+
+
+def parameter_values(parameters: tuple, values: tuple | None) -> tuple:
+    """A kernel's ``params`` for a statement's literal *values* (None:
+    the values its literals were parsed with).  *parameters* holds, per
+    parameter, its :class:`LiteralParameter` or, for a literal the
+    planner made, its value.  Raises :class:`NonCompilable` for a value
+    with no compiled form."""
+    return tuple(
+        parameter.value(values)
+        if isinstance(parameter, LiteralParameter)
+        else parameter
+        for parameter in parameters
+    )
 
 
 class SourceBuilder:
@@ -163,11 +176,10 @@ class SourceBuilder:
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        #: one value per literal occurrence, in parameter order
+        #: one per literal occurrence, in parameter order: the
+        #: LiteralParameter it reads, or the value of a literal the
+        #: planner made (see :func:`parameter_values`)
         self.parameters: list[object] = []
-        #: per parameter: the LiteralParameter it reads, or None for a
-        #: literal the planner made (its value is part of the plan)
-        self.parameter_sources: list[LiteralParameter | None] = []
         #: the in-function lines reading each parameter from ``params``
         self.parameter_lines: list[str] = []
         #: exec() globals for the generated module
@@ -181,46 +193,39 @@ class SourceBuilder:
         self.header: list[str] = []
         #: schema positions read by the generated code
         self.used_positions: set[int] = set()
-        #: the code divides (the kernel then runs under np.errstate)
-        self.divides = False
+        #: the code does float arithmetic or divides: the kernel then
+        #: runs under np.errstate (IEEE results, no NumPy warning)
+        self.float_arithmetic = False
 
     def column(self, name: str) -> str:
         position = self.schema.position_of(name)
         self.used_positions.add(position)
         return f"c{position}"
 
-    def parameter(
-        self,
-        value: object,
-        dtype: np.dtype,
-        source: LiteralParameter | None = None,
-    ) -> str:
-        """Declare the next positional parameter, by dtype only.
+    def parameter(self, literal: Literal, typed: bool) -> str:
+        """Declare the next positional parameter, by dtype only: a
+        statement literal's slot, or a planner literal's value (typed:
+        its :func:`constant_value`, else raw).
 
         Never deduplicated by value: whether two literals are equal is
         a property of the values, so sharing one parameter between
         equal literals would make the source depend on them again.
         """
+        sql_type = literal.sql_type
+        if literal.slot is not None:
+            parameter = LiteralParameter(
+                literal.slot, sql_type, typed, literal.value
+            )
+        elif typed:
+            parameter = constant_value(literal.value, sql_type)
+        else:
+            parameter = literal.value
         index = len(self.parameters)
-        self.parameters.append(value)
-        self.parameter_sources.append(source)
+        self.parameters.append(parameter)
         self.parameter_lines.append(
-            f"    k{index} = params[{index}]  # {dtype.name}"
+            f"    k{index} = params[{index}]  # {sql_type.numpy_dtype.name}"
         )
         return f"k{index}"
-
-    def constant(self, literal: Literal) -> str:
-        """A parameter holding a literal used inside an expression (see
-        :func:`constant_value`)."""
-        sql_type = literal.sql_type
-        source = None
-        if literal.slot is not None:
-            source = LiteralParameter(literal.slot, sql_type, typed=True)
-        return self.parameter(
-            constant_value(literal.value, sql_type),
-            sql_type.numpy_dtype,
-            source,
-        )
 
     def function(self, name: str):
         """Bind a registered scalar function, returning its local name."""
@@ -247,7 +252,9 @@ def emit(expression: Expression, builder: SourceBuilder) -> str:
     if isinstance(expression, ColumnRef):
         return builder.column(expression.name)
     if isinstance(expression, Literal):
-        return builder.constant(expression)
+        # inside an expression, a literal is its typed scalar (see
+        # constant_value)
+        return builder.parameter(expression, typed=True)
     if isinstance(expression, BinaryOp):
         operator = _BINARY_OPS.get(expression.operator)
         if operator is None:
@@ -264,7 +271,12 @@ def emit(expression: Expression, builder: SourceBuilder) -> str:
                     )
         left = emit(expression.left, builder)
         right = emit(expression.right, builder)
-        builder.divides |= operator == "/"
+        if operator == "/" or (
+            operator in "+-*"
+            and expression.output_type(builder.schema)
+            in (SqlType.FLOAT, SqlType.DOUBLE)
+        ):
+            builder.float_arithmetic = True
         return f"({left} {operator} {right})"
     if isinstance(expression, UnaryOp):
         if expression.operator == "-":
@@ -323,12 +335,7 @@ def emit_output(
     """
     if isinstance(expression, Literal):
         dtype = expression.sql_type.numpy_dtype
-        source = None
-        if expression.slot is not None:
-            source = LiteralParameter(
-                expression.slot, expression.sql_type, typed=False
-            )
-        name = builder.parameter(expression.value, dtype, source)
+        name = builder.parameter(expression, typed=False)
         return f"np.full(n, {name}, dtype=np.dtype({dtype.name!r}))"
     return emit(expression, builder)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.db.compile.kernels import FusedKernel, InterpretedKernel
-from repro.db.expressions import ColumnRef
+from repro.db.expressions import ColumnRef, with_values
 from repro.db.operators.base import (
     ExecutionContext,
     PhysicalOperator,
@@ -59,7 +59,7 @@ class FusedPipeline(UnaryOperator):
                 yield VectorBatch(self.schema, arrays)
 
     def describe(self) -> str:
-        segment = describe_segment(self.kernel.spec)
+        segment = describe_segment(self.kernel.spec, self.bound.values)
         if self.kernel.generated:
             return f"FusedPipeline({segment}) [compiled]"
         return f"Pipeline({segment})"
@@ -75,14 +75,16 @@ def output_schema(spec) -> Schema:
     )
 
 
-def describe_segment(spec) -> str:
-    """``filter: … | project: …`` of a kernel spec, for EXPLAIN."""
+def describe_segment(spec, values: tuple | None = None) -> str:
+    """``filter: … | project: …`` of a kernel spec with a statement's
+    literal *values*, for EXPLAIN."""
     parts = []
     if spec.predicates:
-        rendered = " AND ".join(map(str, spec.predicates))
+        rendered = " AND ".join(map(str, with_values(spec.predicates, values)))
         parts.append(f"filter: {rendered}")
     rendered = ", ".join(
-        f"{output.expression} AS {output.name}" for output in spec.outputs
+        f"{with_values(output.expression, values)} AS {output.name}"
+        for output in spec.outputs
     )
     parts.append(f"project: {rendered}")
     return " | ".join(parts)

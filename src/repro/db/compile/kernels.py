@@ -23,12 +23,13 @@ the device kind, so a model republish or version bump misses the cache
 exactly like the ModelCache keying, and the registration number of
 every bound function, so a re-registered UDF misses it too.
 
-Every generated kernel carries its :class:`KernelRecord` (source,
-bindings, which literal slot feeds each parameter).  A plan-cache
-prototype keeps the kernels of a lowered plan, and each later statement
-of the same shape rebinds them to its own literal values
-(:meth:`KernelCompiler.rebind`): the function is fetched from the cache
-by its stored source, with no codegen.
+A compiled plan keeps its kernels as they were generated: a
+:class:`FusedKernel` holds its function and, per parameter, the literal
+slot it reads.  When the kernel's operator opens, :meth:`FusedKernel.bind`
+reads the parameters from the statement's literal values — no codegen,
+no cache lookup.  A value with no compiled form (NaN, an integer outside
+int64) binds the spec's :class:`InterpretedKernel` instead, for that
+statement only.
 """
 
 from __future__ import annotations
@@ -37,20 +38,18 @@ import textwrap
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.db import faults
 from repro.db.compile.codegen import (
-    LiteralParameter,
     NonCompilable,
-    NonCompilableLiteral,
     SourceBuilder,
     aliasing_column,
     emit,
     emit_output,
+    parameter_values,
 )
 from repro.db.expressions import Expression, Literal, calls_per_vector
 from repro.db.schema import Schema
@@ -134,13 +133,18 @@ def project_outputs(
 
 def generate_kernel_source(spec: KernelSpec) -> tuple[str, dict, tuple]:
     """Render *spec* to module source, its ``exec`` bindings and the
-    parameter values the source reads (one per literal occurrence).
+    parameter values the source reads (one per literal occurrence, with
+    the values the literals were parsed with).
 
     Raises :class:`~repro.db.compile.codegen.NonCompilable` when any
     piece of the spec has no exact compiled form.
     """
     source, builder = _kernel_source(spec)
-    return source, builder.bindings, tuple(builder.parameters)
+    return (
+        source,
+        builder.bindings,
+        parameter_values(tuple(builder.parameters), None),
+    )
 
 
 def has_generated_form(spec: KernelSpec) -> bool:
@@ -275,10 +279,12 @@ def _kernel_source(spec: KernelSpec) -> tuple[str, SourceBuilder]:
                 lines.append(f"    o{index} = o{index}.copy()")
     returns = ", ".join(f"o{index}" for index in range(len(spec.outputs)))
     lines.append("    return pos" if selection else f"    return [{returns}]")
-    if builder.divides:
-        # x / 0 is ±inf and 0 / 0 NaN (docs/API.md), without a warning
+    if builder.float_arithmetic:
+        # IEEE results without a warning: an overflow is ±inf, 0 * inf
+        # NaN, x / 0 ±inf and 0 / 0 NaN (docs/API.md)
         lines[start:] = [
-            "    with np.errstate(divide='ignore', invalid='ignore'):",
+            "    with np.errstate(over='ignore', divide='ignore', "
+            "invalid='ignore'):",
             *(textwrap.indent(line, "    ") for line in lines[start:]),
         ]
     return "\n".join(lines) + "\n", builder
@@ -300,6 +306,12 @@ class _Kernel:
     #: the kernel calls a UDF, which the paper calls once per vector
     per_vector: bool
 
+    def bind(self, values: tuple | None) -> "_Kernel":
+        """The kernel one statement runs: this one reading that
+        statement's literal *values* (None: the values its literals were
+        parsed with)."""
+        raise NotImplementedError
+
     def outputs(self, batch: VectorBatch, vector_size: int, cancel=None):
         """The output arrays of each kernel call over *batch*: one call,
         or one per *vector_size* rows when the kernel calls a UDF.
@@ -317,46 +329,59 @@ class FusedKernel(_Kernel):
 
     ``None`` means every row of the batch was filtered out.  The exec'd
     function is shared through the kernel cache by every statement with
-    the same literal-free source; *params* are this statement's literal
-    values, passed to every call.  The call path fires the
-    ``compile.kernel`` fault site and wraps unexpected errors as
+    the same literal-free source.  A compiled plan's kernel holds, per
+    parameter, the literal slot it reads (*parameters*);
+    :meth:`bind` gives the kernel of one statement, whose *params* are
+    passed to every call.  The call path fires the ``compile.kernel``
+    fault site and wraps unexpected errors as
     :class:`~repro.errors.KernelExecutionError`; cooperative
     cancellation passes through untouched.
     """
 
-    __slots__ = ("_spec", "source", "function", "params", "record")
+    __slots__ = (
+        "spec", "source", "function", "parameters", "per_vector", "params"
+    )
 
     #: generated source (EXPLAIN prints it; the query counts as compiled)
     generated = True
 
     def __init__(
         self,
-        spec: KernelSpec | Callable[[], KernelSpec],
+        spec: KernelSpec,
         source: str,
         function,
-        params,
-        record: "KernelRecord",
+        parameters: tuple,
+        per_vector: bool = False,
     ):
-        #: the segment, or a function that makes it: the generated code
-        #: runs on *params* alone, so a plan-cache clone puts its
-        #: literal values into the spec only when something reads it
-        self._spec = spec
+        self.spec = spec
         self.source = source
         self.function = function
-        self.params = params
-        #: where the parameters come from, for rebinding to other values
-        self.record = record
+        #: per parameter, its LiteralParameter or a planner literal's
+        #: value (see codegen.parameter_values)
+        self.parameters = parameters
+        self.per_vector = per_vector
+        #: the parameter values: the bound statement's, else those of the
+        #: literals as written (None when one has no compiled form)
+        try:
+            self.params = parameter_values(parameters, None)
+        except NonCompilable:
+            self.params = None
 
-    @property
-    def per_vector(self) -> bool:
-        return self.record.per_vector
-
-    @property
-    def spec(self) -> KernelSpec:
-        spec = self._spec
-        if callable(spec):
-            spec = self._spec = spec()
-        return spec
+    def bind(self, values: tuple | None) -> _Kernel:
+        if not self.parameters:  # reads no literal: every statement's
+            return self
+        try:
+            params = parameter_values(self.parameters, values)
+        except NonCompilable:
+            # a value with no compiled form: this statement interprets
+            return InterpretedKernel(self.spec).bind(values)
+        bound = object.__new__(FusedKernel)
+        bound.spec, bound.source, bound.function = (
+            self.spec, self.source, self.function
+        )
+        bound.parameters, bound.per_vector = self.parameters, self.per_vector
+        bound.params = params
+        return bound
 
     @property
     def listing(self) -> str:
@@ -395,34 +420,44 @@ class FusedKernel(_Kernel):
 class InterpretedKernel(_Kernel):
     """A spec run by walking its expression trees: the kernel of a
     segment with no generated form, of every segment when compilation
-    is off, and the oracle the generated kernels match bit for bit.
+    is off, of a statement whose literal values have no compiled form,
+    and the oracle the generated kernels match bit for bit.
 
-    Same contract as :class:`FusedKernel`.  A ModelJoin spec runs its
-    forward first, layer by layer (``spec.model.run``).  The predicates
-    are evaluated over the whole batch, the outputs over the rows that
+    Same contract as :class:`FusedKernel`; the trees read the bound
+    statement's literal *values*.  A ModelJoin spec runs its forward
+    first, layer by layer (``spec.model.run``).  The predicates are
+    evaluated over the whole batch, the outputs over the rows that
     pass; errors surface as they are, so a non-boolean predicate raises
     :class:`~repro.errors.ExecutionError`.
     """
 
-    __slots__ = ("spec", "per_vector")
+    __slots__ = ("spec", "per_vector", "values")
 
     generated = False
 
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self.per_vector = spec.calls_per_vector()
+        self.values = None
+
+    def bind(self, values: tuple | None) -> _Kernel:
+        bound = object.__new__(InterpretedKernel)
+        bound.spec, bound.per_vector = self.spec, self.per_vector
+        bound.values = values
+        return bound
 
     def __call__(self, arrays, n, cancel=None, *model):
         if cancel is not None:
             cancel.check()
         spec = self.spec
+        params = self.values
         if spec.model is not None:
             arrays = arrays + spec.model.run(arrays, n, *model)
         batch = VectorBatch(spec.schema, arrays)
         if spec.predicates:
             mask = None
             for predicate in spec.predicates:
-                values = predicate.evaluate(batch)
+                values = predicate.evaluate(batch, params)
                 if values.dtype != np.bool_:
                     raise ExecutionError(
                         f"WHERE predicate is not boolean: {predicate}"
@@ -436,7 +471,7 @@ class InterpretedKernel(_Kernel):
                 batch = batch.filter(mask)
         outputs = []
         for output in spec.outputs:
-            values = output.expression.evaluate(batch)
+            values = output.expression.evaluate(batch, params)
             if output.dtype is not None:
                 values = values.astype(output.dtype, copy=False)
             outputs.append(values)
@@ -497,35 +532,6 @@ class CompiledKernelCache:
             }
 
 
-@dataclass(eq=False, frozen=True)
-class KernelRecord:
-    """What one compile request produced: what a plan-cache hit needs to
-    rebind the kernel to its own literal values without codegen.
-
-    ``parameters`` holds, per kernel parameter, the
-    :class:`~repro.db.compile.codegen.LiteralParameter` naming the
-    literal slot it reads, or the value itself for a literal the
-    planner made.
-    """
-
-    source: str
-    bindings: dict
-    parameters: tuple
-    #: the kernel calls a per-vector function (see ``KernelSpec``)
-    per_vector: bool = False
-
-    def params(self, values: tuple) -> tuple:
-        """This record's parameters for a statement's literal *values*
-        (raises NonCompilableLiteral for a value with no compiled form,
-        exactly where codegen would have)."""
-        return tuple(
-            parameter.value(values)
-            if isinstance(parameter, LiteralParameter)
-            else parameter
-            for parameter in self.parameters
-        )
-
-
 @dataclass
 class KernelCompiler:
     """Front-end the lowering asks for each segment's one kernel.
@@ -538,10 +544,9 @@ class KernelCompiler:
     failing queries.  *generate* is off under
     ``use_compiled_kernels=False`` and while the breaker is open.
 
-    ``reusable`` turns False when a request failed on a literal's
-    value or on ``exec``: outcomes a plan-cache prototype must not keep
-    (another value may compile; a failed exec must reach the breaker
-    again).
+    ``reusable`` turns False when a request failed to ``exec``: an
+    outcome a plan template must not keep (the next statement's request
+    must reach the breaker again).
     """
 
     cache: CompiledKernelCache | None = None
@@ -561,9 +566,6 @@ class KernelCompiler:
         """The generated kernel of *spec*, or None."""
         try:
             source, builder = _kernel_source(spec)
-        except NonCompilableLiteral:
-            self.reusable = False
-            return None
         except Exception:  # NonCompilable, or a generator bug
             return None
         try:
@@ -571,36 +573,13 @@ class KernelCompiler:
         except KernelCompileError:
             self.reusable = False
             return None
-        record = KernelRecord(
+        return FusedKernel(
+            spec,
             source,
-            builder.bindings,
-            tuple(
-                value if parameter is None else parameter
-                for value, parameter in zip(
-                    builder.parameters, builder.parameter_sources
-                )
-            ),
+            function,
+            tuple(builder.parameters),
             spec.calls_per_vector(),
         )
-        return FusedKernel(
-            spec, source, function, tuple(builder.parameters), record
-        )
-
-    def rebind(
-        self,
-        kernel: FusedKernel,
-        spec: KernelSpec | Callable[[], KernelSpec],
-        values: tuple,
-    ) -> FusedKernel:
-        """*kernel* over *spec* — the same segment with a statement's
-        literal *values* substituted, or a function making it — taking
-        its parameters from *values* and its function from the cache by
-        source.  Raises NonCompilableLiteral for a value with no
-        compiled form, exactly where codegen would have."""
-        record = kernel.record
-        params = record.params(values)
-        function = self._function(record.source, record.bindings)
-        return FusedKernel(spec, record.source, function, params, record)
 
     def _function(self, source: str, bindings: dict):
         """The exec'd ``kernel`` function of *source*, cached by text."""

@@ -5,6 +5,11 @@ and return a NumPy array of the batch length.  Arithmetic follows SQL
 promotion rules (INTEGER < FLOAT < DOUBLE); division always produces a
 floating-point result, which keeps generated formulas like
 ``1/(1+EXP(-x))`` correct without explicit casts.
+
+``evaluate(batch, params)`` takes the statement's literal values by
+slot: a literal that came from the statement text reads its value from
+*params*, so one bound tree serves every statement of its shape.  With
+*params* None each literal reads the value it was parsed with.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from repro.errors import ExecutionError, TypeMismatchError
 class Expression:
     """Base class of all scalar expressions."""
 
-    def evaluate(self, batch: VectorBatch) -> np.ndarray:
+    def evaluate(
+        self, batch: VectorBatch, params: tuple | None = None
+    ) -> np.ndarray:
         raise NotImplementedError
 
     def output_type(self, schema: Schema) -> SqlType:
@@ -43,7 +50,7 @@ class ColumnRef(Expression):
 
     name: str
 
-    def evaluate(self, batch: VectorBatch) -> np.ndarray:
+    def evaluate(self, batch: VectorBatch, params=None) -> np.ndarray:
         return batch.column(self.name)
 
     def output_type(self, schema: Schema) -> SqlType:
@@ -62,9 +69,9 @@ class Literal(Expression):
 
     ``slot`` is the literal's position among the NUMBER/STRING tokens
     of the statement it was parsed from (None when the planner made
-    it); the plan cache substitutes a later statement's values by slot.
-    It is not part of equality: ``x + 1`` equals ``x + 1`` wherever
-    the ``1`` came from.
+    it); evaluated with a statement's *params*, the literal is
+    ``params[slot]``.  It is not part of equality: ``x + 1`` equals
+    ``x + 1`` wherever the ``1`` came from.
     """
 
     value: object
@@ -83,8 +90,11 @@ class Literal(Expression):
             return cls(value, SqlType.VARCHAR, slot)
         raise TypeMismatchError(f"unsupported literal {value!r}")
 
-    def evaluate(self, batch: VectorBatch) -> np.ndarray:
-        return np.full(len(batch), self.value, dtype=self.sql_type.numpy_dtype)
+    def evaluate(self, batch: VectorBatch, params=None) -> np.ndarray:
+        value = self.value
+        if params is not None and self.slot is not None:
+            value = params[self.slot]
+        return np.full(len(batch), value, dtype=self.sql_type.numpy_dtype)
 
     def output_type(self, schema: Schema) -> SqlType:
         return self.sql_type
@@ -99,16 +109,22 @@ class Literal(Expression):
         return str(self.value)
 
 
-def _divide(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """True division: ``x / 0`` is ±inf and ``0 / 0`` NaN, quietly."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return truediv(left, right)
+def _ieee(operation):
+    """*operation* with IEEE float results and no NumPy warning: an
+    overflow is ±inf, ``0 * inf`` NaN, ``x / 0`` ±inf and ``0 / 0``
+    NaN (docs/API.md)."""
+
+    def quietly(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return operation(left, right)
+
+    return quietly
 
 
 #: NumPy operator of each arithmetic and comparison operator; division
 #: is always floating point (true division), as in SQL generated formulas
 _NUMPY_OPERATORS = {
-    "+": add, "-": sub, "*": mul, "/": _divide,
+    "+": _ieee(add), "-": _ieee(sub), "*": _ieee(mul), "/": _ieee(truediv),
     "=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge,
 }
 COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
@@ -123,9 +139,9 @@ class BinaryOp(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, batch: VectorBatch) -> np.ndarray:
-        left = self.left.evaluate(batch)
-        right = self.right.evaluate(batch)
+    def evaluate(self, batch: VectorBatch, params=None) -> np.ndarray:
+        left = self.left.evaluate(batch, params)
+        right = self.right.evaluate(batch, params)
         if self.operator in _LOGICAL:
             if left.dtype != np.bool_ or right.dtype != np.bool_:
                 raise ExecutionError(
@@ -166,8 +182,8 @@ class UnaryOp(Expression):
     operator: str
     operand: Expression
 
-    def evaluate(self, batch: VectorBatch) -> np.ndarray:
-        values = self.operand.evaluate(batch)
+    def evaluate(self, batch: VectorBatch, params=None) -> np.ndarray:
+        values = self.operand.evaluate(batch, params)
         if self.operator == "-":
             return -values
         if self.operator == "NOT":
@@ -202,9 +218,11 @@ class FunctionCall(Expression):
     name: str
     arguments: tuple[Expression, ...]
 
-    def evaluate(self, batch: VectorBatch) -> np.ndarray:
+    def evaluate(self, batch: VectorBatch, params=None) -> np.ndarray:
         function = lookup_function(self.name)
-        values = [argument.evaluate(batch) for argument in self.arguments]
+        values = [
+            argument.evaluate(batch, params) for argument in self.arguments
+        ]
         return function.implementation(*values)
 
     def output_type(self, schema: Schema) -> SqlType:
@@ -235,16 +253,16 @@ class CaseWhen(Expression):
     branches: tuple[tuple[Expression, Expression], ...]
     otherwise: Expression | None = None
 
-    def evaluate(self, batch: VectorBatch) -> np.ndarray:
+    def evaluate(self, batch: VectorBatch, params=None) -> np.ndarray:
         conditions = [
-            condition.evaluate(batch) for condition, _ in self.branches
+            condition.evaluate(batch, params) for condition, _ in self.branches
         ]
-        values = [value.evaluate(batch) for _, value in self.branches]
+        values = [value.evaluate(batch, params) for _, value in self.branches]
         for condition in conditions:
             if condition.dtype != np.bool_:
                 raise ExecutionError("CASE condition must be boolean")
         if self.otherwise is not None:
-            default = self.otherwise.evaluate(batch)
+            default = self.otherwise.evaluate(batch, params)
         else:
             result_dtype = np.result_type(*values) if values else np.float64
             if result_dtype == object:
@@ -290,8 +308,8 @@ class Cast(Expression):
     operand: Expression
     target: SqlType
 
-    def evaluate(self, batch: VectorBatch) -> np.ndarray:
-        values = self.operand.evaluate(batch)
+    def evaluate(self, batch: VectorBatch, params=None) -> np.ndarray:
+        values = self.operand.evaluate(batch, params)
         if self.target is SqlType.VARCHAR:
             return np.array([str(value) for value in values], dtype=object)
         if values.dtype == object:
@@ -306,6 +324,30 @@ class Cast(Expression):
 
     def __str__(self) -> str:
         return f"CAST({self.operand} AS {self.target})"
+
+
+def with_values(node, values: tuple | None):
+    """*node* — an expression, or a tree of dataclasses and tuples
+    holding them (an AST, an aggregate spec) — with each statement
+    literal holding its value in *values*, by slot; *node* itself when
+    *values* is None.  What EXPLAIN shows of a plan instance's
+    expressions, and the AST a fragment planned cold binds."""
+    if values is None or isinstance(node, (str, int, float)):
+        return node
+    if isinstance(node, Literal):
+        if node.slot is None:
+            return node
+        return Literal(values[node.slot], node.sql_type, node.slot)
+    if isinstance(node, tuple):
+        return tuple(with_values(item, values) for item in node)
+    if not hasattr(node, "__dataclass_fields__"):
+        return node
+    clone = object.__new__(type(node))
+    clone.__dict__.update({
+        name: with_values(value, values)
+        for name, value in node.__dict__.items()
+    })
+    return clone
 
 
 def calls_per_vector(expression: Expression) -> bool:
@@ -330,12 +372,17 @@ def calls_per_vector(expression: Expression) -> bool:
 
 
 def evaluate_per_vector(
-    expression: Expression, batch: VectorBatch, vector_size: int
+    expression: Expression,
+    batch: VectorBatch,
+    vector_size: int,
+    params: tuple | None = None,
 ) -> np.ndarray:
-    """*expression* over *batch*: in one call, or in *vector_size*-row
-    pieces when it :func:`calls_per_vector` (as the kernels cut it)."""
+    """*expression* over *batch* with the literal *params*: in one call,
+    or in *vector_size*-row pieces when it :func:`calls_per_vector` (as
+    the kernels cut it)."""
     if len(batch) <= vector_size or not calls_per_vector(expression):
-        return expression.evaluate(batch)
-    return np.concatenate(
-        [expression.evaluate(piece) for piece in batch.pieces(vector_size)]
-    )
+        return expression.evaluate(batch, params)
+    return np.concatenate([
+        expression.evaluate(piece, params)
+        for piece in batch.pieces(vector_size)
+    ])

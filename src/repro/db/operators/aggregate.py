@@ -274,7 +274,7 @@ def _inputs(operator) -> Iterator[tuple[list, list]]:
 
 def _describe_fusion(operator) -> str:
     """Suffix describing the input kernel, for EXPLAIN."""
-    predicates = operator.kernel.spec.predicates
+    predicates = operator.shown(operator.kernel.spec.predicates)
     fused = ""
     if predicates:
         conjunction = reduce(
@@ -375,6 +375,8 @@ class HashAggregate(UnaryOperator):
 
     #: whether the prefix is every key (:class:`OrderedAggregate`)
     full = False
+    #: bytes of held input accounted to the memory accountant
+    _accounted_bytes = 0
 
     def __init__(
         self,
@@ -401,16 +403,16 @@ class HashAggregate(UnaryOperator):
             child.schema, group_expressions, group_names, aggregates
         )
         super().__init__(context, schema, child)
-        self.group_expressions = list(group_expressions)
-        self.group_names = list(group_names)
-        self.aggregates = list(aggregates)
-        self.inputs, self.input_slots = aggregate_inputs(self.aggregates)
+        self.group_expressions = tuple(group_expressions)
+        self.group_names = tuple(group_names)
+        self.aggregates = tuple(aggregates)
+        inputs, slots = aggregate_inputs(self.aggregates)
+        self.inputs, self.input_slots = tuple(inputs), tuple(slots)
         self.prefix_length = prefix_length
         self.kernel = _input_kernel(self, child, kernel)
         self._category = (
             "aggregation-segment" if prefix_length else "aggregation"
         )
-        self._accounted_bytes = 0
 
     @property
     def ordering(self) -> tuple[str, ...]:
@@ -493,8 +495,8 @@ class HashAggregate(UnaryOperator):
         super().close()
 
     def describe(self) -> str:
-        keys = ", ".join(map(str, self.group_expressions))
-        aggs = ", ".join(str(spec) for spec in self.aggregates)
+        keys = ", ".join(map(str, self.shown(self.group_expressions)))
+        aggs = ", ".join(map(str, self.shown(self.aggregates)))
         label = "HashAggregate("
         if self.full:
             label = "OrderedAggregate("

@@ -1,4 +1,12 @@
-"""Operator base class and execution context."""
+"""Operator base class and execution context.
+
+A lowered plan is *compiled* once per kind of lowering and kept by the
+plan cache; it is never opened.  Each statement runs its own
+:meth:`PhysicalOperator.instance` of it: a copy of every operator's
+shell bound to the statement's context and :class:`Bound` inputs.  An
+operator makes all its execution state in ``open()``, so instances
+share nothing they change.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.db.expressions import with_values
 from repro.db.profiler import (
     MemoryAccountant,
     ProfileCounters,
@@ -101,6 +110,24 @@ class ExecutionContext:
     query: QueryContext = field(default_factory=QueryContext)
 
 
+@dataclass(frozen=True, eq=False)
+class Bound:
+    """What one statement binds the operators of a compiled plan to.
+
+    *values* are its literal values by slot (None: each literal's own),
+    *tables* maps the table identities the plan holds to the tables the
+    statement reads, *ranges* are each scan's pruning ranges by its
+    ``template_index``, and *partition_index* is the pipeline's
+    partition (None: serial).  An operator built for itself (not an
+    instance) is bound to its own tables and ranges.
+    """
+
+    values: tuple | None = None
+    tables: dict = field(default_factory=dict)
+    ranges: tuple = ()
+    partition_index: int | None = None
+
+
 def format_operator_seconds(seconds: float) -> str:
     """Compact duration rendering for EXPLAIN ANALYZE stat lines."""
     if seconds < 0.001:
@@ -126,25 +153,59 @@ class PhysicalOperator:
     #: the kernel evaluating this operator's expressions — a pipeline's
     #: or an aggregate's input, generated (``FusedKernel``, printed by
     #: EXPLAIN) or interpreted (``InterpretedKernel``); None for
-    #: operators without one
+    #: operators without one.  ``open()`` binds it to the statement's
+    #: literal values.
     kernel = None
+
+    #: the statement inputs (see :class:`Bound`)
+    bound = Bound()
+
+    # Execution state, set by open(); these class values are what an
+    # operator that never opened reports.
+    _opened = False
+    #: rows this operator emitted (rendered by EXPLAIN ANALYZE)
+    rows_emitted = 0
+    #: batches this operator emitted
+    batches_emitted = 0
+    #: seconds spent producing this operator's batches, children
+    #: included (cumulative time; only filled with operator_timing)
+    cumulative_seconds = 0.0
+    #: tracing state: this operator's span id and its parent span
+    _span_id: int | None = None
+    _trace_parent: int | None = None
+    _first_pull_us: float | None = None
 
     def __init__(self, context: ExecutionContext, schema: Schema):
         self.context = context
         self.schema = schema
-        self._opened = False
-        #: rows this operator emitted (filled during execution;
-        #: rendered by EXPLAIN ANALYZE)
-        self.rows_emitted = 0
-        #: batches this operator emitted
-        self.batches_emitted = 0
-        #: seconds spent producing this operator's batches, children
-        #: included (cumulative time; only filled with operator_timing)
-        self.cumulative_seconds = 0.0
-        #: tracing state: this operator's span id and its parent span
-        self._span_id: int | None = None
-        self._trace_parent: int | None = None
-        self._first_pull_us: float | None = None
+
+    def instance(
+        self,
+        context: ExecutionContext,
+        values: tuple | None = None,
+        tables: dict | None = None,
+        ranges: tuple = (),
+        partition_index: int | None = None,
+    ) -> "PhysicalOperator":
+        """A fresh plan of this compiled one for one statement: every
+        operator's shell copied and bound to *context* and to the
+        statement's :class:`Bound` inputs (*tables*: identity -> table).
+        Nothing else is copied: what an operator changes it makes in
+        ``open()``."""
+        return self._instance(
+            context, Bound(values, tables or {}, ranges, partition_index)
+        )
+
+    def _instance(self, context, bound: Bound) -> "PhysicalOperator":
+        twin = object.__new__(type(self))
+        state = twin.__dict__
+        for name, value in self.__dict__.items():
+            if isinstance(value, PhysicalOperator):
+                value = value._instance(context, bound)
+            state[name] = value
+        state["context"] = context
+        state["bound"] = bound
+        return twin
 
     @property
     def ordering(self) -> tuple[str, ...]:
@@ -160,6 +221,12 @@ class PhysicalOperator:
         """Acquire resources. Subclasses must call ``super().open()``."""
         if self._opened:
             raise ExecutionError(f"{type(self).__name__} opened twice")
+        self.rows_emitted = 0
+        self.batches_emitted = 0
+        self.cumulative_seconds = 0.0
+        self._first_pull_us = None
+        if self.kernel is not None:
+            self.kernel = self.kernel.bind(self.bound.values)
         tracer = self.context.tracer
         if tracer.enabled:
             self._span_id = tracer.allocate_id()
@@ -283,6 +350,11 @@ class PhysicalOperator:
     def describe(self) -> str:
         return type(self).__name__
 
+    def shown(self, node):
+        """*node* (expressions, aggregate specs) with the literal values
+        of the statement this operator is bound to: what EXPLAIN shows."""
+        return with_values(node, self.bound.values)
+
     def kernels(self) -> tuple:
         """The kernels this operator calls (EXPLAIN lists the
         generated ones)."""
@@ -290,15 +362,6 @@ class PhysicalOperator:
 
     def children(self) -> list["PhysicalOperator"]:
         return []
-
-    def cloned(self, binding) -> None:
-        """Finish this operator as a fresh copy of a plan-cache
-        prototype (:class:`repro.db.plan.cache.Prototype`).
-
-        The copy already holds *binding*'s context, tables, kernels and
-        literal values; an operator with state derived from them, from
-        its partition or from a per-operator resource rebuilds it here.
-        """
 
 
 class UnaryOperator(PhysicalOperator):

@@ -25,6 +25,10 @@ from repro.db.vector import VectorBatch, concat_batches
 class CrossJoin(BinaryOperator):
     """Cartesian product; right side materialized."""
 
+    # the materialized right side, made by _produce
+    _right_batch: VectorBatch | None = None
+    _accounted_bytes = 0
+
     def __init__(
         self,
         context: ExecutionContext,
@@ -32,8 +36,6 @@ class CrossJoin(BinaryOperator):
         right: PhysicalOperator,
     ):
         super().__init__(context, left.schema.concat(right.schema), left, right)
-        self._right_batch: VectorBatch | None = None
-        self._accounted_bytes = 0
 
     @property
     def ordering(self) -> tuple[str, ...]:

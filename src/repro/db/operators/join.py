@@ -39,6 +39,11 @@ from repro.errors import ExecutionError
 class HashJoin(BinaryOperator):
     """Inner equi-join; left = probe side, right = build side."""
 
+    # the build side, made by _produce
+    _build_batch: VectorBatch | None = None
+    _index: JoinIndex | None = None
+    _accounted_bytes = 0
+
     def __init__(
         self,
         context: ExecutionContext,
@@ -51,29 +56,28 @@ class HashJoin(BinaryOperator):
         if len(left_keys) != len(right_keys) or not left_keys:
             raise ExecutionError("join needs matching, non-empty key lists")
         super().__init__(context, left.schema.concat(right.schema), left, right)
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
+        self.left_keys = tuple(left_keys)
+        self.right_keys = tuple(right_keys)
         self.residual = residual
-        #: per key pair, whether both sides are coded as float64
-        self._as_float = []
+        as_float = []
         for pair in zip(left_keys, right_keys):
             types = [
                 key.output_type(side.schema)
                 for key, side in zip(pair, (left, right))
             ]
             check_comparable(*types)
-            floats = SqlType.FLOAT in types or SqlType.DOUBLE in types
-            self._as_float.append(floats)
-        self._build_batch: VectorBatch | None = None
-        self._index: JoinIndex | None = None
-        self._accounted_bytes = 0
+            as_float.append(SqlType.FLOAT in types or SqlType.DOUBLE in types)
+        #: per key pair, whether both sides are coded as float64
+        self._as_float = tuple(as_float)
 
     @property
     def ordering(self) -> tuple[str, ...]:
         return self.left.ordering
 
     def _evaluate(self, expression: Expression, batch: VectorBatch):
-        return evaluate_per_vector(expression, batch, self.context.vector_size)
+        return evaluate_per_vector(
+            expression, batch, self.context.vector_size, self.bound.values
+        )
 
     def _key_codes(self, keys, batch: VectorBatch) -> list[np.ndarray]:
         """The key columns of *batch*, coded as the index compares them."""
@@ -137,7 +141,11 @@ class HashJoin(BinaryOperator):
     def describe(self) -> str:
         keys = ", ".join(
             f"{left} = {right}"
-            for left, right in zip(self.left_keys, self.right_keys)
+            for left, right in zip(
+                self.shown(self.left_keys), self.shown(self.right_keys)
+            )
         )
-        suffix = f" AND {self.residual}" if self.residual is not None else ""
+        suffix = ""
+        if self.residual is not None:
+            suffix = f" AND {self.shown(self.residual)}"
         return f"HashJoin({keys}{suffix})"

@@ -141,16 +141,14 @@ class RenameOperator(UnaryOperator):
         names: list[str],
     ):
         super().__init__(context, child.schema.rename_all(names), child)
-        self._name_map = {
-            old.lower(): new
-            for old, new in zip(child.schema.names, names)
-        }
 
     @property
     def ordering(self) -> tuple[str, ...]:
-        return tuple(
-            self._name_map[name.lower()] for name in self.child.ordering
-        )
+        renamed = {
+            old.lower(): new
+            for old, new in zip(self.child.schema.names, self.schema.names)
+        }
+        return tuple(renamed[name.lower()] for name in self.child.ordering)
 
     def _produce(self) -> Iterator[VectorBatch]:
         for batch in self.child.next_batches():

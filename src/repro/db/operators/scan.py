@@ -11,7 +11,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.db.column import BLOCK_SIZE, Block, ColumnRange, block_pruner
-from repro.db.operators.base import ExecutionContext, PhysicalOperator
+from repro.db.operators.base import Bound, ExecutionContext, PhysicalOperator
 from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.db.vector import VectorBatch
@@ -68,9 +68,27 @@ class TableScan(PhysicalOperator):
     whole ``context.vector_size`` vectors of one block together, and a
     block's trailing partial vector as a batch of its own
     (:func:`scan_batches`).
+
+    In a compiled plan the scan holds its table's identity: the table,
+    the pruning ranges and the partition are the instance's
+    (:class:`~repro.db.operators.base.Bound`).
     """
 
     morsel_streaming = True
+
+    #: shared queue of scan morsels; when set (by the parallel
+    #: executor, see repro.db.parallel.attach_morsel_sources) the scan
+    #: steals work from it instead of scanning its partition
+    morsel_source = None
+    #: this pipeline's index, used as the in-flight owner id so a
+    #: crashed pipeline's morsels can be requeued for its retry
+    morsel_owner = None
+    # scan totals, counted from open()
+    blocks_scanned = 0
+    blocks_pruned = 0
+    #: nominal (decoded) bytes of the blocks actually scanned; a morsel
+    #: counts only its row span's share of the block
+    bytes_scanned = 0
 
     def __init__(
         self,
@@ -91,48 +109,42 @@ class TableScan(PhysicalOperator):
                 tuple(table.schema.columns[p] for p in positions)
             )
         super().__init__(context, schema)
-        self.table = table
-        self.ranges = ranges or []
-        #: zone-map pruner over a partition's zone maps; None when no
-        #: range predicate applies to this table
-        self._may_match = block_pruner(table.schema, self.ranges)
-        #: keep masks of the morsel source's partitions, by index
-        self._morsel_masks: dict[int, np.ndarray] = {}
-        self.partition_index = partition_index
-        self._positions = positions
+        #: the table, or in a compiled plan its identity
+        self.source = table
+        #: whether the scan reads one partition (the bound one)
+        self.partitioned = partition_index is not None
+        #: which of the bound pruning ranges are this scan's (the
+        #: lowering sets the logical scan's position in its template)
+        self.template_index = 0
+        # built for itself, the scan is bound to its own inputs
+        self.bound = Bound(
+            tables={table: table},
+            ranges=(tuple(ranges or ()),),
+            partition_index=partition_index,
+        )
+        self._positions = tuple(positions)
         self._projected = columns is not None and len(positions) < len(
             table.schema
         )
-        #: shared queue of scan morsels; when set (by the parallel
-        #: executor, see repro.db.parallel.attach_morsel_sources) the
-        #: scan steals work from it instead of scanning its partition
-        self.morsel_source = None
-        #: this pipeline's index, used as the in-flight owner id so a
-        #: crashed pipeline's morsels can be requeued for its retry
-        self.morsel_owner = None
-        self.blocks_scanned = 0
-        self.blocks_pruned = 0
-        #: nominal (decoded) bytes of the blocks actually scanned; a
-        #: morsel counts only its row span's share of the block
-        self.bytes_scanned = 0
-        #: distinct column files opened (disk-resident tables only)
-        self._opened_files: set = set()
-        #: the logical scan's position in its plan-cache template (set
-        #: by the lowering; picks a clone's ranges)
-        self.template_index: int | None = None
 
-    def cloned(self, binding) -> None:
-        self.ranges = binding.scan_ranges(self)
-        self._may_match = block_pruner(self.table.schema, self.ranges)
-        if self.partition_index is not None:
-            self.partition_index = binding.partition_index
+    @property
+    def table(self):
+        return self.bound.tables[self.source]
+
+    @property
+    def ranges(self) -> tuple:
+        return self.bound.ranges[self.template_index]
+
+    @property
+    def partition_index(self) -> int | None:
+        return self.bound.partition_index if self.partitioned else None
 
     @property
     def ordering(self) -> tuple[str, ...]:
         # A declared sort key holds within each partition; a serial scan
         # of a multi-partition table interleaves partitions and loses it.
-        if self.partition_index is not None or self.table.num_partitions == 1:
-            key = self.table.sort_key
+        if self.partitioned or self.source.num_partitions == 1:
+            key = self.source.sort_key
         else:
             return ()
         if not self._projected:
@@ -149,6 +161,16 @@ class TableScan(PhysicalOperator):
 
     def open(self) -> None:
         super().open()
+        #: zone-map pruner over a partition's zone maps; None when no
+        #: range predicate applies to this table
+        self._may_match = block_pruner(self.source.schema, self.ranges)
+        #: keep masks of the morsel source's partitions, by index
+        self._morsel_masks: dict[int, np.ndarray] = {}
+        #: distinct column files opened (disk-resident tables only)
+        self._opened_files: set = set()
+        self.blocks_scanned = 0
+        self.blocks_pruned = 0
+        self.bytes_scanned = 0
         if not self.table.disk_resident:
             # Memory-resident columns are "fetched" by definition; a
             # disk scan instead counts files as they are first opened

@@ -41,6 +41,9 @@ class SortOperator(UnaryOperator):
     input order, so the top rows are exactly a prefix of the full sort.
     """
 
+    #: bytes of the materialized input accounted by _produce
+    _accounted_bytes = 0
+
     def __init__(
         self,
         context: ExecutionContext,
@@ -56,10 +59,9 @@ class SortOperator(UnaryOperator):
             if not isinstance(key, ColumnRef):
                 raise PlanError("ORDER BY keys must be column references")
             child.schema.position_of(key.name)
-        self.keys = list(keys)
-        self.ascending = ascending or [True] * len(keys)
+        self.keys = tuple(keys)
+        self.ascending = tuple(ascending or [True] * len(keys))
         self.top = top
-        self._accounted_bytes = 0
 
     @property
     def ordering(self) -> tuple[str, ...]:

@@ -45,7 +45,7 @@ stripped from the per-partition statement and re-applied by the merge.
 
 A statement served from the plan cache does not run this module's walk
 again: its template keeps the fragment plan and the merge pipeline's
-prototype (:class:`repro.db.plan.cache.FragmentTemplate`), and the
+compiled plan (:class:`repro.db.plan.cache.FragmentTemplate`), and the
 per-partition statement is planned, in a plan cache too, under the
 fragment's *key* — this engine's for thread pipelines, each shard's for
 shards.
@@ -133,10 +133,11 @@ class FragmentPlan:
     #: plan-cache products (:class:`repro.db.plan.cache.FragmentTemplate`):
     #: the per-partition statement's plan-cache key (None: plan it cold),
     #: the query's literal values by slot, the values *statement* reads
-    #: (None in the other slots) and the template itself
+    #: (None in the other slots) and the template itself; a plan made for
+    #: one statement has no values (its literals hold them)
     key: str | None = None
-    values: tuple = ()
-    statement_values: tuple = ()
+    values: tuple | None = None
+    statement_values: tuple | None = None
     template: object = None
 
     @property
@@ -153,9 +154,15 @@ def shard_count(table) -> int:
     """Shard processes holding *table*'s rows (0 for a local table).
 
     Only the coordinator's :class:`~repro.db.shard.tables.ShardedTable`
-    stubs carry a shard count.
+    stubs (and their plan-cache identities) carry a shard count.
     """
     return getattr(table, "shard_count", 0)
+
+
+def sharded_rows(tables) -> int:
+    """The estimated input rows of a sharded fragment over *tables*:
+    those of its largest sharded table."""
+    return max(table.row_count for table in tables if shard_count(table))
 
 
 @dataclass(frozen=True)
@@ -341,9 +348,7 @@ def plan_fragments(prepared, pipelines: int) -> FragmentPlan:
         plan.order_keys = tuple(top.keys)
         plan.ascending = tuple(top.ascending)
     if sharded:
-        plan.estimated_rows = max(
-            scan.table.row_count for scan in scans if shard_count(scan.table)
-        )
+        plan.estimated_rows = sharded_rows(prepared.tables.values())
         names = {scan.table.name: shard_count(scan.table) for scan in scans}
         plan.sharded_tables = tuple(
             name for name, shards in names.items() if shards

@@ -139,8 +139,8 @@ class LogicalScan(LogicalNode):
         self.binding = binding
         self.columns = list(columns)
         self.ranges: list[ColumnRange] = []
-        #: this scan's position among the scans of the plan-cache
-        #: template it was instantiated from (None: planned cold)
+        #: this scan's position among the scans of its plan template
+        #: (set on the template's tree; None on a live one)
         self.template_index: int | None = None
 
     def output_names(self) -> list[str]:

@@ -169,7 +169,15 @@ def count_selection(chosen: str, metrics) -> None:
 
 
 class Lowering:
-    """Lowers one bound+optimized logical tree to physical operators."""
+    """Lowers a plan template's logical tree to a compiled plan.
+
+    The tree's tables are identities and its statement literals
+    slotted: the compiled plan holds no table and reads no statement
+    value, and each statement runs an instance of it
+    (:meth:`PhysicalOperator.instance`).
+    *variants* maps each ModelJoin node (by id) to its chosen variant;
+    *partition_index* is not None for a partition pipeline's plan.
+    """
 
     def __init__(
         self,
@@ -178,6 +186,7 @@ class Lowering:
         modeljoin_factory,
         compiler: KernelCompiler,
         partition_index: int | None = None,
+        variants: dict | None = None,
     ):
         self.context = context
         self.options = options
@@ -186,6 +195,7 @@ class Lowering:
         #: or interpreted, see KernelCompiler.generate)
         self.compiler = compiler
         self.partition_index = partition_index
+        self.variants = variants or {}
 
     def lower(self, node: LogicalNode) -> PhysicalOperator:
         if isinstance(node, LogicalScan):
@@ -275,7 +285,6 @@ class Lowering:
         scan = TableScan(
             self.context,
             node.table,
-            ranges=node.ranges or None,
             partition_index=scan_partition,
             columns=columns,
         )
@@ -339,9 +348,7 @@ class Lowering:
             input_columns=node.input_columns,
             output_prefix=f"{node.binding}.{node.output_prefix}",
             partition_index=self.partition_index,
-            variant=(
-                node.selection.chosen if node.selection is not None else None
-            ),
+            variant=self.variants.get(id(node)),
             predicates=tuple(predicates),
             projection=projection,
             input_kernel=input_kernel,
@@ -593,8 +600,14 @@ def render_explain(prepared, physical: PhysicalOperator) -> str:
 
 
 def _compiled_sections(operator: PhysicalOperator):
-    """Generated kernel sources in the physical tree, top-down."""
-    generated = [kernel for kernel in operator.kernels() if kernel.generated]
+    """Generated kernel sources in the physical tree, top-down, with the
+    parameter values of the statement the plan is bound to."""
+    values = operator.bound.values
+    generated = [
+        kernel
+        for kernel in (kernel.bind(values) for kernel in operator.kernels())
+        if kernel.generated
+    ]
     if generated:
         yield f"-- {operator.describe()}"
         yield from (kernel.listing.rstrip("\n") for kernel in generated)
@@ -617,9 +630,14 @@ class GatherExchange(PhysicalOperator):
     large merge.
     """
 
-    def __init__(self, context, schema, sources):
+    # what a compiled merge plan gathers: nothing until fed
+    sources: list | tuple = ()
+    rows_per_source: list | tuple = ()
+
+    def __init__(self, context, schema, sources=None):
         super().__init__(context, schema)
-        self.feed(sources)
+        if sources is not None:
+            self.feed(sources)
 
     def feed(self, sources) -> None:
         """Gather *sources*: per-partition batch lists, index =
@@ -628,11 +646,6 @@ class GatherExchange(PhysicalOperator):
         self.rows_per_source = [
             sum(len(batch) for batch in batches) for batches in sources
         ]
-
-    def cloned(self, binding) -> None:
-        # a merge prototype's copy holds no query's batches: it gathers
-        # what the hit feeds it
-        self.feed([])
 
     def describe(self) -> str:
         rows = ", ".join(

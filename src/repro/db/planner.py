@@ -16,32 +16,32 @@ Planning is a three-stage pipeline (see :mod:`repro.db.plan`):
    per-partition lowering).
 
 Execution prepares once and lowers once per partition pipeline.  A
-SELECT that arrives as text (:class:`~repro.db.plan.cache.SelectText`)
-goes through the engine's plan cache: a statement whose shape has a
-valid template is served from it — no parse, bind, rewrite, codegen or
-lowering — computing only what its values decide (pruning ranges, the
-ModelJoin input estimates and variants) and cloning the template's
-lowered prototype; any other one is planned as above and records the
-template (:mod:`repro.db.plan.cache`).  How a statement splits over
-partitions (:meth:`Planner.fragment`) and its merge pipeline
-(:meth:`Planner.merge`) are template products too.
+lowering compiles the statement's template once per kind of lowering
+and runs an *instance* of the compiled plan bound to the statement's
+context, literal values, tables and pruning ranges
+(:meth:`~repro.db.operators.PhysicalOperator.instance`).  A SELECT that
+arrives as text (:class:`~repro.db.plan.cache.SelectText`) goes through
+the engine's plan cache: a statement whose shape has a valid template
+is served from it — no parse, bind, rewrite, codegen or lowering —
+computing only what its values decide (pruning ranges, the ModelJoin
+input estimates and variants); any other one is planned as above and
+records the template (:mod:`repro.db.plan.cache`).  How a statement
+splits over partitions (:meth:`Planner.fragment`) and its merge
+pipeline (:meth:`Planner.merge`) are template products too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.db.catalog import Catalog
 from repro.db.compile import KernelCompiler
-from repro.db.compile.codegen import NonCompilableLiteral
 from repro.db.operators import ExecutionContext, PhysicalOperator
 from repro.db.plan.cache import (
     FragmentTemplate,
     PlanCache,
     PlanTemplate,
-    Prototype,
     SelectText,
     prototype_key,
     record_template,
@@ -94,70 +94,32 @@ class PlannerOptions:
 
 @dataclass
 class PreparedPlan:
-    """A bound + optimized statement, ready to lower per partition."""
+    """A bound + optimized statement, ready to lower per partition: its
+    *template* compiles, and each lowering instances the compiled plan
+    with the statement's literal *values* (None: its literals' own), the
+    *tables* it bound (``identity -> table``) and its scans' pruning
+    *ranges*."""
 
     statement: SelectStatement
     logical: LogicalNode
     firings: list[RuleFiring]
     selections: list[VariantSelection]
+    template: PlanTemplate
+    tables: dict
+    ranges: tuple
+    values: tuple | None = None
+    #: served from a plan-cache template (a hit, whose statement and
+    #: logical tree are the template's: literals slotted, tables
+    #: identities — the fragment planner reads their shape only)
+    cached: bool = False
 
-    #: planned cold, not served from a plan-cache template
-    cached = False
-    template = None
-    #: a cold plan of a text: the template it recorded, the literal
-    #: values; tables bound by identity (hits only)
-    recorded = None
-    values = ()
-    tables = None
+    @property
+    def recorded(self) -> bool:
+        """Whether the plan cache holds the template."""
+        return self.template.shape is not None
 
     def explain_logical(self) -> str:
         return self.logical.render()
-
-
-class CachedPlan(PreparedPlan):
-    """A SELECT served from its shape's plan template: a plan-cache hit.
-
-    It holds what the values decide — each scan's pruning *ranges* and
-    each ModelJoin's variant *selections* — plus the *tables* the
-    template's identities bound and the literal *values*.  Lowering
-    clones the template's prototype with them; the statement and the
-    logical tree are built only when asked for (the fragment planner,
-    a lowering with no prototype to clone).
-    """
-
-    cached = True
-
-    def __init__(
-        self,
-        template: PlanTemplate,
-        tables: dict,
-        values: tuple,
-        ranges: tuple,
-        selections: list[VariantSelection],
-    ):
-        self.template = template
-        self.tables = tables
-        self.values = values
-        self.ranges = ranges
-        self.selections = selections
-
-    @cached_property
-    def statement(self) -> SelectStatement:
-        return self.template.statement_for(self.values)
-
-    @cached_property
-    def _instance(self) -> tuple[LogicalNode, list[RuleFiring]]:
-        return self.template.instantiate(
-            self.tables, self.values, self.ranges, self.selections
-        )
-
-    @property
-    def logical(self) -> LogicalNode:
-        return self._instance[0]
-
-    @property
-    def firings(self) -> list[RuleFiring]:
-        return self._instance[1]
 
 
 class Planner:
@@ -252,15 +214,19 @@ class Planner:
             selections = select_variants(
                 logical, self.variant_selector, metrics=self.metrics
             )
-        prepared = PreparedPlan(statement, logical, firings, selections)
-        if cache is not None:
-            template = record_template(
-                text, statement, logical, self._options_key()
-            )
-            if template is not None:
-                cache.put(template)
-                prepared.recorded = template
-                prepared.values = text.values()
+        template, tables, ranges = record_template(
+            text if cache is not None else None,
+            statement,
+            logical,
+            self._options_key(),
+        )
+        prepared = PreparedPlan(
+            statement, logical, firings, selections, template, tables, ranges
+        )
+        if text is not None:
+            prepared.values = text.values()
+        if prepared.recorded:
+            cache.put(template)
         return prepared
 
     def serves(self, text: SelectText) -> bool:
@@ -275,7 +241,7 @@ class Planner:
 
     def _instantiate(
         self, text: SelectText, counted: bool = True
-    ) -> CachedPlan | None:
+    ) -> PreparedPlan | None:
         """The plan of *text* from its shape's template, if one serves.
 
         A hit has no bind step: checking the identities the template
@@ -310,7 +276,17 @@ class Planner:
             ]
         if counted:
             self.plan_cache.count_hit()
-        return CachedPlan(template, tables, values, ranges, selections)
+        return PreparedPlan(
+            template.statement,
+            template.logical,
+            [],
+            selections,
+            template,
+            tables,
+            ranges,
+            values,
+            cached=True,
+        )
 
     def fragment(self, prepared: PreparedPlan, pipelines: int) -> FragmentPlan:
         """How *prepared* splits over partitions (:func:`plan_fragments`;
@@ -318,14 +294,13 @@ class Planner:
 
         A plan-cache product: the template keeps the fragment plan its
         first split worked out — on a cold plan of the shape, which works
-        out the fixed slots for it — and later hits copy it with their
-        values.  A plan that recorded no template is split for itself.
+        out the fixed slots for it — and later hits take it with their
+        values.  A plan whose template is not cached is split for itself.
         """
+        if not prepared.recorded:
+            return plan_fragments(prepared, pipelines)
         template = prepared.template
-        if template is None:
-            template = prepared.recorded
-            if template is None:
-                return plan_fragments(prepared, pipelines)
+        if not prepared.cached:
             template = self.plan_cache.analyzed(template)
         shared = template.fragments.get(pipelines)
         if shared is None:
@@ -343,29 +318,23 @@ class Planner:
         sources: list,
     ) -> PhysicalOperator:
         """The merge pipeline over the per-partition results *sources*
-        (:func:`build_merge_plan`).  A partial merge generates kernels,
-        so a hit clones the merge prototype its fragment template keeps
-        (the first merge builds and keeps it); any other merge generates
-        nothing and is built, which costs no more than a clone."""
-        compiler = self.kernel_compiler()
-        shared = fragment.template if fragment.merge == "partial" else None
-        if shared is not None and shared.merge is not None:
-            try:
-                plan = shared.merge.clone(
-                    context, None, {}, fragment.values, (), compiler
-                )
-            except NonCompilableLiteral:
-                pass  # built below, as a cold plan of the statement is
-            else:
-                gather = plan
-                while not isinstance(gather, GatherExchange):
-                    (gather,) = gather.children()
-                gather.feed(sources)
-                return plan
-        gather = GatherExchange(context, schema, sources)
-        plan = build_merge_plan(context, fragment, gather, compiler)
-        if shared is not None and shared.merge is None and compiler.reusable:
-            shared.merge = Prototype.capture(plan, None, {}, shared.free)
+        (:func:`build_merge_plan`): an instance of the compiled merge its
+        fragment template keeps (the first merge compiles it)."""
+        shared = fragment.template
+        compiled = shared.merge if shared is not None else None
+        if compiled is None:
+            compiler = self.kernel_compiler()
+            bare = ExecutionContext(vector_size=context.vector_size)
+            compiled = build_merge_plan(
+                bare, fragment, GatherExchange(bare, schema), compiler
+            )
+            if shared is not None and compiler.reusable:
+                shared.merge = compiled
+        plan = compiled.instance(context, fragment.values)
+        gather = plan
+        while not isinstance(gather, GatherExchange):
+            (gather,) = gather.children()
+        gather.feed(sources)
         return plan
 
     def lower(
@@ -374,62 +343,37 @@ class Planner:
         context: ExecutionContext,
         partition_index: int | None = None,
     ) -> PhysicalOperator:
-        """Lower a prepared plan for one partition (or serially).
-
-        A plan-cache hit clones its template's prototype for this kind
-        of lowering; the first hit without one lowers the logical tree
-        and keeps the result as the prototype.
-        """
+        """Lower a prepared plan for one partition (or serially): an
+        instance of its template's compiled plan for this kind of
+        lowering, which the first lowering of that kind compiles."""
         with self.tracer.span("optimizer.lower", category="planner"):
             template = prepared.template
-            if template is None:
-                return self._lower(
-                    prepared, context, partition_index, self.kernel_compiler()
-                )
             key = prototype_key(
                 partition_index, context.vector_size, prepared.selections
             )
-            prototype = template.prototypes.get(key)
-            if prototype is not None:
-                try:
-                    return prototype.clone(
-                        context,
-                        partition_index,
-                        prepared.tables,
-                        prepared.values,
-                        prepared.ranges,
-                        self.kernel_compiler(),
-                    )
-                except NonCompilableLiteral:
-                    # a literal value with no compiled form: lower with
-                    # codegen, as a cold plan of this statement does
-                    return self._lower(
-                        prepared,
-                        context,
-                        partition_index,
-                        self.kernel_compiler(),
-                    )
-            compiler = self.kernel_compiler()
-            plan = self._lower(prepared, context, partition_index, compiler)
-            prepared.template = self.plan_cache.with_prototype(
-                template,
-                key,
-                Prototype.capture(
-                    plan, partition_index, prepared.tables, template.free
+            compiled = template.prototypes.get(key)
+            if compiled is None:
+                compiler = self.kernel_compiler()
+                lowering = Lowering(
+                    ExecutionContext(vector_size=context.vector_size),
+                    self.options,
+                    self.modeljoin_factory,
+                    compiler,
+                    partition_index=partition_index,
+                    variants={
+                        id(node): selection.chosen
+                        for node, selection in zip(
+                            template.model_joins, prepared.selections
+                        )
+                    },
                 )
-                if compiler.reusable
-                else None,
+                compiled = lowering.lower(template.logical)
+                if compiler.reusable:
+                    template.prototypes[key] = compiled
+            return compiled.instance(
+                context,
+                prepared.values,
+                prepared.tables,
+                prepared.ranges,
+                partition_index,
             )
-            return plan
-
-    def _lower(
-        self, prepared, context, partition_index, compiler
-    ) -> PhysicalOperator:
-        lowering = Lowering(
-            context,
-            self.options,
-            self.modeljoin_factory,
-            compiler,
-            partition_index=partition_index,
-        )
-        return lowering.lower(prepared.logical)

@@ -104,26 +104,27 @@ GOLDEN_KERNEL = """\
 # kernel: filter(1)+project(2)
 
 def kernel(arrays, n, cancel, params):
-    if cancel is not None:
-        cancel.check()
-    k0 = params[0]  # float64
-    c0 = arrays[0]
-    c1 = arrays[1]
-    # filter 1/1
-    m = (c0 > k0)
-    if not m.all():
-        kept = np.count_nonzero(m)
-        if kept == 0:
-            return None
-        sel = np.flatnonzero(m)
-        n = kept
-        c0 = c0[sel]
-        c1 = c1[sel]
-    # output x
-    o0 = (c0 * c1)
-    # output b
-    o1 = (c1).astype(np.dtype('int64'), copy=False)
-    return [o0, o1]
+    with np.errstate(over='ignore', divide='ignore', invalid='ignore'):
+        if cancel is not None:
+            cancel.check()
+        k0 = params[0]  # float64
+        c0 = arrays[0]
+        c1 = arrays[1]
+        # filter 1/1
+        m = (c0 > k0)
+        if not m.all():
+            kept = np.count_nonzero(m)
+            if kept == 0:
+                return None
+            sel = np.flatnonzero(m)
+            n = kept
+            c0 = c0[sel]
+            c1 = c1[sel]
+        # output x
+        o0 = (c0 * c1)
+        # output b
+        o1 = (c1).astype(np.dtype('int64'), copy=False)
+        return [o0, o1]
 """
 
 def two_column_schema() -> Schema:
@@ -424,6 +425,8 @@ class TestKernelCache:
         sql = "SELECT id, a + b AS s FROM t WHERE a > 0.0"
         table_db.execute(sql)
         hits_before = table_db.metrics.counter("compile.cache_hit").value
+        # planned cold again (a plan-cache hit would ask for no kernel)
+        table_db.plan_cache.clear()
         table_db.execute(sql)
         hits_after = table_db.metrics.counter("compile.cache_hit").value
         assert hits_after > hits_before
@@ -462,6 +465,7 @@ class TestKernelCache:
         first = cdb.execute(sql)
         hits = cdb.metrics.counter("compile.cache_hit")
         warm_hits = hits.value
+        cdb.plan_cache.clear()  # the repeat plans cold
         cdb.execute(sql)
         assert hits.value > warm_hits  # warm repeat hits the cache
         # Republish: new model table identity -> new source header ->
@@ -591,6 +595,8 @@ class TestLiteralParameters:
         hits = mixed_db.metrics.counter("compile.cache_hit")
         built = mixed_db.metrics.histogram("compile.time")
         hits_before, built_before = hits.value, built.count
+        # planned cold: a plan-cache hit would ask for no kernel at all
+        mixed_db.plan_cache.clear()
         mixed_db.execute(second)
         assert len(mixed_db.kernel_cache) == entries
         assert hits.value > hits_before

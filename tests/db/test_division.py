@@ -1,4 +1,6 @@
-"""``/`` is true division: ``x / 0`` is ±inf and ``0 / 0`` NaN, quietly.
+"""``/`` is true division: ``x / 0`` is ±inf and ``0 / 0`` NaN, quietly;
+float ``*``, ``+`` and ``-`` overflow to ±inf and ``0 * inf`` is NaN, as
+quietly.
 
 Each case runs compiled and interpreted with warnings turned into
 errors, so a NumPy ``RuntimeWarning`` escaping to the caller fails it.
@@ -25,6 +27,15 @@ CASES = {
         "(id - id) / (v - v)", {-3: math.nan, 5: math.nan}
     ),
 }
+#: float arithmetic over w(id INTEGER, x DOUBLE) holding (1, 0.0) and
+#: (2, 1e308): IEEE results
+FLOAT_CASES = {
+    "zero_times_inf_is_nan": ("x * 1e999", {1: math.nan, 2: math.inf}),
+    "product_overflows_to_inf": ("x * 10.0", {1: 0.0, 2: math.inf}),
+    "sum_overflows_to_inf": ("x + 1e308", {1: 1e308, 2: math.inf}),
+    "difference_to_minus_inf": ("x - 1e999", {1: -math.inf, 2: -math.inf}),
+    "negative_overflow": ("0.0 - x * 10.0", {1: 0.0, 2: -math.inf}),
+}
 MODES = ("compiled", "interpreted")
 
 
@@ -33,6 +44,8 @@ def db():
     database = repro.connect()
     database.execute("CREATE TABLE t (id INTEGER, v DOUBLE)")
     database.execute("INSERT INTO t VALUES (-3, -1.5), (0, 0.0), (5, 2.5)")
+    database.execute("CREATE TABLE w (id INTEGER, x DOUBLE)")
+    database.execute("INSERT INTO w VALUES (1, 0.0), (2, 1e308)")
     yield database
     database.close()
 
@@ -41,13 +54,26 @@ def db():
 @pytest.mark.parametrize("case", CASES)
 def test_division(db, case, compiled):
     expression, want = CASES[case]
+    check(db, f"SELECT id, {expression} AS q FROM t", want, compiled)
+
+
+@pytest.mark.parametrize("compiled", (True, False), ids=MODES)
+@pytest.mark.parametrize("case", FLOAT_CASES)
+def test_float_arithmetic(db, case, compiled):
+    expression, want = FLOAT_CASES[case]
+    check(db, f"SELECT id, {expression} AS q FROM w", want, compiled)
+
+
+def check(db, sql: str, want: dict, compiled: bool) -> None:
+    """*sql* run compiled or interpreted, warnings as errors, gives
+    *want* (NaN matches NaN)."""
     db.planner_options = dataclasses.replace(
         db.planner_options, use_compiled_kernels=compiled
     )
     db.plan_cache.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = db.execute(f"SELECT id, {expression} AS q FROM t")
+        result = db.execute(sql)
     got = dict(result.rows)
     for key, value in want.items():
         if math.isnan(value):
