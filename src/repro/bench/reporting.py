@@ -371,16 +371,24 @@ def format_metrics_summary(points: list[SweepPoint]) -> str:
     Each sweep cell runs on a fresh engine, so a cell's metrics
     snapshot covers the queries that cell issued; the summary reports
     the per-variant mean of the flattened metric values — the latency
-    percentiles (``query.latency.p50``/``p95``/``p99``), cache hit
-    ratio and morsel queue-wait percentiles of a typical cell.  Returns
-    "" when no point carries metrics.
+    percentiles (``query.latency.p50``/``p95``/``p99``), model-cache
+    hit ratio (of the cell's ``model-cache-hits``/``-misses``) and
+    morsel queue-wait percentiles of a typical cell.  Returns "" when no
+    point carries metrics.
     """
     by_variant: dict[str, dict[str, list[float]]] = defaultdict(
         lambda: defaultdict(list)
     )
     for point in points:
-        for name, value in point.extra.get("metrics", {}).items():
+        metrics = point.extra.get("metrics", {})
+        for name, value in metrics.items():
             by_variant[point.variant][name].append(float(value))
+        hits = metrics.get("model-cache-hits", 0)
+        lookups = hits + metrics.get("model-cache-misses", 0)
+        if lookups:
+            by_variant[point.variant]["model-cache.hit_ratio"].append(
+                hits / lookups
+            )
     if not by_variant:
         return ""
     shown = (
@@ -389,7 +397,7 @@ def format_metrics_summary(points: list[SweepPoint]) -> str:
         "query.latency.p99",
         "modeljoin.build_seconds.p50",
         "morsel.queue_wait.p95",
-        "cache.hit_ratio",
+        "model-cache.hit_ratio",
     )
     title = "Engine metrics (mean per variant over the sweep's cells)"
     lines = [title, "=" * len(title)]
@@ -404,7 +412,7 @@ def format_metrics_summary(points: list[SweepPoint]) -> str:
             samples = values.get(name)
             if not samples:
                 row.append("--".rjust(28))
-            elif name == "cache.hit_ratio":
+            elif name == "model-cache.hit_ratio":
                 mean = sum(samples) / len(samples)
                 row.append(f"{mean:.2f}".rjust(28))
             else:

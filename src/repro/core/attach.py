@@ -93,7 +93,7 @@ def connect(
     *slow_query_seconds* marks queries at or above that latency as
     slow in ``system.queries``; *query_log_capacity* sizes the
     in-memory query-log ring buffer; *collect_query_log=False*
-    disables per-query profile collection entirely (see
+    logs no statement and registers none as active (see
     docs/OBSERVABILITY.md).
 
     *shards* > 0 switches on multiprocess sharded execution: every

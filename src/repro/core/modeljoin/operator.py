@@ -338,31 +338,17 @@ class ModelJoinOperator(UnaryOperator):
         if self.model_cache is not None:
             cache_key = self._cache_key()
             built = self.model_cache.get(cache_key)
-        metrics = self.context.metrics
         if built is not None:
             self.context.counters.increment("model-cache-hits")
-            self._record_cache_metrics(metrics, hit=True)
             return ("hit", built, cache_key)
         if self.model_cache is not None:
             self.context.counters.increment("model-cache-misses")
-            self._record_cache_metrics(metrics, hit=False)
         builder = ModelBuilder(
             input_width=self.metadata.input_width,
             layers=list(self.metadata.layers),
             parties=self.context.parallelism,
         )
         return ("miss", builder, cache_key)
-
-    @staticmethod
-    def _record_cache_metrics(metrics, hit: bool) -> None:
-        """Engine-lifetime cache accounting: hit/miss counters plus the
-        cumulative ``cache.hit_ratio`` gauge."""
-        if metrics is None:
-            return
-        metrics.counter("cache.hits" if hit else "cache.misses").increment()
-        hits = metrics.counter("cache.hits").value
-        misses = metrics.counter("cache.misses").value
-        metrics.gauge("cache.hit_ratio").set(hits / (hits + misses))
 
     def _my_model_partitions(self) -> list[int]:
         """Model-table partitions this pipeline parses (round-robin)."""
@@ -607,13 +593,11 @@ class ModelJoinOperator(UnaryOperator):
     def _note_fallback(
         self, kind: str, note: str, error: Exception | None
     ) -> None:
-        """Surface an engaged fallback: counters, metrics, trace span."""
+        """Surface an engaged fallback: query counters, trace span."""
         self.fallbacks.append(note)
-        self.context.counters.increment("fallback.engaged")
-        metrics = self.context.metrics
-        if metrics is not None:
-            metrics.counter("fallback.engaged").increment()
-            metrics.counter(f"fallback.{kind}").increment()
+        counters = self.context.counters
+        counters.increment("fallback.engaged")
+        counters.increment(f"fallback.{kind}")
         tracer = self.context.tracer
         if tracer.enabled:
             args = {"kind": kind, "note": note}

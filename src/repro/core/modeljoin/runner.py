@@ -74,8 +74,7 @@ def run_inference(
         # The ModelJoin build barrier waits for context.parallelism
         # pipelines: the ones that actually run.
         context.parallelism = pipelines
-        if query.collector is not None:
-            query.collector.parallel = pipelines > 1
+        query.profile.parallel = pipelines > 1
 
         def lower(index: int) -> PhysicalOperator:
             scan = TableScan(

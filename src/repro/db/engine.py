@@ -22,7 +22,6 @@ from repro.db.compile import CompiledKernelCache
 from repro.db.introspect import (
     ActiveQueryRegistry,
     QueryLog,
-    ResourceProfile,
     SystemSchema,
     metrics_to_prometheus,
 )
@@ -233,8 +232,8 @@ class Database:
         #: query log and counted by the ``query.slow`` metric (None =
         #: no slow-query marking)
         self.slow_query_seconds = slow_query_seconds
-        #: False skips per-query profile collection and query logging
-        #: entirely (the observe bench measures its overhead)
+        #: False: statements get no query id, no active-query entry and
+        #: no log row (the observe bench measures what that saves)
         self.collect_query_log = collect_query_log
         #: named circuit breakers, rendered by ``system.breakers``
         self.breakers = {"compile": self.compile_breaker}
@@ -354,7 +353,7 @@ class Database:
             if profile.cancellation is not None:
                 profile.cancellation.cancel("database closing")
         deadline = time.perf_counter() + max(drain_seconds, 0.0)
-        while self.active_queries.snapshot():
+        while len(self.active_queries):
             if time.perf_counter() >= deadline:
                 break
             time.sleep(0.005)
@@ -452,11 +451,12 @@ class Database:
     def run_query(self, query: QueryContext, body) -> Result:
         """Run ``body(context, planner) -> Result`` as one logged query.
 
-        The one lifecycle every statement kind shares: open the
-        resource profile and register it as active, run an attempt
-        (fresh :class:`ExecutionContext`/:class:`QueryProfile`, the
-        ``query`` span, *body*), retry once interpreted if a generated
-        kernel fails, then finalize the profile, land the
+        The one lifecycle every statement kind shares: stamp the
+        statement's :class:`QueryProfile` and register it as active,
+        run an attempt (a fresh :class:`ExecutionContext` sharing the
+        profile's resources, the ``query`` span, *body*), retry once
+        interpreted if a generated kernel fails, then fold the
+        profile's counters into the engine metrics, land the
         ``system.queries`` row and deregister.  Nested queries (the
         source of a ``CREATE MODEL``, the SELECT of an ``INSERT``) run
         inside the parent's *body* on the parent's context, so a client
@@ -485,8 +485,10 @@ class Database:
                         "detail": str(error),
                     },
                 )
-                if query.collector is not None:
-                    query.collector.fallback = True
+                # the logged and counted resources are those of the
+                # attempt that produced (or failed to produce) the result
+                query.profile.fallback = True
+                query.profile.discard_attempt()
                 result = self._attempt(query, body, use_compiled=False)
         except Exception as error:
             # Failed queries still land a log row, with the error's
@@ -496,8 +498,7 @@ class Database:
         except BaseException:
             # KeyboardInterrupt/SystemExit: don't log a row, but never
             # leave a ghost entry in the active-query registry.
-            if query.collector is not None:
-                self.active_queries.deregister(query.collector.query_id)
+            self.active_queries.deregister(query.profile.query_id)
             raise
         self._finish(query)
         return result
@@ -509,22 +510,19 @@ class Database:
         before execution (shed, expired or cancelled while queued):
         the lifecycle's two ends with no attempt in between."""
         self._begin(query)
-        self._finish(query, error)
+        self._finish(query, error, executed=False)
 
     def _begin(self, query: QueryContext) -> None:
-        """Open the resource profile and register it as an active query
-        (which also exposes the token, so close()/session teardown can
-        cancel in-flight queries through the registry)."""
-        if not self.collect_query_log:
-            return
-        query.collector = ResourceProfile(
-            query_id=self.query_log.allocate_query_id(),
-            sql=query.sql,
-            session_id=query.session_id,
-            tenant=query.tenant,
-            cancellation=query.cancellation,
-        )
-        self.active_queries.register(query.collector)
+        """Stamp the statement's profile and register it as an active
+        query (which also exposes the token, so close()/session
+        teardown can cancel in-flight queries through the registry)."""
+        profile = query.profile
+        profile.start()
+        profile.sql = query.sql
+        profile.cancellation = query.cancellation
+        if self.collect_query_log:
+            profile.query_id = self.query_log.allocate_query_id()
+            self.active_queries.register(profile)
 
     def _attempt(
         self,
@@ -534,25 +532,19 @@ class Database:
     ) -> Result:
         """One attempt of *query*: a fresh execution context wired to the
         engine's tracer and metrics (operator timing switches on with
-        the tracer), ``query.profile`` viewing its resources, and *body*
-        under the ``query`` span."""
+        the tracer) and to the profile's resources, and *body* under
+        the ``query`` span."""
+        profile = query.profile
         context = ExecutionContext(
             vector_size=self.vector_size,
+            memory=profile.memory,
+            stopwatch=profile.stopwatch,
+            counters=profile.counters,
             parallelism=self.parallelism if query.parallel else 1,
             tracer=self.tracer,
             metrics=self.metrics,
             operator_timing=self.tracer.enabled or query.analyze,
             query=query,
-        )
-        if query.collector is not None:
-            # A fallback re-execution rebinds the collector to the new
-            # attempt's counters: the logged resources are those of the
-            # attempt that produced (or failed to produce) the result.
-            query.collector.counters = context.counters
-        profile = query.profile = QueryProfile(
-            memory=context.memory,
-            stopwatch=context.stopwatch,
-            counters=context.counters,
         )
         args = {"parallel": context.parallelism > 1, "analyze": query.analyze}
         started = time.perf_counter()
@@ -568,47 +560,48 @@ class Database:
         return result
 
     def _finish(
-        self, query: QueryContext, error: BaseException | None = None
+        self,
+        query: QueryContext,
+        error: BaseException | None = None,
+        executed: bool = True,
     ) -> None:
         """Feed the engine metrics and append the query-log row.
 
-        An executed statement counts in ``query.count`` / ``query.rows``
-        / ``query.latency``, and memory-release underflows surface as
-        the ``memory.release_underflow`` profile counter and metric.
+        An executed statement adds its counters (memory-release
+        underflows among them, as ``memory.release_underflow``) to the
+        engine metrics — the per-worker and per-shard breakdown keys
+        excepted — and counts in ``query.count`` / ``query.rows`` /
+        ``query.latency``.
         """
-        rows_returned = 0
         profile = query.profile
-        if profile is not None:  # the statement executed
-            rows_returned = profile.rows_returned
-            metrics = self.metrics
+        profile.finish(error)
+        metrics = self.metrics
+        if executed:
             underflows = profile.memory.underflows
             if underflows:
                 profile.counters.increment(
                     "memory.release_underflow", underflows
                 )
-                metrics.counter("memory.release_underflow").increment(
-                    underflows
-                )
+            for name, value in profile.counters.totals().items():
+                metrics.counter(name).increment(value)
             metrics.histogram("query.latency").observe(profile.wall_seconds)
             metrics.counter("query.count").increment()
-            metrics.counter("query.rows").increment(rows_returned)
+            metrics.counter("query.rows").increment(profile.rows_returned)
             self.last_profile = profile
             if isinstance(error, QueryTimeoutError):
                 metrics.counter("query.timeouts").increment()
-        collector = query.collector
-        if collector is None:
+        if not self.collect_query_log:
             return
         try:
-            collector.finish(error=error, rows_returned=rows_returned)
             if (
                 self.slow_query_seconds is not None
-                and collector.latency_seconds >= self.slow_query_seconds
+                and profile.latency_seconds >= self.slow_query_seconds
             ):
-                collector.slow = True
-                self.metrics.counter("query.slow").increment()
-            self.query_log.record(collector.to_entry())
+                profile.slow = True
+                metrics.counter("query.slow").increment()
+            self.query_log.record(profile.to_entry())
         finally:
-            self.active_queries.deregister(collector.query_id)
+            self.active_queries.deregister(profile.query_id)
 
     def __enter__(self) -> "Database":
         return self
@@ -991,12 +984,9 @@ class Database:
         """
         query = context.query
         prepared = planner.prepare(statement)
-        if query.collector is not None:
-            query.collector.plan_cached = prepared.cached
-            if prepared.selections:
-                query.collector.modeljoin_variant = (
-                    prepared.selections[0].chosen
-                )
+        query.profile.plan_cached = prepared.cached
+        if prepared.selections:
+            query.profile.modeljoin_variant = prepared.selections[0].chosen
         fragment = None
         if self.sharding is not None or context.parallelism > 1:
             fragment = planner.fragment(prepared, context.parallelism)
@@ -1010,8 +1000,7 @@ class Database:
             if query.analyze:
                 query.plans = [plan]
             return Result(plan.schema, list(plan.batches()), query.profile)
-        if query.collector is not None:
-            query.collector.parallel = fragment.partitions > 1
+        query.profile.parallel = fragment.partitions > 1
         if fragment.sharded:
             if query.analyze:
                 raise PlanError(

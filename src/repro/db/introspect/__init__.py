@@ -10,9 +10,10 @@ aggregates, ORDER BY, and EXPLAIN (see docs/OBSERVABILITY.md).
 
 Modules:
 
-- :mod:`~repro.db.introspect.collector` — the per-query
-  :class:`ResourceProfile` threaded through the execution context and
-  the :class:`ActiveQueryRegistry` behind ``system.active_queries``.
+- :mod:`~repro.db.introspect.collector` — the
+  :class:`ActiveQueryRegistry` behind ``system.active_queries``, which
+  holds each running statement's
+  :class:`~repro.db.profiler.QueryProfile`.
 - :mod:`~repro.db.introspect.log` — the :class:`QueryLog` ring buffer
   with crash-safe JSONL persistence (``system.queries``).
 - :mod:`~repro.db.introspect.tables` — the :class:`SystemSchema`
@@ -21,10 +22,7 @@ Modules:
   for ``Database.export_metrics_text()``.
 """
 
-from repro.db.introspect.collector import (
-    ActiveQueryRegistry,
-    ResourceProfile,
-)
+from repro.db.introspect.collector import ActiveQueryRegistry
 from repro.db.introspect.log import QueryLog
 from repro.db.introspect.prometheus import (
     metrics_to_prometheus,
@@ -35,7 +33,6 @@ from repro.db.introspect.tables import SystemSchema
 __all__ = [
     "ActiveQueryRegistry",
     "QueryLog",
-    "ResourceProfile",
     "SystemSchema",
     "metrics_to_prometheus",
     "parse_prometheus_text",

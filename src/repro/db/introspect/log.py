@@ -1,7 +1,7 @@
 """The persistent ring-buffer query log behind ``system.queries``.
 
 In memory the log is a bounded deque of plain row dicts (see
-``collector.ENTRY_FIELDS``).  For a persistent database every recorded
+``profiler.ENTRY_FIELDS``).  For a persistent database every recorded
 row is additionally appended to ``query_log.jsonl`` at the storage root
 and flushed immediately — one write per finished query, no checkpoint
 required — so the history survives a crash-kill and

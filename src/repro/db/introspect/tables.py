@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from repro.db.introspect.collector import ENTRY_FIELDS
+from repro.db.profiler import ENTRY_FIELDS
 from repro.db.schema import Column, Schema
 from repro.db.table import Table
 from repro.db.types import SqlType

@@ -30,7 +30,6 @@ from repro.errors import ExecutionError
 
 if TYPE_CHECKING:
     from repro.db.catalog import Catalog
-    from repro.db.introspect.collector import ResourceProfile
 
 
 @dataclass
@@ -55,19 +54,14 @@ class QueryContext:
     #: operator ``next()`` loops, per morsel in the scan loop and per
     #: kernel on the device (None = the query has no deadline)
     cancellation: CancellationToken | None = None
-    #: serving-session identity ("" = direct single-caller use)
-    session_id: str = ""
-    tenant: str = ""
     #: the caller asked for one pipeline per partition
     parallel: bool = False
     #: EXPLAIN ANALYZE: time every operator and keep the lowered plans
     analyze: bool = False
-    #: resource profile behind the ``system.queries`` row, opened by
-    #: the lifecycle — None when query-log collection is disabled
-    collector: ResourceProfile | None = None
-    #: profile of the latest execution attempt (a compile-fallback
-    #: retry replaces it)
-    profile: QueryProfile | None = None
+    #: the statement's record: identity (the serving layer sets the
+    #: session and tenant), the latest attempt's resources and
+    #: counters, the ``system.queries`` row
+    profile: QueryProfile = field(default_factory=QueryProfile)
     #: with *analyze*: the executed per-pipeline plans, and the
     #: post-merge ORDER BY/LIMIT plan of a parallel query
     plans: list = field(default_factory=list)
@@ -105,8 +99,8 @@ class ExecutionContext:
     #: span id the partition pipelines parent under (cross-thread edge
     #: from the coordinator's query span to the workers)
     trace_parent: int | None = None
-    #: the statement this attempt belongs to (token, identity, resource
-    #: collector); a bare context gets an anonymous one
+    #: the statement this attempt belongs to (token, identity, profile);
+    #: a bare context gets an anonymous one
     query: QueryContext = field(default_factory=QueryContext)
 
 

@@ -204,15 +204,14 @@ class TableScan(PhysicalOperator):
     def _pruned(self, blocks: list, keep) -> None:
         """Count the *blocks* their zone maps ruled out (*keep* False)."""
         self.blocks_pruned += len(blocks) - int(np.count_nonzero(keep))
-        metrics = self.context.metrics
-        if metrics is not None and self.table.disk_resident:
+        if self.table.disk_resident:
             disk = sum(
                 1
                 for block, kept in zip(blocks, keep)
                 if not kept and getattr(block, "is_disk", False)
             )
             if disk:
-                metrics.counter("storage.blocks_skipped").increment(disk)
+                self.context.counters.increment("storage.blocks_skipped", disk)
 
     def _produce(self) -> Iterator[VectorBatch]:
         if self.morsel_source is not None:
@@ -322,9 +321,9 @@ class TableScan(PhysicalOperator):
 
     def close(self) -> None:
         # Fold this scan's totals into the per-query profile counters
-        # (the introspection layer's ResourceProfile reads them at
-        # query end; retried pipelines re-scan, so re-counting their
-        # fresh plans is the honest accounting).
+        # (the ``system.queries`` row reads them at query end; retried
+        # pipelines re-scan, so re-counting their fresh plans is the
+        # honest accounting).
         counters = self.context.counters
         if self.rows_emitted:
             counters.increment("scan.rows_read", self.rows_emitted)

@@ -384,9 +384,7 @@ def attach_morsel_sources(
     for index, scans in enumerate(partitioned_scans):
         scans[0].morsel_source = source
         scans[0].morsel_owner = index
-    collector = partitioned_scans[0][0].context.query.collector
-    if collector is not None:
-        collector.morsels_total = len(source)
+    partitioned_scans[0][0].context.query.profile.morsels_total = len(source)
     return [source]
 
 
@@ -501,7 +499,7 @@ def run_plans(
     (and rewired to the shared morsel queue), and the round re-runs on
     rotated workers.  ``plans`` is updated in place with the retry
     instances so post-run stats stay inspectable.  Retry rounds bump
-    the ``query.retries`` / ``worker.crashes`` metrics and emit
+    the ``query.retries`` / ``worker.crashes`` counters and emit
     ``retry``-category marker spans.
     """
     if not plans:
@@ -510,7 +508,6 @@ def run_plans(
     source = sources[0] if sources else None
     context = plans[0].context
     tracer = context.tracer
-    metrics = context.metrics
     attempt = 0
 
     def run_one(index: int) -> list[VectorBatch]:
@@ -554,8 +551,8 @@ def run_plans(
             for outcome in failed.values()
             if not isinstance(outcome.error, QueryTimeoutError)
         )
-        if crashes and metrics is not None:
-            metrics.counter("worker.crashes").increment(crashes)
+        if crashes:
+            context.counters.increment("worker.crashes", crashes)
         can_retry = (
             plan_builder is not None
             and attempt < retries
@@ -564,8 +561,6 @@ def run_plans(
         if not can_retry:
             _raise_pipeline_failure(failed, attempt + 1)
         attempt += 1
-        if metrics is not None:
-            metrics.counter("query.retries").increment(len(failed))
         context.counters.increment("query.retries", len(failed))
         if tracer.enabled:
             tracer.instant(

@@ -1,4 +1,4 @@
-"""Engine-side resource accounting.
+"""One statement's record: its resources, its counters, its log row.
 
 The paper's Table 3 reports the *peak memory of the database engine*
 during model inference.  A C++ engine measures RSS; in Python, process
@@ -8,7 +8,13 @@ materialized intermediates, model weight matrices.  Operators register
 allocations/releases with the :class:`MemoryAccountant` attached to the
 execution context; the peak over a query is the reported number.
 
-A lightweight :class:`Stopwatch` is also provided for phase timing.
+Each statement has one :class:`QueryProfile`: the engine's query
+lifecycle stamps its identity when the statement starts, each execution
+attempt gives it the attempt's memory accountant, :class:`Stopwatch`
+and :class:`ProfileCounters`, and the finished record is the
+``system.queries`` row (:meth:`QueryProfile.to_entry`).  The counters
+are the only place an in-query event is counted: the lifecycle adds a
+finished statement's totals to the engine's metrics registry once.
 """
 
 from __future__ import annotations
@@ -16,6 +22,70 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+
+from repro.errors import (
+    QueryCancelledError,
+    QueryRejectedError,
+    QueryTimeoutError,
+)
+
+#: the attributes that make up a ``system.queries`` log row, in column
+#: order (shared with the virtual-table provider and the JSONL format)
+ENTRY_FIELDS = (
+    "query_id",
+    "sql",
+    "status",
+    "error_class",
+    "started_at",
+    "latency_seconds",
+    "slow",
+    "rows_returned",
+    "rows_read",
+    "bytes_read",
+    "blocks_scanned",
+    "blocks_skipped",
+    "morsels",
+    "cache_hits",
+    "cache_misses",
+    "retries",
+    "parallel",
+    "compiled",
+    "fallback",
+    "modeljoin_variant",
+    # appended later so older JSONL rows (without them) still load:
+    # the restore path reads entries with .get(name, default)
+    "session_id",
+    "tenant",
+    "plan_cached",
+)
+
+#: log-row columns read from the statement's counters
+COUNTER_COLUMNS = {
+    "rows_read": "scan.rows_read",
+    "bytes_read": "scan.bytes_read",
+    "blocks_scanned": "scan.blocks_scanned",
+    "blocks_skipped": "scan.blocks_skipped",
+    "morsels": "morsels",
+    "cache_hits": "model-cache-hits",
+    "cache_misses": "model-cache-misses",
+    "retries": "query.retries",
+    # a bool in the row: at least one generated kernel executed
+    "compiled": "compile.fused_pipelines",
+}
+
+
+def status_of(error: BaseException | None) -> str:
+    """The ``system.queries`` status a statement outcome maps to."""
+    if error is None:
+        return "ok"
+    if isinstance(error, QueryRejectedError):
+        return "rejected"
+    if isinstance(error, QueryCancelledError):
+        # before QueryTimeoutError: cancelled is its subclass
+        return "cancelled"
+    if isinstance(error, QueryTimeoutError):
+        return "timeout"
+    return "error"
 
 
 class MemoryAccountant:
@@ -74,10 +144,6 @@ class MemoryAccountant:
             self.by_category.clear()
             self.underflows = 0
 
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self.by_category)
-
 
 @dataclass
 class Stopwatch:
@@ -101,18 +167,15 @@ class Stopwatch:
         with self._lock:
             self.phases[name] = self.phases.get(name, 0.0) + seconds
 
-    def total(self) -> float:
-        with self._lock:
-            return sum(self.phases.values())
-
 
 class ProfileCounters:
     """Thread-safe named event counters (cache hits, morsels, ...).
 
     Operators increment counters through the execution context; the
     query profile exposes the final values.  Counter names are free-form
-    dotted strings — per-worker breakdowns use ``name.worker-i`` keys
-    next to the aggregate ``name`` key.
+    dotted strings — per-worker and per-shard breakdowns use
+    ``name.worker-i`` / ``name.shard-i`` keys next to the aggregate
+    ``name`` key.
     """
 
     def __init__(self) -> None:
@@ -131,6 +194,14 @@ class ProfileCounters:
         with self._lock:
             return dict(self._counts)
 
+    def totals(self) -> dict[str, int]:
+        """The aggregate counters, without their breakdown keys."""
+        return {
+            name: value
+            for name, value in self.snapshot().items()
+            if ".worker-" not in name and ".shard-" not in name
+        }
+
 
 class _Measurement:
     def __init__(self, stopwatch: Stopwatch, name: str):
@@ -148,14 +219,93 @@ class _Measurement:
 
 @dataclass
 class QueryProfile:
-    """Resource usage of one executed query."""
+    """One statement: who ran it, what it used and how it ended.
 
-    wall_seconds: float = 0.0
+    The lifecycle stamps the identity in ``Database._begin``; with
+    query-log collection on, the record is also registered in
+    ``system.active_queries`` while it runs and becomes a
+    ``system.queries`` row when it finishes.  *memory*, *stopwatch* and
+    *counters* are the latest execution attempt's: a compile-fallback
+    retry starts them afresh (:meth:`discard_attempt`).
+    """
+
+    sql: str = ""
+    #: ``system.queries`` id (-1: not registered, no row)
+    query_id: int = -1
+    #: serving-session identity ("" = direct single-caller use)
+    session_id: str = ""
+    tenant: str = ""
+    #: the query's cooperative cancellation token (if any); lets
+    #: ``Database.close()`` and session teardown cancel in-flight
+    #: queries found through the active-query registry
+    cancellation: object | None = field(default=None, repr=False)
+    #: wall-clock start (unix seconds; latency uses perf_counter)
+    started_at: float = 0.0
     memory: MemoryAccountant = field(default_factory=MemoryAccountant)
     stopwatch: Stopwatch = field(default_factory=Stopwatch)
     counters: ProfileCounters = field(default_factory=ProfileCounters)
+    #: wall time of the latest attempt
+    wall_seconds: float = 0.0
     rows_returned: int = 0
+    parallel: bool = False
+    #: a generated kernel failed and the query re-ran interpreted
+    fallback: bool = False
+    #: the optimizer's chosen ModelJoin execution variant ("" = none)
+    modeljoin_variant: str = ""
+    #: the plan came from a cached template (no parse, bind or codegen)
+    plan_cached: bool = False
+    #: total morsels of the shared queue (0 = not morsel-driven)
+    morsels_total: int = 0
+    slow: bool = False
+    status: str = "running"
+    error_class: str = ""
+    #: start to finish, every attempt included
+    latency_seconds: float = 0.0
+    _started_perf: float = field(default=0.0, repr=False)
 
     @property
     def peak_memory_bytes(self) -> int:
         return self.memory.peak_bytes
+
+    def start(self) -> None:
+        self.started_at = time.time()
+        self._started_perf = time.perf_counter()
+
+    def discard_attempt(self) -> None:
+        """Drop a failed attempt's resources before the next one."""
+        self.memory = MemoryAccountant()
+        self.stopwatch = Stopwatch()
+        self.counters = ProfileCounters()
+
+    @property
+    def elapsed_seconds(self) -> float:
+        """Wall time since the query started (live reads while running,
+        frozen to the final latency once finished)."""
+        if self.status != "running":
+            return self.latency_seconds
+        return time.perf_counter() - self._started_perf
+
+    def morsels_completed(self) -> int:
+        """Live morsel progress (0 until the scan loop starts)."""
+        return self.counters.get("morsels")
+
+    def finish(self, error: BaseException | None = None) -> None:
+        """Freeze the outcome: status, error class and latency."""
+        self.latency_seconds = time.perf_counter() - self._started_perf
+        self.status = status_of(error)
+        if error is not None:
+            self.error_class = type(error).__name__
+
+    def to_entry(self) -> dict:
+        """The finished record as a plain JSON-serializable row."""
+        counts = self.counters.snapshot()
+        entry = {
+            name: (
+                int(counts.get(COUNTER_COLUMNS[name], 0))
+                if name in COUNTER_COLUMNS
+                else getattr(self, name)
+            )
+            for name in ENTRY_FIELDS
+        }
+        entry["compiled"] = entry["compiled"] > 0
+        return entry

@@ -30,8 +30,8 @@ import threading
 import time
 
 from repro.db import faults
-from repro.db.introspect.collector import status_of
 from repro.db.operators import QueryContext
+from repro.db.profiler import QueryProfile, status_of
 from repro.db.resilience import CancellationToken
 from repro.errors import InjectedFaultError, QueryRejectedError
 
@@ -72,9 +72,10 @@ class AdmittedQuery:
             sql=self.sql.strip(),
             catalog=catalog,
             cancellation=self.token,
-            session_id=self.session.session_id,
-            tenant=self.tenant,
             parallel=self.parallel,
+            profile=QueryProfile(
+                session_id=self.session.session_id, tenant=self.tenant
+            ),
         )
 
     def remaining_seconds(self) -> float:

@@ -642,8 +642,6 @@ class ShardCoordinator:
             else:
                 sources.append([])
             for name, value in response.counters.items():
-                if "worker-" in name:
-                    continue
                 context.counters.increment(name, value)
                 context.counters.increment(f"{name}.shard-{shard_id}", value)
         return schema, sources

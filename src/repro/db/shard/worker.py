@@ -150,18 +150,6 @@ class ShardWorker:
                 timeout_seconds=message.timeout_seconds,
             ),
         )
-        counters = (
-            result.profile.counters.snapshot()
-            if result.profile is not None
-            else {}
-        )
-        # Fold the fragment's scan counters into the worker's lifetime
-        # metrics so StatsRequest (-> system.shards) sees cumulative
-        # per-shard scan.* values across queries.
-        for name, value in counters.items():
-            if "worker-" in name:
-                continue
-            self.database.metrics.counter(name).increment(value)
         if result.batches:
             merged = concat_batches(result.schema, result.batches)
             arrays = tuple(merged.arrays)
@@ -171,7 +159,7 @@ class ShardWorker:
             schema=result.schema,
             arrays=arrays,
             row_count=result.row_count,
-            counters=counters,
+            counters=result.profile.counters.totals(),
             wall_seconds=time.perf_counter() - started,
         )
 

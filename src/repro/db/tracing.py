@@ -18,10 +18,12 @@ observability layer serving-oriented systems treat as table stakes:
 
 * :class:`MetricsRegistry` — engine-lifetime counters, gauges and
   histograms (``query.latency``, ``modeljoin.build_seconds``,
-  ``cache.hit_ratio``, ``morsel.queue_wait``) aggregating *across*
-  queries, which the per-query :class:`~repro.db.profiler.QueryProfile`
-  cannot do.  Histograms report p50/p95/p99 over a bounded,
-  deterministically down-sampled reservoir.
+  ``morsel.queue_wait``) aggregating *across* queries.  A statement's
+  own events are counted once, on its
+  :class:`~repro.db.profiler.QueryProfile`; the query lifecycle adds
+  them to the registry when the statement finishes.  Histograms report
+  p50/p95/p99 over a bounded, deterministically down-sampled
+  reservoir.
 
 * Chrome-trace export — :meth:`Tracer.chrome_trace` renders the spans
   as ``traceEvents`` complete events (``ph``/``ts``/``dur``), loadable
@@ -29,7 +31,7 @@ observability layer serving-oriented systems treat as table stakes:
   timeline of 12 parallel partition pipelines is actually inspectable.
 
 Metric naming convention: lowercase dotted paths, ``subsystem.measure``
-(``query.latency``, ``cache.hits``, ``memory.release_underflow``).
+(``query.latency``, ``scan.rows_read``, ``memory.release_underflow``).
 """
 
 from __future__ import annotations
@@ -376,7 +378,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-value-wins measurement (e.g. ``cache.hit_ratio``)."""
+    """A last-value-wins measurement (e.g. ``server.queue_depth``)."""
 
     __slots__ = ("_lock", "value")
 
@@ -467,8 +469,8 @@ class MetricsRegistry:
 
     Owned by the :class:`~repro.db.engine.Database` and shared by every
     query's execution context, so values aggregate across queries —
-    latency percentiles, cumulative cache hit ratios — where a
-    :class:`~repro.db.profiler.QueryProfile` resets per query.
+    latency percentiles, each statement's folded counters — where a
+    :class:`~repro.db.profiler.QueryProfile` holds one statement.
     Accessors get-or-create; asking for an existing name with a
     different metric type raises ``ValueError``.
     """

@@ -14,6 +14,7 @@ from repro.bench.harness import (
 from repro.bench.reporting import (
     format_bytes,
     format_counter_summary,
+    format_metrics_summary,
     format_qualitative_table,
     format_runtime_series,
     format_seconds,
@@ -235,6 +236,38 @@ class TestReporting:
         assert "morsels" in text
         assert "8" in text  # morsels summed across points
         assert "1.0 MB" in text  # bytes rendered human-readable
+
+    def test_metrics_summary_derives_the_model_cache_hit_ratio(self):
+        def point(width, metrics):
+            return SweepPoint(
+                "fig8",
+                "ModelJoin_CPU",
+                100,
+                width,
+                2,
+                0.1,
+                extra={"metrics": metrics},
+            )
+
+        points = [
+            point(8, {"query.latency.p50": 0.002, "model-cache-misses": 1}),
+            point(
+                16,
+                {
+                    "query.latency.p50": 0.004,
+                    "model-cache-hits": 3,
+                    "model-cache-misses": 1,
+                },
+            ),
+        ]
+        header, row = format_metrics_summary(points).splitlines()[2:]
+        assert "model-cache.hit_ratio" in header
+        cells = row.split()
+        assert cells[0] == "ModelJoin_CPU"
+        # mean of the cells' ratios 0/1 and 3/4; no build -> "--"
+        assert cells[-1] == "0.38"
+        assert cells[-3] == "--"
+        assert format_metrics_summary([point(8, {})]) == ""
 
     def test_counter_summary_empty_without_counters(self):
         assert format_counter_summary(self._points()) == ""

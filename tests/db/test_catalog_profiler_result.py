@@ -84,7 +84,7 @@ class TestMemoryAccountant:
         accountant.allocate(20, "b")
         assert accountant.peak_bytes == 150
         assert accountant.current_bytes == 70
-        assert accountant.snapshot() == {"a": 0, "b": 70}
+        assert accountant.by_category == {"a": 0, "b": 70}
 
     def test_negative_rejected(self):
         accountant = MemoryAccountant()
@@ -98,7 +98,7 @@ class TestMemoryAccountant:
         accountant.allocate(10)
         accountant.reset()
         assert accountant.peak_bytes == 0
-        assert accountant.snapshot() == {}
+        assert accountant.by_category == {}
 
     def test_thread_safety(self):
         accountant = MemoryAccountant()
@@ -123,10 +123,8 @@ class TestStopwatch:
             sum(range(1000))
         with stopwatch.measure("phase"):
             sum(range(1000))
+        assert list(stopwatch.phases) == ["phase"]
         assert stopwatch.phases["phase"] > 0
-        assert stopwatch.total() == pytest.approx(
-            stopwatch.phases["phase"]
-        )
 
     def test_profile_peak_property(self):
         profile = QueryProfile()

@@ -9,13 +9,18 @@ and outcome (ok, typed error, deadline miss, compile-fallback retry)
 runs inside the engine's one query lifecycle, so it must leave exactly
 one ``system.queries`` row carrying the caller's identity, an empty
 active-query registry, ``query.count`` + 1, a fresh ``last_profile``
-and no pinned storage generations.
+and no pinned storage generations.  Each in-query event is counted
+once, on the statement's profile: the engine metrics registry gains
+exactly the profile's counters (their per-worker and per-shard
+breakdown keys aside), a compile fallback's discarded attempt included
+in neither.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,7 @@ import pytest
 
 import repro
 from repro.core.modeljoin.runner import NativeModelJoin
+from repro.core.registry import publish_model
 from repro.core.runtime_api.runner import RuntimeApiModelJoin
 from repro.db import faults
 from repro.db.faults import FaultInjector
@@ -32,6 +38,11 @@ from repro.db.udf import PythonUdf
 from repro.errors import QueryCancelledError, QueryTimeoutError, ReproError
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
+from repro.workloads.iris import load_iris_table
+from repro.workloads.models import make_dense_model
+
+# runs again under `python -X dev` with ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
 
 ROWS = 96
 SERVED_TIMEOUT = 0.5
@@ -80,6 +91,9 @@ STATEMENTS = {
     # a direct runner's input columns (it scores ``pts`` with ``clf``)
     "runner": {"ok": "x1, x2", "error": "x1, nope"},
 }
+
+#: a per-worker or per-shard key next to its aggregate counter
+BREAKDOWN = re.compile(r"\.(worker|shard)-\d+$")
 
 #: direct runner -> the statement text of its ``system.queries`` row
 RUNNER_LABELS = {
@@ -177,6 +191,23 @@ def _runner(name, database):
     return RuntimeApiModelJoin(database, model)
 
 
+def _registry_counters(database):
+    return {
+        name: rendered["value"]
+        for name, rendered in database.metrics.snapshot().items()
+        if rendered["type"] == "counter"
+    }
+
+
+def _registry_delta(before, after):
+    """The counters that moved between two registry readings."""
+    return {
+        name: value - before.get(name, 0)
+        for name, value in after.items()
+        if value != before.get(name, 0)
+    }
+
+
 def _run(entry, sql, timeout, database, session, client):
     """Issue *sql* through *entry*."""
     if entry.kind == "runner":
@@ -227,6 +258,7 @@ def test_one_lifecycle(entry, variant, request):
         timeout = SERVED_TIMEOUT if entry.served else 0.0
     rows_before = len(database.query_log.entries())
     count_before = database.metrics.counter("query.count").value
+    registry_before = _registry_counters(database)
     profile_before = database.last_profile
     sink_before = (
         database.table("sink").row_count if entry.kind == "insert_select" else 0
@@ -278,6 +310,14 @@ def test_one_lifecycle(entry, variant, request):
     assert isinstance(profile.counters, ProfileCounters)
     assert isinstance(profile.stopwatch, Stopwatch)
     assert profile.peak_memory_bytes >= 0 and profile.wall_seconds > 0
+    # each event counted once: the registry gained the profile's counts
+    moved = _registry_delta(registry_before, _registry_counters(database))
+    counted = {
+        name: value
+        for name, value in profile.counters.snapshot().items()
+        if not BREAKDOWN.search(name)
+    }
+    assert {name: moved.get(name, 0) for name in counted} == counted
     if database.storage is not None:
         assert database.storage.pinned_generations() == 0
     if entry.kind == "create_model":
@@ -364,3 +404,59 @@ def test_close_cancels_an_in_flight_runner(engine, name):
     assert row["status"] == "cancelled"
     assert len(engine.active_queries) == 0
     assert closed and closed[0] < 5.0
+
+
+def test_a_fallback_counts_its_model_cache_hit_once():
+    """A warm filtered MODEL JOIN whose generated kernel fails re-runs
+    interpreted: both attempts look the model up, but only the attempt
+    that produced the result counts, in the registry as in its row."""
+    database = repro.connect()
+    try:
+        load_iris_table(database, 2_000, seed=11)
+        publish_model(database, "m", make_dense_model(8, 2, seed=11))
+        sql = (
+            "SELECT id, prediction_0 FROM iris MODEL JOIN m "
+            "WHERE sepal_length > 5.0"
+        )
+        database.execute(sql)  # warm: the model build is cached
+        before = _registry_counters(database)
+        injector = FaultInjector(seed=1).raise_once("compile.kernel")
+        with faults.active(injector):
+            database.execute(sql)
+        assert injector.total_faults() == 1
+        moved = _registry_delta(before, _registry_counters(database))
+        row = database.query_log.entries()[-1]
+        assert row["fallback"] and row["cache_hits"] == 1
+        hits = {
+            name: moved.get(name, 0)
+            for name in ("model-cache-hits", "cache.hits")
+        }
+        assert hits == {"model-cache-hits": 1, "cache.hits": 0}
+        assert database.model_cache.statistics()["hits"] == 2
+    finally:
+        database.close()
+
+
+def test_shard_statistics_count_each_fragment_once():
+    """``system.shards`` reads each shard's registry: one ``queries``
+    per fragment it ran and the rows its scans read, whether the
+    fragment ran serial or parallel, and nothing for a statement that
+    failed before dispatch."""
+    database = _load(repro.connect(shards=2))
+    try:
+        for sql in (
+            "SELECT id, val FROM events WHERE val >= 1.0",
+            "SELECT grp, SUM(val) AS s FROM events GROUP BY grp",
+        ):
+            database.execute(sql)
+            database.execute(sql, parallel=True)
+        with pytest.raises(ReproError):
+            database.execute(SELECT_ERROR)
+        rows = database.execute(
+            "SELECT shard_id, rows, queries, rows_read FROM system.shards "
+            "ORDER BY shard_id"
+        ).rows
+        assert sum(row[1] for row in rows) == ROWS
+        assert [row[2:] for row in rows] == [(4, 4 * row[1]) for row in rows]
+    finally:
+        database.close()

@@ -24,6 +24,9 @@ from repro.db.tracing import (
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential
 
+# runs again under `python -X dev` with ResourceWarnings as errors
+pytestmark = pytest.mark.leak_guard
+
 
 def _spans_by_name(tracer: Tracer) -> dict[str, list[dict]]:
     grouped: dict[str, list[dict]] = {}
