@@ -987,6 +987,12 @@ class Database:
         query.profile.plan_cached = prepared.cached
         if prepared.selections:
             query.profile.modeljoin_variant = prepared.selections[0].chosen
+        for selection in prepared.selections:
+            # the attempt's decisions, folded into the registry once
+            context.counters.increment("planner.variant_selected")
+            context.counters.increment(
+                f"planner.variant_selected.{selection.chosen}"
+            )
         fragment = None
         if self.sharding is not None or context.parallelism > 1:
             fragment = planner.fragment(prepared, context.parallelism)

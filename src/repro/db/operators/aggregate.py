@@ -34,6 +34,18 @@ The order-based aggregate is the optimization of paper Section 4.4: if
 the input is already sorted on all group keys it emits a group the
 moment its key changes, holding only that group's rows — this is what
 makes the ML-To-SQL pipeline fully streaming and low-memory.
+
+:class:`GroupJoin` is a hash aggregate with no sorted prefix fused with
+the :class:`~repro.db.operators.join.HashJoin` directly below it, when
+every group key reads one join side — ML-To-SQL's dense layer, ``GROUP
+BY t.id, m.node, m.b_i`` over ``t.node = m.node_in``.  It groups the
+join's (probe row, build row) index pairs instead of joined rows: the
+build side's keys are numbered once per build, the probe side's once
+over the held probe rows, and a pair's group is the fold of the two
+(:func:`~repro.db.operators.keys.pair_groups`); per pair it gathers
+only what its input kernel reads and holds one int64 code beside the
+arguments.  It reduces with :func:`_reduced` in join output order, so
+it returns the joined path's groups, in its order, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,10 +71,12 @@ from repro.db.operators.base import (
     PhysicalOperator,
     UnaryOperator,
 )
+from repro.db.operators.join import HashJoin
 from repro.db.operators.keys import (
     Groups,
     equality_codes,
     group_ids,
+    pair_groups,
     run_starts,
 )
 from repro.db.schema import Column, Schema
@@ -235,15 +251,20 @@ def input_outputs(
     """The outputs of an aggregate's input kernel: the group keys, then
     each argument the aggregate evaluates (:func:`aggregate_inputs`),
     raw — the aggregate coerces after reduction."""
-    outputs = [
+    keys = tuple(
         KernelOutput(name, expression)
         for expression, name in zip(group_expressions, group_names)
-    ]
-    outputs.extend(
+    )
+    return keys + argument_outputs(aggregates)
+
+
+def argument_outputs(aggregates) -> tuple[KernelOutput, ...]:
+    """Each argument the aggregate evaluates (:func:`aggregate_inputs`),
+    as a raw kernel output."""
+    return tuple(
         KernelOutput(spec.name, spec.argument)
         for spec in aggregate_inputs(aggregates)[0]
     )
-    return tuple(outputs)
 
 
 def _input_kernel(operator, child, kernel):
@@ -272,9 +293,12 @@ def _inputs(operator) -> Iterator[tuple[list, list]]:
             yield arrays[:split], arrays[split:]
 
 
-def _describe_fusion(operator) -> str:
-    """Suffix describing the input kernel, for EXPLAIN."""
-    predicates = operator.shown(operator.kernel.spec.predicates)
+def _describe_fusion(operator, predicates=None) -> str:
+    """Suffix describing the input kernel and the filter *predicates*
+    fused into it (default: all of the kernel's), for EXPLAIN."""
+    if predicates is None:
+        predicates = operator.kernel.spec.predicates
+    predicates = operator.shown(predicates)
     fused = ""
     if predicates:
         conjunction = reduce(
@@ -292,13 +316,13 @@ def _reduced(
     values: list[np.ndarray],
     groups: Groups,
 ) -> VectorBatch:
-    """One output row per group: the *keys* of its first row, then each
-    aggregate reduced over the rows ``groups.ids`` numbers, in input row
-    order — the one reduction of every strategy, so they agree bit for
-    bit.  *values* are the operator's input arrays; COUNT is the group
-    size and AVG its SUM divided by it, and each (reduction, input) pair
-    is reduced once however many aggregates use it."""
-    arrays = [key[groups.firsts] for key in keys]
+    """One output row per group: its *keys* (each group's first row's),
+    then each aggregate reduced over the rows ``groups.ids`` numbers, in
+    input row order — the one reduction of every strategy, so they agree
+    bit for bit.  *values* are the operator's input arrays; COUNT is the
+    group size and AVG its SUM divided by it, and each (reduction,
+    input) pair is reduced once however many aggregates use it."""
+    arrays = list(keys)
     reduced: dict[tuple, np.ndarray] = {}
     for spec, slot in zip(operator.aggregates, operator.input_slots):
         if slot is None:
@@ -488,7 +512,9 @@ class HashAggregate(UnaryOperator):
                 np.concatenate([opened, segments]),
                 *keys[self.prefix_length:],
             ]
-        return _reduced(self, keys, values, group_ids(grouping))
+        groups = group_ids(grouping)
+        firsts = [key[groups.firsts] for key in keys]
+        return _reduced(self, firsts, values, groups)
 
     def close(self) -> None:
         self._release()
@@ -560,6 +586,238 @@ class OrderedAggregate(HashAggregate):
         ids[starts[1:]] = 1
         np.cumsum(ids, out=ids)
         sizes = np.diff(np.append(starts, rows))
-        batch = _reduced(self, keys, values, Groups(ids, starts, sizes))
+        firsts = [key[starts] for key in keys]
+        batch = _reduced(self, firsts, values, Groups(ids, starts, sizes))
         self.context.memory.release(nbytes, "aggregation-group")
         return batch
+
+
+#: the pair-code column of a groupjoin's input kernel
+_PAIR = "__pair"
+
+
+def key_sides(join: HashJoin, group_expressions) -> tuple[bool, ...] | None:
+    """Per group key, whether it reads *join*'s build side (True) or its
+    probe side (False); None unless each key reads columns of one side
+    only."""
+    left, right = (
+        {name.lower() for name in side.schema.names}
+        for side in (join.left, join.right)
+    )
+    sides = []
+    for expression in group_expressions:
+        names = expression.referenced_columns()
+        if not names or not (names <= left or names <= right):
+            return None
+        sides.append(not names <= left)
+    return tuple(sides)
+
+
+class GroupJoin(HashJoin):
+    """A :class:`HashAggregate` with no sorted prefix fused with the
+    :class:`HashJoin` below it (a groupjoin, Moerkotte & Neumann, VLDB
+    2011): the aggregate groups the join's (probe row, build row) index
+    pairs instead of joined rows.
+
+    Every group key reads one join side.  Build-side keys are numbered
+    once per build (:func:`group_ids` over the build rows), probe-side
+    keys once over the held probe rows (those that match), each run of
+    consecutive keys on one side as one digit; a pair's group is the
+    mixed-radix fold of its digits in the GROUP BY's key order
+    (:func:`~repro.db.operators.keys.pair_groups`), so groups and their
+    order are HashAggregate's.  Per pair, only the columns read by the
+    join residual, the fused filter and the aggregate arguments are
+    gathered, straight into the input kernel's narrowed schema; the
+    kernel carries the pair's int64 code (held probe row, shifted past
+    the build row's bits, or'ed with the build row) through its filter,
+    and the code and the arguments are all a pair holds.
+    :func:`_reduced` reduces the pairs in join output order, so every
+    group, its key values and its result are the joined path's, bit for
+    bit.
+    """
+
+    _held_bytes = 0
+
+    def __init__(
+        self,
+        context: ExecutionContext,
+        join: HashJoin,
+        group_expressions: list[Expression],
+        group_names: list[str],
+        aggregates: list[AggregateSpec],
+        predicates,
+        compiler,
+    ):
+        super().__init__(
+            context,
+            join.left,
+            join.right,
+            list(join.left_keys),
+            list(join.right_keys),
+            join.residual,
+        )
+        sides = key_sides(join, group_expressions)
+        if sides is None:
+            raise PlanError("a groupjoin's group keys each read one side")
+        joined = self.schema
+        self.schema = _output_schema(
+            joined, group_expressions, group_names, aggregates
+        )
+        self.group_expressions = tuple(group_expressions)
+        self.group_names = tuple(group_names)
+        self.aggregates = tuple(aggregates)
+        self.input_slots = tuple(aggregate_inputs(self.aggregates)[1])
+        self.sides = sides
+        #: the digits: each run of consecutive keys on one side, as
+        #: (build side?, key positions)
+        self.runs = tuple(
+            (side, tuple(position for position, _ in run))
+            for side, run in groupby(enumerate(sides), key=itemgetter(1))
+        )
+        #: the filter conjuncts fused after the join residual
+        self.predicates = tuple(predicates)
+        conjuncts = self.predicates
+        if join.residual is not None:
+            conjuncts = (join.residual, *conjuncts)
+        outputs = (
+            KernelOutput(_PAIR, ColumnRef(_PAIR)),
+            *argument_outputs(self.aggregates),
+        )
+        #: the joined-row positions each pair gathers
+        self.reads = tuple(sorted({
+            joined.position_of(name)
+            for expression in (
+                *conjuncts, *(output.expression for output in outputs)
+            )
+            for name in expression.referenced_columns()
+            if name != _PAIR
+        }))
+        label = "groupjoin-input"
+        if conjuncts:
+            label = f"filter({len(conjuncts)})+{label}"
+        spec = KernelSpec(
+            Schema(
+                (Column(_PAIR, SqlType.INTEGER),)
+                + tuple(joined.columns[p] for p in self.reads)
+            ),
+            predicates=conjuncts,
+            outputs=outputs,
+            label=label,
+        )
+        self.kernel = compiler.kernel(spec)
+
+    @property
+    def ordering(self) -> tuple[str, ...]:
+        return ()
+
+    def _keys(self, batch: VectorBatch, build: bool) -> dict:
+        """The group keys of one side, by key position, over *batch*."""
+        return {
+            position: self._evaluate(expression, batch)
+            for position, (expression, side) in enumerate(
+                zip(self.group_expressions, self.sides)
+            )
+            if side == build
+        }
+
+    def _held(self, arrays: list) -> list:
+        """*arrays*, accounted as held."""
+        nbytes = nominal_bytes(arrays)
+        self._held_bytes += nbytes
+        self.context.memory.allocate(nbytes, "aggregation")
+        return arrays
+
+    def _produce(self) -> Iterator[VectorBatch]:
+        self._build()
+        build = self._build_batch
+        split = len(self.left.schema)
+        #: a pair's code is its held probe row << shift | its build row
+        shift = (len(build) - 1).bit_length()
+        build_keys = self._keys(build, True)
+        build_digits = {
+            positions: group_ids([build_keys[p] for p in positions])
+            for side, positions in self.runs
+            if side
+        }
+        context = self.context
+        cancel = context.query.cancellation
+        schema = self.kernel.spec.schema
+        #: per probe batch that kept a pair: its held rows' keys
+        probe_keys: list[dict] = []
+        #: per kernel call: its pairs' codes and argument arrays
+        pieces: list[list] = []
+        held = 0
+        for batch in self.left.next_batches():
+            matches = self._matches(batch)
+            if matches is None:
+                continue
+            counts, build_rows = matches
+            if not counts.all():  # only the probe rows that match are held
+                hits = np.flatnonzero(counts)
+                batch, counts = batch.take(hits), counts[hits]
+            rows = len(batch)
+            code = np.arange(held, held + rows, dtype=np.int64)
+            code <<= shift
+            code = np.repeat(code, counts)
+            code |= build_rows
+            arrays = [code]
+            for position in self.reads:
+                if position < split:
+                    arrays.append(np.repeat(batch.arrays[position], counts))
+                else:
+                    arrays.append(build.arrays[position - split][build_rows])
+            kept = len(pieces)
+            pieces.extend(
+                self._held(outputs)
+                for outputs in self.kernel.outputs(
+                    VectorBatch.validated(schema, arrays),
+                    context.vector_size,
+                    cancel,
+                )
+            )
+            if len(pieces) > kept:
+                keys = self._keys(batch, False)
+                self._held(list(keys.values()))
+                probe_keys.append(keys)
+                held += rows
+        if not pieces:
+            return
+        code, *values = (
+            column[0] if len(column) == 1 else np.concatenate(column)
+            for column in zip(*pieces)
+        )
+        probe_columns = {
+            position: np.concatenate([keys[position] for keys in probe_keys])
+            for position in probe_keys[0]
+        }
+        digits = [
+            (side, build_digits[positions] if side else group_ids(
+                [probe_columns[p] for p in positions]
+            ))
+            for side, positions in self.runs
+        ]
+        groups = pair_groups(digits, code, shift)
+        first = code[groups.firsts]
+        first_probe = first >> shift
+        first_build = first & ((1 << shift) - 1)
+        keys = [
+            build_keys[position][first_build] if side
+            else probe_columns[position][first_probe]
+            for position, side in enumerate(self.sides)
+        ]
+        yield from _reduced(self, keys, values, groups).pieces(BLOCK_SIZE)
+
+    def close(self) -> None:
+        if self._held_bytes:
+            self.context.memory.release(self._held_bytes, "aggregation")
+            self._held_bytes = 0
+        super().close()
+
+    def describe(self) -> str:
+        keys = ", ".join(map(str, self.shown(self.group_expressions)))
+        aggs = ", ".join(map(str, self.shown(self.aggregates)))
+        return (
+            f"HashAggregate(by [{keys}] compute [{aggs}]) "
+            f"[groupjoin: {self.condition()}]"
+            f"{_describe_fusion(self, self.predicates)}"
+        )

@@ -11,6 +11,12 @@ in probe order and in build order within one key.  That preserved
 order is what enables the order-based aggregation of paper Section 4.4.
 A key pair is coded as its types say, once: an INTEGER paired with a
 FLOAT or DOUBLE as float64, NumPy's common type of the two.
+
+A probe batch's matches are (probe row, build row) index pairs
+(:meth:`HashJoin._matches`); the join gathers the joined rows from
+them, while a :class:`~repro.db.operators.aggregate.GroupJoin` — the
+hash aggregate fused with this join — groups the pairs themselves and
+gathers only the columns its aggregate reads.
 """
 
 from __future__ import annotations
@@ -26,11 +32,7 @@ from repro.db.operators.base import (
     ExecutionContext,
     PhysicalOperator,
 )
-from repro.db.operators.keys import (
-    JoinIndex,
-    equality_codes,
-    ranges_to_indices,
-)
+from repro.db.operators.keys import JoinIndex, equality_codes
 from repro.db.types import SqlType, check_comparable
 from repro.db.vector import VectorBatch, concat_batches
 from repro.errors import ExecutionError
@@ -99,16 +101,21 @@ class HashJoin(BinaryOperator):
         self._accounted_bytes = build.nominal_bytes() + 16 * len(build)
         self.context.memory.allocate(self._accounted_bytes, "join-build")
 
+    def _matches(self, batch: VectorBatch):
+        """``(counts, build_rows)``: each row of the probe *batch*'s
+        match count, and the build rows they match in join output order
+        (probe order, then build order within a key); None when no row
+        matches."""
+        return self._index.matches(self._key_codes(self.left_keys, batch))
+
     def _probe(self, batch: VectorBatch) -> VectorBatch | None:
-        starts, counts = self._index.lookup(
-            self._key_codes(self.left_keys, batch)
-        )
-        if not counts.any():
+        matches = self._matches(batch)
+        if matches is None:
             return None
+        counts, build_indices = matches
         probe_indices = np.repeat(
             np.arange(len(batch), dtype=np.int64), counts
         )
-        build_indices = self._index.order[ranges_to_indices(starts, counts)]
         left_out = batch.take(probe_indices)
         right_out = self._build_batch.take(build_indices)
         joined = left_out.concat_columns(right_out)
@@ -138,14 +145,18 @@ class HashJoin(BinaryOperator):
         self._index = None
         super().close()
 
-    def describe(self) -> str:
+    def condition(self) -> str:
+        """The join condition as EXPLAIN shows it: the key pairs, then
+        the residual."""
         keys = ", ".join(
             f"{left} = {right}"
             for left, right in zip(
                 self.shown(self.left_keys), self.shown(self.right_keys)
             )
         )
-        suffix = ""
-        if self.residual is not None:
-            suffix = f" AND {self.shown(self.residual)}"
-        return f"HashJoin({keys}{suffix})"
+        if self.residual is None:
+            return keys
+        return f"{keys} AND {self.shown(self.residual)}"
+
+    def describe(self) -> str:
+        return f"HashJoin({self.condition()})"

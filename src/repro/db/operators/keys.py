@@ -7,6 +7,8 @@ its build side once (:class:`JoinIndex`): the sorted distinct codes of
 each key column (VARCHAR: values) are its dictionary, and a row's
 ranks in them fold into one dense code; a probe row is coded through
 the same dictionaries, and a value the build side lacks is a miss.
+When every key has the same number of build rows (a dense layer's
+weights per input node), a probe batch's matches are one 2-D lookup.
 
 Grouping numbers rows, it does not order them (:func:`group_ids`): each
 row gets a dense group id, groups numbered in ascending key-code order.
@@ -18,7 +20,8 @@ columns are lexsorted when the composite would overflow.  Float or
 VARCHAR keys that follow the integer keys and are constant within the
 integer keys' groups number nothing on their own.  VARCHAR columns join
 the codes as their ``np.unique`` ranks, which order like the strings
-themselves.
+themselves.  A groupjoin's index pairs are numbered from the group ids
+of each join side's rows (:func:`pair_groups`), in the same order.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ _COMPOSITE_LIMIT = 1 << 62
 #: composite domains up to this size (or up to the row count) are
 #: numbered by counting, not by sorting
 _DENSE_LIMIT = 1 << 16
+#: pairs folded per slice: its temporaries stay cache-sized
+_SLICE_ROWS = 1 << 14
 
 
 def _int64_codes(values: np.ndarray) -> np.ndarray:
@@ -233,6 +238,46 @@ def group_ids(keys: list[np.ndarray]) -> Groups:
     ])
 
 
+def pair_groups(digits, code: np.ndarray, shift: int) -> Groups:
+    """The groups of a join's index pairs, each coded as ``probe row <<
+    shift | build row``, by *digits*: ``(build side?, Groups of that
+    side's rows)`` per run of consecutive group keys on one side, in
+    key order.
+
+    A pair's group is the mixed-radix fold of its digits' group ids, so
+    groups are numbered in the order :func:`group_ids` gives the keys
+    themselves.  Each side's digits are folded into one table over its
+    rows first, so the fold is one lookup per side, done in cache-sized
+    slices of the pairs.  A domain that overflows int64 leaves one
+    column per digit to :func:`group_ids`.
+    """
+    mask = (1 << shift) - 1
+    radices = [len(groups.firsts) for _, groups in digits]
+    if math.prod(radices) >= _COMPOSITE_LIMIT:
+        rows = (code >> shift, code & mask)
+        return group_ids([
+            groups.ids[rows[side]] for side, groups in digits
+        ])
+    tables: list = [None, None]
+    weight = 1
+    for (side, groups), radix in zip(digits[::-1], radices[::-1]):
+        term = groups.ids * weight
+        tables[side] = term if tables[side] is None else tables[side] + term
+        weight *= radix
+    probe, build = tables
+    composite = np.empty(len(code), dtype=np.int64)
+    for start in range(0, len(code), _SLICE_ROWS):
+        pairs = code[start : start + _SLICE_ROWS]
+        out = composite[start : start + _SLICE_ROWS]
+        if probe is None:
+            np.take(build, pairs & mask, out=out, mode="clip")
+            continue
+        np.take(probe, pairs >> shift, out=out, mode="clip")
+        if build is not None:
+            out += build[pairs & mask]
+    return group_ids([composite])
+
+
 def _rank(dictionary, values, hit) -> np.ndarray:
     """Position of each of *values* in the sorted *dictionary*; clears
     *hit* where the dictionary lacks the value."""
@@ -266,12 +311,16 @@ class JoinIndex:
         self.sizes = np.bincount(code)
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.order = np.argsort(code, kind="stable")
+        #: when every key has the same number of build rows (a dense
+        #: layer's weights per input node), each key's rows as one row
+        #: of a matrix, so a probe gathers its matches in one lookup
+        self.fanout = None
+        if len(self.order) and (self.sizes == self.sizes[0]).all():
+            self.fanout = self.order.reshape(len(self.sizes), -1)
 
-    def lookup(self, columns: list[np.ndarray]):
-        """``(starts, counts)`` of each probe row's matches in ``order``."""
-        if not len(self.order):
-            nothing = np.zeros(len(columns[0]), dtype=np.int64)
-            return nothing, nothing
+    def _codes(self, columns: list[np.ndarray]):
+        """``(code, hit)``: each probe row's key code, and whether the
+        build side has its key."""
         hit = np.ones(len(columns[0]), dtype=np.bool_)
         code = _rank(self.dictionaries[0], columns[0], hit)
         for column, dictionary, fold in zip(
@@ -279,15 +328,36 @@ class JoinIndex:
         ):
             ranks = _rank(dictionary, column, hit)
             code = _rank(fold, code * len(dictionary) + ranks, hit)
-        return self.starts[code], np.where(hit, self.sizes[code], 0)
+        return code, hit
+
+    def matches(self, columns: list[np.ndarray]):
+        """``(counts, build_rows)``: each probe row's match count, and
+        the build rows matched in join output order (probe order, then
+        build order within a key); None when no row matches."""
+        if not len(self.order):
+            return None
+        code, hit = self._codes(columns)
+        if self.fanout is None:
+            counts = np.where(hit, self.sizes[code], 0)
+            if not counts.any():
+                return None
+            starts = self.starts[code]
+            return counts, self.order[ranges_to_indices(starts, counts)]
+        if not hit.all():
+            code = code[hit]
+            if not len(code):
+                return None
+        counts = np.where(hit, self.fanout.shape[1], 0)
+        return counts, self.fanout[code].ravel()
 
 
 def ranges_to_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flatten per-row match ranges ``[start, start+count)`` to indices.
 
-    Used by the join to expand :meth:`JoinIndex.lookup` ranges into
+    Used by :meth:`JoinIndex.matches` to expand its match ranges into
     gather indices without a Python loop.
     """
     shifts = starts - (np.cumsum(counts) - counts)
-    total = int(counts.sum())
-    return np.repeat(shifts, counts) + np.arange(total, dtype=np.int64)
+    indices = np.repeat(shifts, counts)
+    indices += np.arange(len(indices), dtype=np.int64)
+    return indices

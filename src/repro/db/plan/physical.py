@@ -38,7 +38,7 @@ from repro.db.operators import (
     SortOperator,
     TableScan,
 )
-from repro.db.operators.aggregate import input_outputs
+from repro.db.operators.aggregate import GroupJoin, input_outputs, key_sides
 from repro.db.operators.misc import RenameOperator
 from repro.db.plan.logical import (
     LogicalAggregate,
@@ -99,7 +99,7 @@ class VariantSelection:
         )
 
 
-def select_variants(root: LogicalNode, selector, metrics=None):
+def select_variants(root: LogicalNode, selector):
     """Pick the execution variant for every ModelJoin in the plan.
 
     Mutates each :class:`LogicalModelJoin` node's ``selection`` and
@@ -111,14 +111,14 @@ def select_variants(root: LogicalNode, selector, metrics=None):
     for node in walk(root):
         if isinstance(node, LogicalModelJoin):
             node.selection = select_variant(
-                node, node.child.estimated_rows, selector, metrics
+                node, node.child.estimated_rows, selector
             )
             selections.append(node.selection)
     return selections
 
 
 def select_variant(
-    node: LogicalModelJoin, estimated_rows: float, selector, metrics=None
+    node: LogicalModelJoin, estimated_rows: float, selector
 ) -> VariantSelection:
     """The variant decision of one ModelJoin whose input is estimated
     at *estimated_rows* tuples: the selector's cost-based one
@@ -126,9 +126,7 @@ def select_variant(
     default."""
     tuples = estimated_tuples(estimated_rows)
     if selector is not None and node.variant_override is None:
-        selection = selector.select(node.metadata, tuples)
-        count_selection(selection.chosen, metrics)
-        return selection
+        return selector.select(node.metadata, tuples)
     estimates: tuple[VariantEstimate, ...] = ()
     flops = 0.0
     if selector is not None:
@@ -145,7 +143,6 @@ def select_variant(
     else:
         chosen = "native-cpu"
         reason = "default (no cost selector installed)"
-    count_selection(chosen, metrics)
     return VariantSelection(
         model_name=node.metadata.model_name,
         tuples=tuples,
@@ -159,13 +156,6 @@ def select_variant(
 def estimated_tuples(estimated_rows: float) -> int:
     """The tuple count a variant decision is made for."""
     return max(int(round(estimated_rows)), 1)
-
-
-def count_selection(chosen: str, metrics) -> None:
-    """Count one statement's decision for the *chosen* variant."""
-    if metrics is not None:
-        metrics.counter("planner.variant_selected").increment()
-        metrics.counter(f"planner.variant_selected.{chosen}").increment()
 
 
 class Lowering:
@@ -381,6 +371,22 @@ class Lowering:
             order = prefix + [i for i in order if i not in prefix]
         group_exprs = [node.group_exprs[i] for i in order]
         group_names = [node.group_names[i] for i in order]
+        if (
+            not (streaming or segmented)
+            and type(child) is HashJoin
+            and key_sides(child, group_exprs) is not None
+        ):
+            # The aggregate groups the join's index pairs (a groupjoin);
+            # a GroupJoin child is a HashJoin whose rows are groups
+            return GroupJoin(
+                self.context,
+                child,
+                group_exprs,
+                group_names,
+                node.aggregates,
+                predicates,
+                self.compiler,
+            )
         child, kernel = filtered_segment(
             self.context,
             self.compiler,

@@ -211,9 +211,7 @@ class Planner:
         with self.tracer.span(
             "optimizer.select_variant", category="planner"
         ):
-            selections = select_variants(
-                logical, self.variant_selector, metrics=self.metrics
-            )
+            selections = select_variants(logical, self.variant_selector)
         template, tables, ranges = record_template(
             text if cache is not None else None,
             statement,
@@ -269,9 +267,7 @@ class Planner:
             "optimizer.select_variant", category="planner"
         ):
             selections = [
-                select_variant(
-                    node, rows, self.variant_selector, metrics=self.metrics
-                )
+                select_variant(node, rows, self.variant_selector)
                 for node, rows in zip(template.model_joins, inputs)
             ]
         if counted:

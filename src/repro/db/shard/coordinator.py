@@ -703,7 +703,7 @@ class ShardCoordinator:
                     int(metrics.get("query.count", 0)),
                     int(metrics.get("scan.rows_read", 0)),
                     int(metrics.get("scan.bytes_read", 0)),
-                    int(metrics.get("scan.morsels", 0)),
+                    int(metrics.get("morsels", 0)),
                 )
             )
         return rows

@@ -22,10 +22,13 @@ def index_matches(build, probe):
     """Build rows each probe row matches through a :class:`JoinIndex`
     over *build*'s key columns, in the order the join emits them."""
     index = JoinIndex(equality_codes(build))
-    starts, counts = index.lookup(equality_codes(probe))
+    matched = index.matches(equality_codes(probe))
+    if matched is None:
+        return [[] for _ in probe[0]]
+    counts, rows = matched
+    ends = np.cumsum(counts)
     return [
-        index.order[start : start + count].tolist()
-        for start, count in zip(starts, counts)
+        rows[end - count : end].tolist() for count, end in zip(counts, ends)
     ]
 
 

@@ -437,6 +437,62 @@ def test_a_fallback_counts_its_model_cache_hit_once():
         database.close()
 
 
+def test_a_fallback_counts_its_variant_decision_once():
+    """The re-planned attempt of a compile fallback decides the ModelJoin
+    variant again, but the statement counts one decision: the executed
+    plan's, in the registry as on its profile."""
+    database = repro.connect()
+    try:
+        load_iris_table(database, 2_000, seed=11)
+        publish_model(database, "m", make_dense_model(8, 2, seed=11))
+        sql = (
+            "SELECT id, prediction_0 FROM iris MODEL JOIN m "
+            "WHERE sepal_length > 5.0"
+        )
+        database.execute(sql)  # warm: the plan and the model are cached
+        before = _registry_counters(database)
+        injector = FaultInjector(seed=1).raise_once("compile.kernel")
+        with faults.active(injector):
+            database.execute(sql)
+        assert injector.total_faults() == 1
+        row = database.query_log.entries()[-1]
+        assert row["fallback"]
+        names = (
+            "planner.variant_selected",
+            f"planner.variant_selected.{row['modeljoin_variant']}",
+        )
+        moved = _registry_delta(before, _registry_counters(database))
+        assert {name: moved.get(name, 0) for name in names} == dict.fromkeys(
+            names, 1
+        )
+        counters = database.last_profile.counters
+        assert [counters.get(name) for name in names] == [1, 1]
+    finally:
+        database.close()
+
+
+def test_shard_statistics_count_morsels():
+    """A morsel-driven fragment's morsels reach ``system.shards``."""
+    database = repro.connect(shards=2, shard_workers=2)
+    try:
+        database.execute(
+            "CREATE TABLE wide (id INTEGER, val DOUBLE) "
+            "PARTITION BY (id) PARTITIONS 2"
+        )
+        ids = np.arange(40_000)
+        database.table("wide").append_columns(id=ids, val=ids * 0.5)
+        database.execute(
+            "SELECT id, val * 2.0 AS v FROM wide WHERE val >= 1.0",
+            parallel=True,
+        )
+        rows = database.execute(
+            "SELECT shard_id, morsels FROM system.shards ORDER BY shard_id"
+        ).rows
+        assert len(rows) == 2 and all(morsels > 0 for _, morsels in rows)
+    finally:
+        database.close()
+
+
 def test_shard_statistics_count_each_fragment_once():
     """``system.shards`` reads each shard's registry: one ``queries``
     per fragment it ran and the rows its scans read, whether the
