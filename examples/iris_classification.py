@@ -1,9 +1,9 @@
 """Iris classification end-to-end, entirely in the database.
 
 The paper's dense-layer workload (Section 6.1) as a complete
-application: encode features in SQL, train a multi-output classifier,
-publish it to the catalog, classify with the native ModelJoin, and
-aggregate the predictions inside the same query — the "query
+application: encode features and labels in SQL, train a multi-output
+classifier with ``CREATE MODEL``, classify with the native ModelJoin,
+and aggregate the predictions inside the same query — the "query
 integration" advantage of in-DBMS inference (Section 1).
 
 Run:  python examples/iris_classification.py
@@ -12,11 +12,10 @@ Run:  python examples/iris_classification.py
 import numpy as np
 
 import repro
-from repro.core.encoding import min_max_encode_query
-from repro.core.registry import publish_model
-from repro.nn import Dense, Sequential
-from repro.nn.training import accuracy, fit
+from repro.core.encoding import min_max_encode_query, one_hot_expressions
 from repro.workloads.iris import FEATURE_COLUMNS, load_iris_table
+
+SCALED = ", ".join(f"{name}_scaled" for name in FEATURE_COLUMNS)
 
 
 def main() -> None:
@@ -29,37 +28,22 @@ def main() -> None:
         db, "iris", "id", list(FEATURE_COLUMNS)
     )
     print("scaling SQL:", scaled_query[:110], "...")
-    scaled = db.execute(scaled_query + " ORDER BY id")
-    scaled_features = np.column_stack(
-        [scaled.column(f"{name}_scaled") for name in FEATURE_COLUMNS]
-    ).astype(np.float32)
 
-    # --- train a 3-class classifier on the scaled features ----------
-    targets = np.eye(3, dtype=np.float32)[dataset.labels]
-    model = Sequential(
-        [Dense(16, "tanh"), Dense(3, "sigmoid")], input_width=4, seed=1
-    )
-    fit(model, scaled_features, targets, epochs=80, learning_rate=0.1)
-    print(
-        "training accuracy:",
-        round(accuracy(model, scaled_features, dataset.labels), 3),
-    )
+    # --- train a 3-class classifier in the engine: the last three
+    # source columns are the one-hot labels, one per output unit -----
+    labels = ", ".join(one_hot_expressions("species", [0, 1, 2]))
+    (summary,) = db.execute(
+        "CREATE MODEL iris_clf AS TRAIN DENSE(16 tanh, 3 sigmoid) "
+        f"ON (SELECT {SCALED}, {labels} "
+        f"    FROM ({scaled_query}) AS s, iris AS i WHERE s.id = i.id) "
+        "WITH (epochs=80, lr=0.1, seed=1)"
+    ).rows
+    print(f"trained {summary[3]} epochs, final loss {summary[5]:.4f}")
 
-    # --- materialize the scaled features as a fact table ------------
-    db.execute(
-        "CREATE TABLE iris_scaled (id INTEGER, f0 FLOAT, f1 FLOAT, "
-        "f2 FLOAT, f3 FLOAT)"
-    )
-    db.execute(
-        "INSERT INTO iris_scaled "
-        + scaled_query.replace("SELECT id,", "SELECT id AS id,", 1)
-    )
-
-    # --- publish + classify with the native operator ----------------
-    publish_model(db, "iris_clf", model)
+    # --- classify with the native operator over the scaled query ----
     result = db.execute(
         "SELECT id, prediction_0, prediction_1, prediction_2 "
-        "FROM iris_scaled MODEL JOIN iris_clf USING (f0, f1, f2, f3) "
+        f"FROM ({scaled_query}) AS s MODEL JOIN iris_clf USING ({SCALED}) "
         "ORDER BY id"
     )
     scores = np.column_stack(
@@ -72,11 +56,11 @@ def main() -> None:
     # --- aggregate predictions inside the engine ---------------------
     # Average class-2 score per true species, without moving data out.
     summary = db.execute(
-        "SELECT s.species AS species, AVG(p.prediction_2) AS virginica_score "
-        "FROM (SELECT id, prediction_2 FROM iris_scaled "
-        "      MODEL JOIN iris_clf USING (f0, f1, f2, f3)) AS p, "
-        "     iris AS s "
-        "WHERE p.id = s.id GROUP BY s.species ORDER BY species"
+        "SELECT i.species AS species, AVG(p.prediction_2) AS virginica_score "
+        f"FROM (SELECT id, prediction_2 FROM ({scaled_query}) AS s "
+        f"      MODEL JOIN iris_clf USING ({SCALED})) AS p, "
+        "     iris AS i "
+        "WHERE p.id = i.id GROUP BY i.species ORDER BY species"
     )
     print("\navg virginica score by true species:")
     for species, score in summary.rows:

@@ -21,8 +21,8 @@ from repro.core.ml_to_sql.generator import MlToSqlModelJoin
 from repro.core.registry import publish_model
 from repro.core.runtime_api.runner import RuntimeApiModelJoin
 from repro.core.udf_integration.inference_udf import UdfModelJoin
+from repro.db.train import TrainOperator, TrainingSpec
 from repro.nn import Dense, Sequential
-from repro.nn.training import fit
 from repro.workloads.iris import FEATURE_COLUMNS, load_iris_table
 
 
@@ -32,15 +32,16 @@ def main() -> None:
     dataset = load_iris_table(db, rows=2_000)
     features = list(FEATURE_COLUMNS)
 
-    # 2. Train a small model (is this row a 'virginica'?).
+    # 2. Train a small model (is this row a 'virginica'?) on arrays with
+    #    the engine's training loop: the approaches below all take the
+    #    network itself, not a catalog entry.
     model = Sequential(
         [Dense(8, "tanh"), Dense(1, "sigmoid")], input_width=4, seed=7
     )
-    targets = (dataset.labels == 2).astype(np.float32)
-    report = fit(
-        model, dataset.features, targets, epochs=60, learning_rate=0.05
-    )
-    print(f"trained: loss {report.losses[0]:.3f} -> {report.final_loss:.3f}")
+    targets = (dataset.labels == 2).astype(np.float32)[:, np.newaxis]
+    spec = TrainingSpec(epochs=60, learning_rate=0.05)
+    losses = TrainOperator(model, spec).run(dataset.features, targets)
+    print(f"trained: loss {losses[0]:.3f} -> {losses[-1]:.3f}")
     reference = model.predict(dataset.features)
 
     # 3. ML-To-SQL: the model becomes a table + one nested SQL query.

@@ -26,7 +26,7 @@ import numpy as np
 from repro.db.catalog import Catalog, ModelVersionRecord
 from repro.db.schema import Column, Schema
 from repro.db.sql.ast import AlterModel, CreateModel
-from repro.db.train.operator import TrainOperator
+from repro.db.train.operator import TrainOperator, check_finite
 from repro.db.train.spec import (
     TrainingSpec,
     describe_arch,
@@ -99,26 +99,26 @@ def _resolve_version(catalog: Catalog, statement: CreateModel) -> int:
     return version
 
 
-def _training_data(result) -> tuple[np.ndarray, np.ndarray]:
-    """Split the source result: last column = label, rest = features."""
+def _training_data(result, outputs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split the source result: the last *outputs* columns are the
+    labels (one per output unit), the columns before them features."""
     names = list(result.schema.names)
-    if len(names) < 2:
+    if len(names) < outputs + 1:
         raise TrainingError(
-            "CREATE MODEL source query must produce at least two "
-            "columns (features..., label)"
+            f"CREATE MODEL source query must produce at least "
+            f"{outputs + 1} columns (features..., then {outputs} label "
+            f"column(s), one per output unit), got {len(names)}"
         )
     for name in names:
         if not result.schema.type_of(name).is_numeric:
             raise TrainingError(
                 f"training column {name!r} is not numeric"
             )
-    features = np.column_stack(
-        [result.column(name) for name in names[:-1]]
-    ).astype(np.float32)
-    labels = np.asarray(
-        result.column(names[-1]), dtype=np.float32
-    ).reshape(-1, 1)
-    return features, labels
+    columns = np.column_stack(
+        [np.asarray(result.column(name), dtype=np.float32) for name in names]
+    )
+    check_finite(columns, names)
+    return columns[:, :-outputs], columns[:, -outputs:]
 
 
 def _build_model(
@@ -182,7 +182,7 @@ def _run_create_model(database, statement: CreateModel, context, planner):
     # Counted once the source is in: this body is the compile-fallback
     # retry unit, and a retried source scan is still one training run.
     database.metrics.counter("training.runs").increment()
-    features, labels = _training_data(source)
+    features, labels = _training_data(source, statement.layers[-1].units)
 
     # 2. Train (unlocked — serving traffic proceeds meanwhile).
     model = _build_model(statement, features.shape[1], spec.seed)

@@ -1,25 +1,31 @@
-"""The native minibatch-SGD training operator.
+"""The native minibatch-SGD training operator: the engine's one loop.
 
-Consumes the materialized feature/label arrays of the source query
-(planned and executed by the regular pipeline — pushdown, compiled
-kernels and persistent scans all apply) and trains a dense stack with
-the :class:`repro.nn.backward.DenseBackward` device-kernel stepper.
+Two entry points: ``CREATE MODEL`` (the executor materializes the
+source query's columns) and ``TrainOperator(model, spec).run(features,
+labels)`` on arrays.  It trains a dense stack with the
+:class:`repro.nn.backward.DenseBackward` device-kernel stepper.
 
-Determinism contract: the minibatch schedule is drawn from
-``np.random.default_rng(seed)`` exactly like
-:func:`repro.nn.training.fit` (one ``permutation`` per epoch), every
+Contract: ``features`` is ``(rows, input_width)`` and ``labels``
+``(rows, k)`` for a final layer of *k* units, all finite — else
+:class:`TrainingError` before the first step.  The minibatch schedule
+is one ``np.random.default_rng(seed).permutation`` per epoch, every
 kernel is float32 NumPy, and the ``train.step`` fault site fires
-*before* the forward pass — so a retried batch reruns against
-untouched weights and an injected fault never perturbs the result.
+*before* the forward pass, so a retried batch reruns against untouched
+weights and training is a pure function of (model, spec, data).  An
+epoch that leaves the loss or a weight non-finite raises
+:class:`TrainingError` naming the epoch, with no ``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.db import faults
+from repro.db.tracing import NULL_TRACER, MetricsRegistry
 from repro.db.train.spec import TrainingSpec
 from repro.device.arena import BufferArena
 from repro.errors import InjectedFaultError, TrainingError
@@ -27,14 +33,20 @@ from repro.nn.backward import DenseBackward
 from repro.nn.model import Sequential
 
 
-class TrainOperator:
-    """Runs one ``CREATE MODEL`` training loop to completion.
+def check_finite(values: np.ndarray, names: Sequence[str]) -> None:
+    """Raise :class:`TrainingError` naming the first column of *values*
+    (``names[i]`` names column *i*) that holds NaN or ±inf."""
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        name = names[int(np.argmin(finite))]
+        raise TrainingError(f"training column {name!r} holds NaN or infinity")
 
-    Mutates *model*'s weights in place and returns the per-epoch loss
-    trajectory.  ``retries`` bounds how many injected/transient batch
-    failures are retried (bit-exact — see module docstring) before the
-    whole run fails; the executor guarantees a failed run publishes
-    nothing.
+
+class TrainOperator:
+    """Runs one training loop to completion: mutates *model*'s weights
+    in place and returns the per-epoch losses.  ``retries`` bounds the
+    injected/transient batch failures retried (bit-exact) before the
+    run fails; a failed ``CREATE MODEL`` publishes nothing.
     """
 
     def __init__(
@@ -55,22 +67,34 @@ class TrainOperator:
         self.spec = spec
         self.device = device
         self.arena = BufferArena(max(spec.batch_size, 1))
-        self.tracer = tracer
-        self.metrics = metrics
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.retries = retries
         self.cancellation = cancellation
-        self.retried_batches = 0
         self.total_batches = 0
 
     def run(self, features: np.ndarray, labels: np.ndarray) -> list[float]:
         spec = self.spec
+        model = self.model
+        features = np.asarray(features, dtype=np.float32)
+        labels = np.asarray(labels, dtype=np.float32)
         count = len(features)
         if count < 1:
-            raise TrainingError(
-                "CREATE MODEL source query returned no rows"
+            raise TrainingError("the training source returned no rows")
+        for kind, values, width in (
+            ("feature", features, model.input_width),
+            ("label", labels, model.output_width),
+        ):
+            if values.shape != (count, width):
+                raise TrainingError(
+                    f"{kind}s must have shape ({count}, {width}) for this "
+                    f"model, got {values.shape}"
+                )
+            check_finite(
+                values, [f"{kind} {index}" for index in range(width)]
             )
         stepper = DenseBackward(
-            self.model,
+            model,
             self.device,
             self.arena,
             learning_rate=spec.learning_rate,
@@ -79,21 +103,24 @@ class TrainOperator:
         )
         rng = np.random.default_rng(spec.seed)
         losses: list[float] = []
-        with self._span(
+        with self.tracer.span(
             "train",
+            category="train",
             args={
                 "rows": count,
                 "epochs": spec.epochs,
                 "batch_size": spec.batch_size,
                 "loss": spec.loss,
             },
-        ):
+        ), np.errstate(all="ignore"):
             for epoch in range(spec.epochs):
                 started = time.perf_counter()
                 order = rng.permutation(count)
                 epoch_loss = 0.0
                 batches = 0
-                with self._span("train.epoch", args={"epoch": epoch}):
+                with self.tracer.span(
+                    "train.epoch", category="train", args={"epoch": epoch}
+                ):
                     for start in range(0, count, spec.batch_size):
                         index = order[start : start + spec.batch_size]
                         x = np.ascontiguousarray(features[index])
@@ -101,14 +128,22 @@ class TrainOperator:
                         epoch_loss += self._step(stepper, x, y)
                         batches += 1
                 losses.append(epoch_loss / max(batches, 1))
-                if self.metrics is not None:
-                    self.metrics.counter("training.epochs").increment()
-                    self.metrics.counter(
-                        "training.batches"
-                    ).increment(batches)
-                    self.metrics.histogram(
-                        "training.epoch_seconds"
-                    ).observe(time.perf_counter() - started)
+                if not math.isfinite(losses[-1]) or not all(
+                    np.isfinite(layer.kernel).all()
+                    and np.isfinite(layer.bias).all()
+                    for layer in model.layers
+                ):
+                    raise TrainingError(
+                        f"training diverged in epoch {epoch + 1} of "
+                        f"{spec.epochs}: the loss ({losses[-1]}) or a "
+                        "weight is not finite; lower the learning rate "
+                        "or rescale the features"
+                    )
+                self.metrics.counter("training.epochs").increment()
+                self.metrics.counter("training.batches").increment(batches)
+                self.metrics.histogram("training.epoch_seconds").observe(
+                    time.perf_counter() - started
+                )
         return losses
 
     def _step(
@@ -124,26 +159,14 @@ class TrainOperator:
                     faults.ACTIVE.fire("train.step")
                 except InjectedFaultError:
                     attempts += 1
-                    self.retried_batches += 1
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "training.retries"
-                        ).increment()
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "train-step-retry",
-                            category="train",
-                            args={"attempt": attempts},
-                        )
+                    self.metrics.counter("training.retries").increment()
+                    self.tracer.instant(
+                        "train-step-retry",
+                        category="train",
+                        args={"attempt": attempts},
+                    )
                     if attempts > self.retries:
                         raise
                     continue
             self.total_batches += 1
             return stepper.train_batch(x, y)
-
-    def _span(self, name: str, args: dict):
-        if self.tracer is not None:
-            return self.tracer.span(name, category="train", args=args)
-        import contextlib
-
-        return contextlib.nullcontext()

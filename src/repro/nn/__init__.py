@@ -8,8 +8,9 @@ Keras semantics.  This package provides:
 - :mod:`repro.nn.runtime` — an "ML runtime" exposing a C-API-flavoured
   session interface (row-major tensors, explicit buffers) used by the
   Raven-like integration approach,
-- :mod:`repro.nn.training` — a small SGD/Adam trainer for dense networks
-  so the examples can train real models,
+- :mod:`repro.nn.backward` — the device-kernel backward pass of dense
+  stacks that the engine's one training loop
+  (:class:`repro.db.train.TrainOperator`) steps,
 - :mod:`repro.nn.serialization` — JSON save/load.
 """
 

@@ -1,16 +1,16 @@
 """Device-kernel backward pass for dense stacks (in-database training).
 
-:func:`repro.nn.training.fit` trains with plain NumPy; this module
-expresses the same minibatch-SGD math through the
-:mod:`repro.device` kernel set (``gemm`` / ``multiply`` /
-``activation``) over reusable arena views, so training shares the
-accounting, tracing and cancellation machinery of the inference
-kernels.  The engine's ``CREATE MODEL ... AS TRAIN`` operator
-(:mod:`repro.db.train`) drives it with the same
-:class:`~repro.device.arena.BufferArena` as inference.
+:class:`DenseBackward` runs forward, backward and the momentum-SGD
+update of one minibatch through the :mod:`repro.device` kernel set
+(``gemm`` / ``multiply`` / ``activation``) over reusable arena views,
+so training shares the accounting, tracing and cancellation machinery
+of the inference kernels.  All arithmetic is float32 and a pure
+function of the weights and the batch.  Its one driver is
+:class:`repro.db.train.TrainOperator`, the loop behind ``CREATE MODEL
+... AS TRAIN`` and the array entry point.
 
-Dense-only, like :func:`~repro.nn.training.fit`: LSTM backpropagation
-through time is out of scope (the paper trains nothing at all).
+Dense-only (else :class:`~repro.errors.ModelError`): LSTM
+backpropagation through time is out of scope, as in the paper.
 """
 
 from __future__ import annotations

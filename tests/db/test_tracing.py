@@ -284,6 +284,17 @@ class TestEngineTracing:
         assert "query" in names
         assert "TableScan" in names  # operator span
 
+    def test_disable_tracing_stops_recording(self, db: Database):
+        db.enable_tracing()
+        db.execute("CREATE TABLE t (a FLOAT)")
+        db.execute("SELECT a FROM t")
+        recorded = len(db.tracer.finished_spans())
+        assert recorded > 0
+        db.disable_tracing()
+        assert db.tracer.enabled is False
+        db.execute("SELECT a FROM t WHERE a > 0")
+        assert len(db.tracer.finished_spans()) == recorded
+
     def test_operator_spans_parent_chain(self, db: Database):
         db.enable_tracing()
         db.execute("CREATE TABLE t (a FLOAT)")

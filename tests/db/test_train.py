@@ -7,14 +7,18 @@ VERSION``, ``MODEL JOIN m VERSION k``, cache invalidation on swap),
 atomic failure under the ``train.step`` fault site and a simulated
 crash between weight-write and registration, persistence of the
 version catalog across close/reopen, EXPLAIN for training statements,
-retrain-and-swap under live serving traffic, and the SQL4NN-style
-validation queries from docs/TRAINING.md.
+retrain-and-swap under live serving traffic, the SQL4NN-style
+validation queries from docs/TRAINING.md, the label split of a
+multi-output model (the last *k* source columns), typed failures on
+non-finite data or a diverging run, and convergence through the one
+training loop.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from repro.db import faults
 from repro.db.engine import Database
 from repro.db.faults import FaultInjector
 from repro.db.serve import Server
+from repro.db.sql.parser import parse_statement
 from repro.db.train import (
     TrainingSpec,
     version_table_name,
@@ -35,10 +40,13 @@ from repro.db.udf import PythonUdf
 from repro.errors import (
     CatalogError,
     InjectedFaultError,
+    ModelError,
     QueryCancelledError,
     SqlSyntaxError,
     TrainingError,
 )
+from repro.nn.layers import Dense, Lstm
+from repro.nn.model import Sequential
 
 # reopens persistent databases: runs again under `python -X dev` with
 # ResourceWarnings as errors
@@ -221,6 +229,214 @@ class TestCreateModelTraining:
             )
         with pytest.raises(SqlSyntaxError):
             database.execute("ALTER MODEL m VERSION 2")
+
+
+def make_two_label_database(rows: int = ROWS, seed: int = 7) -> Database:
+    """Two features and two label columns: ``a`` (x1 + x2 > 0) and
+    ``b`` (x1 - x2 > 0), one per output unit of a 2-unit model."""
+    database = connect()
+    database.execute(
+        "CREATE TABLE pts2 (x1 DOUBLE, x2 DOUBLE, a DOUBLE, b DOUBLE)"
+    )
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 2)).astype(np.float32)
+    database.catalog.table("pts2").append_rows(
+        [
+            (float(x1), float(x2), float(x1 + x2 > 0), float(x1 - x2 > 0))
+            for x1, x2 in x
+        ]
+    )
+    return database
+
+
+TWO_OUTPUT_SQL = (
+    "CREATE MODEL two AS TRAIN DENSE(8 relu, 2 sigmoid) "
+    "ON (SELECT x1, x2, a, b FROM pts2) "
+    "WITH (epochs=25, batch_size=32, lr=0.05, seed=2, loss='bce')"
+)
+
+
+def assert_nothing_published(database: Database, name: str) -> None:
+    assert not database.catalog.has_model(name)
+    assert version_table_name(name, 1) not in database.catalog.tables
+    assert database.catalog.model_versions == {}
+
+
+class TestLabelColumns:
+    """The last *k* source columns are the labels of a *k*-unit model."""
+
+    def test_two_outputs_train_on_two_label_columns(self):
+        database = make_two_label_database()
+        database.execute(TWO_OUTPUT_SQL)
+        record = database.catalog.model_version("two", 1)
+        assert record.metadata.input_width == 2
+
+        source = database.execute("SELECT x1, x2, a, b FROM pts2")
+        columns = {
+            name: np.asarray(source.column(name), dtype=np.float32)
+            for name in ("x1", "x2", "a", "b")
+        }
+        features = np.column_stack([columns["x1"], columns["x2"]])
+        labels = np.column_stack([columns["a"], columns["b"]])
+        spec = TrainingSpec.from_options(
+            parse_statement(TWO_OUTPUT_SQL).options
+        )
+        model = _build_model(parse_statement(TWO_OUTPUT_SQL), 2, spec.seed)
+        TrainOperator(model, spec).run(features, labels)
+        assert weight_checksum(model) == record.weight_checksum
+
+        # each output learned its own label
+        result = database.execute(
+            "SELECT prediction_0, prediction_1 FROM pts2 "
+            "MODEL JOIN two USING (x1, x2)"
+        )
+        for output, label in (("prediction_0", "a"), ("prediction_1", "b")):
+            predicted = (np.asarray(result.column(output)) > 0.5)
+            assert (predicted == (columns[label] > 0.5)).mean() > 0.9
+
+    def test_source_narrower_than_outputs_plus_one_fails(self):
+        database = make_two_label_database()
+        with pytest.raises(TrainingError, match="at least 3 columns"):
+            database.execute(
+                "CREATE MODEL two AS TRAIN DENSE(4 relu, 2 sigmoid) "
+                "ON (SELECT x1, a FROM pts2) WITH (epochs=1)"
+            )
+        assert_nothing_published(database, "two")
+
+    @pytest.mark.parametrize(
+        "labels",
+        [(8, 1), (8,), (7, 2), (8, 3)],
+        ids=["one-column", "flat", "fewer-rows", "three-columns"],
+    )
+    def test_run_rejects_labels_of_another_shape(self, labels):
+        model = Sequential([Dense(2, "sigmoid")], input_width=2, seed=0)
+        with pytest.raises(TrainingError, match="labels must have shape"):
+            TrainOperator(model, TrainingSpec(epochs=1)).run(
+                np.zeros((8, 2), dtype=np.float32),
+                np.zeros(labels, dtype=np.float32),
+            )
+
+    def test_run_rejects_features_of_another_width(self):
+        model = Sequential([Dense(1, "sigmoid")], input_width=3, seed=0)
+        with pytest.raises(TrainingError, match="features must have shape"):
+            TrainOperator(model, TrainingSpec(epochs=1)).run(
+                np.zeros((4, 2), dtype=np.float32),
+                np.zeros((4, 1), dtype=np.float32),
+            )
+
+
+class TestNonFiniteTraining:
+    """NaN or ±inf data and diverging runs fail typed and publish
+    nothing (SQL4NN's non-finite-weight check, before publication)."""
+
+    @pytest.mark.parametrize(
+        "rows, options, message",
+        [
+            # one NaN label in 100 rows
+            (
+                [(float(i), 1.0, float("nan") if i == 5 else 1.0)
+                 for i in range(100)],
+                "epochs=2",
+                "column 'y' holds NaN",
+            ),
+            # one infinite feature
+            (
+                [(float("inf") if i == 7 else float(i), 1.0, 1.0)
+                 for i in range(100)],
+                "epochs=2",
+                "column 'x1' holds NaN",
+            ),
+            # a learning rate that diverges on ±1e30 features
+            (
+                [(1e30 if i % 2 else -1e30, 1.0, float(i % 2))
+                 for i in range(100)],
+                "epochs=2, lr=1.0",
+                "diverged in epoch 1 of 2",
+            ),
+        ],
+        ids=["nan-label", "inf-feature", "diverging-lr"],
+    )
+    def test_fails_typed_and_publishes_nothing(self, rows, options, message):
+        database = connect()
+        database.execute("CREATE TABLE n (x1 DOUBLE, x2 DOUBLE, y DOUBLE)")
+        database.catalog.table("n").append_rows(rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError, match=message):
+                database.execute(
+                    "CREATE MODEL m AS TRAIN DENSE(4 relu, 1) "
+                    f"ON (SELECT x1, x2, y FROM n) WITH ({options})"
+                )
+        assert not [
+            warning for warning in caught
+            if issubclass(warning.category, RuntimeWarning)
+        ]
+        assert_nothing_published(database, "m")
+        snapshot = database.metrics.snapshot()
+        assert snapshot["training.failures"]["value"] == 1
+
+    def test_run_names_the_non_finite_label(self):
+        model = Sequential([Dense(2, "sigmoid")], input_width=2, seed=0)
+        labels = np.zeros((4, 2), dtype=np.float32)
+        labels[3, 1] = np.nan
+        with pytest.raises(TrainingError, match="'label 1' holds NaN"):
+            TrainOperator(model, TrainingSpec(epochs=1)).run(
+                np.zeros((4, 2), dtype=np.float32), labels
+            )
+
+
+class TestConvergence:
+    """The behaviours the removed NumPy trainer was tested for, through
+    the one training loop."""
+
+    def test_loss_drops_on_a_linear_problem(self):
+        database = connect()
+        database.execute(
+            "CREATE TABLE lin (x1 DOUBLE, x2 DOUBLE, x3 DOUBLE, y DOUBLE)"
+        )
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(300, 3)).astype(np.float32)
+        y = x @ np.array([1.0, -2.0, 0.5], dtype=np.float32) + 0.1
+        database.catalog.table("lin").append_rows(
+            [(*map(float, row), float(target)) for row, target in zip(x, y)]
+        )
+        sql = (
+            "CREATE MODEL {name} AS TRAIN DENSE(8 tanh, 1) "
+            "ON (SELECT x1, x2, x3, y FROM lin) "
+            "WITH (epochs={epochs}, lr=0.02, seed=1)"
+        )
+        # same seed: the 1-epoch run's loss is the 40-epoch run's first
+        first = database.execute(sql.format(name="one", epochs=1)).rows
+        last = database.execute(sql.format(name="forty", epochs=40)).rows
+        assert last[0][5] < 0.2 * first[0][5]
+
+    def test_learns_xor(self):
+        database = connect()
+        database.execute("CREATE TABLE xor (a DOUBLE, b DOUBLE, y DOUBLE)")
+        database.catalog.table("xor").append_rows(
+            [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0),
+             (1.0, 1.0, 0.0)]
+        )
+        database.execute(
+            "CREATE MODEL x AS TRAIN DENSE(8 tanh, 1 sigmoid) "
+            "ON (SELECT a, b, y FROM xor) "
+            "WITH (epochs=400, lr=0.3, batch_size=4, seed=3)"
+        )
+        result = database.execute(
+            "SELECT y, prediction_0 FROM xor MODEL JOIN x USING (a, b)"
+        )
+        assert [
+            (prediction >= 0.5) == (label == 1.0)
+            for label, prediction in result.rows
+        ] == [True] * 4
+
+    def test_lstm_training_unsupported(self):
+        model = Sequential([Lstm(3), Dense(1)], input_width=2)
+        with pytest.raises(ModelError, match="dense-only"):
+            TrainOperator(model, TrainingSpec(epochs=1)).run(
+                np.zeros((4, 2), dtype=np.float32),
+                np.zeros((4, 1), dtype=np.float32),
+            )
 
 
 class TestModelLifecycle:

@@ -10,48 +10,6 @@ from repro.nn.serialization import (
     model_to_dict,
     save_model,
 )
-from repro.nn.training import accuracy, fit
-
-
-class TestTraining:
-    def test_loss_decreases_on_linear_problem(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(300, 3)).astype(np.float32)
-        y = x @ np.array([1.0, -2.0, 0.5], dtype=np.float32) + 0.1
-        model = Sequential(
-            [Dense(8, "tanh"), Dense(1)], input_width=3, seed=1
-        )
-        report = fit(model, x, y, epochs=40, learning_rate=0.02)
-        assert report.final_loss < report.losses[0] * 0.2
-
-    def test_learns_xor(self):
-        x = np.array(
-            [[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.float32
-        )
-        y = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.float32)
-        model = Sequential(
-            [Dense(8, "tanh"), Dense(1, "sigmoid")],
-            input_width=2,
-            seed=3,
-        )
-        fit(model, x, y, epochs=400, learning_rate=0.3, batch_size=4)
-        assert accuracy(model, x, y.astype(np.int64)) == 1.0
-
-    def test_lstm_training_unsupported(self):
-        model = Sequential([Lstm(3), Dense(1)], input_width=2)
-        with pytest.raises(ModelError, match="dense-only"):
-            fit(model, np.zeros((4, 2)), np.zeros(4), epochs=1)
-
-    def test_length_mismatch(self):
-        model = Sequential([Dense(1)], input_width=2)
-        with pytest.raises(ModelError):
-            fit(model, np.zeros((4, 2)), np.zeros(3), epochs=1)
-
-    def test_multiclass_accuracy_argmax(self):
-        model = Sequential([Dense(3, "linear")], input_width=3, seed=0)
-        model.layers[0].set_weights(np.eye(3), np.zeros(3))
-        x = np.eye(3, dtype=np.float32)
-        assert accuracy(model, x, np.array([0, 1, 2])) == 1.0
 
 
 class TestSerialization:
