@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -124,12 +124,30 @@ class ZoneMaps:
     so pruning a partition is one vectorised pass (:func:`block_pruner`).
     """
 
-    __slots__ = ("low", "high", "rows")
+    __slots__ = ("low", "high", "rows", "_bounds")
 
     def __init__(self, low: np.ndarray, high: np.ndarray, rows: np.ndarray):
         self.low = low
         self.high = high
         self.rows = rows
+        self._bounds: dict[int, tuple[list, list] | None] = {}
+
+    def bounds(self, position: int) -> tuple[list, list] | None:
+        """Column *position*'s per-block ``(lows, highs)`` as lists of
+        floats, or None when a block has no zone map there (NaN).
+        Memoized: the arrays never change."""
+        try:
+            return self._bounds[position]
+        except KeyError:
+            pass
+        low, high = self.low[:, position], self.high[:, position]
+        bounds = (
+            None
+            if np.isnan(low).any() or np.isnan(high).any()
+            else (low.tolist(), high.tolist())
+        )
+        self._bounds[position] = bounds
+        return bounds
 
     @classmethod
     def of(cls, blocks, width: int) -> "ZoneMaps":
@@ -168,7 +186,9 @@ class ZoneMaps:
 
 
 def block_pruner(
-    schema: Schema, ranges: list[ColumnRange]
+    schema: Schema,
+    ranges: list[ColumnRange],
+    sort_key: tuple[str, ...] = (),
 ) -> Callable[[ZoneMaps], np.ndarray] | None:
     """The one zone-map pruner: a ``zone maps -> keep mask`` closure, or
     None when no predicate applies to *schema* (callers then skip the
@@ -179,6 +199,13 @@ def block_pruner(
     :meth:`ColumnRange.may_match` answers for that block's stat: a NaN
     bound compares false, so a missing or NaN-poisoned zone map prunes
     only by the bound it has, and never by a point list.
+
+    With a *sort_key* (the table's ``SORTED BY`` columns) and a range on
+    its leading column, a partition whose zone maps of that column hold
+    no NaN has them in ascending order, block after block; the closure
+    then finds that range's blocks by binary search (one per bound and
+    per ``IN`` point) and masks the other ranges over those blocks
+    only.  The mask is the same either way.
     """
     resolved = [
         (
@@ -212,7 +239,81 @@ def block_pruner(
                 keep &= hit
         return keep
 
-    return may_match
+    searched = _leading_key_range(resolved, sort_key)
+    if searched is None:
+        return may_match
+    position, predicate, points = searched
+    others = block_pruner(
+        schema, [entry[1] for entry in resolved if entry is not searched]
+    )
+    # compared as float64, like the masks above
+    low_bound = None if predicate.low is None else float(predicate.low)
+    high_bound = None if predicate.high is None else float(predicate.high)
+    point_list = None if points is None else points.tolist()
+
+    def search(zones: ZoneMaps) -> np.ndarray:
+        bounds = zones.bounds(position)
+        if bounds is None:
+            return may_match(zones)
+        lows, highs = bounds
+        start = 0 if low_bound is None else bisect_left(highs, low_bound)
+        stop = (
+            len(lows) if high_bound is None
+            else bisect_right(lows, high_bound)
+        )
+        keep = np.zeros(len(lows), dtype=bool)
+        if point_list is None:
+            # one run of blocks: mask the other ranges over a view of it
+            if others is not None and start < stop:
+                keep[start:stop] = others(
+                    ZoneMaps(
+                        zones.low[start:stop],
+                        zones.high[start:stop],
+                        zones.rows[start:stop],
+                    )
+                )
+            else:
+                keep[start:stop] = True
+            return keep
+        for point in point_list:
+            keep[
+                max(bisect_left(highs, point), start):
+                min(bisect_right(lows, point), stop)
+            ] = True
+        if others is not None:
+            kept = np.flatnonzero(keep)
+            keep[kept] = others(
+                ZoneMaps(zones.low[kept], zones.high[kept], zones.rows[kept])
+            )
+        return keep
+
+    return search
+
+
+def _leading_key_range(resolved: list, sort_key: tuple[str, ...]):
+    """The resolved range on *sort_key*'s leading column whose bounds
+    and ``IN`` points are numbers (not NaN), or None."""
+    if not sort_key:
+        return None
+    lead = sort_key[0].lower()
+    for entry in resolved:
+        predicate = entry[1]
+        if predicate.column.lower() != lead:
+            continue
+        try:
+            bounds = [
+                float(bound)
+                for bound in (predicate.low, predicate.high)
+                if bound is not None
+            ]
+        except (TypeError, ValueError):
+            return None
+        points = entry[2]
+        if all(bound == bound for bound in bounds) and (
+            points is None or not np.isnan(points).any()
+        ):
+            return entry
+    return None
 
 
 def zone_map_bounds(array: np.ndarray, sql_type: SqlType):

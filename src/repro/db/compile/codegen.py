@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.db.expressions import (
+    ARITHMETIC,
     BinaryOp,
     CaseWhen,
     Cast,
@@ -88,6 +89,9 @@ _BINARY_OPS = {
 }
 
 _LOGICAL = {"AND", "OR"}
+
+#: the exact INTEGER arithmetic a kernel calls, by operator
+_INTEGER_CALLS = {"+": "INT_ADD", "-": "INT_SUB", "*": "INT_MUL"}
 
 
 def _case_when_default(conditions, values, n):
@@ -271,11 +275,16 @@ def emit(expression: Expression, builder: SourceBuilder) -> str:
                     )
         left = emit(expression.left, builder)
         right = emit(expression.right, builder)
-        if operator == "/" or (
-            operator in "+-*"
-            and expression.output_type(builder.schema)
-            in (SqlType.FLOAT, SqlType.DOUBLE)
-        ):
+        if operator in _INTEGER_CALLS:
+            output = expression.output_type(builder.schema)
+            if output is SqlType.INTEGER:
+                # exact: an int64 result that wrapped raises
+                local = _INTEGER_CALLS[operator]
+                builder.bindings[local] = ARITHMETIC[operator]
+                return f"{local}({left}, {right})"
+            if output in (SqlType.FLOAT, SqlType.DOUBLE):
+                builder.float_arithmetic = True
+        elif operator == "/":
             builder.float_arithmetic = True
         return f"({left} {operator} {right})"
     if isinstance(expression, UnaryOp):

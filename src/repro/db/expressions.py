@@ -23,7 +23,11 @@ from repro.db.functions import lookup_function
 from repro.db.schema import Schema
 from repro.db.types import SqlType, check_comparable, common_numeric_type
 from repro.db.vector import VectorBatch
-from repro.errors import ExecutionError, TypeMismatchError
+from repro.errors import (
+    ExecutionError,
+    IntegerOverflowError,
+    TypeMismatchError,
+)
 
 
 class Expression:
@@ -109,6 +113,83 @@ class Literal(Expression):
         return str(self.value)
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _magnitude(values) -> int:
+    """The largest absolute value of an integer array or scalar, as an
+    exact Python int (``abs`` of the int64 minimum wraps in NumPy)."""
+    if np.ndim(values) == 0:
+        return abs(int(values))
+    if not len(values):
+        return 0
+    return max(-int(values.min()), int(values.max()))
+
+
+def _exact_at(symbol: str, left, right, row: int) -> tuple[int, int, int]:
+    """Row *row*'s integer operands and their exact result."""
+    left, right = (
+        int(operand[row]) if np.ndim(operand) else int(operand)
+        for operand in (left, right)
+    )
+    if symbol == "+":
+        return left, right, left + right
+    if symbol == "-":
+        return left, right, left - right
+    return left, right, left * right
+
+
+def _exact(symbol: str, operation):
+    """*operation* with IEEE float results and no NumPy warning (see
+    :func:`_ieee`) and exact integer results: where the int64 result
+    wrapped it raises :class:`IntegerOverflowError`.
+
+    The integer check is skipped when the operands' magnitudes bound
+    the result inside int64 (one ``min``/``max`` per operand);
+    otherwise ``+`` and ``-`` compare signs (a wrapped sum has the
+    opposite sign of both addends), and ``*`` recomputes exactly the
+    rows whose float64 product reaches 2**62.
+    """
+
+    def checked(left, right):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = operation(left, right)
+        if result.dtype.kind != "i":
+            return result
+        bound_left, bound_right = _magnitude(left), _magnitude(right)
+        if symbol == "*":
+            if bound_left * bound_right <= _INT64_MAX:
+                return result
+            shadow = np.abs(np.multiply(left, right, dtype=np.float64))
+            rows = np.flatnonzero(np.atleast_1d(shadow) >= 2.0**62)
+        else:
+            if bound_left + bound_right <= _INT64_MAX:
+                return result
+            if symbol == "+":
+                wrapped = (left ^ result) & (right ^ result)
+            else:
+                wrapped = (left ^ right) & (left ^ result)
+            rows = np.flatnonzero(np.atleast_1d(wrapped) < 0)
+        for row in rows:
+            a, b, exact = _exact_at(symbol, left, right, row)
+            if not -_INT64_MAX - 1 <= exact <= _INT64_MAX:
+                raise IntegerOverflowError(
+                    f"integer {a} {symbol} {b} = {exact} is outside the "
+                    "INTEGER (int64) range"
+                )
+        return result
+
+    return checked
+
+
+#: ``+ - *``: an INTEGER result is exact int64 or an
+#: :class:`IntegerOverflowError`, never a wrapped value (generated
+#: kernels call these for INTEGER-typed arithmetic)
+ARITHMETIC = {
+    "+": _exact("+", add), "-": _exact("-", sub), "*": _exact("*", mul),
+}
+
+
 def _ieee(operation):
     """*operation* with IEEE float results and no NumPy warning: an
     overflow is ±inf, ``0 * inf`` NaN, ``x / 0`` ±inf and ``0 / 0``
@@ -124,7 +205,7 @@ def _ieee(operation):
 #: NumPy operator of each arithmetic and comparison operator; division
 #: is always floating point (true division), as in SQL generated formulas
 _NUMPY_OPERATORS = {
-    "+": _ieee(add), "-": _ieee(sub), "*": _ieee(mul), "/": _ieee(truediv),
+    **ARITHMETIC, "/": _ieee(truediv),
     "=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge,
 }
 COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}

@@ -162,8 +162,11 @@ class TableScan(PhysicalOperator):
     def open(self) -> None:
         super().open()
         #: zone-map pruner over a partition's zone maps; None when no
-        #: range predicate applies to this table
-        self._may_match = block_pruner(self.source.schema, self.ranges)
+        #: range predicate applies to this table (a range on the sort
+        #: key's leading column is found by binary search)
+        self._may_match = block_pruner(
+            self.source.schema, self.ranges, self.source.sort_key
+        )
         #: keep masks of the morsel source's partitions, by index
         self._morsel_masks: dict[int, np.ndarray] = {}
         #: distinct column files opened (disk-resident tables only)

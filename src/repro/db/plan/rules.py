@@ -105,13 +105,14 @@ def _fold_constants(
         ):
             if expression.operator == "/" and expression.right.value == 0:
                 return expression
-            folded = Literal.of(
-                _evaluate(
-                    expression.operator,
-                    expression.left.value,
-                    expression.right.value,
-                )
+            value = _evaluate(
+                expression.operator,
+                expression.left.value,
+                expression.right.value,
             )
+            if isinstance(value, int) and not -(2**63) <= value < 2**63:
+                return expression  # raises IntegerOverflowError at run time
+            folded = Literal.of(value)
             firings.append(
                 RuleFiring(
                     "constant-folding", f"{expression} -> {folded}"

@@ -17,6 +17,15 @@ hanging.  Dispatchers drain the queue with the mirrored preference
 earliest deadline, then FIFO), so one chatty tenant cannot starve the
 others even when every entry shares a priority.
 
+The queue also owns the server's execution **slots**: at most
+``slots`` statements hold one at a time, and the per-tenant in-flight
+counts the take key reads are kept beside them, under the same lock.
+:meth:`AdmissionQueue.enter` is the one admission step of a blocking
+caller: when a slot is free and nothing is queued it grants the slot
+and the caller runs the statement on its own thread; otherwise the
+entry queues and a dispatcher takes it once a slot frees.  A queue
+whose ``slots`` is ``None`` never makes :meth:`take` wait for one.
+
 The ``serve.admit`` fault site fires on every admission attempt, so
 chaos runs (``REPRO_FAULTS=serve.admit=prob:0.1,...``) exercise the
 rejection path: an injected fault surfaces as the same immediate
@@ -39,8 +48,8 @@ from repro.errors import InjectedFaultError, QueryRejectedError
 class AdmittedQuery:
     """One query's journey through the serving layer.
 
-    Doubles as the client-visible future: :meth:`wait` blocks until a
-    dispatcher finishes, fails, or sheds the query, then returns the
+    Doubles as the client-visible future: :meth:`wait` blocks until the
+    statement finishes, fails, or is shed, then returns the
     :class:`~repro.db.engine.Result` or raises the recorded error.
     """
 
@@ -137,15 +146,27 @@ class AdmissionQueue:
             raise ValueError("admission queue capacity must be >= 1")
         self.capacity = capacity
         self.metrics = metrics
+        #: statements that may hold a slot at once; ``None`` never
+        #: limits :meth:`take` (the server sets its dispatcher count)
+        self.slots: int | None = None
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
+        self._drained = threading.Condition(self._lock)
         self._entries: list[AdmittedQuery] = []
         self._seq = 0
         self._closed = False
+        #: statements holding a slot, in total and per tenant
+        self._running = 0
+        self._inflight: dict[str, int] = {}
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    @property
+    def running(self) -> int:
+        """Statements holding a slot (on a dispatcher or a caller)."""
+        return self._running
 
     def _count(self, name: str, value: int = 1) -> None:
         if self.metrics is not None:
@@ -157,6 +178,22 @@ class AdmissionQueue:
                 len(self._entries)
             )
 
+    def _slot_free_locked(self) -> bool:
+        return self.slots is None or self._running < self.slots
+
+    def _grant_locked(self, entry: AdmittedQuery) -> None:
+        self._running += 1
+        self._inflight[entry.tenant] = (
+            self._inflight.get(entry.tenant, 0) + 1
+        )
+        if self.metrics is not None:
+            self.metrics.gauge("server.queries_active").set(self._running)
+
+    def _admitted(self, waited: float) -> None:
+        self._count("server.queries_admitted")
+        if self.metrics is not None:
+            self.metrics.histogram("server.queue_wait").observe(waited)
+
     def admit(self, entry: AdmittedQuery) -> list[AdmittedQuery]:
         """Enqueue *entry*; returns the entries shed to make room.
 
@@ -166,6 +203,22 @@ class AdmissionQueue:
         failed yet — the server fails and logs them, so every rejection
         lands a ``system.queries`` row.
         """
+        return self._admit(entry, inline=False)[1]
+
+    def enter(
+        self, entry: AdmittedQuery
+    ) -> tuple[bool, list[AdmittedQuery]]:
+        """Admit *entry* for a caller that blocks on its outcome.
+
+        Returns ``(granted, shed)``.  *granted* is true when a slot was
+        free and nothing was queued: *entry* now holds the slot, the
+        caller runs it on its own thread and then gives the slot back
+        with :meth:`release`.  Otherwise *entry* queued exactly as
+        :meth:`admit` queues it (same rejections, same *shed*).
+        """
+        return self._admit(entry, inline=True)
+
+    def _admit(self, entry: AdmittedQuery, inline: bool):
         if faults.ACTIVE is not None:
             try:
                 faults.ACTIVE.fire("serve.admit")
@@ -174,26 +227,36 @@ class AdmissionQueue:
                 raise QueryRejectedError(
                     "admission rejected by injected fault"
                 ) from fault
+        shed: list[AdmittedQuery] = []
         with self._ready:
             if self._closed:
                 self._count("server.queries_rejected")
                 raise QueryRejectedError("server is closed")
             entry.seq = self._seq
             self._seq += 1
-            entry.enqueued_at = time.perf_counter()
-            self._entries.append(entry)
-            shed: list[AdmittedQuery] = []
-            while len(self._entries) > self.capacity:
-                victim = min(self._entries, key=_shed_key)
-                self._entries.remove(victim)
-                shed.append(victim)
-            self._ready.notify()
-            self._set_depth_locked()
+            granted = (
+                inline and not self._entries and self._slot_free_locked()
+            )
+            if granted:
+                self._grant_locked(entry)
+            else:
+                entry.enqueued_at = time.perf_counter()
+                self._entries.append(entry)
+                while len(self._entries) > self.capacity:
+                    victim = min(self._entries, key=_shed_key)
+                    self._entries.remove(victim)
+                    shed.append(victim)
+                if self._slot_free_locked():
+                    self._ready.notify()
+                self._set_depth_locked()
         self._count("server.queries_submitted")
         if self.metrics is not None:
             self.metrics.counter(
                 f"server.tenant.{entry.tenant}.submitted"
             ).increment()
+        if granted:
+            self._admitted(0.0)
+            return True, shed
         if shed:
             self._count("server.queries_rejected", len(shed))
         if entry in shed:
@@ -203,34 +266,69 @@ class AdmissionQueue:
                 f"(priority {entry.priority}, "
                 f"deadline in {entry.remaining_seconds():.3f}s)"
             )
-        return shed
+        return False, shed
 
-    def take(self, inflight: dict) -> AdmittedQuery | None:
-        """Pop the best entry for a dispatcher (blocking).
+    def take(self, inflight: dict | None = None) -> AdmittedQuery | None:
+        """Pop the best queued entry once a slot is free (blocking).
 
-        *inflight* maps tenant → currently-executing query count; the
-        pick minimizes it first (see :func:`_take_key`).  Returns
-        ``None`` once the queue is closed and drained.
+        The entry is granted the slot; the dispatcher gives it back with
+        :meth:`release` when the statement ends.  The pick minimizes
+        the tenant's executing-statement count first (see
+        :func:`_take_key`), read from *inflight* when given (tenant →
+        count), else from the queue's own slots.  Returns ``None`` once
+        the queue is closed and drained.
         """
         with self._ready:
             while True:
-                if self._entries:
+                if self._entries and self._slot_free_locked():
+                    counts = self._inflight if inflight is None else inflight
                     entry = min(
                         self._entries,
-                        key=lambda e: _take_key(inflight, e),
+                        key=lambda e: _take_key(counts, e),
                     )
                     self._entries.remove(entry)
                     self._set_depth_locked()
+                    self._grant_locked(entry)
                     break
                 if self._closed:
                     return None
-                self._ready.wait(0.05)
-        self._count("server.queries_admitted")
-        if self.metrics is not None:
-            self.metrics.histogram("server.queue_wait").observe(
-                time.perf_counter() - entry.enqueued_at
-            )
+                self._ready.wait()
+        self._admitted(time.perf_counter() - entry.enqueued_at)
         return entry
+
+    def release(self, entry: AdmittedQuery) -> None:
+        """Give back *entry*'s slot.
+
+        Wakes one dispatcher only when an entry is queued for the slot,
+        and a closing server's :meth:`drain` once no slot is held.
+        """
+        with self._ready:
+            self._running -= 1
+            left = self._inflight[entry.tenant] - 1
+            if left:
+                self._inflight[entry.tenant] = left
+            else:
+                del self._inflight[entry.tenant]
+            if self.metrics is not None:
+                self.metrics.gauge("server.queries_active").set(
+                    self._running
+                )
+            if self._entries:
+                self._ready.notify()
+            elif self._closed and not self._running:
+                self._drained.notify_all()
+
+    def drain(self, timeout: float) -> bool:
+        """Wait up to *timeout* seconds until no slot is held (on a
+        closed queue, whose last :meth:`release` wakes the wait)."""
+        deadline = time.perf_counter() + timeout
+        with self._lock:
+            while self._running:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    return False
+                self._drained.wait(remaining)
+        return True
 
     def close(self) -> list[AdmittedQuery]:
         """Stop admissions; returns the still-queued entries.

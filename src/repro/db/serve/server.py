@@ -1,7 +1,11 @@
-"""The serving front-end: dispatchers, snapshots, graceful shutdown.
+"""The serving front-end: slots, dispatchers, snapshots, shutdown.
 
-A :class:`Server` wraps one shared :class:`~repro.db.engine.Database`
-with a pool of dispatcher threads draining the admission queue:
+A :class:`Server` wraps one shared :class:`~repro.db.engine.Database`.
+At most ``dispatchers`` statements execute at once, each holding one of
+the admission queue's slots.  A blocking ``Session.execute`` that finds
+a slot free and nothing queued runs its statement on the calling thread
+(a wire connection's own thread); everything else queues, and a pool of
+``dispatchers`` threads drains the queue as slots free:
 
 * **Reads** (SELECT / EXPLAIN) execute against a pinned
   :class:`~repro.db.snapshot.DatabaseSnapshot`, released when the query
@@ -57,10 +61,10 @@ class Server:
         self.default_timeout_seconds = default_timeout_seconds
         self.checkpoint_on_write = checkpoint_on_write
         self.queue = AdmissionQueue(queue_capacity, metrics=self.metrics)
+        self.queue.slots = dispatchers
         self._lock = threading.Lock()
         self._sessions: dict[str, Session] = {}
         self._session_seq = 0
-        self._inflight_by_tenant: dict[str, int] = {}
         self._closed = False
         database.attach_server(self)
         self._dispatchers = [
@@ -108,11 +112,17 @@ class Server:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def _submit(self, entry: AdmittedQuery) -> None:
+    def _submit(self, entry: AdmittedQuery, inline: bool = False) -> bool:
+        """Admit *entry*; true when it holds a slot to run on the
+        calling thread (only when *inline*), false when it queued."""
+        granted = False
         try:
             if self._closed:
                 raise QueryRejectedError("server is closed")
-            shed = self.queue.admit(entry)
+            if inline:
+                granted, shed = self.queue.enter(entry)
+            else:
+                shed = self.queue.admit(entry)
         except QueryRejectedError as error:
             self._fail_unexecuted(entry, error)
             raise
@@ -125,40 +135,24 @@ class Server:
                     f"{self.queue.capacity})"
                 ),
             )
+        return granted
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while True:
-            entry = self.queue.take(self._inflight_by_tenant)
+            entry = self.queue.take()
             if entry is None:
                 return
             self._run(entry)
 
     def _run(self, entry: AdmittedQuery) -> None:
-        tenant = entry.tenant
-        with self._lock:
-            self._inflight_by_tenant[tenant] = (
-                self._inflight_by_tenant.get(tenant, 0) + 1
-            )
-        if self.metrics is not None:
-            self.metrics.gauge("server.queries_active").set(
-                self._inflight_total()
-            )
+        """Run *entry*, which holds a slot, and give the slot back."""
         try:
             self._run_admitted(entry)
         finally:
-            with self._lock:
-                remaining = self._inflight_by_tenant.get(tenant, 1) - 1
-                if remaining:
-                    self._inflight_by_tenant[tenant] = remaining
-                else:
-                    self._inflight_by_tenant.pop(tenant, None)
-            if self.metrics is not None:
-                self.metrics.gauge("server.queries_active").set(
-                    self._inflight_total()
-                )
+            self.queue.release(entry)
 
     def _run_admitted(self, entry: AdmittedQuery) -> None:
         session = entry.session
@@ -198,10 +192,6 @@ class Server:
             return
         entry.finish(result)
 
-    def _inflight_total(self) -> int:
-        with self._lock:
-            return sum(self._inflight_by_tenant.values())
-
     def _fail_unexecuted(
         self, entry: AdmittedQuery, error: BaseException
     ) -> None:
@@ -234,7 +224,7 @@ class Server:
         return {
             "sessions": sessions,
             "queue_depth": len(self.queue),
-            "queries_active": self._inflight_total(),
+            "queries_active": self.queue.running,
             "closed": self._closed,
         }
 
@@ -245,9 +235,11 @@ class Server:
         """Graceful shutdown: shed the queue, cancel, drain (bounded).
 
         New admissions are rejected immediately; queued entries fail
-        with :class:`QueryRejectedError`; queries already executing are
-        cancelled cooperatively and the dispatchers are joined for up
-        to *drain_seconds*.  Idempotent.
+        with :class:`QueryRejectedError`; queries already executing —
+        on dispatchers or on their callers' threads — are cancelled
+        cooperatively, and up to *drain_seconds* is spent waiting for
+        them to give their slots back and for the dispatchers to exit.
+        Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -261,6 +253,7 @@ class Server:
         for session in sessions:
             session.close(reason="server closing")
         deadline = time.perf_counter() + max(drain_seconds, 0.0)
+        self.queue.drain(deadline - time.perf_counter())
         for thread in self._dispatchers:
             thread.join(max(deadline - time.perf_counter(), 0.0))
 

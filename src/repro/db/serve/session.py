@@ -2,9 +2,14 @@
 
 A :class:`Session` carries a client's identity (tenant, priority,
 default deadline) and bookkeeping.  It never touches the engine
-directly — every query goes through the server's admission queue — and
+directly — every query goes through the server's admission step — and
 closing it cancels the session's in-flight queries cooperatively, which
 is exactly what happens when a wire client disconnects mid-query.
+
+:meth:`Session.execute` blocks, so when admission grants it a free slot
+(nothing queued) it runs the statement on the calling thread, with no
+hand-off to a dispatcher.  :meth:`Session.submit` returns a future its
+caller may never wait on, so it always queues for a dispatcher.
 """
 
 from __future__ import annotations
@@ -60,18 +65,37 @@ class Session:
         timeout_seconds: float | None = None,
         parallel: bool = False,
     ) -> AdmittedQuery:
-        """Admit *sql* and return its future (non-blocking).
+        """Queue *sql* for a dispatcher and return its future
+        (non-blocking).
 
         Raises :class:`SessionClosedError` on a closed session and
         :class:`~repro.errors.QueryRejectedError` when this query is
         the shedding victim at admission.
         """
-        with self._lock:
-            if self._closed:
-                raise SessionClosedError(
-                    f"session {self.session_id!r} is closed"
-                )
-            self.submitted += 1
+        entry = self._entry(sql, timeout_seconds, parallel)
+        self._server._submit(entry)
+        return entry
+
+    def execute(
+        self,
+        sql: str,
+        timeout_seconds: float | None = None,
+        parallel: bool = False,
+    ):
+        """Admit *sql* and block for its result (or raise).
+
+        With a slot free and nothing queued the statement runs on this
+        thread; otherwise it queues as :meth:`submit` does and waits.
+        """
+        entry = self._entry(sql, timeout_seconds, parallel)
+        server = self._server
+        if server._submit(entry, inline=True):
+            server._run(entry)
+        return entry.wait()
+
+    def _entry(
+        self, sql: str, timeout_seconds: float | None, parallel: bool
+    ) -> AdmittedQuery:
         seconds = (
             timeout_seconds
             if timeout_seconds is not None
@@ -86,20 +110,13 @@ class Session:
             sql=sql, session=self, token=token, parallel=parallel
         )
         with self._lock:
+            if self._closed:
+                raise SessionClosedError(
+                    f"session {self.session_id!r} is closed"
+                )
+            self.submitted += 1
             self._inflight.add(entry)
-        self._server._submit(entry)
         return entry
-
-    def execute(
-        self,
-        sql: str,
-        timeout_seconds: float | None = None,
-        parallel: bool = False,
-    ):
-        """Admit *sql* and block for its result (or raise)."""
-        return self.submit(
-            sql, timeout_seconds=timeout_seconds, parallel=parallel
-        ).wait()
 
     def _query_done(self, entry: AdmittedQuery) -> None:
         """Terminal-state hook called from :class:`AdmittedQuery`."""
